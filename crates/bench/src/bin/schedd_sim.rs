@@ -44,13 +44,10 @@ fn scale_tag(scale: gcs_workloads::Scale) -> &'static str {
     }
 }
 
-fn fmt_f64(v: f64) -> String {
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') {
-        s
-    } else {
-        format!("{s}.0")
-    }
+fn f64_json(v: f64) -> String {
+    let mut s = String::new();
+    gcs_sim::wire::push_f64(&mut s, v);
+    s
 }
 
 fn latency_json(l: &LatencyStats) -> String {
@@ -59,7 +56,7 @@ fn latency_json(l: &LatencyStats) -> String {
         l.p50,
         l.p95,
         l.p99,
-        fmt_f64(l.mean),
+        f64_json(l.mean),
         l.max
     )
 }
@@ -148,8 +145,8 @@ fn main() {
                 format!(
                     "      \"{}\": {{\"stp\": {}, \"antt\": {}, \"makespan\": {}, \"queue_delay\": {}}}",
                     kind.name(),
-                    fmt_f64(r.stp()),
-                    fmt_f64(r.antt()),
+                    f64_json(r.stp()),
+                    f64_json(r.antt()),
                     r.makespan,
                     latency_json(&r.queue_delay_stats()),
                 )
@@ -158,7 +155,7 @@ fn main() {
         summary_configs.push(format!(
             "    {{\n      \"queue_len\": {len},\n{},\n      \"ilp_vs_fcfs\": {{\"stp_delta\": {}, \"p50_delay_delta\": {}, \"p95_delay_delta\": {}, \"p99_delay_delta\": {}}}\n    }}",
             policy_entries.join(",\n"),
-            fmt_f64(ilp.stp() - fcfs.stp()),
+            f64_json(ilp.stp() - fcfs.stp()),
             id.p50 as i64 - fd.p50 as i64,
             id.p95 as i64 - fd.p95 as i64,
             id.p99 as i64 - fd.p99 as i64,

@@ -27,6 +27,7 @@
 //! speedup) and is printed by the `gcs-bench` harness.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -36,6 +37,7 @@ use std::time::Instant;
 use gcs_sim::config::GpuConfig;
 use gcs_sim::gpu::{Gpu, PhaseCycles};
 use gcs_sim::kernel::AppId;
+use gcs_sim::wire::{fnv1a, push_str_escaped, Scan, WireError};
 use gcs_workloads::{Benchmark, Scale};
 
 use gcs_sim::gpu::SimError;
@@ -671,7 +673,7 @@ impl SweepEngine {
         num_sms: u32,
     ) -> Option<AppProfile> {
         let key = workload_profile_key(cfg, scale, &workload.key_token(), num_sms);
-        let fields = self.lookup(fnv1a(&key), &key)?;
+        let fields = self.lookup(fnv1a(key.as_bytes()), &key)?;
         let mut p = decode_profile(&fields)?;
         p.name = workload.name();
         Some(p)
@@ -777,7 +779,7 @@ impl SweepEngine {
         simulate: impl FnOnce() -> Result<(Vec<(String, u64)>, T), CoreError>,
     ) -> Result<T, CoreError> {
         self.jobs_total.fetch_add(1, Ordering::Relaxed);
-        let hash = fnv1a(key);
+        let hash = fnv1a(key.as_bytes());
         if let Some(fields) = self.lookup(hash, key) {
             if let Some(v) = decode(&fields) {
                 self.jobs_cached.fetch_add(1, Ordering::Relaxed);
@@ -806,7 +808,7 @@ impl SweepEngine {
         let dir = self.cache_dir.as_ref()?;
         let path = entry_path(dir, hash);
         let text = std::fs::read_to_string(&path).ok()?;
-        let Some((stored_key, fields)) = parse_entry(&text) else {
+        let Ok((stored_key, fields)) = parse_entry(&text) else {
             self.quarantine(dir, &path);
             return None;
         };
@@ -942,18 +944,8 @@ fn simulate_corun(
 }
 
 // ----------------------------------------------------------------------
-// Fingerprinting
+// Cache keys
 // ----------------------------------------------------------------------
-
-/// FNV-1a 64-bit.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Canonical description of every [`GpuConfig`] field. Changing any
 /// knob — cache geometry, DRAM timing, scheduler — changes the key and
@@ -1141,7 +1133,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 // ----------------------------------------------------------------------
-// On-disk JSON (hand-rolled; no serde)
+// On-disk JSON (through `gcs_sim::wire`; no serde)
 // ----------------------------------------------------------------------
 
 fn entry_path(dir: &Path, hash: u64) -> PathBuf {
@@ -1168,80 +1160,48 @@ fn write_entry_atomic(dir: &Path, hash: u64, text: &str) -> std::io::Result<()> 
 fn render_entry(key: &str, fields: &[(String, u64)]) -> String {
     let mut s = String::with_capacity(key.len() + fields.len() * 24 + 32);
     s.push_str("{\"key\":\"");
-    for c in key.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            _ => s.push(c),
-        }
-    }
+    push_str_escaped(&mut s, key);
     s.push_str("\",\"fields\":{");
     for (i, (name, val)) in fields.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push('"');
-        s.push_str(name);
-        s.push_str("\":");
-        s.push_str(&val.to_string());
+        s.push_str(if i == 0 { "\"" } else { ",\"" });
+        push_str_escaped(&mut s, name);
+        let _ = write!(s, "\":{val}");
     }
     s.push_str("}}\n");
     s
 }
 
 /// Parses exactly the shape [`render_entry`] writes. Anything off —
-/// truncation, garbage, wrong types — returns `None`, which the engine
-/// treats as a cache miss.
-fn parse_entry(text: &str) -> Option<(String, Vec<(String, u64)>)> {
+/// truncation, garbage, wrong types, a missing or stray comma — is an
+/// error, which the engine treats as a cache miss and quarantines.
+fn parse_entry(text: &str) -> Result<(String, Vec<(String, u64)>), WireError> {
     // The trailing newline is the end-of-entry marker `render_entry`
     // writes last; a file missing it was truncated mid-write.
-    let rest = text.strip_suffix('\n')?.trim().strip_prefix('{')?;
-    let rest = rest.strip_prefix("\"key\":\"")?;
-    let mut key = String::new();
-    let mut escaped = false;
-    let mut end = None;
-    for (i, c) in rest.char_indices() {
-        if escaped {
-            key.push(c);
-            escaped = false;
-            continue;
-        }
-        match c {
-            '\\' => escaped = true,
-            '"' => {
-                end = Some(i);
-                break;
-            }
-            _ => key.push(c),
-        }
-    }
-    let rest = &rest[end? + 1..];
-    let mut rest = rest.strip_prefix(",\"fields\":{")?;
+    let body = text.strip_suffix('\n').ok_or(WireError::Truncated {
+        at: text.len(),
+        want: 1,
+    })?;
+    let mut s = Scan::new(body);
+    s.lit("{")?;
+    s.key("key")?;
+    let key = s.string()?;
+    s.lit(",")?;
+    s.key("fields")?;
+    s.lit("{")?;
     let mut fields = Vec::new();
-    loop {
-        if let Some(tail) = rest.strip_prefix('}') {
-            if tail.trim() != "}" {
-                return None;
-            }
-            break;
-        }
-        rest = rest.strip_prefix(',').unwrap_or(rest);
-        rest = rest.strip_prefix('"')?;
-        let q = rest.find('"')?;
-        let name = &rest[..q];
-        rest = rest[q + 1..].strip_prefix(':')?;
-        let dend = rest
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(rest.len());
-        if dend == 0 {
-            return None;
-        }
-        let val: u64 = rest[..dend].parse().ok()?;
-        fields.push((name.to_string(), val));
-        rest = &rest[dend..];
+    while s.item("}", fields.is_empty())? {
+        let name = s.string()?;
+        s.lit(":")?;
+        fields.push((name, s.u64()?));
     }
-    Some((key, fields))
+    s.lit("}")?;
+    s.end()?;
+    Ok((key, fields))
 }
+
+#[cfg(test)]
+#[path = "../../../tests/common/hostile.rs"]
+mod hostile;
 
 #[cfg(test)]
 mod tests {
@@ -1399,7 +1359,7 @@ mod tests {
         let a = profile_key(&cfg(), Scale::TEST, Benchmark::Lud, 8);
         let b = profile_key(&cfg(), Scale::TEST, Benchmark::Lud, 8);
         assert_eq!(a, b);
-        assert_eq!(fnv1a(&a), fnv1a(&b));
+        assert_eq!(fnv1a(a.as_bytes()), fnv1a(b.as_bytes()));
     }
 
     #[test]
@@ -1458,17 +1418,30 @@ mod tests {
 
     #[test]
     fn parser_rejects_garbage_and_truncation() {
-        assert!(parse_entry("").is_none());
-        assert!(parse_entry("not json at all").is_none());
-        assert!(parse_entry("{\"key\":\"x\",\"fields\":{\"a\":12").is_none());
-        let good = render_entry("k", &[("a".into(), 7)]);
-        for cut in 1..good.len() {
-            // No truncated prefix may parse successfully.
-            if let Some((k, _)) = parse_entry(&good[..cut]) {
-                panic!("truncated entry parsed at {cut}: key {k:?}");
-            }
+        for bad in [
+            "",
+            "not json at all",
+            "{\"key\":\"x\",\"fields\":{\"a\":12",
+            // A stray leading comma and a missing comma are misses too.
+            "{\"key\":\"k\",\"fields\":{,\"a\":1,\"b\":2}}\n",
+            "{\"key\":\"k\",\"fields\":{\"a\":1\"b\":2}}\n",
+            "{\"key\":\"k\",\"fields\":{\"a\":1,\"b\":2,}}\n",
+        ] {
+            assert!(parse_entry(bad).is_err(), "accepted {bad:?}");
         }
-        assert!(parse_entry(&good).is_some());
+        // No truncation prefix parses, and neither bit flips nor garbage
+        // can make the reader panic (the engine quarantines all of them).
+        let good = render_entry("v1|k \"q\"", &[("a".into(), 7), ("b".into(), u64::MAX)]);
+        hostile::assault(
+            &[hostile::Target {
+                name: "cache-entry",
+                valid: good.into_bytes(),
+                checksummed: false,
+                accepts: &|b| std::str::from_utf8(b).is_ok_and(|t| parse_entry(t).is_ok()),
+            }],
+            1,
+            64,
+        );
     }
 
     // ---- memoization -------------------------------------------------
@@ -1638,7 +1611,7 @@ mod tests {
             .map(|f| f.unwrap().path())
             .find(|p| p.extension().is_some_and(|e| e == "json"))
             .expect("one cache entry on disk");
-        assert!(parse_entry(&std::fs::read_to_string(&entry).unwrap()).is_some());
+        assert!(parse_entry(&std::fs::read_to_string(&entry).unwrap()).is_ok());
 
         // Simulate a kill mid-write of a *different* job: a truncated
         // temp file beside the published entry. Lookups never consult

@@ -7,8 +7,12 @@
 //! `tests/fleet.rs` compares these strings with `==`), and the CI
 //! fleet smoke re-runs and byte-diffs the committed artifacts.
 
+use std::fmt::Write as _;
+
 use gcs_core::Degradation;
+use gcs_sched::report::{push_degradations, push_rejections};
 use gcs_sched::{JobId, Rejection};
+use gcs_sim::wire::{push_f64, push_str_escaped};
 use gcs_workloads::Benchmark;
 
 /// Per-device utilization row.
@@ -132,89 +136,67 @@ impl FleetReport {
     /// Canonical JSON rendering; see the module docs.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(256 + self.jobs.len() * 160);
-        s.push_str("{\n");
-        s.push_str(&format!("  \"mode\": \"{}\",\n", esc(&self.mode)));
-        s.push_str(&format!("  \"queue_capacity\": {},\n", self.queue_capacity));
-        s.push_str(&format!("  \"makespan\": {},\n", self.makespan));
-        s.push_str(&format!("  \"stp\": {},\n", fmt_f64(self.stp())));
-        s.push_str(&format!("  \"antt\": {},\n", fmt_f64(self.antt())));
-        s.push_str(&format!("  \"churn\": {},\n", self.churn));
+        s.push_str("{\n  \"mode\": \"");
+        push_str_escaped(&mut s, &self.mode);
+        let _ = write!(
+            s,
+            "\",\n  \"queue_capacity\": {},\n  \"makespan\": {},\n  \"stp\": ",
+            self.queue_capacity, self.makespan,
+        );
+        push_f64(&mut s, self.stp());
+        s.push_str(",\n  \"antt\": ");
+        push_f64(&mut s, self.antt());
+        let _ = write!(s, ",\n  \"churn\": {},\n", self.churn);
 
         s.push_str("  \"devices\": [");
         for (i, d) in self.devices.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
-            s.push_str(&format!(
-                "    {{\"id\":\"{}\",\"num_sms\":{},\"groups\":{},\"busy_cycles\":{},\"utilization\":{}}}",
-                esc(&d.id),
-                d.num_sms,
-                d.groups,
-                d.busy_cycles,
-                fmt_f64(self.utilization(i)),
-            ));
+            s.push_str("    {\"id\":\"");
+            push_str_escaped(&mut s, &d.id);
+            let _ = write!(
+                s,
+                "\",\"num_sms\":{},\"groups\":{},\"busy_cycles\":{},\"utilization\":",
+                d.num_sms, d.groups, d.busy_cycles,
+            );
+            push_f64(&mut s, self.utilization(i));
+            s.push('}');
         }
         s.push_str(if self.devices.is_empty() { "],\n" } else { "\n  ],\n" });
 
         s.push_str("  \"jobs\": [");
         for (i, j) in self.jobs.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
-            s.push_str(&format!(
+            let _ = write!(
+                s,
                 "    {{\"id\":{},\"bench\":\"{}\",\"device\":{},\"arrival\":{},\"dispatch\":{},\"completion\":{},\"budget_sms\":{},\"alone_cycles\":{},\"corun_cycles\":{}}}",
                 j.id, j.bench, j.device, j.arrival, j.dispatch, j.completion,
                 j.budget_sms, j.alone_cycles, j.corun_cycles,
-            ));
+            );
         }
         s.push_str(if self.jobs.is_empty() { "],\n" } else { "\n  ],\n" });
 
         s.push_str("  \"groups\": [");
         for (i, g) in self.groups.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
-            let ids: Vec<String> = g.jobs.iter().map(|id| id.to_string()).collect();
-            s.push_str(&format!(
-                "    {{\"device\":{},\"start\":{},\"end\":{},\"jobs\":[{}],\"stp\":{}}}",
-                g.device,
-                g.start,
-                g.end,
-                ids.join(","),
-                fmt_f64(g.stp),
-            ));
+            let _ = write!(
+                s,
+                "    {{\"device\":{},\"start\":{},\"end\":{},\"jobs\":[",
+                g.device, g.start, g.end,
+            );
+            for (k, id) in g.jobs.iter().enumerate() {
+                let _ = write!(s, "{}{id}", if k == 0 { "" } else { "," });
+            }
+            s.push_str("],\"stp\":");
+            push_f64(&mut s, g.stp);
+            s.push('}');
         }
         s.push_str(if self.groups.is_empty() { "],\n" } else { "\n  ],\n" });
 
-        s.push_str("  \"rejections\": [");
-        for (i, r) in self.rejections.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            s.push_str(&format!(
-                "    {{\"job\":{},\"bench\":\"{}\",\"at\":{},\"capacity\":{}}}",
-                r.job, r.bench, r.at, r.capacity,
-            ));
-        }
-        s.push_str(if self.rejections.is_empty() { "],\n" } else { "\n  ],\n" });
-
-        s.push_str("  \"degradations\": [");
-        for (i, d) in self.degradations.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            s.push_str(&format!("    \"{}\"", esc(&d.to_string())));
-        }
-        s.push_str(if self.degradations.is_empty() { "]\n" } else { "\n  ]\n" });
-        s.push('}');
-        s.push('\n');
+        push_rejections(&mut s, &self.rejections);
+        push_degradations(&mut s, &self.degradations);
+        s.push_str("}\n");
         s
     }
-}
-
-/// Shortest-round-trip float rendering with a guaranteed decimal point
-/// (same contract as `SchedReport`'s).
-fn fmt_f64(v: f64) -> String {
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
-        s
-    } else {
-        format!("{s}.0")
-    }
-}
-
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]
@@ -276,6 +258,10 @@ mod tests {
         // Floats always carry a decimal point.
         assert!(j.contains("\"stp\": 0.8"));
         assert!(j.contains("\"antt\": 1.5"));
+        // Ids are escaped with the full set, control characters included.
+        let mut hostile = r;
+        hostile.devices[1].id = "g\u{1}pu\n\"1\\".into();
+        assert!(hostile.to_json().contains(r#"{"id":"g\u0001pu\n\"1\\","num_sms":15,"#));
     }
 
     #[test]

@@ -4,17 +4,20 @@
 //! sharing one base [`GpuConfig`] (clock, cache geometry, DRAM model);
 //! heterogeneity is expressed as per-device SM capacity, which is the
 //! axis the paper's allocation problem actually varies. The spec
-//! round-trips through the same hand-rolled, tolerant JSON idiom as
-//! [`ArrivalTrace`](gcs_workloads::ArrivalTrace) and never panics on
-//! malformed input — every failure is a typed [`FleetError`].
+//! round-trips through the workspace's wire kernel
+//! ([`gcs_sim::wire`]) and never panics on malformed input — every
+//! failure is a typed [`FleetError`].
+
+use std::fmt::Write as _;
 
 use gcs_sim::config::GpuConfig;
+use gcs_sim::wire::{push_str_escaped, Scan, WireError};
 
 /// One device in the fleet.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceProfile {
-    /// Stable, unique name (e.g. `"gpu0"`). Appears verbatim in the
-    /// fleet report, so it must not contain `"` or `\`.
+    /// Stable, unique name (e.g. `"gpu0"`). Kept free of `"` and `\` so
+    /// it reads verbatim in the fleet report.
     pub id: String,
     /// SM capacity (≥ 1). The device config is the fleet's base
     /// [`GpuConfig`] with `num_sms` replaced by this.
@@ -63,8 +66,7 @@ impl FleetSpec {
     /// [`FleetError::Empty`] with no devices, [`FleetError::ZeroSms`]
     /// on a zero-capacity device, [`FleetError::DuplicateId`] on a
     /// repeated id, and [`FleetError::Malformed`] on an empty id or an
-    /// id containing `"` / `\` (which could not render into the
-    /// canonical report).
+    /// id containing `"` / `\`.
     pub fn new(devices: Vec<DeviceProfile>) -> Result<FleetSpec, FleetError> {
         if devices.is_empty() {
             return Err(FleetError::Empty);
@@ -147,14 +149,9 @@ impl FleetSpec {
         let mut s = String::with_capacity(16 + self.devices.len() * 28);
         s.push_str("{\"devices\":[");
         for (i, d) in self.devices.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"id\":\"");
-            s.push_str(&d.id);
-            s.push_str("\",\"num_sms\":");
-            s.push_str(&d.num_sms.to_string());
-            s.push('}');
+            s.push_str(if i == 0 { "{\"id\":\"" } else { ",{\"id\":\"" });
+            push_str_escaped(&mut s, &d.id);
+            let _ = write!(s, "\",\"num_sms\":{}}}", d.num_sms);
         }
         s.push_str("]}");
         s
@@ -169,91 +166,31 @@ impl FleetSpec {
     /// [`FleetError::Malformed`] on structural problems, plus every
     /// validation error of [`FleetSpec::new`].
     pub fn from_json(text: &str) -> Result<FleetSpec, FleetError> {
-        let bad = |why: &str| FleetError::Malformed(why.to_string());
-        let rest = text.trim_start();
-        let rest = rest.strip_prefix('{').ok_or_else(|| bad("missing leading '{'"))?;
-        let rest = rest.trim_start();
-        let rest = rest
-            .strip_prefix("\"devices\"")
-            .ok_or_else(|| bad("missing \"devices\" key"))?;
-        let rest = rest.trim_start();
-        let rest = rest
-            .strip_prefix(':')
-            .ok_or_else(|| bad("missing ':' after \"devices\""))?;
-        let rest = rest.trim_start();
-        let mut rest = rest
-            .strip_prefix('[')
-            .ok_or_else(|| bad("missing devices '['"))?;
-        let mut devices = Vec::new();
-        loop {
-            rest = rest.trim_start();
-            if let Some(tail) = rest.strip_prefix(']') {
-                let tail = tail.trim_start();
-                let tail = tail.strip_suffix('}').ok_or_else(|| bad("missing final '}'"))?;
-                if !tail.trim().is_empty() {
-                    return Err(bad("trailing content after spec object"));
-                }
-                break;
-            }
-            if !devices.is_empty() {
-                rest = rest
-                    .strip_prefix(',')
-                    .ok_or_else(|| bad("missing ',' between devices"))?
-                    .trim_start();
-            }
-            let (device, tail) = parse_device(rest)?;
-            devices.push(device);
-            rest = tail;
-        }
+        let devices = scan_devices(text).map_err(|e| FleetError::Malformed(e.to_string()))?;
         FleetSpec::new(devices)
     }
 }
 
-/// Parses one `{"id":"NAME","num_sms":N}` object, returning the
-/// remainder.
-fn parse_device(text: &str) -> Result<(DeviceProfile, &str), FleetError> {
-    let bad = |why: &str| FleetError::Malformed(why.to_string());
-    let rest = text.strip_prefix('{').ok_or_else(|| bad("missing device '{'"))?;
-    let rest = rest.trim_start();
-    let rest = rest
-        .strip_prefix("\"id\"")
-        .ok_or_else(|| bad("missing \"id\" key"))?;
-    let rest = rest.trim_start();
-    let rest = rest.strip_prefix(':').ok_or_else(|| bad("missing ':' after \"id\""))?;
-    let rest = rest.trim_start();
-    let rest = rest
-        .strip_prefix('"')
-        .ok_or_else(|| bad("device id must be a string"))?;
-    let quote = rest.find('"').ok_or_else(|| bad("unterminated device id"))?;
-    let id = rest[..quote].to_string();
-    let rest = &rest[quote + 1..];
-    let rest = rest.trim_start();
-    let rest = rest
-        .strip_prefix(',')
-        .ok_or_else(|| bad("missing ',' after device id"))?;
-    let rest = rest.trim_start();
-    let rest = rest
-        .strip_prefix("\"num_sms\"")
-        .ok_or_else(|| bad("missing \"num_sms\" key"))?;
-    let rest = rest.trim_start();
-    let rest = rest
-        .strip_prefix(':')
-        .ok_or_else(|| bad("missing ':' after \"num_sms\""))?;
-    let rest = rest.trim_start();
-    let digits = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    if digits == 0 {
-        return Err(bad("missing num_sms value"));
+fn scan_devices(text: &str) -> Result<Vec<DeviceProfile>, WireError> {
+    let mut s = Scan::new(text);
+    s.lit("{")?;
+    s.key("devices")?;
+    s.lit("[")?;
+    let mut devices = Vec::new();
+    while s.item("]", devices.is_empty())? {
+        s.lit("{")?;
+        s.key("id")?;
+        let id = s.string()?;
+        s.lit(",")?;
+        s.key("num_sms")?;
+        let num_sms = u32::try_from(s.u64()?)
+            .map_err(|_| WireError::Corrupt(format!("num_sms of device {id:?} out of range")))?;
+        s.lit("}")?;
+        devices.push(DeviceProfile { id, num_sms });
     }
-    let num_sms: u32 = rest[..digits]
-        .parse()
-        .map_err(|_| bad("num_sms out of range"))?;
-    let rest = rest[digits..].trim_start();
-    let rest = rest
-        .strip_prefix('}')
-        .ok_or_else(|| bad("missing device '}'"))?;
-    Ok((DeviceProfile { id, num_sms }, rest))
+    s.lit("}")?;
+    s.end()?;
+    Ok(devices)
 }
 
 #[cfg(test)]
@@ -301,6 +238,27 @@ mod tests {
         let back = FleetSpec::from_json(&json).expect("parse");
         assert_eq!(back, spec);
         assert_eq!(back.to_json(), json);
+    }
+
+    /// Ids with control characters round-trip through *valid* JSON
+    /// (escaped on the way out, unescaped on the way in); ids with a
+    /// quote or backslash never get that far.
+    #[test]
+    fn hostile_ids_round_trip_escaped_or_are_rejected() {
+        for c in (0u8..0x20).map(char::from) {
+            let id = format!("gpu{c}0");
+            let spec = FleetSpec::new(vec![DeviceProfile { id, num_sms: 4 }]).expect("legal id");
+            let json = spec.to_json();
+            assert!(json.bytes().all(|b| b >= 0x20), "raw control byte in {json:?}");
+            assert_eq!(FleetSpec::from_json(&json), Ok(spec));
+        }
+        for c in ['"', '\\'] {
+            let id = format!("gpu{c}0");
+            assert!(matches!(
+                FleetSpec::new(vec![DeviceProfile { id, num_sms: 4 }]),
+                Err(FleetError::Malformed(_))
+            ));
+        }
     }
 
     #[test]

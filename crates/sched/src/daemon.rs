@@ -1004,6 +1004,38 @@ mod tests {
     }
 
     #[test]
+    fn over_budget_drain_report_is_answered_with_a_decodable_error() {
+        const JOBS: u64 = 6_000;
+        let mut m = StubMeasure::new(10);
+        let mut d = DaemonCore::new(&mut m, Box::new(Fcfs), daemon_cfg(JOBS as usize)).unwrap();
+        let (mut client, mut server) = virtual_pair();
+        for id in 0..JOBS {
+            let submit = Request::Submit {
+                id,
+                bench: Benchmark::Gups,
+                at: 0,
+            };
+            client.send_bytes(&submit.encode()).unwrap();
+        }
+        client.send_bytes(&Request::Drain.encode()).unwrap();
+        // A garbage header makes the daemon hang up, ending `serve_conn`.
+        client.send_bytes(b"NOPE----------------").unwrap();
+        d.serve_conn(&mut server);
+
+        for id in 0..JOBS {
+            let r = Response::decode(&client.recv_frame().unwrap()).unwrap();
+            assert_eq!(r, Response::Submitted { id });
+        }
+        // The escaped report is over the 1 MiB frame budget: the client
+        // must get a frame it can read, not one it refuses as oversize.
+        match Response::decode(&client.recv_frame().expect("in-budget frame")).unwrap() {
+            Response::Error { kind, .. } => assert_eq!(kind, "oversize"),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(d.drained(), "the drain itself completed");
+    }
+
+    #[test]
     fn serve_conn_survives_corrupt_payload_and_closes_on_bad_header() {
         let mut m = StubMeasure::new(10);
         let mut d = DaemonCore::new(&mut m, Box::new(Fcfs), daemon_cfg(8)).unwrap();

@@ -1,5 +1,5 @@
 //! The `schedd` wire protocol: versioned, length-prefixed, checksummed
-//! frames carrying hand-rolled JSON messages.
+//! frames carrying fixed-shape JSON messages.
 //!
 //! The format deliberately mirrors the kernel-trace wire format
 //! (`gcs_sim::trace_fmt` v1): a fixed little-endian header — magic
@@ -12,12 +12,14 @@
 //! allocate unboundedly.
 //!
 //! The message bodies are the small fixed shapes of [`Request`] and
-//! [`Response`]; parsing is a rigid scanner in the style of
-//! `ArrivalTrace::from_json` — anything off-shape is
-//! [`ProtoError::Corrupt`], not a panic.
+//! [`Response`], read with the workspace's rigid [`Scan`] — anything
+//! off-shape is [`ProtoError::Corrupt`], not a panic. Hashing, string
+//! escaping, the header checks and the error type all come from
+//! [`gcs_sim::wire`].
 
-use std::fmt;
+use std::fmt::Write as _;
 
+use gcs_sim::wire::{self, Scan, WireError};
 use gcs_workloads::Benchmark;
 
 /// Magic bytes opening every frame.
@@ -35,67 +37,10 @@ pub const FRAME_HEADER_LEN: usize = 4 + 4 + 4 + 8;
 /// bug, and is refused *before* allocation.
 pub const MAX_FRAME_PAYLOAD: usize = 1 << 20;
 
-/// Typed failure decoding a frame or message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProtoError {
-    /// The byte stream ended before the structure it promised.
-    Truncated {
-        /// Offset at which more bytes were needed.
-        at: usize,
-        /// Bytes wanted at that offset.
-        want: usize,
-    },
-    /// The stream does not start with [`PROTO_MAGIC`].
-    BadMagic([u8; 4]),
-    /// The header carries a version this build cannot speak.
-    UnsupportedVersion(u32),
-    /// The header advertises a payload larger than the budget.
-    Oversize {
-        /// Advertised payload length.
-        len: usize,
-        /// Budget in force.
-        max: usize,
-    },
-    /// Structurally unreadable frame or message (checksum mismatch,
-    /// trailing bytes, non-UTF-8 payload, off-shape JSON).
-    Corrupt(String),
-}
-
-impl fmt::Display for ProtoError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProtoError::Truncated { at, want } => {
-                write!(f, "frame truncated: wanted {want} more byte(s) at offset {at}")
-            }
-            ProtoError::BadMagic(m) => write!(f, "not a schedd frame (magic {m:02x?})"),
-            ProtoError::UnsupportedVersion(v) => {
-                write!(f, "unsupported protocol version {v} (this build speaks {PROTO_VERSION})")
-            }
-            ProtoError::Oversize { len, max } => {
-                write!(f, "frame payload of {len} byte(s) exceeds the {max}-byte budget")
-            }
-            ProtoError::Corrupt(why) => write!(f, "corrupt frame: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for ProtoError {}
-
-/// A short stable tag for each error variant (used in responses and
-/// fault transcripts, where the full message would be noise).
-impl ProtoError {
-    /// `"truncated"` / `"bad-magic"` / `"unsupported-version"` /
-    /// `"oversize"` / `"corrupt"`.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ProtoError::Truncated { .. } => "truncated",
-            ProtoError::BadMagic(_) => "bad-magic",
-            ProtoError::UnsupportedVersion(_) => "unsupported-version",
-            ProtoError::Oversize { .. } => "oversize",
-            ProtoError::Corrupt(_) => "corrupt",
-        }
-    }
-}
+/// Typed failure building or decoding a frame or message — the
+/// workspace's one [`WireError`] under this module's historical name,
+/// `kind()` tags included.
+pub type ProtoError = WireError;
 
 // ----------------------------------------------------------------------
 // Frame encode / decode
@@ -103,21 +48,32 @@ impl ProtoError {
 
 /// Wraps `payload` in a v1 frame: header (magic, version, length,
 /// FNV-1a checksum) + payload.
-pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
+///
+/// # Errors
+///
+/// [`ProtoError::Oversize`] for a payload over [`MAX_FRAME_PAYLOAD`]:
+/// every receiver would refuse the frame, so it is never built.
+pub fn encode_frame(payload: &[u8]) -> Result<Vec<u8>, ProtoError> {
+    if payload.len() > MAX_FRAME_PAYLOAD {
+        return Err(ProtoError::Oversize {
+            len: payload.len(),
+            max: MAX_FRAME_PAYLOAD,
+        });
+    }
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
     out.extend_from_slice(&PROTO_MAGIC);
     out.extend_from_slice(&PROTO_VERSION.to_le_bytes());
+    // Lossless: the budget is far below `u32::MAX`.
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a_bytes(payload).to_le_bytes());
+    out.extend_from_slice(&wire::fnv1a(payload).to_le_bytes());
     out.extend_from_slice(payload);
-    out
+    Ok(out)
 }
 
 /// Validates a 20-byte header and returns the advertised payload length
 /// and checksum. Streaming transports call this first, then read
-/// exactly that many payload bytes, then [`verify_payload`] — so the
-/// length is vetted against [`MAX_FRAME_PAYLOAD`] *before* any payload
-/// allocation.
+/// exactly that many payload bytes — so the length is vetted against
+/// [`MAX_FRAME_PAYLOAD`] *before* any payload allocation.
 ///
 /// # Errors
 ///
@@ -131,14 +87,7 @@ pub fn decode_header(header: &[u8]) -> Result<(usize, u64), ProtoError> {
             want: FRAME_HEADER_LEN - header.len(),
         });
     }
-    let magic = [header[0], header[1], header[2], header[3]];
-    if magic != PROTO_MAGIC {
-        return Err(ProtoError::BadMagic(magic));
-    }
-    let version = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-    if version != PROTO_VERSION {
-        return Err(ProtoError::UnsupportedVersion(version));
-    }
+    wire::check_header(header, PROTO_MAGIC, PROTO_VERSION)?;
     let len = u32::from_le_bytes([header[8], header[9], header[10], header[11]]) as usize;
     if len > MAX_FRAME_PAYLOAD {
         return Err(ProtoError::Oversize {
@@ -153,29 +102,14 @@ pub fn decode_header(header: &[u8]) -> Result<(usize, u64), ProtoError> {
     Ok((len, checksum))
 }
 
-/// Verifies a payload against its header checksum.
-///
-/// # Errors
-///
-/// [`ProtoError::Corrupt`] on mismatch.
-pub fn verify_payload(checksum: u64, payload: &[u8]) -> Result<(), ProtoError> {
-    let actual = fnv1a_bytes(payload);
-    if actual != checksum {
-        return Err(ProtoError::Corrupt(format!(
-            "payload checksum {actual:016x} does not match header {checksum:016x}"
-        )));
-    }
-    Ok(())
-}
-
 /// Decodes one complete frame from `bytes` and returns its payload.
 /// The buffer must hold exactly one frame; trailing bytes are
 /// [`ProtoError::Corrupt`].
 ///
 /// # Errors
 ///
-/// Every [`ProtoError`] variant, as advertised by [`decode_header`] and
-/// [`verify_payload`]; never panics.
+/// Every [`ProtoError`] variant [`decode_header`] advertises, plus
+/// [`ProtoError::Corrupt`] on a checksum mismatch; never panics.
 pub fn decode_frame(bytes: &[u8]) -> Result<&[u8], ProtoError> {
     let (len, checksum) = decode_header(bytes)?;
     let have = bytes.len() - FRAME_HEADER_LEN;
@@ -192,19 +126,8 @@ pub fn decode_frame(bytes: &[u8]) -> Result<&[u8], ProtoError> {
         )));
     }
     let payload = &bytes[FRAME_HEADER_LEN..];
-    verify_payload(checksum, payload)?;
+    wire::check_checksum(checksum, payload)?;
     Ok(payload)
-}
-
-/// FNV-1a 64-bit over raw bytes (standard offset basis and prime; same
-/// function the trace format and the sweep cache use).
-fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 // ----------------------------------------------------------------------
@@ -249,7 +172,7 @@ impl Request {
 
     /// Wraps [`Request::encode_json`] in a frame.
     pub fn encode(&self) -> Vec<u8> {
-        encode_frame(self.encode_json().as_bytes())
+        encode_frame(self.encode_json().as_bytes()).expect("a request is a few dozen bytes")
     }
 
     /// Parses the shape [`Request::encode_json`] writes.
@@ -387,31 +310,29 @@ impl Response {
                  \"completed\":{completed},\"rejected\":{rejected},\"failed\":{failed},\
                  \"degradations\":{degradations},\"draining\":{draining}}}"
             ),
-            Response::Report { json } => {
-                format!("{{\"ok\":\"report\",\"json\":\"{}\"}}", esc(json))
-            }
-            Response::Drained { json } => {
-                format!("{{\"ok\":\"drained\",\"json\":\"{}\"}}", esc(json))
-            }
-            Response::Error { kind, detail, diag } => match diag {
-                Some(d) => format!(
-                    "{{\"ok\":\"error\",\"kind\":\"{}\",\"detail\":\"{}\",\"diag\":\"{}\"}}",
-                    esc(kind),
-                    esc(detail),
-                    esc(d)
-                ),
-                None => format!(
-                    "{{\"ok\":\"error\",\"kind\":\"{}\",\"detail\":\"{}\"}}",
-                    esc(kind),
-                    esc(detail)
-                ),
-            },
+            Response::Report { json } => tagged("report", &[("json", Some(json))]),
+            Response::Drained { json } => tagged("drained", &[("json", Some(json))]),
+            Response::Error { kind, detail, diag } => tagged(
+                "error",
+                &[("kind", Some(kind)), ("detail", Some(detail)), ("diag", diag.as_ref())],
+            ),
         }
     }
 
-    /// Wraps [`Response::encode_json`] in a frame.
+    /// Wraps [`Response::encode_json`] in a frame. A response over the
+    /// frame budget (a report of several thousand jobs) would be
+    /// refused by every client, so a typed, in-budget
+    /// `Error { kind: "oversize", .. }` is framed in its place.
     pub fn encode(&self) -> Vec<u8> {
-        encode_frame(self.encode_json().as_bytes())
+        encode_frame(self.encode_json().as_bytes()).unwrap_or_else(|e| {
+            // Terminates: the replacement's payload is ~100 bytes.
+            Response::Error {
+                kind: e.kind().into(),
+                detail: e.to_string(),
+                diag: None,
+            }
+            .encode()
+        })
     }
 
     /// Parses the shape [`Response::encode_json`] writes.
@@ -522,151 +443,26 @@ fn payload_str(payload: &[u8]) -> Result<&str, ProtoError> {
         .map_err(|_| ProtoError::Corrupt("payload is not UTF-8".into()))
 }
 
-/// JSON string escaping for embedded documents: quotes, backslashes and
-/// all control characters (reports contain newlines).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// `{"ok":"<tag>","<name>":"<escaped value>",...}` over the fields that
+/// are present.
+fn tagged(tag: &str, fields: &[(&str, Option<&String>)]) -> String {
+    let len: usize = fields.iter().filter_map(|(_, v)| v.map(String::len)).sum();
+    let mut s = String::with_capacity(len + len / 8 + 48);
+    let _ = write!(s, "{{\"ok\":\"{tag}\"");
+    for (name, value) in fields {
+        if let Some(value) = value {
+            let _ = write!(s, ",\"{name}\":\"");
+            wire::push_str_escaped(&mut s, value);
+            s.push('"');
         }
     }
-    out
+    s.push('}');
+    s
 }
 
-/// Rigid scanner over one message. No recursion, no lookahead beyond
-/// one literal — the shapes are fixed, so anything surprising is
-/// `Corrupt` immediately.
-struct Scan<'a> {
-    rest: &'a str,
-}
-
-impl<'a> Scan<'a> {
-    fn new(text: &'a str) -> Scan<'a> {
-        Scan { rest: text.trim() }
-    }
-
-    fn corrupt(&self, why: &str) -> ProtoError {
-        let ctx: String = self.rest.chars().take(24).collect();
-        ProtoError::Corrupt(format!("{why} at {ctx:?}"))
-    }
-
-    fn lit(&mut self, token: &str) -> Result<(), ProtoError> {
-        self.rest = self.rest.trim_start();
-        match self.rest.strip_prefix(token) {
-            Some(tail) => {
-                self.rest = tail;
-                Ok(())
-            }
-            None => Err(self.corrupt(&format!("expected {token:?}"))),
-        }
-    }
-
-    fn peek_lit(&self, token: &str) -> bool {
-        self.rest.trim_start().starts_with(token)
-    }
-
-    /// `"name":` — one object key.
-    fn key(&mut self, name: &str) -> Result<(), ProtoError> {
-        self.lit(&format!("\"{name}\""))?;
-        self.lit(":")
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtoError> {
-        self.rest = self.rest.trim_start();
-        let digits = self
-            .rest
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(self.rest.len());
-        if digits == 0 {
-            return Err(self.corrupt("expected integer"));
-        }
-        let v = self.rest[..digits]
-            .parse()
-            .map_err(|_| self.corrupt("integer out of range"))?;
-        self.rest = &self.rest[digits..];
-        Ok(v)
-    }
-
-    fn bool(&mut self) -> Result<bool, ProtoError> {
-        self.rest = self.rest.trim_start();
-        if let Some(tail) = self.rest.strip_prefix("true") {
-            self.rest = tail;
-            Ok(true)
-        } else if let Some(tail) = self.rest.strip_prefix("false") {
-            self.rest = tail;
-            Ok(false)
-        } else {
-            Err(self.corrupt("expected boolean"))
-        }
-    }
-
-    /// A quoted string with the escapes [`esc`] writes.
-    fn string(&mut self) -> Result<String, ProtoError> {
-        self.lit("\"")?;
-        let mut out = String::new();
-        let mut chars = self.rest.char_indices();
-        loop {
-            let Some((i, c)) = chars.next() else {
-                return Err(ProtoError::Corrupt("unterminated string".into()));
-            };
-            match c {
-                '"' => {
-                    self.rest = &self.rest[i + 1..];
-                    return Ok(out);
-                }
-                '\\' => {
-                    let Some((_, e)) = chars.next() else {
-                        return Err(ProtoError::Corrupt("dangling escape".into()));
-                    };
-                    match e {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        'n' => out.push('\n'),
-                        'r' => out.push('\r'),
-                        't' => out.push('\t'),
-                        'u' => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let Some((_, h)) = chars.next() else {
-                                    return Err(ProtoError::Corrupt(
-                                        "truncated \\u escape".into(),
-                                    ));
-                                };
-                                let d = h.to_digit(16).ok_or_else(|| {
-                                    ProtoError::Corrupt(format!("bad \\u digit {h:?}"))
-                                })?;
-                                code = code * 16 + d;
-                            }
-                            let c = char::from_u32(code).ok_or_else(|| {
-                                ProtoError::Corrupt(format!("bad \\u code point {code:#x}"))
-                            })?;
-                            out.push(c);
-                        }
-                        other => {
-                            return Err(ProtoError::Corrupt(format!("unknown escape \\{other}")))
-                        }
-                    }
-                }
-                c => out.push(c),
-            }
-        }
-    }
-
-    fn end(&mut self) -> Result<(), ProtoError> {
-        if !self.rest.trim().is_empty() {
-            Err(self.corrupt("trailing content"))
-        } else {
-            Ok(())
-        }
-    }
-}
+#[cfg(test)]
+#[path = "../../../tests/common/hostile.rs"]
+mod hostile;
 
 #[cfg(test)]
 mod tests {
@@ -756,10 +552,10 @@ mod tests {
             at: 42,
         }
         .encode();
-        for cut in 0..bytes.len() {
-            match Request::decode(&bytes[..cut]) {
-                Err(ProtoError::Truncated { .. }) | Err(ProtoError::BadMagic(_)) => {}
-                other => panic!("prefix of {cut} bytes: expected truncation, got {other:?}"),
+        for prefix in hostile::truncations(&bytes, 1) {
+            match Request::decode(prefix) {
+                Err(ProtoError::Truncated { .. }) => {}
+                other => panic!("{}-byte prefix: expected truncation, got {other:?}", prefix.len()),
             }
         }
         assert!(Request::decode(&bytes).is_ok());

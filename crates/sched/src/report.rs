@@ -3,11 +3,14 @@
 //! Everything here is plain data plus arithmetic — no scheduling logic
 //! — so `schedd_sim`, the smoke tests and the equivalence pins all read
 //! from one source of truth. [`SchedReport::to_json`] renders a
-//! canonical, byte-stable document (hand-rolled, like the rest of the
-//! workspace: no serde) so determinism checks can compare reports with
-//! `==` on the string.
+//! canonical, byte-stable document (written through [`gcs_sim::wire`],
+//! like the rest of the workspace: no serde) so determinism checks can
+//! compare reports with `==` on the string.
+
+use std::fmt::Write as _;
 
 use gcs_core::fault::Degradation;
+use gcs_sim::wire::{push_f64, push_str_escaped};
 use gcs_workloads::Benchmark;
 
 use crate::queue::{JobId, Rejection};
@@ -199,100 +202,102 @@ impl SchedReport {
     /// for identical runs (the determinism tests rely on this).
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(256 + self.jobs.len() * 128);
-        s.push_str("{\n");
-        s.push_str(&format!("  \"policy\": \"{}\",\n", esc(&self.policy)));
-        s.push_str(&format!("  \"num_gpus\": {},\n", self.num_gpus));
-        s.push_str(&format!("  \"queue_capacity\": {},\n", self.queue_capacity));
-        s.push_str(&format!("  \"makespan\": {},\n", self.makespan));
-        s.push_str(&format!("  \"stp\": {},\n", fmt_f64(self.stp())));
-        s.push_str(&format!("  \"antt\": {},\n", fmt_f64(self.antt())));
-        let qd = self.queue_delay_stats();
-        s.push_str(&format!("  \"queue_delay\": {},\n", latency_json(&qd)));
-        let ta = self.turnaround_stats();
-        s.push_str(&format!("  \"turnaround\": {},\n", latency_json(&ta)));
+        s.push_str("{\n  \"policy\": \"");
+        push_str_escaped(&mut s, &self.policy);
+        let _ = write!(
+            s,
+            "\",\n  \"num_gpus\": {},\n  \"queue_capacity\": {},\n  \"makespan\": {},\n  \"stp\": ",
+            self.num_gpus, self.queue_capacity, self.makespan,
+        );
+        push_f64(&mut s, self.stp());
+        s.push_str(",\n  \"antt\": ");
+        push_f64(&mut s, self.antt());
+        s.push_str(",\n  \"queue_delay\": ");
+        push_latency(&mut s, &self.queue_delay_stats());
+        s.push_str(",\n  \"turnaround\": ");
+        push_latency(&mut s, &self.turnaround_stats());
 
-        s.push_str("  \"jobs\": [");
+        s.push_str(",\n  \"jobs\": [");
         for (i, j) in self.jobs.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
-            s.push_str(&format!(
+            let _ = write!(
+                s,
                 "    {{\"id\":{},\"bench\":\"{}\",\"arrival\":{},\"dispatch\":{},\"completion\":{},\"gpu\":{},\"alone_cycles\":{},\"corun_cycles\":{}}}",
                 j.id, j.bench, j.arrival, j.dispatch, j.completion, j.gpu,
                 j.alone_cycles, j.corun_cycles,
-            ));
+            );
         }
         s.push_str(if self.jobs.is_empty() { "],\n" } else { "\n  ],\n" });
 
         s.push_str("  \"groups\": [");
         for (i, g) in self.groups.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
-            let ids: Vec<String> = g.jobs.iter().map(|id| id.to_string()).collect();
-            s.push_str(&format!(
-                "    {{\"gpu\":{},\"start\":{},\"end\":{},\"jobs\":[{}],\"stp\":{}}}",
-                g.gpu,
-                g.start,
-                g.end,
-                ids.join(","),
-                fmt_f64(g.stp),
-            ));
+            let _ = write!(
+                s,
+                "    {{\"gpu\":{},\"start\":{},\"end\":{},\"jobs\":[",
+                g.gpu, g.start, g.end,
+            );
+            for (k, id) in g.jobs.iter().enumerate() {
+                let _ = write!(s, "{}{id}", if k == 0 { "" } else { "," });
+            }
+            s.push_str("],\"stp\":");
+            push_f64(&mut s, g.stp);
+            s.push('}');
         }
         s.push_str(if self.groups.is_empty() { "],\n" } else { "\n  ],\n" });
 
-        s.push_str("  \"rejections\": [");
-        for (i, r) in self.rejections.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            s.push_str(&format!(
-                "    {{\"job\":{},\"bench\":\"{}\",\"at\":{},\"capacity\":{}}}",
-                r.job, r.bench, r.at, r.capacity,
-            ));
-        }
-        s.push_str(if self.rejections.is_empty() { "],\n" } else { "\n  ],\n" });
+        push_rejections(&mut s, &self.rejections);
 
         s.push_str("  \"failed\": [");
         for (i, x) in self.failed.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
-            s.push_str(&format!(
-                "    {{\"id\":{},\"bench\":\"{}\",\"arrival\":{},\"dispatch\":{},\"kind\":\"{}\",\"cycle\":{},\"diag\":\"{}\"}}",
-                x.id, x.bench, x.arrival, x.dispatch, x.kind, x.cycle, esc(&x.diag),
-            ));
+            let _ = write!(
+                s,
+                "    {{\"id\":{},\"bench\":\"{}\",\"arrival\":{},\"dispatch\":{},\"kind\":\"{}\",\"cycle\":{},\"diag\":\"",
+                x.id, x.bench, x.arrival, x.dispatch, x.kind, x.cycle,
+            );
+            push_str_escaped(&mut s, &x.diag);
+            s.push_str("\"}");
         }
         s.push_str(if self.failed.is_empty() { "],\n" } else { "\n  ],\n" });
 
-        s.push_str("  \"degradations\": [");
-        for (i, d) in self.degradations.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            s.push_str(&format!("    \"{}\"", esc(&d.to_string())));
-        }
-        s.push_str(if self.degradations.is_empty() { "]\n" } else { "\n  ]\n" });
-        s.push('}');
-        s.push('\n');
+        push_degradations(&mut s, &self.degradations);
+        s.push_str("}\n");
         s
     }
 }
 
-fn latency_json(l: &LatencyStats) -> String {
-    format!(
-        "{{\"p50\":{},\"p95\":{},\"p99\":{},\"mean\":{},\"max\":{}}}",
-        l.p50,
-        l.p95,
-        l.p99,
-        fmt_f64(l.mean),
-        l.max
-    )
+fn push_latency(s: &mut String, l: &LatencyStats) {
+    let _ = write!(s, "{{\"p50\":{},\"p95\":{},\"p99\":{},\"mean\":", l.p50, l.p95, l.p99);
+    push_f64(s, l.mean);
+    let _ = write!(s, ",\"max\":{}}}", l.max);
 }
 
-/// Shortest-round-trip float rendering with a guaranteed decimal point
-/// (so `1.0` renders as `1.0`, not the integer-looking `1`).
-fn fmt_f64(v: f64) -> String {
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
-        s
-    } else {
-        format!("{s}.0")
+/// The `"rejections": [...]` section (with its trailing comma), shared
+/// with the fleet report.
+pub fn push_rejections(s: &mut String, rejections: &[Rejection]) {
+    s.push_str("  \"rejections\": [");
+    for (i, r) in rejections.iter().enumerate() {
+        s.push_str(if i == 0 { "\n" } else { ",\n" });
+        let _ = write!(
+            s,
+            "    {{\"job\":{},\"bench\":\"{}\",\"at\":{},\"capacity\":{}}}",
+            r.job, r.bench, r.at, r.capacity,
+        );
     }
+    s.push_str(if rejections.is_empty() { "],\n" } else { "\n  ],\n" });
 }
 
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// The closing `"degradations": [...]` section, shared with the fleet
+/// report.
+pub fn push_degradations(s: &mut String, degradations: &[Degradation]) {
+    s.push_str("  \"degradations\": [");
+    for (i, d) in degradations.iter().enumerate() {
+        s.push_str(if i == 0 { "\n    \"" } else { ",\n    \"" });
+        push_str_escaped(s, &d.to_string());
+        s.push('"');
+    }
+    s.push_str(if degradations.is_empty() { "]\n" } else { "\n  ]\n" });
 }
 
 #[cfg(test)]
@@ -376,7 +381,7 @@ mod tests {
                 stp: 0.8,
             }],
             degradations: vec![Degradation::IlpGreedyFallback {
-                reason: "node \"limit\"".into(),
+                reason: "node \"limit\"\n\u{1}".into(),
             }],
             makespan: 12,
         };
@@ -389,7 +394,7 @@ mod tests {
             "\"bench\":\"GUPS\"",
             "\"at\":5",
             "\"stp\":0.8",
-            "\\\"limit\\\"",
+            "\\\"limit\\\"\\n\\u0001",
             "\"p99\":",
             "\"kind\":\"timeout\"",
             "\"diag\":\"2/4 SMs enabled\"",

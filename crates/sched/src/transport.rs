@@ -601,7 +601,7 @@ mod tests {
         let frame = b.recv_frame().unwrap();
         assert_eq!(Request::decode(&frame).unwrap(), req);
         // And the other direction.
-        b.send_frame(&encode_frame(b"{\"op\":\"status\"}")).unwrap();
+        b.send_frame(&encode_frame(b"{\"op\":\"status\"}").unwrap()).unwrap();
         assert_eq!(Request::decode(&a.recv_frame().unwrap()).unwrap(), Request::Status);
     }
 

@@ -65,6 +65,7 @@ pub mod stats;
 pub mod trace;
 pub mod trace_fmt;
 pub mod warp;
+pub mod wire;
 
 pub use config::GpuConfig;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};

@@ -45,10 +45,11 @@
 //! on decode, doubles as the content hash in sweep-engine cache keys,
 //! and is printed by the `trace_record` / `trace_replay` binaries.
 
-use std::fmt;
+use std::fmt::Write as _;
 
 use crate::config::GpuConfig;
 use crate::kernel::{AccessPattern, KernelDesc, Op, PatternId, PatternKind};
+use crate::wire::{self, WireError};
 
 /// Magic bytes opening every encoded trace.
 pub const TRACE_MAGIC: [u8; 4] = *b"GCST";
@@ -61,48 +62,11 @@ pub const TRACE_VERSION: u32 = 1;
 /// address below this re-bases losslessly into any app slot.
 pub const REL_ADDR_LIMIT: u64 = 1 << 44;
 
-/// Typed failure decoding, validating or building a trace.
-///
-/// Named `TraceFmtError` (not `TraceError`) to stay distinct from
-/// `gcs_workloads::TraceError`, which covers *arrival* traces.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceFmtError {
-    /// The byte stream ended before the structure it promised.
-    Truncated {
-        /// Offset at which more bytes were needed.
-        at: usize,
-        /// Bytes wanted at that offset.
-        want: usize,
-    },
-    /// The stream does not start with [`TRACE_MAGIC`].
-    BadMagic([u8; 4]),
-    /// The header carries a version this build cannot read.
-    UnsupportedVersion(u32),
-    /// Structurally unreadable payload (fingerprint mismatch, unknown
-    /// tags, trailing bytes).
-    Corrupt(String),
-    /// Readable but semantically inconsistent trace (geometry/stream
-    /// mismatches, kernel validation failures, out-of-range addresses).
-    Invalid(String),
-}
-
-impl fmt::Display for TraceFmtError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceFmtError::Truncated { at, want } => {
-                write!(f, "trace truncated: wanted {want} more byte(s) at offset {at}")
-            }
-            TraceFmtError::BadMagic(m) => write!(f, "not a kernel trace (magic {m:02x?})"),
-            TraceFmtError::UnsupportedVersion(v) => {
-                write!(f, "unsupported trace version {v} (this build reads {TRACE_VERSION})")
-            }
-            TraceFmtError::Corrupt(why) => write!(f, "corrupt trace: {why}"),
-            TraceFmtError::Invalid(why) => write!(f, "invalid trace: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for TraceFmtError {}
+/// Typed failure decoding, validating or building a trace — the
+/// workspace's one [`WireError`] under this module's historical name.
+/// Decoding reports `Truncated` / `BadMagic` / `UnsupportedVersion` /
+/// `Corrupt`; [`KernelTrace::validate`] reports `Invalid`.
+pub type TraceFmtError = WireError;
 
 /// Kernel + device metadata stamped into every trace header.
 ///
@@ -199,7 +163,7 @@ impl KernelTrace {
     /// FNV-1a fingerprint of the encoded payload — the trace's content
     /// hash, carried in the header and in sweep-cache keys.
     pub fn fingerprint(&self) -> u64 {
-        fnv1a_bytes(&self.encode_payload())
+        wire::fnv1a(&self.encode_payload())
     }
 
     /// Checks every structural invariant replay relies on.
@@ -310,7 +274,7 @@ impl KernelTrace {
         let mut out = Vec::with_capacity(16 + payload.len());
         out.extend_from_slice(&TRACE_MAGIC);
         out.extend_from_slice(&TRACE_VERSION.to_le_bytes());
-        out.extend_from_slice(&fnv1a_bytes(&payload).to_le_bytes());
+        out.extend_from_slice(&wire::fnv1a(&payload).to_le_bytes());
         out.extend_from_slice(&payload);
         out
     }
@@ -395,23 +359,10 @@ impl KernelTrace {
     /// [`TraceFmtError::Invalid`] when the decoded trace fails
     /// [`KernelTrace::validate`].
     pub fn decode(bytes: &[u8]) -> Result<KernelTrace, TraceFmtError> {
-        let mut c = Cursor { bytes, pos: 0 };
-        let magic = c.take(4)?;
-        if magic != TRACE_MAGIC {
-            return Err(TraceFmtError::BadMagic([magic[0], magic[1], magic[2], magic[3]]));
-        }
-        let version = c.u32()?;
-        if version != TRACE_VERSION {
-            return Err(TraceFmtError::UnsupportedVersion(version));
-        }
+        wire::check_header(bytes, TRACE_MAGIC, TRACE_VERSION)?;
+        let mut c = Cursor { bytes, pos: 8 };
         let fingerprint = c.u64()?;
-        let payload = &bytes[c.pos..];
-        let actual = fnv1a_bytes(payload);
-        if actual != fingerprint {
-            return Err(TraceFmtError::Corrupt(format!(
-                "payload fingerprint {actual:016x} does not match header {fingerprint:016x}"
-            )));
-        }
+        wire::check_checksum(fingerprint, &bytes[c.pos..])?;
 
         let name_len = usize::from(c.u16()?);
         let name = String::from_utf8(c.take(name_len)?.to_vec())
@@ -514,58 +465,66 @@ impl KernelTrace {
     /// binary format is the interchange format). Warp streams nest as
     /// `warps[warp][group][attempt][address]`.
     pub fn to_json(&self) -> String {
+        let m = &self.meta;
         let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"format\": \"GCST\",\n  \"version\": {TRACE_VERSION},\n"));
-        s.push_str(&format!("  \"fingerprint\": \"{:016x}\",\n", self.fingerprint()));
-        s.push_str("  \"meta\": {\n");
-        s.push_str(&format!("    \"name\": \"{}\",\n", escape_json(&self.meta.name)));
-        s.push_str(&format!("    \"num_sms\": {},\n", self.meta.num_sms));
-        s.push_str(&format!("    \"line_bytes\": {},\n", self.meta.line_bytes));
-        s.push_str(&format!("    \"max_warps_per_sm\": {},\n", self.meta.max_warps_per_sm));
-        s.push_str(&format!("    \"max_blocks_per_sm\": {},\n", self.meta.max_blocks_per_sm));
-        s.push_str(&format!("    \"grid_blocks\": {},\n", self.meta.grid_blocks));
-        s.push_str(&format!("    \"warps_per_block\": {},\n", self.meta.warps_per_block));
-        s.push_str(&format!("    \"iters_per_warp\": {},\n", self.meta.iters_per_warp));
-        s.push_str(&format!("    \"active_lanes\": {}\n  }},\n", self.meta.active_lanes));
-        s.push_str("  \"body\": [");
+        let _ = write!(
+            s,
+            "{{\n  \"format\": \"GCST\",\n  \"version\": {TRACE_VERSION},\n  \"fingerprint\": \"{:016x}\",\n  \"meta\": {{\n    \"name\": \"",
+            self.fingerprint()
+        );
+        wire::push_str_escaped(&mut s, &m.name);
+        let _ = write!(
+            s,
+            "\",\n    \"num_sms\": {},\n    \"line_bytes\": {},\n    \"max_warps_per_sm\": {},\n    \"max_blocks_per_sm\": {},\n    \"grid_blocks\": {},\n    \"warps_per_block\": {},\n    \"iters_per_warp\": {},\n    \"active_lanes\": {}\n  }},\n  \"body\": [",
+            m.num_sms,
+            m.line_bytes,
+            m.max_warps_per_sm,
+            m.max_blocks_per_sm,
+            m.grid_blocks,
+            m.warps_per_block,
+            m.iters_per_warp,
+            m.active_lanes
+        );
         for (i, op) in self.body.iter().enumerate() {
             if i > 0 {
                 s.push_str(", ");
             }
-            match *op {
-                Op::Alu { latency } => s.push_str(&format!("{{\"op\":\"alu\",\"latency\":{latency}}}")),
-                Op::Sfu { latency } => s.push_str(&format!("{{\"op\":\"sfu\",\"latency\":{latency}}}")),
-                Op::Load(PatternId(p)) => s.push_str(&format!("{{\"op\":\"load\",\"pattern\":{p}}}")),
-                Op::Store(PatternId(p)) => s.push_str(&format!("{{\"op\":\"store\",\"pattern\":{p}}}")),
-                Op::Barrier => s.push_str("{\"op\":\"barrier\"}"),
-            }
+            let _ = match *op {
+                Op::Alu { latency } => write!(s, "{{\"op\":\"alu\",\"latency\":{latency}}}"),
+                Op::Sfu { latency } => write!(s, "{{\"op\":\"sfu\",\"latency\":{latency}}}"),
+                Op::Load(PatternId(p)) => write!(s, "{{\"op\":\"load\",\"pattern\":{p}}}"),
+                Op::Store(PatternId(p)) => write!(s, "{{\"op\":\"store\",\"pattern\":{p}}}"),
+                Op::Barrier => write!(s, "{{\"op\":\"barrier\"}}"),
+            };
         }
         s.push_str("],\n  \"patterns\": [");
         for (i, pat) in self.patterns.iter().enumerate() {
             if i > 0 {
                 s.push_str(", ");
             }
-            let kind = match pat.kind {
-                PatternKind::Streaming => "{\"kind\":\"streaming\"".to_string(),
-                PatternKind::Strided { stride } => format!("{{\"kind\":\"strided\",\"stride\":{stride}"),
-                PatternKind::Random => "{\"kind\":\"random\"".to_string(),
+            let _ = match pat.kind {
+                PatternKind::Streaming => write!(s, "{{\"kind\":\"streaming\""),
+                PatternKind::Strided { stride } => {
+                    write!(s, "{{\"kind\":\"strided\",\"stride\":{stride}")
+                }
+                PatternKind::Random => write!(s, "{{\"kind\":\"random\""),
                 PatternKind::Tiled { tile_bytes } => {
-                    format!("{{\"kind\":\"tiled\",\"tile_bytes\":{tile_bytes}")
+                    write!(s, "{{\"kind\":\"tiled\",\"tile_bytes\":{tile_bytes}")
                 }
             };
-            s.push_str(&format!(
-                "{kind},\"working_set\":{},\"transactions\":{}}}",
+            let _ = write!(
+                s,
+                ",\"working_set\":{},\"transactions\":{}}}",
                 pat.working_set, pat.transactions
-            ));
+            );
         }
-        s.push_str("],\n");
-        s.push_str(&format!(
-            "  \"summary\": {{\"warps\": {}, \"accesses\": {}, \"attempts\": {}}},\n",
+        let _ = write!(
+            s,
+            "],\n  \"summary\": {{\"warps\": {}, \"accesses\": {}, \"attempts\": {}}},\n",
             self.warps.len(),
             self.total_accesses(),
             self.total_attempts()
-        ));
+        );
         s.push_str("  \"warps\": [\n");
         for (w, warp) in self.warps.iter().enumerate() {
             s.push_str("    [");
@@ -583,7 +542,7 @@ impl KernelTrace {
                         if i > 0 {
                             s.push(',');
                         }
-                        s.push_str(&addr.to_string());
+                        let _ = write!(s, "{addr}");
                     }
                     s.push(']');
                 }
@@ -598,28 +557,6 @@ impl KernelTrace {
         s.push_str("  ]\n}\n");
         s
     }
-}
-
-fn escape_json(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-/// FNV-1a 64-bit over raw bytes (the string variant lives in the sweep
-/// engine; both use the standard offset basis and prime).
-fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 struct Cursor<'a> {

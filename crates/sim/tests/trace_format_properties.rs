@@ -15,6 +15,9 @@ use gcs_sim::kernel::{AccessPattern, KernelDesc, Op, PatternId, PatternKind};
 use gcs_sim::rng::SimRng;
 use gcs_sim::trace_fmt::{KernelTrace, TraceBuilder, TraceFmtError, TRACE_MAGIC, TRACE_VERSION};
 
+#[path = "../../../tests/common/hostile.rs"]
+mod hostile;
+
 /// Cases per property (see `tests/README.md` for the rationale).
 const CASES: usize = if cfg!(feature = "proptest-tests") { 96 } else { 24 };
 
@@ -113,54 +116,51 @@ fn fingerprint_tracks_content() {
     assert_ne!(a.fingerprint(), b.fingerprint(), "content change must move the fingerprint");
 }
 
+/// Exhaustive over prefixes and flipped bytes with `proptest-tests`,
+/// sampled otherwise to keep the default run quick.
+const STEP: usize = if cfg!(feature = "proptest-tests") { 1 } else { 7 };
+
+fn recorded_bytes(seed: u64) -> Vec<u8> {
+    let mut rng = SimRng::seed_from_u64(seed);
+    let k = loop {
+        let k = random_kernel(&mut rng);
+        if k.validate().is_ok() {
+            break k;
+        }
+    };
+    record(k).encode()
+}
+
 /// Every strict prefix of a valid encoding is rejected with a typed
 /// error — no panics, no silently-accepted partial traces.
 #[test]
 fn truncated_streams_are_rejected() {
-    let mut rng = SimRng::seed_from_u64(0x7255);
-    let k = loop {
-        let k = random_kernel(&mut rng);
-        if k.validate().is_ok() {
-            break k;
-        }
-    };
-    let bytes = record(k).encode();
-    // Exhaustive over short prefixes, sampled beyond that to keep the
-    // default run quick.
-    let step = if cfg!(feature = "proptest-tests") { 1 } else { 7 };
-    let mut len = 0;
-    while len < bytes.len() {
-        let err = KernelTrace::decode(&bytes[..len]).expect_err("prefix must not decode");
+    let bytes = recorded_bytes(0x7255);
+    for prefix in hostile::truncations(&bytes, STEP) {
+        let err = KernelTrace::decode(prefix).expect_err("prefix must not decode");
         assert!(
             matches!(err, TraceFmtError::Truncated { .. } | TraceFmtError::Corrupt(_)),
-            "prefix of {len} bytes gave unexpected error: {err}"
+            "prefix of {} bytes gave unexpected error: {err}",
+            prefix.len()
         );
-        len += step;
     }
 }
 
-/// Flipping any single byte of a valid encoding is detected: the
-/// payload is covered by the FNV fingerprint, and the header fields are
-/// checked individually.
+/// The full assault: flipping any single bit of a valid encoding is
+/// detected (the payload is covered by the FNV fingerprint, and the
+/// header fields are checked individually), and garbage never panics.
 #[test]
 fn corrupted_streams_are_rejected() {
-    let mut rng = SimRng::seed_from_u64(0xC0_22);
-    let k = loop {
-        let k = random_kernel(&mut rng);
-        if k.validate().is_ok() {
-            break k;
-        }
-    };
-    let bytes = record(k).encode();
-    for _ in 0..CASES * 4 {
-        let pos = rng.gen_range(bytes.len() as u64) as usize;
-        let mut bad = bytes.clone();
-        bad[pos] ^= 1 + rng.gen_range(255) as u8;
-        assert!(
-            KernelTrace::decode(&bad).is_err(),
-            "flipped byte at {pos} went undetected"
-        );
-    }
+    hostile::assault(
+        &[hostile::Target {
+            name: "kernel-trace",
+            valid: recorded_bytes(0xC0_22),
+            checksummed: true,
+            accepts: &|b| KernelTrace::decode(b).is_ok(),
+        }],
+        STEP,
+        CASES * 4,
+    );
 }
 
 /// Bad magic and unsupported versions are reported as such.

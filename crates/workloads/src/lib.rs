@@ -37,7 +37,7 @@ pub mod trace;
 pub mod traced;
 
 pub use suite::{Benchmark, PaperProfile, PAPER_PROFILES};
-pub use trace::{queue_from_trace, Arrival, ArrivalTrace, OpenLoopDriver, TraceError};
+pub use trace::{queue_from_trace, Arrival, ArrivalTrace, OpenLoopDriver};
 pub use traced::{phase_shift_trace, tensor_mix_trace};
 
 /// Work scaling applied to a benchmark model.

@@ -13,9 +13,6 @@
 //! * the degenerate batch trace [`ArrivalTrace::all_at`], which turns
 //!   any static queue into a trace (the equivalence pin between the
 //!   online scheduler and the batch pipeline rests on it);
-//! * a line-oriented JSON interchange format
-//!   ([`ArrivalTrace::to_json`] / [`ArrivalTrace::from_json`]) so traces
-//!   can be captured, replayed and diffed;
 //! * [`queue_from_trace`], recovering the static arrival-order queue the
 //!   batch pipeline expects.
 //!
@@ -47,28 +44,6 @@ pub struct Arrival {
 pub struct ArrivalTrace {
     arrivals: Vec<Arrival>,
 }
-
-/// Errors from [`ArrivalTrace::from_json`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceError {
-    /// The text is not the `{"arrivals":[...]}` shape this module writes.
-    Malformed(String),
-    /// An arrival names a benchmark outside the 14-app suite.
-    UnknownBenchmark(String),
-}
-
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceError::Malformed(why) => write!(f, "malformed trace JSON: {why}"),
-            TraceError::UnknownBenchmark(name) => {
-                write!(f, "trace names unknown benchmark {name:?}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TraceError {}
 
 impl ArrivalTrace {
     /// A trace from explicit arrivals. Sorts by time (stable, so equal
@@ -202,71 +177,6 @@ impl ArrivalTrace {
     pub fn is_empty(&self) -> bool {
         self.arrivals.is_empty()
     }
-
-    /// Serializes the trace as compact single-line JSON:
-    /// `{"arrivals":[{"t":0,"bench":"GUPS"},...]}`. Deterministic:
-    /// identical traces render byte-identically.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(16 + self.arrivals.len() * 28);
-        s.push_str("{\"arrivals\":[");
-        for (i, a) in self.arrivals.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"t\":");
-            s.push_str(&a.time.to_string());
-            s.push_str(",\"bench\":\"");
-            s.push_str(a.bench.name());
-            s.push_str("\"}");
-        }
-        s.push_str("]}");
-        s
-    }
-
-    /// Parses the format [`ArrivalTrace::to_json`] writes (whitespace
-    /// between tokens is tolerated). The result is re-sorted by time, so
-    /// hand-edited traces need not be ordered.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::Malformed`] on any structural mismatch,
-    /// [`TraceError::UnknownBenchmark`] for names outside the suite.
-    pub fn from_json(text: &str) -> Result<Self, TraceError> {
-        let bad = |why: &str| TraceError::Malformed(why.to_string());
-        let rest = text.trim();
-        let rest = rest.strip_prefix('{').ok_or_else(|| bad("missing '{'"))?;
-        let rest = rest.trim_start();
-        let rest = rest
-            .strip_prefix("\"arrivals\"")
-            .ok_or_else(|| bad("missing \"arrivals\" key"))?;
-        let rest = rest.trim_start();
-        let rest = rest.strip_prefix(':').ok_or_else(|| bad("missing ':'"))?;
-        let rest = rest.trim_start();
-        let mut rest = rest.strip_prefix('[').ok_or_else(|| bad("missing '['"))?;
-
-        let mut arrivals = Vec::new();
-        loop {
-            rest = rest.trim_start();
-            if let Some(tail) = rest.strip_prefix(']') {
-                let tail = tail.trim_start();
-                let tail = tail.strip_suffix('}').ok_or_else(|| bad("missing final '}'"))?;
-                if !tail.trim().is_empty() {
-                    return Err(bad("trailing content after trace object"));
-                }
-                break;
-            }
-            if !arrivals.is_empty() {
-                rest = rest
-                    .strip_prefix(',')
-                    .ok_or_else(|| bad("missing ',' between arrivals"))?
-                    .trim_start();
-            }
-            let (arrival, tail) = parse_arrival(rest)?;
-            arrivals.push(arrival);
-            rest = tail;
-        }
-        Ok(ArrivalTrace::new(arrivals))
-    }
 }
 
 /// The static arrival-order queue of a trace — what
@@ -333,49 +243,6 @@ impl<'a> Iterator for OpenLoopDriver<'a> {
             Some((a, elapsed - due))
         }
     }
-}
-
-/// Parses one `{"t":N,"bench":"NAME"}` object, returning the remainder.
-fn parse_arrival(text: &str) -> Result<(Arrival, &str), TraceError> {
-    let bad = |why: &str| TraceError::Malformed(why.to_string());
-    let rest = text.strip_prefix('{').ok_or_else(|| bad("missing arrival '{'"))?;
-    let rest = rest.trim_start();
-    let rest = rest
-        .strip_prefix("\"t\"")
-        .ok_or_else(|| bad("missing \"t\" key"))?;
-    let rest = rest.trim_start();
-    let rest = rest.strip_prefix(':').ok_or_else(|| bad("missing ':' after \"t\""))?;
-    let rest = rest.trim_start();
-    let digits = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    if digits == 0 {
-        return Err(bad("missing arrival time"));
-    }
-    let time: u64 = rest[..digits]
-        .parse()
-        .map_err(|_| bad("arrival time out of range"))?;
-    let rest = rest[digits..].trim_start();
-    let rest = rest
-        .strip_prefix(',')
-        .ok_or_else(|| bad("missing ',' after time"))?
-        .trim_start();
-    let rest = rest
-        .strip_prefix("\"bench\"")
-        .ok_or_else(|| bad("missing \"bench\" key"))?;
-    let rest = rest.trim_start();
-    let rest = rest
-        .strip_prefix(':')
-        .ok_or_else(|| bad("missing ':' after \"bench\""))?;
-    let rest = rest.trim_start();
-    let rest = rest.strip_prefix('"').ok_or_else(|| bad("missing name quote"))?;
-    let q = rest.find('"').ok_or_else(|| bad("unterminated name"))?;
-    let name = &rest[..q];
-    let bench = Benchmark::from_name(name)
-        .ok_or_else(|| TraceError::UnknownBenchmark(name.to_string()))?;
-    let rest = rest[q + 1..].trim_start();
-    let rest = rest.strip_prefix('}').ok_or_else(|| bad("missing arrival '}'"))?;
-    Ok((Arrival { time, bench }, rest))
 }
 
 /// One exponential inter-arrival gap with the given mean, rounded to
@@ -593,52 +460,6 @@ mod tests {
         let t = ArrivalTrace::poisson_from_queue(&queue, 1_000.0, 5);
         assert_eq!(queue_from_trace(&t), queue, "bench order must be the queue");
         assert!(t.arrivals().windows(2).all(|w| w[0].time <= w[1].time));
-    }
-
-    #[test]
-    fn json_round_trips_exactly() {
-        for trace in [
-            ArrivalTrace::poisson(&Benchmark::ALL, 50, 3_000.0, 9),
-            ArrivalTrace::all_at(17, &[Benchmark::Blk, Benchmark::Nn]),
-            ArrivalTrace::new(Vec::new()),
-        ] {
-            let json = trace.to_json();
-            let back = ArrivalTrace::from_json(&json).expect("round trip");
-            assert_eq!(back, trace);
-            assert_eq!(back.to_json(), json, "render is canonical");
-        }
-    }
-
-    #[test]
-    fn json_parser_accepts_whitespace_and_reorders() {
-        let text = r#" { "arrivals" : [ { "t" : 30 , "bench" : "SAD" } ,
-                         { "t" : 10 , "bench" : "gups" } ] } "#;
-        let t = ArrivalTrace::from_json(text).expect("tolerant parse");
-        assert_eq!(t.arrivals()[0].bench, Benchmark::Gups, "re-sorted by time");
-        assert_eq!(t.arrivals()[1].time, 30);
-    }
-
-    #[test]
-    fn json_parser_rejects_garbage() {
-        for bad in [
-            "",
-            "[]",
-            "{\"arrivals\":}",
-            "{\"arrivals\":[{\"t\":1}]}",
-            "{\"arrivals\":[{\"t\":1,\"bench\":\"NOPE\"}]}",
-            "{\"arrivals\":[{\"t\":1,\"bench\":\"SAD\"}]",
-            "{\"arrivals\":[{\"t\":1,\"bench\":\"SAD\"}]} trailing",
-            "{\"arrivals\":[{\"t\":,\"bench\":\"SAD\"}]}",
-        ] {
-            assert!(
-                ArrivalTrace::from_json(bad).is_err(),
-                "must reject {bad:?}"
-            );
-        }
-        assert!(matches!(
-            ArrivalTrace::from_json("{\"arrivals\":[{\"t\":1,\"bench\":\"NOPE\"}]}"),
-            Err(TraceError::UnknownBenchmark(_))
-        ));
     }
 
     #[test]

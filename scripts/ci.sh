@@ -6,7 +6,9 @@
 # works on an air-gapped machine exactly as it does in CI.
 #
 #   scripts/ci.sh               full gate: build, tests, widened property
-#                               tests, clippy (deny warnings)
+#                               tests, clippy (deny warnings), the wire-kernel
+#                               duplicate guard, the shard/daemon/fleet smokes
+#                               and benchmark/smoke.sh (golden digests)
 #   scripts/ci.sh --quick       tier-1 only: release build + default tests
 #   scripts/ci.sh --bench-smoke also run scripts/bench.sh --smoke after the
 #                               gate (checks the benchmarks still run; the
@@ -314,9 +316,27 @@ else
     echo "clippy not installed; skipping lint step"
 fi
 
+# One wire kernel (DESIGN.md "Wire kernel"): FNV-1a, JSON escaping and
+# the float rule are defined in crates/sim/src/wire.rs and nowhere else.
+step "duplicate guard (one FNV-1a, one escaper, one float rule under crates/)"
+BASIS=$(grep -rl 'cbf2_9ce4_8422_2325' crates)
+if [ "$BASIS" != "crates/sim/src/wire.rs" ]; then
+    echo "the FNV offset basis must occur in crates/sim/src/wire.rs only, found in:" >&2
+    echo "$BASIS" >&2
+    exit 1
+fi
+if grep -rnE 'fn (esc|escape_json|fmt_f64)\b' crates --include='*.rs' \
+        | grep -v '^crates/sim/src/wire.rs:'; then
+    echo "private escaper / float formatter outside crates/sim/src/wire.rs" >&2
+    exit 1
+fi
+
 shard_smoke
 daemon_smoke
 fleet_smoke
+
+step "benchmark smoke (benchmark/smoke.sh: seven workloads, golden digests)"
+benchmark/smoke.sh
 
 if [ "$BENCH_SMOKE" -eq 1 ]; then
     step "bench smoke (scripts/bench.sh --smoke)"

@@ -31,6 +31,9 @@ use gcs_sched::{Job, OnlineScheduler, Policy, PolicyKind, SchedConfig};
 use gcs_sim::config::GpuConfig;
 use gcs_workloads::{ArrivalTrace, Benchmark, Scale};
 
+#[path = "common/hostile.rs"]
+mod hostile;
+
 /// Small, fast census for TEST-scale simulation.
 const POOL: [Benchmark; 3] = [Benchmark::Gups, Benchmark::Hs, Benchmark::Lud];
 
@@ -335,6 +338,17 @@ fn fleet_spec_round_trips_and_rejects_garbage() {
     assert_eq!(back.max_sms(), 30);
 
     assert!(FleetSpec::from_json("{").is_err());
+    // No truncation prefix parses; bit flips and garbage never panic.
+    hostile::assault(
+        &[hostile::Target {
+            name: "fleet-spec",
+            valid: json.into_bytes(),
+            checksummed: false,
+            accepts: &|b| std::str::from_utf8(b).is_ok_and(|t| FleetSpec::from_json(t).is_ok()),
+        }],
+        1,
+        64,
+    );
     assert!(FleetSpec::new(vec![]).is_err());
     assert!(FleetSpec::new(vec![DeviceProfile { id: "a".into(), num_sms: 0 }]).is_err());
 }

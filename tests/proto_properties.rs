@@ -1,10 +1,11 @@
 //! Adversarial property tests for the daemon frame protocol
-//! (`gcs_sched::proto`), in the style of the trace wire-format suite:
-//! seeded [`SimRng`] fuzzing, exhaustive truncation prefixes and
-//! single-bit corruption over every request/response shape. The
-//! invariant under attack is simple — **the decoder returns a typed
-//! [`ProtoError`], it never panics and never misinterprets a damaged
-//! frame as a different valid frame without the checksum catching it.**
+//! (`gcs_sched::proto`): the shared attack generators of
+//! `tests/common/hostile.rs` — exhaustive truncation prefixes,
+//! single-bit corruption, seeded garbage — over every request/response
+//! shape. The invariant under attack is simple — **the decoder returns
+//! a typed [`ProtoError`], it never panics and never misinterprets a
+//! damaged frame as a different valid frame without the checksum
+//! catching it.**
 //!
 //! `--features proptest-tests` widens the fuzz sweep.
 
@@ -12,8 +13,10 @@ use gcs_sched::proto::{
     decode_frame, encode_frame, ProtoError, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD,
 };
 use gcs_sched::{Request, Response};
-use gcs_sim::rng::SimRng;
 use gcs_workloads::Benchmark;
+
+#[path = "common/hostile.rs"]
+mod hostile;
 
 const CASES: usize = if cfg!(feature = "proptest-tests") { 400 } else { 64 };
 
@@ -90,77 +93,61 @@ fn all_samples_round_trip() {
 
 /// Every strict prefix of every sample frame decodes to `Truncated`
 /// with an accurate offset — the header is length-checked before the
-/// magic is even read — and never panics.
+/// magic is even read.
 #[test]
 fn every_truncation_prefix_is_typed() {
     for frame in sample_frames() {
-        for cut in 0..frame.len() {
-            let prefix = &frame[..cut];
-            let err = decode_frame(prefix).expect_err("prefix must not decode");
-            match err {
+        for prefix in hostile::truncations(&frame, 1) {
+            match decode_frame(prefix).expect_err("prefix must not decode") {
                 ProtoError::Truncated { at, want } => {
-                    assert_eq!(at, cut.min(prefix.len()));
+                    assert_eq!(at, prefix.len());
                     assert!(want > 0);
                 }
-                other => panic!("prefix {cut}: unexpected {other:?}"),
+                other => panic!("prefix {}: unexpected {other:?}", prefix.len()),
             }
-            // The typed message decoders hold the same contract.
-            assert!(Request::decode(prefix).is_err());
-            assert!(Response::decode(prefix).is_err());
         }
     }
 }
 
-/// Flipping any single bit of a frame yields a typed error or — only
-/// when the flip lands in an encoded length/id field in a way the
-/// checksum still catches — never a silently different message.
+/// The full assault on all three decoders over every sample frame: no
+/// strict prefix and no single-bit flip ever decodes (a flipped
+/// checksum bit cannot collide with FNV-1a over an unchanged payload,
+/// and a flipped payload bit moves the checksum), and garbage never
+/// panics.
 #[test]
 fn every_single_bit_flip_is_caught_or_typed() {
-    for frame in sample_frames() {
-        let original_payload = decode_frame(&frame).expect("valid frame").to_vec();
-        for byte in 0..frame.len() {
-            for bit in 0..8u8 {
-                let mut bent = frame.clone();
-                bent[byte] ^= 1 << bit;
-                match decode_frame(&bent) {
-                    // Typed rejection: the common case.
-                    Err(
-                        ProtoError::BadMagic(_)
-                        | ProtoError::UnsupportedVersion(_)
-                        | ProtoError::Oversize { .. }
-                        | ProtoError::Truncated { .. }
-                        | ProtoError::Corrupt(_),
-                    ) => {}
-                    // A flip that decodes must not silently change the
-                    // payload (a flipped checksum bit cannot collide
-                    // with FNV-1a over an unchanged payload).
-                    Ok(payload) => {
-                        assert_eq!(
-                            payload, original_payload,
-                            "byte {byte} bit {bit}: silent payload change"
-                        );
-                        panic!("byte {byte} bit {bit}: corrupt frame decoded");
-                    }
-                }
-            }
-        }
-    }
+    let frames = sample_frames();
+    let typed = |frame: &[u8]| Request::decode(frame).is_ok() || Response::decode(frame).is_ok();
+    let targets: Vec<hostile::Target<'_>> = frames
+        .iter()
+        .flat_map(|frame| {
+            [
+                hostile::Target {
+                    name: "frame",
+                    valid: frame.clone(),
+                    checksummed: true,
+                    accepts: &|b| decode_frame(b).is_ok(),
+                },
+                hostile::Target {
+                    name: "message",
+                    valid: frame.clone(),
+                    checksummed: true,
+                    accepts: &typed,
+                },
+            ]
+        })
+        .collect();
+    hostile::assault(&targets, 1, CASES / 8);
 }
 
 /// Seeded random garbage — arbitrary lengths, arbitrary bytes — always
 /// produces a typed error, whatever decoder it is fed to.
 #[test]
 fn random_garbage_never_panics() {
-    let mut rng = SimRng::seed_from_u64(0xfee1_dead);
-    for case in 0..CASES {
-        let len = (rng.gen_range(96) as usize).min(95);
-        let bytes: Vec<u8> = (0..len).map(|_| (rng.gen_range(256)) as u8).collect();
+    for bytes in hostile::garbage(0xfee1_dead, CASES, 96, &[]) {
+        // Astronomically unlikely, but if it frames, the budget held.
         if let Ok(payload) = decode_frame(&bytes) {
-            // Astronomically unlikely, but if it frames, the typed
-            // decoders must still answer without panicking.
-            let _ = Request::decode(&bytes);
-            let _ = Response::decode(&bytes);
-            assert!(payload.len() <= MAX_FRAME_PAYLOAD, "case {case}");
+            assert!(payload.len() <= MAX_FRAME_PAYLOAD);
         }
         let _ = Request::decode(&bytes);
         let _ = Response::decode(&bytes);
@@ -172,14 +159,8 @@ fn random_garbage_never_panics() {
 /// `Corrupt` — never a panic, never a bogus accept.
 #[test]
 fn framed_garbage_payloads_are_corrupt_not_fatal() {
-    let mut rng = SimRng::seed_from_u64(0xbad_cafe);
-    let alphabet: &[u8] = b"{}[]\":,abcdefghijklmnop0123456789 \\\t\n\x7f";
-    for _ in 0..CASES {
-        let len = rng.gen_range(64) as usize;
-        let payload: Vec<u8> = (0..len)
-            .map(|_| alphabet[rng.gen_range(alphabet.len() as u64) as usize])
-            .collect();
-        let frame = encode_frame(&payload);
+    for payload in hostile::garbage(0xbad_cafe, CASES, 64, hostile::JSONISH) {
+        let frame = encode_frame(&payload).expect("in budget");
         assert_eq!(decode_frame(&frame).expect("framing is sound"), &payload[..]);
         // The overwhelming majority cannot be valid messages; all must
         // fail *typed*.
@@ -192,11 +173,40 @@ fn framed_garbage_payloads_are_corrupt_not_fatal() {
     }
 }
 
+/// The budget is enforced where a frame is built, not only where it is
+/// read: an over-budget payload is never framed, and an over-budget
+/// response goes out as a typed error every client can decode.
+#[test]
+fn over_budget_report_becomes_a_decodable_error() {
+    assert!(encode_frame(&vec![b'x'; MAX_FRAME_PAYLOAD]).is_ok());
+    assert_eq!(
+        encode_frame(&vec![b'x'; MAX_FRAME_PAYLOAD + 1]),
+        Err(ProtoError::Oversize {
+            len: MAX_FRAME_PAYLOAD + 1,
+            max: MAX_FRAME_PAYLOAD,
+        })
+    );
+    // Escaping inflates the payload past the budget even though the
+    // report itself is under it.
+    let json = "\"\n".repeat(MAX_FRAME_PAYLOAD / 2 - 8);
+    for resp in [Response::Report { json: json.clone() }, Response::Drained { json }] {
+        let frame = resp.encode();
+        assert!(frame.len() <= FRAME_HEADER_LEN + MAX_FRAME_PAYLOAD);
+        match Response::decode(&frame).expect("decodable") {
+            Response::Error { kind, detail, diag: None } => {
+                assert_eq!(kind, "oversize");
+                assert!(detail.contains("budget"), "{detail}");
+            }
+            other => panic!("expected a typed error, got {other:?}"),
+        }
+    }
+}
+
 /// Headers advertising hostile payload lengths are refused before any
 /// allocation could happen, with the length echoed in the error.
 #[test]
 fn hostile_lengths_are_refused_up_front() {
-    let frame = encode_frame(b"ok");
+    let frame = encode_frame(b"ok").expect("in budget");
     for hostile in [
         MAX_FRAME_PAYLOAD + 1,
         1 << 24,
