@@ -49,8 +49,9 @@ fn main() {
         let mut s = WarpScheduler::new(policy);
         let ready: u64 = (1u64 << 48) - 1;
         let ages: Vec<u64> = (0..48).collect();
+        let by_age: Vec<u8> = (0..48).collect();
         bench(&format!("sim/sched/{policy:?}_pick_48"), || {
-            s.pick(std::hint::black_box(ready), &ages)
+            s.pick(std::hint::black_box(ready), &ages, &by_age)
         });
     }
 
@@ -160,8 +161,9 @@ fn main() {
     // `sleep_at = min(l2_event, dram_next)` gates, so saturated slices
     // skip the ticks between DRAM services (bus busy) and the failed
     // FR-FCFS scans while every bank is busy — exactly the cycles the
-    // m = 1 reference lane, which stays on the untouched single-pass
-    // path, must grind through one by one.
+    // m = 1 lane, which ticks every busy slice every cycle, must grind
+    // through one by one. (The stalled-miss verdicts are shared by both
+    // lanes, so they no longer separate the two.)
     for mem_shards in [1u32, 2, 4] {
         bench(
             &format!("sim/device/gtx480_60k_cycles_gups_spmv_corun_memsharded/m{mem_shards}"),

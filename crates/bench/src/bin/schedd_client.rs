@@ -36,7 +36,7 @@ use gcs_core::runner::AllocationPolicy;
 use gcs_sched::{
     virtual_link, DaemonConfig, DaemonCore, FaultSpec, FaultyTransport, OnlineScheduler,
     OverloadPolicy, PolicyKind, Request, Response, RetryConfig, SchedClient, SchedConfig,
-    TcpTransport, Transport, TransportError, VirtualConnector,
+    TcpTransport, Transport, VirtualConnector,
 };
 use gcs_workloads::{ArrivalTrace, Benchmark, OpenLoopDriver};
 
@@ -90,11 +90,18 @@ fn drive_session<T: Transport>(
     client.drain().expect("drain")
 }
 
+/// Receive deadline of the fault session: a guard against a hung
+/// daemon, never a way to detect a dropped frame (a live daemon on a
+/// busy host is merely late).
+const HANG_GUARD: Duration = Duration::from_secs(60);
+
 /// The deterministic fault scenario (same client policy the daemon
 /// integration test pins): strict send/recv alternation, abandon the
 /// connection after any error response or transport failure, per-
-/// connection seeds, clean unfaulted drain at the end. Returns the
-/// concatenated transcript and the final report JSON.
+/// connection seeds, clean unfaulted drain at the end. A dropped frame
+/// is recognised from the proxy's own transcript, so control flow never
+/// depends on how fast a reply arrives. Returns the concatenated
+/// transcript and the final report JSON.
 fn fault_session(
     connector: &VirtualConnector,
     trace: &ArrivalTrace,
@@ -102,7 +109,7 @@ fn fault_session(
 ) -> (Vec<String>, String) {
     let fresh = |conn_idx: u64| {
         let mut sock = connector.connect().expect("connect");
-        sock.recv_deadline = Some(Duration::from_millis(250));
+        sock.recv_deadline = Some(HANG_GUARD);
         FaultyTransport::new(sock, fault_seed + conn_idx, FaultSpec::SMOKE)
     };
     let collect = |t: &mut Vec<String>,
@@ -127,13 +134,21 @@ fn fault_session(
         };
         let sent = faulty.send_frame(&req.encode()).is_ok();
         let mut dead = !sent;
-        if sent {
+        let dropped = faulty
+            .transcript()
+            .last()
+            .is_some_and(|l| l.contains(": drop "));
+        if sent && dropped {
+            i += 1; // the daemon never saw it and will not answer: job lost
+        } else if sent {
             match faulty.recv_frame() {
                 Ok(frame) => match Response::decode(&frame) {
                     Ok(Response::Error { .. }) | Err(_) => dead = true,
                     Ok(_) => i += 1,
                 },
-                Err(TransportError::TimedOut) => i += 1, // dropped frame: job lost
+                // Nothing within the hang guard (a header-length flip
+                // can leave the daemon waiting for bytes): start over
+                // on a fresh connection.
                 Err(_) => dead = true,
             }
         }

@@ -159,6 +159,16 @@ impl Cache {
         }
     }
 
+    /// Whether the line containing `addr` is resident. Side-effect-free
+    /// (no LRU promotion, no tally): the oracle the L2 stage's elided
+    /// probes are `debug_assert!`ed against.
+    pub(crate) fn contains(&self, addr: u64) -> bool {
+        let line = addr >> self.line_shift;
+        let ways = self.cfg.ways as usize;
+        let base = self.set_of(line) * ways;
+        self.meta[base..base + ways].iter().any(|m| m.tag == line)
+    }
+
     /// Installs the line containing `addr` without counting a probe
     /// (fill path on a response from the next level). Inserts at MRU.
     pub fn fill(&mut self, addr: u64) {

@@ -177,11 +177,14 @@ impl GpuConfig {
         f64::from(self.num_sms) * f64::from(self.issue_per_sm) * 32.0
     }
 
-    /// Validates internal consistency.
+    /// Validates internal consistency: every configuration this accepts
+    /// builds (no constructor assertion fires) and can make progress
+    /// (no zero-width stage, no division by a zero geometry field).
     ///
     /// # Errors
     ///
-    /// Returns a description of the first violated invariant.
+    /// Returns a description of the first violated invariant, naming
+    /// the offending field.
     pub fn validate(&self) -> Result<(), String> {
         if self.num_sms == 0 {
             return Err("device needs at least one SM".into());
@@ -189,17 +192,49 @@ impl GpuConfig {
         if self.num_mem_ctrls == 0 {
             return Err("device needs at least one memory controller".into());
         }
+        if self.num_mem_ctrls > 64 {
+            return Err("num_mem_ctrls must be at most 64 (the admission mask is one word)".into());
+        }
         if self.max_warps_per_sm == 0 || self.max_blocks_per_sm == 0 {
             return Err("SM must host at least one warp and one block".into());
+        }
+        if self.max_warps_per_sm > 64 {
+            return Err("max_warps_per_sm must be at most 64 (the ready mask is one word)".into());
+        }
+        if self.issue_per_sm == 0 {
+            return Err("issue_per_sm must be nonzero".into());
         }
         if self.l1.line_bytes != self.l2_slice.line_bytes {
             return Err("L1 and L2 line sizes must agree".into());
         }
-        if self.dram.t_burst == 0 {
-            return Err("t_burst must be nonzero".into());
+        for (name, c) in [("l1", &self.l1), ("l2_slice", &self.l2_slice)] {
+            if !c.line_bytes.is_power_of_two() {
+                return Err(format!("{name}.line_bytes must be a power of two"));
+            }
+            if c.ways == 0 {
+                return Err(format!("{name}.ways must be nonzero"));
+            }
+            if c.bytes < u64::from(c.line_bytes) * u64::from(c.ways) {
+                return Err(format!(
+                    "{name}.bytes is too small for its line size and ways"
+                ));
+            }
         }
-        let _ = self.l1.sets();
-        let _ = self.l2_slice.sets();
+        if self.l2_ports == 0 {
+            return Err("l2_ports must be nonzero".into());
+        }
+        if self.dram.banks == 0 {
+            return Err("dram.banks must be nonzero".into());
+        }
+        if self.dram.row_bytes == 0 {
+            return Err("dram.row_bytes must be nonzero".into());
+        }
+        if self.dram.queue_depth == 0 {
+            return Err("dram.queue_depth must be nonzero".into());
+        }
+        if self.dram.t_burst == 0 {
+            return Err("dram.t_burst must be nonzero".into());
+        }
         Ok(())
     }
 }
@@ -262,6 +297,47 @@ mod tests {
         let mut c = GpuConfig::gtx480();
         c.l1.line_bytes = 64;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_what_would_panic_or_never_progress() {
+        // Each row used to pass `validate()` and then trip a
+        // constructor assertion, divide by zero, or spin to `Timeout`.
+        // `Gpu::new` must answer every one with `InvalidConfig` naming
+        // the field — and never panic.
+        type Edit = fn(&mut GpuConfig);
+        let rows: [(&str, Edit); 12] = [
+            ("max_warps_per_sm", |c| c.max_warps_per_sm = 65),
+            ("line_bytes", |c| {
+                c.l1.line_bytes = 96;
+                c.l2_slice.line_bytes = 96;
+            }),
+            ("l1.ways", |c| c.l1.ways = 0),
+            ("l2_slice.ways", |c| c.l2_slice.ways = 0),
+            ("l1.bytes", |c| c.l1.bytes = 256),
+            ("dram.banks", |c| c.dram.banks = 0),
+            ("dram.row_bytes", |c| c.dram.row_bytes = 0),
+            ("dram.queue_depth", |c| c.dram.queue_depth = 0),
+            ("dram.t_burst", |c| c.dram.t_burst = 0),
+            ("issue_per_sm", |c| c.issue_per_sm = 0),
+            ("l2_ports", |c| c.l2_ports = 0),
+            ("num_mem_ctrls", |c| c.num_mem_ctrls = 65),
+        ];
+        for (field, edit) in rows {
+            let mut c = GpuConfig::test_small();
+            edit(&mut c);
+            match crate::gpu::Gpu::new(c) {
+                Err(crate::gpu::SimError::InvalidConfig(why)) => {
+                    assert!(why.contains(field), "{field}: message was {why:?}");
+                }
+                other => panic!("{field}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+        // The bounds themselves are legal.
+        let mut c = GpuConfig::test_small();
+        c.max_warps_per_sm = 64;
+        c.num_mem_ctrls = 64;
+        assert!(crate::gpu::Gpu::new(c).is_ok());
     }
 
     #[test]

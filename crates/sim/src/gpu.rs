@@ -706,8 +706,12 @@ impl Gpu {
         // artifact, not a modeled mechanism.
         let n_sms = self.sms.len();
         let mut any_issued = false;
+        // One division per cycle; the rotation itself wraps by compare.
+        let mut next = (now % n_sms as u64) as usize;
         for k in 0..n_sms {
-            let idx = (k + now as usize) % n_sms;
+            let idx = next;
+            next = if idx + 1 == n_sms { 0 } else { idx + 1 };
+            debug_assert_eq!(idx, (k + now as usize) % n_sms, "rotation out of step");
             let enabled = self.sm_enabled[idx];
             let sm = &mut self.sms[idx];
             sm.wake(now);
@@ -982,7 +986,9 @@ impl Gpu {
         })
     }
 
-    /// Diagnostic: aggregate L2 hit rate.
+    /// Diagnostic: aggregate L2 hit rate — requests consumed as hits
+    /// over all requests consumed, the same on every lane and step
+    /// mode.
     pub fn l2_hit_rate(&self) -> f64 {
         self.memsys.l2_hit_rate()
     }
@@ -1320,8 +1326,8 @@ impl Gpu {
     }
 
     /// The serial merge phase: replays the reference step's rotation
-    /// (`idx = (k + now) % n`) over exactly the SMs that still need the
-    /// shared state this cycle — every SM while blocks remain to
+    /// (SM `(k + now) mod n` at turn `k`) over exactly the SMs that still
+    /// need the shared state this cycle — every SM while blocks remain to
     /// dispatch, only the suspended-access SMs afterwards. Returns
     /// whether any block retired here.
     fn sharded_phase_b(
@@ -1341,10 +1347,14 @@ impl Gpu {
         if dispatch_era {
             // Blocks remain: full rotation, exactly the reference loop
             // with the SM-local issue half already done in phase A.
+            // The start position costs the cycle's only divisions;
+            // from there the cell and in-cell index wrap by compare.
+            let start = (now % n as u64) as usize;
+            let (mut ci, mut local) = (start / chunk, start % chunk);
             for k in 0..n {
-                let idx = (k + now as usize) % n;
-                let cell = &mut *cells[idx / chunk];
-                let local = idx % chunk;
+                let cell = &mut *cells[ci];
+                let idx = cell.base as usize + local;
+                debug_assert_eq!(idx, (k + now as usize) % n, "rotation out of step");
                 let mut touched = false;
                 if cell.sms[local].has_pending() {
                     any_retired |= self.resolve_sm(now, cell, local, snap);
@@ -1371,6 +1381,11 @@ impl Gpu {
                 if touched {
                     cell.refresh(local);
                 }
+                local += 1;
+                if local == cell.sms.len() {
+                    local = 0;
+                    ci = if ci + 1 == cells.len() { 0 } else { ci + 1 };
+                }
             }
         } else {
             // Post-dispatch: only suspended accesses touch shared
@@ -1385,10 +1400,21 @@ impl Gpu {
             if !pend.is_empty() {
                 let r = (now % n as u64) as u32;
                 let split = pend.partition_point(|&id| id < r);
+                // Ids ascend within each half of the rotated walk, so
+                // the owning cell is found by stepping forward.
+                let mut ci = 0;
                 for i in (split..pend.len()).chain(0..split) {
+                    if i == 0 {
+                        ci = 0; // wrapped to the lowest id
+                    }
                     let idx = pend[i] as usize;
-                    let cell = &mut *cells[idx / chunk];
-                    any_retired |= self.resolve_sm(now, cell, idx % chunk, snap);
+                    while idx >= cells[ci].base as usize + cells[ci].sms.len() {
+                        ci += 1;
+                    }
+                    debug_assert_eq!(ci, idx / chunk);
+                    let cell = &mut *cells[ci];
+                    let local = idx - cell.base as usize;
+                    any_retired |= self.resolve_sm(now, cell, local, snap);
                 }
             }
             self.pend_buf = pend;

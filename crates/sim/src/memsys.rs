@@ -30,6 +30,12 @@ use crate::stats::{MemDelta, SimStats};
 /// credit-based real interconnect would allow.
 const SLICE_QUEUE_DEPTH: usize = 128;
 
+/// Capacity of a slice's presence log (`Slice::gained`). Under
+/// saturation a slice sees one fill and one insert per bus slot between
+/// full scans, so a handful of entries is ample; overflow is safe (it
+/// drops the verdicts), only slower.
+const PRESENCE_LOG_CAP: usize = 8;
+
 /// A single 128-byte memory transaction from an SM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRequest {
@@ -300,12 +306,8 @@ struct Slice {
     /// (to the first future arrival) when a scan consumed nothing and
     /// left only stalled misses: nothing about such a scan can change
     /// until a DRAM service frees queue/MSHR space or fills a line, or
-    /// a new request arrives — both of which reset this to zero. Saves
-    /// re-probing a full input queue of stalled misses every cycle
-    /// while a co-runner saturates the channel. Pure scan elision: no
-    /// `SimStats`-visible work is skipped (only the L2 probe tallies
-    /// undercount re-probes, exactly as event-horizon jumps already
-    /// do).
+    /// a new request arrives — both of which reset this to zero. Pure
+    /// scan elision: no observable work is skipped.
     scan_wake: u64,
     /// Sharded-mode cache of the DRAM-side event bound for *queries
     /// after the last tick*: exactly what [`dram_bound`] would compute
@@ -329,21 +331,92 @@ struct Slice {
     /// knob change can turn a stalled-miss re-scan from a no-op into
     /// progress, which breaks the proof until the next real tick.
     sleep_at: u64,
-    /// Sharded-mode stalled-prefix cache: the first `stalled_skip`
-    /// entries of `input` were probed by the last scan and verdicted
-    /// "stalled miss" (no L2 line, no MSHR entry to merge with, no
-    /// queue/MSHR space to proceed into). Until a DRAM service on this
-    /// slice those verdicts cannot change — space frees and lines fill
-    /// only on a service, and while the stall reason holds no insert
-    /// can create a mergeable MSHR entry either — so the next scan
-    /// starts probing at this index instead of re-probing the whole
-    /// prefix (the dominant cost of a saturated slice's tick).
-    /// Maintained only in sharded (`TRACK`) mode; reset to 0 on every
-    /// service, by the fault knobs (`set_mshr_cap` changes the
-    /// verdicts) and on repartition. Pure scan elision, like
-    /// `scan_wake`: only the L2 probe tallies undercount the skipped
-    /// re-probes; nothing `SimStats`-visible moves.
-    stalled_skip: u32,
+    /// Stalled-miss verdicts: the first `verdicts` entries of `input`
+    /// were examined by an earlier scan and found to be an **L2 miss
+    /// with, for a read, no MSHR entry to merge onto**. A verdict says
+    /// nothing about space — whether the entry can proceed into the
+    /// MSHR table and DRAM queue is tested live on every scan — so it
+    /// can only turn false when its line *gains* presence, and a line
+    /// gains presence in exactly two places: `l2.fill_lru` on a DRAM
+    /// read service and `mshr.insert`. Both append the line to
+    /// `gained`; a verdicted entry whose line is not in that log is a
+    /// known miss and skips the L2 way scan and the MSHR tag scan, one
+    /// whose line is logged takes the full probe path. Kept as a count,
+    /// not indices: the scan's `pop_front` fast path shifts indices,
+    /// the verdicted entries always remain the queue's prefix.
+    /// Maintained on every lane; dropped (with the log) by the fault
+    /// knobs and on repartition.
+    verdicts: u32,
+    /// Lines that gained presence since the oldest outstanding verdict
+    /// was taken (see `verdicts`). Trimmed only once a scan has checked
+    /// every old verdict against it — a port-limited scan that stops
+    /// inside the prefix keeps the unreached verdicts *and* the log. An
+    /// overflow drops every verdict instead (full re-probe, never a
+    /// guess).
+    gained: [u64; PRESENCE_LOG_CAP],
+    /// Live entries of `gained`.
+    gained_len: u8,
+    /// Requests consumed as L2 hits / as misses (fetched or merged),
+    /// each counted once at consumption — the lane- and step-mode-
+    /// independent tallies behind [`MemSys::l2_hit_rate`].
+    req_hits: u64,
+    req_misses: u64,
+}
+
+impl Slice {
+    fn new(cfg: &GpuConfig) -> Self {
+        Slice {
+            l2: Cache::new(cfg.l2_slice),
+            input: VecDeque::new(),
+            ctrl: DramCtrl::new(cfg.dram.banks),
+            mshr: MshrTable::new(),
+            l2_event: u64::MAX,
+            scan_wake: 0,
+            dram_next: u64::MAX,
+            sleep_at: u64::MAX,
+            verdicts: 0,
+            gained: [0; PRESENCE_LOG_CAP],
+            gained_len: 0,
+            req_hits: 0,
+            req_misses: 0,
+        }
+    }
+
+    /// Forgets every stalled-miss verdict: the next scan probes the
+    /// whole queue again.
+    #[inline]
+    fn drop_verdicts(&mut self) {
+        self.verdicts = 0;
+        self.gained_len = 0;
+    }
+
+    /// Whether `line` gained presence since the verdicts were taken.
+    #[inline]
+    fn gained_presence(&self, line: u64) -> bool {
+        self.gained[..usize::from(self.gained_len)].contains(&line)
+    }
+
+    /// Logs that `line` gained presence (L2 fill or MSHR insert).
+    /// Returns `false` when the log is full — the caller must then drop
+    /// the verdicts the log was guarding.
+    #[inline]
+    fn log_presence(&mut self, line: u64) -> bool {
+        let n = usize::from(self.gained_len);
+        if n == PRESENCE_LOG_CAP {
+            return false;
+        }
+        self.gained[n] = line;
+        self.gained_len += 1;
+        true
+    }
+
+    /// The verdict invariant, recomputed from scratch for one queued
+    /// request: L2 miss and, for a read, nothing to merge onto.
+    /// Side-effect-free; the oracle behind every elided probe.
+    fn is_unmergeable_miss(&self, req: &MemRequest, line_mask: u64) -> bool {
+        !self.l2.contains(req.addr)
+            && (req.is_write || self.mshr.find(req.addr & line_mask).is_none())
+    }
 }
 
 /// One shard of the memory system during sharded (`m > 1`) stepping:
@@ -390,7 +463,7 @@ impl MemShard {
     /// to tick at the next stepped cycle, which revalidates it.
     fn new(base: u32, mut slices: Vec<Slice>) -> Self {
         for s in &mut slices {
-            s.stalled_skip = 0;
+            s.drop_verdicts();
             if s.input.is_empty() && s.ctrl.queue.is_empty() {
                 s.dram_next = u64::MAX;
                 s.sleep_at = u64::MAX;
@@ -452,7 +525,7 @@ trait MemSink {
     fn dram_row(&mut self, app: AppId, hit: bool);
 }
 
-/// Reference-path sink: the untouched `m = 1` behavior.
+/// Single-cell (`m = 1`) sink: straight into the heap and the stats.
 struct DirectSink<'a> {
     responses: &'a mut BinaryHeap<Reverse<(u64, u32, u32)>>,
     stats: &'a mut SimStats,
@@ -525,8 +598,10 @@ impl MemSink for ShardSink<'_> {
 /// The slices always live inside [`MemShard`] cells: one cell holding
 /// every slice is the reference (`m = 1`) layout, and
 /// [`MemSys::set_shards`] repartitions them for sharded stepping.
-/// `tick`/`next_event` dispatch on the cell count, so the `m = 1` path
-/// is the untouched reference computation.
+/// `tick`/`next_event` dispatch on the cell count: the `m = 1` path
+/// ticks every busy slice every cycle and writes its outputs directly;
+/// the sharded path adds tick elision and a serial fold. Both run the
+/// same slice tick, stalled-miss verdicts included.
 #[derive(Debug)]
 pub struct MemSys {
     cfg: GpuConfig,
@@ -556,6 +631,12 @@ pub struct MemSys {
     extra_dram_lat: u64,
     /// Live per-slice MSHR limit, `<= MSHRS_PER_SLICE`.
     mshr_cap: usize,
+    /// Admission mask: bit `g` is set iff slice `g`'s input queue holds
+    /// at least [`SLICE_QUEUE_DEPTH`] requests. Queues grow only in
+    /// `push` (which sets the bit) and shrink only in the L2 stage
+    /// (after which `tick` re-derives the mask), so
+    /// [`MemSys::can_accept`] is a bit test.
+    full_mask: u64,
 }
 
 impl MemSys {
@@ -564,21 +645,14 @@ impl MemSys {
     /// # Panics
     ///
     /// Panics if the line size is not a power of two (the caches
-    /// enforce the same invariant).
+    /// enforce the same invariant) or there are more than 64 memory
+    /// controllers; [`GpuConfig::validate`] rejects both up front.
     pub fn new(cfg: &GpuConfig) -> Self {
-        let slices: Vec<Slice> = (0..cfg.num_mem_ctrls)
-            .map(|_| Slice {
-                l2: Cache::new(cfg.l2_slice),
-                input: VecDeque::new(),
-                ctrl: DramCtrl::new(cfg.dram.banks),
-                mshr: MshrTable::new(),
-                l2_event: u64::MAX,
-                scan_wake: 0,
-                dram_next: u64::MAX,
-                sleep_at: u64::MAX,
-                stalled_skip: 0,
-            })
-            .collect();
+        assert!(
+            cfg.num_mem_ctrls <= 64,
+            "at most 64 memory controllers (the admission mask is one word)"
+        );
+        let slices: Vec<Slice> = (0..cfg.num_mem_ctrls).map(|_| Slice::new(cfg)).collect();
         let line_bytes = u64::from(cfg.l1.line_bytes);
         assert!(
             line_bytes.is_power_of_two(),
@@ -607,6 +681,7 @@ impl MemSys {
             extra_l2_lat: 0,
             extra_dram_lat: 0,
             mshr_cap: MSHRS_PER_SLICE,
+            full_mask: 0,
         }
     }
 
@@ -646,7 +721,7 @@ impl MemSys {
             for slice in &mut cell.slices {
                 slice.scan_wake = 0;
                 slice.sleep_at = 0;
-                slice.stalled_skip = 0;
+                slice.drop_verdicts();
             }
             cell.sleep_min = 0;
         }
@@ -663,7 +738,7 @@ impl MemSys {
             for slice in &mut cell.slices {
                 slice.scan_wake = 0;
                 slice.sleep_at = 0;
-                slice.stalled_skip = 0;
+                slice.drop_verdicts();
             }
             cell.sleep_min = 0;
         }
@@ -686,15 +761,22 @@ impl MemSys {
     }
 
     /// Whether the target slice can take one more request.
+    #[inline]
     pub fn can_accept(&self, addr: u64) -> bool {
-        self.slice_at(self.slice_of(addr)).input.len() < SLICE_QUEUE_DEPTH
+        let g = self.slice_of(addr);
+        let free = self.full_mask & (1u64 << g) == 0;
+        debug_assert_eq!(
+            free,
+            self.slice_at(g).input.len() < SLICE_QUEUE_DEPTH,
+            "admission mask out of step with slice {g}'s queue depth"
+        );
+        free
     }
 
     /// Whether every address in `addrs` targets a slice that can take
     /// one more request this cycle. This is the whole-access admission
-    /// check the issue path applies before pushing any transaction of a
-    /// load or store (no partial issue); the sharded merge phase uses it
-    /// when resolving suspended accesses in canonical order.
+    /// check every issue path applies before pushing any transaction of
+    /// a load or store (no partial issue).
     pub fn can_accept_all(&self, addrs: &[u64]) -> bool {
         addrs.iter().all(|&a| self.can_accept(a))
     }
@@ -716,6 +798,27 @@ impl MemSys {
         cell.sleep_min = cell.sleep_min.min(req.arrive_at);
         cell.ev_min = cell.ev_min.min(req.arrive_at);
         slice.input.push_back(req);
+        if slice.input.len() >= SLICE_QUEUE_DEPTH {
+            self.full_mask |= 1u64 << g;
+        }
+    }
+
+    /// Re-derives the admission mask from the queue depths; called
+    /// after every L2 stage, the only place a queue shrinks — so bits
+    /// can only clear here, and an empty mask is already exact.
+    fn refresh_full_mask(&mut self) {
+        if self.full_mask == 0 {
+            return;
+        }
+        let mut mask = 0u64;
+        let mut g = 0;
+        for cell in &self.cells {
+            for slice in &cell.slices {
+                mask |= u64::from(slice.input.len() >= SLICE_QUEUE_DEPTH) << g;
+                g += 1;
+            }
+        }
+        self.full_mask = mask;
     }
 
     /// The per-cycle constants `tick` would hoist, snapshotted so
@@ -746,10 +849,10 @@ impl MemSys {
     /// with nothing queued are skipped entirely (MSHR entries imply a
     /// queued read, so the emptiness check is complete).
     ///
-    /// With one cell this is the untouched reference loop (responses
-    /// and stats written directly, no elision-cache maintenance); with
-    /// `m > 1` cells each shard ticks independently against its local
-    /// buffers and the serial fold replays the outputs in cell order.
+    /// With one cell this is the single-pass loop (responses and stats
+    /// written directly, no tick-elision caches); with `m > 1` cells
+    /// each shard ticks independently against its local buffers and the
+    /// serial fold replays the outputs in cell order.
     pub fn tick(&mut self, now: u64, stats: &mut SimStats) {
         let ctx = self.tick_ctx();
         if self.cells.len() == 1 {
@@ -764,6 +867,7 @@ impl MemSys {
                 }
                 tick_slice::<_, false>(slice, now, &ctx, &mut sink);
             }
+            self.refresh_full_mask();
         } else {
             for cell in &mut self.cells {
                 tick_cell(cell, now, &ctx);
@@ -832,9 +936,10 @@ pub(crate) fn tick_cell(cell: &mut MemShard, now: u64, ctx: &MemTickCtx) {
 
 /// One slice's reference cycle: the L2 stage, the DRAM stage and the
 /// event bookkeeping, with observable outputs routed through `sink`.
-/// `TRACK` additionally maintains the sharded elision caches
-/// (`dram_next`, `sleep_at`); the `m = 1` reference path instantiates
-/// `TRACK = false` and pays nothing.
+/// The stalled-miss verdicts (`Slice::verdicts`) are kept on every lane;
+/// `TRACK` additionally maintains the sharded tick-elision caches
+/// (`dram_next`, `sleep_at`), which the `m = 1` path neither reads nor
+/// pays for.
 fn tick_slice<S: MemSink, const TRACK: bool>(
     slice: &mut Slice,
     now: u64,
@@ -871,20 +976,32 @@ fn tick_slice<S: MemSink, const TRACK: bool>(
             // stalled misses to the same verdicts; skip it wholesale
             // until a service or arrival can change the outcome.
             let scanned = now >= slice.scan_wake;
-            // Sharded mode: the leading `stalled_skip` entries carry a
-            // still-valid "stalled" verdict from an earlier scan (see
-            // the field's invariant) — start probing after them.
-            let mut verdicted = 0u32;
             if scanned {
                 let mut len = slice.input.len();
-                let skip = if TRACK {
-                    (slice.stalled_skip as usize).min(len)
-                } else {
-                    0
-                };
-                let mut i = skip; // read cursor
-                let mut w = skip; // write cursor (entries kept)
-                if skip > 0 {
+                // The leading `old_left` entries carry a stalled-miss
+                // verdict from an earlier scan (see `Slice::verdicts`);
+                // counted down as the cursor passes them.
+                let mut old_left = (slice.verdicts as usize).min(len);
+                let mut i = 0; // read cursor
+                let mut w = 0; // write cursor (entries kept)
+                if old_left > 0
+                    && slice.gained_len == 0
+                    && slice.ctrl.queue.len() >= ctx.queue_depth
+                {
+                    // No line gained presence and nothing — read or
+                    // write — can enter a full DRAM queue: the whole
+                    // verdicted prefix stalls again, unexamined.
+                    debug_assert!(
+                        slice
+                            .input
+                            .iter()
+                            .take(old_left)
+                            .all(|r| slice.is_unmergeable_miss(r, line_mask)),
+                        "stale stalled-miss verdict in the skipped prefix"
+                    );
+                    i = old_left;
+                    w = old_left;
+                    old_left = 0;
                     stalled_kept = true;
                 }
                 while i < len {
@@ -902,54 +1019,74 @@ fn tick_slice<S: MemSink, const TRACK: bool>(
                         break; // queue is FIFO in arrival time
                     }
                     let dram_full = slice.ctrl.queue.len() >= ctx.queue_depth;
+                    let line = req.addr & line_mask;
+                    // An old verdict stands unless its line gained
+                    // presence since: no way scan, no MSHR tag scan.
+                    let known_miss = old_left > 0 && {
+                        old_left -= 1;
+                        !slice.gained_presence(line)
+                    };
+                    debug_assert!(
+                        !known_miss || slice.is_unmergeable_miss(&req, line_mask),
+                        "stale stalled-miss verdict"
+                    );
                     // Probe without allocating: a stalled miss retries
                     // later, and an early allocation would turn that
                     // retry into a phantom hit. Lines are filled on DRAM
                     // response.
-                    let line = req.addr & line_mask;
-                    let consumed = match slice.l2.probe(req.addr) {
-                        Access::Hit => {
-                            if !req.is_write {
-                                // Write hits are absorbed silently.
-                                let at = now + l2_lat + icnt;
-                                sink.l2_to_l1(req.app, line_bytes);
-                                sink.response(at, req.sm, req.warp_slot);
-                            }
-                            true
+                    let hit = !known_miss && slice.l2.probe(req.addr) == Access::Hit;
+                    let consumed = if hit {
+                        if !req.is_write {
+                            // Write hits are absorbed silently.
+                            let at = now + l2_lat + icnt;
+                            sink.l2_to_l1(req.app, line_bytes);
+                            sink.response(at, req.sm, req.warp_slot);
                         }
-                        Access::Miss => {
-                            // MSHR hit: a fill for this line is already
-                            // in flight; merge instead of fetching twice
-                            // (merging is not gated by a full DRAM queue).
-                            let mshr_hit = if req.is_write {
-                                None
-                            } else {
-                                slice.mshr.find(line)
-                            };
-                            if let Some(idx) = mshr_hit {
-                                slice.mshr.merge(idx, req);
-                                true
-                            } else if !dram_full
-                                && (req.is_write || slice.mshr.len() < mshr_cap)
-                            {
-                                if !req.is_write {
-                                    slice.mshr.insert(line, req);
+                        true
+                    } else {
+                        // MSHR hit: a fill for this line is already in
+                        // flight; merge instead of fetching twice
+                        // (merging is not gated by a full DRAM queue).
+                        let mshr_hit = if known_miss || req.is_write {
+                            None
+                        } else {
+                            slice.mshr.find(line)
+                        };
+                        if let Some(idx) = mshr_hit {
+                            slice.mshr.merge(idx, req);
+                            true
+                        } else if !dram_full && (req.is_write || slice.mshr.len() < mshr_cap) {
+                            if !req.is_write {
+                                // Space only shrinks within a scan, so
+                                // nothing ahead of an insert has stalled
+                                // in this scan: the only verdicts it can
+                                // overturn are the old ones still behind
+                                // the cursor, which check the log live.
+                                debug_assert!(w == 0, "MSHR insert behind a stalled entry");
+                                slice.mshr.insert(line, req);
+                                if old_left > 0 && !slice.log_presence(line) {
+                                    old_left = 0; // overflow: re-probe the rest
                                 }
-                                let row = if row_shift != u32::MAX {
-                                    req.addr >> row_shift
-                                } else {
-                                    req.addr / row_bytes
-                                };
-                                let bank = ((row / num_slices) % banks) as u32;
-                                slice.ctrl.queue.push_back(req, bank, row);
-                                true
-                            } else {
-                                false // stalled; younger requests bypass
                             }
+                            let row = if row_shift != u32::MAX {
+                                req.addr >> row_shift
+                            } else {
+                                req.addr / row_bytes
+                            };
+                            let bank = ((row / num_slices) % banks) as u32;
+                            slice.ctrl.queue.push_back(req, bank, row);
+                            true
+                        } else {
+                            false // stalled; younger requests bypass
                         }
                     };
                     if consumed {
                         processed += 1;
+                        if hit {
+                            slice.req_hits += 1;
+                        } else {
+                            slice.req_misses += 1;
+                        }
                         if i == 0 && w == 0 {
                             slice.input.pop_front(); // no gap yet: O(1)
                             len -= 1;
@@ -965,9 +1102,15 @@ fn tick_slice<S: MemSink, const TRACK: bool>(
                         i += 1;
                     }
                 }
-                // Every kept entry below the cursor was probed (this
-                // scan or a still-valid earlier one) and stalled.
-                verdicted = w as u32;
+                // Every kept entry below the cursor was examined (or its
+                // old verdict re-affirmed) and stalled; a port-limited
+                // scan leaves `old_left` unreached verdicts right behind
+                // them. The log is spent only once every old verdict
+                // has been checked against it.
+                slice.verdicts = (w + old_left) as u32;
+                if old_left == 0 {
+                    slice.gained_len = 0;
+                }
                 // Close the gap: shift the unexamined tail down over the
                 // consumed entries, preserving order.
                 if w != i {
@@ -1016,6 +1159,11 @@ fn tick_slice<S: MemSink, const TRACK: bool>(
                         slice.l2.fill_lru(req.addr);
                         let at = done + l2_lat + icnt;
                         let line = req.addr & line_mask;
+                        // The line gained presence: a verdicted write,
+                        // or read that arrived after it, now hits.
+                        if slice.verdicts > 0 && !slice.log_presence(line) {
+                            slice.drop_verdicts();
+                        }
                         match slice.mshr.find(line) {
                             Some(idx) => {
                                 // Drain the waiter chain in arrival order
@@ -1071,16 +1219,6 @@ fn tick_slice<S: MemSink, const TRACK: bool>(
             }
 
             if TRACK {
-                // Stalled-prefix upkeep: a service invalidates every
-                // cached verdict (space freed, lines filled);
-                // otherwise this scan's verdicted prefix (or the
-                // carried one, if the scan slept) stays valid until
-                // the next service.
-                if serviced {
-                    slice.stalled_skip = 0;
-                } else if scanned {
-                    slice.stalled_skip = verdicted;
-                }
                 // The DRAM bound for queries after this tick is
                 // exactly what the reference `next_event` would
                 // compute at `now + 1`, and it stays exact across
@@ -1103,28 +1241,37 @@ impl MemSys {
     /// FR-FCFS (or plain FCFS) arbitration: index into the queue of the
     /// request to service next, `None` if no bank is ready.
     fn schedule_dram(ctrl: &DramCtrl, now: u64, fr_fcfs: bool) -> Option<usize> {
-        if fr_fcfs {
-            // First ready: oldest request that hits an open row on a
-            // ready bank. Bank and row were precomputed at enqueue, so
-            // the scan is a pair of loads per entry.
-            for (i, e) in ctrl.queue.iter() {
-                let bank = &ctrl.banks[e.bank as usize];
-                if bank.ready_at <= now && bank.open_row == e.row {
-                    return Some(i);
-                }
-            }
-        }
-        // Then oldest-first on any ready bank.
+        // One pass: the oldest request that hits an open row on a ready
+        // bank wins outright (first ready, FR-FCFS only); failing that,
+        // the oldest on any ready bank, remembered on the way. Bank and
+        // row were precomputed at enqueue, so the scan is a pair of
+        // loads per entry. `None`: every bank busy, the bus slot stalls.
+        let mut pick = None;
         for (i, e) in ctrl.queue.iter() {
-            if ctrl.banks[e.bank as usize].ready_at <= now {
-                return Some(i);
+            let bank = &ctrl.banks[e.bank as usize];
+            if bank.ready_at <= now {
+                if !fr_fcfs || bank.open_row == e.row {
+                    pick = Some(i);
+                    break;
+                }
+                pick = pick.or(Some(i));
             }
         }
-        // All banks busy: the oldest request waits for its bank.
-        // Admit it anyway once the bank frees soon; modeled by picking
-        // the oldest whose bank frees earliest only when every bank is
-        // strictly busy *past* now — here simply stall the bus slot.
-        None
+        debug_assert_eq!(
+            pick,
+            {
+                // The two scans this replaces: row hits, then oldest.
+                let ready = |e: &DramEntry| ctrl.banks[e.bank as usize].ready_at <= now;
+                let open = |e: &DramEntry| ctrl.banks[e.bank as usize].open_row == e.row;
+                let first = |f: &dyn Fn(&DramEntry) -> bool| {
+                    ctrl.queue.iter().find(|(_, e)| f(e)).map(|(i, _)| i)
+                };
+                let row_hit = fr_fcfs.then(|| first(&|e| ready(e) && open(e))).flatten();
+                row_hit.or_else(|| first(&ready))
+            },
+            "single-pass arbitration disagrees with the two-pass scan"
+        );
+        pick
     }
 
     /// Earliest cycle `>= now` at which the memory system could change
@@ -1207,11 +1354,13 @@ impl MemSys {
         }
     }
 
-    /// Aggregate L2 hit rate across slices (diagnostics).
+    /// Aggregate L2 hit rate across slices (diagnostics): requests
+    /// consumed as hits over all requests consumed, each counted once —
+    /// the same figure on every lane and step mode.
     pub fn l2_hit_rate(&self) -> f64 {
         let (h, m) = self
             .slices()
-            .fold((0u64, 0u64), |(h, m), s| (h + s.l2.hits(), m + s.l2.misses()));
+            .fold((0u64, 0u64), |(h, m), s| (h + s.req_hits, m + s.req_misses));
         if h + m == 0 {
             0.0
         } else {
@@ -1285,6 +1434,7 @@ impl MemSys {
                 }
             }
         }
+        self.refresh_full_mask();
     }
 
     /// Test-only direct access to a slice by global index.
@@ -1749,5 +1899,412 @@ mod tests {
         }
         assert_eq!(out.len(), 1);
         assert_eq!(ms.next_event(c), None, "drained memsys is eventless again");
+    }
+}
+
+/// The stalled-miss verdicts (`Slice::verdicts` + the presence log):
+/// one directed test per invalidation path and a seeded stress, all run
+/// against a twin that re-probes everything.
+#[cfg(test)]
+mod verdict_tests {
+    use super::*;
+    use crate::rng::SimRng;
+
+    /// Seeds of the randomized stress.
+    const SEEDS: u64 = if cfg!(feature = "proptest-tests") { 24 } else { 3 };
+
+    /// Far enough out that a held bus never frees by itself.
+    const HOLD: u64 = 1 << 40;
+
+    /// Two memory systems driven identically. `slow` forgets its
+    /// verdicts before every tick, so it re-probes its whole queue as
+    /// the scan did before verdicts existed; `fast` must agree with it
+    /// on every queue, tally, event bound, response and statistic after
+    /// every tick.
+    struct Twin {
+        fast: MemSys,
+        slow: MemSys,
+        st_fast: SimStats,
+        st_slow: SimStats,
+        /// Every completion drained so far.
+        done: Vec<Completion>,
+    }
+
+    impl Twin {
+        fn new(cfg: &GpuConfig) -> Self {
+            Twin {
+                fast: MemSys::new(cfg),
+                slow: MemSys::new(cfg),
+                st_fast: SimStats::new(4),
+                st_slow: SimStats::new(4),
+                done: Vec::new(),
+            }
+        }
+
+        fn both(&mut self, f: impl Fn(&mut MemSys)) {
+            f(&mut self.fast);
+            f(&mut self.slow);
+        }
+
+        fn push(&mut self, req: MemRequest) {
+            self.both(|ms| ms.push(req));
+        }
+
+        fn tick(&mut self, now: u64) {
+            let n = self.fast.num_slices as usize;
+            for g in 0..n {
+                self.slow.slice_mut(g).drop_verdicts();
+            }
+            self.fast.tick(now, &mut self.st_fast);
+            self.slow.tick(now, &mut self.st_slow);
+            for g in 0..n {
+                let (a, b) = (self.fast.slice_at(g), self.slow.slice_at(g));
+                assert_eq!(a.input, b.input, "slice {g} input queue, cycle {now}");
+                assert_eq!(
+                    (a.ctrl.queue.len(), a.mshr.len(), a.l2_event, a.scan_wake),
+                    (b.ctrl.queue.len(), b.mshr.len(), b.l2_event, b.scan_wake),
+                    "slice {g} (dram queue, mshr, l2_event, scan_wake), cycle {now}"
+                );
+                assert_eq!(
+                    (a.req_hits, a.req_misses),
+                    (b.req_hits, b.req_misses),
+                    "slice {g} consumption tallies, cycle {now}"
+                );
+            }
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            self.fast.drain_completions(now, &mut a);
+            self.slow.drain_completions(now, &mut b);
+            assert_eq!(a, b, "completions, cycle {now}");
+            self.done.extend(a);
+            assert_eq!(self.st_fast, self.st_slow, "stats, cycle {now}");
+        }
+
+        /// Ticks from `from` until both are idle; returns the end cycle.
+        fn run_to_idle(&mut self, from: u64) -> u64 {
+            let mut c = from;
+            while !self.fast.is_idle() || !self.slow.is_idle() {
+                self.tick(c);
+                c += 1;
+                assert!(c < from + 200_000, "never drained");
+            }
+            c
+        }
+
+        fn slice0(&mut self) -> &mut Slice {
+            self.fast.slice_mut(0)
+        }
+
+        fn queued_slots(&mut self) -> Vec<u32> {
+            self.slice0().input.iter().map(|r| r.warp_slot).collect()
+        }
+    }
+
+    /// One-tick scenarios on slice 0: plain FCFS, wide L2 port.
+    fn cfg(l2_ports: u32) -> GpuConfig {
+        let mut c = GpuConfig::test_small();
+        c.l2_ports = l2_ports;
+        c.dram.fr_fcfs = false;
+        c
+    }
+
+    /// Address of the `k`-th line of slice 0 (16 lines per row, slice 0
+    /// owns the even rows), so consecutive lines spread over L2 sets.
+    fn line0(k: u64) -> u64 {
+        let c = GpuConfig::test_small();
+        (k / 16) * c.dram.row_bytes * u64::from(c.num_mem_ctrls) + (k % 16) * 128
+    }
+
+    fn rd(k: u64, slot: u32, at: u64) -> MemRequest {
+        MemRequest {
+            addr: line0(k),
+            is_write: false,
+            app: AppId(0),
+            sm: 0,
+            warp_slot: slot,
+            arrive_at: at,
+        }
+    }
+
+    fn wr(k: u64, at: u64) -> MemRequest {
+        MemRequest {
+            is_write: true,
+            warp_slot: u32::MAX,
+            ..rd(k, 0, at)
+        }
+    }
+
+    /// Holds slice 0's DRAM bus and parks `n` filler writes in its
+    /// controller queue (they occupy slots, fill nothing, wake no one).
+    fn hold_bus_with_fillers(t: &mut Twin, n: usize) {
+        t.both(|ms| {
+            let s = ms.slice_mut(0);
+            s.ctrl.bus_free_at = HOLD;
+            for j in 0..n {
+                s.ctrl.queue.push_back(wr(10_000 + j as u64, 0), 0, 0);
+            }
+        });
+    }
+
+    fn release_bus(t: &mut Twin, at: u64) {
+        t.both(|ms| ms.slice_mut(0).ctrl.bus_free_at = at);
+    }
+
+    /// Frees `n` controller-queue slots at once, waking the scan as the
+    /// services that would have freed them do.
+    fn free_dram_slots(t: &mut Twin, n: usize) {
+        t.both(|ms| {
+            let s = ms.slice_mut(0);
+            for _ in 0..n {
+                let (idx, _) = s.ctrl.queue.iter().next().expect("a filler is queued");
+                s.ctrl.queue.take(idx);
+            }
+            s.scan_wake = 0;
+        });
+    }
+
+    #[test]
+    fn fill_turns_a_verdicted_write_into_a_hit() {
+        let c = cfg(8);
+        let depth = c.dram.queue_depth;
+        let mut t = Twin::new(&c);
+        t.both(|ms| ms.slice_mut(0).ctrl.bus_free_at = HOLD);
+        // A read of line 0 goes to DRAM (oldest in the queue) ...
+        t.push(rd(0, 1, 0));
+        t.tick(0);
+        assert_eq!(t.slice0().mshr.len(), 1);
+        // ... the queue fills up behind it, and a write to the same
+        // line stalls on the full queue: L2 miss, verdicted.
+        hold_bus_with_fillers(&mut t, depth - 1);
+        t.push(wr(0, 1));
+        t.tick(1);
+        assert_eq!((t.slice0().verdicts, t.slice0().gained_len), (1, 0));
+        // The read's service fills line 0: presence gained, logged.
+        release_bus(&mut t, 2);
+        t.tick(2);
+        assert_eq!((t.slice0().verdicts, t.slice0().gained_len), (1, 1));
+        // The next scan must re-probe the write and absorb it as a hit
+        // (a stale "known miss" would send it to DRAM instead).
+        t.tick(3);
+        assert!(t.slice0().input.is_empty(), "write absorbed by the L2 hit");
+        assert_eq!(t.slice0().req_hits, 1);
+        t.run_to_idle(4);
+        assert_eq!(t.done.len(), 1);
+        assert_eq!(
+            t.st_fast.app(AppId(0)).dram_write_bytes,
+            (depth as u64 - 1) * 128,
+            "only the fillers reached DRAM as writes"
+        );
+    }
+
+    #[test]
+    fn mshr_insert_turns_a_later_verdicted_read_into_a_merge() {
+        let c = cfg(8);
+        let mut t = Twin::new(&c);
+        hold_bus_with_fillers(&mut t, c.dram.queue_depth);
+        // Two reads of one line stall on the full DRAM queue.
+        t.push(rd(0, 1, 0));
+        t.push(rd(0, 2, 0));
+        t.tick(0);
+        assert_eq!(t.slice0().verdicts, 2);
+        // One filler leaves; the first read takes the slot and the MSHR
+        // entry, and the second — still verdicted "nothing to merge
+        // onto" — must see that insert and merge, not stall for a
+        // second fetch.
+        release_bus(&mut t, 1);
+        t.tick(1);
+        t.tick(2);
+        assert!(t.slice0().input.is_empty(), "insert, then merge");
+        assert_eq!(t.slice0().mshr.len(), 1);
+        t.run_to_idle(3);
+        assert_eq!(t.done.len(), 2, "both readers woken");
+        assert_eq!(t.st_fast.app(AppId(0)).dram_read_bytes, 128, "one fetch");
+    }
+
+    #[test]
+    fn write_among_stalled_reads_proceeds_when_only_the_mshr_is_full() {
+        let c = cfg(8);
+        let mut t = Twin::new(&c);
+        t.both(|ms| ms.set_mshr_cap(1));
+        hold_bus_with_fillers(&mut t, c.dram.queue_depth - 1);
+        t.push(rd(0, 0, 0)); // takes the only MSHR and the last slot
+        t.tick(0);
+        t.push(rd(1, 1, 1));
+        t.push(wr(2, 1));
+        t.push(rd(3, 2, 1));
+        t.tick(1);
+        assert_eq!(t.slice0().verdicts, 3, "all three stall on the full queue");
+        // One filler leaves: DRAM has a slot, the MSHR table does not.
+        // The space test is live and per entry — the verdicted write
+        // goes, the verdicted reads on either side of it stay.
+        release_bus(&mut t, 2);
+        t.tick(2);
+        t.tick(3);
+        assert_eq!(t.queued_slots(), [1, 2]);
+        assert_eq!((t.slice0().verdicts, t.slice0().gained_len), (2, 0));
+        t.run_to_idle(4);
+        assert_eq!(t.done.len(), 3);
+    }
+
+    #[test]
+    fn port_limited_scan_keeps_the_unreached_verdicts_and_the_log() {
+        let c = cfg(2);
+        let mut t = Twin::new(&c);
+        hold_bus_with_fillers(&mut t, c.dram.queue_depth);
+        // Lines 0 1 2 0 3: the second reader of line 0 sits *behind*
+        // the point where the next scan runs out of ports.
+        for (slot, k) in [0u64, 1, 2, 0, 3].into_iter().enumerate() {
+            t.push(rd(k, slot as u32, 0));
+        }
+        t.tick(0);
+        assert_eq!(t.slice0().verdicts, 5, "stalls do not use up ports");
+        free_dram_slots(&mut t, 4);
+        // Scan 1 inserts lines 0 and 1 and stops inside the prefix: the
+        // three unreached verdicts stand, and so must the log.
+        t.tick(1);
+        assert_eq!((t.slice0().verdicts, t.slice0().gained_len), (3, 2));
+        // Scan 2: line 2 is a known miss; the reader of line 0 finds
+        // its line in the kept log, re-probes and merges.
+        t.tick(2);
+        assert_eq!(t.queued_slots(), [4]);
+        assert_eq!(t.slice0().mshr.len(), 3);
+        t.tick(3);
+        assert_eq!((t.slice0().verdicts, t.slice0().gained_len), (0, 0));
+        release_bus(&mut t, 4);
+        t.run_to_idle(4);
+        assert_eq!(t.done.len(), 5);
+        assert_eq!(t.st_fast.app(AppId(0)).dram_read_bytes, 4 * 128);
+    }
+
+    #[test]
+    fn log_overflow_falls_back_to_a_full_reprobe() {
+        let c = cfg(2);
+        let mut t = Twin::new(&c);
+        hold_bus_with_fillers(&mut t, c.dram.queue_depth);
+        // Eleven distinct lines, then line 0 again at the very back.
+        let n = PRESENCE_LOG_CAP as u64 + 3;
+        for k in 0..n {
+            t.push(rd(k, k as u32, 0));
+        }
+        t.push(rd(0, n as u32, 0));
+        t.tick(0);
+        assert_eq!(t.slice0().verdicts as u64, n + 1);
+        free_dram_slots(&mut t, c.dram.queue_depth);
+        // Two inserts per port-limited scan fill the log ...
+        let filling = PRESENCE_LOG_CAP as u64 / 2;
+        for cyc in 1..=filling {
+            t.tick(cyc);
+        }
+        assert_eq!(
+            (t.slice0().verdicts, usize::from(t.slice0().gained_len)),
+            (4, PRESENCE_LOG_CAP)
+        );
+        // ... and the next insert overflows it: every verdict goes.
+        t.tick(filling + 1);
+        assert_eq!((t.slice0().verdicts, t.slice0().gained_len), (0, 0));
+        // The trailing reader of line 0 is re-probed and merges.
+        t.tick(filling + 2);
+        assert!(t.slice0().input.is_empty());
+        assert_eq!(t.slice0().mshr.len() as u64, n);
+        release_bus(&mut t, filling + 3);
+        t.run_to_idle(filling + 3);
+        assert_eq!(t.done.len() as u64, n + 1);
+        assert_eq!(t.st_fast.app(AppId(0)).dram_read_bytes, n * 128);
+    }
+
+    #[test]
+    fn raising_the_mshr_cap_unstalls_without_a_stale_verdict() {
+        let c = cfg(8);
+        let mut t = Twin::new(&c);
+        t.both(|ms| {
+            ms.set_mshr_cap(1);
+            ms.slice_mut(0).ctrl.bus_free_at = HOLD;
+        });
+        for k in 0..3 {
+            t.push(rd(k, k as u32, 0));
+        }
+        t.tick(0);
+        assert_eq!(t.queued_slots(), [1, 2], "table full at the cap");
+        assert_eq!(t.slice0().verdicts, 2);
+        t.tick(1);
+        assert_eq!(t.slice0().scan_wake, u64::MAX, "the scan went to sleep");
+        t.both(|ms| ms.set_mshr_cap(GpuConfig::MAX_MSHRS_PER_SLICE));
+        assert_eq!((t.slice0().verdicts, t.slice0().scan_wake), (0, 0));
+        t.tick(2);
+        assert!(t.slice0().input.is_empty(), "both proceed at the next tick");
+        assert_eq!(t.slice0().mshr.len(), 3);
+        release_bus(&mut t, 3);
+        t.run_to_idle(3);
+        assert_eq!(t.done.len(), 3);
+    }
+
+    #[test]
+    fn random_traffic_completes_every_read_exactly_once() {
+        // A 16-line L2 under a 96-line universe: hits, merges, MSHR
+        // stalls, queue stalls and evictions all collide, on both
+        // slices, while the fault knobs flip underneath.
+        let mut c = GpuConfig::test_small();
+        c.l2_slice.bytes = 2048;
+        let icnt = u64::from(c.icnt_lat);
+        for seed in 0..SEEDS {
+            let mut rng = SimRng::seed_from_u64(0x5EED_0000 + seed);
+            let mut t = Twin::new(&c);
+            let mut next_id = 0u32;
+            let mut addrs = Vec::new();
+            let mut p_burst = 30;
+            let cycles = 12_000;
+            for now in 0..cycles {
+                if now % 1500 == 0 {
+                    p_burst = [2, 10, 30, 60][rng.gen_range(4) as usize];
+                }
+                if rng.gen_range(400) == 0 {
+                    let cap = 1 + rng.gen_range(u64::from(GpuConfig::MAX_MSHRS_PER_SLICE)) as u32;
+                    t.both(|ms| ms.set_mshr_cap(cap));
+                }
+                if rng.gen_range(400) == 0 {
+                    let (l2, dram) = (rng.gen_range(8) as u32, rng.gen_range(40) as u32);
+                    t.both(|ms| ms.set_extra_latency(l2, dram));
+                }
+                if rng.gen_range(100) < p_burst {
+                    // One warp access: up to 32 transactions admitted
+                    // whole, so a queue can overshoot its depth.
+                    addrs.clear();
+                    for _ in 0..1 + rng.gen_range(32) {
+                        addrs.push(rng.gen_range(96) * 128);
+                    }
+                    let ok = t.fast.can_accept_all(&addrs);
+                    assert_eq!(ok, t.slow.can_accept_all(&addrs));
+                    if ok {
+                        let is_write = rng.gen_range(5) == 0;
+                        for &addr in &addrs {
+                            t.push(MemRequest {
+                                addr,
+                                is_write,
+                                app: AppId((next_id % 2) as u16),
+                                sm: 0,
+                                warp_slot: if is_write { u32::MAX } else { next_id },
+                                arrive_at: now + icnt,
+                            });
+                            next_id += u32::from(!is_write);
+                        }
+                    }
+                }
+                t.tick(now);
+            }
+            t.both(|ms| {
+                ms.set_mshr_cap(GpuConfig::MAX_MSHRS_PER_SLICE);
+                ms.set_extra_latency(0, 0);
+            });
+            t.run_to_idle(cycles);
+            let mut seen = vec![0u8; next_id as usize];
+            for d in &t.done {
+                seen[d.warp_slot as usize] += 1;
+            }
+            assert!(next_id > 2_000, "seed {seed}: only {next_id} reads pushed");
+            assert!(
+                seen.iter().all(|&n| n == 1),
+                "seed {seed}: a read completed {:?} times",
+                seen.iter().find(|&&n| n != 1)
+            );
+        }
     }
 }

@@ -49,6 +49,11 @@ pub struct Sm {
     sched: WarpScheduler,
     rng: SimRng,
     age_seq: u64,
+    /// Live warp slots oldest-first. `age_seq` is monotone, so
+    /// appending on dispatch and removing on retire keeps the list
+    /// sorted by age with no ties — GTO's oldest-ready fallback is its
+    /// first ready entry.
+    by_age: Vec<u8>,
     free_slots: u32,
     /// Scratch buffer for generated addresses (avoids per-issue allocation).
     addr_buf: Vec<u64>,
@@ -85,6 +90,7 @@ impl Sm {
             sched: WarpScheduler::new(cfg.sched),
             rng: SimRng::seed_from_u64(0x9E37_79B9 ^ u64::from(id)),
             age_seq: 0,
+            by_age: Vec::with_capacity(slots),
             free_slots: cfg.max_warps_per_sm,
             addr_buf: Vec::with_capacity(32),
             pending: None,
@@ -151,6 +157,7 @@ impl Sm {
             self.warps
                 .init(slot, block_id, placed, self.age_seq, kernel.iters_per_warp);
             self.age_seq += 1;
+            self.by_age.push(slot as u8);
             self.occupied |= 1u64 << slot;
             self.set_ready(slot, true);
             self.free_slots -= 1;
@@ -224,7 +231,7 @@ impl Sm {
         let line = u64::from(cfg.l1.line_bytes);
 
         for _ in 0..cfg.issue_per_sm {
-            let Some(slot) = self.sched.pick(self.ready, &self.warps.ages) else {
+            let Some(slot) = self.sched.pick(self.ready, &self.warps.ages, &self.by_age) else {
                 break;
             };
             // Every arm below clears the picked warp's ready bit (it
@@ -308,7 +315,7 @@ impl Sm {
 
                     // Back-pressure: if any miss target cannot accept,
                     // retry the whole load later (no partial issue).
-                    if miss_addrs > 0 && self.addr_buf.iter().any(|&a| !memsys.can_accept(a)) {
+                    if miss_addrs > 0 && !memsys.can_accept_all(&self.addr_buf) {
                         self.warps.bump_attempt(slot);
                         self.sleepers.push(Reverse((now + 2, slot as u32)));
                         continue;
@@ -420,7 +427,7 @@ impl Sm {
                     if let TraceHook::Record(rec) = hook {
                         rec.record_attempt(global_warp, &self.addr_buf);
                     }
-                    if self.addr_buf.iter().any(|&a| !memsys.can_accept(a)) {
+                    if !memsys.can_accept_all(&self.addr_buf) {
                         self.warps.bump_attempt(slot);
                         self.sleepers.push(Reverse((now + 2, slot as u32)));
                         continue;
@@ -498,7 +505,7 @@ impl Sm {
         let line = u64::from(cfg.l1.line_bytes);
 
         for i in 0..cfg.issue_per_sm {
-            let Some(slot) = self.sched.pick(self.ready, &self.warps.ages) else {
+            let Some(slot) = self.sched.pick(self.ready, &self.warps.ages, &self.by_age) else {
                 break;
             };
             self.set_ready(slot, false);
@@ -765,7 +772,7 @@ impl Sm {
         let line = u64::from(cfg.l1.line_bytes);
 
         for _ in 0..budget {
-            let Some(slot) = self.sched.pick(self.ready, &self.warps.ages) else {
+            let Some(slot) = self.sched.pick(self.ready, &self.warps.ages, &self.by_age) else {
                 break;
             };
             self.set_ready(slot, false);
@@ -913,6 +920,8 @@ impl Sm {
         );
         let block = self.warps.block[slot];
         self.warps.release(slot);
+        let pos = self.by_age.iter().position(|&s| usize::from(s) == slot);
+        self.by_age.remove(pos.expect("live warp is age-ordered"));
         self.occupied &= !(1u64 << slot);
         self.set_ready(slot, false);
         self.free_slots += 1;
@@ -955,11 +964,6 @@ impl Sm {
         // The incoming application must not inherit warm lines.
         self.l1.flush();
         self.sched.reset();
-    }
-
-    /// L1 statistics (hits, misses).
-    pub fn l1_stats(&self) -> (u64, u64) {
-        (self.l1.hits(), self.l1.misses())
     }
 }
 

@@ -393,6 +393,17 @@ const FAULT_JOBS: u64 = 16;
 /// Reconnect budget: every fault class severs at most once per frame,
 /// so a scripted session can never legitimately need more.
 const MAX_RECONNECTS: u64 = 64;
+/// Receive deadline of the fault-scenario client: long enough that no
+/// live daemon misses it on a busy host, so it only ever fires on a
+/// hang.
+const HANG_GUARD: Duration = Duration::from_secs(60);
+
+/// Whether the proxy dropped the frame it was last handed — read from
+/// its own transcript, the one record that cannot be late.
+fn last_frame_dropped<T: Transport>(faulty: &FaultyTransport<T>) -> bool {
+    let last = faulty.transcript().last();
+    last.is_some_and(|l| l.contains(": drop "))
+}
 
 /// Drives a fixed submit script through a [`FaultyTransport`] client,
 /// reconnecting (with per-connection seeds) whenever the transport or
@@ -403,16 +414,20 @@ const MAX_RECONNECTS: u64 = 64;
 /// Determinism argument: the proxy's damage is a pure function of
 /// (seed, outbound frame index, frame length), and the client's control
 /// flow depends only on frame *content* — sent requests, received
-/// responses — never on wall-clock races. The client alternates
-/// send/recv strictly, abandons a connection after any `Error` response
-/// (the daemon may close header-desynced connections, so continuing
-/// would race its close), and treats a recv timeout as a dropped frame.
-/// Responses are never faulted, so the only timeout case is a frame the
-/// daemon verifiably never received or never answered.
+/// responses — and on the proxy's own record of what it did, never on
+/// wall-clock races. The client alternates send/recv strictly, abandons
+/// a connection after any `Error` response (the daemon may close
+/// header-desynced connections, so continuing would race its close),
+/// and learns that a frame was dropped from the transcript line the
+/// proxy just wrote — not from a reply failing to beat a clock, which
+/// on a loaded host also happens to replies that are merely late.
+/// Responses are never faulted, so every frame that was not dropped is
+/// answered; the receive deadline is only a guard against a hung
+/// daemon.
 fn fault_scenario(connector: &VirtualConnector) -> (Vec<String>, String) {
     let fresh = |conn_idx: u64| {
         let mut sock = connector.connect().expect("connect");
-        sock.recv_deadline = Some(Duration::from_millis(250));
+        sock.recv_deadline = Some(HANG_GUARD);
         FaultyTransport::new(sock, FAULT_BASE_SEED + conn_idx, FaultSpec::SMOKE)
     };
     let mut transcript: Vec<String> = Vec::new();
@@ -432,7 +447,13 @@ fn fault_scenario(connector: &VirtualConnector) -> (Vec<String>, String) {
         };
         let sent = faulty.send_frame(&req.encode()).is_ok();
         let mut dead = !sent;
-        if sent {
+        if sent && last_frame_dropped(&faulty) {
+            // A dropped frame: the daemon never saw this job, so no
+            // reply is coming. Count it as lost and move on (an
+            // at-least-once client would resubmit; losing it keeps the
+            // script shorter).
+            i += 1;
+        } else if sent {
             match faulty.recv_frame() {
                 Ok(frame) => {
                     match Response::decode(&frame) {
@@ -444,10 +465,9 @@ fn fault_scenario(connector: &VirtualConnector) -> (Vec<String>, String) {
                         Ok(_) => i += 1,
                     }
                 }
-                // A dropped frame: the daemon never saw this job.
-                // Count it as lost and move on (an at-least-once client
-                // would resubmit; losing it keeps the script shorter).
-                Err(TransportError::TimedOut) => i += 1,
+                Err(TransportError::TimedOut) => {
+                    panic!("no reply to a delivered frame within {HANG_GUARD:?}: {transcript:?}")
+                }
                 Err(_) => dead = true,
             }
         }

@@ -49,13 +49,17 @@ fn device(cfg: GpuConfig, mode: StepMode, sm_shards: u32, mem_shards: u32) -> Gp
     gpu
 }
 
-fn run_corun(a: Benchmark, b: Benchmark, mode: StepMode, s: u32, m: u32) -> (SimStats, u64) {
+/// Stats, final cycle and the bits of the `l2_hit_rate` diagnostic —
+/// requests are tallied once, at consumption, so the rate is as
+/// lane-independent as the stats are.
+fn run_corun(a: Benchmark, b: Benchmark, mode: StepMode, s: u32, m: u32) -> (SimStats, u64, u64) {
     let mut gpu = device(cfg4(), mode, s, m);
     gpu.launch(a.kernel(Scale::TEST)).expect("launch a");
     gpu.launch(b.kernel(Scale::TEST)).expect("launch b");
     gpu.partition_even();
     gpu.run(MAX_CYCLES).expect("co-run finishes");
-    (gpu.stats().clone(), gpu.cycle())
+    let hit_rate = gpu.l2_hit_rate().to_bits();
+    (gpu.stats().clone(), gpu.cycle(), hit_rate)
 }
 
 #[test]
@@ -63,6 +67,12 @@ fn dense_issue_corun_is_bit_identical_over_the_shard_grid() {
     // Gups × Spmv: the memory-bound co-run class the sharding targets.
     for mode in MODES {
         let reference = run_corun(Benchmark::Gups, Benchmark::Spmv, mode, 1, 1);
+        assert_eq!(
+            reference,
+            run_corun(Benchmark::Gups, Benchmark::Spmv, MODES[0], 1, 1),
+            "dense co-run diverged between step modes"
+        );
+        assert!(f64::from_bits(reference.2) > 0.0, "the rate is live");
         for s in [1u32, 2, 4] {
             for m in &MEM_SHARDS {
                 assert_eq!(
