@@ -6,11 +6,14 @@
 //! memory shard count (phase M) as the optional second, and prints
 //! every statistic the run produced — per-app counters, device cycle,
 //! and the controller's action log — as one canonical JSON line
-//! (`stats: {...}`). The line deliberately omits both shard counts,
-//! so the gate can diff the output across the s1/s4 × m1/m2/m4 grid
-//! byte-for-byte: any divergence means sharding changed a result, which
-//! tests/shard_equivalence.rs and tests/memsys_shard_equivalence.rs pin
-//! as impossible.
+//! (`stats: {...}`). An optional third argument `cycle` runs it under
+//! `StepMode::Cycle`, the every-cycle, every-SM reference. The line
+//! deliberately omits the shard counts and the step mode, so the gate
+//! can diff the output across the s1/s4 × m1/m2/m4 grid and the
+//! reference byte-for-byte: any divergence means sharding or
+//! event-horizon stepping changed a result, which
+//! tests/shard_equivalence.rs, tests/memsys_shard_equivalence.rs and
+//! tests/step_equivalence.rs pin as impossible.
 
 #![forbid(unsafe_code)]
 
@@ -18,7 +21,7 @@ use std::fmt::Write as _;
 
 use gcs_core::smra::{SmraController, SmraParams};
 use gcs_sim::config::GpuConfig;
-use gcs_sim::gpu::Gpu;
+use gcs_sim::gpu::{Gpu, StepMode};
 use gcs_workloads::{Benchmark, Scale};
 
 fn main() {
@@ -30,7 +33,16 @@ fn main() {
         .nth(2)
         .and_then(|v| v.parse().ok())
         .unwrap_or(1);
+    let mode = match std::env::args().nth(3).as_deref() {
+        None => StepMode::EventHorizon,
+        Some("cycle") => StepMode::Cycle,
+        Some(other) => {
+            eprintln!("[shard_smoke] unknown step mode {other:?} (want `cycle`)");
+            std::process::exit(2);
+        }
+    };
     let mut gpu = Gpu::new(GpuConfig::gtx480()).expect("gpu");
+    gpu.set_step_mode(mode);
     gpu.set_shards(shards);
     gpu.set_mem_shards(mem_shards);
     let a = gpu.launch(Benchmark::Gups.kernel(Scale::TEST)).expect("a");
@@ -91,11 +103,12 @@ fn main() {
     }
     line.push_str("]}");
     eprintln!(
-        "[shard_smoke] shards={} ({} effective) mem_shards={} ({} effective)",
+        "[shard_smoke] shards={} ({} effective) mem_shards={} ({} effective) mode={:?}",
         shards,
         gpu.shards(),
         mem_shards,
-        gpu.mem_shards()
+        gpu.mem_shards(),
+        mode
     );
     println!("stats: {line}");
 }

@@ -35,8 +35,8 @@ use crate::fault::{apply_fault_event, FaultEvent, FaultPlan};
 use crate::kernel::{AppId, KernelDesc};
 use crate::memsys::{Completion, MemShard, MemSys};
 use crate::shard::{
-    worker_loop, CellsView, RunSnapshot, SeqExec, ShardCell, ShardCtl, ShardExec, ShardPlan,
-    ShutdownGuard, SmSlab, SnapApp, ThreadedExec,
+    has_bit, worker_loop, CellsView, Rotation, RunSnapshot, SeqExec, ShardCell, ShardCtl,
+    ShardExec, ShardPlan, ShutdownGuard, SmActivity, SmSlab, SnapApp, ThreadedExec,
 };
 use crate::sm::Sm;
 use crate::stats::{DiagSnapshot, SimStats, SmDiag};
@@ -215,10 +215,22 @@ pub struct Gpu {
     /// fingerprints are unaffected.
     shards: u32,
     /// Threads driving the sharded parallel phase (1 = the sequential
-    /// executor, which still gets the elision speedup).
+    /// executor).
     shard_workers: u32,
     /// Scratch for the sharded merge phase's pending-SM rotation.
     pend_buf: Vec<u32>,
+    /// Ready / dispatch / wake summaries of `sms` for the unsharded step
+    /// (DESIGN.md §8, "Active-SM stepping"): the step visits only the
+    /// SMs they name, and quiescence and horizon read them instead of
+    /// scanning every SM.
+    act: SmActivity,
+    /// `act` must be rebuilt before its next read: set by every public
+    /// call that can change SM ownership or service, by a fault event,
+    /// a block retirement, an app dispatching its last block, and on
+    /// return from a sharded run.
+    act_dirty: bool,
+    /// Scratch for the step's visit set.
+    visit_buf: Vec<u64>,
 }
 
 impl Gpu {
@@ -247,6 +259,9 @@ impl Gpu {
             shards: 1,
             shard_workers: 1,
             pend_buf: Vec::new(),
+            act: SmActivity::new(cfg.num_sms as usize),
+            act_dirty: true,
+            visit_buf: Vec::new(),
             cfg,
         })
     }
@@ -289,6 +304,7 @@ impl Gpu {
     /// recorder's warp-group interning is first-touch order-sensitive.
     pub fn set_shards(&mut self, k: u32) {
         self.shards = k.clamp(1, (self.sms.len() as u32).max(1));
+        self.act_dirty = true;
     }
 
     /// SM shard count in force (1 = unsharded).
@@ -297,9 +313,10 @@ impl Gpu {
     }
 
     /// Sets how many threads drive the sharded parallel phase (default
-    /// 1: the sequential executor, which still carries the idle-SM
-    /// elision speedup). Values above the shard count are clamped at
-    /// run time; thread count can never affect results.
+    /// 1: the sequential executor). Values above the shard count are
+    /// clamped at run time; thread count can never affect results.
+    /// Idle-SM elision does not depend on it — every lane, the unsharded
+    /// one included, visits only the SMs that can act.
     pub fn set_shard_workers(&mut self, w: u32) {
         self.shard_workers = w.max(1);
     }
@@ -342,18 +359,29 @@ impl Gpu {
     }
 
     /// Classifies a stall (no SM can issue) at the current device state.
-    fn wait_phase(&self) -> Phase {
-        if !self.memsys.is_idle() {
-            if self.memsys.any_dram_queued() {
-                Phase::Dram
-            } else {
-                Phase::L2
-            }
-        } else if self.sms.iter().any(|sm| sm.next_wake().is_some()) {
-            Phase::L1
-        } else {
-            Phase::Idle
+    fn wait_phase(&mut self) -> Phase {
+        let wake = self.sm_wake();
+        self.wait_phase_from(wake)
+    }
+
+    /// Earliest SM sleeper wake-up: read from the activity summary and
+    /// `debug_assert!`ed against the scan over every SM it replaces —
+    /// which the reference [`StepMode::Cycle`] still runs. Exact when no
+    /// SM stayed ready through the last visit (quiescence, or a stepped
+    /// cycle that issued nothing), the only times it is asked.
+    fn sm_wake(&mut self) -> Option<u64> {
+        let scan = || self.sms.iter().filter_map(Sm::next_wake).min();
+        if self.step_mode == StepMode::Cycle {
+            return scan();
         }
+        let wake = self.act.wake_min(self.cycle);
+        debug_assert_eq!(
+            wake,
+            scan(),
+            "wake summary out of step at cycle {}",
+            self.cycle
+        );
+        wake
     }
 
     /// Adds `n` cycles to `phase`'s bucket (profiling must be on).
@@ -383,6 +411,7 @@ impl Gpu {
     pub fn install_fault_plan(&mut self, mut plan: FaultPlan) -> Result<(), SimError> {
         plan.validate(&self.cfg).map_err(SimError::InvalidConfig)?;
         self.fault_plan = Some(plan);
+        self.act_dirty = true;
         Ok(())
     }
 
@@ -482,6 +511,7 @@ impl Gpu {
             finished: false,
             trace: AppTrace::Off,
         });
+        self.act_dirty = true;
         Ok(id)
     }
 
@@ -582,6 +612,7 @@ impl Gpu {
         for &id in sm_ids {
             self.sms[id as usize].request_handoff(Some(app));
         }
+        self.act_dirty = true;
     }
 
     /// Splits all SMs as evenly as possible across the launched apps, in
@@ -603,6 +634,7 @@ impl Gpu {
                 cursor += 1;
             }
         }
+        self.act_dirty = true;
     }
 
     /// Partitions by explicit per-app SM counts (`counts[i]` SMs to app
@@ -635,6 +667,7 @@ impl Gpu {
                 self.sms[i].request_handoff(None);
             }
         }
+        self.act_dirty = true;
     }
 
     /// Effective SM count for `app`: in-service SMs it owns and is not
@@ -665,6 +698,7 @@ impl Gpu {
                 moved += 1;
             }
         }
+        self.act_dirty = true;
         moved
     }
 
@@ -673,16 +707,22 @@ impl Gpu {
         let now = self.cycle;
 
         // 0. Apply fault events due this cycle (before issue, so a
-        // disabled SM never dispatches at its outage cycle).
+        // disabled SM never dispatches at its outage cycle). Then bring
+        // the activity summaries up to date if anything since the last
+        // step — a fault, a mutating call — invalidated them.
         if self.fault_plan.is_some() {
             self.apply_due_faults(now);
+        }
+        if self.act_dirty {
+            self.rebuild_activity(now);
         }
 
         // Block retirements are the only trigger for handoff completion
         // and app completion, so phases 4-5 run only when one happened.
         let mut any_retired = false;
 
-        // 1. Deliver memory responses; they may retire warps and blocks.
+        // 1. Deliver memory responses; they may retire warps and blocks,
+        // and only ever flip ready bits (never sleepers).
         self.comp_buf.clear();
         self.memsys.drain_completions(now, &mut self.comp_buf);
         for i in 0..self.comp_buf.len() {
@@ -694,6 +734,7 @@ impl Gpu {
                 self.apps[usize::from(owner.0)].blocks_done += retired;
                 any_retired = true;
             }
+            self.act.set_ready(c.sm as usize, sm.has_ready_work());
         }
 
         // 2. Memory system.
@@ -703,58 +744,73 @@ impl Gpu {
         // cycle: with a fixed order, low-numbered SMs would enqueue
         // their memory requests first every cycle and systematically
         // win FIFO admission into the shared slices — an unfairness
-        // artifact, not a modeled mechanism.
+        // artifact, not a modeled mechanism. Only the SMs that can act
+        // are visited — ready, a dispatch candidate, or a sleeper due
+        // now — in that same rotation order (`start..n`, then
+        // `0..start`); any other SM's visit would be a no-op. The
+        // reference `StepMode::Cycle` visits every SM.
         let n_sms = self.sms.len();
+        let mut visit = std::mem::take(&mut self.visit_buf);
+        self.act.take_visit(now, &mut visit);
+        debug_assert!(
+            self.visit_covers_acting(&visit, now),
+            "an SM that can act at cycle {now} is missing from the visit set"
+        );
+        if self.step_mode == StepMode::Cycle {
+            self.act.all(&mut visit);
+        }
         let mut any_issued = false;
-        // One division per cycle; the rotation itself wraps by compare.
-        let mut next = (now % n_sms as u64) as usize;
-        for k in 0..n_sms {
-            let idx = next;
-            next = if idx + 1 == n_sms { 0 } else { idx + 1 };
-            debug_assert_eq!(idx, (k + now as usize) % n_sms, "rotation out of step");
+        let start = (now % n_sms as u64) as usize;
+        for idx in Rotation::new(&visit, start) {
             let enabled = self.sm_enabled[idx];
             let sm = &mut self.sms[idx];
             sm.wake(now);
-            let Some(owner) = sm.owner else { continue };
-            let app = &mut self.apps[usize::from(owner.0)];
+            if let Some(owner) = sm.owner {
+                let app = &mut self.apps[usize::from(owner.0)];
 
-            // A fault-disabled SM keeps issuing so its resident blocks
-            // drain, but never accepts new work.
-            if sm.has_ready_work() {
-                any_issued = true;
-                let mut hook = match &mut app.trace {
-                    AppTrace::Off => TraceHook::None,
-                    AppTrace::Record(rec) => TraceHook::Record(rec),
-                    AppTrace::Replay(trace) => TraceHook::Replay(trace),
-                };
-                let retired = sm.issue(
-                    now,
-                    &app.kernel,
-                    owner,
-                    app_base(owner),
-                    &self.cfg,
-                    &mut self.memsys,
-                    &mut self.stats,
-                    &mut hook,
-                );
-                app.blocks_done += retired;
-                any_retired |= retired > 0;
-            }
+                // A fault-disabled SM keeps issuing so its resident
+                // blocks drain, but never accepts new work.
+                if sm.has_ready_work() {
+                    any_issued = true;
+                    let mut hook = match &mut app.trace {
+                        AppTrace::Off => TraceHook::None,
+                        AppTrace::Record(rec) => TraceHook::Record(rec),
+                        AppTrace::Replay(trace) => TraceHook::Replay(trace),
+                    };
+                    let retired = sm.issue(
+                        now,
+                        &app.kernel,
+                        owner,
+                        app_base(owner),
+                        &self.cfg,
+                        &mut self.memsys,
+                        &mut self.stats,
+                        &mut hook,
+                    );
+                    app.blocks_done += retired;
+                    any_retired |= retired > 0;
+                }
 
-            // Dispatch at most one block per SM per cycle.
-            if enabled
-                && app.next_block < app.kernel.grid_blocks
-                && sm.pending_owner.is_none()
-                && sm.can_take_block(&app.kernel, &self.cfg)
-            {
-                sm.dispatch_block(&app.kernel, app.next_block);
-                app.next_block += 1;
-                if !app.started {
-                    app.started = true;
-                    self.stats.app_mut(owner).start_cycle = now;
+                // Dispatch at most one block per SM per cycle.
+                if enabled
+                    && app.next_block < app.kernel.grid_blocks
+                    && sm.pending_owner.is_none()
+                    && sm.can_take_block(&app.kernel, &self.cfg)
+                {
+                    sm.dispatch_block(&app.kernel, app.next_block);
+                    app.next_block += 1;
+                    if !app.started {
+                        app.started = true;
+                        self.stats.app_mut(owner).start_cycle = now;
+                    }
+                    // The app's last block: its SMs leave the dispatch
+                    // set.
+                    self.act_dirty |= app.next_block == app.kernel.grid_blocks;
                 }
             }
+            self.act.refresh(idx, sm, now + 1);
         }
+        self.visit_buf = visit;
 
         // Phases 4-5 can only observe a change when a block retired this
         // cycle: handoffs complete on drain (emptiness changes only at a
@@ -773,6 +829,13 @@ impl Gpu {
                 &self.sm_enabled,
                 &mut self.reassign_buf,
             );
+            self.act_dirty = true;
+        }
+
+        self.cycle = now + 1;
+        self.stats.cycles = self.cycle;
+        if self.act_dirty {
+            self.rebuild_activity(self.cycle);
         }
 
         if self.profiler.is_some() {
@@ -783,9 +846,44 @@ impl Gpu {
             };
             self.bump_phase(phase, 1);
         }
+    }
 
-        self.cycle = now + 1;
-        self.stats.cycles = self.cycle;
+    /// Rebuilds the activity summaries from scratch; `base` is the next
+    /// cycle to be stepped.
+    fn rebuild_activity(&mut self, base: u64) {
+        let (apps, enabled) = (&self.apps, &self.sm_enabled);
+        self.act.rebuild(&self.sms, base, |i, sm| {
+            enabled[i]
+                && sm.owner.is_some_and(|o| {
+                    let app = &apps[usize::from(o.0)];
+                    app.next_block < app.kernel.grid_blocks
+                })
+        });
+        self.act_dirty = false;
+    }
+
+    /// Whether SM `i` could take a block right now (out-of-service SMs
+    /// never accept blocks).
+    fn can_dispatch_to(&self, i: usize) -> bool {
+        let sm = &self.sms[i];
+        self.sm_enabled[i]
+            && sm.owner.is_some_and(|o| {
+                let app = &self.apps[usize::from(o.0)];
+                app.next_block < app.kernel.grid_blocks
+                    && sm.pending_owner.is_none()
+                    && sm.can_take_block(&app.kernel, &self.cfg)
+            })
+    }
+
+    /// The visit-set oracle: every SM that would act at `now` — ready
+    /// work, a sleeper due, or a block it can take — is in `visit`.
+    fn visit_covers_acting(&self, visit: &[u64], now: u64) -> bool {
+        self.sms.iter().enumerate().all(|(i, sm)| {
+            let acts = sm.has_ready_work()
+                || sm.next_wake().is_some_and(|w| w <= now)
+                || self.can_dispatch_to(i);
+            !acts || has_bit(visit, i)
+        })
     }
 
     /// Applies every fault event due at or before `now`, in schedule
@@ -802,6 +900,7 @@ impl Gpu {
             self.fault_buf.clear();
             self.fault_buf.extend_from_slice(due);
         }
+        self.act_dirty = true;
         for i in 0..self.fault_buf.len() {
             let ev = self.fault_buf[i];
             if let Some(sm) =
@@ -816,26 +915,34 @@ impl Gpu {
     /// the soonest SM wake-up, memory-system event, or scheduled fault.
     /// `None` means nothing will ever happen again (deadlock if work
     /// remains).
-    fn next_horizon(&self) -> Option<u64> {
-        let sm_wake = self.sms.iter().filter_map(|sm| sm.next_wake()).min();
-        let mem_ev = self.memsys.next_event(self.cycle);
-        let fault_ev = self.fault_plan.as_ref().and_then(|p| p.next_cycle());
-        let mut ev: Option<u64> = None;
-        for cand in [sm_wake, mem_ev, fault_ev].into_iter().flatten() {
-            ev = Some(match ev {
-                None => cand,
-                Some(e) => e.min(cand),
-            });
-        }
-        ev
+    fn next_horizon(&mut self) -> Option<u64> {
+        let sm_wake = self.sm_wake();
+        self.horizon_from(sm_wake)
     }
 
     /// True when the cycle just stepped left nothing issuable: no SM has
     /// a ready warp and no block can be dispatched. Every remaining
     /// state change is then bound to a future event, so the clock may
-    /// jump to the horizon.
+    /// jump to the horizon. Read from the activity summaries — the ready
+    /// set is empty and no dispatch candidate can take a block — and
+    /// `debug_assert!`ed against the scan over every SM it replaces,
+    /// which the reference [`StepMode::Cycle`] still runs.
     fn quiescent_now(&self) -> bool {
-        !self.sms.iter().any(|sm| sm.has_ready_work()) && !self.dispatch_possible()
+        let scan = || {
+            !self.sms.iter().any(Sm::has_ready_work)
+                && !(0..self.sms.len()).any(|i| self.can_dispatch_to(i))
+        };
+        if self.step_mode == StepMode::Cycle {
+            return scan();
+        }
+        let quiescent = !self.act.any_ready() && !self.dispatch_possible();
+        debug_assert_eq!(
+            quiescent,
+            scan(),
+            "quiescence summary out of step at cycle {}",
+            self.cycle
+        );
+        quiescent
     }
 
     /// Runs until every launched application finishes.
@@ -876,7 +983,7 @@ impl Gpu {
                     // Fast-forward pure sleep phases, never past a
                     // scheduled fault.
                     if self.memsys.is_idle() && self.quiescent_now() {
-                        let wake = self.sms.iter().filter_map(|sm| sm.next_wake()).min();
+                        let wake = self.sm_wake();
                         let fault = self.fault_plan.as_ref().and_then(|p| p.next_cycle());
                         let target = match (wake, fault) {
                             (Some(a), Some(b)) => Some(a.min(b)),
@@ -972,18 +1079,11 @@ impl Gpu {
         }
     }
 
-    /// True if some undispatched block could be placed this cycle
-    /// (out-of-service SMs never accept blocks).
+    /// True if some undispatched block could be placed this cycle:
+    /// checks only the dispatch superset (empty once every grid is
+    /// dispatched).
     fn dispatch_possible(&self) -> bool {
-        self.sms.iter().enumerate().any(|(i, sm)| {
-            self.sm_enabled[i]
-                && sm.owner.is_some_and(|o| {
-                    let app = &self.apps[usize::from(o.0)];
-                    app.next_block < app.kernel.grid_blocks
-                        && sm.pending_owner.is_none()
-                        && sm.can_take_block(&app.kernel, &self.cfg)
-                })
-        })
+        Rotation::new(self.act.dispatch(), 0).any(|i| self.can_dispatch_to(i))
     }
 
     /// Diagnostic: aggregate L2 hit rate — requests consumed as hits
@@ -1029,7 +1129,7 @@ impl Gpu {
         let mut cells = Vec::with_capacity(plan.shards as usize);
         for (base, len) in plan.ranges() {
             let tail = rest.split_off(len as usize);
-            cells.push(ShardCell::new(base, rest));
+            cells.push(ShardCell::new(base, rest, self.cycle));
             rest = tail;
         }
         debug_assert!(rest.is_empty());
@@ -1097,12 +1197,14 @@ impl Gpu {
             (cells, out)
         };
         self.restore_cells(cells);
+        // The device summaries know nothing of what the cells did.
+        self.act_dirty = true;
         out
     }
 
     /// The sharded mirror of the `run`/`run_for` loops: step, then
     /// apply the same clock-jump rules, with quiescence and horizons
-    /// read from the cells' exact flag summaries.
+    /// read from the cells' activity summaries.
     fn drive(
         &mut self,
         exec: &mut impl ShardExec,
@@ -1379,7 +1481,7 @@ impl Gpu {
                     }
                 }
                 if touched {
-                    cell.refresh(local);
+                    cell.refresh(local, now);
                 }
                 local += 1;
                 if local == cell.sms.len() {
@@ -1468,33 +1570,39 @@ impl Gpu {
         if total > 0 {
             self.apps[usize::from(owner.0)].blocks_done += total;
         }
-        cell.refresh(local);
+        cell.refresh(local, now);
         total > 0
     }
 
-    /// End-of-step quiescence/horizon summary over the cells' exact
-    /// flags — bit-equal to [`Gpu::quiescent_now`] plus the SM-wake
-    /// scan, at a fraction of the cost.
+    /// End-of-step quiescence/horizon summary over the cells' activity
+    /// summaries — bit-equal to [`Gpu::quiescent_now`] plus the SM-wake
+    /// scan, at a fraction of the cost. Called before the clock moves,
+    /// so the next cycle to step is `self.cycle + 1`.
     fn sharded_quiescence(&self, cells: &mut [&mut ShardCell]) -> StepInfo {
-        let mut any_ready = false;
-        for cell in cells.iter() {
-            any_ready |= cell.ready_count > 0;
-        }
+        let any_ready = cells.iter().any(|c| c.act.any_ready());
         if any_ready && self.profiler.is_none() {
-            // Not quiescent; the wake scan would go unread.
+            // Not quiescent; the wake summary would go unread.
             return StepInfo {
                 quiescent: false,
                 min_wake: None,
             };
         }
-        let mut min_wake = u64::MAX;
-        for cell in cells.iter() {
-            min_wake = min_wake.min(cell.wake_min);
-        }
+        let base = self.cycle + 1;
+        let min_wake = cells.iter_mut().filter_map(|c| c.act.wake_min(base)).min();
+        debug_assert!(
+            any_ready
+                || min_wake
+                    == cells
+                        .iter()
+                        .flat_map(|c| c.sms.iter().filter_map(Sm::next_wake))
+                        .min(),
+            "cell wake summaries out of step at cycle {}",
+            self.cycle
+        );
         let quiescent = !any_ready && !self.sharded_dispatch_possible(cells);
         StepInfo {
             quiescent,
-            min_wake: (min_wake != u64::MAX).then_some(min_wake),
+            min_wake,
         }
     }
 

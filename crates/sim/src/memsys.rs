@@ -309,27 +309,29 @@ struct Slice {
     /// a new request arrives — both of which reset this to zero. Pure
     /// scan elision: no observable work is skipped.
     scan_wake: u64,
-    /// Sharded-mode cache of the DRAM-side event bound for *queries
-    /// after the last tick*: exactly what [`dram_bound`] would compute
-    /// at `now + 1`, maintained at the end of every sharded slice tick.
+    /// The DRAM-side event bound for *queries after the last tick*:
+    /// exactly what [`dram_bound`] would compute at `now + 1`,
+    /// maintained at the end of every slice tick on every lane.
     /// Invariants while valid: `u64::MAX` iff the controller queue is
     /// empty; strictly greater than the tick cycle otherwise. `0` marks
-    /// the cache stale (the reference `m = 1` tick does not maintain
-    /// it); [`MemShard::new`] cold-starts it and the first sharded tick
-    /// revalidates. Banks and `bus_free_at` mutate only on a service,
-    /// so the value stays exact across elided (skipped) ticks.
+    /// it stale after a repartition ([`MemShard::new`] cold-starts it);
+    /// the next tick, which the zeroed `sleep_at` forces, revalidates.
+    /// Banks and `bus_free_at` mutate only on a service, so the value
+    /// stays exact across elided (skipped) ticks.
     dram_next: u64,
-    /// Sharded-mode tick-elision gate: the earliest cycle a tick of
+    /// Tick-elision gate, on every lane: the earliest cycle a tick of
     /// this slice could be anything but a no-op, i.e.
     /// `min(l2_event, dram_next)` at the end of the slice's last tick.
-    /// Before that cycle the reference tick provably changes nothing
-    /// observable (see `tick_slice`): no due arrival, no consumable
-    /// stalled miss (DRAM/MSHR space can only be freed by a service,
-    /// which cannot happen before `dram_next`), and no DRAM pick can
-    /// succeed. Lowered by `push` (to the new `arrive_at`), reset to 0
-    /// by the fault knobs (`set_extra_latency`, `set_mshr_cap`): a
-    /// knob change can turn a stalled-miss re-scan from a no-op into
-    /// progress, which breaks the proof until the next real tick.
+    /// Before that cycle the tick provably changes nothing observable
+    /// (see `tick_slice`; each skip is `debug_assert!`ed by
+    /// [`tick_is_noop`]): no due arrival, no consumable stalled miss
+    /// (DRAM/MSHR space can only be freed by a service, which cannot
+    /// happen before `dram_next`), and no DRAM pick can succeed.
+    /// Lowered by `push` (to the new `arrive_at`), reset to 0 by the
+    /// fault knobs (`set_extra_latency`, `set_mshr_cap`) and by a
+    /// repartition: a knob change can turn a stalled-miss re-scan from
+    /// a no-op into progress, which breaks the proof until the next
+    /// real tick.
     sleep_at: u64,
     /// Stalled-miss verdicts: the first `verdicts` entries of `input`
     /// were examined by an earlier scan and found to be an **L2 miss
@@ -390,6 +392,20 @@ impl Slice {
         self.gained_len = 0;
     }
 
+    /// Resets the tick gates when the state they summarize was changed
+    /// behind their back (a repartition): an empty slice is exactly
+    /// idle, a busy one is forced to tick next cycle with a stale (0)
+    /// DRAM bound, which that tick revalidates.
+    fn cold_start_gates(&mut self) {
+        if self.input.is_empty() && self.ctrl.queue.is_empty() {
+            self.dram_next = u64::MAX;
+            self.sleep_at = u64::MAX;
+        } else {
+            self.dram_next = 0;
+            self.sleep_at = 0;
+        }
+    }
+
     /// Whether `line` gained presence since the verdicts were taken.
     #[inline]
     fn gained_presence(&self, line: u64) -> bool {
@@ -419,68 +435,97 @@ impl Slice {
     }
 }
 
-/// One shard of the memory system during sharded (`m > 1`) stepping:
-/// a contiguous range of slices plus shard-local output buffers and
-/// exact summaries, mirroring [`ShardCell`](crate::shard::ShardCell)
-/// for SMs. Cells never touch shared state while ticking, so they step
-/// concurrently; the serial fold replays their outputs in cell order,
-/// which equals global slice order, so the merged response/stat stream
-/// is bit-identical to the reference slice loop.
+/// Whether a tick of `slice` at `now` would be a no-op: the DRAM pick
+/// fails (nothing queued, bus busy, or no ready bank) and no due input
+/// entry could be consumed (each is an unmergeable miss without DRAM /
+/// MSHR space). Side-effect-free; the oracle behind every elided tick.
+fn tick_is_noop(slice: &Slice, now: u64, ctx: &MemTickCtx) -> bool {
+    let ctrl = &slice.ctrl;
+    let pick_fails = ctrl.queue.is_empty()
+        || ctrl.bus_free_at > now
+        || MemSys::schedule_dram(ctrl, now, ctx.fr_fcfs).is_err();
+    let dram_full = ctrl.queue.len() >= ctx.queue_depth;
+    pick_fails
+        && slice
+            .input
+            .iter()
+            .take_while(|r| r.arrive_at <= now)
+            .all(|r| {
+                slice.is_unmergeable_miss(r, ctx.line_mask)
+                    && (dram_full || (!r.is_write && slice.mshr.len() >= ctx.mshr_cap))
+            })
+}
+
+/// One cell of the memory system: a contiguous range of slices plus
+/// exact gate aggregates and shard-local output buffers, mirroring
+/// [`ShardCell`](crate::shard::ShardCell) for SMs. The reference
+/// (`m = 1`) layout is one cell holding every slice, ticked straight
+/// into the response heap and [`SimStats`]; with `m > 1` cells never
+/// touch shared state while ticking, so they step concurrently, and the
+/// serial fold replays their outputs in cell order, which equals global
+/// slice order, so the merged response/stat stream is bit-identical to
+/// the single-cell tick.
 #[derive(Debug)]
 pub(crate) struct MemShard {
     /// Global index of `slices[0]`.
     pub base: u32,
     /// The shard's slices, in global order.
     slices: Vec<Slice>,
-    /// Per-app stat deltas accumulated by this shard's ticks; folded
-    /// into [`SimStats`] in cell order every stepped cycle.
-    delta: [MemDelta; MAX_APPS],
-    /// Responses `(at, sm, warp_slot)` produced by this shard's ticks,
-    /// in generation order; folded into the global heap in cell order
-    /// (== the reference push order) every stepped cycle.
-    resp: Vec<(u64, u32, u32)>,
-    /// Exact aggregate `min(l2_event, dram_next)` over the shard's
-    /// slices — this shard's whole contribution to
-    /// [`MemSys::next_event`], valid only while `ev_valid`. Lowered by
-    /// `push`, recomputed at the end of every (non-skipped) shard tick.
+    /// Aggregates of the slices' tick gates.
+    gates: CellGates,
+    /// Outputs buffered for the serial fold (sharded lane only).
+    out: ShardSink,
+}
+
+/// A cell's gate aggregates, on every lane.
+#[derive(Debug, Clone, Copy)]
+struct CellGates {
+    /// `min(l2_event, dram_next)` over the cell's slices — its whole
+    /// contribution to [`MemSys::next_event`]. Lowered by `push`,
+    /// recomputed at the end of every non-skipped cell tick; never above
+    /// the exact per-slice bound (a cold-started slice contributes 0
+    /// until its forced tick).
     ev_min: u64,
-    /// Whether `ev_min`/`dram_next` are populated. False from
-    /// [`MemShard::new`] until the shard's first sharded tick (the
-    /// reference path does not maintain the caches); while false,
-    /// `next_event` falls back to the exact per-slice reference scan.
-    ev_valid: bool,
-    /// Exact aggregate `min(sleep_at)` over the shard's slices: before
-    /// this cycle the whole shard tick is a no-op and is skipped
-    /// outright. Lowered by `push`, zeroed by the fault knobs,
-    /// recomputed at the end of every non-skipped shard tick.
+    /// Exact `min(sleep_at)` over the cell's slices: before this cycle
+    /// the whole cell tick is a no-op and is skipped outright. Lowered
+    /// by `push`, zeroed by the fault knobs and a repartition,
+    /// recomputed at the end of every non-skipped cell tick.
     sleep_min: u64,
+}
+
+impl CellGates {
+    /// The aggregates over `slices`.
+    fn of(slices: &[Slice]) -> Self {
+        let mut g = CellGates {
+            ev_min: u64::MAX,
+            sleep_min: u64::MAX,
+        };
+        for s in slices {
+            g.ev_min = g.ev_min.min(s.l2_event.min(s.dram_next));
+            g.sleep_min = g.sleep_min.min(s.sleep_at);
+        }
+        g
+    }
 }
 
 impl MemShard {
     /// Wraps `slices` (whose first element has global index `base`),
-    /// cold-starting the elision caches: an empty slice is exactly
-    /// idle (bounds `u64::MAX`), a busy one is marked stale and forced
-    /// to tick at the next stepped cycle, which revalidates it.
+    /// cold-starting the gates: an empty slice is exactly idle (bounds
+    /// `u64::MAX`), a busy one is marked stale and forced to tick at the
+    /// next stepped cycle, which revalidates it.
     fn new(base: u32, mut slices: Vec<Slice>) -> Self {
         for s in &mut slices {
             s.drop_verdicts();
-            if s.input.is_empty() && s.ctrl.queue.is_empty() {
-                s.dram_next = u64::MAX;
-                s.sleep_at = u64::MAX;
-            } else {
-                s.dram_next = 0;
-                s.sleep_at = 0;
-            }
+            s.cold_start_gates();
         }
-        let sleep_min = slices.iter().map(|s| s.sleep_at).min().unwrap_or(u64::MAX);
         MemShard {
             base,
+            gates: CellGates::of(&slices),
             slices,
-            delta: [MemDelta::default(); MAX_APPS],
-            resp: Vec::new(),
-            ev_min: u64::MAX,
-            ev_valid: false,
-            sleep_min,
+            out: ShardSink {
+                resp: Vec::new(),
+                delta: [MemDelta::default(); MAX_APPS],
+            },
         }
     }
 }
@@ -513,8 +558,8 @@ pub(crate) struct MemTickCtx {
 }
 
 /// Where a slice tick sends its observable outputs: directly into the
-/// response heap and [`SimStats`] on the reference (`m = 1`) path, or
-/// into the owning shard's local buffers on the sharded path. Both
+/// response heap and [`SimStats`] on the single-cell (`m = 1`) path,
+/// or into the owning shard's local buffers on the sharded path. Both
 /// sinks receive the calls in the same order, and every stat is an
 /// additive counter, so the fold reproduces the direct writes exactly.
 trait MemSink {
@@ -560,12 +605,18 @@ impl MemSink for DirectSink<'_> {
 }
 
 /// Shard-local sink: buffers everything for the serial fold.
-struct ShardSink<'a> {
-    resp: &'a mut Vec<(u64, u32, u32)>,
-    delta: &'a mut [MemDelta; MAX_APPS],
+#[derive(Debug)]
+struct ShardSink {
+    /// Responses `(at, sm, warp_slot)` in generation order; folded into
+    /// the global heap in cell order (== the single-cell push order)
+    /// every stepped cycle.
+    resp: Vec<(u64, u32, u32)>,
+    /// Per-app stat deltas; folded into [`SimStats`] in cell order
+    /// every stepped cycle.
+    delta: [MemDelta; MAX_APPS],
 }
 
-impl MemSink for ShardSink<'_> {
+impl MemSink for ShardSink {
     #[inline]
     fn response(&mut self, at: u64, sm: u32, warp_slot: u32) {
         self.resp.push((at, sm, warp_slot));
@@ -597,11 +648,12 @@ impl MemSink for ShardSink<'_> {
 ///
 /// The slices always live inside [`MemShard`] cells: one cell holding
 /// every slice is the reference (`m = 1`) layout, and
-/// [`MemSys::set_shards`] repartitions them for sharded stepping.
-/// `tick`/`next_event` dispatch on the cell count: the `m = 1` path
-/// ticks every busy slice every cycle and writes its outputs directly;
-/// the sharded path adds tick elision and a serial fold. Both run the
-/// same slice tick, stalled-miss verdicts included.
+/// [`MemSys::set_shards`] repartitions them for sharded stepping. Every
+/// lane runs the same gated cell tick — stalled-miss verdicts, slice
+/// `sleep_at` and cell `sleep_min` tick elision, and the cell `ev_min`
+/// that makes [`MemSys::next_event`] O(cells). They differ only in the
+/// sink: the `m = 1` tick writes its outputs directly, the sharded
+/// path buffers them per cell for a serial fold.
 #[derive(Debug)]
 pub struct MemSys {
     cfg: GpuConfig,
@@ -713,18 +765,8 @@ impl MemSys {
     pub fn set_extra_latency(&mut self, extra_l2: u32, extra_dram: u32) {
         self.extra_l2_lat = u64::from(extra_l2);
         self.extra_dram_lat = u64::from(extra_dram);
-        // Timing changed under sleeping scans; force a re-scan. The
-        // sharded sleep gates rest on the same no-op proof, so they
-        // reset too; the `ev` caches do not — knobs change no queue
-        // state, so the reference `next_event` value is unchanged.
-        for cell in &mut self.cells {
-            for slice in &mut cell.slices {
-                slice.scan_wake = 0;
-                slice.sleep_at = 0;
-                slice.drop_verdicts();
-            }
-            cell.sleep_min = 0;
-        }
+        // Timing changed under sleeping scans and ticks.
+        self.knob_changed();
     }
 
     /// Throttles the per-slice MSHR limit, clamped to
@@ -732,15 +774,22 @@ impl MemSys {
     /// the cap only gates new allocations.
     pub fn set_mshr_cap(&mut self, cap: u32) {
         self.mshr_cap = (cap.max(1) as usize).min(MSHRS_PER_SLICE);
-        // A raised cap can unstall sleeping misses; force a re-scan
-        // (and, sharded, a real tick — see `set_extra_latency`).
+        // A raised cap can unstall sleeping misses.
+        self.knob_changed();
+    }
+
+    /// A fault knob changed under the no-op proofs the scan and tick
+    /// gates rest on: force a re-scan and a real tick of every slice,
+    /// and drop the verdicts. The `ev_min` bounds stay — knobs change no
+    /// queue state, so the exact `next_event` value is unchanged.
+    fn knob_changed(&mut self) {
         for cell in &mut self.cells {
             for slice in &mut cell.slices {
                 slice.scan_wake = 0;
                 slice.sleep_at = 0;
                 slice.drop_verdicts();
             }
-            cell.sleep_min = 0;
+            cell.gates.sleep_min = 0;
         }
     }
 
@@ -790,13 +839,13 @@ impl MemSys {
         debug_assert!(slice.input.len() < SLICE_QUEUE_DEPTH + 64);
         slice.l2_event = slice.l2_event.min(req.arrive_at);
         slice.scan_wake = 0;
-        // Sharded summaries: the new arrival can matter no earlier than
-        // `arrive_at`, so lowering (not zeroing) the gates keeps both
-        // exact — `l2_event` dropped by the same amount, so `ev_min`
-        // stays the true minimum.
+        // The new arrival can matter no earlier than `arrive_at`, so
+        // lowering (not zeroing) the gates keeps both exact —
+        // `l2_event` dropped by the same amount, so `ev_min` stays the
+        // true minimum.
         slice.sleep_at = slice.sleep_at.min(req.arrive_at);
-        cell.sleep_min = cell.sleep_min.min(req.arrive_at);
-        cell.ev_min = cell.ev_min.min(req.arrive_at);
+        cell.gates.sleep_min = cell.gates.sleep_min.min(req.arrive_at);
+        cell.gates.ev_min = cell.gates.ev_min.min(req.arrive_at);
         slice.input.push_back(req);
         if slice.input.len() >= SLICE_QUEUE_DEPTH {
             self.full_mask |= 1u64 << g;
@@ -845,44 +894,40 @@ impl MemSys {
         }
     }
 
-    /// Advances the slices and DRAM controllers by one cycle. Slices
-    /// with nothing queued are skipped entirely (MSHR entries imply a
-    /// queued read, so the emptiness check is complete).
+    /// Advances the slices and DRAM controllers by one cycle. Every lane
+    /// runs the same gated cell tick ([`tick_cell`]): a cell before its
+    /// `sleep_min`, an idle slice, and a slice before its `sleep_at` are
+    /// skipped (each skip a proven no-op), and the cell republishes its
+    /// `ev_min` for [`MemSys::next_event`].
     ///
-    /// With one cell this is the single-pass loop (responses and stats
-    /// written directly, no tick-elision caches); with `m > 1` cells
-    /// each shard ticks independently against its local buffers and the
-    /// serial fold replays the outputs in cell order.
+    /// With one cell the outputs go straight into the response heap and
+    /// `stats`; with `m > 1` cells each shard ticks independently
+    /// against its local buffers and the serial fold replays the outputs
+    /// in cell order.
     pub fn tick(&mut self, now: u64, stats: &mut SimStats) {
         let ctx = self.tick_ctx();
-        if self.cells.len() == 1 {
+        if let [cell] = self.cells.as_mut_slice() {
             let mut sink = DirectSink {
                 responses: &mut self.responses,
                 stats,
             };
-            for slice in &mut self.cells[0].slices {
-                if slice.input.is_empty() && slice.ctrl.queue.is_empty() {
-                    debug_assert!(slice.mshr.is_empty());
-                    continue;
-                }
-                tick_slice::<_, false>(slice, now, &ctx, &mut sink);
-            }
+            tick_cell(&mut cell.slices, &mut cell.gates, now, &ctx, &mut sink);
             self.refresh_full_mask();
         } else {
             for cell in &mut self.cells {
-                tick_cell(cell, now, &ctx);
+                tick_shard(cell, now, &ctx);
             }
             self.fold_shards(stats);
         }
     }
 }
 
-/// The DRAM-side event bound the reference `next_event` computes for
-/// one slice at query cycle `now`: the next scheduling opportunity
+/// The DRAM-side event bound of one slice at query cycle `now`,
+/// recomputed from the queue: the next scheduling opportunity
 /// (`bus_free_at`, or the earliest bank-ready time when the bus is
 /// free but every candidate bank was busy), `u64::MAX` when nothing is
-/// queued.
-#[inline]
+/// queued. The oracle behind `Slice::dram_next` and the cell
+/// `ev_min` bounds (debug builds only).
 fn dram_bound(slice: &Slice, now: u64) -> u64 {
     let ctrl = &slice.ctrl;
     if ctrl.queue.is_empty() {
@@ -899,53 +944,58 @@ fn dram_bound(slice: &Slice, now: u64) -> u64 {
     }
 }
 
-/// Ticks every non-idle, non-sleeping slice of one shard for cycle
-/// `now` against the shard-local buffers, then recomputes the shard's
-/// exact `ev_min`/`sleep_min` aggregates. Touches nothing outside the
-/// cell, so cells tick concurrently; a shard whose `sleep_min` has not
-/// been reached is skipped wholesale (every slice tick would be a
-/// no-op, so the aggregates are still current).
-pub(crate) fn tick_cell(cell: &mut MemShard, now: u64, ctx: &MemTickCtx) {
-    if now < cell.sleep_min {
+/// The one cell tick every lane runs: ticks each non-idle,
+/// non-sleeping slice of `cell` for cycle `now` into `sink`, then
+/// recomputes the cell's `ev_min` / `sleep_min` aggregates. Touches
+/// nothing outside the cell and the sink; a cell whose `sleep_min` has
+/// not been reached is skipped wholesale (every slice tick would be a
+/// no-op, so the aggregates are still current). Every skipped slice
+/// tick is `debug_assert!`ed to be a no-op ([`tick_is_noop`]).
+fn tick_cell<S: MemSink>(
+    slices: &mut [Slice],
+    gates: &mut CellGates,
+    now: u64,
+    ctx: &MemTickCtx,
+    sink: &mut S,
+) {
+    if now < gates.sleep_min {
+        debug_assert!(
+            slices.iter().all(|s| tick_is_noop(s, now, ctx)),
+            "a cell slept through a tick with work at cycle {now}"
+        );
         return;
     }
-    let mut sink = ShardSink {
-        resp: &mut cell.resp,
-        delta: &mut cell.delta,
-    };
-    for slice in &mut cell.slices {
+    for slice in slices.iter_mut() {
         if slice.input.is_empty() && slice.ctrl.queue.is_empty() {
             debug_assert!(slice.mshr.is_empty());
             continue;
         }
         if now < slice.sleep_at {
+            debug_assert!(
+                tick_is_noop(slice, now, ctx),
+                "slice slept through a tick with work at cycle {now}"
+            );
             continue;
         }
-        tick_slice::<_, true>(slice, now, ctx, &mut sink);
+        tick_slice(slice, now, ctx, sink);
     }
-    let mut ev = u64::MAX;
-    let mut sleep = u64::MAX;
-    for slice in &cell.slices {
-        ev = ev.min(slice.l2_event.min(slice.dram_next));
-        sleep = sleep.min(slice.sleep_at);
-    }
-    cell.ev_min = ev;
-    cell.sleep_min = sleep;
-    cell.ev_valid = true;
+    *gates = CellGates::of(slices);
 }
 
-/// One slice's reference cycle: the L2 stage, the DRAM stage and the
-/// event bookkeeping, with observable outputs routed through `sink`.
-/// The stalled-miss verdicts (`Slice::verdicts`) are kept on every lane;
-/// `TRACK` additionally maintains the sharded tick-elision caches
-/// (`dram_next`, `sleep_at`), which the `m = 1` path neither reads nor
-/// pays for.
-fn tick_slice<S: MemSink, const TRACK: bool>(
-    slice: &mut Slice,
-    now: u64,
-    ctx: &MemTickCtx,
-    sink: &mut S,
-) {
+/// [`tick_cell`] for one shard of the sharded lane, into the shard's
+/// own buffers (folded serially by [`MemSys::fold_shards`]).
+pub(crate) fn tick_shard(cell: &mut MemShard, now: u64, ctx: &MemTickCtx) {
+    let MemShard {
+        slices, gates, out, ..
+    } = cell;
+    tick_cell(slices, gates, now, ctx, out);
+}
+
+/// One slice's cycle: the L2 stage, the DRAM stage and the event
+/// bookkeeping, with observable outputs routed through `sink`. Keeps
+/// the stalled-miss verdicts (`Slice::verdicts`) and the tick gates
+/// (`dram_next`, `sleep_at`) on every lane.
+fn tick_slice<S: MemSink>(slice: &mut Slice, now: u64, ctx: &MemTickCtx, sink: &mut S) {
     let num_slices = ctx.num_slices;
     let banks = ctx.banks;
     let icnt = ctx.icnt;
@@ -1125,9 +1175,13 @@ fn tick_slice<S: MemSink, const TRACK: bool>(
 
             // DRAM stage: one scheduling decision per free bus slot.
             let mut serviced = false;
+            // Earliest bank-ready time when the bus was free but every
+            // queued request's bank was busy.
+            let mut banks_ready_at = u64::MAX;
             if slice.ctrl.bus_free_at <= now && !slice.ctrl.queue.is_empty() {
                 let pick = MemSys::schedule_dram(&slice.ctrl, now, fr_fcfs);
-                if let Some(idx) = pick {
+                banks_ready_at = pick.err().unwrap_or(u64::MAX);
+                if let Ok(idx) = pick {
                     serviced = true;
                     let entry = slice.ctrl.queue.take(idx);
                     let req = entry.req;
@@ -1218,35 +1272,49 @@ fn tick_slice<S: MemSink, const TRACK: bool>(
                 slice.l2_event = slice.l2_event.min(now + 1);
             }
 
-            if TRACK {
-                // The DRAM bound for queries after this tick is
-                // exactly what the reference `next_event` would
-                // compute at `now + 1`, and it stays exact across
-                // elided cycles: banks and the bus mutate only on a
-                // service, and no service can happen before it.
-                slice.dram_next = dram_bound(slice, now + 1);
-                // Before min(l2_event, dram_next) a tick is a full
-                // no-op: no arrival is due (l2_event covers due work
-                // and port-limited retries; a re-scan over only
-                // stalled misses probes to the same verdicts because
-                // queue/MSHR space can only be freed by a service),
-                // and no DRAM pick can succeed before dram_next.
-                slice.sleep_at = slice.l2_event.min(slice.dram_next);
-            }
+            // The DRAM bound for queries after this tick is exactly
+            // what the per-slice `next_event` scan would compute at
+            // `now + 1` — a busy bus frees at `bus_free_at` (a service
+            // sets it at least `t_burst >= 1` ahead); a free one with
+            // work left means the pick just failed, and the arbiter's
+            // own pass found the earliest bank-ready time — and it stays
+            // exact across elided cycles: banks and the bus mutate only
+            // on a service, and no service can happen before it.
+            slice.dram_next = if slice.ctrl.queue.is_empty() {
+                u64::MAX
+            } else if slice.ctrl.bus_free_at > now {
+                slice.ctrl.bus_free_at
+            } else {
+                banks_ready_at
+            };
+            debug_assert_eq!(
+                slice.dram_next,
+                dram_bound(slice, now + 1),
+                "DRAM bound at cycle {now}"
+            );
+            // Before min(l2_event, dram_next) a tick is a full no-op:
+            // no arrival is due (l2_event covers due work and
+            // port-limited retries; a re-scan over only stalled misses
+            // probes to the same verdicts because queue/MSHR space can
+            // only be freed by a service), and no DRAM pick can succeed
+            // before dram_next.
+            slice.sleep_at = slice.l2_event.min(slice.dram_next);
         }
     }
 }
 
 impl MemSys {
     /// FR-FCFS (or plain FCFS) arbitration: index into the queue of the
-    /// request to service next, `None` if no bank is ready.
-    fn schedule_dram(ctrl: &DramCtrl, now: u64, fr_fcfs: bool) -> Option<usize> {
+    /// request to service next, or — when every queued request's bank
+    /// is busy — `Err` with the earliest of their bank-ready times.
+    fn schedule_dram(ctrl: &DramCtrl, now: u64, fr_fcfs: bool) -> Result<usize, u64> {
         // One pass: the oldest request that hits an open row on a ready
         // bank wins outright (first ready, FR-FCFS only); failing that,
         // the oldest on any ready bank, remembered on the way. Bank and
         // row were precomputed at enqueue, so the scan is a pair of
-        // loads per entry. `None`: every bank busy, the bus slot stalls.
+        // loads per entry. `Err`: every bank busy, the bus slot stalls.
         let mut pick = None;
+        let mut ready_at = u64::MAX;
         for (i, e) in ctrl.queue.iter() {
             let bank = &ctrl.banks[e.bank as usize];
             if bank.ready_at <= now {
@@ -1255,6 +1323,8 @@ impl MemSys {
                     break;
                 }
                 pick = pick.or(Some(i));
+            } else {
+                ready_at = ready_at.min(bank.ready_at);
             }
         }
         debug_assert_eq!(
@@ -1271,7 +1341,7 @@ impl MemSys {
             },
             "single-pass arbitration disagrees with the two-pass scan"
         );
-        pick
+        pick.ok_or(ready_at)
     }
 
     /// Earliest cycle `>= now` at which the memory system could change
@@ -1284,32 +1354,25 @@ impl MemSys {
     /// (maintained by `tick`/`push`), and each DRAM channel's next
     /// scheduling opportunity (`bus_free_at`, or the earliest bank-ready
     /// time when the bus is free but every candidate bank was busy).
+    /// Every cell keeps the minimum of the last two over its slices
+    /// (`ev_min`), so the query reads O(cells) state; it is
+    /// `debug_assert!`ed against the per-slice scan.
     pub fn next_event(&self, now: u64) -> Option<u64> {
-        let mut ev = u64::MAX;
-        if let Some(&Reverse((at, _, _))) = self.responses.peek() {
-            ev = ev.min(at);
-        }
-        for cell in &self.cells {
-            if cell.ev_valid {
-                // Sharded cells maintain `ev_min = min(l2_event,
-                // dram_next)` over their slices at the end of every
-                // tick, so the horizon reads O(k) state.
-                ev = ev.min(cell.ev_min);
-            } else {
-                // Cold cell (fresh repartition, or the single-cell
-                // reference path, whose tick never maintains the
-                // caches): exact per-slice scan.
-                for slice in &cell.slices {
-                    ev = ev.min(slice.l2_event);
-                    ev = ev.min(dram_bound(slice, now));
-                }
-            }
-        }
-        if ev == u64::MAX {
-            None
-        } else {
-            Some(ev.max(now))
-        }
+        let head = self
+            .responses
+            .peek()
+            .map_or(u64::MAX, |&Reverse((at, _, _))| at);
+        let ev = self.cells.iter().fold(head, |ev, c| ev.min(c.gates.ev_min));
+        debug_assert!(
+            {
+                let scan = self
+                    .slices()
+                    .fold(head, |ev, s| ev.min(s.l2_event).min(dram_bound(s, now)));
+                (ev == u64::MAX) == (scan == u64::MAX) && ev.max(now) <= scan.max(now)
+            },
+            "cell event bounds above the per-slice scan at cycle {now}"
+        );
+        (ev != u64::MAX).then(|| ev.max(now))
     }
 
     /// Pops every response due at or before `now`.
@@ -1371,8 +1434,8 @@ impl MemSys {
     /// Repartitions the slices into `shards` memory-shard cells
     /// (clamped to `[1, num_slices]`). Contiguous ranges, identical to
     /// the SM-side [`ShardPlan`] split. Safe to call mid-run: every
-    /// rebuilt cell cold-starts its summaries ([`MemShard::new`]), so
-    /// the next horizon query falls back to the exact per-slice scan
+    /// rebuilt cell cold-starts its gates ([`MemShard::new`]), so the
+    /// next horizon query is conservative (no jump past a busy slice)
     /// and the next tick revalidates every busy slice.
     pub fn set_shards(&mut self, shards: u32) {
         let plan = ShardPlan::new(self.num_slices, shards);
@@ -1391,7 +1454,7 @@ impl MemSys {
         }
     }
 
-    /// Number of memory-shard cells (1 = unsharded reference path).
+    /// Number of memory-shard cells (1 = unsharded).
     pub fn num_shards(&self) -> usize {
         self.cells.len()
     }
@@ -1417,17 +1480,17 @@ impl MemSys {
     /// Serial boundary phase: folds every cell's buffered responses and
     /// stats deltas into the shared heap and [`SimStats`], in cell
     /// order — i.e. ascending slice order, matching the rotation the
-    /// reference single-pass tick visits slices in. Responses carry
+    /// single-cell tick visits slices in. Responses carry
     /// their `(at, sm, warp_slot)` ordering key, so heap insertion
     /// order only matters for equal tuples, which are interchangeable.
     pub(crate) fn fold_shards(&mut self, stats: &mut SimStats) {
         let MemSys { cells, responses, .. } = self;
         for cell in cells.iter_mut() {
-            for &(at, sm, slot) in &cell.resp {
+            for &(at, sm, slot) in &cell.out.resp {
                 responses.push(Reverse((at, sm, slot)));
             }
-            cell.resp.clear();
-            for (app, delta) in cell.delta.iter_mut().enumerate() {
+            cell.out.resp.clear();
+            for (app, delta) in cell.out.delta.iter_mut().enumerate() {
                 if !delta.is_zero() {
                     stats.app_mut(crate::AppId(app as u16)).apply_mem_delta(delta);
                     *delta = MemDelta::default();
@@ -1441,6 +1504,16 @@ impl MemSys {
     #[cfg(test)]
     fn slice_mut(&mut self, g: usize) -> &mut Slice {
         &mut self.cells[g / self.mem_chunk].slices[g % self.mem_chunk]
+    }
+
+    /// Test-only: cold-starts every gate after a test wrote slice state
+    /// (bus, controller queue) directly, behind the gates' backs.
+    #[cfg(test)]
+    fn reset_gates(&mut self) {
+        for cell in &mut self.cells {
+            cell.slices.iter_mut().for_each(Slice::cold_start_gates);
+            cell.gates = CellGates::of(&cell.slices);
+        }
     }
 }
 
@@ -1916,11 +1989,13 @@ mod verdict_tests {
     /// Far enough out that a held bus never frees by itself.
     const HOLD: u64 = 1 << 40;
 
-    /// Two memory systems driven identically. `slow` forgets its
-    /// verdicts before every tick, so it re-probes its whole queue as
-    /// the scan did before verdicts existed; `fast` must agree with it
-    /// on every queue, tally, event bound, response and statistic after
-    /// every tick.
+    /// Two memory systems driven identically. `slow` is a non-eliding
+    /// reference: before every tick it forgets its verdicts and opens
+    /// every gate (`sleep_at`, `sleep_min`, `scan_wake`), so it ticks
+    /// every busy slice and re-probes its whole queue, as the tick did
+    /// before any elision existed; `fast` must agree with it on every
+    /// queue, tally, event bound, response and statistic after every
+    /// tick.
     struct Twin {
         fast: MemSys,
         slow: MemSys,
@@ -1941,19 +2016,36 @@ mod verdict_tests {
             }
         }
 
+        /// Applies `f` — a direct write of slice state (the bus, the
+        /// controller queue) behind the tick gates' backs — to both
+        /// sides, then cold-starts the gates.
         fn both(&mut self, f: impl Fn(&mut MemSys)) {
+            self.knob(f);
+            self.fast.reset_gates();
+            self.slow.reset_gates();
+        }
+
+        /// Applies `f` — public API calls, which keep the gates right
+        /// themselves — to both sides.
+        fn knob(&mut self, f: impl Fn(&mut MemSys)) {
             f(&mut self.fast);
             f(&mut self.slow);
         }
 
         fn push(&mut self, req: MemRequest) {
-            self.both(|ms| ms.push(req));
+            self.fast.push(req);
+            self.slow.push(req);
         }
 
         fn tick(&mut self, now: u64) {
             let n = self.fast.num_slices as usize;
-            for g in 0..n {
-                self.slow.slice_mut(g).drop_verdicts();
+            for cell in &mut self.slow.cells {
+                for s in &mut cell.slices {
+                    s.drop_verdicts();
+                    s.sleep_at = 0;
+                    s.scan_wake = 0;
+                }
+                cell.gates.sleep_min = 0;
             }
             self.fast.tick(now, &mut self.st_fast);
             self.slow.tick(now, &mut self.st_slow);
@@ -1961,9 +2053,9 @@ mod verdict_tests {
                 let (a, b) = (self.fast.slice_at(g), self.slow.slice_at(g));
                 assert_eq!(a.input, b.input, "slice {g} input queue, cycle {now}");
                 assert_eq!(
-                    (a.ctrl.queue.len(), a.mshr.len(), a.l2_event, a.scan_wake),
-                    (b.ctrl.queue.len(), b.mshr.len(), b.l2_event, b.scan_wake),
-                    "slice {g} (dram queue, mshr, l2_event, scan_wake), cycle {now}"
+                    (a.ctrl.queue.len(), a.mshr.len(), a.l2_event),
+                    (b.ctrl.queue.len(), b.mshr.len(), b.l2_event),
+                    "slice {g} (dram queue, mshr, l2_event), cycle {now}"
                 );
                 assert_eq!(
                     (a.req_hits, a.req_misses),
@@ -1977,6 +2069,11 @@ mod verdict_tests {
             assert_eq!(a, b, "completions, cycle {now}");
             self.done.extend(a);
             assert_eq!(self.st_fast, self.st_slow, "stats, cycle {now}");
+            assert_eq!(
+                self.fast.next_event(now + 1),
+                self.slow.next_event(now + 1),
+                "event bound after cycle {now}"
+            );
         }
 
         /// Ticks from `from` until both are idle; returns the end cycle.
@@ -2124,7 +2221,7 @@ mod verdict_tests {
     fn write_among_stalled_reads_proceeds_when_only_the_mshr_is_full() {
         let c = cfg(8);
         let mut t = Twin::new(&c);
-        t.both(|ms| ms.set_mshr_cap(1));
+        t.knob(|ms| ms.set_mshr_cap(1));
         hold_bus_with_fillers(&mut t, c.dram.queue_depth - 1);
         t.push(rd(0, 0, 0)); // takes the only MSHR and the last slot
         t.tick(0);
@@ -2226,8 +2323,12 @@ mod verdict_tests {
         assert_eq!(t.queued_slots(), [1, 2], "table full at the cap");
         assert_eq!(t.slice0().verdicts, 2);
         t.tick(1);
-        assert_eq!(t.slice0().scan_wake, u64::MAX, "the scan went to sleep");
-        t.both(|ms| ms.set_mshr_cap(GpuConfig::MAX_MSHRS_PER_SLICE));
+        let s = t.slice0();
+        assert!(
+            s.scan_wake == u64::MAX || s.sleep_at > 1,
+            "the tick or the scan was elided"
+        );
+        t.knob(|ms| ms.set_mshr_cap(GpuConfig::MAX_MSHRS_PER_SLICE));
         assert_eq!((t.slice0().verdicts, t.slice0().scan_wake), (0, 0));
         t.tick(2);
         assert!(t.slice0().input.is_empty(), "both proceed at the next tick");
@@ -2258,11 +2359,11 @@ mod verdict_tests {
                 }
                 if rng.gen_range(400) == 0 {
                     let cap = 1 + rng.gen_range(u64::from(GpuConfig::MAX_MSHRS_PER_SLICE)) as u32;
-                    t.both(|ms| ms.set_mshr_cap(cap));
+                    t.knob(|ms| ms.set_mshr_cap(cap));
                 }
                 if rng.gen_range(400) == 0 {
                     let (l2, dram) = (rng.gen_range(8) as u32, rng.gen_range(40) as u32);
-                    t.both(|ms| ms.set_extra_latency(l2, dram));
+                    t.knob(|ms| ms.set_extra_latency(l2, dram));
                 }
                 if rng.gen_range(100) < p_burst {
                     // One warp access: up to 32 transactions admitted
@@ -2290,7 +2391,7 @@ mod verdict_tests {
                 }
                 t.tick(now);
             }
-            t.both(|ms| {
+            t.knob(|ms| {
                 ms.set_mshr_cap(GpuConfig::MAX_MSHRS_PER_SLICE);
                 ms.set_extra_latency(0, 0);
             });

@@ -12,17 +12,17 @@
 //! the merged request stream — and therefore every statistic — is
 //! bit-identical to the unsharded reference step.
 //!
-//! The cells also carry exact `ready`/`next-wake` summaries of their
-//! SMs, which is what makes sharding *faster* even on one thread: the
-//! per-cycle loop skips SMs that provably cannot act, and quiescence
-//! checks scan the flags instead of every SM.
+//! [`SmActivity`] — the exact ready / dispatch / next-wake summaries
+//! that let a step visit only the SMs that can act — lives here too. It
+//! is the one SM-activity implementation: the device keeps one over all
+//! its SMs for the default lane, and every cell keeps one over its own.
 
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::config::GpuConfig;
 use crate::gpu::MAX_APPS;
 use crate::kernel::KernelDesc;
-use crate::memsys::{tick_cell, Completion, MemShard, MemSys, MemTickCtx};
+use crate::memsys::{tick_shard, Completion, MemShard, MemSys, MemTickCtx};
 use crate::sm::Sm;
 use crate::stats::{IssueDelta, SimStats};
 use crate::trace_fmt::{KernelTrace, TraceHook};
@@ -97,37 +97,336 @@ pub(crate) struct RunSnapshot {
     pub cfg: GpuConfig,
 }
 
+/// Wake-ring length: a sleeper due fewer than this many cycles after
+/// the filing cycle goes to ring slot `wake % WAKE_RING`, a later one
+/// to the overflow set.
+const WAKE_RING: u64 = 64;
+
+/// Exact activity summaries over a slab of SMs (local indices `0..n`),
+/// so a step can visit only the SMs that can act. Three sets, one bit
+/// per SM:
+///
+/// - `ready`: bit `i` ⇔ `sms[i].has_ready_work()`. Set when a memory
+///   response is delivered, re-derived after every visit.
+/// - `dispatch`: bit `i` ⇔ SM `i` is in service, owned, and its owner
+///   has undispatched blocks — a superset of the SMs that can take a
+///   block this cycle (slot space and pending handoffs are checked at
+///   the visit). Only the device fills it; a cell's dispatch runs in the
+///   serial merge, which walks every SM while blocks remain.
+/// - wakes: `wake_at[i]` is SM `i`'s filed next sleeper wake-up
+///   (`u64::MAX` = none), filed in ring slot `wake_at % 64` when it was
+///   under 64 cycles past the filing cycle, in the overflow set `far`
+///   otherwise. A step at cycle `c` consumes ring slot `c % 64`, after
+///   moving any far wake that came within reach into the ring.
+///
+/// **Invariants** (between steps; the users `debug_assert!` each
+/// elision against the scan it replaces):
+/// - every not-ready SM's `wake_at` equals its `next_wake()`, and is
+///   filed in the ring slot of that cycle or in `far`;
+/// - every filed wake is at or after the next cycle to be stepped, and
+///   the clock never jumps past one, so no ring slot is skipped while
+///   it holds a live wake;
+/// - a ready SM may carry a stale `wake_at` — it is visited every step
+///   anyway and refiled when it stops being ready ([`Self::refresh`]);
+/// - stale ring and far bits (a refiled or no longer sleeping SM) are
+///   harmless: visiting an SM that cannot act is a no-op, and the wake
+///   minimum skips any bit whose `wake_at` disagrees with its slot.
+///
+/// Outside a visit an SM's next wake can only *decrease* (sleepers are
+/// popped only by `Sm::wake`, at a visit), so the cached `wake_min` is
+/// exact whenever it is not in the past, and refiling lowers it with a
+/// plain `min`.
+#[derive(Debug, Clone)]
+pub(crate) struct SmActivity {
+    /// Number of SMs covered.
+    n: usize,
+    /// `u64` words per set.
+    words: usize,
+    ready: Vec<u64>,
+    dispatch: Vec<u64>,
+    wake_at: Vec<u64>,
+    /// `WAKE_RING` sets of `words` words each.
+    ring: Vec<u64>,
+    far: Vec<u64>,
+    /// Lower bound on every wake filed in `far` (`u64::MAX` = none).
+    far_min: u64,
+    /// Cached `min(wake_at)` over the not-ready SMs; exact when not
+    /// below the query cycle (see type docs).
+    wake_min: u64,
+}
+
+impl SmActivity {
+    /// Empty summaries for `n` SMs; [`Self::rebuild`] before use.
+    pub fn new(n: usize) -> Self {
+        let words = n.div_ceil(64).max(1);
+        SmActivity {
+            n,
+            words,
+            ready: vec![0; words],
+            dispatch: vec![0; words],
+            wake_at: vec![u64::MAX; n],
+            ring: vec![0; words * WAKE_RING as usize],
+            far: vec![0; words],
+            far_min: u64::MAX,
+            wake_min: u64::MAX,
+        }
+    }
+
+    /// Recomputes every summary from scratch; `base` is the next cycle
+    /// to be stepped (no SM may sleep before it) and `dispatch` decides
+    /// each SM's dispatch bit.
+    pub fn rebuild(&mut self, sms: &[Sm], base: u64, mut dispatch: impl FnMut(usize, &Sm) -> bool) {
+        debug_assert_eq!(sms.len(), self.n);
+        self.ready.fill(0);
+        self.dispatch.fill(0);
+        self.ring.fill(0);
+        self.far.fill(0);
+        self.far_min = u64::MAX;
+        self.wake_min = u64::MAX;
+        for (i, sm) in sms.iter().enumerate() {
+            self.set_ready(i, sm.has_ready_work());
+            if dispatch(i, sm) {
+                self.dispatch[i / 64] |= 1 << (i % 64);
+            }
+            self.file_wake(i, sm.next_wake().unwrap_or(u64::MAX), base);
+        }
+    }
+
+    /// Sets or clears SM `i`'s ready bit.
+    #[inline]
+    pub fn set_ready(&mut self, i: usize, ready: bool) {
+        let bit = 1u64 << (i % 64);
+        if ready {
+            self.ready[i / 64] |= bit;
+        } else {
+            self.ready[i / 64] &= !bit;
+        }
+    }
+
+    /// Whether any SM has ready work.
+    #[inline]
+    pub fn any_ready(&self) -> bool {
+        self.ready.iter().any(|&w| w != 0)
+    }
+
+    /// The dispatch superset (see type docs).
+    #[inline]
+    pub fn dispatch(&self) -> &[u64] {
+        &self.dispatch
+    }
+
+    /// Files SM `i`'s next wake at `at` (`u64::MAX` = no sleeper);
+    /// `base` is the next cycle whose ring slot has not been consumed.
+    #[inline]
+    fn file_wake(&mut self, i: usize, at: u64, base: u64) {
+        self.wake_at[i] = at;
+        if at == u64::MAX {
+            return;
+        }
+        debug_assert!(
+            at >= base,
+            "SM {i} filed a wake at {at}, before cycle {base}"
+        );
+        let bit = 1u64 << (i % 64);
+        if at - base < WAKE_RING {
+            self.ring[(at % WAKE_RING) as usize * self.words + i / 64] |= bit;
+        } else {
+            self.far[i / 64] |= bit;
+            self.far_min = self.far_min.min(at);
+        }
+        self.wake_min = self.wake_min.min(at);
+    }
+
+    /// Post-visit upkeep for SM `i` at base cycle `base`: re-derives its
+    /// ready bit and refiles its wake. An SM that was ready and stays
+    /// ready skips the refile — it is visited again next step, and
+    /// refiled when it stops being ready. An unchanged wake is still
+    /// filed: its slot lies ahead, so nothing has consumed it.
+    #[inline]
+    pub fn refresh(&mut self, i: usize, sm: &Sm, base: u64) {
+        let ready = sm.has_ready_work();
+        if ready && has_bit(&self.ready, i) {
+            return;
+        }
+        self.set_ready(i, ready);
+        let at = sm.next_wake().unwrap_or(u64::MAX);
+        if at != self.wake_at[i] {
+            self.file_wake(i, at, base);
+        }
+    }
+
+    /// Whether no SM can act at `now`: none ready, no dispatch
+    /// candidate, and no wake filed at or before `now` (the cached
+    /// minimum never exceeds a live filing). An idle slab may then skip
+    /// [`Self::take_visit`]: the slot it leaves unconsumed holds only
+    /// stale bits, and a far wake is pulled in by the first visit it
+    /// comes due at.
+    #[inline]
+    pub fn quiet_at(&self, now: u64) -> bool {
+        self.wake_min > now && self.ready.iter().chain(&self.dispatch).all(|&w| w == 0)
+    }
+
+    /// Writes into `out` the SMs that may act at cycle `now` — ready,
+    /// in the dispatch superset, or filed to wake at `now` — and
+    /// consumes `now`'s ring slot. Call once per stepped cycle.
+    pub fn take_visit(&mut self, now: u64, out: &mut Vec<u64>) {
+        if self.far_min < now + WAKE_RING {
+            self.pull_far(now);
+        }
+        let slot = (now % WAKE_RING) as usize * self.words;
+        out.clear();
+        for w in 0..self.words {
+            out.push(self.ready[w] | self.dispatch[w] | self.ring[slot + w]);
+            self.ring[slot + w] = 0;
+        }
+    }
+
+    /// Moves every far wake due before `now + WAKE_RING` into its ring
+    /// slot and drops far bits of SMs that no longer sleep.
+    fn pull_far(&mut self, now: u64) {
+        self.far_min = u64::MAX;
+        for w in 0..self.words {
+            let mut bits = self.far[w];
+            while bits != 0 {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let at = self.wake_at[w * 64 + b];
+                if at == u64::MAX || at < now + WAKE_RING {
+                    self.far[w] &= !(1 << b);
+                    if at != u64::MAX {
+                        self.ring[(at % WAKE_RING) as usize * self.words + w] |= 1 << b;
+                    }
+                } else {
+                    self.far_min = self.far_min.min(at);
+                }
+            }
+        }
+    }
+
+    /// Earliest filed wake at or after `base` (the next cycle to step),
+    /// read from the cache or, when the cached value is in the past,
+    /// from the first live ring slot and the far set. Exact over the
+    /// not-ready SMs; callers query it only when no SM stayed ready.
+    pub fn wake_min(&mut self, base: u64) -> Option<u64> {
+        if self.wake_min < base {
+            self.wake_min = self.scan_wake_min(base);
+        }
+        (self.wake_min != u64::MAX).then_some(self.wake_min)
+    }
+
+    fn scan_wake_min(&self, base: u64) -> u64 {
+        let mut best = u64::MAX;
+        for at in base..base + WAKE_RING {
+            let slot = (at % WAKE_RING) as usize * self.words;
+            let mut bits = Rotation::new(&self.ring[slot..slot + self.words], 0);
+            if bits.any(|i| self.wake_at[i] == at) {
+                best = at;
+                break;
+            }
+        }
+        for i in Rotation::new(&self.far, 0) {
+            let at = self.wake_at[i];
+            if at >= base {
+                best = best.min(at);
+            }
+        }
+        best
+    }
+
+    /// Sets every SM's bit in `out` (the reference step's visit set).
+    pub fn all(&self, out: &mut [u64]) {
+        for (w, word) in out.iter_mut().enumerate() {
+            let left = self.n - w * 64;
+            *word = if left >= 64 { !0 } else { (1 << left) - 1 };
+        }
+    }
+}
+
+/// Whether bit `i` of `set` is set.
+#[inline]
+pub(crate) fn has_bit(set: &[u64], i: usize) -> bool {
+    set[i / 64] & (1 << (i % 64)) != 0
+}
+
+/// The set bits of an SM set in rotation order from bit `start`:
+/// `start..`, then `..start`, each ascending (`start = 0` is plain
+/// ascending order). Bits past the slab's SM count must be clear.
+pub(crate) struct Rotation<'a> {
+    set: &'a [u64],
+    /// Unvisited bits of the current word; `base` is its first index.
+    cur: u64,
+    base: usize,
+    /// Next whole word to load, and how many are left to load.
+    next: usize,
+    left: usize,
+    /// The start word's bits below `start`, visited last.
+    tail: u64,
+    tail_base: usize,
+}
+
+impl<'a> Rotation<'a> {
+    /// Walks `set` from bit `start` (which must lie inside it).
+    #[inline]
+    pub fn new(set: &'a [u64], start: usize) -> Self {
+        let (w, b) = (start / 64, start % 64);
+        Rotation {
+            set,
+            cur: set[w] & (!0 << b),
+            base: w * 64,
+            next: if w + 1 == set.len() { 0 } else { w + 1 },
+            left: set.len() - 1,
+            tail: set[w] & ((1 << b) - 1),
+            tail_base: w * 64,
+        }
+    }
+}
+
+impl Iterator for Rotation<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        loop {
+            if self.cur != 0 {
+                let b = self.cur.trailing_zeros() as usize;
+                self.cur &= self.cur - 1;
+                return Some(self.base + b);
+            }
+            if self.left > 0 {
+                self.left -= 1;
+                self.cur = self.set[self.next];
+                self.base = self.next * 64;
+                self.next = if self.next + 1 == self.set.len() {
+                    0
+                } else {
+                    self.next + 1
+                };
+            } else if self.tail != 0 {
+                self.cur = std::mem::take(&mut self.tail);
+                self.base = self.tail_base;
+            } else {
+                return None;
+            }
+        }
+    }
+}
+
 /// One shard's working state during a sharded run. Owns its SMs
 /// (drained out of `Gpu::sms` at run entry, restored at every exit)
-/// plus exact per-SM summaries:
-///
-/// - `ready_nz[i]` ⇔ `sms[i].has_ready_work()`
-/// - `wake_at[i]` == `sms[i].next_wake()` (`u64::MAX` = none)
-///
-/// Both invariants are maintained at every point an SM is touched, so
-/// quiescence and horizon computations over the flags are bit-equal to
-/// the reference scans over the SMs themselves.
+/// plus their [`SmActivity`] summaries, maintained at every point an SM
+/// is touched, so phase A visits only the SMs that can act and
+/// quiescence and horizon reads are bit-equal to the reference scans.
 #[derive(Debug)]
 pub(crate) struct ShardCell {
     /// Global id of `sms[0]`.
     pub base: u32,
     /// The shard's SMs, in global id order.
     pub sms: Vec<Sm>,
-    /// Per-SM ready summary (see type docs).
-    pub ready_nz: Vec<bool>,
-    /// Per-SM next-wake summary (`u64::MAX` = no sleeper).
-    pub wake_at: Vec<u64>,
-    /// Number of `true` entries in `ready_nz` (exact at all times).
-    pub ready_count: u32,
-    /// `min(wake_at)` (exact at all times; `u64::MAX` = no sleeper).
-    ///
-    /// Exactness holds because outside [`phase_a_cell`]'s visit loop an
-    /// SM's `next_wake` can only *decrease* (the serial merge adds
-    /// sleepers, never pops them; `Sm::wake` runs only inside the visit
-    /// loop), so [`ShardCell::refresh`] can maintain the minimum with a
-    /// plain `min`, and the visit loop recomputes it from scratch
-    /// whenever it runs.
-    pub wake_min: u64,
+    /// Ready / next-wake summaries of `sms` (the dispatch set stays
+    /// empty: dispatch runs in the serial merge).
+    pub act: SmActivity,
+    /// Scratch for phase A's visit set.
+    visit: Vec<u64>,
     /// Global ids (ascending) of SMs holding a suspended access that
     /// the serial merge phase must resolve this cycle.
     pub pending: Vec<u32>,
@@ -143,23 +442,17 @@ pub(crate) struct ShardCell {
 }
 
 impl ShardCell {
-    /// Wraps `sms` (whose first element has global id `base`),
-    /// computing the initial flag summaries.
-    pub fn new(base: u32, sms: Vec<Sm>) -> Self {
-        let ready_nz: Vec<bool> = sms.iter().map(Sm::has_ready_work).collect();
-        let wake_at: Vec<u64> = sms
-            .iter()
-            .map(|sm| sm.next_wake().unwrap_or(u64::MAX))
-            .collect();
-        let ready_count = ready_nz.iter().filter(|&&r| r).count() as u32;
-        let wake_min = wake_at.iter().copied().min().unwrap_or(u64::MAX);
+    /// Wraps `sms` (whose first element has global id `base`) at device
+    /// cycle `cycle` (the next one to be stepped), building their
+    /// activity summaries.
+    pub fn new(base: u32, sms: Vec<Sm>, cycle: u64) -> Self {
+        let mut act = SmActivity::new(sms.len());
+        act.rebuild(&sms, cycle, |_, _| false);
         ShardCell {
             base,
             sms,
-            ready_nz,
-            wake_at,
-            ready_count,
-            wake_min,
+            act,
+            visit: Vec::new(),
             pending: Vec::new(),
             deltas: [IssueDelta::default(); MAX_APPS],
             retired: [0; MAX_APPS],
@@ -167,28 +460,12 @@ impl ShardCell {
         }
     }
 
-    /// Re-derives both flag summaries for local SM `i` (call after any
-    /// operation that may change readiness or sleepers).
+    /// Post-visit summary upkeep for local SM `i` during the step at
+    /// cycle `now` (call after any operation that may change readiness
+    /// or sleepers).
     #[inline]
-    pub fn refresh(&mut self, i: usize) {
-        self.refresh_ready(i);
-        let wake = self.sms[i].next_wake().unwrap_or(u64::MAX);
-        self.wake_at[i] = wake;
-        self.wake_min = self.wake_min.min(wake);
-    }
-
-    /// Re-derives the ready summary (and count) for local SM `i`.
-    #[inline]
-    pub fn refresh_ready(&mut self, i: usize) {
-        let ready = self.sms[i].has_ready_work();
-        if ready != self.ready_nz[i] {
-            self.ready_nz[i] = ready;
-            if ready {
-                self.ready_count += 1;
-            } else {
-                self.ready_count -= 1;
-            }
-        }
+    pub fn refresh(&mut self, i: usize, now: u64) {
+        self.act.refresh(i, &self.sms[i], now + 1);
     }
 }
 
@@ -221,27 +498,32 @@ pub(crate) fn phase_a_cell(cell: &mut ShardCell, now: u64, comps: &[Completion],
             cell.retired[usize::from(owner.0)] += retired;
         }
         // Responses only flip ready bits (never sleepers).
-        cell.refresh_ready(local);
+        cell.act.set_ready(local, sm.has_ready_work());
     }
 
-    // 2. Cell-level elision: when no SM is ready and no sleeper is due,
-    // every iteration of the visit loop below would `continue`, so skip
-    // the loop (and the summary recompute — nothing changed).
-    if cell.ready_count == 0 && cell.wake_min > now {
+    // 2. Visit the SMs that can possibly act: ready, or a sleeper due
+    // at `now` (the cell's dispatch set is empty); a quiet cell visits
+    // none. A skipped SM is exactly one the reference loop would have
+    // visited to no effect: `wake` pops nothing and `has_ready_work` is
+    // false. Ascending order keeps `pending` sorted.
+    let acts = |sm: &Sm| sm.has_ready_work() || sm.next_wake().is_some_and(|w| w <= now);
+    if cell.act.quiet_at(now) {
+        debug_assert!(
+            !cell.sms.iter().any(acts),
+            "cell {lo}: an SM can act at cycle {now} in a quiet cell"
+        );
         return;
     }
-
-    // 3. Visit SMs that can possibly act. A skipped SM is exactly one
-    // the reference loop would have visited to no effect: `wake` pops
-    // nothing (no sleeper due) and `has_ready_work` is false. The loop
-    // reads every SM's post-visit wake, so it rebuilds the exact
-    // `wake_min` for free.
-    let mut wake_min = u64::MAX;
-    for i in 0..cell.sms.len() {
-        if !cell.ready_nz[i] && cell.wake_at[i] > now {
-            wake_min = wake_min.min(cell.wake_at[i]);
-            continue;
-        }
+    let mut visit = std::mem::take(&mut cell.visit);
+    cell.act.take_visit(now, &mut visit);
+    debug_assert!(
+        cell.sms
+            .iter()
+            .enumerate()
+            .all(|(i, sm)| !acts(sm) || has_bit(&visit, i)),
+        "cell {lo}: an SM that can act at cycle {now} is missing from the visit set"
+    );
+    for i in Rotation::new(&visit, 0) {
         let sm = &mut cell.sms[i];
         sm.wake(now);
         if let Some(owner) = sm.owner {
@@ -268,10 +550,9 @@ pub(crate) fn phase_a_cell(cell: &mut ShardCell, now: u64, comps: &[Completion],
                 }
             }
         }
-        cell.refresh(i);
-        wake_min = wake_min.min(cell.wake_at[i]);
+        cell.refresh(i, now);
     }
-    cell.wake_min = wake_min;
+    cell.visit = visit;
 }
 
 /// Uniform indexed access to the SM set, whether it lives in
@@ -337,9 +618,9 @@ impl SmSlab for CellsView<'_, '_> {
 pub(crate) trait ShardExec {
     /// Runs the cycle's parallel work for cycle `now`: [`phase_a_cell`]
     /// on every SM cell, and — when the memory system is sharded —
-    /// phase M ([`tick_cell`]) on every memory shard, followed by the
+    /// phase M ([`tick_shard`]) on every memory shard, followed by the
     /// serial boundary fold ([`MemSys::fold_shards`]). With one memory
-    /// shard, `memsys.tick` runs the reference single-pass path. Phase
+    /// shard, `memsys.tick` ticks the one cell directly. Phase
     /// A never touches the memory system and phase M never touches SM
     /// state, so the two phases commute and may overlap on workers.
     fn phase_am(
@@ -354,8 +635,7 @@ pub(crate) trait ShardExec {
     fn with_cells<R>(&mut self, f: impl FnOnce(&mut [&mut ShardCell]) -> R) -> R;
 }
 
-/// Single-thread executor: the default, and the one that carries the
-/// serial-elision speedup (no synchronization at all).
+/// Single-thread executor: the default (no synchronization at all).
 pub(crate) struct SeqExec<'a> {
     /// The run's cells, in shard order.
     pub cells: &'a mut [ShardCell],
@@ -373,8 +653,8 @@ impl ShardExec for SeqExec<'_> {
         for cell in self.cells.iter_mut() {
             phase_a_cell(cell, now, comps, snap);
         }
-        // Dispatches internally: one cell runs the reference path,
-        // several run `tick_cell` per cell then fold in cell order.
+        // Dispatches internally: one cell ticks straight into the heap,
+        // several run `tick_shard` per cell then fold in cell order.
         memsys.tick(now, stats);
     }
 
@@ -497,7 +777,7 @@ pub(crate) fn worker_loop(
             for s in (id..mem.len()).step_by(threads) {
                 let mut slot = mem[s].lock().unwrap();
                 if let Some(cell) = slot.as_mut() {
-                    tick_cell(cell, now, &ctx);
+                    tick_shard(cell, now, &ctx);
                 }
             }
         }
@@ -561,7 +841,7 @@ impl ShardExec for ThreadedExec<'_> {
             for s in (0..mem.len()).step_by(threads) {
                 let mut slot = mem[s].lock().unwrap();
                 if let Some(cell) = slot.as_mut() {
-                    tick_cell(cell, now, &ctx);
+                    tick_shard(cell, now, &ctx);
                 }
             }
         });

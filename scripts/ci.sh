@@ -37,9 +37,10 @@
 #   scripts/ci.sh --shard-smoke sharded-stepping gate only: runs one fixed
 #                               SMRA co-run over the SM-shard x memory-shard
 #                               grid (s1/s2/s4 x m1/m2/m4, shard_smoke
-#                               binary) and asserts the canonical JSON stats
-#                               line is byte-identical at every grid point,
-#                               then exits
+#                               binary) plus the StepMode::Cycle reference
+#                               point, and asserts the canonical JSON stats
+#                               line is byte-identical at every point, then
+#                               exits
 #   scripts/ci.sh --daemon-smoke
 #                               scheduler-daemon gate only: drives a seeded
 #                               trace through an in-process schedd over
@@ -154,25 +155,28 @@ fi
 # byte-identical at every point (sharding is a pure wall-clock
 # optimization — DESIGN.md §12, both phase A and phase M).
 shard_smoke() {
-    step "shard smoke (shard_smoke co-run, SM shards 1/2/4 x mem shards 1/2/4)"
+    step "shard smoke (shard_smoke co-run, SM shards 1/2/4 x mem shards 1/2/4, plus the cycle-stepped reference)"
     cargo build --release --bin shard_smoke
-    local ref="" line pair shards mem
-    for pair in "1 1" "2 1" "4 1" "1 2" "1 4" "4 2" "4 4"; do
-        read -r shards mem <<<"$pair"
-        line=$(./target/release/shard_smoke "$shards" "$mem" | grep '^stats:') || {
+    local ref="" line point shards mem mode
+    # The last point steps every cycle and visits every SM
+    # (`StepMode::Cycle`): horizon jumps and idle-SM elision are gated
+    # byte-for-byte, not only in tier-1.
+    for point in "1 1" "2 1" "4 1" "1 2" "1 4" "4 2" "4 4" "1 1 cycle"; do
+        read -r shards mem mode <<<"$point"
+        line=$(./target/release/shard_smoke "$shards" "$mem" $mode | grep '^stats:') || {
             echo "no stats line in shard_smoke output" >&2; exit 1;
         }
-        echo "  shards=$shards mem=$mem  ${line:0:60}..."
+        echo "  shards=$shards mem=$mem ${mode:-horizon}  ${line:0:60}..."
         if [ -z "$ref" ]; then
             ref="$line"
         elif [ "$line" != "$ref" ]; then
-            echo "canonical stats differ at shards=$shards mem=$mem:" >&2
+            echo "canonical stats differ at shards=$shards mem=$mem ${mode:-horizon}:" >&2
             echo "  ref: $ref" >&2
             echo "  got: $line" >&2
             exit 1
         fi
     done
-    echo "shard smoke passed (stats byte-identical across the SM x mem shard grid)"
+    echo "shard smoke passed (stats byte-identical across the SM x mem shard grid and the cycle-stepped reference)"
 }
 
 if [ "$SHARD_SMOKE" -eq 1 ]; then
