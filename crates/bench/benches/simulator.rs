@@ -7,7 +7,6 @@
 //! benchmarking dependency.
 
 use gcs_bench::timing::bench;
-use gcs_core::smra::{SmraController, SmraParams};
 use gcs_sim::cache::Cache;
 use gcs_sim::config::{CacheConfig, GpuConfig};
 use gcs_sim::gpu::Gpu;
@@ -108,77 +107,6 @@ fn main() {
         gpu.run(50_000_000).expect("run");
         gpu.cycle()
     });
-
-    // Sharded-SM stepping: the same fixed 60k-cycle SMRA co-run at
-    // shard counts 1, 2 and 4. Bit-identity across shard counts is
-    // pinned by tests/shard_equivalence.rs; this measures the
-    // wall-clock side. The win comes from elision, not threads: the
-    // sharded engine's exact ready/wake summaries let it skip whole
-    // shards whose SMs provably cannot act and replace the reference's
-    // full-device quiescence scans with per-cell aggregates, so even
-    // single-threaded (the only configuration a 1-CPU CI box can
-    // measure) k > 1 must beat k = 1, while k = 1 itself stays on the
-    // untouched reference path. The workload is a latency-bound
-    // pointer-chase pair under a live SMRA controller: most stepped
-    // cycles touch only a few of the 60 SMs, which is precisely the
-    // regime where per-shard elision pays (a dense-issue workload
-    // keeps every SM busy and gives sharding nothing to skip).
-    for shards in [1u32, 2, 4] {
-        bench(
-            &format!("sim/device/gtx480_60k_cycles_smra_corun_sharded/s{shards}"),
-            || {
-                let mut gpu = Gpu::new(GpuConfig::gtx480()).expect("gpu");
-                gpu.set_shards(shards);
-                let a = gpu.launch(ptr_chase_kernel("chase_a", 16)).expect("a");
-                let b = gpu.launch(ptr_chase_kernel("chase_b", 16)).expect("b");
-                gpu.partition_even();
-                let params = SmraParams {
-                    tc: 5_000,
-                    ..SmraParams::for_device(gpu.config().num_sms, 2)
-                };
-                let mut ctl = SmraController::new(params, vec![a, b], &gpu);
-                for _ in 0..12 {
-                    gpu.run_for(params.tc);
-                    if gpu.all_done() {
-                        break;
-                    }
-                    ctl.decide(&mut gpu);
-                }
-                gpu.cycle()
-            },
-        );
-    }
-
-    // Sharded-memory stepping (phase M): a dense-issue GUPS × SPMV
-    // co-run on the full device at memory-shard counts 1, 2 and 4,
-    // with SM shards fixed at 4 (the configuration PR 7 left ~flat,
-    // because a dense workload gives SM-side elision nothing to skip
-    // — the cycles go to the serial per-slice memory tick instead).
-    // Bit-identity across m is pinned by
-    // tests/memsys_shard_equivalence.rs; this measures wall-clock. As
-    // with SM sharding the single-thread win comes from elision, not
-    // threads: the sharded cells carry exact per-slice
-    // `sleep_at = min(l2_event, dram_next)` gates, so saturated slices
-    // skip the ticks between DRAM services (bus busy) and the failed
-    // FR-FCFS scans while every bank is busy — exactly the cycles the
-    // m = 1 lane, which ticks every busy slice every cycle, must grind
-    // through one by one. (The stalled-miss verdicts are shared by both
-    // lanes, so they no longer separate the two.)
-    for mem_shards in [1u32, 2, 4] {
-        bench(
-            &format!("sim/device/gtx480_60k_cycles_gups_spmv_corun_memsharded/m{mem_shards}"),
-            || {
-                let mut gpu = Gpu::new(GpuConfig::gtx480()).expect("gpu");
-                gpu.set_shards(4);
-                gpu.set_mem_shards(mem_shards);
-                gpu.launch(Benchmark::Gups.kernel(Scale::TEST)).expect("a");
-                gpu.launch(Benchmark::Spmv.kernel(Scale::TEST)).expect("b");
-                gpu.partition_even();
-                gpu.run_for(60_000);
-                gpu.cycle()
-            },
-        );
-    }
 
     // Trace replay overhead: record BLK once, then time a full replay
     // run against the synthetic baseline above. Replay swaps address

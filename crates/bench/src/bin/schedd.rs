@@ -26,7 +26,7 @@
 //!   planning falls back to the greedy pairing (off)
 //!
 //! Plus the usual pipeline knobs: `GCS_SCALE`, `GCS_THREADS`,
-//! `GCS_SIM_THREADS`, `GCS_CACHE`.
+//! `GCS_CACHE`.
 
 use std::time::Duration;
 

@@ -67,12 +67,8 @@ pub fn profile_requested() -> bool {
 /// contribute no cycles, so profile a cold sweep (`GCS_CACHE=off`) to
 /// see the full picture. `GCS_THREADS=n` pins the worker count (the
 /// profile line is byte-stable at any value; `scripts/ci.sh
-/// --profile-smoke` sweeps it to prove that). `GCS_SIM_THREADS=k` steps
-/// every simulated device with `k` SM shards
-/// ([`gcs_sim::Gpu::set_shards`]) and lets jobs lease idle worker
-/// threads for the sharded step — results and cache keys are
-/// bit-identical at any value; only the wall-clock cost of cache misses
-/// changes.
+/// --profile-smoke` sweeps it to prove that). Parallelism is across
+/// jobs only: each simulation steps on one thread.
 pub fn default_engine() -> SweepEngine {
     let engine = match std::env::var("GCS_THREADS")
         .ok()
@@ -81,14 +77,6 @@ pub fn default_engine() -> SweepEngine {
     {
         Some(n) => SweepEngine::new(n),
         None => SweepEngine::auto(),
-    };
-    let engine = match std::env::var("GCS_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        Some(n) => engine.with_sim_threads(n),
-        None => engine,
     };
     let engine = if std::env::var("GCS_CACHE").as_deref() == Ok("off") {
         engine

@@ -26,43 +26,6 @@ use std::sync::Arc;
 /// sizes the suite produces.
 pub const PROFILE_MAX_CYCLES: u64 = 200_000_000;
 
-/// Intra-simulation sharding grant for one job — how many SM shards the
-/// device should step with ([`Gpu::set_shards`]) and how many worker
-/// threads the sweep engine's budget arbiter leased for it
-/// ([`Gpu::set_shard_workers`]). Sharding is bit-identity pinned, so
-/// this never changes a result — only its wall-clock cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SimShards {
-    /// SM shard count (clamped per device by `set_shards`).
-    pub shards: u32,
-    /// Memory shard count for phase M (clamped per device by
-    /// `set_mem_shards`). Rides the same leased workers as the SM
-    /// shards — granting it never consumes extra thread budget.
-    pub mem_shards: u32,
-    /// Worker threads for the sharded step (1 = in-place).
-    pub workers: u32,
-}
-
-impl SimShards {
-    /// Plain unsharded reference stepping.
-    pub(crate) const OFF: SimShards = SimShards {
-        shards: 1,
-        mem_shards: 1,
-        workers: 1,
-    };
-
-    /// Applies the grant to a fresh device.
-    pub(crate) fn apply(self, gpu: &mut Gpu) {
-        if self.shards > 1 {
-            gpu.set_shards(self.shards);
-            gpu.set_shard_workers(self.workers);
-        }
-        if self.mem_shards > 1 {
-            gpu.set_mem_shards(self.mem_shards);
-        }
-    }
-}
-
 /// The four classifier signals plus supporting detail.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AppProfile {
@@ -139,20 +102,7 @@ pub fn profile_with_sms_phases(
     num_sms: u32,
     phases: bool,
 ) -> Result<(AppProfile, Option<PhaseCycles>), SimError> {
-    profile_kernel_job(kernel, cfg, num_sms, phases, SimShards::OFF)
-}
-
-/// [`profile_with_sms_phases`] with an intra-simulation sharding grant
-/// (the sweep engine's `sim_threads` plumbing). The profile is
-/// bit-identical at every grant.
-pub(crate) fn profile_kernel_job(
-    kernel: &KernelDesc,
-    cfg: &GpuConfig,
-    num_sms: u32,
-    phases: bool,
-    shards: SimShards,
-) -> Result<(AppProfile, Option<PhaseCycles>), SimError> {
-    profile_launched(cfg, num_sms, phases, shards, &kernel.name, |gpu| {
+    profile_launched(cfg, num_sms, phases, &kernel.name, |gpu| {
         gpu.launch(kernel.clone())
     })
 }
@@ -173,19 +123,7 @@ pub fn profile_trace_with_sms_phases(
     num_sms: u32,
     phases: bool,
 ) -> Result<(AppProfile, Option<PhaseCycles>), SimError> {
-    profile_trace_job(trace, cfg, num_sms, phases, SimShards::OFF)
-}
-
-/// [`profile_trace_with_sms_phases`] with an intra-simulation sharding
-/// grant; bit-identical at every grant.
-pub(crate) fn profile_trace_job(
-    trace: &Arc<KernelTrace>,
-    cfg: &GpuConfig,
-    num_sms: u32,
-    phases: bool,
-    shards: SimShards,
-) -> Result<(AppProfile, Option<PhaseCycles>), SimError> {
-    profile_launched(cfg, num_sms, phases, shards, &trace.meta.name, |gpu| {
+    profile_launched(cfg, num_sms, phases, &trace.meta.name, |gpu| {
         gpu.launch_traced(Arc::clone(trace))
     })
 }
@@ -196,7 +134,6 @@ fn profile_launched(
     cfg: &GpuConfig,
     num_sms: u32,
     phases: bool,
-    shards: SimShards,
     name: &str,
     launch: impl FnOnce(&mut Gpu) -> Result<AppId, SimError>,
 ) -> Result<(AppProfile, Option<PhaseCycles>), SimError> {
@@ -208,7 +145,6 @@ fn profile_launched(
     }
     let mut gpu = Gpu::new(cfg.clone())?;
     gpu.set_profiling(phases);
-    shards.apply(&mut gpu);
     let app = launch(&mut gpu)?;
     let ids: Vec<u32> = (0..num_sms).collect();
     gpu.assign_sms(app, &ids);

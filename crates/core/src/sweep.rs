@@ -45,7 +45,7 @@ use gcs_sim::KernelTrace;
 
 use crate::fault::RetryPolicy;
 use crate::profile::{
-    profile_kernel_job, profile_trace_job, AppProfile, SimShards, PROFILE_MAX_CYCLES,
+    profile_trace_with_sms_phases, profile_with_sms_phases, AppProfile, PROFILE_MAX_CYCLES,
 };
 use crate::smra::{SmraController, SmraParams};
 use crate::CoreError;
@@ -226,16 +226,6 @@ struct Entry {
 #[derive(Debug)]
 pub struct SweepEngine {
     threads: usize,
-    /// Intra-simulation parallelism target: each simulated job steps its
-    /// device with `min(sim_threads, num_sms)` SM shards, and asks the
-    /// thread-budget arbiter for up to `sim_threads - 1` extra worker
-    /// threads. 1 (the default) runs the plain unsharded reference path.
-    sim_threads: usize,
-    /// Extra worker threads currently leased to sharded simulations.
-    leased: AtomicUsize,
-    /// Pool worker threads currently committed to batches — the
-    /// arbiter's view of how much of `threads` is already spoken for.
-    committed: AtomicUsize,
     cache_dir: Option<PathBuf>,
     retry: RetryPolicy,
     /// When set, simulated jobs run with the device phase profiler on
@@ -262,9 +252,6 @@ impl SweepEngine {
     pub fn new(threads: usize) -> Self {
         SweepEngine {
             threads: threads.max(1),
-            sim_threads: 1,
-            leased: AtomicUsize::new(0),
-            committed: AtomicUsize::new(0),
             cache_dir: None,
             retry: RetryPolicy::NONE,
             profile_phases: false,
@@ -329,90 +316,9 @@ impl SweepEngine {
         self.profile_phases
     }
 
-    /// Steps every simulated job's device with `min(n, num_sms)` SM
-    /// shards (`GCS_SIM_THREADS` in the harness). Results are
-    /// bit-identity pinned — sharding never changes a profile, co-run
-    /// outcome or cache entry, only the wall-clock cost of a miss — so
-    /// cache keys are deliberately unaffected.
-    ///
-    /// Extra worker threads for the sharded step come from the engine's
-    /// single thread budget (`threads`): a job leases up to `n - 1`
-    /// threads beyond the ones already committed to batch fan-out, so
-    /// job-level and intra-simulation parallelism never oversubscribe
-    /// the machine. With a full batch in flight every lease is denied
-    /// and sharded jobs step single-threaded (still benefiting from
-    /// shard-elision); as a batch drains, the tail jobs pick up the
-    /// freed threads.
-    #[must_use]
-    pub fn with_sim_threads(mut self, n: usize) -> Self {
-        self.sim_threads = n.max(1);
-        self
-    }
-
-    /// The intra-simulation parallelism target (1 = sharding off).
+    /// Always 1; the benchmark stamps it as `sweep.sim_threads`.
     pub fn sim_threads(&self) -> usize {
-        self.sim_threads
-    }
-
-    /// The arbiter: tries to lease up to `sim_threads - 1` extra worker
-    /// threads from the unspoken-for part of the budget. The lease is
-    /// returned on drop. Never blocks — a denied lease just means the
-    /// job steps its shards on the calling thread alone.
-    fn lease_shard_workers(&self) -> ShardLease<'_> {
-        let want = self.sim_threads.saturating_sub(1);
-        let mut extra = 0;
-        if want > 0 {
-            let mut cur = self.leased.load(Ordering::Relaxed);
-            loop {
-                // The calling thread itself is committed even outside a
-                // batch, hence the `max(1)`.
-                let busy = self.committed.load(Ordering::Relaxed).max(1) + cur;
-                let take = want.min(self.threads.saturating_sub(busy));
-                if take == 0 {
-                    break;
-                }
-                match self.leased.compare_exchange(
-                    cur,
-                    cur + take,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        extra = take;
-                        break;
-                    }
-                    Err(now) => cur = now,
-                }
-            }
-        }
-        ShardLease {
-            engine: self,
-            extra,
-        }
-    }
-
-    /// The sharding grant for one simulated job, paired with the lease
-    /// that backs its worker count.
-    fn shard_grant(&self) -> (SimShards, ShardLease<'_>) {
-        if self.sim_threads <= 1 {
-            return (
-                SimShards::OFF,
-                ShardLease {
-                    engine: self,
-                    extra: 0,
-                },
-            );
-        }
-        let lease = self.lease_shard_workers();
-        let grant = SimShards {
-            shards: u32::try_from(self.sim_threads).unwrap_or(u32::MAX),
-            // Memory shards ride the same lease: phase M is stepped by
-            // the SM-shard workers, so no second lease is taken and
-            // the thread budget is untouched by this field.
-            mem_shards: u32::try_from(self.sim_threads).unwrap_or(u32::MAX),
-            workers: 1 + u32::try_from(lease.extra).unwrap_or(0),
-        };
-        (grant, lease)
+        1
     }
 
     fn add_phases(&self, p: &PhaseCycles) {
@@ -522,7 +428,6 @@ impl SweepEngine {
         };
 
         let workers = self.threads.min(jobs);
-        self.committed.fetch_add(workers, Ordering::Relaxed);
         if workers <= 1 {
             worker(0);
         } else {
@@ -532,7 +437,6 @@ impl SweepEngine {
                 }
             });
         }
-        self.committed.fetch_sub(workers, Ordering::Relaxed);
         let spent = u64::try_from(wall.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.wall_nanos.fetch_add(spent, Ordering::Relaxed);
 
@@ -625,13 +529,12 @@ impl SweepEngine {
     ) -> Result<AppProfile, CoreError> {
         let key = workload_profile_key(cfg, scale, &workload.key_token(), num_sms);
         let mut p = self.cached(&key, decode_profile, || {
-            let (grant, _lease) = self.shard_grant();
             let (p, phases) = match workload {
                 Workload::Bench(b) => {
-                    profile_kernel_job(&b.kernel(scale), cfg, num_sms, self.profile_phases, grant)?
+                    profile_with_sms_phases(&b.kernel(scale), cfg, num_sms, self.profile_phases)?
                 }
                 Workload::Trace(t) => {
-                    profile_trace_job(t, cfg, num_sms, self.profile_phases, grant)?
+                    profile_trace_with_sms_phases(t, cfg, num_sms, self.profile_phases)?
                 }
             };
             // With profiling on, account the device cycles actually
@@ -737,9 +640,7 @@ impl SweepEngine {
             &key,
             |fields| decode_group(fields, n),
             || {
-                let (grant, _lease) = self.shard_grant();
-                let (out, phases) =
-                    simulate_corun(cfg, scale, group, mode, self.profile_phases, grant)?;
+                let (out, phases) = simulate_corun(cfg, scale, group, mode, self.profile_phases)?;
                 match phases {
                     Some(ph) => {
                         self.sim_cycles.fetch_add(ph.total(), Ordering::Relaxed);
@@ -871,21 +772,6 @@ impl Default for SweepEngine {
     }
 }
 
-/// RAII lease of extra worker threads from the engine's thread budget;
-/// returns them on drop.
-struct ShardLease<'a> {
-    engine: &'a SweepEngine,
-    extra: usize,
-}
-
-impl Drop for ShardLease<'_> {
-    fn drop(&mut self) {
-        if self.extra > 0 {
-            self.engine.leased.fetch_sub(self.extra, Ordering::Relaxed);
-        }
-    }
-}
-
 /// Shared-engine convenience alias used across the crate.
 pub type SharedEngine = Arc<SweepEngine>;
 
@@ -902,11 +788,9 @@ fn simulate_corun(
     group: &[Workload],
     mode: &CorunMode,
     profile_phases: bool,
-    shards: SimShards,
 ) -> Result<(GroupOutcome, Option<PhaseCycles>), CoreError> {
     let mut gpu = Gpu::new(cfg.clone())?;
     gpu.set_profiling(profile_phases);
-    shards.apply(&mut gpu);
     let mut ids: Vec<AppId> = Vec::with_capacity(group.len());
     for w in group {
         ids.push(w.launch(&mut gpu, scale)?);
@@ -1719,120 +1603,6 @@ mod tests {
             run(2).profile_report(),
             "report line must be byte-stable across thread counts"
         );
-    }
-
-    // ---- intra-simulation sharding -----------------------------------
-
-    #[test]
-    fn sim_threads_never_changes_results() {
-        let reference = SweepEngine::sequential();
-        let jobs: Vec<(Vec<Benchmark>, CorunMode)> = vec![
-            (vec![Benchmark::Gups, Benchmark::Spmv], CorunMode::Even),
-            (
-                vec![Benchmark::Gups, Benchmark::Sad],
-                CorunMode::Smra(SmraParams {
-                    tc: 400,
-                    ..SmraParams::for_device(8, 2)
-                }),
-            ),
-        ];
-        let suite = [Benchmark::Gups, Benchmark::Lud];
-        let want_p = reference.profile_suite(&cfg(), Scale::TEST, &suite).unwrap();
-        let want_o = reference.corun_batch(&cfg(), Scale::TEST, &jobs).unwrap();
-        for (threads, sim_threads) in [(1, 4), (2, 2), (4, 4)] {
-            let e = SweepEngine::new(threads).with_sim_threads(sim_threads);
-            assert_eq!(e.sim_threads(), sim_threads);
-            assert_eq!(
-                want_p,
-                e.profile_suite(&cfg(), Scale::TEST, &suite).unwrap(),
-                "profiles moved at threads={threads} sim_threads={sim_threads}"
-            );
-            assert_eq!(
-                want_o,
-                e.corun_batch(&cfg(), Scale::TEST, &jobs).unwrap(),
-                "co-runs moved at threads={threads} sim_threads={sim_threads}"
-            );
-            assert_eq!(e.stats().jobs_simulated, 4, "sharded jobs must still cache");
-        }
-    }
-
-    #[test]
-    fn sim_threads_does_not_change_cache_keys() {
-        let tmp = TempCache::new("simthreads");
-        let warm = SweepEngine::sequential().with_cache_dir(&tmp.0);
-        warm.profile(&cfg(), Scale::TEST, Benchmark::Gups, 8).unwrap();
-        assert_eq!(warm.stats().jobs_simulated, 1);
-        // A sharded engine must hit the entry the unsharded one wrote.
-        let sharded = SweepEngine::new(2)
-            .with_sim_threads(4)
-            .with_cache_dir(&tmp.0);
-        sharded.profile(&cfg(), Scale::TEST, Benchmark::Gups, 8).unwrap();
-        let s = sharded.stats();
-        assert_eq!(s.jobs_simulated, 0, "sharding must not bump cache keys");
-        assert_eq!(s.jobs_cached, 1);
-    }
-
-    #[test]
-    fn thread_budget_arbiter_never_oversubscribes() {
-        // threads=4, sim_threads=3: one caller gets at most 2 extra
-        // (itself + 2 ≤ 4); concurrent leases share the same budget.
-        let e = SweepEngine::new(4).with_sim_threads(3);
-        let a = e.lease_shard_workers();
-        assert_eq!(a.extra, 2);
-        let b = e.lease_shard_workers();
-        assert!(
-            a.extra + b.extra < 4,
-            "leases exceed the budget: {} + {}",
-            a.extra,
-            b.extra
-        );
-        drop(a);
-        let c = e.lease_shard_workers();
-        assert_eq!(c.extra, 2, "dropped lease must return its threads");
-        drop(c);
-        drop(b);
-        assert_eq!(e.leased.load(Ordering::Relaxed), 0);
-
-        // With the whole pool committed to batch fan-out, every lease
-        // is denied — batch parallelism wins the budget.
-        e.committed.fetch_add(4, Ordering::Relaxed);
-        assert_eq!(e.lease_shard_workers().extra, 0);
-        e.committed.fetch_sub(4, Ordering::Relaxed);
-
-        // sim_threads=1 never leases, whatever the budget.
-        let off = SweepEngine::new(8);
-        assert_eq!(off.lease_shard_workers().extra, 0);
-    }
-
-    #[test]
-    fn mem_shards_ride_the_sm_lease_without_a_second_one() {
-        // threads=2, sim_threads=2: the single grant takes the one
-        // spare thread for its SM-shard workers, *and* carries the
-        // memory-shard count — phase M runs on those same workers, so
-        // while it is held no further thread is leasable, yet the
-        // grant's mem_shards is already the full sim_threads target.
-        // Leased SM + memory shard workers therefore never exceed the
-        // GCS_SIM_THREADS budget: there is no second lease to exceed
-        // it with.
-        let e = SweepEngine::new(2).with_sim_threads(2);
-        let (grant, lease) = e.shard_grant();
-        assert_eq!(grant.shards, 2);
-        assert_eq!(grant.mem_shards, 2, "phase M granted from the same lease");
-        assert_eq!(grant.workers, 2);
-        assert_eq!(lease.extra, 1);
-        assert_eq!(
-            e.lease_shard_workers().extra,
-            0,
-            "no spare thread while the grant is held — a second lease \
-             for phase M would oversubscribe, and none is taken"
-        );
-        drop(lease);
-        assert_eq!(e.leased.load(Ordering::Relaxed), 0);
-
-        // With sharding off the grant leaves memory sharding off too.
-        let off = SweepEngine::new(8);
-        let (grant, _lease) = off.shard_grant();
-        assert_eq!(grant.mem_shards, 1);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use crate::config::GpuConfig;
 use crate::memsys::MemSys;
 use crate::rng::SimRng;
-use crate::shard::SmSlab;
+use crate::sm::Sm;
 
 /// One kind of device degradation (or recovery).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,14 +59,12 @@ pub enum FaultKind {
     },
 }
 
-/// Applies one fault event to the device state, whichever layout the
-/// SMs currently live in (a drain-based `DisableSm` lands in whichever
-/// shard owns the SM). Returns the id of a re-enabled SM that still
-/// needs handing to an application (the device does that — app state
-/// is not visible here).
+/// Applies one fault event to the device state. Returns the id of a
+/// re-enabled SM that still needs handing to an application (the
+/// device does that — app state is not visible here).
 pub(crate) fn apply_fault_event(
     ev: FaultEvent,
-    sms: &mut impl SmSlab,
+    sms: &mut [Sm],
     enabled: &mut [bool],
     memsys: &mut MemSys,
 ) -> Option<u32> {
@@ -74,7 +72,7 @@ pub(crate) fn apply_fault_event(
         FaultKind::DisableSm { sm } => {
             let idx = sm as usize;
             enabled[idx] = false;
-            let s = sms.get_mut(idx);
+            let s = &mut sms[idx];
             // Cancel any in-flight handoff; the SM drains and is
             // released (phase 4) once its resident blocks finish.
             s.pending_owner = None;

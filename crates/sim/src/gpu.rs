@@ -28,16 +28,13 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
+use crate::activity::{has_bit, Rotation, SmActivity};
 use crate::config::GpuConfig;
 use crate::fault::{apply_fault_event, FaultEvent, FaultPlan};
 use crate::kernel::{AppId, KernelDesc};
-use crate::memsys::{Completion, MemShard, MemSys};
-use crate::shard::{
-    has_bit, worker_loop, CellsView, Rotation, RunSnapshot, SeqExec, ShardCell, ShardCtl,
-    ShardExec, ShardPlan, ShutdownGuard, SmActivity, SmSlab, SnapApp, ThreadedExec,
-};
+use crate::memsys::{Completion, MemSys};
 use crate::sm::Sm;
 use crate::stats::{DiagSnapshot, SimStats, SmDiag};
 use crate::trace_fmt::{KernelTrace, TraceHook, TraceRecorder};
@@ -209,25 +206,14 @@ pub struct Gpu {
     /// Phase-cycle counters, `None` (the default) unless profiling was
     /// requested — the hot loop then pays a single branch per step.
     profiler: Option<PhaseCycles>,
-    /// SM shard count for `run`/`run_for` (1 = unsharded reference
-    /// stepping; DESIGN.md §12). A runtime knob like [`StepMode`] —
-    /// results are bit-identical at any value, so sweep-cache
-    /// fingerprints are unaffected.
-    shards: u32,
-    /// Threads driving the sharded parallel phase (1 = the sequential
-    /// executor).
-    shard_workers: u32,
-    /// Scratch for the sharded merge phase's pending-SM rotation.
-    pend_buf: Vec<u32>,
-    /// Ready / dispatch / wake summaries of `sms` for the unsharded step
-    /// (DESIGN.md §8, "Active-SM stepping"): the step visits only the
-    /// SMs they name, and quiescence and horizon read them instead of
-    /// scanning every SM.
+    /// Ready / dispatch / wake summaries of `sms` (DESIGN.md §8,
+    /// "Active-SM stepping"): the step visits only the SMs they name,
+    /// and quiescence and horizon read them instead of scanning every
+    /// SM.
     act: SmActivity,
     /// `act` must be rebuilt before its next read: set by every public
     /// call that can change SM ownership or service, by a fault event,
-    /// a block retirement, an app dispatching its last block, and on
-    /// return from a sharded run.
+    /// a block retirement and an app dispatching its last block.
     act_dirty: bool,
     /// Scratch for the step's visit set.
     visit_buf: Vec<u64>,
@@ -256,9 +242,6 @@ impl Gpu {
             fault_buf: Vec::new(),
             sm_enabled: vec![true; cfg.num_sms as usize],
             profiler: None,
-            shards: 1,
-            shard_workers: 1,
-            pend_buf: Vec::new(),
             act: SmActivity::new(cfg.num_sms as usize),
             act_dirty: true,
             visit_buf: Vec::new(),
@@ -295,73 +278,35 @@ impl Gpu {
         self.profiler
     }
 
-    /// Selects the SM shard count for `run`/`run_for` (clamped to
-    /// `[1, num_sms]`; 1, the default, is the unsharded reference
-    /// step). Sharding is a runtime knob like [`StepMode`]: statistics,
-    /// traces and SMRA decisions are bit-identical at every value
-    /// (pinned by the `shard_equivalence` suite), so sweep-cache keys
-    /// are unaffected. Recording apps force the unsharded path — the
-    /// recorder's warp-group interning is first-touch order-sensitive.
-    pub fn set_shards(&mut self, k: u32) {
-        self.shards = k.clamp(1, (self.sms.len() as u32).max(1));
-        self.act_dirty = true;
-    }
-
-    /// SM shard count in force (1 = unsharded).
+    /// Always 1; the benchmark stamps it as `sim.plan.sm_shards`.
     pub fn shards(&self) -> u32 {
-        self.shards
+        1
     }
 
-    /// Sets how many threads drive the sharded parallel phase (default
-    /// 1: the sequential executor). Values above the shard count are
-    /// clamped at run time; thread count can never affect results.
-    /// Idle-SM elision does not depend on it — every lane, the unsharded
-    /// one included, visits only the SMs that can act.
-    pub fn set_shard_workers(&mut self, w: u32) {
-        self.shard_workers = w.max(1);
-    }
-
-    /// Threads driving the sharded parallel phase.
-    pub fn shard_workers(&self) -> u32 {
-        self.shard_workers
-    }
-
-    /// Selects the memory-shard count for phase M (clamped to
-    /// `[1, num_slices]`; 1, the default, keeps the single-pass
-    /// reference `MemSys::tick`). Like SM sharding this is a pure
-    /// runtime knob: stats, traces and SMRA decisions are bit-identical
-    /// at every value (pinned by the `memsys_shard_equivalence` suite).
-    /// Memory shards are stepped by the *same* leased workers as the
-    /// SM shards — no extra threads beyond `GCS_SIM_THREADS`.
-    pub fn set_mem_shards(&mut self, k: u32) {
-        self.memsys.set_shards(k);
-    }
-
-    /// Memory-shard count in force (1 = unsharded).
+    /// Always 1; the benchmark stamps it as `sim.plan.mem_shards`.
     pub fn mem_shards(&self) -> u32 {
-        self.memsys.num_shards() as u32
+        1
     }
 
-    /// The SM partition `run`/`run_for` would use right now.
-    pub fn shard_plan(&self) -> ShardPlan {
-        ShardPlan::new(self.sms.len() as u32, self.shards)
-    }
-
-    /// Whether the next `run`/`run_for` takes the sharded path.
-    fn use_sharded(&self) -> bool {
-        self.shards > 1
-            && self.sms.len() >= 2
-            && !self.apps.is_empty()
-            && !self
-                .apps
-                .iter()
-                .any(|a| matches!(a.trace, AppTrace::Record(_)))
+    /// Always 1; the benchmark stamps it as `sim.plan.workers`.
+    pub fn shard_workers(&self) -> u32 {
+        1
     }
 
     /// Classifies a stall (no SM can issue) at the current device state.
     fn wait_phase(&mut self) -> Phase {
         let wake = self.sm_wake();
-        self.wait_phase_from(wake)
+        if !self.memsys.is_idle() {
+            if self.memsys.any_dram_queued() {
+                Phase::Dram
+            } else {
+                Phase::L2
+            }
+        } else if wake.is_some() {
+            Phase::L1
+        } else {
+            Phase::Idle
+        }
     }
 
     /// Earliest SM sleeper wake-up: read from the activity summary and
@@ -816,9 +761,7 @@ impl Gpu {
         // cycle: handoffs complete on drain (emptiness changes only at a
         // retirement) and app completion tracks `blocks_done`.
         if any_retired {
-            // 4. Complete drained handoffs; 5. detect app completion
-            // (shared with the sharded step — see the slab free
-            // functions below).
+            // 4. Complete drained handoffs; 5. detect app completion.
             complete_handoffs(&mut self.sms, &self.sm_enabled);
             finish_apps(
                 &mut self.apps,
@@ -917,7 +860,9 @@ impl Gpu {
     /// remains).
     fn next_horizon(&mut self) -> Option<u64> {
         let sm_wake = self.sm_wake();
-        self.horizon_from(sm_wake)
+        let mem_ev = self.memsys.next_event(self.cycle);
+        let fault_ev = self.fault_plan.as_ref().and_then(|p| p.next_cycle());
+        [sm_wake, mem_ev, fault_ev].into_iter().flatten().min()
     }
 
     /// True when the cycle just stepped left nothing issuable: no SM has
@@ -961,13 +906,6 @@ impl Gpu {
     pub fn run(&mut self, max_cycles: u64) -> Result<(), SimError> {
         if self.apps.is_empty() {
             return Ok(());
-        }
-        if self.use_sharded() {
-            return match self.run_sharded(DriveMode::Run { max_cycles }) {
-                DriveOutcome::Done | DriveOutcome::WindowEnd => Ok(()),
-                DriveOutcome::Timeout => Err(self.timeout_error()),
-                DriveOutcome::Deadlock => Err(self.deadlock_error()),
-            };
         }
         while !self.all_done() {
             if self.cycle >= max_cycles {
@@ -1040,10 +978,6 @@ impl Gpu {
     /// the same sampling cycles in either [`StepMode`].
     pub fn run_for(&mut self, cycles: u64) {
         let end = self.cycle + cycles;
-        if self.use_sharded() {
-            let _ = self.run_sharded(DriveMode::RunFor { end });
-            return;
-        }
         while self.cycle < end && !self.all_done() {
             self.step();
             if self.step_mode != StepMode::EventHorizon
@@ -1087,598 +1021,17 @@ impl Gpu {
     }
 
     /// Diagnostic: aggregate L2 hit rate — requests consumed as hits
-    /// over all requests consumed, the same on every lane and step
-    /// mode.
+    /// over all requests consumed, the same in either step mode.
     pub fn l2_hit_rate(&self) -> f64 {
         self.memsys.l2_hit_rate()
     }
-
-    // ------------------------------------------------------------------
-    // Sharded stepping (DESIGN.md §12). The SMs are drained into
-    // per-shard cells for the duration of one `run`/`run_for` call;
-    // each cycle splits into a parallel SM-local phase and a serial
-    // merge phase that replays the reference rotation order, so the
-    // result is bit-identical to the unsharded step.
-    // ------------------------------------------------------------------
-
-    /// Snapshots the per-app launch state the parallel phase needs.
-    fn shard_snapshot(&self) -> RunSnapshot {
-        RunSnapshot {
-            apps: self
-                .apps
-                .iter()
-                .enumerate()
-                .map(|(i, a)| SnapApp {
-                    kernel: a.kernel.clone(),
-                    base: app_base(AppId(i as u16)),
-                    replay: match &a.trace {
-                        AppTrace::Replay(t) => Some(Arc::clone(t)),
-                        _ => None,
-                    },
-                })
-                .collect(),
-            cfg: self.cfg.clone(),
-        }
-    }
-
-    /// Drains `self.sms` into per-shard cells (restored by
-    /// [`Gpu::restore_cells`] at every exit, including errors).
-    fn take_cells(&mut self) -> Vec<ShardCell> {
-        let plan = self.shard_plan();
-        let mut rest = std::mem::take(&mut self.sms);
-        let mut cells = Vec::with_capacity(plan.shards as usize);
-        for (base, len) in plan.ranges() {
-            let tail = rest.split_off(len as usize);
-            cells.push(ShardCell::new(base, rest, self.cycle));
-            rest = tail;
-        }
-        debug_assert!(rest.is_empty());
-        cells
-    }
-
-    /// Reassembles `self.sms` from the cells and folds the deferred
-    /// per-app issue statistics into [`SimStats`].
-    fn restore_cells(&mut self, cells: Vec<ShardCell>) {
-        debug_assert!(self.sms.is_empty());
-        self.sms.reserve(self.cfg.num_sms as usize);
-        for cell in cells {
-            debug_assert!(cell.pending.is_empty());
-            debug_assert!(cell.retired.iter().all(|&r| r == 0));
-            self.sms.extend(cell.sms);
-            for (a, d) in cell.deltas.iter().enumerate() {
-                if !d.is_zero() {
-                    self.stats.app_mut(AppId(a as u16)).apply_issue_delta(d);
-                }
-            }
-        }
-    }
-
-    /// Runs the sharded drive loop to its outcome. Error values are
-    /// materialized by the caller *after* this returns, so diagnostics
-    /// see the restored device.
-    fn run_sharded(&mut self, mode: DriveMode) -> DriveOutcome {
-        let snap = self.shard_snapshot();
-        let cells = self.take_cells();
-        let workers = (self.shard_workers.max(1) as usize).min(cells.len());
-        let (cells, out) = if workers > 1 {
-            let mcells: Vec<Mutex<ShardCell>> = cells.into_iter().map(Mutex::new).collect();
-            // Phase-M slots: the coordinator parks the memory shards
-            // here each epoch so the same workers can tick them.
-            let mslots: Vec<Mutex<Option<MemShard>>> = (0..self.memsys.num_shards())
-                .filter(|_| self.memsys.num_shards() > 1)
-                .map(|_| Mutex::new(None))
-                .collect();
-            let ctl = ShardCtl::default();
-            let out = std::thread::scope(|scope| {
-                let guard = ShutdownGuard(&ctl);
-                for j in 1..workers {
-                    let (mc, ms, ct, sn) = (&mcells, &mslots, &ctl, &snap);
-                    scope.spawn(move || worker_loop(j, workers, mc, ms, ct, sn));
-                }
-                let mut exec = ThreadedExec {
-                    cells: &mcells,
-                    mem: &mslots,
-                    ctl: &ctl,
-                    threads: workers,
-                };
-                let out = self.drive(&mut exec, &snap, mode);
-                drop(guard);
-                out
-            });
-            let cells = mcells
-                .into_iter()
-                .map(|m| m.into_inner().unwrap())
-                .collect::<Vec<_>>();
-            (cells, out)
-        } else {
-            let mut cells = cells;
-            let mut exec = SeqExec { cells: &mut cells };
-            let out = self.drive(&mut exec, &snap, mode);
-            (cells, out)
-        };
-        self.restore_cells(cells);
-        // The device summaries know nothing of what the cells did.
-        self.act_dirty = true;
-        out
-    }
-
-    /// The sharded mirror of the `run`/`run_for` loops: step, then
-    /// apply the same clock-jump rules, with quiescence and horizons
-    /// read from the cells' activity summaries.
-    fn drive(
-        &mut self,
-        exec: &mut impl ShardExec,
-        snap: &RunSnapshot,
-        mode: DriveMode,
-    ) -> DriveOutcome {
-        loop {
-            match mode {
-                DriveMode::Run { max_cycles } => {
-                    if self.all_done() {
-                        return DriveOutcome::Done;
-                    }
-                    if self.cycle >= max_cycles {
-                        return DriveOutcome::Timeout;
-                    }
-                }
-                DriveMode::RunFor { end } => {
-                    if self.cycle >= end || self.all_done() {
-                        return DriveOutcome::WindowEnd;
-                    }
-                }
-            }
-            let info = self.step_sharded(exec, snap);
-            match mode {
-                DriveMode::Run { max_cycles } => {
-                    if self.all_done() {
-                        return DriveOutcome::Done;
-                    }
-                    match self.step_mode {
-                        StepMode::Cycle => {
-                            if self.memsys.is_idle() && info.quiescent {
-                                let fault = self.fault_plan.as_ref().and_then(|p| p.next_cycle());
-                                let target = match (info.min_wake, fault) {
-                                    (Some(a), Some(b)) => Some(a.min(b)),
-                                    (a, b) => a.or(b),
-                                };
-                                match target {
-                                    Some(to) if to > self.cycle => {
-                                        if self.profiler.is_some() {
-                                            let phase = self.wait_phase_from(info.min_wake);
-                                            self.bump_phase(phase, to - self.cycle);
-                                        }
-                                        self.cycle = to;
-                                        self.stats.cycles = to;
-                                    }
-                                    Some(_) => {}
-                                    None => return DriveOutcome::Deadlock,
-                                }
-                            }
-                        }
-                        StepMode::EventHorizon => {
-                            if info.quiescent {
-                                match self.horizon_from(info.min_wake) {
-                                    Some(h) if h > self.cycle => {
-                                        let to = h.min(max_cycles);
-                                        if self.profiler.is_some() {
-                                            let phase = self.wait_phase_from(info.min_wake);
-                                            self.bump_phase(phase, to - self.cycle);
-                                        }
-                                        self.cycle = to;
-                                        self.stats.cycles = to;
-                                    }
-                                    Some(_) => {}
-                                    None => return DriveOutcome::Deadlock,
-                                }
-                            }
-                        }
-                    }
-                }
-                DriveMode::RunFor { end } => {
-                    if self.step_mode != StepMode::EventHorizon
-                        || self.cycle >= end
-                        || self.all_done()
-                        || !info.quiescent
-                    {
-                        continue;
-                    }
-                    match self.horizon_from(info.min_wake) {
-                        Some(h) if h > self.cycle => {
-                            let to = h.min(end);
-                            if self.profiler.is_some() {
-                                let phase = if h > end {
-                                    Phase::Smra
-                                } else {
-                                    self.wait_phase_from(info.min_wake)
-                                };
-                                self.bump_phase(phase, to - self.cycle);
-                            }
-                            self.cycle = to;
-                            self.stats.cycles = to;
-                        }
-                        Some(_) => {}
-                        None => {
-                            if self.profiler.is_some() {
-                                self.bump_phase(Phase::Smra, end - self.cycle);
-                            }
-                            self.cycle = end;
-                            self.stats.cycles = end;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// [`Gpu::wait_phase`] with the SM-side scan replaced by the cells'
-    /// wake summary (`min_wake` is exact by the flag invariants).
-    fn wait_phase_from(&self, min_wake: Option<u64>) -> Phase {
-        if !self.memsys.is_idle() {
-            if self.memsys.any_dram_queued() {
-                Phase::Dram
-            } else {
-                Phase::L2
-            }
-        } else if min_wake.is_some() {
-            Phase::L1
-        } else {
-            Phase::Idle
-        }
-    }
-
-    /// [`Gpu::next_horizon`] with the SM-side scan replaced by the
-    /// cells' wake summary.
-    fn horizon_from(&self, min_wake: Option<u64>) -> Option<u64> {
-        let mem_ev = self.memsys.next_event(self.cycle);
-        let fault_ev = self.fault_plan.as_ref().and_then(|p| p.next_cycle());
-        [min_wake, mem_ev, fault_ev].into_iter().flatten().min()
-    }
-
-    /// One sharded device cycle; mirrors [`Gpu::step`] phase for phase.
-    fn step_sharded(&mut self, exec: &mut impl ShardExec, snap: &RunSnapshot) -> StepInfo {
-        let now = self.cycle;
-
-        // 0. Faults (serial; rare, so the cell round-trip is off the
-        // common path).
-        if self.fault_plan.is_some() {
-            self.fault_buf.clear();
-            if let Some(plan) = self.fault_plan.as_mut() {
-                let due = plan.due(now);
-                self.fault_buf.extend_from_slice(due);
-            }
-            if !self.fault_buf.is_empty() {
-                let events = std::mem::take(&mut self.fault_buf);
-                exec.with_cells(|cells| {
-                    let mut view = CellsView::new(cells);
-                    for &ev in &events {
-                        if let Some(sm) = apply_fault_event(
-                            ev,
-                            &mut view,
-                            &mut self.sm_enabled,
-                            &mut self.memsys,
-                        ) {
-                            hand_recovered_sm(&self.apps, &mut view, &self.sm_enabled, sm);
-                        }
-                    }
-                });
-                self.fault_buf = events;
-            }
-        }
-
-        // 1 + issue-A + 2. Deliver completions, then run the parallel
-        // half of the cycle: the SM-local issue path (phase A) and the
-        // memory-system tick (phase M), possibly overlapped on workers.
-        // Ordering note: the two phases commute — the tick never
-        // touches SM state and phase A never touches the memory system
-        // (its coupled accesses suspend before the admission check),
-        // and completions were drained before either starts.
-        self.comp_buf.clear();
-        self.memsys.drain_completions(now, &mut self.comp_buf);
-        exec.phase_am(now, &self.comp_buf, snap, &mut self.memsys, &mut self.stats);
-
-        // 3-5. Serial merge: resolve suspended accesses and dispatch in
-        // canonical rotation order against the live memory system, then
-        // fold retirements and run handoff/finish detection.
-        let mut any_issued = false;
-        let mut info = StepInfo {
-            quiescent: false,
-            min_wake: None,
-        };
-        exec.with_cells(|cells| {
-            let mut any_retired = self.sharded_phase_b(now, cells, snap);
-            for cell in cells.iter_mut() {
-                any_issued |= cell.any_issued;
-                for a in 0..self.apps.len() {
-                    let r = cell.retired[a];
-                    if r > 0 {
-                        cell.retired[a] = 0;
-                        self.apps[a].blocks_done += r;
-                        any_retired = true;
-                    }
-                }
-            }
-            if any_retired {
-                let mut view = CellsView::new(cells);
-                complete_handoffs(&mut view, &self.sm_enabled);
-                finish_apps(
-                    &mut self.apps,
-                    &mut self.stats,
-                    now,
-                    self.cfg.reassign_on_finish,
-                    &mut view,
-                    &self.sm_enabled,
-                    &mut self.reassign_buf,
-                );
-            }
-            info = self.sharded_quiescence(cells);
-        });
-
-        if self.profiler.is_some() {
-            let phase = if any_issued {
-                Phase::Issue
-            } else {
-                self.wait_phase_from(info.min_wake)
-            };
-            self.bump_phase(phase, 1);
-        }
-
-        self.cycle = now + 1;
-        self.stats.cycles = self.cycle;
-        info
-    }
-
-    /// The serial merge phase: replays the reference step's rotation
-    /// (SM `(k + now) mod n` at turn `k`) over exactly the SMs that still
-    /// need the shared state this cycle — every SM while blocks remain to
-    /// dispatch, only the suspended-access SMs afterwards. Returns
-    /// whether any block retired here.
-    fn sharded_phase_b(
-        &mut self,
-        now: u64,
-        cells: &mut [&mut ShardCell],
-        snap: &RunSnapshot,
-    ) -> bool {
-        let n: usize = cells.iter().map(|c| c.sms.len()).sum();
-        let chunk = cells.first().map_or(1, |c| c.sms.len().max(1));
-        let mut any_retired = false;
-
-        let dispatch_era = self
-            .apps
-            .iter()
-            .any(|a| a.next_block < a.kernel.grid_blocks);
-        if dispatch_era {
-            // Blocks remain: full rotation, exactly the reference loop
-            // with the SM-local issue half already done in phase A.
-            // The start position costs the cycle's only divisions;
-            // from there the cell and in-cell index wrap by compare.
-            let start = (now % n as u64) as usize;
-            let (mut ci, mut local) = (start / chunk, start % chunk);
-            for k in 0..n {
-                let cell = &mut *cells[ci];
-                let idx = cell.base as usize + local;
-                debug_assert_eq!(idx, (k + now as usize) % n, "rotation out of step");
-                let mut touched = false;
-                if cell.sms[local].has_pending() {
-                    any_retired |= self.resolve_sm(now, cell, local, snap);
-                    touched = true;
-                }
-                let enabled = self.sm_enabled[idx];
-                let sm = &mut cell.sms[local];
-                if let Some(owner) = sm.owner {
-                    let app = &mut self.apps[usize::from(owner.0)];
-                    if enabled
-                        && app.next_block < app.kernel.grid_blocks
-                        && sm.pending_owner.is_none()
-                        && sm.can_take_block(&app.kernel, &self.cfg)
-                    {
-                        sm.dispatch_block(&app.kernel, app.next_block);
-                        app.next_block += 1;
-                        if !app.started {
-                            app.started = true;
-                            self.stats.app_mut(owner).start_cycle = now;
-                        }
-                        touched = true;
-                    }
-                }
-                if touched {
-                    cell.refresh(local, now);
-                }
-                local += 1;
-                if local == cell.sms.len() {
-                    local = 0;
-                    ci = if ci + 1 == cells.len() { 0 } else { ci + 1 };
-                }
-            }
-        } else {
-            // Post-dispatch: only suspended accesses touch shared
-            // state. Cell pending lists are ascending and cells are in
-            // id order, so their concatenation is globally ascending;
-            // rotate it to start at `now % n`.
-            let mut pend = std::mem::take(&mut self.pend_buf);
-            pend.clear();
-            for cell in cells.iter() {
-                pend.extend_from_slice(&cell.pending);
-            }
-            if !pend.is_empty() {
-                let r = (now % n as u64) as u32;
-                let split = pend.partition_point(|&id| id < r);
-                // Ids ascend within each half of the rotated walk, so
-                // the owning cell is found by stepping forward.
-                let mut ci = 0;
-                for i in (split..pend.len()).chain(0..split) {
-                    if i == 0 {
-                        ci = 0; // wrapped to the lowest id
-                    }
-                    let idx = pend[i] as usize;
-                    while idx >= cells[ci].base as usize + cells[ci].sms.len() {
-                        ci += 1;
-                    }
-                    debug_assert_eq!(ci, idx / chunk);
-                    let cell = &mut *cells[ci];
-                    let local = idx - cell.base as usize;
-                    any_retired |= self.resolve_sm(now, cell, local, snap);
-                }
-            }
-            self.pend_buf = pend;
-        }
-        for cell in cells.iter_mut() {
-            cell.pending.clear();
-        }
-        any_retired
-    }
-
-    /// Finishes one SM's suspended access at its rotation turn:
-    /// admission check, allocation, request pushes, and the remainder
-    /// of its issue budget — reference semantics against the live
-    /// memory system.
-    fn resolve_sm(
-        &mut self,
-        now: u64,
-        cell: &mut ShardCell,
-        local: usize,
-        snap: &RunSnapshot,
-    ) -> bool {
-        let sm = &mut cell.sms[local];
-        let owner = sm.owner.expect("suspended SM has an owner");
-        let sa = &snap.apps[usize::from(owner.0)];
-        let (retired, budget) = sm.resolve_pending(
-            now,
-            &sa.kernel,
-            owner,
-            &snap.cfg,
-            &mut self.memsys,
-            &mut self.stats,
-        );
-        let mut total = retired;
-        if budget > 0 {
-            let mut hook = match &sa.replay {
-                Some(t) => TraceHook::Replay(t),
-                None => TraceHook::None,
-            };
-            total += sm.issue_more(
-                budget,
-                now,
-                &sa.kernel,
-                owner,
-                sa.base,
-                &snap.cfg,
-                &mut self.memsys,
-                &mut self.stats,
-                &mut hook,
-            );
-        }
-        if total > 0 {
-            self.apps[usize::from(owner.0)].blocks_done += total;
-        }
-        cell.refresh(local, now);
-        total > 0
-    }
-
-    /// End-of-step quiescence/horizon summary over the cells' activity
-    /// summaries — bit-equal to [`Gpu::quiescent_now`] plus the SM-wake
-    /// scan, at a fraction of the cost. Called before the clock moves,
-    /// so the next cycle to step is `self.cycle + 1`.
-    fn sharded_quiescence(&self, cells: &mut [&mut ShardCell]) -> StepInfo {
-        let any_ready = cells.iter().any(|c| c.act.any_ready());
-        if any_ready && self.profiler.is_none() {
-            // Not quiescent; the wake summary would go unread.
-            return StepInfo {
-                quiescent: false,
-                min_wake: None,
-            };
-        }
-        let base = self.cycle + 1;
-        let min_wake = cells.iter_mut().filter_map(|c| c.act.wake_min(base)).min();
-        debug_assert!(
-            any_ready
-                || min_wake
-                    == cells
-                        .iter()
-                        .flat_map(|c| c.sms.iter().filter_map(Sm::next_wake))
-                        .min(),
-            "cell wake summaries out of step at cycle {}",
-            self.cycle
-        );
-        let quiescent = !any_ready && !self.sharded_dispatch_possible(cells);
-        StepInfo {
-            quiescent,
-            min_wake,
-        }
-    }
-
-    /// [`Gpu::dispatch_possible`] over the cells, with the post-
-    /// dispatch early-out: once every app has dispatched its whole
-    /// grid, the reference scan is false by construction.
-    fn sharded_dispatch_possible(&self, cells: &[&mut ShardCell]) -> bool {
-        if !self
-            .apps
-            .iter()
-            .any(|a| a.next_block < a.kernel.grid_blocks)
-        {
-            return false;
-        }
-        for cell in cells {
-            for (i, sm) in cell.sms.iter().enumerate() {
-                let gi = cell.base as usize + i;
-                if self.sm_enabled[gi]
-                    && sm.owner.is_some_and(|o| {
-                        let app = &self.apps[usize::from(o.0)];
-                        app.next_block < app.kernel.grid_blocks
-                            && sm.pending_owner.is_none()
-                            && sm.can_take_block(&app.kernel, &self.cfg)
-                    })
-                {
-                    return true;
-                }
-            }
-        }
-        false
-    }
 }
 
-/// How a sharded drive loop advances the clock (mirrors the two public
-/// entry points).
-#[derive(Debug, Clone, Copy)]
-enum DriveMode {
-    /// [`Gpu::run`]: to completion, with a cycle budget.
-    Run {
-        /// The budget.
-        max_cycles: u64,
-    },
-    /// [`Gpu::run_for`]: to a window barrier.
-    RunFor {
-        /// Absolute end cycle of the window.
-        end: u64,
-    },
-}
-
-/// Why a sharded drive loop stopped. Errors carry no payload here —
-/// the caller materializes [`SimError`] values after the SMs are
-/// restored, so diagnostics see the whole device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DriveOutcome {
-    Done,
-    Timeout,
-    Deadlock,
-    WindowEnd,
-}
-
-/// Post-step summary handed from the serial phase to the drive loop.
-#[derive(Debug, Clone, Copy)]
-struct StepInfo {
-    /// [`Gpu::quiescent_now`] equivalent.
-    quiescent: bool,
-    /// Earliest SM sleeper wake-up (exact when read; `None` when the
-    /// step was not quiescent and profiling is off — then unused).
-    min_wake: Option<u64>,
-}
-
-/// Phase 4 of the step, shared by both layouts: complete drained
-/// handoffs; release drained out-of-service SMs (their owner loses
-/// them the moment the last resident block retires).
-fn complete_handoffs(sms: &mut impl SmSlab, enabled: &[bool]) {
-    for (i, &en) in enabled.iter().enumerate().take(sms.len()) {
-        let sm = sms.get_mut(i);
+/// Phase 4 of the step: complete drained handoffs; release drained
+/// out-of-service SMs (their owner loses them the moment the last
+/// resident block retires).
+fn complete_handoffs(sms: &mut [Sm], enabled: &[bool]) {
+    for (sm, &en) in sms.iter_mut().zip(enabled) {
         if en {
             sm.try_complete_handoff();
         } else if sm.owner.is_some() && sm.is_empty() {
@@ -1687,14 +1040,14 @@ fn complete_handoffs(sms: &mut impl SmSlab, enabled: &[bool]) {
     }
 }
 
-/// Phase 5 of the step, shared by both layouts: detect app completion
-/// and (optionally) hand a finished app's SMs to the running apps.
+/// Phase 5 of the step: detect app completion and (optionally) hand a
+/// finished app's SMs to the running apps.
 fn finish_apps(
     apps: &mut [AppRuntime],
     stats: &mut SimStats,
     now: u64,
     reassign_on_finish: bool,
-    sms: &mut impl SmSlab,
+    sms: &mut [Sm],
     enabled: &[bool],
     reassign_buf: &mut Vec<(AppId, u32)>,
 ) {
@@ -1719,7 +1072,7 @@ fn finish_apps(
 /// toward the app with the fewest effective SMs.
 fn reassign_sms_of(
     apps: &[AppRuntime],
-    sms: &mut impl SmSlab,
+    sms: &mut [Sm],
     enabled: &[bool],
     buf: &mut Vec<(AppId, u32)>,
     finished: AppId,
@@ -1736,11 +1089,10 @@ fn reassign_sms_of(
     // Effective SM counts of the running apps, in one pass over the
     // SMs (an SM counts toward its pending owner while draining;
     // out-of-service SMs count toward no one).
-    for (i, &en) in enabled.iter().enumerate().take(sms.len()) {
+    for (sm, &en) in sms.iter().zip(enabled) {
         if !en {
             continue;
         }
-        let sm = sms.get(i);
         let effective = sm.pending_owner.or(sm.owner);
         if let Some(owner) = effective {
             if let Some(entry) = buf.iter_mut().find(|(a, _)| *a == owner) {
@@ -1748,11 +1100,10 @@ fn reassign_sms_of(
             }
         }
     }
-    for (i, &en) in enabled.iter().enumerate().take(sms.len()) {
+    for (sm, &en) in sms.iter_mut().zip(enabled) {
         if !en {
             continue;
         }
-        let sm = sms.get_mut(i);
         let effectively_finished = match sm.pending_owner {
             Some(p) => p == finished,
             None => sm.owner == Some(finished),
@@ -1769,9 +1120,8 @@ fn reassign_sms_of(
 }
 
 /// Hands a re-enabled SM to the running application with the fewest
-/// effective SMs (deterministic tie-break: lowest app id). Shared by
-/// both layouts.
-fn hand_recovered_sm(apps: &[AppRuntime], sms: &mut impl SmSlab, enabled: &[bool], sm: u32) {
+/// effective SMs (deterministic tie-break: lowest app id).
+fn hand_recovered_sm(apps: &[AppRuntime], sms: &mut [Sm], enabled: &[bool], sm: u32) {
     let mut best: Option<(u32, AppId)> = None;
     for (i, app) in apps.iter().enumerate() {
         if app.finished {
@@ -1788,19 +1138,17 @@ fn hand_recovered_sm(apps: &[AppRuntime], sms: &mut impl SmSlab, enabled: &[bool
         }
     }
     if let Some((_, id)) = best {
-        sms.get_mut(sm as usize).request_handoff(Some(id));
+        sms[sm as usize].request_handoff(Some(id));
     }
 }
 
-/// Effective SM count for `app` over any SM layout (see
-/// [`Gpu::sm_count`]).
-fn sm_count_over(sms: &impl SmSlab, enabled: &[bool], app: AppId) -> u32 {
+/// Effective SM count for `app` (see [`Gpu::sm_count`]).
+fn sm_count_over(sms: &[Sm], enabled: &[bool], app: AppId) -> u32 {
     let mut count = 0;
-    for (i, &en) in enabled.iter().enumerate().take(sms.len()) {
+    for (sm, &en) in sms.iter().zip(enabled) {
         if !en {
             continue;
         }
-        let sm = sms.get(i);
         let owned = match sm.pending_owner {
             Some(p) => p == app,
             None => sm.owner == Some(app),

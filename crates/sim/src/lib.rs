@@ -51,6 +51,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod activity;
 pub mod cache;
 pub mod config;
 pub mod fault;
@@ -59,7 +60,6 @@ pub mod kernel;
 pub mod memsys;
 pub mod rng;
 pub mod sched;
-pub mod shard;
 pub mod sm;
 pub mod stats;
 pub mod trace;
@@ -70,7 +70,6 @@ pub mod wire;
 pub use config::GpuConfig;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use gpu::{Gpu, SimError, StepMode};
-pub use shard::ShardPlan;
 pub use kernel::{AccessPattern, AppId, KernelDesc, Op, PatternId, PatternKind};
 pub use trace_fmt::{KernelTrace, TraceBuilder, TraceFmtError, TraceRecorder};
 pub use stats::{AppStats, DiagSnapshot, SimStats, SliceDiag, SmDiag};

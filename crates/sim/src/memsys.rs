@@ -19,10 +19,8 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use crate::cache::{Access, Cache};
 use crate::config::GpuConfig;
-use crate::gpu::MAX_APPS;
 use crate::kernel::AppId;
-use crate::shard::ShardPlan;
-use crate::stats::{MemDelta, SimStats};
+use crate::stats::SimStats;
 
 /// Bound on the slice input queue; SMs are back-pressured beyond this.
 /// Kept shallow: a deep queue lets a bandwidth-saturating application
@@ -311,16 +309,14 @@ struct Slice {
     scan_wake: u64,
     /// The DRAM-side event bound for *queries after the last tick*:
     /// exactly what [`dram_bound`] would compute at `now + 1`,
-    /// maintained at the end of every slice tick on every lane.
-    /// Invariants while valid: `u64::MAX` iff the controller queue is
-    /// empty; strictly greater than the tick cycle otherwise. `0` marks
-    /// it stale after a repartition ([`MemShard::new`] cold-starts it);
-    /// the next tick, which the zeroed `sleep_at` forces, revalidates.
-    /// Banks and `bus_free_at` mutate only on a service, so the value
-    /// stays exact across elided (skipped) ticks.
+    /// maintained at the end of every slice tick. Invariants:
+    /// `u64::MAX` iff the controller queue is empty; strictly greater
+    /// than the tick cycle otherwise. Banks and `bus_free_at` mutate
+    /// only on a service, so the value stays exact across elided
+    /// (skipped) ticks.
     dram_next: u64,
-    /// Tick-elision gate, on every lane: the earliest cycle a tick of
-    /// this slice could be anything but a no-op, i.e.
+    /// Tick-elision gate: the earliest cycle a tick of this slice could
+    /// be anything but a no-op, i.e.
     /// `min(l2_event, dram_next)` at the end of the slice's last tick.
     /// Before that cycle the tick provably changes nothing observable
     /// (see `tick_slice`; each skip is `debug_assert!`ed by
@@ -328,10 +324,9 @@ struct Slice {
     /// (DRAM/MSHR space can only be freed by a service, which cannot
     /// happen before `dram_next`), and no DRAM pick can succeed.
     /// Lowered by `push` (to the new `arrive_at`), reset to 0 by the
-    /// fault knobs (`set_extra_latency`, `set_mshr_cap`) and by a
-    /// repartition: a knob change can turn a stalled-miss re-scan from
-    /// a no-op into progress, which breaks the proof until the next
-    /// real tick.
+    /// fault knobs (`set_extra_latency`, `set_mshr_cap`): a knob change
+    /// can turn a stalled-miss re-scan from a no-op into progress, which
+    /// breaks the proof until the next real tick.
     sleep_at: u64,
     /// Stalled-miss verdicts: the first `verdicts` entries of `input`
     /// were examined by an earlier scan and found to be an **L2 miss
@@ -346,8 +341,7 @@ struct Slice {
     /// whose line is logged takes the full probe path. Kept as a count,
     /// not indices: the scan's `pop_front` fast path shifts indices,
     /// the verdicted entries always remain the queue's prefix.
-    /// Maintained on every lane; dropped (with the log) by the fault
-    /// knobs and on repartition.
+    /// Dropped (with the log) by the fault knobs.
     verdicts: u32,
     /// Lines that gained presence since the oldest outstanding verdict
     /// was taken (see `verdicts`). Trimmed only once a scan has checked
@@ -359,8 +353,8 @@ struct Slice {
     /// Live entries of `gained`.
     gained_len: u8,
     /// Requests consumed as L2 hits / as misses (fetched or merged),
-    /// each counted once at consumption — the lane- and step-mode-
-    /// independent tallies behind [`MemSys::l2_hit_rate`].
+    /// each counted once at consumption — the step-mode-independent
+    /// tallies behind [`MemSys::l2_hit_rate`].
     req_hits: u64,
     req_misses: u64,
 }
@@ -392,10 +386,11 @@ impl Slice {
         self.gained_len = 0;
     }
 
-    /// Resets the tick gates when the state they summarize was changed
-    /// behind their back (a repartition): an empty slice is exactly
-    /// idle, a busy one is forced to tick next cycle with a stale (0)
-    /// DRAM bound, which that tick revalidates.
+    /// Resets the tick gates after a test wrote slice state behind their
+    /// back: an empty slice is exactly idle, a busy one is forced to
+    /// tick next cycle with a stale (0) DRAM bound, which that tick
+    /// revalidates.
+    #[cfg(test)]
     fn cold_start_gates(&mut self) {
         if self.input.is_empty() && self.ctrl.queue.is_empty() {
             self.dram_next = u64::MAX;
@@ -456,87 +451,13 @@ fn tick_is_noop(slice: &Slice, now: u64, ctx: &MemTickCtx) -> bool {
             })
 }
 
-/// One cell of the memory system: a contiguous range of slices plus
-/// exact gate aggregates and shard-local output buffers, mirroring
-/// [`ShardCell`](crate::shard::ShardCell) for SMs. The reference
-/// (`m = 1`) layout is one cell holding every slice, ticked straight
-/// into the response heap and [`SimStats`]; with `m > 1` cells never
-/// touch shared state while ticking, so they step concurrently, and the
-/// serial fold replays their outputs in cell order, which equals global
-/// slice order, so the merged response/stat stream is bit-identical to
-/// the single-cell tick.
-#[derive(Debug)]
-pub(crate) struct MemShard {
-    /// Global index of `slices[0]`.
-    pub base: u32,
-    /// The shard's slices, in global order.
-    slices: Vec<Slice>,
-    /// Aggregates of the slices' tick gates.
-    gates: CellGates,
-    /// Outputs buffered for the serial fold (sharded lane only).
-    out: ShardSink,
-}
-
-/// A cell's gate aggregates, on every lane.
-#[derive(Debug, Clone, Copy)]
-struct CellGates {
-    /// `min(l2_event, dram_next)` over the cell's slices — its whole
-    /// contribution to [`MemSys::next_event`]. Lowered by `push`,
-    /// recomputed at the end of every non-skipped cell tick; never above
-    /// the exact per-slice bound (a cold-started slice contributes 0
-    /// until its forced tick).
-    ev_min: u64,
-    /// Exact `min(sleep_at)` over the cell's slices: before this cycle
-    /// the whole cell tick is a no-op and is skipped outright. Lowered
-    /// by `push`, zeroed by the fault knobs and a repartition,
-    /// recomputed at the end of every non-skipped cell tick.
-    sleep_min: u64,
-}
-
-impl CellGates {
-    /// The aggregates over `slices`.
-    fn of(slices: &[Slice]) -> Self {
-        let mut g = CellGates {
-            ev_min: u64::MAX,
-            sleep_min: u64::MAX,
-        };
-        for s in slices {
-            g.ev_min = g.ev_min.min(s.l2_event.min(s.dram_next));
-            g.sleep_min = g.sleep_min.min(s.sleep_at);
-        }
-        g
-    }
-}
-
-impl MemShard {
-    /// Wraps `slices` (whose first element has global index `base`),
-    /// cold-starting the gates: an empty slice is exactly idle (bounds
-    /// `u64::MAX`), a busy one is marked stale and forced to tick at the
-    /// next stepped cycle, which revalidates it.
-    fn new(base: u32, mut slices: Vec<Slice>) -> Self {
-        for s in &mut slices {
-            s.drop_verdicts();
-            s.cold_start_gates();
-        }
-        MemShard {
-            base,
-            gates: CellGates::of(&slices),
-            slices,
-            out: ShardSink {
-                resp: Vec::new(),
-                delta: [MemDelta::default(); MAX_APPS],
-            },
-        }
-    }
-}
-
 /// Everything a slice tick reads from the enclosing [`MemSys`]: config
-/// constants plus the live fault knobs, snapshotted once per stepped
-/// cycle so shard workers can tick [`MemShard`]s without borrowing the
-/// device. Fault events apply before the memory phase of a cycle, so
-/// the snapshot is constant within it.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct MemTickCtx {
+/// constants plus the live fault knobs, hoisted once per stepped cycle
+/// into one small struct the tick reads while it holds a slice mutably.
+/// Fault events apply before the memory phase of a cycle, so the
+/// snapshot is constant within it.
+#[derive(Debug, Clone, Copy)]
+struct MemTickCtx {
     num_slices: u64,
     banks: u64,
     icnt: u64,
@@ -557,112 +478,26 @@ pub(crate) struct MemTickCtx {
     t_rc: u64,
 }
 
-/// Where a slice tick sends its observable outputs: directly into the
-/// response heap and [`SimStats`] on the single-cell (`m = 1`) path,
-/// or into the owning shard's local buffers on the sharded path. Both
-/// sinks receive the calls in the same order, and every stat is an
-/// additive counter, so the fold reproduces the direct writes exactly.
-trait MemSink {
-    fn response(&mut self, at: u64, sm: u32, warp_slot: u32);
-    fn l2_to_l1(&mut self, app: AppId, bytes: u64);
-    fn dram_read(&mut self, app: AppId, bytes: u64);
-    fn dram_write(&mut self, app: AppId, bytes: u64);
-    fn dram_row(&mut self, app: AppId, hit: bool);
-}
-
-/// Single-cell (`m = 1`) sink: straight into the heap and the stats.
-struct DirectSink<'a> {
-    responses: &'a mut BinaryHeap<Reverse<(u64, u32, u32)>>,
-    stats: &'a mut SimStats,
-}
-
-impl MemSink for DirectSink<'_> {
-    #[inline]
-    fn response(&mut self, at: u64, sm: u32, warp_slot: u32) {
-        self.responses.push(Reverse((at, sm, warp_slot)));
-    }
-    #[inline]
-    fn l2_to_l1(&mut self, app: AppId, bytes: u64) {
-        self.stats.app_mut(app).l2_to_l1_bytes += bytes;
-    }
-    #[inline]
-    fn dram_read(&mut self, app: AppId, bytes: u64) {
-        self.stats.app_mut(app).dram_read_bytes += bytes;
-    }
-    #[inline]
-    fn dram_write(&mut self, app: AppId, bytes: u64) {
-        self.stats.app_mut(app).dram_write_bytes += bytes;
-    }
-    #[inline]
-    fn dram_row(&mut self, app: AppId, hit: bool) {
-        let a = self.stats.app_mut(app);
-        if hit {
-            a.dram_row_hits += 1;
-        } else {
-            a.dram_row_misses += 1;
-        }
-    }
-}
-
-/// Shard-local sink: buffers everything for the serial fold.
-#[derive(Debug)]
-struct ShardSink {
-    /// Responses `(at, sm, warp_slot)` in generation order; folded into
-    /// the global heap in cell order (== the single-cell push order)
-    /// every stepped cycle.
-    resp: Vec<(u64, u32, u32)>,
-    /// Per-app stat deltas; folded into [`SimStats`] in cell order
-    /// every stepped cycle.
-    delta: [MemDelta; MAX_APPS],
-}
-
-impl MemSink for ShardSink {
-    #[inline]
-    fn response(&mut self, at: u64, sm: u32, warp_slot: u32) {
-        self.resp.push((at, sm, warp_slot));
-    }
-    #[inline]
-    fn l2_to_l1(&mut self, app: AppId, bytes: u64) {
-        self.delta[usize::from(app.0)].l2_to_l1_bytes += bytes;
-    }
-    #[inline]
-    fn dram_read(&mut self, app: AppId, bytes: u64) {
-        self.delta[usize::from(app.0)].dram_read_bytes += bytes;
-    }
-    #[inline]
-    fn dram_write(&mut self, app: AppId, bytes: u64) {
-        self.delta[usize::from(app.0)].dram_write_bytes += bytes;
-    }
-    #[inline]
-    fn dram_row(&mut self, app: AppId, hit: bool) {
-        let d = &mut self.delta[usize::from(app.0)];
-        if hit {
-            d.dram_row_hits += 1;
-        } else {
-            d.dram_row_misses += 1;
-        }
-    }
-}
-
 /// The shared memory hierarchy below the L1s.
 ///
-/// The slices always live inside [`MemShard`] cells: one cell holding
-/// every slice is the reference (`m = 1`) layout, and
-/// [`MemSys::set_shards`] repartitions them for sharded stepping. Every
-/// lane runs the same gated cell tick — stalled-miss verdicts, slice
-/// `sleep_at` and cell `sleep_min` tick elision, and the cell `ev_min`
-/// that makes [`MemSys::next_event`] O(cells). They differ only in the
-/// sink: the `m = 1` tick writes its outputs directly, the sharded
-/// path buffers them per cell for a serial fold.
+/// One gated tick steps the slices: stalled-miss verdicts, per-slice
+/// `sleep_at` and device-wide `sleep_min` tick elision, and the
+/// `ev_min` bound that makes [`MemSys::next_event`] O(1).
 #[derive(Debug)]
 pub struct MemSys {
     cfg: GpuConfig,
-    cells: Vec<MemShard>,
-    /// Total slice count (invariant across repartitions).
-    num_slices: u32,
-    /// Slices per cell (ceiling division; global slice `g` lives in
-    /// cell `g / mem_chunk` at local index `g % mem_chunk`).
-    mem_chunk: usize,
+    /// The slices, in global order.
+    slices: Vec<Slice>,
+    /// `min(l2_event, dram_next)` over the slices — their whole
+    /// contribution to [`MemSys::next_event`]. Lowered by `push`,
+    /// recomputed at the end of every non-skipped tick; never above the
+    /// exact per-slice bound.
+    ev_min: u64,
+    /// Exact `min(sleep_at)` over the slices: before this cycle the
+    /// whole tick is a no-op and is skipped outright. Lowered by `push`,
+    /// zeroed by the fault knobs, recomputed at the end of every
+    /// non-skipped tick.
+    sleep_min: u64,
     /// Pending read responses ordered by completion cycle.
     responses: BinaryHeap<Reverse<(u64, u32, u32)>>,
     line_bytes: u64,
@@ -712,6 +547,9 @@ impl MemSys {
         );
         let num_slices = slices.len() as u64;
         MemSys {
+            slices,
+            ev_min: u64::MAX,
+            sleep_min: u64::MAX,
             line_bytes,
             line_mask: !(line_bytes - 1),
             row_bytes: cfg.dram.row_bytes,
@@ -726,27 +564,12 @@ impl MemSys {
                 0
             },
             cfg: cfg.clone(),
-            num_slices: num_slices as u32,
-            mem_chunk: (num_slices as usize).max(1),
-            cells: vec![MemShard::new(0, slices)],
             responses: BinaryHeap::new(),
             extra_l2_lat: 0,
             extra_dram_lat: 0,
             mshr_cap: MSHRS_PER_SLICE,
             full_mask: 0,
         }
-    }
-
-    /// Iterates every slice in global order, across cells.
-    #[inline]
-    fn slices(&self) -> impl Iterator<Item = &Slice> {
-        self.cells.iter().flat_map(|c| c.slices.iter())
-    }
-
-    /// The slice with global index `g`.
-    #[inline]
-    fn slice_at(&self, g: usize) -> &Slice {
-        &self.cells[g / self.mem_chunk].slices[g % self.mem_chunk]
     }
 
     /// Global DRAM row of an address (shift when `row_bytes` is a power
@@ -783,14 +606,12 @@ impl MemSys {
     /// and drop the verdicts. The `ev_min` bounds stay — knobs change no
     /// queue state, so the exact `next_event` value is unchanged.
     fn knob_changed(&mut self) {
-        for cell in &mut self.cells {
-            for slice in &mut cell.slices {
-                slice.scan_wake = 0;
-                slice.sleep_at = 0;
-                slice.drop_verdicts();
-            }
-            cell.gates.sleep_min = 0;
+        for slice in &mut self.slices {
+            slice.scan_wake = 0;
+            slice.sleep_at = 0;
+            slice.drop_verdicts();
         }
+        self.sleep_min = 0;
     }
 
     /// Current per-slice MSHR limit.
@@ -805,7 +626,7 @@ impl MemSys {
         if self.slice_mask != 0 {
             (row & self.slice_mask) as usize
         } else {
-            (row % u64::from(self.num_slices)) as usize
+            (row % self.slices.len() as u64) as usize
         }
     }
 
@@ -816,7 +637,7 @@ impl MemSys {
         let free = self.full_mask & (1u64 << g) == 0;
         debug_assert_eq!(
             free,
-            self.slice_at(g).input.len() < SLICE_QUEUE_DEPTH,
+            self.slices[g].input.len() < SLICE_QUEUE_DEPTH,
             "admission mask out of step with slice {g}'s queue depth"
         );
         free
@@ -834,8 +655,7 @@ impl MemSys {
     /// [`MemSys::can_accept`] returned `true` this cycle.
     pub fn push(&mut self, req: MemRequest) {
         let g = self.slice_of(req.addr);
-        let cell = &mut self.cells[g / self.mem_chunk];
-        let slice = &mut cell.slices[g % self.mem_chunk];
+        let slice = &mut self.slices[g];
         debug_assert!(slice.input.len() < SLICE_QUEUE_DEPTH + 64);
         slice.l2_event = slice.l2_event.min(req.arrive_at);
         slice.scan_wake = 0;
@@ -844,8 +664,8 @@ impl MemSys {
         // `l2_event` dropped by the same amount, so `ev_min` stays the
         // true minimum.
         slice.sleep_at = slice.sleep_at.min(req.arrive_at);
-        cell.gates.sleep_min = cell.gates.sleep_min.min(req.arrive_at);
-        cell.gates.ev_min = cell.gates.ev_min.min(req.arrive_at);
+        self.sleep_min = self.sleep_min.min(req.arrive_at);
+        self.ev_min = self.ev_min.min(req.arrive_at);
         slice.input.push_back(req);
         if slice.input.len() >= SLICE_QUEUE_DEPTH {
             self.full_mask |= 1u64 << g;
@@ -860,21 +680,16 @@ impl MemSys {
             return;
         }
         let mut mask = 0u64;
-        let mut g = 0;
-        for cell in &self.cells {
-            for slice in &cell.slices {
-                mask |= u64::from(slice.input.len() >= SLICE_QUEUE_DEPTH) << g;
-                g += 1;
-            }
+        for (g, slice) in self.slices.iter().enumerate() {
+            mask |= u64::from(slice.input.len() >= SLICE_QUEUE_DEPTH) << g;
         }
         self.full_mask = mask;
     }
 
-    /// The per-cycle constants `tick` would hoist, snapshotted so
-    /// shard workers can tick cells without borrowing the device.
-    pub(crate) fn tick_ctx(&self) -> MemTickCtx {
+    /// The per-cycle constants the slice tick reads.
+    fn tick_ctx(&self) -> MemTickCtx {
         MemTickCtx {
-            num_slices: u64::from(self.num_slices),
+            num_slices: self.slices.len() as u64,
             banks: u64::from(self.cfg.dram.banks),
             icnt: u64::from(self.cfg.icnt_lat),
             l2_lat: u64::from(self.cfg.l2_lat) + self.extra_l2_lat,
@@ -894,30 +709,46 @@ impl MemSys {
         }
     }
 
-    /// Advances the slices and DRAM controllers by one cycle. Every lane
-    /// runs the same gated cell tick ([`tick_cell`]): a cell before its
-    /// `sleep_min`, an idle slice, and a slice before its `sleep_at` are
-    /// skipped (each skip a proven no-op), and the cell republishes its
-    /// `ev_min` for [`MemSys::next_event`].
-    ///
-    /// With one cell the outputs go straight into the response heap and
-    /// `stats`; with `m > 1` cells each shard ticks independently
-    /// against its local buffers and the serial fold replays the outputs
-    /// in cell order.
+    /// Advances the slices and DRAM controllers by one cycle. Before
+    /// `sleep_min` the whole tick is skipped; otherwise an idle slice
+    /// and a slice before its `sleep_at` are skipped (each skip a proven
+    /// no-op, `debug_assert!`ed by [`tick_is_noop`]), every other slice
+    /// ticks straight into the response heap and `stats`, and the
+    /// `ev_min` / `sleep_min` aggregates are recomputed.
     pub fn tick(&mut self, now: u64, stats: &mut SimStats) {
         let ctx = self.tick_ctx();
-        if let [cell] = self.cells.as_mut_slice() {
-            let mut sink = DirectSink {
-                responses: &mut self.responses,
-                stats,
-            };
-            tick_cell(&mut cell.slices, &mut cell.gates, now, &ctx, &mut sink);
-            self.refresh_full_mask();
+        if now < self.sleep_min {
+            debug_assert!(
+                self.slices.iter().all(|s| tick_is_noop(s, now, &ctx)),
+                "the memory system slept through a tick with work at cycle {now}"
+            );
         } else {
-            for cell in &mut self.cells {
-                tick_shard(cell, now, &ctx);
+            for slice in &mut self.slices {
+                if slice.input.is_empty() && slice.ctrl.queue.is_empty() {
+                    debug_assert!(slice.mshr.is_empty());
+                    continue;
+                }
+                if now < slice.sleep_at {
+                    debug_assert!(
+                        tick_is_noop(slice, now, &ctx),
+                        "slice slept through a tick with work at cycle {now}"
+                    );
+                    continue;
+                }
+                tick_slice(slice, now, &ctx, &mut self.responses, stats);
             }
-            self.fold_shards(stats);
+            self.refresh_gates();
+        }
+        self.refresh_full_mask();
+    }
+
+    /// Recomputes `ev_min` and `sleep_min` from the slices.
+    fn refresh_gates(&mut self) {
+        self.ev_min = u64::MAX;
+        self.sleep_min = u64::MAX;
+        for s in &self.slices {
+            self.ev_min = self.ev_min.min(s.l2_event.min(s.dram_next));
+            self.sleep_min = self.sleep_min.min(s.sleep_at);
         }
     }
 }
@@ -926,8 +757,8 @@ impl MemSys {
 /// recomputed from the queue: the next scheduling opportunity
 /// (`bus_free_at`, or the earliest bank-ready time when the bus is
 /// free but every candidate bank was busy), `u64::MAX` when nothing is
-/// queued. The oracle behind `Slice::dram_next` and the cell
-/// `ev_min` bounds (debug builds only).
+/// queued. The oracle behind `Slice::dram_next` and the `ev_min`
+/// bound (debug builds only).
 fn dram_bound(slice: &Slice, now: u64) -> u64 {
     let ctrl = &slice.ctrl;
     if ctrl.queue.is_empty() {
@@ -944,58 +775,17 @@ fn dram_bound(slice: &Slice, now: u64) -> u64 {
     }
 }
 
-/// The one cell tick every lane runs: ticks each non-idle,
-/// non-sleeping slice of `cell` for cycle `now` into `sink`, then
-/// recomputes the cell's `ev_min` / `sleep_min` aggregates. Touches
-/// nothing outside the cell and the sink; a cell whose `sleep_min` has
-/// not been reached is skipped wholesale (every slice tick would be a
-/// no-op, so the aggregates are still current). Every skipped slice
-/// tick is `debug_assert!`ed to be a no-op ([`tick_is_noop`]).
-fn tick_cell<S: MemSink>(
-    slices: &mut [Slice],
-    gates: &mut CellGates,
+/// One slice's cycle: the L2 stage, the DRAM stage and the event
+/// bookkeeping, with responses pushed onto `responses` and traffic
+/// counted into `stats`. Keeps the stalled-miss verdicts
+/// (`Slice::verdicts`) and the tick gates (`dram_next`, `sleep_at`).
+fn tick_slice(
+    slice: &mut Slice,
     now: u64,
     ctx: &MemTickCtx,
-    sink: &mut S,
+    responses: &mut BinaryHeap<Reverse<(u64, u32, u32)>>,
+    stats: &mut SimStats,
 ) {
-    if now < gates.sleep_min {
-        debug_assert!(
-            slices.iter().all(|s| tick_is_noop(s, now, ctx)),
-            "a cell slept through a tick with work at cycle {now}"
-        );
-        return;
-    }
-    for slice in slices.iter_mut() {
-        if slice.input.is_empty() && slice.ctrl.queue.is_empty() {
-            debug_assert!(slice.mshr.is_empty());
-            continue;
-        }
-        if now < slice.sleep_at {
-            debug_assert!(
-                tick_is_noop(slice, now, ctx),
-                "slice slept through a tick with work at cycle {now}"
-            );
-            continue;
-        }
-        tick_slice(slice, now, ctx, sink);
-    }
-    *gates = CellGates::of(slices);
-}
-
-/// [`tick_cell`] for one shard of the sharded lane, into the shard's
-/// own buffers (folded serially by [`MemSys::fold_shards`]).
-pub(crate) fn tick_shard(cell: &mut MemShard, now: u64, ctx: &MemTickCtx) {
-    let MemShard {
-        slices, gates, out, ..
-    } = cell;
-    tick_cell(slices, gates, now, ctx, out);
-}
-
-/// One slice's cycle: the L2 stage, the DRAM stage and the event
-/// bookkeeping, with observable outputs routed through `sink`. Keeps
-/// the stalled-miss verdicts (`Slice::verdicts`) and the tick gates
-/// (`dram_next`, `sleep_at`) on every lane.
-fn tick_slice<S: MemSink>(slice: &mut Slice, now: u64, ctx: &MemTickCtx, sink: &mut S) {
     let num_slices = ctx.num_slices;
     let banks = ctx.banks;
     let icnt = ctx.icnt;
@@ -1089,8 +879,8 @@ fn tick_slice<S: MemSink>(slice: &mut Slice, now: u64, ctx: &MemTickCtx, sink: &
                         if !req.is_write {
                             // Write hits are absorbed silently.
                             let at = now + l2_lat + icnt;
-                            sink.l2_to_l1(req.app, line_bytes);
-                            sink.response(at, req.sm, req.warp_slot);
+                            stats.app_mut(req.app).l2_to_l1_bytes += line_bytes;
+                            responses.push(Reverse((at, req.sm, req.warp_slot)));
                         }
                         true
                     } else {
@@ -1205,11 +995,16 @@ fn tick_slice<S: MemSink>(slice: &mut Slice, now: u64, ctx: &MemTickCtx, sink: &
                     slice.ctrl.bus_free_at = now + ctx.t_burst;
 
                     if req.is_write {
-                        sink.dram_write(req.app, line_bytes);
+                        stats.app_mut(req.app).dram_write_bytes += line_bytes;
                     } else {
-                        sink.dram_read(req.app, line_bytes);
-                        sink.l2_to_l1(req.app, line_bytes);
-                        sink.dram_row(req.app, row_hit);
+                        let a = stats.app_mut(req.app);
+                        a.dram_read_bytes += line_bytes;
+                        a.l2_to_l1_bytes += line_bytes;
+                        if row_hit {
+                            a.dram_row_hits += 1;
+                        } else {
+                            a.dram_row_misses += 1;
+                        }
                         slice.l2.fill_lru(req.addr);
                         let at = done + l2_lat + icnt;
                         let line = req.addr & line_mask;
@@ -1230,16 +1025,16 @@ fn tick_slice<S: MemSink>(slice: &mut Slice, now: u64, ctx: &MemTickCtx, sink: &
                                     if w.warp_slot != req.warp_slot || w.sm != req.sm {
                                         // Merged request: counts as L2
                                         // traffic for its own app.
-                                        sink.l2_to_l1(w.app, line_bytes);
+                                        stats.app_mut(w.app).l2_to_l1_bytes += line_bytes;
                                     }
-                                    sink.response(at, w.sm, w.warp_slot);
+                                    responses.push(Reverse((at, w.sm, w.warp_slot)));
                                     node = next;
                                 }
                             }
                             None => {
                                 // Read issued before MSHR tracking began
                                 // (cannot happen in practice; defensive).
-                                sink.response(at, req.sm, req.warp_slot);
+                                responses.push(Reverse((at, req.sm, req.warp_slot)));
                             }
                         }
                     }
@@ -1354,23 +1149,24 @@ impl MemSys {
     /// (maintained by `tick`/`push`), and each DRAM channel's next
     /// scheduling opportunity (`bus_free_at`, or the earliest bank-ready
     /// time when the bus is free but every candidate bank was busy).
-    /// Every cell keeps the minimum of the last two over its slices
-    /// (`ev_min`), so the query reads O(cells) state; it is
-    /// `debug_assert!`ed against the per-slice scan.
+    /// `ev_min` keeps the minimum of the last two over the slices, so
+    /// the query reads O(1) state; it is `debug_assert!`ed against the
+    /// per-slice scan.
     pub fn next_event(&self, now: u64) -> Option<u64> {
         let head = self
             .responses
             .peek()
             .map_or(u64::MAX, |&Reverse((at, _, _))| at);
-        let ev = self.cells.iter().fold(head, |ev, c| ev.min(c.gates.ev_min));
+        let ev = head.min(self.ev_min);
         debug_assert!(
             {
                 let scan = self
-                    .slices()
+                    .slices
+                    .iter()
                     .fold(head, |ev, s| ev.min(s.l2_event).min(dram_bound(s, now)));
                 (ev == u64::MAX) == (scan == u64::MAX) && ev.max(now) <= scan.max(now)
             },
-            "cell event bounds above the per-slice scan at cycle {now}"
+            "event bound above the per-slice scan at cycle {now}"
         );
         (ev != u64::MAX).then(|| ev.max(now))
     }
@@ -1393,21 +1189,22 @@ impl MemSys {
     /// True when any DRAM controller has queued requests (the phase
     /// profiler's DRAM-bound vs. L2-bound discriminator).
     pub fn any_dram_queued(&self) -> bool {
-        self.slices().any(|s| !s.ctrl.queue.is_empty())
+        self.slices.iter().any(|s| !s.ctrl.queue.is_empty())
     }
 
     /// True when no request or response is anywhere in flight.
     pub fn is_idle(&self) -> bool {
         self.responses.is_empty()
             && self
-                .slices()
+                .slices
+                .iter()
                 .all(|s| s.input.is_empty() && s.ctrl.queue.is_empty() && s.mshr.is_empty())
     }
 
     /// Appends one [`SliceDiag`](crate::stats::SliceDiag) per slice —
     /// queue depths and MSHR occupancy for error snapshots.
     pub fn slice_diags(&self, out: &mut Vec<crate::stats::SliceDiag>) {
-        for (i, s) in self.slices().enumerate() {
+        for (i, s) in self.slices.iter().enumerate() {
             out.push(crate::stats::SliceDiag {
                 id: i as u32,
                 input_depth: s.input.len() as u32,
@@ -1419,10 +1216,11 @@ impl MemSys {
 
     /// Aggregate L2 hit rate across slices (diagnostics): requests
     /// consumed as hits over all requests consumed, each counted once —
-    /// the same figure on every lane and step mode.
+    /// the same figure in either step mode.
     pub fn l2_hit_rate(&self) -> f64 {
         let (h, m) = self
-            .slices()
+            .slices
+            .iter()
             .fold((0u64, 0u64), |(h, m), s| (h + s.req_hits, m + s.req_misses));
         if h + m == 0 {
             0.0
@@ -1431,89 +1229,18 @@ impl MemSys {
         }
     }
 
-    /// Repartitions the slices into `shards` memory-shard cells
-    /// (clamped to `[1, num_slices]`). Contiguous ranges, identical to
-    /// the SM-side [`ShardPlan`] split. Safe to call mid-run: every
-    /// rebuilt cell cold-starts its gates ([`MemShard::new`]), so the
-    /// next horizon query is conservative (no jump past a busy slice)
-    /// and the next tick revalidates every busy slice.
-    pub fn set_shards(&mut self, shards: u32) {
-        let plan = ShardPlan::new(self.num_slices, shards);
-        if plan.shards as usize == self.cells.len() {
-            return;
-        }
-        let mut slices: Vec<Slice> = Vec::with_capacity(self.num_slices as usize);
-        for cell in self.cells.drain(..) {
-            slices.extend(cell.slices);
-        }
-        self.mem_chunk = plan.chunk() as usize;
-        for (base, len) in plan.ranges() {
-            let rest = slices.split_off((len as usize).min(slices.len()));
-            self.cells
-                .push(MemShard::new(base, std::mem::replace(&mut slices, rest)));
-        }
-    }
-
-    /// Number of memory-shard cells (1 = unsharded).
-    pub fn num_shards(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Moves the cells out for threaded phase-M stepping. The `MemSys`
-    /// shell (response heap, geometry) stays behind; callers must
-    /// [`MemSys::restore_shards`] before touching anything slice-side.
-    pub(crate) fn take_shards(&mut self) -> Vec<MemShard> {
-        std::mem::take(&mut self.cells)
-    }
-
-    /// Returns cells taken with [`MemSys::take_shards`]. Order must be
-    /// preserved by the caller (cells are slotted by index).
-    pub(crate) fn restore_shards(&mut self, cells: Vec<MemShard>) {
-        debug_assert!(self.cells.is_empty());
-        debug_assert!(cells
-            .iter()
-            .enumerate()
-            .all(|(i, c)| c.base as usize == i * self.mem_chunk));
-        self.cells = cells;
-    }
-
-    /// Serial boundary phase: folds every cell's buffered responses and
-    /// stats deltas into the shared heap and [`SimStats`], in cell
-    /// order — i.e. ascending slice order, matching the rotation the
-    /// single-cell tick visits slices in. Responses carry
-    /// their `(at, sm, warp_slot)` ordering key, so heap insertion
-    /// order only matters for equal tuples, which are interchangeable.
-    pub(crate) fn fold_shards(&mut self, stats: &mut SimStats) {
-        let MemSys { cells, responses, .. } = self;
-        for cell in cells.iter_mut() {
-            for &(at, sm, slot) in &cell.out.resp {
-                responses.push(Reverse((at, sm, slot)));
-            }
-            cell.out.resp.clear();
-            for (app, delta) in cell.out.delta.iter_mut().enumerate() {
-                if !delta.is_zero() {
-                    stats.app_mut(crate::AppId(app as u16)).apply_mem_delta(delta);
-                    *delta = MemDelta::default();
-                }
-            }
-        }
-        self.refresh_full_mask();
-    }
-
     /// Test-only direct access to a slice by global index.
     #[cfg(test)]
     fn slice_mut(&mut self, g: usize) -> &mut Slice {
-        &mut self.cells[g / self.mem_chunk].slices[g % self.mem_chunk]
+        &mut self.slices[g]
     }
 
     /// Test-only: cold-starts every gate after a test wrote slice state
     /// (bus, controller queue) directly, behind the gates' backs.
     #[cfg(test)]
     fn reset_gates(&mut self) {
-        for cell in &mut self.cells {
-            cell.slices.iter_mut().for_each(Slice::cold_start_gates);
-            cell.gates = CellGates::of(&cell.slices);
-        }
+        self.slices.iter_mut().for_each(Slice::cold_start_gates);
+        self.refresh_gates();
     }
 }
 
@@ -2038,19 +1765,15 @@ mod verdict_tests {
         }
 
         fn tick(&mut self, now: u64) {
-            let n = self.fast.num_slices as usize;
-            for cell in &mut self.slow.cells {
-                for s in &mut cell.slices {
-                    s.drop_verdicts();
-                    s.sleep_at = 0;
-                    s.scan_wake = 0;
-                }
-                cell.gates.sleep_min = 0;
+            for s in &mut self.slow.slices {
+                s.drop_verdicts();
+                s.sleep_at = 0;
+                s.scan_wake = 0;
             }
+            self.slow.sleep_min = 0;
             self.fast.tick(now, &mut self.st_fast);
             self.slow.tick(now, &mut self.st_slow);
-            for g in 0..n {
-                let (a, b) = (self.fast.slice_at(g), self.slow.slice_at(g));
+            for (g, (a, b)) in self.fast.slices.iter().zip(&self.slow.slices).enumerate() {
                 assert_eq!(a.input, b.input, "slice {g} input queue, cycle {now}");
                 assert_eq!(
                     (a.ctrl.queue.len(), a.mshr.len(), a.l2_event),

@@ -10,9 +10,9 @@ use crate::kernel::{AppId, KernelDesc, Op, PatternId};
 use crate::memsys::{MemRequest, MemSys};
 use crate::rng::SimRng;
 use crate::sched::WarpScheduler;
-use crate::stats::{IssueDelta, SimStats};
+use crate::stats::SimStats;
 use crate::trace_fmt::TraceHook;
-use crate::warp::{burn_random_draws, generate_addresses, PendingAccess, WarpTable};
+use crate::warp::{burn_random_draws, generate_addresses, WarpTable};
 
 /// A block resident on an SM: its id and how many of its warps are
 /// still alive (drain-based SM migration waits for this to reach zero
@@ -57,9 +57,6 @@ pub struct Sm {
     free_slots: u32,
     /// Scratch buffer for generated addresses (avoids per-issue allocation).
     addr_buf: Vec<u64>,
-    /// Access suspended between the sharded prepare and merge phases;
-    /// always `None` outside a sharded step (DESIGN.md §12).
-    pending: Option<PendingAccess>,
 }
 
 impl Sm {
@@ -93,7 +90,6 @@ impl Sm {
             by_age: Vec::with_capacity(slots),
             free_slots: cfg.max_warps_per_sm,
             addr_buf: Vec::with_capacity(32),
-            pending: None,
         }
     }
 
@@ -458,452 +454,6 @@ impl Sm {
                         retired_blocks += self.retire(slot);
                     } else {
                         // Warp may issue again next cycle.
-                        self.sleepers.push(Reverse((now + 1, slot as u32)));
-                    }
-                }
-            }
-        }
-        retired_blocks
-    }
-
-    /// Whether a prepared access is waiting for the serial merge phase.
-    pub(crate) fn has_pending(&self) -> bool {
-        self.pending.is_some()
-    }
-
-    /// The parallel half of a sharded issue cycle: runs the issue loop
-    /// using only SM-local state — scheduler pick, address generation
-    /// (including replay-cursor and RNG draws), L1 probes, and full
-    /// completion of ops that never touch the shared memory system
-    /// (ALU/SFU, barriers, all-hit loads). The loop suspends at the
-    /// first op that needs `MemSys` admission (a load with L1 misses,
-    /// or any store), parking it in `self.pending` for
-    /// [`Sm::resolve_pending`] to finish in canonical order. Statistics
-    /// go to `delta`, folded into [`SimStats`] at run exit.
-    ///
-    /// Must mirror [`Sm::issue`] exactly up to the suspension point —
-    /// the `shard_equivalence` suite pins the two paths bit-identical.
-    /// Recording hooks are unreachable here (recording forces the
-    /// unsharded step), so only `None`/`Replay` hooks arrive.
-    pub(crate) fn issue_prepare(
-        &mut self,
-        now: u64,
-        kernel: &KernelDesc,
-        app_base: u64,
-        cfg: &GpuConfig,
-        hook: &mut TraceHook<'_>,
-        delta: &mut IssueDelta,
-    ) -> u32 {
-        debug_assert!(self.pending.is_none(), "unresolved access from a previous cycle");
-        debug_assert!(
-            !matches!(hook, TraceHook::Record(_)),
-            "recording runs the unsharded step"
-        );
-        let mut retired_blocks = 0;
-        let body_len = kernel.body.len() as u32;
-        let total_warps = kernel.total_warps();
-        let line = u64::from(cfg.l1.line_bytes);
-
-        for i in 0..cfg.issue_per_sm {
-            let Some(slot) = self.sched.pick(self.ready, &self.warps.ages, &self.by_age) else {
-                break;
-            };
-            self.set_ready(slot, false);
-            debug_assert!(self.occupied & (1u64 << slot) != 0, "ready slot has a warp");
-            let op = kernel.body[self.warps.pc[slot] as usize];
-
-            match op {
-                Op::Alu { latency } | Op::Sfu { latency } => {
-                    delta.warp_insts += 1;
-                    delta.thread_insts += u64::from(kernel.active_lanes);
-                    delta.alu_insts += 1;
-                    let done = self.warps.advance(slot, body_len);
-                    if done {
-                        retired_blocks += self.retire(slot);
-                    } else {
-                        self.sleepers
-                            .push(Reverse((now + u64::from(latency), slot as u32)));
-                    }
-                }
-                Op::Load(PatternId(p)) => {
-                    let p = usize::from(p);
-                    self.generate_access_addrs(slot, p, kernel, app_base, total_warps, line, hook);
-
-                    // Same allocate-on-accept probe as the reference
-                    // path: misses compact to the front of the buffer.
-                    let mut miss_addrs = 0usize;
-                    let mut hits = 0u64;
-                    {
-                        let mut j = 0;
-                        while j < self.addr_buf.len() {
-                            match self.l1.probe(self.addr_buf[j]) {
-                                Access::Hit => {
-                                    hits += 1;
-                                    self.addr_buf.swap_remove(j);
-                                }
-                                Access::Miss => {
-                                    miss_addrs += 1;
-                                    j += 1;
-                                }
-                            }
-                        }
-                    }
-
-                    if miss_addrs > 0 {
-                        // Needs MemSys admission: suspend for the merge
-                        // phase. The miss addresses stay in `addr_buf`.
-                        self.pending = Some(PendingAccess {
-                            slot: slot as u32,
-                            pattern: p as u32,
-                            l1_hits: hits,
-                            is_store: false,
-                            budget_left: cfg.issue_per_sm - 1 - i,
-                        });
-                        return retired_blocks;
-                    }
-                    // All hits: fully SM-local, identical to the
-                    // reference accept arm with an empty miss set.
-                    delta.warp_insts += 1;
-                    delta.thread_insts += u64::from(kernel.active_lanes);
-                    delta.mem_insts += 1;
-                    delta.l1_hits += hits;
-                    self.warps.bump_counter(slot, p);
-                    self.warps.bump_access(slot);
-                    let done = self.warps.advance(slot, body_len);
-                    if done {
-                        retired_blocks += self.retire(slot);
-                    } else {
-                        self.sleepers
-                            .push(Reverse((now + u64::from(cfg.l1_hit_lat), slot as u32)));
-                    }
-                }
-                Op::Barrier => {
-                    delta.warp_insts += 1;
-                    delta.thread_insts += u64::from(kernel.active_lanes);
-                    delta.alu_insts += 1;
-                    let block = self.warps.block[slot];
-                    let b = self
-                        .blocks
-                        .iter_mut()
-                        .find(|b| b.block == block)
-                        .expect("warp's block is resident");
-                    b.barrier_waiters.push(slot as u32);
-                    if b.barrier_waiters.len() as u32 == b.warps_left {
-                        let waiters = std::mem::take(&mut b.barrier_waiters);
-                        for w_slot in waiters {
-                            let ws = w_slot as usize;
-                            let done = self.warps.advance(ws, body_len);
-                            if done {
-                                retired_blocks += self.retire(ws);
-                            } else {
-                                self.sleepers.push(Reverse((now + 1, w_slot)));
-                            }
-                        }
-                    }
-                }
-                Op::Store(PatternId(p)) => {
-                    let p = usize::from(p);
-                    self.generate_access_addrs(slot, p, kernel, app_base, total_warps, line, hook);
-                    // Stores always face the admission check: suspend.
-                    self.pending = Some(PendingAccess {
-                        slot: slot as u32,
-                        pattern: p as u32,
-                        l1_hits: 0,
-                        is_store: true,
-                        budget_left: cfg.issue_per_sm - 1 - i,
-                    });
-                    return retired_blocks;
-                }
-            }
-        }
-        retired_blocks
-    }
-
-    /// Fills `addr_buf` for one access of `slot` through pattern `p`:
-    /// replay-cursor lookup (with RNG-parity burn) or synthetic
-    /// generation, exactly as the reference issue arms do.
-    #[allow(clippy::too_many_arguments)]
-    fn generate_access_addrs(
-        &mut self,
-        slot: usize,
-        p: usize,
-        kernel: &KernelDesc,
-        app_base: u64,
-        total_warps: u64,
-        line: u64,
-        hook: &mut TraceHook<'_>,
-    ) {
-        let pattern = &kernel.patterns[p];
-        let block = self.warps.block[slot];
-        let warp_in_block = self.warps.warp_in_block[slot];
-        let global_warp =
-            u64::from(block) * u64::from(kernel.warps_per_block) + u64::from(warp_in_block);
-        self.addr_buf.clear();
-        if let TraceHook::Replay(trace) = hook {
-            trace.fill_addrs(
-                global_warp,
-                self.warps.replay_group[slot],
-                self.warps.replay_attempt[slot],
-                app_base,
-                &mut self.addr_buf,
-            );
-            burn_random_draws(pattern, line, &mut self.rng);
-        } else {
-            generate_addresses(
-                pattern,
-                p,
-                app_base,
-                block,
-                warp_in_block,
-                self.warps.pattern_ctr[slot][p],
-                global_warp,
-                total_warps,
-                line,
-                &mut self.rng,
-                &mut self.addr_buf,
-            );
-        }
-    }
-
-    /// The serial half of a sharded issue cycle: resolves the suspended
-    /// access against the live memory system, exactly as the reference
-    /// arms would at this SM's rotation turn — reject re-sleeps the warp
-    /// with an attempt bump; accept allocates L1 lines, counts stats
-    /// directly (the serial phase may touch [`SimStats`]), and pushes
-    /// the transactions in buffer order. Returns retired blocks and the
-    /// issue budget left for [`Sm::issue_more`].
-    pub(crate) fn resolve_pending(
-        &mut self,
-        now: u64,
-        kernel: &KernelDesc,
-        app: AppId,
-        cfg: &GpuConfig,
-        memsys: &mut MemSys,
-        stats: &mut SimStats,
-    ) -> (u32, u32) {
-        let pa = self.pending.take().expect("a prepared access is pending");
-        let slot = pa.slot as usize;
-        let p = pa.pattern as usize;
-        let body_len = kernel.body.len() as u32;
-
-        if !memsys.can_accept_all(&self.addr_buf) {
-            self.warps.bump_attempt(slot);
-            self.sleepers.push(Reverse((now + 2, pa.slot)));
-            return (0, pa.budget_left);
-        }
-
-        if pa.is_store {
-            let s = stats.app_mut(app);
-            s.warp_insts += 1;
-            s.thread_insts += u64::from(kernel.active_lanes);
-            s.mem_insts += 1;
-            // Stores bypass the L1 (write-through, no-allocate).
-            for &addr in &self.addr_buf {
-                memsys.push(MemRequest {
-                    addr,
-                    is_write: true,
-                    app,
-                    sm: self.id,
-                    warp_slot: u32::MAX,
-                    arrive_at: now + u64::from(cfg.icnt_lat),
-                });
-            }
-            self.warps.bump_counter(slot, p);
-            self.warps.bump_access(slot);
-            let done = self.warps.advance(slot, body_len);
-            if done {
-                (self.retire(slot), pa.budget_left)
-            } else {
-                self.sleepers.push(Reverse((now + 1, pa.slot)));
-                (0, pa.budget_left)
-            }
-        } else {
-            // Loads only suspend with at least one miss in the buffer.
-            let miss_addrs = self.addr_buf.len();
-            debug_assert!(miss_addrs > 0);
-            for &a in &self.addr_buf {
-                self.l1.fill(a);
-            }
-            let s = stats.app_mut(app);
-            s.warp_insts += 1;
-            s.thread_insts += u64::from(kernel.active_lanes);
-            s.mem_insts += 1;
-            s.l1_hits += pa.l1_hits;
-            s.l1_misses += miss_addrs as u64;
-            self.warps.bump_counter(slot, p);
-            self.warps.bump_access(slot);
-            let done = self.warps.advance(slot, body_len);
-            self.warps.outstanding[slot] = miss_addrs as u16;
-            self.warps.retiring[slot] = done;
-            for &addr in &self.addr_buf {
-                memsys.push(MemRequest {
-                    addr,
-                    is_write: false,
-                    app,
-                    sm: self.id,
-                    warp_slot: pa.slot,
-                    arrive_at: now + u64::from(cfg.icnt_lat),
-                });
-            }
-            (0, pa.budget_left)
-        }
-    }
-
-    /// Continues an SM's issue loop with `budget` iterations against
-    /// the live memory system — the remainder of a sharded cycle after
-    /// [`Sm::resolve_pending`], running at the SM's rotation turn in
-    /// the serial phase. Semantically the tail of [`Sm::issue`]'s loop.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn issue_more(
-        &mut self,
-        budget: u32,
-        now: u64,
-        kernel: &KernelDesc,
-        app: AppId,
-        app_base: u64,
-        cfg: &GpuConfig,
-        memsys: &mut MemSys,
-        stats: &mut SimStats,
-        hook: &mut TraceHook<'_>,
-    ) -> u32 {
-        let mut retired_blocks = 0;
-        let body_len = kernel.body.len() as u32;
-        let total_warps = kernel.total_warps();
-        let line = u64::from(cfg.l1.line_bytes);
-
-        for _ in 0..budget {
-            let Some(slot) = self.sched.pick(self.ready, &self.warps.ages, &self.by_age) else {
-                break;
-            };
-            self.set_ready(slot, false);
-            let op = kernel.body[self.warps.pc[slot] as usize];
-
-            match op {
-                Op::Alu { latency } | Op::Sfu { latency } => {
-                    let s = stats.app_mut(app);
-                    s.warp_insts += 1;
-                    s.thread_insts += u64::from(kernel.active_lanes);
-                    s.alu_insts += 1;
-                    let done = self.warps.advance(slot, body_len);
-                    if done {
-                        retired_blocks += self.retire(slot);
-                    } else {
-                        self.sleepers
-                            .push(Reverse((now + u64::from(latency), slot as u32)));
-                    }
-                }
-                Op::Load(PatternId(p)) => {
-                    let p = usize::from(p);
-                    self.generate_access_addrs(slot, p, kernel, app_base, total_warps, line, hook);
-                    let mut miss_addrs = 0usize;
-                    let mut hits = 0u64;
-                    {
-                        let mut j = 0;
-                        while j < self.addr_buf.len() {
-                            match self.l1.probe(self.addr_buf[j]) {
-                                Access::Hit => {
-                                    hits += 1;
-                                    self.addr_buf.swap_remove(j);
-                                }
-                                Access::Miss => {
-                                    miss_addrs += 1;
-                                    j += 1;
-                                }
-                            }
-                        }
-                    }
-                    if miss_addrs > 0 && !memsys.can_accept_all(&self.addr_buf) {
-                        self.warps.bump_attempt(slot);
-                        self.sleepers.push(Reverse((now + 2, slot as u32)));
-                        continue;
-                    }
-                    for &a in &self.addr_buf {
-                        self.l1.fill(a);
-                    }
-                    let s = stats.app_mut(app);
-                    s.warp_insts += 1;
-                    s.thread_insts += u64::from(kernel.active_lanes);
-                    s.mem_insts += 1;
-                    s.l1_hits += hits;
-                    s.l1_misses += miss_addrs as u64;
-                    self.warps.bump_counter(slot, p);
-                    self.warps.bump_access(slot);
-                    let done = self.warps.advance(slot, body_len);
-                    if miss_addrs == 0 {
-                        if done {
-                            retired_blocks += self.retire(slot);
-                        } else {
-                            self.sleepers
-                                .push(Reverse((now + u64::from(cfg.l1_hit_lat), slot as u32)));
-                        }
-                    } else {
-                        self.warps.outstanding[slot] = miss_addrs as u16;
-                        self.warps.retiring[slot] = done;
-                        for &addr in &self.addr_buf {
-                            memsys.push(MemRequest {
-                                addr,
-                                is_write: false,
-                                app,
-                                sm: self.id,
-                                warp_slot: slot as u32,
-                                arrive_at: now + u64::from(cfg.icnt_lat),
-                            });
-                        }
-                    }
-                }
-                Op::Barrier => {
-                    let s = stats.app_mut(app);
-                    s.warp_insts += 1;
-                    s.thread_insts += u64::from(kernel.active_lanes);
-                    s.alu_insts += 1;
-                    let block = self.warps.block[slot];
-                    let b = self
-                        .blocks
-                        .iter_mut()
-                        .find(|b| b.block == block)
-                        .expect("warp's block is resident");
-                    b.barrier_waiters.push(slot as u32);
-                    if b.barrier_waiters.len() as u32 == b.warps_left {
-                        let waiters = std::mem::take(&mut b.barrier_waiters);
-                        for w_slot in waiters {
-                            let ws = w_slot as usize;
-                            let done = self.warps.advance(ws, body_len);
-                            if done {
-                                retired_blocks += self.retire(ws);
-                            } else {
-                                self.sleepers.push(Reverse((now + 1, w_slot)));
-                            }
-                        }
-                    }
-                }
-                Op::Store(PatternId(p)) => {
-                    let p = usize::from(p);
-                    self.generate_access_addrs(slot, p, kernel, app_base, total_warps, line, hook);
-                    if !memsys.can_accept_all(&self.addr_buf) {
-                        self.warps.bump_attempt(slot);
-                        self.sleepers.push(Reverse((now + 2, slot as u32)));
-                        continue;
-                    }
-                    let s = stats.app_mut(app);
-                    s.warp_insts += 1;
-                    s.thread_insts += u64::from(kernel.active_lanes);
-                    s.mem_insts += 1;
-                    for &addr in &self.addr_buf {
-                        memsys.push(MemRequest {
-                            addr,
-                            is_write: true,
-                            app,
-                            sm: self.id,
-                            warp_slot: u32::MAX,
-                            arrive_at: now + u64::from(cfg.icnt_lat),
-                        });
-                    }
-                    self.warps.bump_counter(slot, p);
-                    self.warps.bump_access(slot);
-                    let done = self.warps.advance(slot, body_len);
-                    if done {
-                        retired_blocks += self.retire(slot);
-                    } else {
                         self.sleepers.push(Reverse((now + 1, slot as u32)));
                     }
                 }

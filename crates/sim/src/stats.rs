@@ -183,91 +183,6 @@ impl SimStats {
     }
 }
 
-/// Issue-path counter deltas accumulated shard-locally during sharded
-/// stepping (DESIGN.md §12) and folded into [`AppStats`] at run exit.
-///
-/// Only the counters the SM issue phase touches are here; everything
-/// the memory system accounts (DRAM bytes, row-buffer outcomes,
-/// L2→L1 bytes) travels through [`MemDelta`] instead — written
-/// directly by the reference `MemSys::tick`, or accumulated per
-/// memory shard during phase M and folded in cell order. All fields
-/// are additive, so the fold commutes with the direct writes of the
-/// serial phases.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IssueDelta {
-    /// Warp-level instructions issued.
-    pub warp_insts: u64,
-    /// Thread-level instructions.
-    pub thread_insts: u64,
-    /// Memory warp instructions issued.
-    pub mem_insts: u64,
-    /// Arithmetic/SFU warp instructions issued.
-    pub alu_insts: u64,
-    /// L1 data cache hits.
-    pub l1_hits: u64,
-    /// L1 data cache misses.
-    pub l1_misses: u64,
-}
-
-impl IssueDelta {
-    /// True when no counter moved (lets the fold skip untouched slots).
-    pub fn is_zero(&self) -> bool {
-        *self == IssueDelta::default()
-    }
-}
-
-impl AppStats {
-    /// Folds shard-local issue deltas into the cumulative counters.
-    pub fn apply_issue_delta(&mut self, d: &IssueDelta) {
-        self.warp_insts += d.warp_insts;
-        self.thread_insts += d.thread_insts;
-        self.mem_insts += d.mem_insts;
-        self.alu_insts += d.alu_insts;
-        self.l1_hits += d.l1_hits;
-        self.l1_misses += d.l1_misses;
-    }
-}
-
-/// Memory-system counter deltas accumulated shard-locally during
-/// sharded memory stepping (DESIGN.md §12, phase M) and folded into
-/// [`AppStats`] in cell order at the end of every stepped cycle.
-///
-/// All fields are additive `u64` counters, so folding the per-shard
-/// deltas in ascending cell order produces exactly the sums the
-/// reference `MemSys::tick` would have written in slice order.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemDelta {
-    /// Bytes read from DRAM.
-    pub dram_read_bytes: u64,
-    /// Bytes written to DRAM.
-    pub dram_write_bytes: u64,
-    /// Bytes returned from the L2 to any L1.
-    pub l2_to_l1_bytes: u64,
-    /// DRAM row-buffer hits (reads).
-    pub dram_row_hits: u64,
-    /// DRAM row-buffer misses (reads).
-    pub dram_row_misses: u64,
-}
-
-impl MemDelta {
-    /// True when no counter moved (lets the fold skip untouched slots).
-    pub fn is_zero(&self) -> bool {
-        *self == MemDelta::default()
-    }
-}
-
-impl AppStats {
-    /// Folds shard-local memory-system deltas into the cumulative
-    /// counters.
-    pub fn apply_mem_delta(&mut self, d: &MemDelta) {
-        self.dram_read_bytes += d.dram_read_bytes;
-        self.dram_write_bytes += d.dram_write_bytes;
-        self.l2_to_l1_bytes += d.l2_to_l1_bytes;
-        self.dram_row_hits += d.dram_row_hits;
-        self.dram_row_misses += d.dram_row_misses;
-    }
-}
-
 /// Per-SM state captured in a [`DiagSnapshot`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SmDiag {

@@ -126,30 +126,6 @@ impl WarpTable {
     }
 }
 
-/// A memory access suspended between the sharded issue phases: the
-/// parallel prepare phase (address generation + L1 probe, all SM-local)
-/// stops at the first op that needs the shared memory system, and the
-/// serial merge phase resolves it against live back-pressure in
-/// canonical rotation order (DESIGN.md §12). The generated addresses
-/// stay in the SM's scratch buffer; this records everything else the
-/// resolution needs.
-#[derive(Debug, Clone, Copy)]
-pub struct PendingAccess {
-    /// Warp slot that issued the access.
-    pub slot: u32,
-    /// Pattern index (for the per-warp pattern counter bump).
-    pub pattern: u32,
-    /// L1 hits already counted during the probe (loads only).
-    pub l1_hits: u64,
-    /// True for stores (write-through, fire-and-forget), false for
-    /// loads with at least one L1 miss.
-    pub is_store: bool,
-    /// Issue-budget iterations left after this op; the merge phase
-    /// continues the SM's issue loop with this budget once the access
-    /// resolves.
-    pub budget_left: u32,
-}
-
 /// Generates the line-aligned addresses for one warp access through
 /// `pattern`, appending them to `out`.
 ///

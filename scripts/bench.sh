@@ -6,21 +6,15 @@
 #
 #   {
 #     "benches":    { "<name>": {"mean_ns": N, "min_ns": N,
-#                                "sim_threads": K, "sm_shards": K,
-#                                "mem_shards": K}, ... },
-#     "cold_sweep": { "name": "...", "wall_seconds": S, "sim_threads": K, ... }
+#                                "sim_threads": 1, "sm_shards": 1,
+#                                "mem_shards": 1}, ... },
+#     "cold_sweep": { "name": "...", "wall_seconds": S, "sim_threads": 1, ... }
 #   }
 #
-# K records the GCS_SIM_THREADS setting the run was measured under
-# (default 1: unsharded reference stepping), and sm_shards/mem_shards
-# record the shard plan that setting grants (today the sweep engine
-# leases both shard counts equal to the thread budget; the stamp keeps
-# baselines comparable if the plan ever diverges from the budget).
-# Sharded stepping never changes results, but it very much changes
-# wall-clock, so deltas are only meaningful between runs with the same
-# plan — the gate below skips any bench whose recorded
-# sim_threads/sm_shards/mem_shards differ from the baseline's instead
-# of comparing apples to oranges.
+# Every simulation steps on one thread, so each entry carries the plan
+# stamp 1/1/1. The stamp stays so that committed baselines keep
+# comparing: the gate below skips any bench whose recorded
+# sim_threads/sm_shards/mem_shards differ from the baseline's.
 #
 # It then runs the online-scheduler micro-benchmarks (epoch planning
 # cost per policy, warm-cache event loop, plus the fleet/ family:
@@ -175,25 +169,16 @@ SWEEP_T1=$(date +%s.%N)
 SWEEP_SECS=$(awk -v a="$SWEEP_T0" -v b="$SWEEP_T1" 'BEGIN { printf "%.3f", b - a }')
 
 # Collect the BENCH_JSON lines into one document, stamping each entry
-# with the shard plan it was measured under. The sweep engine grants
-# both shard counts equal to the leased thread budget (sweep.rs
-# shard_grant), so the plan is derived from GCS_SIM_THREADS today;
-# stamping all three keeps old baselines skippable if that changes.
-SIM_THREADS="${GCS_SIM_THREADS:-1}"
-SM_SHARDS="$SIM_THREADS"
-MEM_SHARDS="$SIM_THREADS"
-awk -v sweep_secs="$SWEEP_SECS" -v sim_threads="$SIM_THREADS" \
-    -v sm_shards="$SM_SHARDS" -v mem_shards="$MEM_SHARDS" '
+# with the one-thread plan 1/1/1.
+PLAN=', "sim_threads": 1, "sm_shards": 1, "mem_shards": 1'
+awk -v sweep_secs="$SWEEP_SECS" -v plan="$PLAN" '
     /^BENCH_JSON / {
         line = substr($0, 12)
         # {"name":"X","mean_ns":N,"min_ns":M}
         name = line; sub(/.*"name":"/, "", name); sub(/".*/, "", name)
         mean = line; sub(/.*"mean_ns":/, "", mean); sub(/,.*/, "", mean)
         min  = line; sub(/.*"min_ns":/,  "", min);  sub(/}.*/, "", min)
-        entry = "    \"" name "\": {\"mean_ns\": " mean ", \"min_ns\": " min \
-                ", \"sim_threads\": " sim_threads \
-                ", \"sm_shards\": " sm_shards \
-                ", \"mem_shards\": " mem_shards "}"
+        entry = "    \"" name "\": {\"mean_ns\": " mean ", \"min_ns\": " min plan "}"
         entries = entries (entries == "" ? "" : ",\n") entry
     }
     END {
@@ -204,9 +189,9 @@ awk -v sweep_secs="$SWEEP_SECS" -v sim_threads="$SIM_THREADS" \
         print "  \"cold_sweep\": {"
         print "    \"name\": \"fig41_two_app (GCS_SCALE=test, GCS_CACHE=off)\","
         print "    \"wall_seconds\": " sweep_secs ","
-        print "    \"sim_threads\": " sim_threads ","
-        print "    \"sm_shards\": " sm_shards ","
-        print "    \"mem_shards\": " mem_shards
+        print "    \"sim_threads\": 1,"
+        print "    \"sm_shards\": 1,"
+        print "    \"mem_shards\": 1"
         print "  }"
         print "}"
     }
@@ -231,17 +216,13 @@ echo
 echo "==> cargo bench --bench sched"
 cargo bench --bench sched | tee "$SCHED_RAW"
 
-awk -v sim_threads="$SIM_THREADS" \
-    -v sm_shards="$SM_SHARDS" -v mem_shards="$MEM_SHARDS" '
+awk -v plan="$PLAN" '
     /^BENCH_JSON / {
         line = substr($0, 12)
         name = line; sub(/.*"name":"/, "", name); sub(/".*/, "", name)
         mean = line; sub(/.*"mean_ns":/, "", mean); sub(/,.*/, "", mean)
         min  = line; sub(/.*"min_ns":/,  "", min);  sub(/}.*/, "", min)
-        entry = "    \"" name "\": {\"mean_ns\": " mean ", \"min_ns\": " min \
-                ", \"sim_threads\": " sim_threads \
-                ", \"sm_shards\": " sm_shards \
-                ", \"mem_shards\": " mem_shards "}"
+        entry = "    \"" name "\": {\"mean_ns\": " mean ", \"min_ns\": " min plan "}"
         entries = entries (entries == "" ? "" : ",\n") entry
     }
     # Daemon decision sidecar (decisions_per_sec, p50/p99 decision

@@ -6,9 +6,9 @@
 # works on an air-gapped machine exactly as it does in CI.
 #
 #   scripts/ci.sh               full gate: build, tests, widened property
-#                               tests, clippy (deny warnings), the wire-kernel
-#                               duplicate guard, the shard/daemon/fleet smokes
-#                               and benchmark/smoke.sh (golden digests)
+#                               tests, clippy (deny warnings), the duplicate
+#                               guards, the daemon/fleet smokes and
+#                               benchmark/smoke.sh (golden digests)
 #   scripts/ci.sh --quick       tier-1 only: release build + default tests
 #   scripts/ci.sh --bench-smoke also run scripts/bench.sh --smoke after the
 #                               gate (checks the benchmarks still run; the
@@ -33,13 +33,6 @@
 #                               trace_replay at 1/2/8 worker threads with a
 #                               cold cache, and asserts the replay report
 #                               line is byte-identical every time, then
-#                               exits
-#   scripts/ci.sh --shard-smoke sharded-stepping gate only: runs one fixed
-#                               SMRA co-run over the SM-shard x memory-shard
-#                               grid (s1/s2/s4 x m1/m2/m4, shard_smoke
-#                               binary) plus the StepMode::Cycle reference
-#                               point, and asserts the canonical JSON stats
-#                               line is byte-identical at every point, then
 #                               exits
 #   scripts/ci.sh --daemon-smoke
 #                               scheduler-daemon gate only: drives a seeded
@@ -73,7 +66,6 @@ CHAOS_SMOKE=0
 SCHED_SMOKE=0
 PROFILE_SMOKE=0
 TRACE_SMOKE=0
-SHARD_SMOKE=0
 DAEMON_SMOKE=0
 FLEET_SMOKE=0
 for arg in "$@"; do
@@ -84,10 +76,9 @@ for arg in "$@"; do
         --sched-smoke) SCHED_SMOKE=1 ;;
         --profile-smoke) PROFILE_SMOKE=1 ;;
         --trace-smoke) TRACE_SMOKE=1 ;;
-        --shard-smoke) SHARD_SMOKE=1 ;;
         --daemon-smoke) DAEMON_SMOKE=1 ;;
         --fleet-smoke) FLEET_SMOKE=1 ;;
-        *) echo "usage: scripts/ci.sh [--quick] [--bench-smoke] [--chaos-smoke] [--sched-smoke] [--profile-smoke] [--trace-smoke] [--shard-smoke] [--daemon-smoke] [--fleet-smoke]" >&2; exit 2 ;;
+        *) echo "usage: scripts/ci.sh [--quick] [--bench-smoke] [--chaos-smoke] [--sched-smoke] [--profile-smoke] [--trace-smoke] [--daemon-smoke] [--fleet-smoke]" >&2; exit 2 ;;
     esac
 done
 
@@ -147,40 +138,6 @@ if [ "$PROFILE_SMOKE" -eq 1 ]; then
     done
     echo
     echo "profile smoke passed (totals partition the cycles; byte-stable at 1/2/8 threads)"
-    exit 0
-fi
-
-# Sharded-stepping gate: one fixed SMRA co-run per point of the
-# SM-shard × memory-shard grid; the canonical JSON stats line must be
-# byte-identical at every point (sharding is a pure wall-clock
-# optimization — DESIGN.md §12, both phase A and phase M).
-shard_smoke() {
-    step "shard smoke (shard_smoke co-run, SM shards 1/2/4 x mem shards 1/2/4, plus the cycle-stepped reference)"
-    cargo build --release --bin shard_smoke
-    local ref="" line point shards mem mode
-    # The last point steps every cycle and visits every SM
-    # (`StepMode::Cycle`): horizon jumps and idle-SM elision are gated
-    # byte-for-byte, not only in tier-1.
-    for point in "1 1" "2 1" "4 1" "1 2" "1 4" "4 2" "4 4" "1 1 cycle"; do
-        read -r shards mem mode <<<"$point"
-        line=$(./target/release/shard_smoke "$shards" "$mem" $mode | grep '^stats:') || {
-            echo "no stats line in shard_smoke output" >&2; exit 1;
-        }
-        echo "  shards=$shards mem=$mem ${mode:-horizon}  ${line:0:60}..."
-        if [ -z "$ref" ]; then
-            ref="$line"
-        elif [ "$line" != "$ref" ]; then
-            echo "canonical stats differ at shards=$shards mem=$mem ${mode:-horizon}:" >&2
-            echo "  ref: $ref" >&2
-            echo "  got: $line" >&2
-            exit 1
-        fi
-    done
-    echo "shard smoke passed (stats byte-identical across the SM x mem shard grid and the cycle-stepped reference)"
-}
-
-if [ "$SHARD_SMOKE" -eq 1 ]; then
-    shard_smoke
     exit 0
 fi
 
@@ -335,7 +292,18 @@ if grep -rnE 'fn (esc|escape_json|fmt_f64)\b' crates --include='*.rs' \
     exit 1
 fi
 
-shard_smoke
+# One stepping engine (DESIGN.md §12): the deleted sharded lanes, their
+# thread lease and their knobs stay deleted. CHANGES.md and ROADMAP.md
+# are history and may name them.
+step "duplicate guard (one stepping engine: no sharded-lane names)"
+GONE='ShardCell|MemShard|ShardSink|ShardCtl|ThreadedExec|issue_prepare|issue_more'
+GONE="$GONE|resolve_pending|PendingAccess|run_sharded|ShardLease|set_shards"
+GONE="$GONE|set_mem_shards|set_shard_workers|with_sim_threads|GCS_SIM_THREADS|shard_smoke"
+if grep -rnE "$GONE" crates tests scripts README.md DESIGN.md --exclude=ci.sh; then
+    echo "a deleted sharded-lane name is back (see the matches above)" >&2
+    exit 1
+fi
+
 daemon_smoke
 fleet_smoke
 

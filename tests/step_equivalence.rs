@@ -161,7 +161,9 @@ fn smra_case(cfg: GpuConfig, a: Benchmark, b: Benchmark, tc: u64, windows: Optio
         };
         let mut ctl = SmraController::new(params, ids, &gpu);
         match windows {
-            None => ctl.run_to_completion(&mut gpu, MAX_CYCLES).expect("smra run"),
+            None => ctl
+                .run_to_completion(&mut gpu, MAX_CYCLES)
+                .expect("smra run"),
             Some(n) => {
                 for _ in 0..n {
                     gpu.run_for(tc);
@@ -183,8 +185,10 @@ fn replay_case(trace: KernelTrace) -> Case {
     let trace = Arc::new(trace);
     let run = move |mode| {
         let mut gpu = device(mode);
-        gpu.launch_traced(Arc::clone(&trace)).expect("launch traced");
-        gpu.launch(Benchmark::Gups.kernel(Scale::TEST)).expect("launch co-runner");
+        gpu.launch_traced(Arc::clone(&trace))
+            .expect("launch traced");
+        gpu.launch(Benchmark::Gups.kernel(Scale::TEST))
+            .expect("launch co-runner");
         gpu.partition_even();
         gpu.run(MAX_CYCLES).expect("replay co-run finishes");
         (gpu, Vec::new())
@@ -232,7 +236,10 @@ fn check_golden(select: impl Fn(&str) -> bool) {
         .map(|l| l.split(' ').next().unwrap_or(""))
         .collect();
     let case_names: Vec<&str> = cases.iter().map(|(n, _)| n.as_str()).collect();
-    assert_eq!(names, case_names, "golden file and corpus list different runs");
+    assert_eq!(
+        names, case_names,
+        "golden file and corpus list different runs"
+    );
     for ((name, run), want) in cases.iter().zip(&want) {
         if !select(name) {
             continue;
@@ -266,7 +273,11 @@ fn smra_run_with_small_window_is_bit_identical_across_step_modes() {
 
 #[test]
 fn golden_corpus_matches_both_step_modes() {
-    check_golden(|name| !["alone/", "even", "smra"].iter().any(|p| name.starts_with(p)));
+    check_golden(|name| {
+        !["alone/", "even", "smra"]
+            .iter()
+            .any(|p| name.starts_with(p))
+    });
 }
 
 #[test]
@@ -280,16 +291,21 @@ fn event_horizon_is_the_default_mode() {
 // ----------------------------------------------------------------------
 
 /// Runs `script` on a fresh profiled test device in both step modes and
-/// asserts identical `SimStats`, final cycle and `PhaseCycles`. The
-/// script drives the device through the public API only, so whatever it
-/// observes (cycles, diagnostics) reads the same in both modes as long
-/// as they agree.
+/// asserts identical `SimStats`, final cycle and `PhaseCycles`, with the
+/// phases summing to the final cycle in each mode. The script drives the
+/// device through the public API only, so whatever it observes (cycles,
+/// diagnostics) reads the same in both modes as long as they agree.
 fn both_modes(name: &str, script: impl Fn(&mut Gpu)) {
     let run = |mode| {
         let mut gpu = device(mode);
         gpu.set_profiling(true);
         script(&mut gpu);
         let phases = gpu.phase_cycles().expect("profiling on");
+        assert_eq!(
+            phases.total(),
+            gpu.cycle(),
+            "{name} ({mode:?}): phases do not sum to the cycles: {phases:?}"
+        );
         (gpu.stats().clone(), gpu.cycle(), phases)
     };
     let (stats_c, cyc_c, ph_c) = run(StepMode::Cycle);
@@ -463,6 +479,47 @@ fn trace_replay_matches_cycle_stepping() {
         gpu.transfer_sms(AppId(1), AppId(0), 2);
         finish(gpu);
     });
+}
+
+#[test]
+fn recorded_trace_is_step_mode_stable_and_replays_the_recording_run() {
+    // BLK recorded next to GUPS: the trace bytes must not depend on the
+    // step mode, and replaying them next to the same partner must
+    // reproduce the recording run's stats and final cycle.
+    let record = |mode| {
+        let mut gpu = device(mode);
+        let a = gpu
+            .launch(Benchmark::Blk.kernel(Scale::TEST))
+            .expect("launch");
+        gpu.enable_trace_recording(a).expect("recording");
+        gpu.launch(Benchmark::Gups.kernel(Scale::TEST))
+            .expect("co-runner");
+        gpu.partition_even();
+        gpu.run(MAX_CYCLES).expect("recording run finishes");
+        let trace = gpu.take_trace(a).expect("recording was on");
+        (trace.encode(), gpu.stats().clone(), gpu.cycle())
+    };
+    let recorded = record(StepMode::Cycle);
+    assert!(
+        recorded == record(StepMode::EventHorizon),
+        "recording run diverged between step modes"
+    );
+    let (bytes, stats, cycle) = recorded;
+    let trace = Arc::new(KernelTrace::decode(&bytes).expect("recorded trace decodes"));
+    for mode in [StepMode::Cycle, StepMode::EventHorizon] {
+        let mut gpu = device(mode);
+        gpu.launch_traced(Arc::clone(&trace))
+            .expect("launch traced");
+        gpu.launch(Benchmark::Gups.kernel(Scale::TEST))
+            .expect("co-runner");
+        gpu.partition_even();
+        gpu.run(MAX_CYCLES).expect("replay finishes");
+        assert_eq!(
+            (gpu.stats(), gpu.cycle()),
+            (&stats, cycle),
+            "replay ({mode:?}) diverged from the recording run"
+        );
+    }
 }
 
 #[test]
