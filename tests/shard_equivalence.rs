@@ -1,18 +1,18 @@
-//! Shard-count equivalence: sharded-SM stepping must be bit-identical
-//! to the unsharded reference, at every shard count.
+//! Shard-count equivalence on the one stepping engine.
 //!
-//! [`Gpu::set_shards`] splits the SM array into `k` cells whose
-//! SM-local work (issue preparation, L1 probes, completion delivery)
-//! runs per shard, with every access to shared state — L2/MSHR
-//! admission, DRAM, block dispatch — replayed through a serial merge in
-//! the reference rotation order. The engine's contract is that this is
-//! *purely* a wall-clock optimization: every [`SimStats`] counter, the
-//! final device cycle, every SMRA decision and every recorded trace
-//! byte are exactly the `k = 1` values. This suite pins that contract
-//! across the 14-workload suite alone, an Even co-run, an
-//! SMRA-controlled run, authored-trace replays, fault plans, the phase
-//! profiler, a multi-issue device and the threaded executor — in both
-//! step modes, at shard counts 1, 2 and 4.
+//! This suite once pinned sharded-SM stepping against the unsharded
+//! reference at shard counts 1, 2 and 4. The sharded lane lost to one
+//! thread on every measured point and was deleted (DESIGN.md §12); the
+//! device now always steps as a single cell, and `Gpu::shards()`,
+//! `mem_shards()` and `shard_workers()` read 1. The contract the suite
+//! pinned still holds: every [`SimStats`] counter, the final device
+//! cycle, every SMRA decision and every recorded trace byte are the
+//! reference values. Each scenario — the 14-workload suite alone, an
+//! Even co-run, an SMRA-controlled run, authored-trace replays, fault
+//! plans, the phase profiler, a recording run and a multi-issue device —
+//! runs on a device that reports the single-cell plan, and must be
+//! bit-identical between `StepMode::Cycle` (the oracle) and
+//! `StepMode::EventHorizon`.
 
 use std::sync::Arc;
 
@@ -25,38 +25,46 @@ use gcs_workloads::{phase_shift_trace, tensor_mix_trace, Benchmark, Scale};
 
 const MAX_CYCLES: u64 = 50_000_000;
 
-/// The pinned shard counts: reference, even split, and a split finer
-/// than the per-app partitions of a two-app Even co-run.
-const SHARDS: [u32; 3] = [1, 2, 4];
-
-const MODES: [StepMode; 2] = [StepMode::Cycle, StepMode::EventHorizon];
-
-fn device(cfg: GpuConfig, mode: StepMode, shards: u32) -> Gpu {
+/// A device in `mode` that steps as one cell.
+fn device(cfg: GpuConfig, mode: StepMode) -> Gpu {
     let mut gpu = Gpu::new(cfg).expect("device");
     gpu.set_step_mode(mode);
-    gpu.set_shards(shards);
+    assert_eq!(
+        (gpu.shards(), gpu.mem_shards(), gpu.shard_workers()),
+        (1, 1, 1),
+        "the device steps as a single cell"
+    );
     gpu
 }
 
-fn run_alone(bench: Benchmark, mode: StepMode, shards: u32) -> (SimStats, u64) {
-    let mut gpu = device(GpuConfig::test_small(), mode, shards);
+/// Runs `run` in both step modes and asserts the results are equal.
+fn cycle_matches_horizon<T: PartialEq + std::fmt::Debug>(what: &str, run: impl Fn(StepMode) -> T) {
+    assert_eq!(
+        run(StepMode::Cycle),
+        run(StepMode::EventHorizon),
+        "{what}: event-horizon stepping diverged from the cycle oracle"
+    );
+}
+
+fn run_alone(bench: Benchmark, mode: StepMode) -> (SimStats, u64) {
+    let mut gpu = device(GpuConfig::test_small(), mode);
     gpu.launch(bench.kernel(Scale::TEST)).expect("launch");
     gpu.partition_even();
     gpu.run(MAX_CYCLES).expect("alone run finishes");
     (gpu.stats().clone(), gpu.cycle())
 }
 
-fn run_even_corun(mode: StepMode, shards: u32) -> (SimStats, u64) {
-    let mut gpu = device(GpuConfig::test_small(), mode, shards);
-    gpu.launch(Benchmark::Gups.kernel(Scale::TEST)).expect("launch a");
-    gpu.launch(Benchmark::Spmv.kernel(Scale::TEST)).expect("launch b");
+fn run_pair(cfg: GpuConfig, a: Benchmark, b: Benchmark, mode: StepMode) -> (SimStats, u64) {
+    let mut gpu = device(cfg, mode);
+    gpu.launch(a.kernel(Scale::TEST)).expect("launch a");
+    gpu.launch(b.kernel(Scale::TEST)).expect("launch b");
     gpu.partition_even();
     gpu.run(MAX_CYCLES).expect("co-run finishes");
     (gpu.stats().clone(), gpu.cycle())
 }
 
-fn run_smra(mode: StepMode, shards: u32) -> (SimStats, u64, Vec<SmraAction>) {
-    let mut gpu = device(GpuConfig::test_small(), mode, shards);
+fn run_smra(mode: StepMode) -> (SimStats, u64, Vec<SmraAction>) {
+    let mut gpu = device(GpuConfig::test_small(), mode);
     let a = gpu.launch(Benchmark::Gups.kernel(Scale::TEST)).expect("a");
     let b = gpu.launch(Benchmark::Sad.kernel(Scale::TEST)).expect("b");
     gpu.partition_even();
@@ -69,8 +77,8 @@ fn run_smra(mode: StepMode, shards: u32) -> (SimStats, u64, Vec<SmraAction>) {
     (gpu.stats().clone(), gpu.cycle(), ctl.actions().to_vec())
 }
 
-fn run_replay(trace: &Arc<KernelTrace>, mode: StepMode, shards: u32) -> (SimStats, u64) {
-    let mut gpu = device(GpuConfig::test_small(), mode, shards);
+fn run_replay(trace: &Arc<KernelTrace>, mode: StepMode) -> (SimStats, u64) {
+    let mut gpu = device(GpuConfig::test_small(), mode);
     gpu.launch_traced(Arc::clone(trace)).expect("launch traced");
     gpu.launch(Benchmark::Gups.kernel(Scale::TEST)).expect("launch co-runner");
     gpu.partition_even();
@@ -80,77 +88,42 @@ fn run_replay(trace: &Arc<KernelTrace>, mode: StepMode, shards: u32) -> (SimStat
 
 #[test]
 fn alone_runs_are_bit_identical_across_shard_counts() {
-    for mode in MODES {
-        for bench in Benchmark::ALL {
-            let reference = run_alone(bench, mode, 1);
-            for shards in &SHARDS[1..] {
-                assert_eq!(
-                    reference,
-                    run_alone(bench, mode, *shards),
-                    "{bench:?} ({mode:?}): stats/cycle diverged at {shards} shards"
-                );
-            }
-        }
+    for bench in Benchmark::ALL {
+        cycle_matches_horizon(&format!("{bench:?} alone"), |mode| run_alone(bench, mode));
     }
 }
 
 #[test]
 fn even_corun_is_bit_identical_across_shard_counts() {
-    for mode in MODES {
-        let reference = run_even_corun(mode, 1);
-        for shards in &SHARDS[1..] {
-            assert_eq!(
-                reference,
-                run_even_corun(mode, *shards),
-                "even co-run ({mode:?}) diverged at {shards} shards"
-            );
-        }
-    }
+    cycle_matches_horizon("GUPS x SPMV even co-run", |mode| {
+        run_pair(GpuConfig::test_small(), Benchmark::Gups, Benchmark::Spmv, mode)
+    });
 }
 
 #[test]
 fn smra_run_is_bit_identical_across_shard_counts() {
-    for mode in MODES {
-        let (ref_stats, ref_cyc, ref_actions) = run_smra(mode, 1);
-        for shards in &SHARDS[1..] {
-            let (stats, cyc, actions) = run_smra(mode, *shards);
-            assert_eq!(
-                ref_actions, actions,
-                "SMRA decision trace ({mode:?}) diverged at {shards} shards: \
-                 the controller observed different samples"
-            );
-            assert_eq!(ref_cyc, cyc, "SMRA final cycle ({mode:?}) diverged at {shards} shards");
-            assert_eq!(ref_stats, stats, "SMRA SimStats ({mode:?}) diverged at {shards} shards");
-        }
-    }
+    // The action list comes first: a diverging decision means the
+    // controller observed different samples.
+    cycle_matches_horizon("SMRA run", |mode| {
+        let (stats, cycle, actions) = run_smra(mode);
+        (actions, cycle, stats)
+    });
 }
 
 #[test]
 fn authored_trace_replays_are_bit_identical_across_shard_counts() {
     let cfg = GpuConfig::test_small();
-    let traces = [
-        Arc::new(phase_shift_trace(&cfg)),
-        Arc::new(tensor_mix_trace(&cfg)),
-    ];
-    for trace in &traces {
-        for mode in MODES {
-            let reference = run_replay(trace, mode, 1);
-            for shards in &SHARDS[1..] {
-                assert_eq!(
-                    reference,
-                    run_replay(trace, mode, *shards),
-                    "{} replay ({mode:?}) diverged at {shards} shards",
-                    trace.kernel_desc().name
-                );
-            }
-        }
+    for trace in [phase_shift_trace(&cfg), tensor_mix_trace(&cfg)] {
+        let trace = Arc::new(trace);
+        let what = format!("{} replay", trace.kernel_desc().name);
+        cycle_matches_horizon(&what, |mode| run_replay(&trace, mode));
     }
 }
 
 #[test]
 fn faulted_runs_are_bit_identical_across_shard_counts() {
-    // All three fault kinds, including a drain-based disable that must
-    // land inside the owning shard and a recovery handed back mid-run.
+    // All three fault kinds: a drain-based disable, memory latency and
+    // MSHR windows, and a recovery handed back mid-run.
     let plan = || {
         FaultPlan::new()
             .disable_sm(2_000, 0)
@@ -158,67 +131,47 @@ fn faulted_runs_are_bit_identical_across_shard_counts() {
             .mshr_window(8_000, 25_000, 2)
             .enable_sm(30_000, 0)
     };
-    for mode in MODES {
-        for bench in [Benchmark::Gups, Benchmark::Spmv] {
-            let run = |shards: u32| {
-                let mut gpu = device(GpuConfig::test_small(), mode, shards);
-                gpu.install_fault_plan(plan()).expect("valid plan");
-                gpu.launch(bench.kernel(Scale::TEST)).expect("launch");
-                gpu.partition_even();
-                gpu.run(MAX_CYCLES).expect("faulted run finishes");
-                (gpu.stats().clone(), gpu.cycle())
-            };
-            let reference = run(1);
-            for shards in &SHARDS[1..] {
-                assert_eq!(
-                    reference,
-                    run(*shards),
-                    "{bench:?} faulted run ({mode:?}) diverged at {shards} shards"
-                );
-            }
-        }
+    for bench in [Benchmark::Gups, Benchmark::Spmv] {
+        cycle_matches_horizon(&format!("{bench:?} faulted run"), |mode| {
+            let mut gpu = device(GpuConfig::test_small(), mode);
+            gpu.install_fault_plan(plan()).expect("valid plan");
+            gpu.launch(bench.kernel(Scale::TEST)).expect("launch");
+            gpu.partition_even();
+            gpu.run(MAX_CYCLES).expect("faulted run finishes");
+            (gpu.stats().clone(), gpu.cycle())
+        });
     }
 }
 
 #[test]
 fn profiler_phase_totals_are_shard_invariant_and_account_every_cycle() {
-    let run = |shards: u32| {
-        let mut gpu = device(GpuConfig::test_small(), StepMode::EventHorizon, shards);
+    let run = |mode| {
+        let mut gpu = device(GpuConfig::test_small(), mode);
         gpu.set_profiling(true);
         gpu.launch(Benchmark::Gups.kernel(Scale::TEST)).expect("launch a");
         gpu.launch(Benchmark::Spmv.kernel(Scale::TEST)).expect("launch b");
         gpu.partition_even();
         gpu.run(MAX_CYCLES).expect("profiled co-run finishes");
         let phases = gpu.phase_cycles().expect("profiling was on");
-        (gpu.stats().clone(), gpu.cycle(), phases)
-    };
-    let (ref_stats, ref_cyc, ref_phases) = run(1);
-    assert_eq!(
-        ref_phases.total(),
-        ref_cyc,
-        "reference profiler lost cycles: {ref_phases:?}"
-    );
-    for shards in &SHARDS[1..] {
-        let (stats, cyc, phases) = run(*shards);
         assert_eq!(
             phases.total(),
-            cyc,
-            "profiler lost cycles at {shards} shards: {phases:?}"
+            gpu.cycle(),
+            "profiler lost cycles ({mode:?}): {phases:?}"
         );
-        assert_eq!(ref_phases, phases, "phase totals diverged at {shards} shards");
-        assert_eq!(ref_cyc, cyc, "profiled final cycle diverged at {shards} shards");
-        assert_eq!(ref_stats, stats, "profiled SimStats diverged at {shards} shards");
-    }
+        (gpu.stats().clone(), gpu.cycle(), phases)
+    };
+    // No `run_for` window clamps a jump here, so every phase bucket,
+    // not just the issue cycles, must match the oracle.
+    cycle_matches_horizon("profiled co-run", run);
 }
 
 #[test]
 fn recording_runs_ignore_sharding_and_produce_identical_traces() {
-    // Trace recording interns warp groups in first-touch order, which
-    // is inherently cross-SM order-sensitive; a recording run therefore
-    // always takes the reference path. The recorded bytes — and the
-    // recording run's own stats — must not move with the shard setting.
-    let record = |shards: u32| {
-        let mut gpu = device(GpuConfig::test_small(), StepMode::EventHorizon, shards);
+    // BLK recorded next to GUPS: the trace bytes must not depend on the
+    // step mode, and replaying them next to the same partner must
+    // reproduce the recording run's stats and final cycle.
+    let record = |mode| {
+        let mut gpu = device(GpuConfig::test_small(), mode);
         let a = gpu.launch(Benchmark::Blk.kernel(Scale::TEST)).expect("launch");
         gpu.enable_trace_recording(a).expect("recording");
         gpu.launch(Benchmark::Gups.kernel(Scale::TEST)).expect("co-runner");
@@ -227,84 +180,31 @@ fn recording_runs_ignore_sharding_and_produce_identical_traces() {
         let trace = gpu.take_trace(a).expect("recording was on");
         (trace.encode(), gpu.stats().clone(), gpu.cycle())
     };
-    let reference = record(1);
-    for shards in &SHARDS[1..] {
+    let recorded = record(StepMode::Cycle);
+    assert!(
+        recorded == record(StepMode::EventHorizon),
+        "recording run diverged between step modes"
+    );
+    let (bytes, stats, cycle) = recorded;
+    let trace = Arc::new(KernelTrace::decode(&bytes).expect("recorded trace decodes"));
+    for mode in [StepMode::Cycle, StepMode::EventHorizon] {
         assert_eq!(
-            reference,
-            record(*shards),
-            "recording run diverged at {shards} shards"
+            run_replay(&trace, mode),
+            (stats.clone(), cycle),
+            "replay ({mode:?}) diverged from the recording run"
         );
     }
 }
 
 #[test]
 fn multi_issue_device_is_bit_identical_across_shard_counts() {
-    // issue_per_sm > 1 exercises the suspended-access continuation: a
-    // shard-local prepare stops at the first coupled access and the
-    // serial merge must finish the SM's remaining issue budget against
-    // the live memory system.
+    // issue_per_sm > 1: `Sm::issue` spends the SM's whole issue budget
+    // against the live memory system within one cycle.
     let cfg = GpuConfig {
         issue_per_sm: 2,
         ..GpuConfig::test_small()
     };
-    for mode in MODES {
-        let run = |shards: u32| {
-            let mut gpu = device(cfg.clone(), mode, shards);
-            gpu.launch(Benchmark::Gups.kernel(Scale::TEST)).expect("launch a");
-            gpu.launch(Benchmark::Sad.kernel(Scale::TEST)).expect("launch b");
-            gpu.partition_even();
-            gpu.run(MAX_CYCLES).expect("multi-issue co-run finishes");
-            (gpu.stats().clone(), gpu.cycle())
-        };
-        let reference = run(1);
-        for shards in &SHARDS[1..] {
-            assert_eq!(
-                reference,
-                run(*shards),
-                "multi-issue co-run ({mode:?}) diverged at {shards} shards"
-            );
-        }
-    }
-}
-
-#[test]
-fn threaded_executor_is_bit_identical_to_reference() {
-    let run = |shards: u32, workers: u32| {
-        let mut gpu = device(GpuConfig::test_small(), StepMode::EventHorizon, shards);
-        gpu.set_shard_workers(workers);
-        gpu.launch(Benchmark::Gups.kernel(Scale::TEST)).expect("launch a");
-        gpu.launch(Benchmark::Spmv.kernel(Scale::TEST)).expect("launch b");
-        gpu.partition_even();
-        gpu.run(MAX_CYCLES).expect("threaded co-run finishes");
-        (gpu.stats().clone(), gpu.cycle())
-    };
-    let reference = run(1, 1);
-    for (shards, workers) in [(4, 2), (4, 4), (2, 2)] {
-        assert_eq!(
-            reference,
-            run(shards, workers),
-            "threaded run diverged at {shards} shards / {workers} workers"
-        );
-    }
-}
-
-#[test]
-fn shard_setting_is_clamped_and_reported() {
-    let mut gpu = Gpu::new(GpuConfig::test_small()).expect("device");
-    assert_eq!(gpu.shards(), 1, "sharding must default off");
-    gpu.set_shards(0);
-    assert_eq!(gpu.shards(), 1);
-    gpu.set_shards(1_000);
-    assert_eq!(
-        gpu.shards(),
-        gpu.config().num_sms,
-        "shard count clamps to the SM count"
-    );
-    let plan = gpu.shard_plan();
-    let mut seen = 0u32;
-    for (base, len) in plan.ranges() {
-        assert_eq!(base, seen, "shard ranges must tile the SM ids in order");
-        seen += len;
-    }
-    assert_eq!(seen, gpu.config().num_sms);
+    cycle_matches_horizon("multi-issue co-run", |mode| {
+        run_pair(cfg.clone(), Benchmark::Gups, Benchmark::Sad, mode)
+    });
 }

@@ -482,47 +482,6 @@ fn trace_replay_matches_cycle_stepping() {
 }
 
 #[test]
-fn recorded_trace_is_step_mode_stable_and_replays_the_recording_run() {
-    // BLK recorded next to GUPS: the trace bytes must not depend on the
-    // step mode, and replaying them next to the same partner must
-    // reproduce the recording run's stats and final cycle.
-    let record = |mode| {
-        let mut gpu = device(mode);
-        let a = gpu
-            .launch(Benchmark::Blk.kernel(Scale::TEST))
-            .expect("launch");
-        gpu.enable_trace_recording(a).expect("recording");
-        gpu.launch(Benchmark::Gups.kernel(Scale::TEST))
-            .expect("co-runner");
-        gpu.partition_even();
-        gpu.run(MAX_CYCLES).expect("recording run finishes");
-        let trace = gpu.take_trace(a).expect("recording was on");
-        (trace.encode(), gpu.stats().clone(), gpu.cycle())
-    };
-    let recorded = record(StepMode::Cycle);
-    assert!(
-        recorded == record(StepMode::EventHorizon),
-        "recording run diverged between step modes"
-    );
-    let (bytes, stats, cycle) = recorded;
-    let trace = Arc::new(KernelTrace::decode(&bytes).expect("recorded trace decodes"));
-    for mode in [StepMode::Cycle, StepMode::EventHorizon] {
-        let mut gpu = device(mode);
-        gpu.launch_traced(Arc::clone(&trace))
-            .expect("launch traced");
-        gpu.launch(Benchmark::Gups.kernel(Scale::TEST))
-            .expect("co-runner");
-        gpu.partition_even();
-        gpu.run(MAX_CYCLES).expect("replay finishes");
-        assert_eq!(
-            (gpu.stats(), gpu.cycle()),
-            (&stats, cycle),
-            "replay ({mode:?}) diverged from the recording run"
-        );
-    }
-}
-
-#[test]
 fn bare_step_after_a_mutating_call_matches_cycle_stepping() {
     both_modes("step() after a mutating call", |gpu| {
         let a = gpu.launch(mem_kernel("a", 24)).unwrap();
