@@ -20,7 +20,8 @@
 //!
 //! Scale comes from `GCS_SCALE` as usual; the committed results are the
 //! SMALL-scale run, while `scripts/ci.sh --sched-smoke` replays a TEST
-//! scale pass (those files are gitignored).
+//! scale pass (those files are gitignored) and byte-compares it with
+//! `tests/golden/sched/`.
 
 use std::fs;
 

@@ -37,30 +37,137 @@ impl GroupingSolution {
     }
 }
 
+/// The grouping ILP's fixed part for `nc`-application groups: the
+/// patterns, their `e` coefficients and the Eq. 3.6 incidence rows.
+/// Only the census changes from one solve to the next, so a
+/// [`Pipeline`](crate::runner::Pipeline) builds its model once and
+/// solves every census against it; the free functions below build a
+/// model per call.
+#[derive(Debug)]
+pub(crate) struct GroupingModel {
+    nc: u32,
+    patterns: Vec<Pattern>,
+    e: Vec<f64>,
+    /// `incidence[c][i]`: how many class-`c` members pattern `i` has.
+    incidence: [Vec<f64>; AppClass::COUNT],
+}
+
+impl GroupingModel {
+    /// The model for measured interference `matrix` (Eq. 3.4's `e`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nc < 2` (a lone app has no co-run slowdown).
+    pub(crate) fn new(nc: u32, matrix: &InterferenceMatrix) -> Self {
+        let patterns = enumerate_patterns(nc);
+        let e = patterns.iter().map(|p| p.e_coefficient(matrix)).collect();
+        Self::from_parts(nc, patterns, e)
+    }
+
+    /// The model with an explicit `e` vector in enumeration order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `e` has one coefficient per pattern.
+    fn with_e(nc: u32, e: &[f64]) -> Self {
+        let patterns = enumerate_patterns(nc);
+        assert_eq!(patterns.len(), e.len(), "one coefficient per pattern");
+        Self::from_parts(nc, patterns, e.to_vec())
+    }
+
+    fn from_parts(nc: u32, patterns: Vec<Pattern>, e: Vec<f64>) -> Self {
+        let incidence = AppClass::ALL.map(|class| {
+            patterns
+                .iter()
+                .map(|pat| f64::from(pat.count(class)))
+                .collect()
+        });
+        GroupingModel {
+            nc,
+            patterns,
+            e,
+            incidence,
+        }
+    }
+
+    /// The patterns, in enumeration order.
+    pub(crate) fn patterns(&self) -> &[Pattern] {
+        &self.patterns
+    }
+
+    /// Eq. 3.3–3.7 for the per-class queue census `class_counts`.
+    fn problem(&self, class_counts: [u32; AppClass::COUNT]) -> Problem {
+        let nq: u32 = class_counts.iter().sum();
+        let l = nq / self.nc;
+        let mut p = Problem::maximize(self.e.clone());
+        // Eq. 3.6 (as ≤, following Appendix Eq. 5.5): class usage cannot
+        // exceed the queue census.
+        for class in AppClass::ALL {
+            p.add_constraint(
+                self.incidence[class.index()].clone(),
+                Relation::Le,
+                f64::from(class_counts[class.index()]),
+            );
+        }
+        // Eq. 3.7: exactly L groups.
+        p.add_constraint(vec![1.0; self.patterns.len()], Relation::Eq, f64::from(l));
+        p.set_all_integer(true);
+        p
+    }
+
+    /// Solves the census: `L_i` for every pattern in enumeration order,
+    /// and the objective `f`. `node_limit` overrides the branch & bound
+    /// budget (`None` keeps the solver's default).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Milp`] if the ILP is infeasible or hits the node
+    /// limit.
+    pub(crate) fn solve(
+        &self,
+        class_counts: [u32; AppClass::COUNT],
+        node_limit: Option<usize>,
+    ) -> Result<(Vec<u32>, f64), CoreError> {
+        let mut problem = self.problem(class_counts);
+        if let Some(limit) = node_limit {
+            problem.set_node_limit(limit);
+        }
+        let sol = problem.solve()?;
+        let counts = sol
+            .values
+            .iter()
+            .map(|v| u32::try_from(v.round() as i64).unwrap_or(0))
+            .collect();
+        Ok((counts, sol.objective))
+    }
+
+    fn solution(
+        &self,
+        class_counts: [u32; AppClass::COUNT],
+        node_limit: Option<usize>,
+    ) -> Result<GroupingSolution, CoreError> {
+        let (counts, objective) = self.solve(class_counts, node_limit)?;
+        let multiplicities = self
+            .patterns
+            .iter()
+            .zip(counts)
+            .filter(|&(_, m)| m > 0)
+            .map(|(p, m)| (p.clone(), m))
+            .collect();
+        Ok(GroupingSolution {
+            multiplicities,
+            objective,
+            e: self.e.clone(),
+        })
+    }
+}
+
 /// Builds the Eq. 3.3–3.7 problem for the given per-class queue census.
 ///
 /// Exposed separately from [`solve_grouping`] so tests and benches can
 /// inspect or re-solve the exact formulation.
 pub fn build_problem(class_counts: [u32; AppClass::COUNT], nc: u32, e: &[f64]) -> Problem {
-    let patterns = enumerate_patterns(nc);
-    assert_eq!(patterns.len(), e.len(), "one coefficient per pattern");
-    let nq: u32 = class_counts.iter().sum();
-    let l = nq / nc;
-
-    let mut p = Problem::maximize(e.to_vec());
-    // Eq. 3.6 (as ≤, following Appendix Eq. 5.5): class usage cannot
-    // exceed the queue census.
-    for class in AppClass::ALL {
-        let row: Vec<f64> = patterns
-            .iter()
-            .map(|pat| f64::from(pat.count(class)))
-            .collect();
-        p.add_constraint(row, Relation::Le, f64::from(class_counts[class.index()]));
-    }
-    // Eq. 3.7: exactly L groups.
-    p.add_constraint(vec![1.0; patterns.len()], Relation::Eq, f64::from(l));
-    p.set_all_integer(true);
-    p
+    GroupingModel::with_e(nc, e).problem(class_counts)
 }
 
 /// Solves the grouping ILP for a queue with `class_counts` applications
@@ -108,12 +215,7 @@ pub fn solve_grouping_with_limit(
             "queue length {nq} is not divisible by nc = {nc}"
         )));
     }
-    let patterns = enumerate_patterns(nc);
-    let e: Vec<f64> = patterns
-        .iter()
-        .map(|p| p.e_coefficient(matrix))
-        .collect();
-    solve_with_e_limited(class_counts, nc, &e, node_limit)
+    GroupingModel::new(nc, matrix).solution(class_counts, node_limit)
 }
 
 /// Solves the grouping ILP with an explicit `e` vector (used by the
@@ -141,24 +243,7 @@ pub fn solve_with_e_limited(
     e: &[f64],
     node_limit: Option<usize>,
 ) -> Result<GroupingSolution, CoreError> {
-    let patterns = enumerate_patterns(nc);
-    let mut problem = build_problem(class_counts, nc, e);
-    if let Some(limit) = node_limit {
-        problem.set_node_limit(limit);
-    }
-    let sol = problem.solve()?;
-    let values = sol.rounded();
-    let multiplicities: Vec<(Pattern, u32)> = patterns
-        .into_iter()
-        .zip(&values)
-        .filter(|(_, &v)| v > 0)
-        .map(|(p, &v)| (p, v as u32))
-        .collect();
-    Ok(GroupingSolution {
-        multiplicities,
-        objective: sol.objective,
-        e: e.to_vec(),
-    })
+    GroupingModel::with_e(nc, e).solution(class_counts, node_limit)
 }
 
 /// The thesis' Appendix A coefficient vector for two-application

@@ -27,7 +27,7 @@ use gcs_workloads::{Benchmark, Scale};
 
 use crate::classify::{classify_suite, AppClass, Thresholds};
 use crate::fault::Degradation;
-use crate::ilp::solve_grouping_with_limit;
+use crate::ilp::GroupingModel;
 use crate::interference::InterferenceMatrix;
 use crate::profile::AppProfile;
 use crate::smra::SmraParams;
@@ -154,6 +154,10 @@ pub struct Pipeline {
     classes: BTreeMap<Benchmark, AppClass>,
     thresholds: Thresholds,
     matrix: InterferenceMatrix,
+    /// The grouping ILP for `concurrency` under `matrix`, both fixed
+    /// for the pipeline's life; `None` when `concurrency < 2` (every
+    /// group is a singleton, nothing to solve).
+    ilp: Option<GroupingModel>,
     curves: BTreeMap<Benchmark, Vec<(u32, f64)>>,
     ilp_node_limit: Option<usize>,
     /// Trace substitutions: a bound suite slot runs the trace instead
@@ -250,6 +254,7 @@ impl Pipeline {
             .collect();
         let (thresholds, class_list) = classify_suite(&cfg.gpu, &ordered);
         let classes = Benchmark::ALL.iter().copied().zip(class_list).collect();
+        let ilp = (cfg.concurrency >= 2).then(|| GroupingModel::new(cfg.concurrency, &matrix));
         Ok(Pipeline {
             cfg,
             engine,
@@ -257,6 +262,7 @@ impl Pipeline {
             classes,
             thresholds,
             matrix,
+            ilp,
             curves: BTreeMap::new(),
             ilp_node_limit: None,
             bindings,
@@ -362,9 +368,9 @@ impl Pipeline {
         queue: &[Benchmark],
         nc: u32,
     ) -> Result<(Vec<Vec<Benchmark>>, Vec<Degradation>), CoreError> {
-        if nc < 2 {
+        let Some(model) = &self.ilp else {
             return Ok((queue.iter().map(|&b| vec![b]).collect(), Vec::new()));
-        }
+        };
         let usable = (queue.len() as u32 / nc) * nc;
         let head = &queue[..usable as usize];
         let tail = &queue[usable as usize..];
@@ -387,9 +393,8 @@ impl Pipeline {
             census[self.class_of(b).index()] += 1;
         }
         let mut degradations = Vec::new();
-        let mut groups = match solve_grouping_with_limit(census, nc, &self.matrix, self.ilp_node_limit)
-        {
-            Ok(solution) => {
+        let mut groups = match model.solve(census, self.ilp_node_limit) {
+            Ok((counts, _)) => {
                 // Instantiate patterns FCFS within each class.
                 let mut pools: [Vec<Benchmark>; AppClass::COUNT] = Default::default();
                 for &b in head {
@@ -398,16 +403,20 @@ impl Pipeline {
                 for pool in &mut pools {
                     pool.reverse(); // pop() takes the earliest arrival
                 }
-                let mut groups = Vec::new();
-                for classes in solution.groups() {
-                    let mut group = Vec::with_capacity(classes.len());
-                    for class in classes {
-                        let b = pools[class.index()]
-                            .pop()
-                            .expect("census guarantees availability");
-                        group.push(b);
+                let mut groups = Vec::with_capacity(head.len() / nc as usize + 1);
+                for (pattern, &mult) in model.patterns().iter().zip(&counts) {
+                    for _ in 0..mult {
+                        let mut group = Vec::with_capacity(nc as usize);
+                        for class in AppClass::ALL {
+                            for _ in 0..pattern.count(class) {
+                                let b = pools[class.index()]
+                                    .pop()
+                                    .expect("census guarantees availability");
+                                group.push(b);
+                            }
+                        }
+                        groups.push(group);
                     }
-                    groups.push(group);
                 }
                 groups
             }

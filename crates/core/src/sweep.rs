@@ -15,11 +15,14 @@
 //!   stores each result in a slot keyed by its job index, so the
 //!   assembled output is bit-identical to the sequential path at any
 //!   thread count.
-//! * **Memoization** — every typed job is keyed by an FNV-1a
-//!   fingerprint of its full canonical description. Results live in an
-//!   in-process map and, when a cache directory is configured, as one
-//!   small JSON file per entry under e.g. `results/cache/`. Floats are
-//!   stored as IEEE-754 bit patterns so round-trips are exact; a
+//! * **Memoization** — in process, every typed job is keyed by its
+//!   typed description (device config, scale, members, SM count or
+//!   co-run mode) and maps to its decoded result, so a warm hit formats
+//!   and parses nothing. When a cache directory is configured, results
+//!   also live as one small JSON file per entry under e.g.
+//!   `results/cache/`, named by the FNV-1a hash of the job's canonical
+//!   `v1|…` string, which is rendered only on an in-process miss. Floats
+//!   are stored as IEEE-754 bit patterns so round-trips are exact; a
 //!   corrupted or truncated file is treated as a miss, never an error.
 //!
 //! [`SweepStats`] counts what happened (jobs simulated vs. served from
@@ -28,6 +31,7 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::iter;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -71,16 +75,6 @@ impl Workload {
         match self {
             Workload::Bench(b) => b.name().to_string(),
             Workload::Trace(t) => t.meta.name.clone(),
-        }
-    }
-
-    /// Cache-key token. `Bench` tokens equal the bare benchmark name so
-    /// every pre-existing cache key stays byte-identical; `Trace`
-    /// tokens carry the content fingerprint.
-    fn key_token(&self) -> String {
-        match self {
-            Workload::Bench(b) => b.name().to_string(),
-            Workload::Trace(t) => format!("trace:{}#{:016x}", t.meta.name, t.fingerprint()),
         }
     }
 
@@ -210,13 +204,36 @@ impl std::fmt::Display for SweepStats {
     }
 }
 
-/// A memoized cache entry: the full canonical key (stored to detect
-/// fingerprint collisions) plus a flat field map. Floats are encoded as
-/// `to_bits()` so decode is exact.
-#[derive(Debug, Clone)]
-struct Entry {
-    key: String,
-    fields: Vec<(String, u64)>,
+/// A memoized job result, decoded: what a warm hit hands back.
+#[derive(Debug)]
+enum Memo {
+    Profile(AppProfile),
+    Group(GroupOutcome),
+}
+
+/// The in-process memo: the interned device configs, each with its
+/// rendered [`config_key`] (only the disk path reads it), and one map
+/// from typed job key to decoded result.
+#[derive(Debug, Default)]
+struct MemoTable {
+    configs: Vec<(GpuConfig, String)>,
+    jobs: HashMap<JobKey, Memo>,
+    /// The key every lookup refills and probes `jobs` with.
+    probe: JobKey,
+}
+
+impl MemoTable {
+    /// The intern id of `cfg`, compared with `==`.
+    fn config_id(&mut self, cfg: &GpuConfig) -> u32 {
+        let i = match self.configs.iter().position(|(c, _)| c == cfg) {
+            Some(i) => i,
+            None => {
+                self.configs.push((cfg.clone(), config_key(cfg)));
+                self.configs.len() - 1
+            }
+        };
+        u32::try_from(i).expect("fewer than 2^32 device configs")
+    }
 }
 
 /// The parallel sweep executor + memoization cache.
@@ -233,7 +250,7 @@ pub struct SweepEngine {
     /// cache keys or entries: profiling does not change results.
     profile_phases: bool,
     phases: Mutex<PhaseCycles>,
-    mem: Mutex<HashMap<u64, Entry>>,
+    memo: Mutex<MemoTable>,
     jobs_total: AtomicU64,
     jobs_simulated: AtomicU64,
     jobs_cached: AtomicU64,
@@ -256,7 +273,7 @@ impl SweepEngine {
             retry: RetryPolicy::NONE,
             profile_phases: false,
             phases: Mutex::new(PhaseCycles::default()),
-            mem: Mutex::new(HashMap::new()),
+            memo: Mutex::new(MemoTable::default()),
             jobs_total: AtomicU64::new(0),
             jobs_simulated: AtomicU64::new(0),
             jobs_cached: AtomicU64::new(0),
@@ -527,9 +544,9 @@ impl SweepEngine {
         workload: &Workload,
         num_sms: u32,
     ) -> Result<AppProfile, CoreError> {
-        let key = workload_profile_key(cfg, scale, &workload.key_token(), num_sms);
-        let mut p = self.cached(&key, decode_profile, || {
-            let (p, phases) = match workload {
+        let mode = Mode::Profile { num_sms };
+        self.cached(cfg, scale, iter::once(workload.member()), mode, &[], || {
+            let (mut p, phases) = match workload {
                 Workload::Bench(b) => {
                     profile_with_sms_phases(&b.kernel(scale), cfg, num_sms, self.profile_phases)?
                 }
@@ -540,21 +557,10 @@ impl SweepEngine {
             // With profiling on, account the device cycles actually
             // stepped (the app-relative runtime can undercount the tail
             // by a cycle) so phase totals partition sim_cycles exactly.
-            match phases {
-                Some(ph) => {
-                    self.sim_cycles.fetch_add(ph.total(), Ordering::Relaxed);
-                    self.add_phases(&ph);
-                }
-                None => {
-                    self.sim_cycles.fetch_add(p.cycles, Ordering::Relaxed);
-                }
-            }
-            Ok((encode_profile(&p), p))
-        })?;
-        // The flat u64 cache drops the kernel name; the key pins the
-        // workload, so restore it losslessly here.
-        p.name = workload.name();
-        Ok(p)
+            self.account(phases, p.cycles);
+            p.name = workload.name();
+            Ok(p)
+        })
     }
 
     /// Cache-only probe of [`SweepEngine::profile_workload`]: returns
@@ -575,11 +581,9 @@ impl SweepEngine {
         workload: &Workload,
         num_sms: u32,
     ) -> Option<AppProfile> {
-        let key = workload_profile_key(cfg, scale, &workload.key_token(), num_sms);
-        let fields = self.lookup(fnv1a(key.as_bytes()), &key)?;
-        let mut p = decode_profile(&fields)?;
-        p.name = workload.name();
-        Some(p)
+        let mode = Mode::Profile { num_sms };
+        self.lookup(cfg, scale, iter::once(workload.member()), mode, &[])
+            .ok()
     }
 
     /// Full-device alone profiles for `suite`, one parallel batch.
@@ -612,8 +616,11 @@ impl SweepEngine {
         group: &[Benchmark],
         mode: &CorunMode,
     ) -> Result<GroupOutcome, CoreError> {
-        let ws: Vec<Workload> = group.iter().map(|&b| Workload::Bench(b)).collect();
-        self.corun_workloads(cfg, scale, &ws, mode)
+        let members = group.iter().map(|&b| Member::Bench(b));
+        self.corun_job(cfg, scale, members, mode, || {
+            let ws: Vec<Workload> = group.iter().map(|&b| Workload::Bench(b)).collect();
+            simulate_corun(cfg, scale, &ws, mode, self.profile_phases)
+        })
     }
 
     /// Co-runs a mixed group of [`Workload`]s under `mode`, memoized.
@@ -633,26 +640,26 @@ impl SweepEngine {
         group: &[Workload],
         mode: &CorunMode,
     ) -> Result<GroupOutcome, CoreError> {
-        assert!(!group.is_empty(), "empty co-run group");
-        let key = workload_corun_key(cfg, scale, group, mode);
-        let n = group.len();
-        self.cached(
-            &key,
-            |fields| decode_group(fields, n),
-            || {
-                let (out, phases) = simulate_corun(cfg, scale, group, mode, self.profile_phases)?;
-                match phases {
-                    Some(ph) => {
-                        self.sim_cycles.fetch_add(ph.total(), Ordering::Relaxed);
-                        self.add_phases(&ph);
-                    }
-                    None => {
-                        self.sim_cycles.fetch_add(out.makespan, Ordering::Relaxed);
-                    }
-                }
-                Ok((encode_group(&out), out))
-            },
-        )
+        self.corun_job(cfg, scale, group.iter().map(Workload::member), mode, || {
+            simulate_corun(cfg, scale, group, mode, self.profile_phases)
+        })
+    }
+
+    fn corun_job(
+        &self,
+        cfg: &GpuConfig,
+        scale: Scale,
+        members: impl ExactSizeIterator<Item = Member>,
+        mode: &CorunMode,
+        simulate: impl FnOnce() -> Result<(GroupOutcome, Option<PhaseCycles>), CoreError>,
+    ) -> Result<GroupOutcome, CoreError> {
+        assert!(members.len() > 0, "empty co-run group");
+        let (mode, counts) = Mode::of(mode);
+        self.cached(cfg, scale, members, mode, counts, || {
+            let (out, phases) = simulate()?;
+            self.account(phases, out.makespan);
+            Ok(out)
+        })
     }
 
     /// Runs a batch of co-run jobs in parallel, results in job order.
@@ -669,43 +676,90 @@ impl SweepEngine {
         self.run_parallel(jobs.len(), |i| self.corun(cfg, scale, &jobs[i].0, &jobs[i].1))
     }
 
+    /// Adds one simulated job's cycles: the profiled phase total when
+    /// profiling is on, otherwise `cycles`.
+    fn account(&self, phases: Option<PhaseCycles>, cycles: u64) {
+        match phases {
+            Some(ph) => {
+                self.sim_cycles.fetch_add(ph.total(), Ordering::Relaxed);
+                self.add_phases(&ph);
+            }
+            None => {
+                self.sim_cycles.fetch_add(cycles, Ordering::Relaxed);
+            }
+        }
+    }
+
     // ------------------------------------------------------------------
     // Cache plumbing
     // ------------------------------------------------------------------
 
-    fn cached<T>(
+    fn cached<T: Memoized>(
         &self,
-        key: &str,
-        decode: impl Fn(&[(String, u64)]) -> Option<T>,
-        simulate: impl FnOnce() -> Result<(Vec<(String, u64)>, T), CoreError>,
+        cfg: &GpuConfig,
+        scale: Scale,
+        members: impl Iterator<Item = Member>,
+        mode: Mode,
+        counts: &[u32],
+        simulate: impl FnOnce() -> Result<T, CoreError>,
     ) -> Result<T, CoreError> {
         self.jobs_total.fetch_add(1, Ordering::Relaxed);
-        let hash = fnv1a(key.as_bytes());
-        if let Some(fields) = self.lookup(hash, key) {
-            if let Some(v) = decode(&fields) {
+        let miss = match self.lookup(cfg, scale, members, mode, counts) {
+            Ok(v) => {
                 self.jobs_cached.fetch_add(1, Ordering::Relaxed);
                 return Ok(v);
             }
-        }
-        let (fields, v) = simulate()?;
+            Err(miss) => miss,
+        };
+        let v = simulate()?;
         self.jobs_simulated.fetch_add(1, Ordering::Relaxed);
-        self.store(hash, key, fields);
+        self.store(*miss, &v);
         Ok(v)
     }
 
-    /// In-process map first, then disk. Both paths verify the stored
-    /// full key against the requested one, so an FNV collision degrades
-    /// to a miss instead of returning a wrong result.
-    fn lookup(&self, hash: u64, key: &str) -> Option<Vec<(String, u64)>> {
-        {
-            let mem = self.mem.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(e) = mem.get(&hash) {
-                if e.key == key {
-                    return Some(e.fields.clone());
-                }
-                return None;
+    /// The typed in-process map first, then disk. The `v1|…` key string
+    /// is rendered only when the map misses; the disk path verifies the
+    /// stored full key against it, so an FNV collision degrades to a
+    /// miss instead of returning a wrong result.
+    fn lookup<T: Memoized>(
+        &self,
+        cfg: &GpuConfig,
+        scale: Scale,
+        members: impl Iterator<Item = Member>,
+        mode: Mode,
+        counts: &[u32],
+    ) -> Result<T, Box<Miss>> {
+        let (job, key) = {
+            let mut guard = self.memo.lock().unwrap_or_else(|e| e.into_inner());
+            let memo = &mut *guard;
+            let id = memo.config_id(cfg);
+            memo.probe.refill(id, scale, members, mode, counts);
+            if let Some(v) = memo.jobs.get(&memo.probe).and_then(T::read) {
+                return Ok(v);
             }
+            let key = memo.probe.render(&memo.configs[id as usize].1);
+            (memo.probe.clone(), key)
+        };
+        let hash = fnv1a(key.as_bytes());
+        if let Some(v) = self
+            .read_disk(hash, &key)
+            .and_then(|f| T::decode(&f, &job))
+        {
+            self.memo
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .jobs
+                .insert(job, v.to_memo());
+            return Ok(v);
         }
+        Err(Box::new(Miss { job, key, hash }))
+    }
+
+    /// The fields of the disk entry at `hash` if its stored key is
+    /// `key`. An unparseable file is quarantined; a full-key mismatch
+    /// is an FNV collision with some *other* valid job, not
+    /// corruption, so that file is left alone.
+    fn read_disk(&self, hash: u64, key: &str) -> Option<Vec<(String, u64)>> {
         let dir = self.cache_dir.as_ref()?;
         let path = entry_path(dir, hash);
         let text = std::fs::read_to_string(&path).ok()?;
@@ -713,19 +767,7 @@ impl SweepEngine {
             self.quarantine(dir, &path);
             return None;
         };
-        if stored_key != key {
-            // A full-key mismatch is an FNV collision with some *other*
-            // valid job, not corruption — leave the file alone.
-            return None;
-        }
-        self.mem.lock().unwrap_or_else(|e| e.into_inner()).insert(
-            hash,
-            Entry {
-                key: key.to_string(),
-                fields: fields.clone(),
-            },
-        );
-        Some(fields)
+        (stored_key == key).then_some(fields)
     }
 
     /// Moves an unparseable cache file into `<dir>/quarantine/` so it is
@@ -748,21 +790,22 @@ impl SweepEngine {
         eprintln!("warning: quarantined corrupt sweep cache entry {name}");
     }
 
-    fn store(&self, hash: u64, key: &str, fields: Vec<(String, u64)>) {
+    fn store<T: Memoized>(&self, miss: Miss, v: &T) {
         if let Some(dir) = &self.cache_dir {
             let _ = std::fs::create_dir_all(dir);
-            let text = render_entry(key, &fields);
-            if write_entry_atomic(dir, hash, &text).is_err() {
-                eprintln!("warning: could not persist sweep cache entry {hash:016x}");
+            let text = render_entry(&miss.key, &v.encode());
+            if write_entry_atomic(dir, miss.hash, &text).is_err() {
+                eprintln!(
+                    "warning: could not persist sweep cache entry {:016x}",
+                    miss.hash
+                );
             }
         }
-        self.mem.lock().unwrap_or_else(|e| e.into_inner()).insert(
-            hash,
-            Entry {
-                key: key.to_string(),
-                fields,
-            },
-        );
+        self.memo
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .jobs
+            .insert(miss.job, v.to_memo());
     }
 }
 
@@ -830,6 +873,13 @@ fn simulate_corun(
 // ----------------------------------------------------------------------
 // Cache keys
 // ----------------------------------------------------------------------
+//
+// In memory a job is keyed by a typed [`JobKey`]. The engine keeps one
+// as a probe and refills it in place for every lookup, so a warm hit
+// reuses the probe's buffers and neither formats nor allocates. The
+// `v1|…` string the disk cache is keyed by (file name = its FNV-1a
+// hash; the full string is stored in the entry to catch collisions) is
+// rendered from the typed key only when the map misses.
 
 /// Canonical description of every [`GpuConfig`] field. Changing any
 /// knob — cache geometry, DRAM timing, scheduler — changes the key and
@@ -868,136 +918,263 @@ fn config_key(cfg: &GpuConfig) -> String {
     )
 }
 
-/// Scale as exact bit patterns (scales are `f64` multipliers).
-fn scale_key(scale: Scale) -> String {
-    format!("i:{:016x},g:{:016x}", scale.iters.to_bits(), scale.grid.to_bits())
+/// A job member as its key sees it: a suite benchmark, or a trace by
+/// name and content fingerprint (two traces that share a name never
+/// share a key).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Member {
+    Bench(Benchmark),
+    Trace(String, u64),
 }
 
-/// Historical benchmark-typed key shape, kept to pin the format in
-/// tests (the engine itself routes through [`workload_profile_key`]).
-#[cfg(test)]
-fn profile_key(cfg: &GpuConfig, scale: Scale, bench: Benchmark, num_sms: u32) -> String {
-    workload_profile_key(cfg, scale, bench.name(), num_sms)
-}
-
-/// Profile key over a [`Workload`] key token. `Bench` tokens are bare
-/// benchmark names, so this renders byte-identically to the historical
-/// `profile_key` format for synthetic workloads.
-fn workload_profile_key(cfg: &GpuConfig, scale: Scale, token: &str, num_sms: u32) -> String {
-    format!(
-        "v1|profile|{}|sms={}|{}|{}",
-        token,
-        num_sms,
-        scale_key(scale),
-        config_key(cfg)
-    )
-}
-
-fn mode_key(mode: &CorunMode) -> String {
-    match mode {
-        CorunMode::Even => "even".to_string(),
-        CorunMode::Counts(c) => {
-            let parts: Vec<String> = c.iter().map(u32::to_string).collect();
-            format!("counts:{}", parts.join("-"))
+impl Workload {
+    fn member(&self) -> Member {
+        match self {
+            Workload::Bench(b) => Member::Bench(*b),
+            Workload::Trace(t) => Member::Trace(t.meta.name.clone(), t.fingerprint()),
         }
-        CorunMode::Smra(p) => format!(
-            "smra:tc={},ipc={:016x},bw={:016x},nr={},rmin={}",
-            p.tc,
-            p.ipc_thr_frac.to_bits(),
-            p.bw_thr_frac.to_bits(),
-            p.nr,
-            p.r_min
-        ),
     }
 }
 
-/// Historical benchmark-typed key shape, kept to pin the format in
-/// tests (the engine itself routes through [`workload_corun_key`]).
-#[cfg(test)]
-fn corun_key(cfg: &GpuConfig, scale: Scale, group: &[Benchmark], mode: &CorunMode) -> String {
-    let ws: Vec<Workload> = group.iter().map(|&b| Workload::Bench(b)).collect();
-    workload_corun_key(cfg, scale, &ws, mode)
+/// How a job runs its members: alone on `num_sms` SMs, or a co-run
+/// mode. SMRA parameters are held as the bit patterns the key string
+/// prints, so keys compare exactly when their strings do.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+enum Mode {
+    Profile {
+        num_sms: u32,
+    },
+    #[default]
+    Even,
+    /// The split is in [`JobKey::counts`].
+    Counts,
+    Smra {
+        tc: u64,
+        ipc: u64,
+        bw: u64,
+        nr: u32,
+        r_min: u32,
+    },
 }
 
-/// Co-run key over [`Workload`] key tokens; byte-identical to the
-/// historical `corun_key` format for all-`Bench` groups.
-fn workload_corun_key(cfg: &GpuConfig, scale: Scale, group: &[Workload], mode: &CorunMode) -> String {
-    let tokens: Vec<String> = group.iter().map(Workload::key_token).collect();
-    format!(
-        "v1|corun|{}|{}|{}|{}",
-        tokens.join("+"),
-        mode_key(mode),
-        scale_key(scale),
-        config_key(cfg)
-    )
+impl Mode {
+    /// The key mode of `mode`, with the split of a `Counts` mode.
+    fn of(mode: &CorunMode) -> (Mode, &[u32]) {
+        match mode {
+            CorunMode::Even => (Mode::Even, &[]),
+            CorunMode::Counts(c) => (Mode::Counts, c),
+            CorunMode::Smra(p) => (
+                Mode::Smra {
+                    tc: p.tc,
+                    ipc: p.ipc_thr_frac.to_bits(),
+                    bw: p.bw_thr_frac.to_bits(),
+                    nr: p.nr,
+                    r_min: p.r_min,
+                },
+                &[],
+            ),
+        }
+    }
+}
+
+/// The typed memo key of one job.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+struct JobKey {
+    /// The engine's intern id of the device config.
+    cfg: u32,
+    /// Bit patterns of the scale's two multipliers.
+    scale: [u64; 2],
+    members: Vec<Member>,
+    mode: Mode,
+    /// The per-member SM split of [`Mode::Counts`]; empty otherwise.
+    counts: Vec<u32>,
+}
+
+impl JobKey {
+    /// Overwrites the key in place, keeping its buffers' capacity.
+    fn refill(
+        &mut self,
+        cfg: u32,
+        scale: Scale,
+        members: impl Iterator<Item = Member>,
+        mode: Mode,
+        counts: &[u32],
+    ) {
+        self.cfg = cfg;
+        self.scale = [scale.iters.to_bits(), scale.grid.to_bits()];
+        self.members.clear();
+        self.members.extend(members);
+        self.mode = mode;
+        self.counts.clear();
+        self.counts.extend_from_slice(counts);
+    }
+
+    /// The `v1|…` disk-cache key, byte-identical to the format every
+    /// existing cache entry was written with.
+    fn render(&self, config_key: &str) -> String {
+        let mut s = String::with_capacity(96 + config_key.len());
+        let kind = match self.mode {
+            Mode::Profile { .. } => "profile",
+            _ => "corun",
+        };
+        let _ = write!(s, "v1|{kind}|");
+        for (i, m) in self.members.iter().enumerate() {
+            if i > 0 {
+                s.push('+');
+            }
+            match m {
+                Member::Bench(b) => s.push_str(b.name()),
+                Member::Trace(name, fp) => {
+                    let _ = write!(s, "trace:{name}#{fp:016x}");
+                }
+            }
+        }
+        match self.mode {
+            Mode::Profile { num_sms } => {
+                let _ = write!(s, "|sms={num_sms}");
+            }
+            Mode::Even => s.push_str("|even"),
+            Mode::Counts => {
+                s.push_str("|counts:");
+                for (i, n) in self.counts.iter().enumerate() {
+                    if i > 0 {
+                        s.push('-');
+                    }
+                    let _ = write!(s, "{n}");
+                }
+            }
+            Mode::Smra {
+                tc,
+                ipc,
+                bw,
+                nr,
+                r_min,
+            } => {
+                let _ = write!(
+                    s,
+                    "|smra:tc={tc},ipc={ipc:016x},bw={bw:016x},nr={nr},rmin={r_min}"
+                );
+            }
+        }
+        let _ = write!(s, "|i:{:016x},g:{:016x}|", self.scale[0], self.scale[1]);
+        s.push_str(config_key);
+        s
+    }
+}
+
+/// A map miss, carrying what the store needs: the typed key and the
+/// rendered `v1|…` string with its FNV-1a hash.
+struct Miss {
+    job: JobKey,
+    key: String,
+    hash: u64,
 }
 
 // ----------------------------------------------------------------------
 // Entry encode/decode (floats as bit patterns: exact round trips)
 // ----------------------------------------------------------------------
 
-fn encode_profile(p: &AppProfile) -> Vec<(String, u64)> {
-    vec![
-        ("memory_bw".into(), p.memory_bw.to_bits()),
-        ("l2_l1_bw".into(), p.l2_l1_bw.to_bits()),
-        ("ipc".into(), p.ipc.to_bits()),
-        ("r".into(), p.r.to_bits()),
-        ("utilization".into(), p.utilization.to_bits()),
-        ("cycles".into(), p.cycles),
-        ("thread_insts".into(), p.thread_insts),
-        ("num_sms".into(), u64::from(p.num_sms)),
-    ]
+/// A memoizable job result: how it sits in the in-process map and how
+/// it round-trips through a disk entry's flat `u64` fields.
+trait Memoized: Sized {
+    /// A clone of the value if `memo` holds this kind.
+    fn read(memo: &Memo) -> Option<Self>;
+    fn to_memo(&self) -> Memo;
+    fn encode(&self) -> Vec<(String, u64)>;
+    /// Reconstructs the value from the disk entry of `job`.
+    fn decode(fields: &[(String, u64)], job: &JobKey) -> Option<Self>;
 }
 
-/// Reconstructs a profile from the flat u64 fields. The kernel name is
-/// not stored; [`SweepEngine::profile`] restores it from the benchmark
-/// its cache key pins.
-fn decode_profile(fields: &[(String, u64)]) -> Option<AppProfile> {
-    let get = |n: &str| field(fields, n);
-    Some(AppProfile {
-        name: String::new(),
-        memory_bw: f64::from_bits(get("memory_bw")?),
-        l2_l1_bw: f64::from_bits(get("l2_l1_bw")?),
-        ipc: f64::from_bits(get("ipc")?),
-        r: f64::from_bits(get("r")?),
-        utilization: f64::from_bits(get("utilization")?),
-        cycles: get("cycles")?,
-        thread_insts: get("thread_insts")?,
-        num_sms: u32::try_from(get("num_sms")?).ok()?,
-    })
+impl Memoized for AppProfile {
+    fn read(memo: &Memo) -> Option<Self> {
+        match memo {
+            Memo::Profile(p) => Some(p.clone()),
+            Memo::Group(_) => None,
+        }
+    }
+
+    fn to_memo(&self) -> Memo {
+        Memo::Profile(self.clone())
+    }
+
+    fn encode(&self) -> Vec<(String, u64)> {
+        vec![
+            ("memory_bw".into(), self.memory_bw.to_bits()),
+            ("l2_l1_bw".into(), self.l2_l1_bw.to_bits()),
+            ("ipc".into(), self.ipc.to_bits()),
+            ("r".into(), self.r.to_bits()),
+            ("utilization".into(), self.utilization.to_bits()),
+            ("cycles".into(), self.cycles),
+            ("thread_insts".into(), self.thread_insts),
+            ("num_sms".into(), u64::from(self.num_sms)),
+        ]
+    }
+
+    /// The kernel name is not stored; the member the key pins restores
+    /// it losslessly.
+    fn decode(fields: &[(String, u64)], job: &JobKey) -> Option<Self> {
+        let get = |n: &str| field(fields, n);
+        Some(AppProfile {
+            name: match job.members.first()? {
+                Member::Bench(b) => b.name().to_string(),
+                Member::Trace(name, _) => name.clone(),
+            },
+            memory_bw: f64::from_bits(get("memory_bw")?),
+            l2_l1_bw: f64::from_bits(get("l2_l1_bw")?),
+            ipc: f64::from_bits(get("ipc")?),
+            r: f64::from_bits(get("r")?),
+            utilization: f64::from_bits(get("utilization")?),
+            cycles: get("cycles")?,
+            thread_insts: get("thread_insts")?,
+            num_sms: u32::try_from(get("num_sms")?).ok()?,
+        })
+    }
 }
 
-fn encode_group(out: &GroupOutcome) -> Vec<(String, u64)> {
-    let mut fields = vec![
-        ("n".into(), out.cycles.len() as u64),
-        ("makespan".into(), out.makespan),
-    ];
-    for (i, c) in out.cycles.iter().enumerate() {
-        fields.push((format!("c{i}"), *c));
+impl Memoized for GroupOutcome {
+    fn read(memo: &Memo) -> Option<Self> {
+        match memo {
+            Memo::Group(g) => Some(g.clone()),
+            Memo::Profile(_) => None,
+        }
     }
-    for (i, t) in out.thread_insts.iter().enumerate() {
-        fields.push((format!("t{i}"), *t));
-    }
-    fields
-}
 
-fn decode_group(fields: &[(String, u64)], expect_n: usize) -> Option<GroupOutcome> {
-    let n = usize::try_from(field(fields, "n")?).ok()?;
-    if n != expect_n {
-        return None;
+    fn to_memo(&self) -> Memo {
+        Memo::Group(self.clone())
     }
-    let makespan = field(fields, "makespan")?;
-    let mut cycles = Vec::with_capacity(n);
-    let mut thread_insts = Vec::with_capacity(n);
-    for i in 0..n {
-        cycles.push(field(fields, &format!("c{i}"))?);
-        thread_insts.push(field(fields, &format!("t{i}"))?);
+
+    fn encode(&self) -> Vec<(String, u64)> {
+        let mut fields = vec![
+            ("n".into(), self.cycles.len() as u64),
+            ("makespan".into(), self.makespan),
+        ];
+        for (i, c) in self.cycles.iter().enumerate() {
+            fields.push((format!("c{i}"), *c));
+        }
+        for (i, t) in self.thread_insts.iter().enumerate() {
+            fields.push((format!("t{i}"), *t));
+        }
+        fields
     }
-    Some(GroupOutcome {
-        cycles,
-        thread_insts,
-        makespan,
-    })
+
+    fn decode(fields: &[(String, u64)], job: &JobKey) -> Option<Self> {
+        let n = usize::try_from(field(fields, "n")?).ok()?;
+        if n != job.members.len() {
+            return None;
+        }
+        let makespan = field(fields, "makespan")?;
+        let mut cycles = Vec::with_capacity(n);
+        let mut thread_insts = Vec::with_capacity(n);
+        for i in 0..n {
+            cycles.push(field(fields, &format!("c{i}"))?);
+            thread_insts.push(field(fields, &format!("t{i}"))?);
+        }
+        Some(GroupOutcome {
+            cycles,
+            thread_insts,
+            makespan,
+        })
+    }
 }
 
 fn field(fields: &[(String, u64)], name: &str) -> Option<u64> {
@@ -1117,6 +1294,73 @@ mod tests {
 
     fn cfg() -> GpuConfig {
         GpuConfig::test_small()
+    }
+
+    // The `v1|…` key format as it was written before keys were typed:
+    // the reference the renderer must match byte for byte.
+
+    fn scale_key(scale: Scale) -> String {
+        format!("i:{:016x},g:{:016x}", scale.iters.to_bits(), scale.grid.to_bits())
+    }
+
+    fn key_token(w: &Workload) -> String {
+        match w {
+            Workload::Bench(b) => b.name().to_string(),
+            Workload::Trace(t) => format!("trace:{}#{:016x}", t.meta.name, t.fingerprint()),
+        }
+    }
+
+    fn workload_profile_key(cfg: &GpuConfig, scale: Scale, token: &str, num_sms: u32) -> String {
+        format!(
+            "v1|profile|{}|sms={}|{}|{}",
+            token,
+            num_sms,
+            scale_key(scale),
+            config_key(cfg)
+        )
+    }
+
+    fn profile_key(cfg: &GpuConfig, scale: Scale, bench: Benchmark, num_sms: u32) -> String {
+        workload_profile_key(cfg, scale, bench.name(), num_sms)
+    }
+
+    fn mode_key(mode: &CorunMode) -> String {
+        match mode {
+            CorunMode::Even => "even".to_string(),
+            CorunMode::Counts(c) => {
+                let parts: Vec<String> = c.iter().map(u32::to_string).collect();
+                format!("counts:{}", parts.join("-"))
+            }
+            CorunMode::Smra(p) => format!(
+                "smra:tc={},ipc={:016x},bw={:016x},nr={},rmin={}",
+                p.tc,
+                p.ipc_thr_frac.to_bits(),
+                p.bw_thr_frac.to_bits(),
+                p.nr,
+                p.r_min
+            ),
+        }
+    }
+
+    fn workload_corun_key(
+        cfg: &GpuConfig,
+        scale: Scale,
+        group: &[Workload],
+        mode: &CorunMode,
+    ) -> String {
+        let tokens: Vec<String> = group.iter().map(key_token).collect();
+        format!(
+            "v1|corun|{}|{}|{}|{}",
+            tokens.join("+"),
+            mode_key(mode),
+            scale_key(scale),
+            config_key(cfg)
+        )
+    }
+
+    fn corun_key(cfg: &GpuConfig, scale: Scale, group: &[Benchmark], mode: &CorunMode) -> String {
+        let ws: Vec<Workload> = group.iter().map(|&b| Workload::Bench(b)).collect();
+        workload_corun_key(cfg, scale, &ws, mode)
     }
 
     // ---- executor ----------------------------------------------------
@@ -1281,6 +1525,188 @@ mod tests {
         assert_ne!(counts, smra);
         let swapped = [Benchmark::Sad, Benchmark::Lud];
         assert_ne!(even, corun_key(&cfg(), Scale::TEST, &swapped, &CorunMode::Even));
+    }
+
+    // ---- typed keys --------------------------------------------------
+
+    /// A job shape the key tests draw: an alone profile or a co-run.
+    enum GenJob {
+        Profile(Workload, u32),
+        Corun(Vec<Workload>, CorunMode),
+    }
+
+    /// Seeded job shapes over small domains, so equal keys are common:
+    /// two configs, two scales, three benchmarks, and three traces — two
+    /// of which share a name but not their content.
+    fn gen_jobs(seed: u64, n: usize) -> Vec<(GpuConfig, Scale, GenJob)> {
+        use gcs_sim::rng::SimRng;
+        use gcs_workloads::traced::{phase_shift_trace, tensor_mix_trace};
+        let phase = Arc::new(phase_shift_trace(&cfg()));
+        let tensor = Arc::new(tensor_mix_trace(&cfg()));
+        let mut renamed = tensor_mix_trace(&cfg());
+        renamed.meta.name = phase.meta.name.clone();
+        let members = [
+            Workload::Bench(Benchmark::Lud),
+            Workload::Bench(Benchmark::Sad),
+            Workload::Bench(Benchmark::Gups),
+            Workload::Trace(phase),
+            Workload::Trace(tensor),
+            Workload::Trace(Arc::new(renamed)),
+        ];
+        let mut other = cfg();
+        other.l2_lat += 1;
+        let configs = [cfg(), other];
+        let scales = [Scale::TEST, Scale::SMALL];
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut pick = |k: usize| rng.gen_range(k as u64) as usize;
+        (0..n)
+            .map(|_| {
+                let cfg = configs[pick(2)].clone();
+                let scale = scales[pick(2)];
+                let job = if pick(3) == 0 {
+                    GenJob::Profile(members[pick(members.len())].clone(), 4 + 4 * pick(2) as u32)
+                } else {
+                    let len = 1 + pick(3);
+                    let group: Vec<Workload> = (0..len)
+                        .map(|_| members[pick(members.len())].clone())
+                        .collect();
+                    let mode = match pick(3) {
+                        0 => CorunMode::Even,
+                        1 => CorunMode::Counts((0..len).map(|_| 1 + pick(2) as u32).collect()),
+                        _ => CorunMode::Smra(SmraParams::for_device(8, 1 + pick(2) as u32)),
+                    };
+                    GenJob::Corun(group, mode)
+                };
+                (cfg, scale, job)
+            })
+            .collect()
+    }
+
+    /// The members, mode and split the engine keys `job` by.
+    fn key_parts(job: &GenJob) -> (Vec<Member>, Mode, &[u32]) {
+        match job {
+            GenJob::Profile(w, sms) => (vec![w.member()], Mode::Profile { num_sms: *sms }, &[]),
+            GenJob::Corun(group, mode) => {
+                let (mode, counts) = Mode::of(mode);
+                (group.iter().map(Workload::member).collect(), mode, counts)
+            }
+        }
+    }
+
+    fn old_key(cfg: &GpuConfig, scale: Scale, job: &GenJob) -> String {
+        let bench = |w: &Workload| match w {
+            Workload::Bench(b) => Some(*b),
+            Workload::Trace(_) => None,
+        };
+        match job {
+            GenJob::Profile(w, sms) => {
+                let key = workload_profile_key(cfg, scale, &key_token(w), *sms);
+                if let Some(b) = bench(w) {
+                    assert_eq!(key, profile_key(cfg, scale, b, *sms));
+                }
+                key
+            }
+            GenJob::Corun(group, mode) => {
+                let key = workload_corun_key(cfg, scale, group, mode);
+                if let Some(benches) = group.iter().map(bench).collect::<Option<Vec<_>>>() {
+                    assert_eq!(key, corun_key(cfg, scale, &benches, mode));
+                }
+                key
+            }
+        }
+    }
+
+    #[test]
+    fn typed_keys_are_equal_exactly_when_their_strings_are() {
+        let jobs = gen_jobs(31, 96);
+        let mut memo = MemoTable::default();
+        let keyed: Vec<(JobKey, String)> = jobs
+            .iter()
+            .map(|(cfg, scale, job)| {
+                let id = memo.config_id(cfg);
+                let (members, mode, counts) = key_parts(job);
+                // Refilling the one probe must leave no trace of the
+                // previous, possibly longer, key.
+                memo.probe
+                    .refill(id, *scale, members.into_iter(), mode, counts);
+                let rendered = memo.probe.render(&memo.configs[id as usize].1);
+                assert_eq!(rendered, old_key(cfg, *scale, job), "renderer drifted");
+                (memo.probe.clone(), rendered)
+            })
+            .collect();
+        assert_eq!(memo.configs.len(), 2, "configs intern by ==");
+        let mut equal_pairs = 0;
+        for (i, (a, sa)) in keyed.iter().enumerate() {
+            for (j, (b, sb)) in keyed.iter().enumerate() {
+                assert_eq!(a == b, sa == sb, "jobs {i} and {j}:\n{sa}\n{sb}");
+                equal_pairs += usize::from(i != j && a == b);
+            }
+        }
+        assert!(equal_pairs > 0, "the domains must make some keys collide");
+    }
+
+    fn probe<T: Memoized>(
+        e: &SweepEngine,
+        cfg: &GpuConfig,
+        scale: Scale,
+        job: &GenJob,
+    ) -> Result<T, Box<Miss>> {
+        let (members, mode, counts) = key_parts(job);
+        e.lookup(cfg, scale, members.into_iter(), mode, counts)
+    }
+
+    #[test]
+    fn warm_hits_equal_a_fresh_engine_decoding_the_disk_entry() {
+        use gcs_sim::rng::SimRng;
+        let tmp = TempCache::new("typed");
+        let jobs = gen_jobs(32, 48);
+        let warm = SweepEngine::sequential().with_cache_dir(&tmp.0);
+        let mut rng = SimRng::seed_from_u64(33);
+        // Store a fabricated value for every distinct job (no
+        // simulation: the test is about keys and entries).
+        for (cfg, scale, job) in &jobs {
+            match job {
+                GenJob::Profile(w, _) => {
+                    if let Err(miss) = probe::<AppProfile>(&warm, cfg, *scale, job) {
+                        let p = AppProfile {
+                            name: w.name(),
+                            memory_bw: rng.gen_f64(),
+                            l2_l1_bw: rng.gen_f64(),
+                            ipc: rng.gen_f64(),
+                            r: rng.gen_f64(),
+                            utilization: rng.gen_f64(),
+                            cycles: rng.next_u64(),
+                            thread_insts: rng.next_u64(),
+                            num_sms: rng.gen_range(64) as u32,
+                        };
+                        warm.store(*miss, &p);
+                    }
+                }
+                GenJob::Corun(group, _) => {
+                    if let Err(miss) = probe::<GroupOutcome>(&warm, cfg, *scale, job) {
+                        let g = GroupOutcome {
+                            cycles: group.iter().map(|_| rng.next_u64()).collect(),
+                            thread_insts: group.iter().map(|_| rng.next_u64()).collect(),
+                            makespan: rng.next_u64(),
+                        };
+                        warm.store(*miss, &g);
+                    }
+                }
+            }
+        }
+        let fresh = SweepEngine::sequential().with_cache_dir(&tmp.0);
+        for (i, (cfg, scale, job)) in jobs.iter().enumerate() {
+            if let GenJob::Profile(..) = job {
+                let hot = probe::<AppProfile>(&warm, cfg, *scale, job).ok();
+                assert!(hot.is_some(), "job {i}");
+                assert_eq!(hot, probe(&fresh, cfg, *scale, job).ok(), "job {i}");
+            } else {
+                let hot = probe::<GroupOutcome>(&warm, cfg, *scale, job).ok();
+                assert!(hot.is_some(), "job {i}");
+                assert_eq!(hot, probe(&fresh, cfg, *scale, job).ok(), "job {i}");
+            }
+        }
+        assert_eq!(fresh.stats().jobs_quarantined, 0);
     }
 
     // ---- JSON round trip ---------------------------------------------

@@ -2,9 +2,13 @@
 //!
 //! Classic most-fractional branching with depth-first traversal and
 //! incumbent-based pruning. Each node is the parent problem plus one
-//! bound cut (`x_i ≤ ⌊v⌋` or `x_i ≥ ⌈v⌉`), so the per-node memory cost is
-//! a full (small) problem clone — entirely acceptable at the problem sizes
-//! the co-scheduler produces (≤ 20 variables).
+//! bound cut (`x_i ≤ ⌊v⌋` or `x_i ≥ ⌈v⌉`), so a branching costs a full
+//! (small) problem clone per child — entirely acceptable at the problem
+//! sizes the co-scheduler produces (≤ 20 variables). The root is
+//! borrowed from the caller, so a problem whose relaxation is already
+//! integral is solved without copying it.
+
+use std::borrow::Cow;
 
 use crate::problem::{Problem, Relation, Sense};
 use crate::{Solution, SolveError, INT_EPS};
@@ -28,7 +32,7 @@ pub(crate) fn solve(problem: &Problem) -> Result<Solution, SolveError> {
 
     let mut stats = BranchStats::default();
     let mut incumbent: Option<Solution> = None;
-    let mut stack: Vec<Problem> = vec![root];
+    let mut stack: Vec<Cow<'_, Problem>> = vec![root];
     let mut root_unbounded = false;
     let mut first_node = true;
 
@@ -118,18 +122,17 @@ pub(crate) fn solve(problem: &Problem) -> Result<Solution, SolveError> {
                 let floor = value.floor();
                 let ceil = value.ceil();
 
-                let mut le = node.clone();
+                let mut ge = node.into_owned();
+                let mut le = ge.clone();
                 let mut row = vec![0.0; le.num_vars()];
                 row[idx] = 1.0;
                 le.add_constraint(row.clone(), Relation::Le, floor);
-
-                let mut ge = node;
                 ge.add_constraint(row, Relation::Ge, ceil);
 
                 // Push the ≥ branch first so the ≤ branch (often tighter
                 // for packing-style problems) is explored first.
-                stack.push(ge);
-                stack.push(le);
+                stack.push(Cow::Owned(ge));
+                stack.push(Cow::Owned(le));
             }
         }
     }

@@ -1,5 +1,7 @@
 //! Problem definition types for linear and mixed-integer programs.
 
+use std::borrow::Cow;
+
 use crate::branch;
 use crate::simplex::{self, LpSolution, LpStatus};
 use crate::{Solution, SolveError, EPS};
@@ -281,17 +283,18 @@ impl Problem {
     }
 
     /// Returns an equivalent maximization problem (negating the objective
-    /// for minimization input). Constraints are shared verbatim.
-    pub(crate) fn as_max_problem(&self) -> Problem {
+    /// for minimization input). Constraints are shared verbatim; a
+    /// problem that already maximizes is borrowed, not cloned.
+    pub(crate) fn as_max_problem(&self) -> Cow<'_, Problem> {
         match self.sense {
-            Sense::Maximize => self.clone(),
+            Sense::Maximize => Cow::Borrowed(self),
             Sense::Minimize => {
                 let mut p = self.clone();
                 p.sense = Sense::Maximize;
                 for c in &mut p.objective {
                     *c = -*c;
                 }
-                p
+                Cow::Owned(p)
             }
         }
     }

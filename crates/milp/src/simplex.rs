@@ -72,18 +72,28 @@ impl LpSolution {
 
 /// Dense simplex tableau with explicit basis bookkeeping.
 struct Tableau {
-    /// `m x (total_cols + 1)` coefficient matrix; last column is the RHS.
-    rows: Vec<Vec<f64>>,
+    /// Row-major `m x (total_cols + 1)` coefficient matrix in one
+    /// buffer; the last column of each row is the RHS.
+    a: Vec<f64>,
+    /// Number of constraint rows.
+    m: usize,
     /// Objective row (reduced costs), length `total_cols + 1`.
     obj: Vec<f64>,
     /// Basis: `basis[r]` is the column index basic in row `r`.
     basis: Vec<usize>,
-    /// Number of structural (original) variables.
-    n: usize,
     /// Total number of columns excluding RHS.
     total: usize,
     /// Column index where artificial variables begin.
     art_start: usize,
+}
+
+/// A constraint's relation once its RHS is made non-negative.
+fn normalized(c: &Constraint) -> Relation {
+    match (c.rhs < 0.0, c.rel) {
+        (false, rel) | (true, rel @ Relation::Eq) => rel,
+        (true, Relation::Le) => Relation::Ge,
+        (true, Relation::Ge) => Relation::Le,
+    }
 }
 
 /// Maximizes `objective · x` subject to `constraints` and `x ≥ 0`.
@@ -108,23 +118,8 @@ pub(crate) fn solve_budgeted(
     // normalization.
     let mut num_slack = 0usize;
     let mut num_art = 0usize;
-    let mut norm: Vec<(Vec<f64>, Relation, f64)> = Vec::with_capacity(m);
     for c in constraints {
-        let mut coeffs = c.coeffs.clone();
-        let mut rel = c.rel;
-        let mut rhs = c.rhs;
-        if rhs < 0.0 {
-            for v in &mut coeffs {
-                *v = -*v;
-            }
-            rhs = -rhs;
-            rel = match rel {
-                Relation::Le => Relation::Ge,
-                Relation::Ge => Relation::Le,
-                Relation::Eq => Relation::Eq,
-            };
-        }
-        match rel {
+        match normalized(c) {
             Relation::Le => num_slack += 1,
             Relation::Ge => {
                 num_slack += 1;
@@ -132,49 +127,56 @@ pub(crate) fn solve_budgeted(
             }
             Relation::Eq => num_art += 1,
         }
-        norm.push((coeffs, rel, rhs));
     }
 
     let art_start = n + num_slack;
     let total = art_start + num_art;
+    let width = total + 1;
 
-    let mut rows = vec![vec![0.0; total + 1]; m];
-    let mut basis = vec![usize::MAX; m];
+    let mut t = Tableau {
+        a: vec![0.0; m * width],
+        m,
+        obj: vec![0.0; width],
+        basis: vec![usize::MAX; m],
+        total,
+        art_start,
+    };
     let mut slack_idx = n;
     let mut art_idx = art_start;
 
-    for (r, (coeffs, rel, rhs)) in norm.iter().enumerate() {
-        rows[r][..n].copy_from_slice(coeffs);
-        rows[r][total] = *rhs;
-        match rel {
+    // Each row is written normalized: a negative RHS flips the row's
+    // signs and its relation.
+    for (r, c) in constraints.iter().enumerate() {
+        let row = t.row_mut(r);
+        if c.rhs < 0.0 {
+            for (v, &x) in row[..n].iter_mut().zip(&c.coeffs) {
+                *v = -x;
+            }
+            row[total] = -c.rhs;
+        } else {
+            row[..n].copy_from_slice(&c.coeffs);
+            row[total] = c.rhs;
+        }
+        match normalized(c) {
             Relation::Le => {
-                rows[r][slack_idx] = 1.0;
-                basis[r] = slack_idx;
+                row[slack_idx] = 1.0;
+                t.basis[r] = slack_idx;
                 slack_idx += 1;
             }
             Relation::Ge => {
-                rows[r][slack_idx] = -1.0; // surplus
+                row[slack_idx] = -1.0; // surplus
                 slack_idx += 1;
-                rows[r][art_idx] = 1.0;
-                basis[r] = art_idx;
+                row[art_idx] = 1.0;
+                t.basis[r] = art_idx;
                 art_idx += 1;
             }
             Relation::Eq => {
-                rows[r][art_idx] = 1.0;
-                basis[r] = art_idx;
+                row[art_idx] = 1.0;
+                t.basis[r] = art_idx;
                 art_idx += 1;
             }
         }
     }
-
-    let mut t = Tableau {
-        rows,
-        obj: vec![0.0; total + 1],
-        basis,
-        n,
-        total,
-        art_start,
-    };
 
     // Phase 1: maximize -(sum of artificials), i.e. reduced costs start as
     // the negated sum of rows that have a basic artificial.
@@ -185,8 +187,7 @@ pub(crate) fn solve_budgeted(
         // Price out basic artificials.
         for r in 0..m {
             if t.basis[r] >= art_start {
-                let row = t.rows[r].clone();
-                for (o, v) in t.obj.iter_mut().zip(row.iter()) {
+                for (o, v) in t.obj.iter_mut().zip(&t.a[r * width..(r + 1) * width]) {
                     *o += *v;
                 }
             }
@@ -214,7 +215,7 @@ pub(crate) fn solve_budgeted(
         // slack columns, the row is redundant and can stay.
         for r in 0..m {
             if t.basis[r] >= t.art_start {
-                let pivot_col = (0..t.art_start).find(|&c| t.rows[r][c].abs() > EPS);
+                let pivot_col = (0..t.art_start).find(|&c| t.row(r)[c].abs() > EPS);
                 if let Some(c) = pivot_col {
                     t.pivot(r, c);
                 }
@@ -225,25 +226,24 @@ pub(crate) fn solve_budgeted(
     // Phase 2: install the real objective, expressed in terms of the
     // current basis. Artificial columns are frozen out by making their
     // reduced costs prohibitively negative.
-    let mut obj = vec![0.0; total + 1];
-    obj[..n].copy_from_slice(objective);
     // Price out the basic variables: reduced_cost = c - c_B * B^-1 A.
-    // The tableau rows already hold B^-1 A, so subtract c_B[r] * row_r.
-    let mut z = vec![0.0; total + 1];
+    // The tableau rows already hold B^-1 A, so accumulate
+    // z = c_B * row_r in the objective row's buffer first.
+    t.obj.fill(0.0);
     for r in 0..m {
         let b = t.basis[r];
         let cb = if b < n { objective[b] } else { 0.0 };
         if cb != 0.0 {
-            for (zv, rv) in z.iter_mut().zip(t.rows[r].iter()) {
+            for (zv, rv) in t.obj.iter_mut().zip(&t.a[r * width..(r + 1) * width]) {
                 *zv += cb * rv;
             }
         }
     }
-    // Reduced costs c - c_B B⁻¹A; the RHS cell becomes -(objective value).
-    for i in 0..=total {
-        obj[i] -= z[i];
+    // Reduced costs c - z; the RHS cell becomes -(objective value).
+    for (i, zv) in t.obj.iter_mut().enumerate() {
+        let c = if i < n { objective[i] } else { 0.0 };
+        *zv = c - *zv;
     }
-    t.obj = obj;
     // Never re-enter artificial columns.
     for col in t.art_start..t.total {
         t.obj[col] = f64::NEG_INFINITY;
@@ -260,7 +260,7 @@ pub(crate) fn solve_budgeted(
     let mut values = vec![0.0; n];
     for r in 0..m {
         if t.basis[r] < n {
-            values[t.basis[r]] = t.rows[r][t.total];
+            values[t.basis[r]] = t.row(r)[t.total];
         }
     }
     // Clamp tiny negative noise.
@@ -285,14 +285,23 @@ enum PivotOutcome {
 }
 
 impl Tableau {
+    fn row(&self, r: usize) -> &[f64] {
+        let w = self.total + 1;
+        &self.a[r * w..(r + 1) * w]
+    }
+
+    fn row_mut(&mut self, r: usize) -> &mut [f64] {
+        let w = self.total + 1;
+        &mut self.a[r * w..(r + 1) * w]
+    }
+
     /// Runs simplex iterations until optimality, unboundedness, or the
     /// pivot budget (`None` = size-derived default) runs out.
     fn run(&mut self, budget: Option<usize>) -> PivotOutcome {
         let mut degenerate_streak = 0usize;
         // Generous safety bound: the number of bases is finite and Bland's
         // rule prevents cycling, but cap iterations defensively.
-        let max_iters = budget
-            .unwrap_or(50_000 + 200 * (self.total + 1) * (self.rows.len() + 1));
+        let max_iters = budget.unwrap_or(50_000 + 200 * (self.total + 1) * (self.m + 1));
         for _ in 0..max_iters {
             let use_bland = degenerate_streak > 64;
             let Some(col) = self.entering_column(use_bland) else {
@@ -338,10 +347,11 @@ impl Tableau {
     fn leaving_row(&self, col: usize, bland: bool) -> Option<usize> {
         let rhs_col = self.total;
         let mut best: Option<(usize, f64)> = None;
-        for r in 0..self.rows.len() {
-            let a = self.rows[r][col];
+        for r in 0..self.m {
+            let row = self.row(r);
+            let a = row[col];
             if a > EPS {
-                let ratio = self.rows[r][rhs_col] / a;
+                let ratio = row[rhs_col] / a;
                 match best {
                     None => best = Some((r, ratio)),
                     Some((br, bratio)) => {
@@ -362,29 +372,31 @@ impl Tableau {
         best.map(|(r, _)| r)
     }
 
-    /// Gauss-Jordan pivot on `(row, col)`.
+    /// Gauss-Jordan pivot on `(row, col)`. The pivot row is borrowed
+    /// in place beside the rows it eliminates from, never copied.
     fn pivot(&mut self, row: usize, col: usize) {
-        let p = self.rows[row][col];
+        let w = self.total + 1;
+        let (before, rest) = self.a.split_at_mut(row * w);
+        let (pivot_row, after) = rest.split_at_mut(w);
+        let p = pivot_row[col];
         debug_assert!(p.abs() > EPS, "pivot on a (near-)zero element");
         let inv = 1.0 / p;
-        for v in &mut self.rows[row] {
+        for v in pivot_row.iter_mut() {
             *v *= inv;
         }
-        let pivot_row = self.rows[row].clone();
-        for (r, other) in self.rows.iter_mut().enumerate() {
-            if r != row {
-                let factor = other[col];
-                if factor != 0.0 {
-                    for (o, pv) in other.iter_mut().zip(pivot_row.iter()) {
-                        *o -= factor * pv;
-                    }
-                    other[col] = 0.0; // kill numerical residue exactly
+        let pivot_row = &*pivot_row;
+        for other in before.chunks_exact_mut(w).chain(after.chunks_exact_mut(w)) {
+            let factor = other[col];
+            if factor != 0.0 {
+                for (o, pv) in other.iter_mut().zip(pivot_row) {
+                    *o -= factor * pv;
                 }
+                other[col] = 0.0; // kill numerical residue exactly
             }
         }
         let factor = self.obj[col];
         if factor != 0.0 && factor.is_finite() {
-            for (o, pv) in self.obj.iter_mut().zip(pivot_row.iter()) {
+            for (o, pv) in self.obj.iter_mut().zip(pivot_row) {
                 if o.is_finite() {
                     *o -= factor * pv;
                 }
@@ -392,7 +404,6 @@ impl Tableau {
             self.obj[col] = 0.0;
         }
         self.basis[row] = col;
-        let _ = self.n;
     }
 }
 

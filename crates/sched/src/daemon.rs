@@ -38,7 +38,7 @@ use std::time::Instant;
 
 use gcs_core::fault::Degradation;
 use gcs_core::runner::{AllocationPolicy, GroupResult, Pipeline};
-use gcs_core::{CoreError, NanoStats};
+use gcs_core::{CoreError, NanoStats, WindowedNanoStats};
 use gcs_sim::SimError;
 use gcs_workloads::Benchmark;
 
@@ -149,8 +149,16 @@ pub struct EventCore {
     failed: Vec<JobFailure>,
     groups: Vec<GroupDispatch>,
     degradations: Vec<Degradation>,
-    decision_ns: Vec<u64>,
+    /// Wall time of the most recent planning decisions; the lifetime
+    /// count survives eviction.
+    decisions: WindowedNanoStats,
 }
+
+/// Planning decisions whose latency [`EventCore::decision_stats`]
+/// summarizes: the most recent ones, so a long-lived daemon's memory
+/// stays bounded. Large enough that a 2 000-arrival run is summarized
+/// over every decision it made.
+const DECISION_WINDOW: usize = 4096;
 
 impl EventCore {
     /// Creates an engine at cycle 0 with all devices idle.
@@ -176,7 +184,7 @@ impl EventCore {
             failed: Vec::new(),
             groups: Vec::new(),
             degradations: Vec::new(),
-            decision_ns: Vec::new(),
+            decisions: WindowedNanoStats::new(DECISION_WINDOW),
         })
     }
 
@@ -227,11 +235,15 @@ impl EventCore {
             .map_or(1, |done| done.saturating_sub(self.now).max(1))
     }
 
-    /// Wall-clock statistics over every planning decision so far.
+    /// Wall-clock statistics over the most recent planning decisions
+    /// (up to 4 096); `count` is the lifetime number of decisions.
     /// Kept out of the canonical report JSON — wall time is not
     /// byte-reproducible.
     pub fn decision_stats(&self) -> NanoStats {
-        NanoStats::from_samples(&self.decision_ns)
+        NanoStats {
+            count: self.decisions.total_pushed(),
+            ..self.decisions.stats()
+        }
     }
 
     /// Submits one job. `job.arrival` is the logical cycle; it is
@@ -442,7 +454,7 @@ impl EventCore {
                     m.plan(policy, &pending)?
                 };
                 let spent = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                self.decision_ns.push(spent);
+                self.decisions.push(spent);
                 self.degradations.extend(fresh.degradations);
                 self.plan = Some(fresh.groups.into());
             }
@@ -1001,6 +1013,26 @@ mod tests {
         let stats = d.decision_stats();
         assert!(stats.count >= 1, "at least one planning decision");
         assert!(stats.p99_ns >= stats.p50_ns);
+    }
+
+    #[test]
+    fn decision_window_is_bounded_and_counts_every_decision() {
+        // One arrival per free device: every submit plans once.
+        const DECISIONS: usize = DECISION_WINDOW + 904;
+        let mut m = StubMeasure::new(10);
+        let mut core = EventCore::new(SchedConfig::default(), OverloadPolicy::default()).unwrap();
+        for i in 0..DECISIONS {
+            let job = Job {
+                id: i,
+                bench: Benchmark::Gups,
+                arrival: 100 * i as u64,
+            };
+            core.submit(&mut m, &mut Fcfs, job).unwrap();
+        }
+        core.drain(&mut m, &mut Fcfs).unwrap();
+        assert_eq!(core.decision_stats().count, DECISIONS, "lifetime count");
+        assert_eq!(core.decisions.len(), DECISION_WINDOW, "memory bound");
+        assert_eq!(core.decisions.total_pushed(), DECISIONS);
     }
 
     #[test]

@@ -117,7 +117,9 @@ impl Policy for IlpEpoch {
 /// Maps benchmark groups back to job ids: each group slot takes the
 /// *earliest-arrived unused* pending job running that benchmark. This
 /// is deterministic under duplicates and matches the FCFS-within-class
-/// instantiation the core grouping itself uses.
+/// instantiation the core grouping itself uses. One counting sort puts
+/// the pending ids in per-benchmark FIFO runs; each slot then advances
+/// its benchmark's cursor, so a plan maps in O(pending).
 ///
 /// # Panics
 ///
@@ -126,18 +128,37 @@ impl Policy for IlpEpoch {
 /// out-of-crate policies (the fleet allocator's greedy fallback) map
 /// their benchmark groups the same deterministic way.
 pub fn ids_for_groups(pending: &[Job], groups: &[Vec<Benchmark>]) -> Vec<Vec<JobId>> {
-    let mut used = vec![false; pending.len()];
+    const N: usize = Benchmark::ALL.len();
+    // `fifo[start[b]..start[b + 1]]` holds benchmark `b`'s pending ids
+    // in arrival order.
+    let mut start = [0usize; N + 1];
+    for j in pending {
+        start[j.bench as usize + 1] += 1;
+    }
+    for b in 0..N {
+        start[b + 1] += start[b];
+    }
+    let mut cursor = start;
+    let mut fifo = vec![0; pending.len()];
+    for j in pending {
+        let b = j.bench as usize;
+        fifo[cursor[b]] = j.id;
+        cursor[b] += 1;
+    }
+    let mut cursor = start;
     groups
         .iter()
         .map(|group| {
             group
                 .iter()
                 .map(|&bench| {
-                    let k = (0..pending.len())
-                        .find(|&i| !used[i] && pending[i].bench == bench)
-                        .expect("grouping must permute the pending benchmarks");
-                    used[k] = true;
-                    pending[k].id
+                    let b = bench as usize;
+                    assert!(
+                        cursor[b] < start[b + 1],
+                        "grouping must permute the pending benchmarks"
+                    );
+                    cursor[b] += 1;
+                    fifo[cursor[b] - 1]
                 })
                 .collect()
         })

@@ -20,7 +20,9 @@
 #   scripts/ci.sh --sched-smoke online-scheduler gate only: runs the
 #                               tests/sched.rs suite (DESIGN.md §10) and a
 #                               short seeded trace through schedd_sim under
-#                               all three policies at TEST scale, then exits
+#                               all three policies at TEST scale, byte-
+#                               compares its seven reports with
+#                               tests/golden/sched/, then exits
 #   scripts/ci.sh --profile-smoke
 #                               phase-profiler gate only: runs one SMALL
 #                               co-run sweep with --profile and a cold cache
@@ -101,9 +103,9 @@ if [ "$SCHED_SMOKE" -eq 1 ]; then
     step "sched smoke (schedd_sim, short seeded trace, all policies, GCS_SCALE=test)"
     cargo build --release --bin schedd_sim
     GCS_SCALE=test ./target/release/schedd_sim
-    for policy in fcfs greedy ilp; do
-        test -s "results/sched/sched_test_q14_$policy.json" || {
-            echo "missing results/sched/sched_test_q14_$policy.json" >&2; exit 1;
+    for f in sched_test_q14_{fcfs,greedy,ilp}.json sched_test_q28_{fcfs,greedy,ilp}.json summary_test.json; do
+        cmp "tests/golden/sched/$f" "results/sched/$f" || {
+            echo "results/sched/$f differs from tests/golden/sched/$f" >&2; exit 1;
         }
     done
     echo

@@ -6,16 +6,23 @@
 //! from [`gcs_sim::rng::SimRng`] with fixed seeds (see
 //! `tests/README.md`). `--features proptest-tests` widens the sweep.
 
+use std::sync::Arc;
+
 use gcs_core::classify::{classify, AppClass, Thresholds};
-use gcs_core::ilp::solve_with_e;
+use gcs_core::fault::Degradation;
+use gcs_core::ilp::{build_problem, solve_with_e};
+use gcs_core::interference::InterferenceMatrix;
 use gcs_core::pattern::{enumerate_patterns, num_patterns, Pattern};
 use gcs_core::profile::AppProfile;
 use gcs_core::queues::{census, queue_with_distribution, Distribution};
+use gcs_core::runner::{GroupingPolicy, Pipeline, RunConfig};
+use gcs_core::sweep::SweepEngine;
 use gcs_milp::enumerate::solve_by_enumeration;
 use gcs_milp::{Problem, Relation};
 use gcs_sim::cache::{Access, Cache};
-use gcs_sim::config::CacheConfig;
+use gcs_sim::config::{CacheConfig, GpuConfig};
 use gcs_sim::rng::SimRng;
+use gcs_workloads::{Benchmark, Scale};
 
 /// Cases per property.
 const CASES: usize = if cfg!(feature = "proptest-tests") { 200 } else { 48 };
@@ -271,4 +278,215 @@ fn class_ordering_reflects_memory_pressure() {
     assert!(AppClass::M < AppClass::Mc);
     assert!(AppClass::Mc < AppClass::C);
     assert!(AppClass::C < AppClass::A);
+}
+
+/// Every integer point of a grouping ILP: `L_i ≥ 0` with `Σ L_i = l`
+/// and per-class usage within `census`, as `(point, objective)`.
+fn grouping_points(census: [u32; 4], nc: u32, e: &[f64]) -> Vec<(Vec<u32>, f64)> {
+    fn fill(i: usize, left: u32, cur: &mut Vec<u32>, pats: &[Pattern], out: &mut Vec<Vec<u32>>) {
+        if i + 1 == pats.len() {
+            cur.push(left);
+            out.push(cur.clone());
+            cur.pop();
+            return;
+        }
+        for take in 0..=left {
+            cur.push(take);
+            fill(i + 1, left - take, cur, pats, out);
+            cur.pop();
+        }
+    }
+    let pats = enumerate_patterns(nc);
+    let l = census.iter().sum::<u32>() / nc;
+    let mut all = Vec::new();
+    fill(0, l, &mut Vec::new(), &pats, &mut all);
+    all.into_iter()
+        .filter(|point| {
+            AppClass::ALL.iter().all(|&c| {
+                let used: u32 = pats
+                    .iter()
+                    .zip(point)
+                    .map(|(p, &m)| u32::from(p.count(c)) * m)
+                    .sum();
+                used <= census[c.index()]
+            })
+        })
+        .map(|point| {
+            let f = point.iter().zip(e).map(|(&m, v)| f64::from(m) * v).sum();
+            (point, f)
+        })
+        .collect()
+}
+
+/// Branch & bound against exhaustive enumeration on the grouping ILP's
+/// own pattern-incidence form (`build_problem`): NC ∈ {2, 3}, random
+/// censuses, random `e`. Objectives must agree; where one point alone
+/// attains the optimum, the solution vectors must too.
+#[test]
+fn pattern_incidence_milp_matches_enumeration() {
+    let mut rng = SimRng::seed_from_u64(17);
+    let mut unique = 0;
+    for case in 0..CASES {
+        let nc = 2 + rng.gen_range(2) as u32;
+        let groups = 1 + rng.gen_range(if nc == 2 { 4 } else { 3 }) as u32;
+        let mut census = [0u32; 4];
+        for _ in 0..groups * nc {
+            census[rng.gen_range(4) as usize] += 1;
+        }
+        let e: Vec<f64> = (0..num_patterns(4, nc))
+            .map(|_| uniform(&mut rng, 0.0, 1.0))
+            .collect();
+        let p = build_problem(census, nc, &e);
+        let bb = p.solve().expect("a divisible census is feasible");
+        let oracle = solve_by_enumeration(&p).expect("oracle");
+        assert!(
+            (bb.objective - oracle.objective).abs() < 1e-9,
+            "case {case} (nc {nc}, census {census:?}): b&b {} vs oracle {}",
+            bb.objective,
+            oracle.objective
+        );
+        let points = grouping_points(census, nc, &e);
+        let best = points.iter().map(|(_, f)| *f).fold(f64::MIN, f64::max);
+        assert!((best - oracle.objective).abs() < 1e-9, "case {case}");
+        let optima: Vec<&Vec<u32>> = points
+            .iter()
+            .filter(|(_, f)| *f > best - 1e-9)
+            .map(|(pt, _)| pt)
+            .collect();
+        if let [only] = optima[..] {
+            unique += 1;
+            let as_i64: Vec<i64> = only.iter().map(|&m| i64::from(m)).collect();
+            assert_eq!(bb.rounded(), as_i64, "case {case}: b&b vector");
+            assert_eq!(oracle.rounded(), as_i64, "case {case}: oracle vector");
+        }
+    }
+    assert!(
+        unique > CASES / 2,
+        "random e should make most optima unique ({unique})"
+    );
+}
+
+/// The grouping `Pipeline::group_with_degradations(.., Ilp)` did before
+/// the pipeline kept one ILP model: enumerate the patterns, derive `e`,
+/// build and solve the problem, expand each pattern's members FCFS
+/// within their class, and fall back to greedy on a solver error.
+fn per_call_ilp_grouping(
+    p: &Pipeline,
+    queue: &[Benchmark],
+    node_limit: Option<usize>,
+) -> (Vec<Vec<Benchmark>>, Vec<Degradation>) {
+    let nc = p.config().concurrency;
+    let usable = queue.len() / nc as usize * nc as usize;
+    let (head, tail) = queue.split_at(usable);
+    if head.is_empty() {
+        let groups = if tail.is_empty() {
+            Vec::new()
+        } else {
+            vec![tail.to_vec()]
+        };
+        return (groups, Vec::new());
+    }
+    let patterns = enumerate_patterns(nc);
+    let e: Vec<f64> = patterns
+        .iter()
+        .map(|pat| pat.e_coefficient(p.matrix()))
+        .collect();
+    let mut census = [0u32; 4];
+    for &b in head {
+        census[p.class_of(b).index()] += 1;
+    }
+    let mut problem = Problem::maximize(e);
+    for class in AppClass::ALL {
+        let row = patterns
+            .iter()
+            .map(|pat| f64::from(pat.count(class)))
+            .collect();
+        problem.add_constraint(row, Relation::Le, f64::from(census[class.index()]));
+    }
+    let l = census.iter().sum::<u32>() / nc;
+    problem.add_constraint(vec![1.0; patterns.len()], Relation::Eq, f64::from(l));
+    problem.set_all_integer(true);
+    if let Some(limit) = node_limit {
+        problem.set_node_limit(limit);
+    }
+    let (mut groups, degradations) = match problem.solve() {
+        Ok(sol) => {
+            let mut pools: [Vec<Benchmark>; 4] = Default::default();
+            for &b in head.iter().rev() {
+                pools[p.class_of(b).index()].push(b);
+            }
+            let mut groups = Vec::new();
+            for (pat, m) in patterns.iter().zip(sol.rounded()) {
+                for _ in 0..m {
+                    groups.push(
+                        pat.members()
+                            .into_iter()
+                            .map(|c| pools[c.index()].pop().expect("census"))
+                            .collect(),
+                    );
+                }
+            }
+            (groups, Vec::new())
+        }
+        Err(e) => (
+            p.group_greedy_class(head),
+            vec![Degradation::IlpGreedyFallback {
+                reason: e.to_string(),
+            }],
+        ),
+    };
+    if !tail.is_empty() {
+        groups.push(tail.to_vec());
+    }
+    (groups, degradations)
+}
+
+/// The pipeline's one ILP model groups 200 seeded queues exactly as the
+/// per-call derivation did — NC ∈ {2, 3}, the paper-shaped and a random
+/// interference matrix — with the default node budget and with a zero
+/// budget that forces the greedy fallback.
+#[test]
+fn pipeline_ilp_model_matches_the_per_call_derivation() {
+    let mut rng = SimRng::seed_from_u64(18);
+    let engine = Arc::new(SweepEngine::sequential());
+    let mut random = [[0.0; 4]; 4];
+    for row in &mut random {
+        for s in row.iter_mut() {
+            *s = uniform(&mut rng, 1.0, 3.0);
+        }
+    }
+    let mut checked = 0;
+    for nc in [2, 3] {
+        for matrix in [
+            InterferenceMatrix::synthetic_paper_shape(),
+            InterferenceMatrix::from_entries(random),
+        ] {
+            let cfg = RunConfig {
+                gpu: GpuConfig::test_small(),
+                scale: Scale::TEST,
+                concurrency: nc,
+            };
+            let mut p = Pipeline::with_matrix_and_engine(cfg, matrix, Arc::clone(&engine))
+                .expect("pipeline");
+            for _ in 0..50 {
+                let len = rng.gen_range(17) as usize;
+                let queue: Vec<Benchmark> = (0..len)
+                    .map(|_| Benchmark::ALL[rng.gen_range(14) as usize])
+                    .collect();
+                for limit in [None, Some(0)] {
+                    p.set_ilp_node_limit(limit);
+                    let got = p
+                        .group_with_degradations(&queue, GroupingPolicy::Ilp)
+                        .expect("grouping degrades, never fails");
+                    assert_eq!(
+                        got,
+                        per_call_ilp_grouping(&p, &queue, limit),
+                        "nc {nc}, limit {limit:?}, queue {queue:?}"
+                    );
+                }
+                checked += 1;
+            }
+        }
+    }
+    assert_eq!(checked, 200);
 }

@@ -312,3 +312,58 @@ fn bound_traces_flow_through_online_scheduler() {
     assert_eq!(renders[0], renders[1], "1 vs 2 threads");
     assert_eq!(renders[0], renders[2], "1 vs 8 threads");
 }
+
+/// The class interference matrix `InterferenceMatrix::measure_full`
+/// measures on the GTX 480 at TEST scale, as IEEE-754 bit patterns.
+/// Pinning it spares the golden test below the 105 pair co-runs (2 s of
+/// the debug-assertion build); `scripts/ci.sh --sched-smoke` regenerates
+/// all seven golden reports end to end, matrix included.
+const GTX480_TEST_MATRIX: [[u64; 4]; 4] = [
+    [0x400020df1f4ac147, 0x3ff2a8ded5a2083b, 0x3ff20566b774af72, 0x3ff245b1cffc2042],
+    [0x3ff23e522f2b535b, 0x3ff05a0029af25e6, 0x3ff0172f37708b25, 0x3ff01199eb257e49],
+    [0x3ff2692b41e3d3c5, 0x3ff08ac0f82e7ef5, 0x3ff00a2dff511110, 0x3ff03d1455c44313],
+    [0x3ff1821fe189388d, 0x3ff03a26da976314, 0x3ff00992c1163a0a, 0x3ff011f77195a07d],
+];
+
+/// `GCS_SCALE=test schedd_sim`'s q14 ILP report, regenerated and
+/// byte-compared with `tests/golden/sched/sched_test_q14_ilp.json`: the
+/// GTX 480 at TEST scale, one device, SMRA allocation, seed 42, one
+/// arrival per quarter of the mean alone runtime. The golden file was
+/// written by an earlier build, so this pins the decision path (census,
+/// ILP, job mapping, dispatch) against output it did not produce.
+#[test]
+fn q14_ilp_report_matches_the_golden_file() {
+    let cfg = RunConfig {
+        gpu: GpuConfig::gtx480(),
+        scale: Scale::TEST,
+        concurrency: 2,
+    };
+    let matrix =
+        InterferenceMatrix::from_entries(GTX480_TEST_MATRIX.map(|row| row.map(f64::from_bits)));
+    let mut pipeline = Pipeline::with_matrix_and_engine(cfg, matrix, Arc::new(SweepEngine::auto()))
+        .expect("pipeline");
+    let mean_alone: f64 = Benchmark::ALL
+        .iter()
+        .map(|&b| pipeline.profile(b).cycles as f64)
+        .sum::<f64>()
+        / Benchmark::ALL.len() as f64;
+    let queue = gcs_core::queues::thesis_queue_14();
+    let trace = ArrivalTrace::poisson_from_queue(&queue, mean_alone / 4.0, 42);
+    let sched = SchedConfig {
+        num_gpus: 1,
+        queue_capacity: queue.len(),
+        alloc: AllocationPolicy::Smra,
+        replan_interval: None,
+    };
+    let mut policy = PolicyKind::IlpEpoch.build();
+    let report = OnlineScheduler::new(&mut pipeline, sched)
+        .unwrap()
+        .run(&trace, policy.as_mut())
+        .unwrap();
+    let golden = include_str!("golden/sched/sched_test_q14_ilp.json");
+    assert!(
+        report.to_json() == golden,
+        "q14 ILP report drifted from the golden file:\n{}",
+        report.to_json()
+    );
+}
