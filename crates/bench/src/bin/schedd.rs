@@ -30,16 +30,12 @@
 
 use std::time::Duration;
 
-use gcs_bench::{build_pipeline, header};
+use gcs_bench::{build_pipeline, env_count, header};
 use gcs_core::runner::AllocationPolicy;
 use gcs_fleet::{FleetPolicy, FleetSpec};
 use gcs_sched::{
     DaemonConfig, DaemonCore, OverloadPolicy, Policy, PolicyKind, SchedConfig, TcpAcceptor,
 };
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
-}
 
 fn main() {
     let mut listen = "127.0.0.1:7077".to_string();
@@ -61,17 +57,17 @@ fn main() {
     };
     let cfg = DaemonConfig {
         sched: SchedConfig {
-            num_gpus: env_usize("GCS_SCHED_GPUS").unwrap_or(1) as u32,
-            queue_capacity: env_usize("GCS_SCHED_CAPACITY").unwrap_or(16),
+            num_gpus: env_count("GCS_SCHED_GPUS").unwrap_or(1) as u32,
+            queue_capacity: env_count("GCS_SCHED_CAPACITY").unwrap_or(16),
             alloc: AllocationPolicy::Smra,
             replan_interval: None,
         },
         overload: OverloadPolicy {
-            replan_pending_limit: env_usize("GCS_SCHED_REPLAN_SHED"),
-            ilp_pending_limit: env_usize("GCS_SCHED_ILP_SHED"),
+            replan_pending_limit: env_count("GCS_SCHED_REPLAN_SHED"),
+            ilp_pending_limit: env_count("GCS_SCHED_ILP_SHED"),
         },
     };
-    let read_ms = env_usize("GCS_SCHED_READ_MS").unwrap_or(2000);
+    let read_ms = env_count("GCS_SCHED_READ_MS").unwrap_or(2000);
     let read_deadline = (read_ms > 0).then(|| Duration::from_millis(read_ms as u64));
 
     let listener = match std::net::TcpListener::bind(&listen) {

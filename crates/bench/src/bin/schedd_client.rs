@@ -31,7 +31,7 @@
 
 use std::time::Duration;
 
-use gcs_bench::{build_pipeline, header};
+use gcs_bench::{build_pipeline, env_count, header};
 use gcs_core::runner::AllocationPolicy;
 use gcs_sched::{
     virtual_link, DaemonConfig, DaemonCore, FaultSpec, FaultyTransport, OnlineScheduler,
@@ -40,14 +40,10 @@ use gcs_sched::{
 };
 use gcs_workloads::{ArrivalTrace, Benchmark, OpenLoopDriver};
 
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
-}
-
 fn overload_from_env() -> OverloadPolicy {
     OverloadPolicy {
-        replan_pending_limit: env_usize("GCS_SCHED_REPLAN_SHED"),
-        ilp_pending_limit: env_usize("GCS_SCHED_ILP_SHED"),
+        replan_pending_limit: env_count("GCS_SCHED_REPLAN_SHED"),
+        ilp_pending_limit: env_count("GCS_SCHED_ILP_SHED"),
     }
 }
 

@@ -47,15 +47,6 @@ impl AppClass {
         }
     }
 
-    /// Inverse of [`AppClass::index`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= 4`.
-    pub fn from_index(idx: usize) -> AppClass {
-        AppClass::ALL[idx]
-    }
-
     /// The thesis' single-letter label (MC prints as `"MC"`).
     pub fn label(&self) -> &'static str {
         match self {
@@ -278,7 +269,6 @@ mod tests {
     fn label_roundtrip() {
         for c in AppClass::ALL {
             assert_eq!(AppClass::from_label(c.label()), Some(c));
-            assert_eq!(AppClass::from_index(c.index()), c);
         }
         assert_eq!(AppClass::from_label("x"), Some(AppClass::Mc));
         assert_eq!(AppClass::from_label("zz"), None);

@@ -86,13 +86,13 @@ pub struct RetryPolicy {
     /// Additional attempts after the first failure.
     pub max_retries: u32,
     /// Backoff before retry `k` is `base_backoff_ms << (k - 1)`,
-    /// capped at [`RetryPolicy::MAX_BACKOFF_MS`].
+    /// capped at 1 s.
     pub base_backoff_ms: u64,
 }
 
 impl RetryPolicy {
     /// Backoff ceiling regardless of attempt count.
-    pub const MAX_BACKOFF_MS: u64 = 1_000;
+    const MAX_BACKOFF_MS: u64 = 1_000;
 
     /// No retries: every job failure is final.
     pub const NONE: RetryPolicy = RetryPolicy {

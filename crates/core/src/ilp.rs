@@ -141,12 +141,8 @@ impl GroupingModel {
         Ok((counts, sol.objective))
     }
 
-    fn solution(
-        &self,
-        class_counts: [u32; AppClass::COUNT],
-        node_limit: Option<usize>,
-    ) -> Result<GroupingSolution, CoreError> {
-        let (counts, objective) = self.solve(class_counts, node_limit)?;
+    fn solution(&self, class_counts: [u32; AppClass::COUNT]) -> Result<GroupingSolution, CoreError> {
+        let (counts, objective) = self.solve(class_counts, None)?;
         let multiplicities = self
             .patterns
             .iter()
@@ -186,24 +182,6 @@ pub fn solve_grouping(
     nc: u32,
     matrix: &InterferenceMatrix,
 ) -> Result<GroupingSolution, CoreError> {
-    solve_grouping_with_limit(class_counts, nc, matrix, None)
-}
-
-/// [`solve_grouping`] with an explicit branch & bound node budget
-/// (`None` keeps the solver's default). The runner uses a tight budget
-/// as a deterministic trigger for its greedy degradation path; tests
-/// use it to prove that path.
-///
-/// # Errors
-///
-/// Same as [`solve_grouping`]; a too-small budget surfaces as
-/// [`CoreError::Milp`] with [`gcs_milp::SolveError::NodeLimit`].
-pub fn solve_grouping_with_limit(
-    class_counts: [u32; AppClass::COUNT],
-    nc: u32,
-    matrix: &InterferenceMatrix,
-    node_limit: Option<usize>,
-) -> Result<GroupingSolution, CoreError> {
     let nq: u32 = class_counts.iter().sum();
     if nq == 0 || nc < 2 {
         return Err(CoreError::BadQueue(format!(
@@ -215,7 +193,7 @@ pub fn solve_grouping_with_limit(
             "queue length {nq} is not divisible by nc = {nc}"
         )));
     }
-    GroupingModel::new(nc, matrix).solution(class_counts, node_limit)
+    GroupingModel::new(nc, matrix).solution(class_counts)
 }
 
 /// Solves the grouping ILP with an explicit `e` vector (used by the
@@ -229,21 +207,7 @@ pub fn solve_with_e(
     nc: u32,
     e: &[f64],
 ) -> Result<GroupingSolution, CoreError> {
-    solve_with_e_limited(class_counts, nc, e, None)
-}
-
-/// [`solve_with_e`] with an explicit branch & bound node budget.
-///
-/// # Errors
-///
-/// Same as [`solve_with_e`].
-pub fn solve_with_e_limited(
-    class_counts: [u32; AppClass::COUNT],
-    nc: u32,
-    e: &[f64],
-    node_limit: Option<usize>,
-) -> Result<GroupingSolution, CoreError> {
-    GroupingModel::with_e(nc, e).solution(class_counts, node_limit)
+    GroupingModel::with_e(nc, e).solution(class_counts)
 }
 
 /// The thesis' Appendix A coefficient vector for two-application
@@ -359,7 +323,8 @@ mod tests {
     #[test]
     fn exhausted_node_budget_surfaces_as_typed_milp_error() {
         let m = InterferenceMatrix::synthetic_paper_shape();
-        let r = solve_grouping_with_limit([2, 5, 2, 5], 2, &m, Some(0));
+        let model = GroupingModel::new(2, &m);
+        let r = model.solve([2, 5, 2, 5], Some(0));
         assert!(
             matches!(
                 r,
@@ -368,6 +333,6 @@ mod tests {
             "a zero node budget must fail with NodeLimit"
         );
         // The same census solves fine with the default budget.
-        assert!(solve_grouping_with_limit([2, 5, 2, 5], 2, &m, None).is_ok());
+        assert!(model.solve([2, 5, 2, 5], None).is_ok());
     }
 }

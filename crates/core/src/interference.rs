@@ -79,25 +79,10 @@ impl InterferenceMatrix {
     /// records each app's slowdown against its alone run, and averages
     /// the samples into the 4×4 class cells (classes per Table 3.2).
     ///
-    /// This is 14 alone runs plus 105 co-runs — the expensive, faithful
-    /// variant. [`InterferenceMatrix::measure`] is the cheap
-    /// one-representative-per-class approximation. Both are thin
-    /// wrappers over the engine-backed variants with a sequential
-    /// [`SweepEngine`]; pass your own engine to parallelize and memoize
-    /// the sweep.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator failures.
-    pub fn measure_full(cfg: &GpuConfig, scale: Scale) -> Result<Self, CoreError> {
-        Self::measure_full_with(&SweepEngine::sequential(), cfg, scale)
-    }
-
-    /// [`InterferenceMatrix::measure_full`] through a caller-provided
-    /// [`SweepEngine`]: the 14 alone runs fan out as one parallel batch,
-    /// the 105 pair co-runs as a second, and every job is memoized under
-    /// the engine's cache. Results are bit-identical to the sequential
-    /// path at any thread count.
+    /// This is 14 alone runs plus 105 co-runs through `engine`: the 14
+    /// alone runs fan out as one parallel batch, the 105 pair co-runs as
+    /// a second, and every job is memoized under the engine's cache.
+    /// Results are bit-identical at any thread count.
     ///
     /// # Errors
     ///
@@ -166,65 +151,6 @@ impl InterferenceMatrix {
         }
         Ok(Self::from_entries(s))
     }
-
-    /// Measures the matrix on `cfg` by co-running one representative
-    /// benchmark per class (even SM split) against the representative of
-    /// every class, comparing to alone runs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator failures.
-    pub fn measure(cfg: &GpuConfig, scale: Scale) -> Result<Self, CoreError> {
-        Self::measure_with(&SweepEngine::sequential(), cfg, scale)
-    }
-
-    /// [`InterferenceMatrix::measure`] through a caller-provided engine.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator failures.
-    pub fn measure_with(
-        engine: &SweepEngine,
-        cfg: &GpuConfig,
-        scale: Scale,
-    ) -> Result<Self, CoreError> {
-        let reps: [Benchmark; AppClass::COUNT] = [
-            Benchmark::Blk,  // M
-            Benchmark::Fft,  // MC
-            Benchmark::Spmv, // C
-            Benchmark::Sad,  // A
-        ];
-
-        // Alone runtimes on the full device.
-        let profiles = engine.profile_suite(cfg, scale, &reps)?;
-        let alone: Vec<u64> = profiles.iter().map(|p| p.cycles.max(1)).collect();
-
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for i in 0..AppClass::COUNT {
-            for j in i..AppClass::COUNT {
-                pairs.push((i, j));
-            }
-        }
-        let jobs: Vec<(Vec<Benchmark>, CorunMode)> = pairs
-            .iter()
-            .map(|&(i, j)| (vec![reps[i], reps[j]], CorunMode::Even))
-            .collect();
-        let outcomes = engine.corun_batch(cfg, scale, &jobs)?;
-
-        let mut s = [[1.0f64; AppClass::COUNT]; AppClass::COUNT];
-        for (&(i, j), out) in pairs.iter().zip(&outcomes) {
-            let si = (out.cycles[0] as f64 / alone[i] as f64).max(1.0);
-            let sj = (out.cycles[1] as f64 / alone[j] as f64).max(1.0);
-            if j == i {
-                // Same-class pair: both runs sample the same cell.
-                s[i][i] = 0.5 * (si + sj);
-            } else {
-                s[i][j] = si;
-                s[j][i] = sj;
-            }
-        }
-        Ok(Self::from_entries(s))
-    }
 }
 
 impl std::fmt::Display for InterferenceMatrix {
@@ -287,7 +213,10 @@ mod tests {
         // Smoke test: measurement completes and produces slowdowns ≥ 1
         // with the M column dominating the A column on average.
         let cfg = GpuConfig::test_small();
-        let m = InterferenceMatrix::measure(&cfg, Scale::TEST).unwrap();
+        // One representative per class: BLK (M), FFT (MC), SPMV (C), SAD (A).
+        let reps = [Benchmark::Blk, Benchmark::Fft, Benchmark::Spmv, Benchmark::Sad];
+        let m = InterferenceMatrix::measure_suite_with(&SweepEngine::sequential(), &cfg, Scale::TEST, &reps)
+            .unwrap();
         let col = |a: AppClass| -> f64 {
             AppClass::ALL.iter().map(|&v| m.slowdown(v, a)).sum::<f64>() / 4.0
         };

@@ -54,15 +54,6 @@ impl NanoStats {
             max_ns: *sorted.last().expect("non-empty"),
         }
     }
-
-    /// Sustained decision rate implied by the mean latency
-    /// (1 s / mean). 0 when no samples were taken.
-    pub fn per_sec(&self) -> f64 {
-        if self.count == 0 || self.mean_ns <= 0.0 {
-            return 0.0;
-        }
-        1e9 / self.mean_ns
-    }
 }
 
 impl std::fmt::Display for NanoStats {
@@ -171,13 +162,6 @@ mod tests {
         let one = NanoStats::from_samples(&[7]);
         assert_eq!((one.p50_ns, one.p99_ns, one.max_ns), (7, 7, 7));
         assert_eq!(NanoStats::from_samples(&[]), NanoStats::default());
-    }
-
-    #[test]
-    fn per_sec_inverts_the_mean() {
-        let s = NanoStats::from_samples(&[1_000; 10]);
-        assert!((s.per_sec() - 1e6).abs() < 1e-6);
-        assert_eq!(NanoStats::default().per_sec(), 0.0);
     }
 
     #[test]

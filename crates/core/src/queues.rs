@@ -66,7 +66,7 @@ impl Distribution {
 }
 
 /// The benchmarks the thesis assigns to `class` (Table 3.2).
-pub fn class_members(class: AppClass) -> Vec<Benchmark> {
+fn class_members(class: AppClass) -> Vec<Benchmark> {
     PAPER_PROFILES
         .iter()
         .filter(|p| AppClass::from_label(&p.class.to_string()) == Some(class))

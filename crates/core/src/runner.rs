@@ -67,16 +67,6 @@ pub struct RunConfig {
     pub concurrency: u32,
 }
 
-impl RunConfig {
-    /// GTX 480 at full workload scale, two concurrent applications.
-    pub fn gtx480_pairs() -> RunConfig {
-        RunConfig {
-            gpu: GpuConfig::gtx480(),
-            scale: Scale::FULL,
-            concurrency: 2,
-        }
-    }
-}
 
 /// Per-application outcome inside one group.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,7 +161,8 @@ impl Pipeline {
     /// the class interference matrix on the configured device by
     /// co-running **every** benchmark pair (§3.2.2's procedure; 14 alone
     /// runs + 105 co-runs). For a cheaper approximation, combine
-    /// [`InterferenceMatrix::measure`] with [`Pipeline::with_matrix`].
+    /// [`InterferenceMatrix::measure_suite_with`] over a few
+    /// representatives with [`Pipeline::with_matrix`].
     ///
     /// All simulations flow through a machine-sized [`SweepEngine`]
     /// (in-memory memoization, no disk cache); use
@@ -271,7 +262,7 @@ impl Pipeline {
 
     /// The workload behind a suite slot: the bound trace if one exists,
     /// otherwise the synthetic benchmark.
-    pub fn workload_of(&self, bench: Benchmark) -> Workload {
+    fn workload_of(&self, bench: Benchmark) -> Workload {
         resolve_workload(&self.bindings, bench)
     }
 

@@ -328,11 +328,6 @@ impl SweepEngine {
         self
     }
 
-    /// Whether phase profiling is on.
-    pub fn phase_profiling(&self) -> bool {
-        self.profile_phases
-    }
-
     /// Always 1; the benchmark stamps it as `sweep.sim_threads`.
     pub fn sim_threads(&self) -> usize {
         1
@@ -348,11 +343,6 @@ impl SweepEngine {
     /// Worker thread count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The configured on-disk cache directory, if any.
-    pub fn cache_dir(&self) -> Option<&Path> {
-        self.cache_dir.as_deref()
     }
 
     /// Snapshot of the counters.
@@ -814,9 +804,6 @@ impl Default for SweepEngine {
         Self::auto()
     }
 }
-
-/// Shared-engine convenience alias used across the crate.
-pub type SharedEngine = Arc<SweepEngine>;
 
 // ----------------------------------------------------------------------
 // Simulation bodies

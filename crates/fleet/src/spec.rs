@@ -125,11 +125,6 @@ impl FleetSpec {
         false
     }
 
-    /// Largest SM capacity in the fleet.
-    pub fn max_sms(&self) -> u32 {
-        self.devices.iter().map(|d| d.num_sms).max().expect("non-empty fleet")
-    }
-
     /// The concrete [`GpuConfig`] of device `idx`: the shared `base`
     /// with `num_sms` replaced by the device's capacity.
     ///
@@ -304,7 +299,7 @@ mod tests {
         let spec = FleetSpec::homogeneous(3, 8).expect("spec");
         let ids: Vec<&str> = spec.devices().iter().map(|d| d.id.as_str()).collect();
         assert_eq!(ids, ["gpu0", "gpu1", "gpu2"]);
-        assert_eq!(spec.max_sms(), 8);
+        assert!(spec.devices().iter().all(|d| d.num_sms == 8));
         assert_eq!(FleetSpec::homogeneous(0, 8), Err(FleetError::Empty));
     }
 }

@@ -4,19 +4,18 @@
 //! The search space must be finite: every variable needs a derivable upper
 //! bound. [`solve_by_enumeration`] infers per-variable bounds from the
 //! constraint system (any `≤`/`=` row with all-nonnegative coefficients
-//! bounds each variable with a positive coefficient); callers may also
-//! supply explicit bounds via [`solve_bounded`].
+//! bounds each variable with a positive coefficient).
 
 use crate::problem::{Problem, Relation, Sense};
 use crate::{Solution, SolveError};
 
 /// Maximum number of lattice points the enumerator will visit before
 /// giving up (protects tests against accidental combinatorial blow-up).
-pub const MAX_POINTS: u64 = 50_000_000;
+const MAX_POINTS: u64 = 50_000_000;
 
 /// Derives a finite upper bound for every variable, or `None` for a
 /// variable that no constraint bounds.
-pub fn infer_bounds(problem: &Problem) -> Vec<Option<u64>> {
+fn infer_bounds(problem: &Problem) -> Vec<Option<u64>> {
     let n = problem.num_vars();
     let mut bounds: Vec<Option<u64>> = vec![None; n];
     for c in problem.constraints() {
@@ -42,7 +41,7 @@ pub fn infer_bounds(problem: &Problem) -> Vec<Option<u64>> {
 /// # Errors
 ///
 /// * [`SolveError::Malformed`] if any variable is continuous or unbounded,
-///   or if the search space exceeds [`MAX_POINTS`].
+///   or if the search space exceeds `MAX_POINTS` (50 million).
 /// * [`SolveError::Infeasible`] if no lattice point satisfies the
 ///   constraints.
 ///
@@ -81,7 +80,7 @@ pub fn solve_by_enumeration(problem: &Problem) -> Result<Solution, SolveError> {
 /// # Errors
 ///
 /// See [`solve_by_enumeration`].
-pub fn solve_bounded(problem: &Problem, bounds: &[u64]) -> Result<Solution, SolveError> {
+fn solve_bounded(problem: &Problem, bounds: &[u64]) -> Result<Solution, SolveError> {
     if bounds.len() != problem.num_vars() {
         return Err(SolveError::Malformed(format!(
             "bounds arity {} does not match variable count {}",

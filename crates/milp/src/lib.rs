@@ -40,8 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod enumerate;
-pub mod export;
-pub mod parse;
 mod problem;
 mod simplex;
 mod branch;

@@ -118,11 +118,6 @@ impl Problem {
         self.objective.len()
     }
 
-    /// Number of constraints added so far.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// Objective coefficients.
     pub fn objective(&self) -> &[f64] {
         &self.objective

@@ -220,7 +220,7 @@ impl EventCore {
 
     /// Degradations recorded so far (solver downgrades and overload
     /// sheds).
-    pub fn degradation_count(&self) -> usize {
+    fn degradation_count(&self) -> usize {
         self.degradations.len()
     }
 
@@ -348,7 +348,7 @@ impl EventCore {
     /// or draining — the daemon's mid-run `report` op. Jobs dispatched
     /// but pending settle are not yet visible; the snapshot is still a
     /// pure function of the submission history.
-    pub fn snapshot_report(&self, policy_name: &str) -> SchedReport {
+    fn snapshot_report(&self, policy_name: &str) -> SchedReport {
         let mut jobs = self.jobs.clone();
         jobs.sort_unstable_by_key(|j| j.id);
         let makespan = self.groups.iter().map(|g| g.end).max().unwrap_or(0);
@@ -721,7 +721,7 @@ impl<'p> DaemonCore<'p> {
     /// sent and the connection closed. Payload-level corruption
     /// (checksum or JSON) leaves framing intact — a typed error is
     /// sent and the connection stays live.
-    pub fn serve_conn(&mut self, conn: &mut dyn Transport) {
+    fn serve_conn(&mut self, conn: &mut dyn Transport) {
         loop {
             let frame = match conn.recv_frame() {
                 Ok(f) => f,

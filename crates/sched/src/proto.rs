@@ -23,10 +23,10 @@ use gcs_sim::wire::{self, Scan, WireError};
 use gcs_workloads::Benchmark;
 
 /// Magic bytes opening every frame.
-pub const PROTO_MAGIC: [u8; 4] = *b"GCSD";
+const PROTO_MAGIC: [u8; 4] = *b"GCSD";
 
 /// Current wire-format version.
-pub const PROTO_VERSION: u32 = 1;
+const PROTO_VERSION: u32 = 1;
 
 /// Frame header length in bytes: magic + version + payload_len +
 /// checksum.
@@ -181,7 +181,7 @@ impl Request {
     ///
     /// [`ProtoError::Corrupt`] on any structural mismatch; never
     /// panics.
-    pub fn decode_json(text: &str) -> Result<Request, ProtoError> {
+    fn decode_json(text: &str) -> Result<Request, ProtoError> {
         let mut s = Scan::new(text);
         s.lit("{")?;
         s.key("op")?;
@@ -212,7 +212,7 @@ impl Request {
         Ok(req)
     }
 
-    /// Decodes a framed request ([`decode_frame`] + [`Request::decode_json`]).
+    /// Decodes a framed request ([`decode_frame`] + `Request::decode_json`).
     ///
     /// # Errors
     ///
@@ -341,7 +341,7 @@ impl Response {
     ///
     /// [`ProtoError::Corrupt`] on any structural mismatch; never
     /// panics.
-    pub fn decode_json(text: &str) -> Result<Response, ProtoError> {
+    fn decode_json(text: &str) -> Result<Response, ProtoError> {
         let mut s = Scan::new(text);
         s.lit("{")?;
         s.key("ok")?;

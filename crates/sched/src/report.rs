@@ -44,7 +44,7 @@ impl JobOutcome {
     }
 
     /// Arrival-to-completion cycles.
-    pub fn turnaround(&self) -> u64 {
+    fn turnaround(&self) -> u64 {
         self.completion - self.arrival
     }
 
@@ -167,7 +167,7 @@ impl SchedReport {
     }
 
     /// Turnaround distribution over completed jobs.
-    pub fn turnaround_stats(&self) -> LatencyStats {
+    fn turnaround_stats(&self) -> LatencyStats {
         let d: Vec<u64> = self.jobs.iter().map(JobOutcome::turnaround).collect();
         LatencyStats::from_samples(&d)
     }

@@ -239,16 +239,6 @@ impl Cache {
     pub fn misses(&self) -> u64 {
         self.misses
     }
-
-    /// Hit rate in `[0, 1]`, zero when no accesses happened.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]

@@ -360,11 +360,6 @@ impl Gpu {
         Ok(())
     }
 
-    /// The installed fault schedule, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault_plan.as_ref()
-    }
-
     /// Whether SM `id` is in service.
     ///
     /// # Panics
@@ -377,14 +372,6 @@ impl Gpu {
     /// Number of SMs currently in service.
     pub fn num_enabled_sms(&self) -> u32 {
         self.sm_enabled.iter().filter(|&&e| e).count() as u32
-    }
-
-    /// Indices of the SMs currently in service (the surviving set a
-    /// degraded-mode controller must reallocate over).
-    pub fn surviving_sms(&self) -> Vec<u32> {
-        (0..self.sms.len() as u32)
-            .filter(|&i| self.sm_enabled[i as usize])
-            .collect()
     }
 
     /// Captures a structured snapshot of device state: per-SM ready and
@@ -420,7 +407,7 @@ impl Gpu {
 
     /// A [`SimError::Deadlock`] at the current cycle with a diagnostic
     /// snapshot attached.
-    pub fn deadlock_error(&self) -> SimError {
+    fn deadlock_error(&self) -> SimError {
         SimError::Deadlock {
             cycle: self.cycle,
             diag: self.diagnostics(),
@@ -1419,7 +1406,8 @@ mod tests {
         assert!(!gpu.sm_in_service(3));
         assert_eq!(gpu.num_enabled_sms(), 7);
         assert_eq!(gpu.sm_count(a), 7);
-        assert_eq!(gpu.surviving_sms(), [0, 1, 2, 4, 5, 6, 7]);
+        let surviving: Vec<u32> = (0..8).filter(|&s| gpu.sm_in_service(s)).collect();
+        assert_eq!(surviving, [0, 1, 2, 4, 5, 6, 7]);
         gpu.run(20_000_000).unwrap();
         assert!(gpu.all_done());
         // Drained out of service: released, still disabled.

@@ -51,7 +51,7 @@ pub enum Op {
 
 impl Op {
     /// True for [`Op::Load`] and [`Op::Store`].
-    pub fn is_memory(&self) -> bool {
+    fn is_memory(&self) -> bool {
         matches!(self, Op::Load(_) | Op::Store(_))
     }
 }

@@ -62,7 +62,6 @@ pub mod rng;
 pub mod sched;
 pub mod sm;
 pub mod stats;
-pub mod trace;
 pub mod trace_fmt;
 pub mod warp;
 pub mod wire;

@@ -614,14 +614,9 @@ impl MemSys {
         self.sleep_min = 0;
     }
 
-    /// Current per-slice MSHR limit.
-    pub fn mshr_cap(&self) -> usize {
-        self.mshr_cap
-    }
-
     /// Slice an address routes to (row-interleaved so streams keep
     /// row-buffer locality within one channel).
-    pub fn slice_of(&self, addr: u64) -> usize {
+    fn slice_of(&self, addr: u64) -> usize {
         let row = self.row_of(addr);
         if self.slice_mask != 0 {
             (row & self.slice_mask) as usize
@@ -632,7 +627,7 @@ impl MemSys {
 
     /// Whether the target slice can take one more request.
     #[inline]
-    pub fn can_accept(&self, addr: u64) -> bool {
+    fn can_accept(&self, addr: u64) -> bool {
         let g = self.slice_of(addr);
         let free = self.full_mask & (1u64 << g) == 0;
         debug_assert_eq!(
@@ -652,7 +647,7 @@ impl MemSys {
     }
 
     /// Injects a transaction (already line-aligned). Call only after
-    /// [`MemSys::can_accept`] returned `true` this cycle.
+    /// `MemSys::can_accept` returned `true` this cycle.
     pub fn push(&mut self, req: MemRequest) {
         let g = self.slice_of(req.addr);
         let slice = &mut self.slices[g];

@@ -104,11 +104,6 @@ impl Sm {
         }
     }
 
-    /// Number of resident blocks.
-    pub fn resident_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Number of live warps.
     pub fn live_warps(&self) -> u32 {
         self.warps.slots() as u32 - self.free_slots
@@ -566,7 +561,7 @@ mod tests {
         let k = alu_kernel();
         assert!(sm.can_take_block(&k, &cfg));
         sm.dispatch_block(&k, 0);
-        assert_eq!(sm.resident_blocks(), 1);
+        assert_eq!(sm.blocks.len(), 1);
         assert_eq!(sm.live_warps(), 2);
     }
 

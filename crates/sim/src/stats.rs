@@ -93,26 +93,6 @@ impl AppStats {
             self.mem_insts as f64 / self.warp_insts as f64
         }
     }
-
-    /// DRAM row-buffer hit rate of this app's reads, in `[0, 1]`.
-    pub fn dram_row_hit_rate(&self) -> f64 {
-        let t = self.dram_row_hits + self.dram_row_misses;
-        if t == 0 {
-            0.0
-        } else {
-            self.dram_row_hits as f64 / t as f64
-        }
-    }
-
-    /// L1 hit rate in `[0, 1]`.
-    pub fn l1_hit_rate(&self) -> f64 {
-        let t = self.l1_hits + self.l1_misses;
-        if t == 0 {
-            0.0
-        } else {
-            self.l1_hits as f64 / t as f64
-        }
-    }
 }
 
 /// All per-app counters plus the device cycle.
@@ -344,23 +324,5 @@ mod tests {
         a = b.clone();
         let w2 = window_between(&a, &b, 50);
         assert_eq!(w2.device_ipc, 0.0);
-    }
-
-    #[test]
-    fn row_hit_rate_bounds() {
-        let mut s = AppStats::new();
-        assert_eq!(s.dram_row_hit_rate(), 0.0);
-        s.dram_row_hits = 3;
-        s.dram_row_misses = 9;
-        assert!((s.dram_row_hit_rate() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn l1_hit_rate_bounds() {
-        let mut s = AppStats::new();
-        assert_eq!(s.l1_hit_rate(), 0.0);
-        s.l1_hits = 3;
-        s.l1_misses = 1;
-        assert!((s.l1_hit_rate() - 0.75).abs() < 1e-12);
     }
 }

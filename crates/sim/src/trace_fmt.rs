@@ -60,7 +60,7 @@ pub const TRACE_VERSION: u32 = 1;
 /// Upper bound (exclusive) on stored relative addresses: application
 /// bases are spaced `1 << 44` apart (`gpu::app_base`), so any relative
 /// address below this re-bases losslessly into any app slot.
-pub const REL_ADDR_LIMIT: u64 = 1 << 44;
+const REL_ADDR_LIMIT: u64 = 1 << 44;
 
 /// Typed failure decoding, validating or building a trace — the
 /// workspace's one [`WireError`] under this module's historical name.
@@ -150,7 +150,7 @@ impl KernelTrace {
 
     /// The body's memory-op pattern ids in program order; group `g` of
     /// any warp belongs to pattern `mem_pids[g % mem_pids.len()]`.
-    pub fn mem_pattern_ids(&self) -> Vec<PatternId> {
+    fn mem_pattern_ids(&self) -> Vec<PatternId> {
         self.body
             .iter()
             .filter_map(|op| match op {
@@ -174,7 +174,7 @@ impl KernelTrace {
     /// invalid reconstructed kernel, a warp-count or group-count
     /// mismatch against the geometry, an empty group, an attempt whose
     /// address count disagrees with its pattern's `transactions`, or a
-    /// relative address at or beyond [`REL_ADDR_LIMIT`].
+    /// relative address at or beyond `REL_ADDR_LIMIT` (2^44).
     pub fn validate(&self) -> Result<(), TraceFmtError> {
         let kernel = self.kernel_desc();
         kernel.validate().map_err(TraceFmtError::Invalid)?;

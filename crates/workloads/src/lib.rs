@@ -37,7 +37,7 @@ pub mod trace;
 pub mod traced;
 
 pub use suite::{Benchmark, PaperProfile, PAPER_PROFILES};
-pub use trace::{queue_from_trace, Arrival, ArrivalTrace, OpenLoopDriver};
+pub use trace::{Arrival, ArrivalTrace, OpenLoopDriver};
 pub use traced::{phase_shift_trace, tensor_mix_trace};
 
 /// Work scaling applied to a benchmark model.
@@ -194,18 +194,6 @@ impl ModelParams {
     }
 }
 
-impl ModelParams {
-    /// The SM count beyond which this model stops gaining parallelism:
-    /// once every grid block is resident, extra SMs only spread the same
-    /// warps thinner. Derived from the per-SM residency caps (block
-    /// limit and warp slots) of `cfg`.
-    pub fn saturation_sms(&self, cfg: &gcs_sim::GpuConfig) -> u32 {
-        let by_warps = (cfg.max_warps_per_sm / self.warps_per_block).max(1);
-        let per_sm = cfg.max_blocks_per_sm.min(by_warps);
-        self.grid_blocks.div_ceil(per_sm)
-    }
-}
-
 /// A strided pattern that sweeps a *shared* working set: every SM's L1
 /// thrashes (the sweep is much larger than 16 kB) while the L2 retains
 /// the whole set — the class-C traffic signature.
@@ -286,10 +274,20 @@ mod tests {
         assert!(matches!(k.body[3], Op::Store(_)));
     }
 
+    /// The SM count beyond which a model stops gaining parallelism:
+    /// once every grid block is resident, extra SMs only spread the same
+    /// warps thinner. Derived from the per-SM residency caps (block
+    /// limit and warp slots) of `cfg`.
+    fn saturation_sms(p: &ModelParams, cfg: &gcs_sim::GpuConfig) -> u32 {
+        let by_warps = (cfg.max_warps_per_sm / p.warps_per_block).max(1);
+        let per_sm = cfg.max_blocks_per_sm.min(by_warps);
+        p.grid_blocks.div_ceil(per_sm)
+    }
+
     #[test]
     fn saturation_points_match_fig_36_taxonomy() {
         let cfg = gcs_sim::GpuConfig::gtx480();
-        let sat = |b: Benchmark| b.params().saturation_sms(&cfg);
+        let sat = |b: Benchmark| saturation_sms(&b.params(), &cfg);
         // LUD's 12-block grid fits a couple of SMs: flat in core count.
         assert!(sat(Benchmark::Lud) <= 4, "LUD: {}", sat(Benchmark::Lud));
         // LPS saturates early (the thesis' "moderate parallelism").

@@ -3,22 +3,15 @@
 //! The thesis treats the workload as a static queue solved once; the
 //! online scheduler (`gcs-sched`) instead consumes an [`ArrivalTrace`]:
 //! a time-ordered list of jobs, each a [`Benchmark`] arriving at a
-//! device-cycle timestamp. This module provides
-//!
-//! * seeded generators — [`ArrivalTrace::poisson`] (memoryless traffic),
-//!   [`ArrivalTrace::poisson_from_queue`] (Poisson timing over an exact
-//!   benchmark mix) and [`ArrivalTrace::bursty`] (arrival clumps) — all
-//!   driven by [`SimRng`](gcs_sim::rng::SimRng) so a trace is a pure
-//!   function of its seed;
-//! * the degenerate batch trace [`ArrivalTrace::all_at`], which turns
-//!   any static queue into a trace (the equivalence pin between the
-//!   online scheduler and the batch pipeline rests on it);
-//! * [`queue_from_trace`], recovering the static arrival-order queue the
-//!   batch pipeline expects.
+//! device-cycle timestamp. This module provides seeded generators —
+//! [`ArrivalTrace::poisson`] (memoryless traffic),
+//! [`ArrivalTrace::poisson_from_queue`] (Poisson timing over an exact
+//! benchmark mix) and [`ArrivalTrace::bursty`] (arrival clumps) — all
+//! driven by [`SimRng`] so a trace is a pure function of its seed.
 //!
 //! Exponential inter-arrival gaps are sampled with an in-crate natural
 //! logarithm built only from IEEE-754 add/mul/divide (see
-//! [`deterministic_ln`]), not `f64::ln`, so generated timestamps are
+//! `deterministic_ln`), not `f64::ln`, so generated timestamps are
 //! bit-identical across platforms and libm implementations — the same
 //! portability standard the simulator holds itself to.
 
@@ -51,15 +44,6 @@ impl ArrivalTrace {
     pub fn new(mut arrivals: Vec<Arrival>) -> Self {
         arrivals.sort_by_key(|a| a.time);
         ArrivalTrace { arrivals }
-    }
-
-    /// The batch degenerate case: every job of `queue` arrives at
-    /// `time`, in queue order. An online scheduler fed this trace sees
-    /// exactly the static queue the batch pipeline solves.
-    pub fn all_at(time: u64, queue: &[Benchmark]) -> Self {
-        ArrivalTrace {
-            arrivals: queue.iter().map(|&bench| Arrival { time, bench }).collect(),
-        }
     }
 
     /// `n` arrivals with exponential inter-arrival gaps (mean
@@ -179,13 +163,6 @@ impl ArrivalTrace {
     }
 }
 
-/// The static arrival-order queue of a trace — what
-/// `Pipeline::run_queue` consumes. Composing this with
-/// [`ArrivalTrace::all_at`] round-trips exactly.
-pub fn queue_from_trace(trace: &ArrivalTrace) -> Vec<Benchmark> {
-    trace.arrivals().iter().map(|a| a.bench).collect()
-}
-
 /// Replays a trace against the wall clock in *open-loop* mode.
 ///
 /// Arrival cycles map to wall time through a `cycles_per_sec` rate;
@@ -279,7 +256,7 @@ fn exp_gap(rng: &mut SimRng, mean: f64) -> u64 {
 ///
 /// Domain: finite `x > 0` (callers feed `1 - U ∈ (0, 1]`); returns NaN
 /// for zero, negatives and non-finite inputs.
-pub fn deterministic_ln(x: f64) -> f64 {
+fn deterministic_ln(x: f64) -> f64 {
     // NaN falls through the first comparison and is caught by the
     // finiteness check.
     if x <= 0.0 || !x.is_finite() {
@@ -409,14 +386,6 @@ mod tests {
     }
 
     #[test]
-    fn all_at_round_trips_through_queue() {
-        let queue = vec![Benchmark::Gups, Benchmark::Sad, Benchmark::Gups];
-        let t = ArrivalTrace::all_at(0, &queue);
-        assert_eq!(queue_from_trace(&t), queue);
-        assert!(t.arrivals().iter().all(|a| a.time == 0));
-    }
-
-    #[test]
     fn bursty_produces_atomic_same_time_clumps() {
         let t = ArrivalTrace::bursty(&Benchmark::ALL, 5, 4, 50_000.0, 11);
         assert_eq!(t.len(), 20);
@@ -458,7 +427,8 @@ mod tests {
             Benchmark::Lud,
         ];
         let t = ArrivalTrace::poisson_from_queue(&queue, 1_000.0, 5);
-        assert_eq!(queue_from_trace(&t), queue, "bench order must be the queue");
+        let order: Vec<Benchmark> = t.arrivals().iter().map(|a| a.bench).collect();
+        assert_eq!(order, queue, "bench order must be the queue");
         assert!(t.arrivals().windows(2).all(|w| w[0].time <= w[1].time));
     }
 

@@ -65,7 +65,7 @@ pub fn phase_shift_trace(cfg: &GpuConfig) -> KernelTrace {
 }
 
 /// A DL-style tensor-op mix: each iteration loads a line of a weight
-/// tile (reused for [`TILE_REUSE`] iterations, then rotated), loads a
+/// tile (reused for `TILE_REUSE` iterations, then rotated), loads a
 /// streaming activation line, computes, and stores a streaming output
 /// line.
 pub fn tensor_mix_trace(cfg: &GpuConfig) -> KernelTrace {
@@ -113,7 +113,7 @@ pub fn tensor_mix_trace(cfg: &GpuConfig) -> KernelTrace {
 }
 
 /// Iterations each weight tile is reused for before rotating.
-pub const TILE_REUSE: u64 = 8;
+const TILE_REUSE: u64 = 8;
 
 #[cfg(test)]
 mod tests {

@@ -5,11 +5,13 @@
 # external dependencies (no registry, no index update), so this script
 # works on an air-gapped machine exactly as it does in CI.
 #
-#   scripts/ci.sh               full gate: build, tests, widened property
-#                               tests, clippy (deny warnings), the duplicate
+#   scripts/ci.sh               full gate: public-surface audit, build,
+#                               tests, widened property tests, clippy (deny
+#                               warnings), the duplicate and deleted-name
 #                               guards, the daemon/fleet smokes and
 #                               benchmark/smoke.sh (golden digests)
-#   scripts/ci.sh --quick       tier-1 only: release build + default tests
+#   scripts/ci.sh --quick       tier-1 only: public-surface audit, release
+#                               build + default tests
 #   scripts/ci.sh --bench-smoke also run scripts/bench.sh --smoke after the
 #                               gate (checks the benchmarks still run; the
 #                               timings themselves are not gated)
@@ -255,6 +257,12 @@ if [ "$TRACE_SMOKE" -eq 1 ]; then
     exit 0
 fi
 
+# Every pub item under crates/*/src has a caller outside its own file
+# or a justified line in scripts/pub_audit.allow (DESIGN.md "Public
+# surface"). A text scan with no build, so it runs first in both gates.
+step "public-surface audit (scripts/pub_audit.sh)"
+scripts/pub_audit.sh
+
 step "build (release)"
 cargo build --release
 
@@ -294,15 +302,19 @@ if grep -rnE 'fn (esc|escape_json|fmt_f64)\b' crates --include='*.rs' \
     exit 1
 fi
 
-# One stepping engine (DESIGN.md §12): the deleted sharded lanes, their
-# thread lease and their knobs stay deleted. CHANGES.md and ROADMAP.md
-# are history and may name them.
-step "duplicate guard (one stepping engine: no sharded-lane names)"
+# Deleted names stay deleted: the sharded lanes of the one stepping
+# engine (DESIGN.md §12), their thread lease and knobs, and the surface
+# the public-surface audit removed (LP text format, window trace
+# recorder, debug_* binaries, cache GC script). CHANGES.md and
+# ROADMAP.md are history and may name them.
+step "deleted-name guard (no sharded-lane or audited-away names)"
 GONE='ShardCell|MemShard|ShardSink|ShardCtl|ThreadedExec|issue_prepare|issue_more'
 GONE="$GONE|resolve_pending|PendingAccess|run_sharded|ShardLease|set_shards"
 GONE="$GONE|set_mem_shards|set_shard_workers|with_sim_threads|GCS_SIM_THREADS|shard_smoke"
-if grep -rnE "$GONE" crates tests scripts README.md DESIGN.md --exclude=ci.sh; then
-    echo "a deleted sharded-lane name is back (see the matches above)" >&2
+GONE="$GONE|WindowTrace|parse_lp|to_lp_string|gc_cache|debug_counters|debug_pair|debug_queue"
+if grep -rnE "$GONE" crates tests scripts README.md DESIGN.md EXPERIMENTS.md \
+        .claude/skills/verify/SKILL.md --exclude=ci.sh; then
+    echo "a deleted name is back (see the matches above)" >&2
     exit 1
 fi
 

@@ -6,6 +6,7 @@ use gcs_core::ilp::solve_grouping;
 use gcs_core::interference::InterferenceMatrix;
 use gcs_core::profile::{profile_alone, scalability_curve};
 use gcs_core::queues::{census, thesis_queue_14};
+use gcs_core::sweep::SweepEngine;
 use gcs_sim::config::GpuConfig;
 use gcs_sim::gpu::Gpu;
 use gcs_workloads::{Benchmark, Scale};
@@ -92,7 +93,10 @@ fn suite_classification_covers_multiple_classes() {
 #[test]
 fn end_to_end_ilp_grouping_from_measured_interference() {
     let cfg = cfg();
-    let matrix = InterferenceMatrix::measure(&cfg, Scale::TEST).expect("matrix");
+    // One representative per class: BLK (M), FFT (MC), SPMV (C), SAD (A).
+    let reps = [Benchmark::Blk, Benchmark::Fft, Benchmark::Spmv, Benchmark::Sad];
+    let matrix = InterferenceMatrix::measure_suite_with(&SweepEngine::sequential(), &cfg, Scale::TEST, &reps)
+        .expect("matrix");
     let queue = thesis_queue_14();
     let sol = solve_grouping(census(&queue), 2, &matrix).expect("ilp");
     assert_eq!(sol.groups().len(), 7);

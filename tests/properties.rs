@@ -32,9 +32,22 @@ fn uniform(rng: &mut SimRng, lo: f64, hi: f64) -> f64 {
 }
 
 /// Branch & bound must agree with exhaustive enumeration on random
-/// small all-integer maximization problems.
+/// small all-integer maximization problems: nonnegative objectives under
+/// random packing rows, and mixed-sign objectives under one budget row
+/// (where the optimum leaves the negative-weight variables at zero).
 #[test]
 fn milp_matches_enumeration() {
+    let agree = |p: &Problem, case: &str| {
+        let bb = p.solve().expect("bounded feasible problem");
+        let oracle = solve_by_enumeration(p).expect("oracle");
+        assert!(
+            (bb.objective - oracle.objective).abs() < 1e-6,
+            "case {case}: b&b {} vs oracle {}",
+            bb.objective,
+            oracle.objective
+        );
+        assert!(p.is_feasible(&bb.values), "case {case}");
+    };
     let mut rng = SimRng::seed_from_u64(11);
     for case in 0..CASES {
         let n = 2 + rng.gen_range(2) as usize;
@@ -48,15 +61,17 @@ fn milp_matches_enumeration() {
             p.add_constraint(coeffs, Relation::Le, rhs);
         }
         p.set_all_integer(true);
-        let bb = p.solve().expect("bounded feasible problem");
-        let oracle = solve_by_enumeration(&p).expect("oracle");
-        assert!(
-            (bb.objective - oracle.objective).abs() < 1e-6,
-            "case {case}: b&b {} vs oracle {}",
-            bb.objective,
-            oracle.objective
-        );
-        assert!(p.is_feasible(&bb.values), "case {case}");
+        agree(&p, &format!("packing {case}"));
+    }
+    let mut rng = SimRng::seed_from_u64(15);
+    for case in 0..CASES {
+        let n = 2 + rng.gen_range(2) as usize;
+        let obj: Vec<f64> = (0..n).map(|_| uniform(&mut rng, -5.0, 5.0)).collect();
+        let bound = uniform(&mut rng, 1.0, 20.0);
+        let mut p = Problem::maximize(obj);
+        p.add_constraint(vec![1.0; n], Relation::Le, bound);
+        p.set_all_integer(true);
+        agree(&p, &format!("mixed-sign {case}"));
     }
 }
 
@@ -168,32 +183,6 @@ fn classification_total_and_monotone() {
         hi.memory_bw += 150.0;
         let c_hi = classify(&hi, &t);
         assert!(c_hi <= c, "case {case}: raising MB moved {c:?} away from M: {c_hi:?}");
-    }
-}
-
-/// LP-format export/parse round-trips preserve the optimum for random
-/// bounded integer problems.
-#[test]
-fn lp_format_round_trip() {
-    use gcs_milp::export::to_lp_string;
-    use gcs_milp::parse::parse_lp;
-    let mut rng = SimRng::seed_from_u64(15);
-    for case in 0..CASES {
-        let n = 2 + rng.gen_range(2) as usize;
-        let obj: Vec<f64> = (0..n).map(|_| uniform(&mut rng, -5.0, 5.0)).collect();
-        let bound = uniform(&mut rng, 1.0, 20.0);
-        let mut p = Problem::maximize(obj);
-        p.add_constraint(vec![1.0; n], Relation::Le, bound);
-        p.set_all_integer(true);
-        let q = parse_lp(&to_lp_string(&p)).expect("round trip parses");
-        let a = p.solve().expect("original solves");
-        let b = q.solve().expect("round-tripped solves");
-        assert!(
-            (a.objective - b.objective).abs() < 1e-6,
-            "case {case}: {} vs {}",
-            a.objective,
-            b.objective
-        );
     }
 }
 

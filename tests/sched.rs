@@ -313,7 +313,7 @@ fn bound_traces_flow_through_online_scheduler() {
     assert_eq!(renders[0], renders[2], "1 vs 8 threads");
 }
 
-/// The class interference matrix `InterferenceMatrix::measure_full`
+/// The class interference matrix `InterferenceMatrix::measure_full_with`
 /// measures on the GTX 480 at TEST scale, as IEEE-754 bit patterns.
 /// Pinning it spares the golden test below the 105 pair co-runs (2 s of
 /// the debug-assertion build); `scripts/ci.sh --sched-smoke` regenerates
