@@ -1,6 +1,6 @@
 //! Micro-benchmarks for the analysis-side building blocks of the
-//! figure pipeline (the heavy simulation sweeps live in the `fig*`
-//! binaries, not here): e-coefficient computation, grouping end to end
+//! figure pipeline (the heavy simulation sweeps live in the `repro`
+//! figure subcommands, not here): e-coefficient computation, grouping end to end
 //! from a matrix, and queue construction.
 //!
 //! Runs on the internal `gcs_bench::timing` harness; no external

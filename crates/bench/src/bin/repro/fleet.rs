@@ -1,4 +1,4 @@
-//! fleet_sim — heterogeneous multi-GPU fleet allocation versus
+//! `fleet_sim` — heterogeneous multi-GPU fleet allocation versus
 //! whole-device FCFS (DESIGN.md §14).
 //!
 //! Drives a fleet-shaped wave trace through [`run_fleet`] twice on the
@@ -29,7 +29,6 @@
 use std::fs;
 use std::sync::Arc;
 
-use gcs_bench::{default_engine, header, scale_from_env};
 use gcs_core::interference::InterferenceMatrix;
 use gcs_core::runner::{AllocationPolicy, Pipeline, RunConfig};
 use gcs_fleet::{
@@ -37,7 +36,10 @@ use gcs_fleet::{
 };
 use gcs_sched::{OnlineScheduler, PolicyKind, SchedConfig};
 use gcs_sim::config::GpuConfig;
-use gcs_workloads::{ArrivalTrace, Benchmark, Scale};
+use gcs_workloads::{ArrivalTrace, Benchmark};
+
+use crate::env::{scale_from_env, scale_tag};
+use crate::harness::{engine, header, report_profile};
 
 const SEED: u64 = 42;
 
@@ -51,17 +53,6 @@ const POOL: [Benchmark; 6] = [
     Benchmark::Fft,
     Benchmark::Spmv,
 ];
-
-/// File-name tag for the active scale.
-fn scale_tag(scale: Scale) -> &'static str {
-    if scale == Scale::FULL {
-        "full"
-    } else if scale == Scale::TEST {
-        "test"
-    } else {
-        "small"
-    }
-}
 
 /// The heterogeneous 3-device fleet the acceptance pins use.
 fn hetero3() -> FleetSpec {
@@ -94,10 +85,10 @@ fn print_report(spec: &FleetSpec, r: &FleetReport) {
     }
 }
 
-fn main() {
+pub fn fleet_sim(profile: bool) {
     let scale = scale_from_env();
     let tag = scale_tag(scale);
-    let engine = Arc::new(default_engine());
+    let engine = Arc::new(engine(profile));
     fs::create_dir_all("results/fleet").expect("create results/fleet");
 
     // The fleet base is the small device model; device capacities come
@@ -203,4 +194,5 @@ fn main() {
     assert!(identical, "degenerate fleet must reproduce the single-GPU report");
 
     println!("\n[done] {}", engine.stats());
+    report_profile(&engine.stats(), profile);
 }

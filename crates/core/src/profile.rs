@@ -12,7 +12,7 @@
 //! profiles more than a single kernel should go through
 //! [`crate::sweep::SweepEngine`], which fans independent profiling jobs
 //! across cores and memoizes every result on disk — the [`Pipeline`]
-//! (`crate::runner`) and the harness binaries all do.
+//! (`crate::runner`) and the `repro` harness all do.
 //!
 //! [`Pipeline`]: crate::runner::Pipeline
 

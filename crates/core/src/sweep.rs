@@ -320,7 +320,7 @@ impl SweepEngine {
     }
 
     /// Collects per-phase device cycles for every job this engine
-    /// simulates (the `--profile` flag of the fig binaries). Off by
+    /// simulates (the `--profile` flag of the `repro` figures). Off by
     /// default; results and cache keys are unaffected either way.
     #[must_use]
     pub fn with_phase_profiling(mut self, on: bool) -> Self {

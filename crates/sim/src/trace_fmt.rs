@@ -43,7 +43,8 @@
 //! access patterns, and the per-warp streams
 //! (`warp → group → attempt → addresses`). The fingerprint is verified
 //! on decode, doubles as the content hash in sweep-engine cache keys,
-//! and is printed by the `trace_record` / `trace_replay` binaries.
+//! and is printed by the `repro trace_record` / `repro trace_replay`
+//! subcommands.
 
 use std::fmt::Write as _;
 

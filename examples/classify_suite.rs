@@ -14,7 +14,7 @@ use gcs_workloads::{Benchmark, Scale};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Small device + tiny scale so the example finishes in seconds; the
     // full-fidelity version of this report is
-    // `cargo run --release -p gcs-bench --bin fig_table32`.
+    // `repro fig_table32` (`cargo build --release --bin repro`).
     let cfg = GpuConfig::test_small();
     let scale = Scale::TEST;
 

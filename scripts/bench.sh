@@ -161,10 +161,10 @@ cargo bench --bench simulator | tee "$RAW"
 # the on-disk memo cache disabled, so the simulator (not the cache) is
 # what gets timed. TEST scale keeps this a seconds-long sanity point;
 # the CHANGES.md wall-clock entries use the full SMALL-scale run.
-echo "==> cold reference sweep (fig41_two_app, GCS_SCALE=test, cache off)"
-cargo build --release --bin fig41_two_app >/dev/null
+echo "==> cold reference sweep (repro fig41_two_app, GCS_SCALE=test, cache off)"
+cargo build --release --bin repro >/dev/null
 SWEEP_T0=$(date +%s.%N)
-GCS_CACHE=off GCS_SCALE=test ./target/release/fig41_two_app >/dev/null
+GCS_CACHE=off GCS_SCALE=test ./target/release/repro fig41_two_app >/dev/null
 SWEEP_T1=$(date +%s.%N)
 SWEEP_SECS=$(awk -v a="$SWEEP_T0" -v b="$SWEEP_T1" 'BEGIN { printf "%.3f", b - a }')
 

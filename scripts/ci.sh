@@ -7,8 +7,8 @@
 #
 #   scripts/ci.sh               full gate: public-surface audit, build,
 #                               tests, widened property tests, clippy (deny
-#                               warnings), the duplicate and deleted-name
-#                               guards, the daemon/fleet smokes and
+#                               warnings), the duplicate, deleted-name and
+#                               one-binary guards, the daemon/fleet smokes and
 #                               benchmark/smoke.sh (golden digests)
 #   scripts/ci.sh --quick       tier-1 only: public-surface audit, release
 #                               build + default tests
@@ -21,10 +21,11 @@
 #                               degradation paths still hold
 #   scripts/ci.sh --sched-smoke online-scheduler gate only: runs the
 #                               tests/sched.rs suite (DESIGN.md §10) and a
-#                               short seeded trace through schedd_sim under
-#                               all three policies at TEST scale, byte-
-#                               compares its seven reports with
-#                               tests/golden/sched/, then exits
+#                               short seeded trace through `repro
+#                               schedd_sim` under all three policies at
+#                               TEST scale, byte-compares its seven
+#                               reports with tests/golden/sched/, then
+#                               exits
 #   scripts/ci.sh --profile-smoke
 #                               phase-profiler gate only: runs one SMALL
 #                               co-run sweep with --profile and a cold cache
@@ -33,27 +34,28 @@
 #                               that the profile line is byte-identical at
 #                               every thread count, then exits
 #   scripts/ci.sh --trace-smoke trace record/replay gate only: records one
-#                               kernel with trace_record, replays it with
-#                               trace_replay at 1/2/8 worker threads with a
-#                               cold cache, and asserts the replay report
-#                               line is byte-identical every time, then
-#                               exits
+#                               kernel with `repro trace_record`, replays
+#                               it with `repro trace_replay` at 1/2/8
+#                               worker threads with a cold cache, and
+#                               asserts the replay report line is
+#                               byte-identical every time, then exits
 #   scripts/ci.sh --daemon-smoke
 #                               scheduler-daemon gate only: drives a seeded
 #                               trace through an in-process schedd over
-#                               virtual sockets (schedd_client --virtual),
-#                               asserts the drained report is byte-identical
-#                               to the batch scheduler at 1/2/8 worker
-#                               threads, and replays a fault-injected
-#                               session twice to pin its transcript and
-#                               report (DESIGN.md §13), then exits
+#                               virtual sockets (`repro schedd_client
+#                               --virtual`), asserts the drained report is
+#                               byte-identical to the batch scheduler at
+#                               1/2/8 worker threads, and replays a
+#                               fault-injected session twice to pin its
+#                               transcript and report (DESIGN.md §13), then
+#                               exits
 #   scripts/ci.sh --fleet-smoke heterogeneous-fleet gate only: runs the
 #                               tests/fleet.rs suite and a TEST-scale
-#                               fleet_sim pass, byte-diffs the homogeneous
-#                               1-device FleetPolicy report against the
-#                               IlpEpoch report, and re-runs the
-#                               heterogeneous pass to pin its canonical
-#                               JSON (DESIGN.md §14), then exits
+#                               `repro fleet_sim` pass, byte-diffs the
+#                               homogeneous 1-device FleetPolicy report
+#                               against the IlpEpoch report, and re-runs
+#                               the heterogeneous pass to pin its
+#                               canonical JSON (DESIGN.md §14), then exits
 #
 # Any failing step aborts the run (set -e) with the step name printed.
 
@@ -102,9 +104,9 @@ fi
 if [ "$SCHED_SMOKE" -eq 1 ]; then
     step "sched smoke (tests/sched.rs: batch equivalence + determinism)"
     cargo test -q -p gcs-sched
-    step "sched smoke (schedd_sim, short seeded trace, all policies, GCS_SCALE=test)"
-    cargo build --release --bin schedd_sim
-    GCS_SCALE=test ./target/release/schedd_sim
+    step "sched smoke (repro schedd_sim, short seeded trace, all policies, GCS_SCALE=test)"
+    cargo build --release --bin repro
+    GCS_SCALE=test ./target/release/repro schedd_sim
     for f in sched_test_q14_{fcfs,greedy,ilp}.json sched_test_q28_{fcfs,greedy,ilp}.json summary_test.json; do
         cmp "tests/golden/sched/$f" "results/sched/$f" || {
             echo "results/sched/$f differs from tests/golden/sched/$f" >&2; exit 1;
@@ -116,13 +118,13 @@ if [ "$SCHED_SMOKE" -eq 1 ]; then
 fi
 
 if [ "$PROFILE_SMOKE" -eq 1 ]; then
-    step "profile smoke (fig41_two_app --profile, GCS_SCALE=small, cache off)"
-    cargo build --release --bin fig41_two_app
+    step "profile smoke (repro fig41_two_app --profile, GCS_SCALE=small, cache off)"
+    cargo build --release --bin repro
     REF=""
     for threads in 1 2 8; do
         LINE=$(GCS_CACHE=off GCS_SCALE=small GCS_THREADS=$threads \
-               ./target/release/fig41_two_app --profile | grep '^profile:') || {
-            echo "no profile line in fig41_two_app --profile output" >&2; exit 1;
+               ./target/release/repro fig41_two_app --profile | grep '^profile:') || {
+            echo "no profile line in repro fig41_two_app --profile output" >&2; exit 1;
         }
         echo "  threads=$threads  $LINE"
         TOTAL=$(echo "$LINE" | sed -n 's/.* total=\([0-9]*\).*/\1/p')
@@ -150,12 +152,12 @@ fi
 # across worker-thread counts), and the injected-fault session must be
 # perfectly reproducible from its seed (DESIGN.md §13).
 daemon_smoke() {
-    step "daemon smoke (schedd_client --virtual: batch equivalence + fault determinism)"
-    cargo build --release --bin schedd_client
+    step "daemon smoke (repro schedd_client --virtual: batch equivalence + fault determinism)"
+    cargo build --release --bin repro
     local dir threads run ref=""
     dir=$(mktemp -d)
     for threads in 1 2 8; do
-        GCS_SCALE=test GCS_THREADS=$threads ./target/release/schedd_client --virtual \
+        GCS_SCALE=test GCS_THREADS=$threads ./target/release/repro schedd_client --virtual \
             --jobs 8 --out "$dir/daemon_$threads.json" \
             --batch-out "$dir/batch_$threads.json" >/dev/null
         cmp "$dir/daemon_$threads.json" "$dir/batch_$threads.json" || {
@@ -173,7 +175,7 @@ daemon_smoke() {
     done
     echo "  daemon session == batch report, byte-identical at 1/2/8 threads"
     for run in 1 2; do
-        GCS_SCALE=test ./target/release/schedd_client --virtual --jobs 10 \
+        GCS_SCALE=test ./target/release/repro schedd_client --virtual --jobs 10 \
             --faults 3491 --transcript "$dir/transcript_$run.txt" \
             --out "$dir/faulted_$run.json" >/dev/null
     done
@@ -198,13 +200,13 @@ fi
 # Heterogeneous-fleet gate: the degenerate 1-device fleet must be
 # byte-identical to the single-GPU scheduler, and the heterogeneous
 # run's canonical JSON must be deterministic across re-runs
-# (DESIGN.md §14). fleet_sim itself asserts fleet STP > FCFS STP.
+# (DESIGN.md §14). repro fleet_sim itself asserts fleet STP > FCFS STP.
 fleet_smoke() {
     step "fleet smoke (tests/fleet.rs: equivalence, conservation, determinism)"
     cargo test -q -p gcs-fleet
-    step "fleet smoke (fleet_sim, GCS_SCALE=test: hom byte-diff + hetero re-run pin)"
-    cargo build --release --bin fleet_sim
-    GCS_SCALE=test ./target/release/fleet_sim >/dev/null
+    step "fleet smoke (repro fleet_sim, GCS_SCALE=test: hom byte-diff + hetero re-run pin)"
+    cargo build --release --bin repro
+    GCS_SCALE=test ./target/release/repro fleet_sim >/dev/null
     cmp results/fleet/fleet_hom_test_fleetpolicy.json \
         results/fleet/fleet_hom_test_ilp.json || {
         echo "homogeneous 1-device fleet report differs from single-GPU report" >&2
@@ -212,7 +214,7 @@ fleet_smoke() {
     }
     echo "  1-device FleetPolicy == IlpEpoch, byte-for-byte"
     cp results/fleet/fleet_test_fleet.json results/fleet/fleet_test_fleet.json.ref
-    GCS_SCALE=test ./target/release/fleet_sim >/dev/null
+    GCS_SCALE=test ./target/release/repro fleet_sim >/dev/null
     cmp results/fleet/fleet_test_fleet.json results/fleet/fleet_test_fleet.json.ref || {
         echo "heterogeneous fleet report is not deterministic across re-runs" >&2
         exit 1
@@ -228,18 +230,18 @@ if [ "$FLEET_SMOKE" -eq 1 ]; then
 fi
 
 if [ "$TRACE_SMOKE" -eq 1 ]; then
-    step "trace smoke (trace_record + trace_replay round trip, GCS_SCALE=test)"
-    cargo build --release --bin trace_record --bin trace_replay
+    step "trace smoke (repro trace_record + trace_replay round trip, GCS_SCALE=test)"
+    cargo build --release --bin repro
     TRACE_DIR=$(mktemp -d)
     trap 'rm -rf "$TRACE_DIR"' EXIT
-    GCS_SCALE=test ./target/release/trace_record BLK "$TRACE_DIR/blk.trace" \
+    GCS_SCALE=test ./target/release/repro trace_record BLK "$TRACE_DIR/blk.trace" \
         --json "$TRACE_DIR/blk.json"
     test -s "$TRACE_DIR/blk.trace" || { echo "empty trace file" >&2; exit 1; }
     test -s "$TRACE_DIR/blk.json" || { echo "empty trace json" >&2; exit 1; }
     REF=""
     for threads in 1 2 8; do
         LINE=$(GCS_CACHE=off GCS_SCALE=test GCS_THREADS=$threads \
-               ./target/release/trace_replay "$TRACE_DIR/blk.trace" | grep '^replay:') || {
+               ./target/release/repro trace_replay "$TRACE_DIR/blk.trace" | grep '^replay:') || {
             echo "no replay line in trace_replay output" >&2; exit 1;
         }
         echo "  threads=$threads  $LINE"
@@ -315,6 +317,23 @@ GONE="$GONE|WindowTrace|parse_lp|to_lp_string|gc_cache|debug_counters|debug_pair
 if grep -rnE "$GONE" crates tests scripts README.md DESIGN.md EXPERIMENTS.md \
         .claude/skills/verify/SKILL.md --exclude=ci.sh; then
     echo "a deleted name is back (see the matches above)" >&2
+    exit 1
+fi
+
+# One binary (DESIGN.md §4): every table, figure and tool is a `repro`
+# subcommand. No cargo `--bin` target other than repro, and no path to one
+# of the 23 binaries it replaced, may come back. Only the current-code
+# documents are searched: CHANGES.md and ROADMAP.md are history.
+step "one-binary guard (no cargo bin target but repro, no old binary paths)"
+OLD_BINS='ablation|appendix_a|fig12_utilization|fig34_interference|fig35_scalability'
+OLD_BINS="$OLD_BINS|fig36_ipc_cores|fig41_two_app|fig42_pair_cycles|fig43_two_app_dist"
+OLD_BINS="$OLD_BINS|fig44_equal_perapp|fig45_48_dense|fig49_three_app|fig410_group_cycles"
+OLD_BINS="$OLD_BINS|fig411_three_app_dist|fig412_three_perapp|fig_table32|fleet_sim"
+OLD_BINS="$OLD_BINS|headline|schedd|schedd_client|schedd_sim|trace_record|trace_replay"
+if grep -rnP -e "--bin\s+(?!repro\b)\S|target/release/($OLD_BINS)\b" \
+        crates tests scripts examples README.md DESIGN.md EXPERIMENTS.md \
+        .claude/skills/verify/SKILL.md; then
+    echo "a cargo bin target other than repro, or an old binary path, is back" >&2
     exit 1
 fi
 
