@@ -7,9 +7,10 @@
 #
 #   scripts/ci.sh               full gate: public-surface audit, build,
 #                               tests, widened property tests, clippy (deny
-#                               warnings), the duplicate, deleted-name and
-#                               one-binary guards, the daemon/fleet smokes and
-#                               benchmark/smoke.sh (golden digests)
+#                               warnings), the two duplicate guards, the
+#                               deleted-name and one-binary guards, the
+#                               daemon/fleet smokes and benchmark/smoke.sh
+#                               (golden digests)
 #   scripts/ci.sh --quick       tier-1 only: public-surface audit, release
 #                               build + default tests
 #   scripts/ci.sh --bench-smoke also run scripts/bench.sh --smoke after the
@@ -303,6 +304,20 @@ if grep -rnE 'fn (esc|escape_json|fmt_f64)\b' crates --include='*.rs' \
     echo "private escaper / float formatter outside crates/sim/src/wire.rs" >&2
     exit 1
 fi
+
+# One scenario table (tests/README.md): the both-mode runner, the golden
+# line renderer, the four-controller device and the shared fault plan are
+# each defined once, in tests/common/scenario.rs.
+step "duplicate guard (one engine-equivalence harness under tests/)"
+for def in 'fn cycle_matches_horizon\b' 'fn stats_line\b' 'fn cfg4\b' \
+        'mem_latency_window\(5_000, 20_000, 40, 80\)'; do
+    FOUND=$(grep -rnE "$def" crates tests --include='*.rs')
+    if [ "$(echo "$FOUND" | grep -c .)" -ne 1 ]; then
+        echo "'$def' must be defined exactly once under crates/ and tests/, found:" >&2
+        echo "$FOUND" >&2
+        exit 1
+    fi
+done
 
 # Deleted names stay deleted: the sharded lanes of the one stepping
 # engine (DESIGN.md §12), their thread lease and knobs, and the surface

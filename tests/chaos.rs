@@ -6,7 +6,8 @@
 //! here:
 //!
 //! * **Replay determinism** — a fixed plan produces bit-identical
-//!   statistics in both step modes and at any sweep thread count.
+//!   statistics in both step modes (rows of the scenario table in
+//!   `common/scenario.rs`) and at any sweep thread count.
 //! * **SMRA degradation** — the controller notices a shrunk surviving
 //!   set, conserves SMs over it, and keeps making decisions afterwards;
 //!   on a degraded device it is not meaningfully worse than a static
@@ -15,50 +16,26 @@
 //!   [`CoreError::Worker`] without tearing down the batch, and a
 //!   corrupted cache entry is quarantined and transparently repaired.
 
+#[macro_use]
+#[path = "common/scenario.rs"]
+mod scenario;
+
 use gcs_core::smra::{SmraAction, SmraController, SmraParams};
 use gcs_core::sweep::SweepEngine;
 use gcs_core::CoreError;
 use gcs_sim::config::GpuConfig;
-use gcs_sim::gpu::{Gpu, StepMode};
+use gcs_sim::gpu::Gpu;
 use gcs_sim::stats::SimStats;
 use gcs_sim::FaultPlan;
 use gcs_workloads::{Benchmark, Scale};
 
 const MAX_CYCLES: u64 = 80_000_000;
 
-/// A plan exercising all three fault kinds inside a test-small run.
-fn mixed_plan() -> FaultPlan {
-    FaultPlan::new()
-        .disable_sm(2_000, 0)
-        .mem_latency_window(5_000, 20_000, 40, 80)
-        .mshr_window(8_000, 25_000, 2)
-        .enable_sm(30_000, 0)
-}
-
-fn run_faulted_alone(bench: Benchmark, plan: FaultPlan, mode: StepMode) -> (SimStats, u64) {
-    let mut gpu = Gpu::new(GpuConfig::test_small()).expect("device");
-    gpu.set_step_mode(mode);
-    gpu.install_fault_plan(plan).expect("valid plan");
-    gpu.launch(bench.kernel(Scale::TEST)).expect("launch");
-    gpu.partition_even();
-    gpu.run(MAX_CYCLES).expect("faulted run finishes");
-    (gpu.stats().clone(), gpu.cycle())
-}
-
-#[test]
-fn faulted_runs_are_bit_identical_across_step_modes() {
-    for bench in [Benchmark::Gups, Benchmark::Spmv, Benchmark::Sad] {
-        let (stats_cycle, cyc_cycle) = run_faulted_alone(bench, mixed_plan(), StepMode::Cycle);
-        let (stats_eh, cyc_eh) = run_faulted_alone(bench, mixed_plan(), StepMode::EventHorizon);
-        assert_eq!(
-            cyc_cycle, cyc_eh,
-            "{bench:?}: faulted final cycle diverged between step modes"
-        );
-        assert_eq!(
-            stats_cycle, stats_eh,
-            "{bench:?}: faulted SimStats diverged between step modes"
-        );
-    }
+// A fixed plan replays bit-identically across step modes: the faulted
+// rows of the scenario table, one of them a recorded SPMV trace replay.
+select_rows! {
+    faulted_runs_are_bit_identical_across_step_modes: "faults/GUPS", "faults/SPMV", "faults/SAD";
+    faulted_traced_replay_is_bit_identical_across_step_modes: "faults/replay-SPMV";
 }
 
 #[test]
@@ -67,7 +44,12 @@ fn faulted_sweep_is_deterministic_across_thread_counts() {
     let job = |i: usize| -> Result<(SimStats, u64), CoreError> {
         let cfg = GpuConfig::test_small();
         let plan = FaultPlan::random(0xC0FF_EE00 + i as u64, &cfg, 40_000);
-        Ok(run_faulted_alone(suite[i], plan, StepMode::EventHorizon))
+        let mut gpu = Gpu::new(cfg).expect("device");
+        gpu.install_fault_plan(plan).expect("valid plan");
+        gpu.launch(suite[i].kernel(Scale::TEST)).expect("launch");
+        gpu.partition_even();
+        gpu.run(MAX_CYCLES).expect("faulted run finishes");
+        Ok((gpu.stats().clone(), gpu.cycle()))
     };
     let reference = SweepEngine::new(1)
         .run_parallel(suite.len(), job)
@@ -263,33 +245,4 @@ fn corrupted_cache_entries_are_quarantined_and_repaired() {
     let cached = hot.corun(&cfg, Scale::TEST, &group, &mode).expect("cached run");
     assert_eq!(cached, reference);
     assert_eq!(hot.stats().jobs_cached, 1, "repair did not restore the cache");
-}
-
-/// A replayed trace under a fault plan behaves exactly like any other
-/// workload: the faulted run completes and is bit-identical across
-/// step modes (the replay cursors are driven by the same issue path
-/// the faults perturb).
-#[test]
-fn faulted_traced_replay_is_bit_identical_across_step_modes() {
-    let trace = {
-        let mut gpu = Gpu::new(GpuConfig::test_small()).expect("device");
-        let app = gpu.launch(Benchmark::Spmv.kernel(Scale::TEST)).expect("launch");
-        gpu.enable_trace_recording(app).expect("recorder");
-        gpu.partition_even();
-        gpu.run(MAX_CYCLES).expect("recording run finishes");
-        std::sync::Arc::new(gpu.take_trace(app).expect("trace"))
-    };
-    let run = |mode: StepMode| {
-        let mut gpu = Gpu::new(GpuConfig::test_small()).expect("device");
-        gpu.set_step_mode(mode);
-        gpu.install_fault_plan(mixed_plan()).expect("valid plan");
-        gpu.launch_traced(std::sync::Arc::clone(&trace)).expect("launch");
-        gpu.partition_even();
-        gpu.run(MAX_CYCLES).expect("faulted replay finishes");
-        (gpu.stats().clone(), gpu.cycle())
-    };
-    let (s_cycle, c_cycle) = run(StepMode::Cycle);
-    let (s_eh, c_eh) = run(StepMode::EventHorizon);
-    assert_eq!(c_cycle, c_eh, "faulted replay cycle diverged between step modes");
-    assert_eq!(s_cycle, s_eh, "faulted replay stats diverged between step modes");
 }

@@ -253,6 +253,78 @@ fn ilp_never_loses_to_any_feasible_grouping() {
     }
 }
 
+/// `EventCore` plans over the whole pending queue (64 jobs by default,
+/// as many as a `repro schedd_client` session submits), so the grouping
+/// ILP serves censuses far beyond census 14. At NC ∈ {2, 3}, for queues
+/// of 96, 192 and 510 jobs under the paper-shaped and two seeded random
+/// interference matrices: the solve succeeds at the default node budget,
+/// its groups cover the census, and no exchange of one member between
+/// two groups raises the objective by more than 1e-12.
+#[test]
+fn ilp_solves_large_backlogs_exactly() {
+    let mut rng = SimRng::seed_from_u64(19);
+    let mut random = || {
+        let mut entries = [[0.0; 4]; 4];
+        for s in entries.iter_mut().flatten() {
+            *s = uniform(&mut rng, 1.0, 3.0);
+        }
+        InterferenceMatrix::from_entries(entries)
+    };
+    let matrices = [
+        InterferenceMatrix::synthetic_paper_shape(),
+        random(),
+        random(),
+    ];
+    for nc in [2, 3] {
+        let patterns = enumerate_patterns(nc);
+        for matrix in &matrices {
+            let e_of = |counts: [u8; 4]| {
+                let p = patterns.iter().find(|p| *p.counts() == counts);
+                p.expect("a pattern").e_coefficient(matrix)
+            };
+            let e: Vec<f64> = patterns.iter().map(|p| p.e_coefficient(matrix)).collect();
+            for jobs in [96, 192, 510] {
+                let mut census = [0u32; 4];
+                for _ in 0..jobs {
+                    census[rng.gen_range(4) as usize] += 1;
+                }
+                let case = format!("nc {nc}, census {census:?}");
+                let sol =
+                    solve_with_e(census, nc, &e).unwrap_or_else(|err| panic!("{case}: {err}"));
+                let mut used = [0u32; 4];
+                for c in sol.groups().into_iter().flatten() {
+                    used[c.index()] += 1;
+                }
+                assert_eq!(used, census, "{case}: the groups do not cover the census");
+                // A class-`a` member of group `p` changes places with a
+                // class-`b` member of group `q`.
+                for (i, (p, m)) in sol.multiplicities.iter().enumerate() {
+                    for (q, _) in &sol.multiplicities[i..] {
+                        for (a, b) in AppClass::ALL
+                            .iter()
+                            .flat_map(|&a| AppClass::ALL.map(|b| (a, b)))
+                        {
+                            if a == b || p.count(a) == 0 || q.count(b) == 0 || p == q && *m < 2 {
+                                continue;
+                            }
+                            let (mut p2, mut q2) = (*p.counts(), *q.counts());
+                            p2[a.index()] -= 1;
+                            p2[b.index()] += 1;
+                            q2[b.index()] -= 1;
+                            q2[a.index()] += 1;
+                            let gain = e_of(p2) + e_of(q2) - e_of(*p.counts()) - e_of(*q.counts());
+                            assert!(
+                                gain <= 1e-12,
+                                "{case}: {a:?} of {p} for {b:?} of {q} gains {gain}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn pattern_display_order_is_stable() {
     let pats = enumerate_patterns(2);

@@ -2,282 +2,48 @@
 //! to cycle-by-cycle stepping.
 //!
 //! `StepMode::EventHorizon` (the default) jumps the device clock over
-//! every cycle in which nothing can happen — including memory-bound
-//! stretches where all warps wait on DRAM. The engine's contract is
-//! that this is *purely* a wall-clock optimization: every counter in
-//! `SimStats` and the final device cycle are exactly the values the
-//! slow reference (`StepMode::Cycle`) produces.
+//! every cycle in which nothing can happen, and visits only the SMs its
+//! activity summaries name (ready, dispatch candidates, sleepers due).
+//! The engine's contract is that this is *purely* a wall-clock
+//! optimization: every `SimStats` counter and the final device cycle
+//! are exactly what the slow reference, `StepMode::Cycle`, produces.
 //!
-//! The first half of this suite pins that contract against a golden
-//! corpus, `tests/golden/engine_stats.txt`: one canonical stats line per
-//! run — the 14 workloads alone, Even co-runs (dense and latency-bound,
-//! on two and four memory controllers), a multi-issue device, SMRA runs
-//! with their action traces (window boundaries are skip barriers, so the
-//! controller must observe identical samples), fault plans that turn the
-//! memory knobs mid-run, and the two authored trace replays. Every line
-//! is regenerated under both step modes and must match the file byte for
-//! byte, so the engine cannot drift even when both modes drift together.
-//!
-//! The event-horizon lane also visits only the SMs its activity
-//! summaries name (ready, dispatch candidates, sleepers due), while
-//! `StepMode::Cycle` visits every SM. The second half of this suite
-//! drives every path that can make an unvisited SM act — ownership
-//! calls between windows, handoffs on drain, reassignment on finish,
-//! fault outages, late launches, trace replay, a bare `step()` after a
-//! mutating call, far sleepers — directed and then interleaved at
-//! random, and compares the two lanes.
+//! The first half of this suite checks the scenario table in
+//! `tests/common/scenario.rs`, whose rendering is the golden file
+//! `tests/golden/engine_stats.txt`; each test names the rows it covers.
+//! The second half drives every path that can make an unvisited SM act
+//! — ownership calls between windows, handoffs on drain, reassignment on
+//! finish, fault outages, late launches, trace replay, a bare `step()`
+//! after a mutating call, far sleepers — directed and then interleaved
+//! at random, and compares the two lanes with the table's runner.
 
-use std::fmt::Write as _;
+#[macro_use]
+#[path = "common/scenario.rs"]
+mod scenario;
+
 use std::sync::Arc;
 
-use gcs_core::smra::{SmraAction, SmraController, SmraParams};
 use gcs_sim::config::GpuConfig;
 use gcs_sim::fault::FaultPlan;
-use gcs_sim::gpu::{Gpu, PhaseCycles, StepMode, MAX_APPS};
+use gcs_sim::gpu::{Gpu, StepMode, MAX_APPS};
 use gcs_sim::kernel::{AccessPattern, AppId, KernelDesc, Op, PatternId};
 use gcs_sim::rng::SimRng;
-use gcs_sim::KernelTrace;
-use gcs_workloads::{phase_shift_trace, tensor_mix_trace, Benchmark, Scale};
+use gcs_workloads::phase_shift_trace;
 
-const MAX_CYCLES: u64 = 50_000_000;
-
-fn device(mode: StepMode) -> Gpu {
-    device_with(GpuConfig::test_small(), mode)
-}
-
-fn device_with(cfg: GpuConfig, mode: StepMode) -> Gpu {
-    let mut gpu = Gpu::new(cfg).expect("device");
-    gpu.set_step_mode(mode);
-    gpu
-}
+use scenario::{cycle_matches_horizon, device, Run, MAX_CYCLES};
 
 // ----------------------------------------------------------------------
-// The golden corpus: one canonical stats line per run, frozen in
-// `tests/golden/engine_stats.txt`. Every line is regenerated under both
-// step modes and must match the file byte for byte.
+// The scenario table: each test checks the rows it names, and a name
+// ending in `/` selects every row under that prefix. The shard suites,
+// `chaos.rs` and `trace_roundtrip.rs` select the rows added for them.
 // ----------------------------------------------------------------------
 
-const GOLDEN: &str = include_str!("golden/engine_stats.txt");
-
-/// One corpus run: the line's leading name, and the run itself, which
-/// hands back the finished device and its SMRA action log.
-type Case = (String, Box<dyn Fn(StepMode) -> (Gpu, Vec<SmraAction>)>);
-
-/// Every statistic a run produced, as one canonical line: the final
-/// cycle, the bits of the `l2_hit_rate` diagnostic, the SMRA action list
-/// and every per-app `SimStats` field, spelled out so that renaming a
-/// field in the program does not move the file.
-fn stats_line(name: &str, gpu: &Gpu, actions: &[SmraAction]) -> String {
-    let mut line = format!(
-        "{name} cycle={} l2_hit_bits={:016x}",
-        gpu.cycle(),
-        gpu.l2_hit_rate().to_bits()
-    );
-    for a in actions {
-        match a {
-            SmraAction::Hold => line.push_str(" hold"),
-            SmraAction::Move { from, to, n } => write!(line, " move:{from}>{to}x{n}").unwrap(),
-            SmraAction::Revert => line.push_str(" revert"),
-            SmraAction::FaultDetected { surviving } => write!(line, " fault:{surviving}").unwrap(),
-        }
-    }
-    for (id, s) in gpu.stats().iter().take(gpu.num_apps()) {
-        write!(
-            line,
-            " {id}:warp_insts={},thread_insts={},mem_insts={},alu_insts={},l1_hits={},\
-             l1_misses={},dram_read_bytes={},dram_write_bytes={},l2_to_l1_bytes={},\
-             dram_row_hits={},dram_row_misses={},start_cycle={},finish_cycle={},blocks_done={}",
-            s.warp_insts,
-            s.thread_insts,
-            s.mem_insts,
-            s.alu_insts,
-            s.l1_hits,
-            s.l1_misses,
-            s.dram_read_bytes,
-            s.dram_write_bytes,
-            s.l2_to_l1_bytes,
-            s.dram_row_hits,
-            s.dram_row_misses,
-            s.start_cycle,
-            s.finish_cycle,
-            s.blocks_done,
-        )
-        .unwrap();
-    }
-    line
-}
-
-/// The small test device widened to four memory controllers, so a
-/// co-run's traffic spreads over four slices.
-fn cfg4() -> GpuConfig {
-    GpuConfig {
-        num_mem_ctrls: 4,
-        ..GpuConfig::test_small()
-    }
-}
-
-/// A fault plan of every kind, including the mid-run memory knobs
-/// (`set_extra_latency`, `set_mshr_cap`) that must reset the slice gates.
-fn fault_plan() -> FaultPlan {
-    FaultPlan::new()
-        .disable_sm(500, 0)
-        .mem_latency_window(1_000, 3_000, 40, 80)
-        .mshr_window(1_500, 4_000, 2)
-        .enable_sm(4_500, 0)
-}
-
-/// `benches` at `Scale::TEST` on `cfg`, even split, run to completion,
-/// under [`fault_plan`] when `faulted`.
-fn even_case(name: String, cfg: GpuConfig, benches: Vec<Benchmark>, faulted: bool) -> Case {
-    let run = move |mode| {
-        let mut gpu = device_with(cfg.clone(), mode);
-        if faulted {
-            gpu.install_fault_plan(fault_plan()).expect("valid plan");
-        }
-        for b in &benches {
-            gpu.launch(b.kernel(Scale::TEST)).expect("launch");
-        }
-        gpu.partition_even();
-        gpu.run(MAX_CYCLES).expect("run finishes");
-        (gpu, Vec::new())
-    };
-    (name, Box::new(run))
-}
-
-/// `a` next to `b` at `Scale::TEST` on `cfg` under a live SMRA controller
-/// with window `tc`, for `windows` windows or to completion when `None`.
-fn smra_case(cfg: GpuConfig, a: Benchmark, b: Benchmark, tc: u64, windows: Option<u32>) -> Case {
-    let name = format!("smra/{}+{}/{}sm", a.name(), b.name(), cfg.num_sms);
-    let run = move |mode| {
-        let mut gpu = device_with(cfg.clone(), mode);
-        let ids = vec![
-            gpu.launch(a.kernel(Scale::TEST)).expect("a"),
-            gpu.launch(b.kernel(Scale::TEST)).expect("b"),
-        ];
-        gpu.partition_even();
-        let params = SmraParams {
-            tc,
-            ..SmraParams::for_device(gpu.config().num_sms, 2)
-        };
-        let mut ctl = SmraController::new(params, ids, &gpu);
-        match windows {
-            None => ctl
-                .run_to_completion(&mut gpu, MAX_CYCLES)
-                .expect("smra run"),
-            Some(n) => {
-                for _ in 0..n {
-                    gpu.run_for(tc);
-                    if gpu.all_done() {
-                        break;
-                    }
-                    ctl.decide(&mut gpu);
-                }
-            }
-        }
-        (gpu, ctl.actions().to_vec())
-    };
-    (name, Box::new(run))
-}
-
-/// An authored trace replayed next to a synthetic GUPS.
-fn replay_case(trace: KernelTrace) -> Case {
-    let name = format!("replay/{}+GUPS", trace.meta.name);
-    let trace = Arc::new(trace);
-    let run = move |mode| {
-        let mut gpu = device(mode);
-        gpu.launch_traced(Arc::clone(&trace))
-            .expect("launch traced");
-        gpu.launch(Benchmark::Gups.kernel(Scale::TEST))
-            .expect("launch co-runner");
-        gpu.partition_even();
-        gpu.run(MAX_CYCLES).expect("replay co-run finishes");
-        (gpu, Vec::new())
-    };
-    (name, Box::new(run))
-}
-
-/// The corpus, in file order.
-fn corpus() -> Vec<Case> {
-    let small = GpuConfig::test_small;
-    let (gups, spmv, sad) = (Benchmark::Gups, Benchmark::Spmv, Benchmark::Sad);
-    let issue2 = GpuConfig {
-        issue_per_sm: 2,
-        ..small()
-    };
-    let mut cases: Vec<Case> = Benchmark::ALL
-        .iter()
-        .map(|&b| even_case(format!("alone/{}", b.name()), small(), vec![b], false))
-        .collect();
-    cases.extend([
-        even_case("even/GUPS+SPMV".into(), small(), vec![gups, spmv], false),
-        even_case("even4/GUPS+SPMV".into(), cfg4(), vec![gups, spmv], false),
-        even_case("even4/GUPS+SAD".into(), cfg4(), vec![gups, sad], false),
-        even_case("issue2/GUPS+SAD".into(), issue2, vec![gups, sad], false),
-        smra_case(small(), gups, sad, 400, None),
-        smra_case(GpuConfig::gtx480(), gups, spmv, 2_000, Some(10)),
-        even_case("fault/GUPS".into(), small(), vec![gups], true),
-        even_case("fault/SPMV".into(), small(), vec![spmv], true),
-        even_case("fault4/GUPS".into(), cfg4(), vec![gups], true),
-        replay_case(phase_shift_trace(&small())),
-        replay_case(tensor_mix_trace(&small())),
-    ]);
-    cases
-}
-
-/// Regenerates every corpus line whose name `select` accepts, under both
-/// step modes, and diffs it against the golden file; the first differing
-/// line fails the test with both versions printed. The file and the
-/// corpus must also name the same runs in the same order.
-fn check_golden(select: impl Fn(&str) -> bool) {
-    let cases = corpus();
-    let want: Vec<&str> = GOLDEN.lines().collect();
-    let names: Vec<&str> = want
-        .iter()
-        .map(|l| l.split(' ').next().unwrap_or(""))
-        .collect();
-    let case_names: Vec<&str> = cases.iter().map(|(n, _)| n.as_str()).collect();
-    assert_eq!(
-        names, case_names,
-        "golden file and corpus list different runs"
-    );
-    for ((name, run), want) in cases.iter().zip(&want) {
-        if !select(name) {
-            continue;
-        }
-        for mode in [StepMode::Cycle, StepMode::EventHorizon] {
-            let (gpu, actions) = run(mode);
-            let got = stats_line(name, &gpu, &actions);
-            assert!(
-                got == *want,
-                "{name} ({mode:?}) differs from tests/golden/engine_stats.txt\n\
-                 want: {want}\n got: {got}"
-            );
-        }
-    }
-}
-
-#[test]
-fn alone_runs_are_bit_identical_across_step_modes() {
-    check_golden(|name| name.starts_with("alone/"));
-}
-
-#[test]
-fn even_corun_is_bit_identical_across_step_modes() {
-    check_golden(|name| name.starts_with("even"));
-}
-
-#[test]
-fn smra_run_with_small_window_is_bit_identical_across_step_modes() {
-    check_golden(|name| name.starts_with("smra"));
-}
-
-#[test]
-fn golden_corpus_matches_both_step_modes() {
-    check_golden(|name| {
-        !["alone/", "even", "smra"]
-            .iter()
-            .any(|p| name.starts_with(p))
-    });
+select_rows! {
+    alone_runs_are_bit_identical_across_step_modes: "alone/";
+    even_corun_is_bit_identical_across_step_modes: "even/GUPS+SPMV", "even4/GUPS+SPMV", "even4/GUPS+SAD";
+    smra_run_with_small_window_is_bit_identical_across_step_modes: "smra/";
+    golden_corpus_matches_both_step_modes: "fault/", "fault4/", "replay/";
+    profiled_smra_runs_account_every_cycle_in_both_modes: "profile/smra/";
 }
 
 #[test]
@@ -291,56 +57,23 @@ fn event_horizon_is_the_default_mode() {
 // ----------------------------------------------------------------------
 
 /// Runs `script` on a fresh profiled test device in both step modes and
-/// asserts identical `SimStats`, final cycle and `PhaseCycles`, with the
-/// phases summing to the final cycle in each mode. The script drives the
-/// device through the public API only, so whatever it observes (cycles,
-/// diagnostics) reads the same in both modes as long as they agree.
+/// asserts identical `SimStats` and final cycle, with the phases summing
+/// to the final cycle in each mode and matching under
+/// `assert_phases_match` (a script may clamp jumps with `run_for`). The
+/// script drives the device through the public API only, so whatever it
+/// observes (cycles, diagnostics) reads the same in both modes as long
+/// as they agree.
 fn both_modes(name: &str, script: impl Fn(&mut Gpu)) {
-    let run = |mode| {
-        let mut gpu = device(mode);
+    cycle_matches_horizon(name, true, |mode| {
+        let mut gpu = device(GpuConfig::test_small(), mode);
         gpu.set_profiling(true);
         script(&mut gpu);
-        let phases = gpu.phase_cycles().expect("profiling on");
-        assert_eq!(
-            phases.total(),
-            gpu.cycle(),
-            "{name} ({mode:?}): phases do not sum to the cycles: {phases:?}"
-        );
-        (gpu.stats().clone(), gpu.cycle(), phases)
-    };
-    let (stats_c, cyc_c, ph_c) = run(StepMode::Cycle);
-    let (stats_e, cyc_e, ph_e) = run(StepMode::EventHorizon);
-    assert_eq!(
-        cyc_c, cyc_e,
-        "{name}: final cycle diverged between step modes"
-    );
-    assert_eq!(
-        stats_c, stats_e,
-        "{name}: SimStats diverged between step modes"
-    );
-    assert_phases_match(name, &ph_c, &ph_e);
-}
-
-/// Phase totals agree up to the one attribution that differs by
-/// design: a jump the window barrier clamps is booked to `smra` by
-/// event-horizon stepping, while cycle stepping books each of those
-/// cycles to its wait phase. Issue cycles are stepped in both modes and
-/// must match exactly.
-fn assert_phases_match(name: &str, cycle: &PhaseCycles, eh: &PhaseCycles) {
-    assert_eq!(cycle.issue, eh.issue, "{name}: issue cycles diverged");
-    assert_eq!(cycle.total(), eh.total(), "{name}: phase totals diverged");
-    assert_eq!(
-        cycle.smra, 0,
-        "{name}: cycle stepping books no barrier spans"
-    );
-    for (bucket, c, e) in [
-        ("l1", cycle.l1, eh.l1),
-        ("l2", cycle.l2, eh.l2),
-        ("dram", cycle.dram, eh.dram),
-        ("idle", cycle.idle, eh.idle),
-    ] {
-        assert!(e <= c, "{name}: {bucket} {e} above the cycle-stepped {c}");
-    }
+        Run {
+            gpu,
+            actions: Vec::new(),
+            trace: None,
+        }
+    });
 }
 
 fn kernel(name: &str, blocks: u32, iters: u32, body: Vec<Op>) -> KernelDesc {

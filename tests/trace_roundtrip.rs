@@ -8,16 +8,19 @@
 //! traced jobs by content fingerprint, so same-name different-content
 //! traces can never collide.
 
+#[macro_use]
+#[path = "common/scenario.rs"]
+mod scenario;
+
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use gcs_core::profile::{profile_with_sms_phases, AppProfile, PROFILE_MAX_CYCLES};
 use gcs_core::runner::{AllocationPolicy, GroupingPolicy, Pipeline, RunConfig};
-use gcs_core::smra::{SmraAction, SmraController, SmraParams};
 use gcs_core::sweep::{SweepEngine, Workload};
 use gcs_core::InterferenceMatrix;
 use gcs_sim::config::GpuConfig;
-use gcs_sim::gpu::{Gpu, StepMode};
+use gcs_sim::gpu::Gpu;
 use gcs_sim::{KernelTrace, SimStats};
 use gcs_workloads::{phase_shift_trace, tensor_mix_trace, Benchmark, Scale};
 
@@ -54,26 +57,12 @@ fn profile_bits(p: &AppProfile) -> (String, [u64; 5], u64, u64, u32) {
     )
 }
 
-/// Golden pin over the whole suite: each of the 14 synthetic kernels
-/// records, round-trips through the wire format, and replays with the
-/// recording run's exact stats and cycle count — in both step modes.
-#[test]
-fn all_fourteen_kernels_replay_bit_identically() {
-    let cfg = GpuConfig::test_small();
-    for &bench in &Benchmark::ALL {
-        let (trace, cycles, stats) = record_alone(bench);
-        let trace = Arc::new(KernelTrace::decode(&trace.encode()).expect("wire round trip"));
-        for mode in [StepMode::Cycle, StepMode::EventHorizon] {
-            let mut gpu = Gpu::new(cfg.clone()).unwrap();
-            gpu.set_step_mode(mode);
-            gpu.launch_traced(Arc::clone(&trace)).unwrap();
-            let ids: Vec<u32> = (0..cfg.num_sms).collect();
-            gpu.assign_sms(gcs_sim::AppId(0), &ids);
-            gpu.run(PROFILE_MAX_CYCLES).unwrap();
-            assert_eq!(gpu.cycle(), cycles, "{bench:?} {mode:?}: cycle count diverges");
-            assert_eq!(*gpu.stats(), stats, "{bench:?} {mode:?}: stats diverge");
-        }
-    }
+select_rows! {
+    /// Each of the 14 synthetic kernels records alone, round-trips through
+    /// the wire format, and replays with the recording run's exact stats and
+    /// cycle count, in both step modes (the `record/alone/` rows of the
+    /// scenario table).
+    all_fourteen_kernels_replay_bit_identically: "record/alone/";
 }
 
 /// Traced profiles through the sweep engine are bit-identical at 1, 2
@@ -118,64 +107,17 @@ fn traced_sweep_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// Even co-run: record member A while it shares the device with a
-/// synthetic partner, then replay traced-A next to the same partner.
-/// Device outcome is bit-identical.
-#[test]
-fn even_corun_with_traced_member_is_bit_identical() {
-    let run = |traced: Option<Arc<KernelTrace>>| {
-        let mut gpu = Gpu::new(GpuConfig::test_small()).unwrap();
-        let a = match &traced {
-            Some(t) => gpu.launch_traced(Arc::clone(t)).unwrap(),
-            None => {
-                let a = gpu.launch(Benchmark::Blk.kernel(Scale::TEST)).unwrap();
-                gpu.enable_trace_recording(a).unwrap();
-                a
-            }
-        };
-        gpu.launch(Benchmark::Gups.kernel(Scale::TEST)).unwrap();
-        gpu.partition_even();
-        gpu.run(PROFILE_MAX_CYCLES).unwrap();
-        let trace = gpu.take_trace(a);
-        (gpu.cycle(), gpu.stats().clone(), trace)
-    };
-    let (c1, s1, trace) = run(None);
-    let trace = Arc::new(trace.expect("recording was on"));
-    let (c2, s2, _) = run(Some(trace));
-    assert_eq!(c1, c2, "even co-run cycles diverge under replay");
-    assert_eq!(s1, s2, "even co-run stats diverge under replay");
-}
+select_rows! {
+    /// Even co-run: BLK recorded while it shares the device with GUPS
+    /// replays next to the same partner with a bit-identical device outcome
+    /// (the `record/BLK+GUPS` row).
+    even_corun_with_traced_member_is_bit_identical: "record/BLK+GUPS";
 
-/// SMRA co-run: the dynamic controller sees identical signals from a
-/// replayed member, so its entire action trace — every move, hold and
-/// revert — matches the recording run, along with stats and cycles.
-#[test]
-fn smra_corun_with_traced_member_replays_identical_actions() {
-    let run = |traced: Option<Arc<KernelTrace>>| {
-        let mut gpu = Gpu::new(GpuConfig::test_small()).unwrap();
-        let a = match &traced {
-            Some(t) => gpu.launch_traced(Arc::clone(t)).unwrap(),
-            None => {
-                let a = gpu.launch(Benchmark::Spmv.kernel(Scale::TEST)).unwrap();
-                gpu.enable_trace_recording(a).unwrap();
-                a
-            }
-        };
-        let b = gpu.launch(Benchmark::Sad.kernel(Scale::TEST)).unwrap();
-        gpu.partition_even();
-        let params = SmraParams::for_device(8, 2);
-        let mut ctl = SmraController::new(params, vec![a, b], &gpu);
-        ctl.run_to_completion(&mut gpu, PROFILE_MAX_CYCLES).unwrap();
-        let actions: Vec<SmraAction> = ctl.actions().to_vec();
-        let trace = gpu.take_trace(a);
-        (gpu.cycle(), gpu.stats().clone(), actions, trace)
-    };
-    let (c1, s1, a1, trace) = run(None);
-    let trace = Arc::new(trace.expect("recording was on"));
-    let (c2, s2, a2, _) = run(Some(trace));
-    assert_eq!(c1, c2, "SMRA co-run cycles diverge under replay");
-    assert_eq!(s1, s2, "SMRA co-run stats diverge under replay");
-    assert_eq!(a1, a2, "SMRA action trace diverges under replay");
+    /// SMRA co-run: the dynamic controller sees identical signals from a
+    /// replayed member, so its entire action trace — every move, hold and
+    /// revert — matches the recording run, along with stats and cycles (the
+    /// `record/smra/` row: SPMV recorded next to SAD).
+    smra_corun_with_traced_member_replays_identical_actions: "record/smra/";
 }
 
 /// Memo-cache correctness: two *different* traces sharing a name get
