@@ -36,6 +36,9 @@ const MAX_CYCLES: u64 = 80_000_000;
 select_rows! {
     faulted_runs_are_bit_identical_across_step_modes: "faults/GUPS", "faults/SPMV", "faults/SAD";
     faulted_traced_replay_is_bit_identical_across_step_modes: "faults/replay-SPMV";
+    /// The shared plan's shape closing inside each run: the cap rises
+    /// and SM 0 returns with work queued, alone and under a co-run.
+    mid_run_recovery_is_bit_identical_across_step_modes: "faults-mid/", "faults4-mid/";
 }
 
 #[test]

@@ -153,6 +153,18 @@ fn shared_faults() -> FaultPlan {
         .enable_sm(30_000, 0)
 }
 
+/// The shared plan's shape timed to finish inside the shortest faulted
+/// run (`faults4/GUPS` ends at cycle 6 527 under the shared plan): both
+/// windows close and SM 0 returns while work is still queued, so the
+/// cap-raise and recovery paths run, on a saturated co-run too.
+fn mid_faults() -> FaultPlan {
+    FaultPlan::new()
+        .disable_sm(1_000, 0)
+        .mem_latency_window(2_000, 4_000, 40, 80)
+        .mshr_window(3_000, 5_000, 2)
+        .enable_sm(5_500, 0)
+}
+
 /// SPMV recorded alone on `cfg`.
 fn recorded_spmv(cfg: &GpuConfig) -> KernelTrace {
     let mut gpu = Gpu::new(cfg.clone()).expect("device");
@@ -228,6 +240,15 @@ fn scenarios() -> Vec<Scenario> {
     ]);
     rows.extend(alone("record/alone", small, Probe::Trace));
     rows.push(Scenario::smra("record/smra", small(), [Spmv, Sad], 5_000, None).probe(Probe::Trace));
+    let mid = |name: &str, cfg: GpuConfig, benches: &[Benchmark]| {
+        Scenario::new(name, cfg, benches).faults(mid_faults())
+    };
+    rows.extend([
+        mid("faults-mid/GUPS", small(), &[Gups]),
+        mid("faults-mid/SPMV", small(), &[Spmv]),
+        mid("faults-mid/GUPS+SPMV", small(), &[Gups, Spmv]),
+        mid("faults4-mid/GUPS", cfg4(), &[Gups]),
+    ]);
     rows
 }
 
