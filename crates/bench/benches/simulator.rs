@@ -11,7 +11,7 @@ use gcs_sim::cache::Cache;
 use gcs_sim::config::{CacheConfig, GpuConfig};
 use gcs_sim::gpu::Gpu;
 use gcs_sim::kernel::{AccessPattern, KernelDesc, Op, PatternId};
-use gcs_sim::sched::{WarpSchedPolicy, WarpScheduler};
+use gcs_sim::sched::{AgeOrder, WarpSchedPolicy, WarpScheduler};
 use gcs_workloads::{Benchmark, Scale};
 
 /// A pointer-chase-style kernel: one dependent random DRAM read per
@@ -48,9 +48,13 @@ fn main() {
         let mut s = WarpScheduler::new(policy);
         let ready: u64 = (1u64 << 48) - 1;
         let ages: Vec<u64> = (0..48).collect();
-        let by_age: Vec<u8> = (0..48).collect();
+        let mut order = AgeOrder::new(48);
+        for slot in 0..48 {
+            order.push(slot);
+            order.set_ready(slot, true);
+        }
         bench(&format!("sim/sched/{policy:?}_pick_48"), || {
-            s.pick(std::hint::black_box(ready), &ages, &by_age)
+            s.pick(std::hint::black_box(ready), &order, &ages)
         });
     }
 

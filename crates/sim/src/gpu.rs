@@ -718,6 +718,7 @@ impl Gpu {
                         &mut self.memsys,
                         &mut self.stats,
                         &mut hook,
+                        self.step_mode == StepMode::EventHorizon,
                     );
                     app.blocks_done += retired;
                     any_retired |= retired > 0;
@@ -740,7 +741,7 @@ impl Gpu {
                     self.act_dirty |= app.next_block == app.kernel.grid_blocks;
                 }
             }
-            self.act.refresh(idx, sm, now + 1);
+            self.act.refresh(idx, sm);
         }
         self.visit_buf = visit;
 

@@ -34,6 +34,19 @@ const SLICE_QUEUE_DEPTH: usize = 128;
 /// drops the verdicts), only slower.
 const PRESENCE_LOG_CAP: usize = 8;
 
+/// Buckets of a slice's queued-line count table (`Slice::queued`): a
+/// saturated slice queues 130–190 requests, so 256 buckets would flag
+/// a random line as held about half the time; 1 024 keep that near
+/// one in six.
+const LINE_BUCKETS: usize = 1024;
+
+/// The `Slice::queued` bucket of a line address (Fibonacci hashing:
+/// the top bits of the product, so every address bit moves it).
+#[inline]
+fn line_bucket(line: u64) -> usize {
+    (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - LINE_BUCKETS.trailing_zeros())) as usize
+}
+
 /// A single 128-byte memory transaction from an SM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRequest {
@@ -80,6 +93,18 @@ struct DramEntry {
     row: u64,
 }
 
+/// What the arbiter reads of a queued slot: its bank and global row
+/// (`bank == DramKey::TOMB`: serviced).
+#[derive(Debug, Clone, Copy)]
+struct DramKey {
+    bank: u32,
+    row: u64,
+}
+
+impl DramKey {
+    const TOMB: u32 = u32::MAX;
+}
+
 /// DRAM controller queue with O(1) out-of-order removal.
 ///
 /// FR-FCFS services requests out of arrival order, which previously
@@ -87,9 +112,14 @@ struct DramEntry {
 /// pick leaves a tombstone instead; live order is preserved and leading
 /// tombstones are popped eagerly. A compaction guard bounds the slot
 /// storage when an old request starves behind a row-hit stream.
+///
+/// The arbitration keys and the requests are kept in two deques in
+/// step, so the per-bus-slot scan reads 16 bytes a slot instead of a
+/// whole 48-byte entry.
 #[derive(Debug, Default)]
 struct DramQueue {
-    slots: VecDeque<Option<DramEntry>>,
+    keys: VecDeque<DramKey>,
+    reqs: VecDeque<MemRequest>,
     live: usize,
 }
 
@@ -104,17 +134,19 @@ impl DramQueue {
     }
 
     fn push_back(&mut self, req: MemRequest, bank: u32, row: u64) {
-        self.slots.push_back(Some(DramEntry { req, bank, row }));
+        debug_assert_ne!(bank, DramKey::TOMB);
+        self.keys.push_back(DramKey { bank, row });
+        self.reqs.push_back(req);
         self.live += 1;
     }
 
-    /// Live requests oldest-first, each with its raw slot index (valid
+    /// Live slots oldest-first, each with its raw slot index (valid
     /// until the next `take`/`push_back`).
-    fn iter(&self) -> impl Iterator<Item = (usize, &DramEntry)> {
-        self.slots
+    fn iter(&self) -> impl Iterator<Item = (usize, &DramKey)> {
+        self.keys
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|r| (i, r)))
+            .filter(|(_, k)| k.bank != DramKey::TOMB)
     }
 
     /// Removes the live request at raw slot `idx` in O(1).
@@ -123,15 +155,30 @@ impl DramQueue {
     ///
     /// Panics if `idx` does not hold a live request.
     fn take(&mut self, idx: usize) -> DramEntry {
-        let entry = self.slots[idx].take().expect("take of a live slot");
+        let key = std::mem::replace(
+            &mut self.keys[idx],
+            DramKey {
+                bank: DramKey::TOMB,
+                row: 0,
+            },
+        );
+        assert_ne!(key.bank, DramKey::TOMB, "take of a live slot");
+        let entry = DramEntry {
+            req: self.reqs[idx],
+            bank: key.bank,
+            row: key.row,
+        };
         self.live -= 1;
-        while matches!(self.slots.front(), Some(None)) {
-            self.slots.pop_front();
+        while self.keys.front().is_some_and(|k| k.bank == DramKey::TOMB) {
+            self.keys.pop_front();
+            self.reqs.pop_front();
         }
         // Starvation guard: if tombstones ever dominate (an old request
         // pinned behind a long row-hit stream), compact in place.
-        if self.slots.len() > 2 * self.live + 16 {
-            self.slots.retain(Option::is_some);
+        if self.keys.len() > 2 * self.live + 16 {
+            let mut live = self.keys.iter().map(|k| k.bank != DramKey::TOMB);
+            self.reqs.retain(|_| live.next().unwrap_or(false));
+            self.keys.retain(|k| k.bank != DramKey::TOMB);
         }
         entry
     }
@@ -344,14 +391,24 @@ struct Slice {
     /// Dropped (with the log) by the fault knobs.
     verdicts: u32,
     /// Lines that gained presence since the oldest outstanding verdict
-    /// was taken (see `verdicts`). Trimmed only once a scan has checked
-    /// every old verdict against it — a port-limited scan that stops
-    /// inside the prefix keeps the unreached verdicts *and* the log. An
-    /// overflow drops every verdict instead (full re-probe, never a
-    /// guess).
+    /// was taken (see `verdicts`) *and that a queued entry holds* — a
+    /// line no queued entry holds cannot overturn a verdict, and a later
+    /// arrival of it is probed in full. Trimmed only once a scan has
+    /// checked every old verdict against it — a port-limited scan that
+    /// stops inside the prefix keeps the unreached verdicts *and* the
+    /// log. An overflow drops every verdict instead (full re-probe,
+    /// never a guess).
     gained: [u64; PRESENCE_LOG_CAP],
     /// Live entries of `gained`.
     gained_len: u8,
+    /// Queued-line count table: bucket `line_bucket(l)` counts the
+    /// `input` entries whose line hashes there, raised by `push` and
+    /// lowered by every consume. A zero bucket proves no queued entry
+    /// holds the line; a collision only logs a line that need not be.
+    /// Sums to `input.len()`: debug builds check that a consume never
+    /// finds its bucket empty (overflow checks) and that the table is
+    /// all zero whenever a scan leaves the queue empty.
+    queued: [u16; LINE_BUCKETS],
     /// Requests consumed as L2 hits / as misses (fetched or merged),
     /// each counted once at consumption — the step-mode-independent
     /// tallies behind [`MemSys::l2_hit_rate`].
@@ -373,6 +430,7 @@ impl Slice {
             verdicts: 0,
             gained: [0; PRESENCE_LOG_CAP],
             gained_len: 0,
+            queued: [0; LINE_BUCKETS],
             req_hits: 0,
             req_misses: 0,
         }
@@ -405,6 +463,13 @@ impl Slice {
     #[inline]
     fn gained_presence(&self, line: u64) -> bool {
         self.gained[..usize::from(self.gained_len)].contains(&line)
+    }
+
+    /// Whether some queued entry may hold `line` (more than `own` of
+    /// them: the caller's own entry, when it is still queued).
+    #[inline]
+    fn held(&self, line: u64, own: u16) -> bool {
+        self.queued[line_bucket(line)] > own
     }
 
     /// Logs that `line` gained presence (L2 fill or MSHR insert).
@@ -508,9 +573,13 @@ pub struct MemSys {
     /// `log2(row_bytes)` when `row_bytes` is a power of two (every
     /// shipped config); `u32::MAX` otherwise (divide fallback).
     row_shift: u32,
-    /// `num_slices - 1` when the slice count is a power of two, else 0
-    /// (modulo fallback — e.g. the 6-channel gtx480).
+    /// `num_slices - 1` when the slice count is a power of two (mask
+    /// routing), else 0.
     slice_mask: u64,
+    /// `ceil(2^64 / num_slices)` when the slice count is not a power of
+    /// two (the 6-channel gtx480), else 0: `row % num_slices` by one
+    /// widening multiply instead of a divide (see [`Self::slice_of`]).
+    slice_magic: u64,
     /// Fault-injected extra L2 access latency (0 = nominal).
     extra_l2_lat: u64,
     /// Fault-injected extra DRAM data latency (0 = nominal). Inflates
@@ -562,6 +631,11 @@ impl MemSys {
                 num_slices - 1
             } else {
                 0
+            },
+            slice_magic: if num_slices.is_power_of_two() {
+                0
+            } else {
+                u64::MAX / num_slices + 1
             },
             cfg: cfg.clone(),
             responses: BinaryHeap::new(),
@@ -616,13 +690,26 @@ impl MemSys {
 
     /// Slice an address routes to (row-interleaved so streams keep
     /// row-buffer locality within one channel).
+    ///
+    /// For a slice count `n` that is not a power of two, the quotient
+    /// `floor(row * ceil(2^64 / n) / 2^64)` is `row / n` exactly while
+    /// `row * n < 2^64` (the rounding error `row * e / 2^64`, `e < n`,
+    /// stays below `1 / n`), which every row under `2^57` meets for the
+    /// at most 64 slices; a larger row takes the divide.
+    #[inline]
     fn slice_of(&self, addr: u64) -> usize {
         let row = self.row_of(addr);
-        if self.slice_mask != 0 {
-            (row & self.slice_mask) as usize
+        let n = self.slices.len() as u64;
+        let g = if self.slice_magic == 0 {
+            row & self.slice_mask
+        } else if row < 1 << 57 {
+            let q = ((u128::from(row) * u128::from(self.slice_magic)) >> 64) as u64;
+            row - q * n
         } else {
-            (row % self.slices.len() as u64) as usize
-        }
+            row % n
+        };
+        debug_assert_eq!(g, row % n, "multiply routing of row {row}");
+        g as usize
     }
 
     /// Whether the target slice can take one more request.
@@ -646,6 +733,19 @@ impl MemSys {
         addrs.iter().all(|&a| self.can_accept(a))
     }
 
+    /// The slices `addrs` target, one bit per slice.
+    pub(crate) fn slices_of(&self, addrs: &[u64]) -> u64 {
+        addrs.iter().fold(0, |m, &a| m | 1 << self.slice_of(a))
+    }
+
+    /// Whether every slice in `slices` can take one more request: the
+    /// admission test of an access whose targets are `slices`, equal to
+    /// [`Self::can_accept_all`] over its addresses.
+    #[inline]
+    pub(crate) fn accepts_slices(&self, slices: u64) -> bool {
+        self.full_mask & slices == 0
+    }
+
     /// Injects a transaction (already line-aligned). Call only after
     /// `MemSys::can_accept` returned `true` this cycle.
     pub fn push(&mut self, req: MemRequest) {
@@ -662,6 +762,7 @@ impl MemSys {
         self.sleep_min = self.sleep_min.min(req.arrive_at);
         self.ev_min = self.ev_min.min(req.arrive_at);
         slice.input.push_back(req);
+        slice.queued[line_bucket(req.addr & self.line_mask)] += 1;
         if slice.input.len() >= SLICE_QUEUE_DEPTH {
             self.full_mask |= 1u64 << g;
         }
@@ -819,26 +920,6 @@ fn tick_slice(
                 let mut old_left = (slice.verdicts as usize).min(len);
                 let mut i = 0; // read cursor
                 let mut w = 0; // write cursor (entries kept)
-                if old_left > 0
-                    && slice.gained_len == 0
-                    && slice.ctrl.queue.len() >= ctx.queue_depth
-                {
-                    // No line gained presence and nothing — read or
-                    // write — can enter a full DRAM queue: the whole
-                    // verdicted prefix stalls again, unexamined.
-                    debug_assert!(
-                        slice
-                            .input
-                            .iter()
-                            .take(old_left)
-                            .all(|r| slice.is_unmergeable_miss(r, line_mask)),
-                        "stale stalled-miss verdict in the skipped prefix"
-                    );
-                    i = old_left;
-                    w = old_left;
-                    old_left = 0;
-                    stalled_kept = true;
-                }
                 while i < len {
                     let req = slice.input[i];
                     if processed >= ctx.l2_ports {
@@ -854,6 +935,30 @@ fn tick_slice(
                         break; // queue is FIFO in arrival time
                     }
                     let dram_full = slice.ctrl.queue.len() >= ctx.queue_depth;
+                    if old_left > 0 && dram_full && slice.gained_len == 0 {
+                        // No line a verdicted entry holds gained presence
+                        // and nothing — read or write — can enter a full
+                        // DRAM queue: the rest of the verdicted run stalls
+                        // again, unexamined, in one step (at the scan's
+                        // start, the whole prefix).
+                        debug_assert!(
+                            slice
+                                .input
+                                .range(i..i + old_left)
+                                .all(|r| slice.is_unmergeable_miss(r, line_mask)),
+                            "stale stalled-miss verdict in the skipped run"
+                        );
+                        if w != i {
+                            for k in 0..old_left {
+                                slice.input[w + k] = slice.input[i + k];
+                            }
+                        }
+                        i += old_left;
+                        w += old_left;
+                        old_left = 0;
+                        stalled_kept = true;
+                        continue;
+                    }
                     let line = req.addr & line_mask;
                     // An old verdict stands unless its line gained
                     // presence since: no way scan, no MSHR tag scan.
@@ -899,7 +1004,12 @@ fn tick_slice(
                                 // the cursor, which check the log live.
                                 debug_assert!(w == 0, "MSHR insert behind a stalled entry");
                                 slice.mshr.insert(line, req);
-                                if old_left > 0 && !slice.log_presence(line) {
+                                // Only a line another queued entry holds
+                                // (this one is still counted) is logged.
+                                if old_left > 0
+                                    && slice.held(line, 1)
+                                    && !slice.log_presence(line)
+                                {
                                     old_left = 0; // overflow: re-probe the rest
                                 }
                             }
@@ -916,6 +1026,7 @@ fn tick_slice(
                         }
                     };
                     if consumed {
+                        slice.queued[line_bucket(line)] -= 1;
                         processed += 1;
                         if hit {
                             slice.req_hits += 1;
@@ -956,6 +1067,10 @@ fn tick_slice(
                     }
                     slice.input.truncate(w);
                 }
+                debug_assert!(
+                    !slice.input.is_empty() || slice.queued.iter().all(|&n| n == 0),
+                    "queued-line table out of step with the input queue"
+                );
             }
 
             // DRAM stage: one scheduling decision per free bus slot.
@@ -1004,8 +1119,9 @@ fn tick_slice(
                         let at = done + l2_lat + icnt;
                         let line = req.addr & line_mask;
                         // The line gained presence: a verdicted write,
-                        // or read that arrived after it, now hits.
-                        if slice.verdicts > 0 && !slice.log_presence(line) {
+                        // or read that arrived after it, now hits — if
+                        // any queued entry holds it.
+                        if slice.verdicts > 0 && slice.held(line, 0) && !slice.log_presence(line) {
                             slice.drop_verdicts();
                         }
                         match slice.mshr.find(line) {
@@ -1121,9 +1237,9 @@ impl MemSys {
             pick,
             {
                 // The two scans this replaces: row hits, then oldest.
-                let ready = |e: &DramEntry| ctrl.banks[e.bank as usize].ready_at <= now;
-                let open = |e: &DramEntry| ctrl.banks[e.bank as usize].open_row == e.row;
-                let first = |f: &dyn Fn(&DramEntry) -> bool| {
+                let ready = |e: &DramKey| ctrl.banks[e.bank as usize].ready_at <= now;
+                let open = |e: &DramKey| ctrl.banks[e.bank as usize].open_row == e.row;
+                let first = |f: &dyn Fn(&DramKey) -> bool| {
                     ctrl.queue.iter().find(|(_, e)| f(e)).map(|(i, _)| i)
                 };
                 let row_hit = fr_fcfs.then(|| first(&|e| ready(e) && open(e))).flatten();
@@ -1646,12 +1762,12 @@ mod tests {
             q.push_back(read(i, 0), 0, 0);
         }
         // Service out of order (as FR-FCFS does), middle then front.
-        let (idx, _) = q.iter().find(|(_, e)| e.req.addr == 3).expect("live");
+        let (idx, _) = q.iter().find(|&(i, _)| q.reqs[i].addr == 3).expect("live");
         assert_eq!(q.take(idx).req.addr, 3);
         let (idx, _) = q.iter().next().expect("live");
         assert_eq!(q.take(idx).req.addr, 0);
         assert_eq!(q.len(), 4);
-        let rest: Vec<u64> = q.iter().map(|(_, e)| e.req.addr).collect();
+        let rest: Vec<u64> = q.iter().map(|(i, _)| q.reqs[i].addr).collect();
         assert_eq!(rest, [1, 2, 4, 5], "oldest-first order survives takes");
 
         // Starvation guard: repeated push/take churn with one pinned
@@ -1662,11 +1778,14 @@ mod tests {
             q.take(idx);
         }
         assert!(
-            q.slots.len() <= 2 * q.live + 16,
+            q.keys.len() <= 2 * q.live + 16,
             "tombstones dominate: {} slots for {} live",
-            q.slots.len(),
+            q.keys.len(),
             q.live
         );
+        assert_eq!(q.keys.len(), q.reqs.len(), "keys and requests in step");
+        let rest: Vec<u64> = q.iter().map(|(i, _)| q.reqs[i].addr).collect();
+        assert_eq!(rest, [1, 2, 4, 5], "compaction keeps each key with its request");
     }
 
     #[test]
@@ -1974,9 +2093,12 @@ mod verdict_tests {
         assert_eq!(t.slice0().verdicts, 5, "stalls do not use up ports");
         free_dram_slots(&mut t, 4);
         // Scan 1 inserts lines 0 and 1 and stops inside the prefix: the
-        // three unreached verdicts stand, and so must the log.
+        // three unreached verdicts stand, and so must the log — which
+        // holds line 0, the one inserted line a queued entry (the second
+        // reader) still holds; line 1's insert overturns nothing.
         t.tick(1);
-        assert_eq!((t.slice0().verdicts, t.slice0().gained_len), (3, 2));
+        assert_eq!((t.slice0().verdicts, t.slice0().gained_len), (3, 1));
+        assert_eq!(t.slice0().gained[0], line0(0));
         // Scan 2: line 2 is a known miss; the reader of line 0 finds
         // its line in the kept log, re-probes and merges.
         t.tick(2);
@@ -1995,34 +2117,43 @@ mod verdict_tests {
         let c = cfg(2);
         let mut t = Twin::new(&c);
         hold_bus_with_fillers(&mut t, c.dram.queue_depth);
-        // Eleven distinct lines, then line 0 again at the very back.
+        // Eleven distinct lines, then a second reader of each behind
+        // them, so every insert is of a line a queued entry still holds.
         let n = PRESENCE_LOG_CAP as u64 + 3;
-        for k in 0..n {
-            t.push(rd(k, k as u32, 0));
+        for k in 0..2 * n {
+            t.push(rd(k % n, k as u32, 0));
         }
-        t.push(rd(0, n as u32, 0));
         t.tick(0);
-        assert_eq!(t.slice0().verdicts as u64, n + 1);
+        assert_eq!(t.slice0().verdicts as u64, 2 * n);
         free_dram_slots(&mut t, c.dram.queue_depth);
-        // Two inserts per port-limited scan fill the log ...
+        // Two logged inserts per port-limited scan fill the log ...
         let filling = PRESENCE_LOG_CAP as u64 / 2;
         for cyc in 1..=filling {
             t.tick(cyc);
         }
         assert_eq!(
-            (t.slice0().verdicts, usize::from(t.slice0().gained_len)),
-            (4, PRESENCE_LOG_CAP)
+            (t.slice0().verdicts as u64, usize::from(t.slice0().gained_len)),
+            (2 * n - PRESENCE_LOG_CAP as u64, PRESENCE_LOG_CAP)
         );
         // ... and the next insert overflows it: every verdict goes.
         t.tick(filling + 1);
         assert_eq!((t.slice0().verdicts, t.slice0().gained_len), (0, 0));
-        // The trailing reader of line 0 is re-probed and merges.
+        // The last first reader inserts; the second reader of line 0,
+        // re-probed, merges instead of stalling for a second fetch.
         t.tick(filling + 2);
-        assert!(t.slice0().input.is_empty());
         assert_eq!(t.slice0().mshr.len() as u64, n);
-        release_bus(&mut t, filling + 3);
-        t.run_to_idle(filling + 3);
-        assert_eq!(t.done.len() as u64, n + 1);
+        assert_eq!(t.queued_slots().first().copied(), Some(n as u32 + 1));
+        // The other second readers merge two per scan.
+        let mut cyc = filling + 3;
+        while !t.slice0().input.is_empty() {
+            t.tick(cyc);
+            cyc += 1;
+            assert!(cyc < filling + 3 + n, "second readers stalled");
+        }
+        assert_eq!(t.slice0().mshr.len() as u64, n);
+        release_bus(&mut t, cyc);
+        t.run_to_idle(cyc);
+        assert_eq!(t.done.len() as u64, 2 * n);
         assert_eq!(t.st_fast.app(AppId(0)).dram_read_bytes, n * 128);
     }
 

@@ -46,14 +46,14 @@ impl WarpScheduler {
     /// Picks the next slot to issue from.
     ///
     /// `ready` is a bitmask of slots that can issue this cycle (bit
-    /// `slot` set = ready); `ages[slot]` is a monotone dispatch sequence
-    /// number (smaller = older) and `by_age` lists the live slots
-    /// oldest-first — the same order, kept sorted by the SM (append on
-    /// dispatch, remove on retire) so GTO's fallback is "first ready
-    /// entry" instead of an age comparison per ready warp. Every ready
-    /// slot must be listed. At most 64 slots are supported. Returns
-    /// `None` when no slot is ready.
-    pub fn pick(&mut self, ready: u64, ages: &[u64], by_age: &[u8]) -> Option<usize> {
+    /// `slot` set = ready) and `order` the same set re-indexed by age
+    /// ([`AgeOrder`]), so GTO's fallback — the oldest ready slot — is one
+    /// `trailing_zeros` instead of a walk or an age comparison per ready
+    /// warp. `ages[slot]` is a monotone dispatch sequence number (smaller
+    /// = older), read only by the debug oracle and for the slot count.
+    /// At most 64 slots are supported. Returns `None` when no slot is
+    /// ready.
+    pub fn pick(&mut self, ready: u64, order: &AgeOrder, ages: &[u64]) -> Option<usize> {
         debug_assert!(ages.len() <= 64, "more warp slots than mask bits");
         if ready == 0 {
             return None;
@@ -66,11 +66,8 @@ impl WarpScheduler {
                         return Some(self.note(last));
                     }
                 }
-                // Oldest part: the first ready slot in age order.
-                let oldest = by_age
-                    .iter()
-                    .map(|&s| usize::from(s))
-                    .find(|&s| ready & (1u64 << s) != 0);
+                // Oldest part: the lowest ready rank.
+                let oldest = order.oldest_ready();
                 debug_assert_eq!(
                     oldest,
                     Some(oldest_ready_by_scan(ready, ages)),
@@ -106,6 +103,82 @@ impl WarpScheduler {
     }
 }
 
+/// The live warp slots of an SM oldest-first, with each slot's rank
+/// (its position in that order) and the ready set indexed by rank. The
+/// SM's `age_seq` is monotone, so appending on dispatch and removing on
+/// retire keeps the order sorted by age with no ties.
+///
+/// **Invariants:** `rank[by_age[r]] == r` for every live rank `r`, and
+/// rank bit `r` of `ready` is set iff slot `by_age[r]` is ready. A
+/// retire removes rank `r` and shifts every younger rank, and every
+/// higher `ready` bit, down by one.
+#[derive(Debug, Clone)]
+pub struct AgeOrder {
+    by_age: Vec<u8>,
+    rank: [u8; 64],
+    ready: u64,
+}
+
+impl AgeOrder {
+    /// An empty order for up to `slots` (≤ 64) warp slots.
+    pub fn new(slots: usize) -> Self {
+        AgeOrder {
+            by_age: Vec::with_capacity(slots),
+            rank: [0; 64],
+            ready: 0,
+        }
+    }
+
+    /// Appends `slot` as the youngest live warp, not ready.
+    #[inline]
+    pub fn push(&mut self, slot: usize) {
+        self.rank[slot] = self.by_age.len() as u8;
+        self.by_age.push(slot as u8);
+    }
+
+    /// Removes live `slot` (and its ready bit), shifting the younger
+    /// ranks down over it.
+    pub(crate) fn remove(&mut self, slot: usize) {
+        let r = usize::from(self.rank[slot]);
+        debug_assert_eq!(usize::from(self.by_age[r]), slot, "rank out of step");
+        self.by_age.remove(r);
+        for &s in &self.by_age[r..] {
+            self.rank[usize::from(s)] -= 1;
+        }
+        let below = self.ready & ((1u64 << r) - 1);
+        self.ready = below | ((self.ready >> r) >> 1) << r;
+    }
+
+    /// Sets or clears live `slot`'s ready bit.
+    #[inline]
+    pub fn set_ready(&mut self, slot: usize, ready: bool) {
+        let bit = 1u64 << self.rank[slot];
+        if ready {
+            self.ready |= bit;
+        } else {
+            self.ready &= !bit;
+        }
+    }
+
+    /// The oldest ready slot, if any.
+    #[inline]
+    pub(crate) fn oldest_ready(&self) -> Option<usize> {
+        (self.ready != 0).then(|| usize::from(self.by_age[self.ready.trailing_zeros() as usize]))
+    }
+
+    /// The ready set by slot, recomputed from the ranks (the oracle the
+    /// SM checks its own mask against in debug builds).
+    pub(crate) fn ready_slots(&self) -> u64 {
+        let mut m = self.ready;
+        let mut slots = 0u64;
+        while m != 0 {
+            slots |= 1 << self.by_age[m.trailing_zeros() as usize];
+            m &= m - 1;
+        }
+        slots
+    }
+}
+
 /// The oldest ready slot by comparing age stamps: smallest
 /// `ages[slot]` over the set bits of `ready` (non-zero). Ascending bit
 /// order + strict `<` keeps the lowest slot on a tie. This is the scan
@@ -130,82 +203,105 @@ mod tests {
     use super::*;
     use crate::rng::SimRng;
 
-    /// Slots oldest-first, lowest slot first among equal ages.
-    fn by_age(ages: &[u64]) -> Vec<u8> {
-        let mut order: Vec<u8> = (0..ages.len() as u8).collect();
-        order.sort_by_key(|&s| ages[usize::from(s)]);
+    /// Every slot oldest-first (lowest slot first among equal ages),
+    /// with `ready` marked.
+    fn order(ages: &[u64], ready: u64) -> AgeOrder {
+        let mut slots: Vec<usize> = (0..ages.len()).collect();
+        slots.sort_by_key(|&s| ages[s]);
+        let mut order = AgeOrder::new(ages.len());
+        for s in slots {
+            order.push(s);
+            order.set_ready(s, ready & (1 << s) != 0);
+        }
         order
+    }
+
+    /// `s.pick` over `ready` with the order `ages` implies.
+    fn pick(s: &mut WarpScheduler, ready: u64, ages: &[u64]) -> Option<usize> {
+        s.pick(ready, &order(ages, ready), ages)
     }
 
     #[test]
     fn gto_sticks_with_last_warp() {
         let mut s = WarpScheduler::new(WarpSchedPolicy::Gto);
         let ages = vec![10, 5, 7];
-        let order = by_age(&ages);
         // First pick: oldest ready (slot 1, age 5).
-        assert_eq!(s.pick(0b111, &ages, &order), Some(1));
+        assert_eq!(pick(&mut s, 0b111, &ages), Some(1));
         // Greedy: keeps slot 1 while it stays ready.
-        assert_eq!(s.pick(0b111, &ages, &order), Some(1));
+        assert_eq!(pick(&mut s, 0b111, &ages), Some(1));
         // Slot 1 stalls: falls back to oldest ready = slot 2 (age 7).
-        assert_eq!(s.pick(0b101, &ages, &order), Some(2));
+        assert_eq!(pick(&mut s, 0b101, &ages), Some(2));
     }
 
     #[test]
     fn gto_none_when_all_stalled() {
         let mut s = WarpScheduler::new(WarpSchedPolicy::Gto);
-        assert_eq!(s.pick(0, &[1, 2], &[0, 1]), None);
+        assert_eq!(pick(&mut s, 0, &[1, 2]), None);
     }
 
     #[test]
     fn gto_age_tie_prefers_lowest_slot() {
         // Equal ages cannot occur on an SM (`age_seq` is monotone), but
         // the oracle scan keeps its documented tie-break — ascending
-        // bits, strict `<`, lowest slot — and an order list that breaks
-        // ties the same way agrees with it.
+        // bits, strict `<`, lowest slot — and an order that breaks ties
+        // the same way agrees with it.
         let ages = [7, 7, 7];
         assert_eq!(oldest_ready_by_scan(0b110, &ages), 1);
         let mut s = WarpScheduler::new(WarpSchedPolicy::Gto);
-        assert_eq!(s.pick(0b110, &ages, &by_age(&ages)), Some(1));
+        assert_eq!(pick(&mut s, 0b110, &ages), Some(1));
     }
 
     #[test]
     fn ordered_pick_matches_age_scan_under_churn() {
         // The SM's bookkeeping in miniature: dispatch stamps a free slot
         // with the next `age_seq` and appends it to the order, retire
-        // removes it. Over random ready masks the ordered fallback must
-        // name the slot the age scan names.
+        // clears its ready bit and removes it (shifting the younger
+        // ranks), and ready bits flip in between. The rank-indexed ready
+        // set must stay the slot-indexed one, and the ordered fallback
+        // must name the slot the age scan names.
         const SLOTS: usize = 48;
         let mut rng = SimRng::seed_from_u64(0x6A0);
         let mut ages = vec![0u64; SLOTS];
-        let mut order: Vec<u8> = Vec::new();
-        let mut live = 0u64;
+        let mut order = AgeOrder::new(SLOTS);
+        let mut live: Vec<usize> = Vec::new();
+        let mut ready = 0u64;
         let mut age_seq = 0u64;
         let mut picks = 0;
-        for _ in 0..20_000 {
+        for _ in 0..40_000 {
             match rng.gen_range(4) {
-                0 if live.count_ones() < SLOTS as u32 => {
+                0 if live.len() < SLOTS => {
                     // Lowest free slot, as `Sm::dispatch_block` places.
-                    let slot = (!live).trailing_zeros() as usize;
+                    let used = live.iter().fold(0u64, |m, &s| m | 1 << s);
+                    let slot = (!used).trailing_zeros() as usize;
                     ages[slot] = age_seq;
                     age_seq += 1;
-                    live |= 1 << slot;
-                    order.push(slot as u8);
+                    live.push(slot);
+                    order.push(slot);
                 }
-                1 if live != 0 => {
-                    let nth = rng.gen_range(u64::from(live.count_ones())) as usize;
-                    let slot = order[nth];
-                    live &= !(1u64 << slot);
-                    order.remove(nth);
+                1 if !live.is_empty() => {
+                    let slot = live.remove(rng.gen_range(live.len() as u64) as usize);
+                    order.set_ready(slot, false);
+                    ready &= !(1u64 << slot);
+                    order.remove(slot);
+                }
+                2 => {
+                    for &slot in &live {
+                        if rng.gen_range(3) == 0 {
+                            let on = ready & (1 << slot) == 0;
+                            order.set_ready(slot, on);
+                            ready ^= 1 << slot;
+                        }
+                    }
                 }
                 _ => {
-                    let ready = live & rng.next_u64() & rng.next_u64();
+                    assert_eq!(order.ready_slots(), ready, "rank-indexed ready set");
                     if ready == 0 {
                         continue;
                     }
                     // A fresh scheduler has no greedy memory, so this is
                     // the oldest-ready fallback alone.
                     let mut s = WarpScheduler::new(WarpSchedPolicy::Gto);
-                    let got = s.pick(ready, &ages, &order);
+                    let got = s.pick(ready, &order, &ages);
                     assert_eq!(got, Some(oldest_ready_by_scan(ready, &ages)));
                     picks += 1;
                 }
@@ -227,21 +323,19 @@ mod tests {
     fn lrr_rotates() {
         let mut s = WarpScheduler::new(WarpSchedPolicy::Lrr);
         let ages = vec![0, 0, 0];
-        let order = by_age(&ages);
-        assert_eq!(s.pick(0b111, &ages, &order), Some(0));
-        assert_eq!(s.pick(0b111, &ages, &order), Some(1));
-        assert_eq!(s.pick(0b111, &ages, &order), Some(2));
-        assert_eq!(s.pick(0b111, &ages, &order), Some(0));
+        assert_eq!(pick(&mut s, 0b111, &ages), Some(0));
+        assert_eq!(pick(&mut s, 0b111, &ages), Some(1));
+        assert_eq!(pick(&mut s, 0b111, &ages), Some(2));
+        assert_eq!(pick(&mut s, 0b111, &ages), Some(0));
     }
 
     #[test]
     fn lrr_skips_stalled() {
         let mut s = WarpScheduler::new(WarpSchedPolicy::Lrr);
         let ages = vec![0, 0, 0];
-        let order = by_age(&ages);
-        assert_eq!(s.pick(0b101, &ages, &order), Some(0));
-        assert_eq!(s.pick(0b101, &ages, &order), Some(2));
-        assert_eq!(s.pick(0b101, &ages, &order), Some(0));
+        assert_eq!(pick(&mut s, 0b101, &ages), Some(0));
+        assert_eq!(pick(&mut s, 0b101, &ages), Some(2));
+        assert_eq!(pick(&mut s, 0b101, &ages), Some(0));
     }
 
     #[test]
@@ -250,11 +344,10 @@ mod tests {
         // hazard would bite if the wrap were not by modulo.
         let mut s = WarpScheduler::new(WarpSchedPolicy::Lrr);
         let ages = vec![0u64; 64];
-        let order = by_age(&ages);
         let only_last = 1u64 << 63;
-        assert_eq!(s.pick(only_last, &ages, &order), Some(63));
+        assert_eq!(pick(&mut s, only_last, &ages), Some(63));
         assert_eq!(
-            s.pick(only_last | 1, &ages, &order),
+            pick(&mut s, only_last | 1, &ages),
             Some(0),
             "cursor wrapped"
         );
@@ -264,18 +357,17 @@ mod tests {
     fn reset_clears_greedy_state() {
         let mut s = WarpScheduler::new(WarpSchedPolicy::Gto);
         let ages = vec![2, 1];
-        let order = by_age(&ages);
-        assert_eq!(s.pick(0b11, &ages, &order), Some(1));
+        assert_eq!(pick(&mut s, 0b11, &ages), Some(1));
         s.reset();
         // After reset the greedy memory is gone; picks oldest again.
-        assert_eq!(s.pick(0b11, &ages, &order), Some(1));
+        assert_eq!(pick(&mut s, 0b11, &ages), Some(1));
     }
 
     #[test]
     fn empty_slots() {
         let mut s = WarpScheduler::new(WarpSchedPolicy::Lrr);
-        assert_eq!(s.pick(0, &[], &[]), None);
+        assert_eq!(pick(&mut s, 0, &[]), None);
         let mut g = WarpScheduler::new(WarpSchedPolicy::Gto);
-        assert_eq!(g.pick(0, &[], &[]), None);
+        assert_eq!(pick(&mut g, 0, &[]), None);
     }
 }

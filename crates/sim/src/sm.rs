@@ -1,15 +1,13 @@
 //! Streaming multiprocessor: warp slots, block residency, L1 cache and
 //! the per-cycle issue path.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
+use crate::activity::WakeRing;
 use crate::cache::{Access, Cache};
 use crate::config::GpuConfig;
-use crate::kernel::{AppId, KernelDesc, Op, PatternId};
+use crate::kernel::{AppId, KernelDesc, Op, PatternId, PatternKind};
 use crate::memsys::{MemRequest, MemSys};
 use crate::rng::SimRng;
-use crate::sched::WarpScheduler;
+use crate::sched::{AgeOrder, WarpScheduler};
 use crate::stats::SimStats;
 use crate::trace_fmt::TraceHook;
 use crate::warp::{burn_random_draws, generate_addresses, WarpTable};
@@ -23,6 +21,15 @@ struct ResidentBlock {
     warps_left: u32,
     /// Warp slots currently parked at a block barrier.
     barrier_waiters: Vec<u32>,
+}
+
+/// A load refused by back-pressure whose retry may skip regenerating
+/// it (see [`Sm::issue`]): the SM's L1 epoch at the refusal and the
+/// slices its misses target. `slices == 0` keeps nothing.
+#[derive(Debug, Clone, Copy, Default)]
+struct Kept {
+    epoch: u64,
+    slices: u64,
 }
 
 /// One streaming multiprocessor.
@@ -42,19 +49,22 @@ pub struct Sm {
     occupied: u64,
     /// `(1 << slots) - 1`: every valid slot bit.
     slot_mask: u64,
-    /// Sleeping warps keyed by wake cycle.
-    sleepers: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Sleeping warp slots, each filed at its wake cycle.
+    sleepers: WakeRing,
     blocks: Vec<ResidentBlock>,
     l1: Cache,
     sched: WarpScheduler,
     rng: SimRng,
     age_seq: u64,
-    /// Live warp slots oldest-first. `age_seq` is monotone, so
-    /// appending on dispatch and removing on retire keeps the list
-    /// sorted by age with no ties — GTO's oldest-ready fallback is its
-    /// first ready entry.
-    by_age: Vec<u8>,
+    /// Live warp slots oldest-first, with the ready set indexed by age
+    /// rank — GTO's oldest-ready fallback is its lowest set bit.
+    order: AgeOrder,
     free_slots: u32,
+    /// Bumped on every L1 fill and flush: while it holds, the L1 holds
+    /// the same lines.
+    l1_epoch: u64,
+    /// Per warp slot, the refused load it keeps (see [`Kept`]).
+    kept: Vec<Kept>,
     /// Scratch buffer for generated addresses (avoids per-issue allocation).
     addr_buf: Vec<u64>,
 }
@@ -81,19 +91,22 @@ impl Sm {
             } else {
                 (1u64 << slots) - 1
             },
-            sleepers: BinaryHeap::new(),
+            sleepers: WakeRing::new(slots),
             blocks: Vec::with_capacity(cfg.max_blocks_per_sm as usize),
             l1: Cache::new(cfg.l1),
             sched: WarpScheduler::new(cfg.sched),
             rng: SimRng::seed_from_u64(0x9E37_79B9 ^ u64::from(id)),
             age_seq: 0,
-            by_age: Vec::with_capacity(slots),
+            order: AgeOrder::new(slots),
             free_slots: cfg.max_warps_per_sm,
+            l1_epoch: 0,
+            kept: vec![Kept::default(); slots],
             addr_buf: Vec::with_capacity(32),
         }
     }
 
-    /// Flips a ready bit. Every write to the mask goes through here.
+    /// Flips a ready bit, in the slot mask and in the age order. Every
+    /// write to either goes through here.
     #[inline]
     fn set_ready(&mut self, slot: usize, val: bool) {
         let bit = 1u64 << slot;
@@ -102,6 +115,7 @@ impl Sm {
         } else {
             self.ready &= !bit;
         }
+        self.order.set_ready(slot, val);
     }
 
     /// Number of live warps.
@@ -148,7 +162,8 @@ impl Sm {
             self.warps
                 .init(slot, block_id, placed, self.age_seq, kernel.iters_per_warp);
             self.age_seq += 1;
-            self.by_age.push(slot as u8);
+            debug_assert_eq!(self.kept[slot].slices, 0, "a vacated slot kept a load");
+            self.order.push(slot);
             self.occupied |= 1u64 << slot;
             self.set_ready(slot, true);
             self.free_slots -= 1;
@@ -178,16 +193,16 @@ impl Sm {
         0
     }
 
-    /// Wakes sleeping warps due at `now`.
+    /// Wakes sleeping warps due at or before `now`.
     pub fn wake(&mut self, now: u64) {
-        while let Some(&Reverse((at, slot))) = self.sleepers.peek() {
-            if at > now {
-                break;
-            }
-            self.sleepers.pop();
-            if self.occupied & (1u64 << slot) != 0 {
-                self.set_ready(slot as usize, true);
-            }
+        let mut due = [0u64];
+        self.sleepers.take(now, &mut due);
+        debug_assert_eq!(due[0] & !self.occupied, 0, "a sleeper's slot was vacated");
+        let mut due = due[0] & self.occupied;
+        while due != 0 {
+            let slot = due.trailing_zeros() as usize;
+            due &= due - 1;
+            self.set_ready(slot, true);
         }
     }
 
@@ -197,13 +212,26 @@ impl Sm {
         self.ready != 0
     }
 
-    /// Next wake-up cycle of any sleeping warp, if all are asleep.
+    /// Next wake-up cycle of any sleeping warp.
     pub fn next_wake(&self) -> Option<u64> {
-        self.sleepers.peek().map(|&Reverse((at, _))| at)
+        self.sleepers.next()
     }
 
     /// Issues up to `cfg.issue_per_sm` instructions. Returns the number
     /// of retired warps (so the caller can track block/app completion).
+    ///
+    /// **Kept rejections.** A load with a non-`Random` pattern that
+    /// back-pressure refuses while every one of its addresses misses the
+    /// L1 keeps the L1 epoch and the mask of slices its misses target.
+    /// Its retry, while the epoch holds, is the admission test
+    /// `kept & full_mask != 0` alone: the same addresses (the pattern
+    /// draws nothing), the same all-miss probe (no fill since) and so
+    /// the same verdict. A refusal bumps the attempt and sleeps, as the
+    /// full path does; an admission regenerates. `Random` patterns
+    /// always regenerate — their draw is model state — and so does
+    /// every retry without `keep_rejections` (the reference
+    /// `StepMode::Cycle`) or with a trace hook on. Each kept retry is
+    /// `debug_assert!`ed against the regeneration it skips.
     #[allow(clippy::too_many_arguments)]
     pub fn issue(
         &mut self,
@@ -215,14 +243,16 @@ impl Sm {
         memsys: &mut MemSys,
         stats: &mut SimStats,
         hook: &mut TraceHook<'_>,
+        keep_rejections: bool,
     ) -> u32 {
         let mut retired_blocks = 0;
         let body_len = kernel.body.len() as u32;
         let total_warps = kernel.total_warps();
         let line = u64::from(cfg.l1.line_bytes);
+        let keep = keep_rejections && matches!(hook, TraceHook::None);
 
         for _ in 0..cfg.issue_per_sm {
-            let Some(slot) = self.sched.pick(self.ready, &self.warps.ages, &self.by_age) else {
+            let Some(slot) = self.sched.pick(self.ready, &self.order, &self.warps.ages) else {
                 break;
             };
             // Every arm below clears the picked warp's ready bit (it
@@ -242,13 +272,25 @@ impl Sm {
                     if done {
                         retired_blocks += self.retire(slot);
                     } else {
-                        self.sleepers
-                            .push(Reverse((now + u64::from(latency), slot as u32)));
+                        self.sleepers.file(slot, now + u64::from(latency));
                     }
                 }
                 Op::Load(PatternId(p)) => {
                     let p = usize::from(p);
                     let pattern = &kernel.patterns[p];
+                    let kept = std::mem::take(&mut self.kept[slot]);
+                    if keep && kept.slices != 0 && kept.epoch == self.l1_epoch {
+                        debug_assert!(
+                            self.kept_matches(kernel, p, app_base, slot, line, memsys, kept.slices),
+                            "kept rejection of slot {slot} differs from its regeneration"
+                        );
+                        if !memsys.accepts_slices(kept.slices) {
+                            self.kept[slot] = kept;
+                            self.warps.bump_attempt(slot);
+                            self.sleepers.file(slot, now + 2);
+                            continue;
+                        }
+                    }
                     let block = self.warps.block[slot];
                     let warp_in_block = self.warps.warp_in_block[slot];
                     let global_warp = u64::from(block) * u64::from(kernel.warps_per_block)
@@ -307,8 +349,14 @@ impl Sm {
                     // Back-pressure: if any miss target cannot accept,
                     // retry the whole load later (no partial issue).
                     if miss_addrs > 0 && !memsys.can_accept_all(&self.addr_buf) {
+                        if keep && hits == 0 && !matches!(pattern.kind, PatternKind::Random) {
+                            self.kept[slot] = Kept {
+                                epoch: self.l1_epoch,
+                                slices: memsys.slices_of(&self.addr_buf),
+                            };
+                        }
                         self.warps.bump_attempt(slot);
-                        self.sleepers.push(Reverse((now + 2, slot as u32)));
+                        self.sleepers.file(slot, now + 2);
                         continue;
                     }
                     // The load issues for real: allocate the missing lines
@@ -316,6 +364,7 @@ impl Sm {
                     for &a in &self.addr_buf {
                         self.l1.fill(a);
                     }
+                    self.l1_epoch += u64::from(miss_addrs > 0);
 
                     let s = stats.app_mut(app);
                     s.warp_insts += 1;
@@ -336,8 +385,7 @@ impl Sm {
                         if done {
                             retired_blocks += self.retire(slot);
                         } else {
-                            self.sleepers
-                                .push(Reverse((now + u64::from(cfg.l1_hit_lat), slot as u32)));
+                            self.sleepers.file(slot, now + u64::from(cfg.l1_hit_lat));
                         }
                     } else {
                         self.warps.outstanding[slot] = miss_addrs as u16;
@@ -378,7 +426,7 @@ impl Sm {
                             if done {
                                 retired_blocks += self.retire(ws);
                             } else {
-                                self.sleepers.push(Reverse((now + 1, w_slot)));
+                                self.sleepers.file(ws, now + 1);
                             }
                         }
                     }
@@ -420,7 +468,7 @@ impl Sm {
                     }
                     if !memsys.can_accept_all(&self.addr_buf) {
                         self.warps.bump_attempt(slot);
-                        self.sleepers.push(Reverse((now + 2, slot as u32)));
+                        self.sleepers.file(slot, now + 2);
                         continue;
                     }
                     let s = stats.app_mut(app);
@@ -449,12 +497,49 @@ impl Sm {
                         retired_blocks += self.retire(slot);
                     } else {
                         // Warp may issue again next cycle.
-                        self.sleepers.push(Reverse((now + 1, slot as u32)));
+                        self.sleepers.file(slot, now + 1);
                     }
                 }
             }
         }
         retired_blocks
+    }
+
+    /// The kept-rejection oracle: regenerates `slot`'s load through
+    /// pattern `p` (a non-`Random` pattern draws nothing) and checks that
+    /// every address still misses the L1 and that their slices are
+    /// `slices`. Side-effect-free.
+    #[allow(clippy::too_many_arguments)]
+    fn kept_matches(
+        &self,
+        kernel: &KernelDesc,
+        p: usize,
+        app_base: u64,
+        slot: usize,
+        line: u64,
+        memsys: &MemSys,
+        slices: u64,
+    ) -> bool {
+        let pattern = &kernel.patterns[p];
+        let block = self.warps.block[slot];
+        let warp_in_block = self.warps.warp_in_block[slot];
+        let mut addrs = Vec::new();
+        generate_addresses(
+            pattern,
+            p,
+            app_base,
+            block,
+            warp_in_block,
+            self.warps.pattern_ctr[slot][p],
+            u64::from(block) * u64::from(kernel.warps_per_block) + u64::from(warp_in_block),
+            kernel.total_warps(),
+            line,
+            &mut self.rng.clone(),
+            &mut addrs,
+        );
+        !matches!(pattern.kind, PatternKind::Random)
+            && addrs.iter().all(|&a| !self.l1.contains(a))
+            && memsys.slices_of(&addrs) == slices
     }
 
     /// Retires the warp in `slot`; returns 1 if its block completed.
@@ -465,10 +550,10 @@ impl Sm {
         );
         let block = self.warps.block[slot];
         self.warps.release(slot);
-        let pos = self.by_age.iter().position(|&s| usize::from(s) == slot);
-        self.by_age.remove(pos.expect("live warp is age-ordered"));
-        self.occupied &= !(1u64 << slot);
         self.set_ready(slot, false);
+        self.order.remove(slot);
+        debug_assert_eq!(self.order.ready_slots(), self.ready, "age order out of step");
+        self.occupied &= !(1u64 << slot);
         self.free_slots += 1;
         let idx = self
             .blocks
@@ -508,6 +593,7 @@ impl Sm {
         self.owner = self.pending_owner.take();
         // The incoming application must not inherit warm lines.
         self.l1.flush();
+        self.l1_epoch += 1;
         self.sched.reset();
     }
 }
@@ -547,7 +633,7 @@ mod tests {
             }
             ms.tick(cycle, &mut st);
             done_blocks +=
-                sm.issue(cycle, kernel, AppId(0), 0, cfg, &mut ms, &mut st, &mut TraceHook::None);
+                sm.issue(cycle, kernel, AppId(0), 0, cfg, &mut ms, &mut st, &mut TraceHook::None, true);
             cycle += 1;
             assert!(cycle < 1_000_000, "SM never drained");
         }
@@ -603,7 +689,7 @@ mod tests {
                 let _ = sm.on_mem_response(c.warp_slot);
             }
             ms.tick(cycle, &mut st);
-            sm.issue(cycle, &k, AppId(0), 0, &cfg, &mut ms, &mut st, &mut TraceHook::None);
+            sm.issue(cycle, &k, AppId(0), 0, &cfg, &mut ms, &mut st, &mut TraceHook::None, true);
             cycle += 1;
             assert!(cycle < 100_000);
         }
