@@ -591,7 +591,10 @@ impl Sm {
 
     fn complete_handoff(&mut self) {
         self.owner = self.pending_owner.take();
-        // The incoming application must not inherit warm lines.
+        // The incoming application must not inherit warm lines. A
+        // drained SM keeps no refused load; the epoch moves with the
+        // lines all the same.
+        debug_assert!(self.kept.iter().all(|k| k.slices == 0), "a drained SM kept a load");
         self.l1.flush();
         self.l1_epoch += 1;
         self.sched.reset();

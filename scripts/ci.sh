@@ -308,7 +308,7 @@ fi
 # One scenario table (tests/README.md): the both-mode runner, the golden
 # line renderer, the four-controller device and the shared fault plan are
 # each defined once, in tests/common/scenario.rs.
-step "duplicate guard (one engine-equivalence harness under tests/)"
+step "duplicate guard (one engine-equivalence harness and one fixture set under tests/)"
 for def in 'fn cycle_matches_horizon\b' 'fn stats_line\b' 'fn cfg4\b' \
         'mem_latency_window\(5_000, 20_000, 40, 80\)'; do
     FOUND=$(grep -rnE "$def" crates tests --include='*.rs')
@@ -318,6 +318,31 @@ for def in 'fn cycle_matches_horizon\b' 'fn stats_line\b' 'fn cfg4\b' \
         exit 1
     fi
 done
+# The integration suites' pipeline and profile fixtures are defined
+# once, in tests/common/fixtures.rs.
+for def in 'fn run_config\b' 'fn pipeline_with_engine\b' 'fn pipeline\b' 'fn profile_bits\b'; do
+    FOUND=$(grep -rnE "$def" tests --include='*.rs')
+    if [ "$(echo "$FOUND" | grep -c .)" -ne 1 ]; then
+        echo "'$def' must be defined exactly once under tests/, found:" >&2
+        echo "$FOUND" >&2
+        exit 1
+    fi
+done
+
+# One wake calendar (DESIGN.md §8, "Active-SM stepping"): the device's
+# SM wakes and each SM's warp wakes share the one WakeRing, and no
+# binary heap of sleepers comes back beside it.
+step "wake-calendar guard (one WakeRing, no sleeper heap)"
+if grep -nE 'BinaryHeap' crates/sim/src/sm.rs crates/sim/src/activity.rs; then
+    echo "a BinaryHeap is back in sm.rs or activity.rs (the sleepers live in a WakeRing)" >&2
+    exit 1
+fi
+FOUND=$(grep -rnE 'struct WakeRing\b' crates --include='*.rs')
+if [ "$(echo "$FOUND" | grep -c .)" -ne 1 ]; then
+    echo "'struct WakeRing' must be defined exactly once under crates/, found:" >&2
+    echo "$FOUND" >&2
+    exit 1
+fi
 
 # Deleted names stay deleted: the sharded lanes of the one stepping
 # engine (DESIGN.md §12), their thread lease and knobs, and the surface

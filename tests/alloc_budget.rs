@@ -12,16 +12,16 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
 
-use gcs_core::interference::InterferenceMatrix;
 use gcs_core::queues::thesis_queue_14;
-use gcs_core::runner::{Pipeline, RunConfig};
 use gcs_core::smra::SmraParams;
-use gcs_core::sweep::{CorunMode, SweepEngine, Workload};
+use gcs_core::sweep::{CorunMode, Workload};
 use gcs_sched::{Job, PolicyKind};
-use gcs_sim::config::GpuConfig;
-use gcs_workloads::{Benchmark, Scale};
+use gcs_workloads::Benchmark;
+
+#[path = "common/fixtures.rs"]
+mod fixtures;
+use fixtures::pipeline;
 
 /// Allocations (and reallocations) one `IlpEpoch::plan` over census-14
 /// may make: the census `Vec`, the ILP problem and its branch & bound
@@ -72,23 +72,9 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (v, ALLOCS.with(Cell::get) - before)
 }
 
-fn pipeline() -> Pipeline {
-    let cfg = RunConfig {
-        gpu: GpuConfig::test_small(),
-        scale: Scale::TEST,
-        concurrency: 2,
-    };
-    Pipeline::with_matrix_and_engine(
-        cfg,
-        InterferenceMatrix::synthetic_paper_shape(),
-        Arc::new(SweepEngine::sequential()),
-    )
-    .expect("pipeline")
-}
-
 #[test]
 fn warm_corun_hit_allocates_only_the_outcome() {
-    let p = pipeline();
+    let p = pipeline(2);
     let (cfg, scale) = (&p.config().gpu, p.config().scale);
     let group = [
         Workload::Bench(Benchmark::Gups),
@@ -114,7 +100,7 @@ fn warm_corun_hit_allocates_only_the_outcome() {
 
 #[test]
 fn warm_profile_hit_allocates_only_the_name() {
-    let p = pipeline();
+    let p = pipeline(2);
     let (cfg, scale) = (&p.config().gpu, p.config().scale);
     let w = Workload::Bench(Benchmark::Lud);
     // The pipeline profiled every benchmark on the full device.
@@ -127,7 +113,7 @@ fn warm_profile_hit_allocates_only_the_name() {
 
 #[test]
 fn ilp_plan_over_census_14_stays_within_budget() {
-    let p = pipeline();
+    let p = pipeline(2);
     let pending: Vec<Job> = thesis_queue_14()
         .into_iter()
         .enumerate()

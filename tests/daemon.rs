@@ -24,33 +24,18 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use gcs_core::interference::InterferenceMatrix;
-use gcs_core::runner::{AllocationPolicy, Pipeline, RunConfig};
+use gcs_core::runner::AllocationPolicy;
 use gcs_core::SweepEngine;
 use gcs_sched::{
     virtual_link, DaemonConfig, DaemonCore, FaultSpec, FaultyTransport, OnlineScheduler,
     OverloadPolicy, PolicyKind, Request, Response, RetryConfig, SchedClient, SchedConfig,
     TcpAcceptor, TcpTransport, Transport, TransportError, VirtualConnector, VirtualListener,
 };
-use gcs_sim::config::GpuConfig;
-use gcs_workloads::{ArrivalTrace, Benchmark, Scale};
+use gcs_workloads::{ArrivalTrace, Benchmark};
 
-fn run_config(concurrency: u32) -> RunConfig {
-    RunConfig {
-        gpu: GpuConfig::test_small(),
-        scale: Scale::TEST,
-        concurrency,
-    }
-}
-
-fn pipeline_with_engine(engine: Arc<SweepEngine>) -> Pipeline {
-    Pipeline::with_matrix_and_engine(
-        run_config(2),
-        InterferenceMatrix::synthetic_paper_shape(),
-        engine,
-    )
-    .expect("pipeline")
-}
+#[path = "common/fixtures.rs"]
+mod fixtures;
+use fixtures::pipeline_with_engine;
 
 fn sched_cfg(queue_capacity: usize) -> SchedConfig {
     SchedConfig {
@@ -63,7 +48,7 @@ fn sched_cfg(queue_capacity: usize) -> SchedConfig {
 
 /// The batch reference: [`OnlineScheduler::run`] over `trace`.
 fn batch_json(trace: &ArrivalTrace, cfg: SchedConfig, threads: usize) -> String {
-    let mut p = pipeline_with_engine(Arc::new(SweepEngine::new(threads)));
+    let mut p = pipeline_with_engine(2, Arc::new(SweepEngine::new(threads)));
     let mut policy = PolicyKind::IlpEpoch.build();
     OnlineScheduler::new(&mut p, cfg)
         .unwrap()
@@ -81,7 +66,7 @@ fn spawn_daemon(
     threads: usize,
 ) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
-        let mut p = pipeline_with_engine(Arc::new(SweepEngine::new(threads)));
+        let mut p = pipeline_with_engine(2, Arc::new(SweepEngine::new(threads)));
         let mut d = DaemonCore::new(&mut p, PolicyKind::IlpEpoch.build(), cfg).unwrap();
         let mut listener = listener;
         d.serve(&mut listener).expect("serve");
@@ -98,7 +83,7 @@ fn daemon_session_reproduces_batch_report_byte_for_byte() {
     for threads in [1usize, 2, 8] {
         let reference = batch_json(&trace, cfg, threads);
 
-        let mut p = pipeline_with_engine(Arc::new(SweepEngine::new(threads)));
+        let mut p = pipeline_with_engine(2, Arc::new(SweepEngine::new(threads)));
         let mut d = DaemonCore::new(
             &mut p,
             PolicyKind::IlpEpoch.build(),
@@ -242,7 +227,7 @@ fn wire_backpressure_drain_and_post_drain_rejection() {
 /// still completes.
 #[test]
 fn overload_ladder_records_degradations_with_real_pipeline() {
-    let mut p = pipeline_with_engine(Arc::new(SweepEngine::sequential()));
+    let mut p = pipeline_with_engine(2, Arc::new(SweepEngine::sequential()));
     let mut d = DaemonCore::new(
         &mut p,
         PolicyKind::IlpEpoch.build(),
@@ -295,7 +280,7 @@ fn tcp_slow_loris_gets_typed_timeout_and_daemon_survives() {
     let tcp = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = tcp.local_addr().unwrap();
     let daemon = std::thread::spawn(move || {
-        let mut p = pipeline_with_engine(Arc::new(SweepEngine::sequential()));
+        let mut p = pipeline_with_engine(2, Arc::new(SweepEngine::sequential()));
         let mut d =
             DaemonCore::new(
                 &mut p,

@@ -14,6 +14,10 @@ use gcs_core::sweep::SweepEngine;
 use gcs_sim::config::GpuConfig;
 use gcs_workloads::{Benchmark, Scale};
 
+#[path = "common/fixtures.rs"]
+mod fixtures;
+use fixtures::profile_bits;
+
 /// One representative per class (M, MC, C, A): 4 alone runs + 10 pair
 /// co-runs per sweep keeps each run in unit-test territory.
 const SUITE: [Benchmark; 4] = [
@@ -40,23 +44,6 @@ fn matrix_bits(m: &InterferenceMatrix) -> Vec<u64> {
         .iter()
         .flat_map(|row| row.iter().map(|v| v.to_bits()))
         .collect()
-}
-
-/// Every profile field, floats as bit patterns.
-fn profile_bits(p: &AppProfile) -> (String, [u64; 5], u64, u64, u32) {
-    (
-        p.name.clone(),
-        [
-            p.memory_bw.to_bits(),
-            p.l2_l1_bw.to_bits(),
-            p.ipc.to_bits(),
-            p.r.to_bits(),
-            p.utilization.to_bits(),
-        ],
-        p.cycles,
-        p.thread_insts,
-        p.num_sms,
-    )
 }
 
 #[test]

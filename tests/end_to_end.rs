@@ -2,20 +2,13 @@
 //! pipeline on the scaled-down test device — every grouping and
 //! allocation policy combination the evaluation uses.
 
-use gcs_core::interference::InterferenceMatrix;
 use gcs_core::queues::{queue_with_distribution, thesis_queue_14, Distribution};
-use gcs_core::runner::{AllocationPolicy, GroupingPolicy, Pipeline, RunConfig};
-use gcs_sim::config::GpuConfig;
-use gcs_workloads::{Benchmark, Scale};
+use gcs_core::runner::{AllocationPolicy, GroupingPolicy};
+use gcs_workloads::Benchmark;
 
-fn pipeline(concurrency: u32) -> Pipeline {
-    let cfg = RunConfig {
-        gpu: GpuConfig::test_small(),
-        scale: Scale::TEST,
-        concurrency,
-    };
-    Pipeline::with_matrix(cfg, InterferenceMatrix::synthetic_paper_shape()).expect("pipeline")
-}
+#[path = "common/fixtures.rs"]
+mod fixtures;
+use fixtures::pipeline;
 
 #[test]
 fn all_policy_combinations_run_a_small_queue() {

@@ -20,8 +20,7 @@
 
 use std::sync::Arc;
 
-use gcs_core::interference::InterferenceMatrix;
-use gcs_core::runner::{AllocationPolicy, Pipeline, RunConfig};
+use gcs_core::runner::AllocationPolicy;
 use gcs_core::SweepEngine;
 use gcs_fleet::{
     allocate, run_fleet, DeviceProfile, FleetMode, FleetPolicy, FleetPredictor, FleetRunConfig,
@@ -33,26 +32,12 @@ use gcs_workloads::{ArrivalTrace, Benchmark, Scale};
 
 #[path = "common/hostile.rs"]
 mod hostile;
+#[path = "common/fixtures.rs"]
+mod fixtures;
+use fixtures::pipeline_with_engine;
 
 /// Small, fast census for TEST-scale simulation.
 const POOL: [Benchmark; 3] = [Benchmark::Gups, Benchmark::Hs, Benchmark::Lud];
-
-fn run_config(concurrency: u32) -> RunConfig {
-    RunConfig {
-        gpu: GpuConfig::test_small(),
-        scale: Scale::TEST,
-        concurrency,
-    }
-}
-
-fn pipeline_with_engine(concurrency: u32, engine: Arc<SweepEngine>) -> Pipeline {
-    Pipeline::with_matrix_and_engine(
-        run_config(concurrency),
-        InterferenceMatrix::synthetic_paper_shape(),
-        engine,
-    )
-    .expect("pipeline")
-}
 
 /// The heterogeneous 3-device fleet the acceptance pins use:
 /// `test_small` at 8, 15 and 30 SMs.

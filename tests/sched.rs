@@ -21,26 +21,9 @@ use gcs_sched::{OnlineScheduler, PolicyKind, SchedConfig};
 use gcs_sim::config::GpuConfig;
 use gcs_workloads::{Arrival, ArrivalTrace, Benchmark, Scale};
 
-fn run_config(concurrency: u32) -> RunConfig {
-    RunConfig {
-        gpu: GpuConfig::test_small(),
-        scale: Scale::TEST,
-        concurrency,
-    }
-}
-
-fn pipeline_with_engine(concurrency: u32, engine: Arc<SweepEngine>) -> Pipeline {
-    Pipeline::with_matrix_and_engine(
-        run_config(concurrency),
-        InterferenceMatrix::synthetic_paper_shape(),
-        engine,
-    )
-    .expect("pipeline")
-}
-
-fn pipeline(concurrency: u32) -> Pipeline {
-    pipeline_with_engine(concurrency, Arc::new(SweepEngine::sequential()))
-}
+#[path = "common/fixtures.rs"]
+mod fixtures;
+use fixtures::{pipeline, pipeline_with_engine, run_config};
 
 fn trace_at_zero(benches: &[Benchmark]) -> ArrivalTrace {
     ArrivalTrace::new(

@@ -248,6 +248,99 @@ fn far_sleepers_match_cycle_stepping() {
     }
 }
 
+/// Loads whose warps share lines (a tiled pattern, four lines per
+/// access, each warp one line past its neighbour) and never draw from
+/// the RNG, so a refused load is kept: a neighbour's accepted load fills
+/// lines the kept one targets between its retries.
+fn shared_line_loads(name: &str, blocks: u32) -> KernelDesc {
+    KernelDesc {
+        name: name.into(),
+        grid_blocks: blocks,
+        warps_per_block: 8,
+        iters_per_warp: 12,
+        body: vec![Op::Load(PatternId(0)), Op::Alu { latency: 2 }],
+        patterns: vec![AccessPattern {
+            transactions: 4,
+            ..AccessPattern::tiled(1 << 22, 16 << 10)
+        }],
+        active_lanes: 32,
+    }
+}
+
+/// Random stores and loads, eight lines an access, from many warps:
+/// keeps both slices' input queues at their depth, so loads next to it
+/// are refused by back-pressure again and again.
+fn slice_hog(name: &str, blocks: u32) -> KernelDesc {
+    KernelDesc {
+        name: name.into(),
+        grid_blocks: blocks,
+        warps_per_block: 8,
+        iters_per_warp: 6,
+        body: vec![Op::Store(PatternId(0)), Op::Load(PatternId(0))],
+        patterns: vec![AccessPattern::random(1 << 28, 8)],
+        active_lanes: 32,
+    }
+}
+
+#[test]
+fn kept_rejections_match_cycle_stepping() {
+    // Event-horizon stepping keeps a refused deterministic load and
+    // retries it with one admission test; cycle stepping regenerates
+    // every retry. Each script makes the kept record go stale a
+    // different way, and the debug oracle re-derives every kept retry.
+    both_modes("kept rejections: a neighbour's fill between retries", |gpu| {
+        gpu.launch(shared_line_loads("loads", 8)).unwrap();
+        gpu.launch(slice_hog("hog", 16)).unwrap();
+        gpu.partition_even();
+        finish(gpu);
+    });
+    both_modes("kept rejections: a handoff flush", |gpu| {
+        let loads = gpu.launch(shared_line_loads("loads", 12)).unwrap();
+        let hog = gpu.launch(slice_hog("hog", 16)).unwrap();
+        gpu.partition_even();
+        gpu.run_for(200);
+        // The hog's SMs drain, flush their L1 and take the loads' blocks.
+        gpu.transfer_sms(hog, loads, 2);
+        gpu.run_for(200);
+        gpu.transfer_sms(loads, hog, 3);
+        finish(gpu);
+    });
+    // With a recorder on, and again replaying what it recorded, every
+    // retry regenerates (the trace counts attempts) — in both modes.
+    let recorded = cycle_matches_horizon("kept rejections: recording", true, |mode| {
+        let mut gpu = device(GpuConfig::test_small(), mode);
+        let loads = gpu.launch(shared_line_loads("loads", 8)).unwrap();
+        gpu.launch(slice_hog("hog", 16)).unwrap();
+        gpu.enable_trace_recording(loads).unwrap();
+        gpu.partition_even();
+        finish(&mut gpu);
+        let trace = gpu.take_trace(loads);
+        Run {
+            gpu,
+            actions: Vec::new(),
+            trace,
+        }
+    });
+    let trace = Arc::new(recorded[0].trace.clone().expect("recording was on"));
+    let [replayed, _] = cycle_matches_horizon("kept rejections: replay", true, |mode| {
+        let mut gpu = device(GpuConfig::test_small(), mode);
+        gpu.launch_traced(Arc::clone(&trace)).unwrap();
+        gpu.launch(slice_hog("hog", 16)).unwrap();
+        gpu.partition_even();
+        finish(&mut gpu);
+        Run {
+            gpu,
+            actions: Vec::new(),
+            trace: None,
+        }
+    });
+    assert_eq!(
+        (replayed.gpu.stats(), replayed.gpu.cycle()),
+        (recorded[0].gpu.stats(), recorded[0].gpu.cycle()),
+        "the replay reproduces the recording run"
+    );
+}
+
 /// Cases of the randomized interleaving (each ≈ 30 operations).
 const RANDOM_CASES: u64 = if cfg!(feature = "proptest-tests") {
     48

@@ -11,6 +11,8 @@
 #[macro_use]
 #[path = "common/scenario.rs"]
 mod scenario;
+#[path = "common/fixtures.rs"]
+mod fixtures;
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -23,6 +25,8 @@ use gcs_sim::config::GpuConfig;
 use gcs_sim::gpu::Gpu;
 use gcs_sim::{KernelTrace, SimStats};
 use gcs_workloads::{phase_shift_trace, tensor_mix_trace, Benchmark, Scale};
+
+use fixtures::profile_bits;
 
 /// Records `bench` alone on every SM of the test device (the profiling
 /// context), returning the trace plus the recording run's outcome.
@@ -38,23 +42,6 @@ fn record_alone(bench: Benchmark) -> (KernelTrace, u64, SimStats) {
     let stats = gpu.stats().clone();
     let trace = gpu.take_trace(app).unwrap();
     (trace, cycles, stats)
-}
-
-/// Every profile field, floats as bit patterns.
-fn profile_bits(p: &AppProfile) -> (String, [u64; 5], u64, u64, u32) {
-    (
-        p.name.clone(),
-        [
-            p.memory_bw.to_bits(),
-            p.l2_l1_bw.to_bits(),
-            p.ipc.to_bits(),
-            p.r.to_bits(),
-            p.utilization.to_bits(),
-        ],
-        p.cycles,
-        p.thread_insts,
-        p.num_sms,
-    )
 }
 
 select_rows! {
