@@ -95,7 +95,11 @@ impl WakeRing {
         let (w, bit) = (id / 64, 1u64 << (id % 64));
         #[cfg(debug_assertions)]
         {
-            assert_eq!(self.filed[w] & bit, 0, "id {id} filed a second wake (at {at})");
+            assert_eq!(
+                self.filed[w] & bit,
+                0,
+                "id {id} filed a second wake (at {at})"
+            );
             self.filed[w] |= bit;
         }
         debug_assert!(
@@ -123,7 +127,11 @@ impl WakeRing {
         let (w, bit) = (id / 64, 1u64 << (id % 64));
         #[cfg(debug_assertions)]
         {
-            assert_ne!(self.filed[w] & bit, 0, "id {id} withdrew a wake it never filed");
+            assert_ne!(
+                self.filed[w] & bit,
+                0,
+                "id {id} withdrew a wake it never filed"
+            );
             self.filed[w] &= !bit;
         }
         if self.far[w] & bit != 0 {
@@ -138,7 +146,11 @@ impl WakeRing {
         } else {
             let k = (at % Self::SLOTS) as usize;
             let slot = &mut self.ring[k * self.words..(k + 1) * self.words];
-            debug_assert_ne!(slot[w] & bit, 0, "id {id} withdrew a wake at {at} it never filed");
+            debug_assert_ne!(
+                slot[w] & bit,
+                0,
+                "id {id} withdrew a wake at {at} it never filed"
+            );
             slot[w] &= !bit;
             if slot.iter().all(|&x| x == 0) {
                 self.occ &= !(1 << k);
@@ -236,7 +248,9 @@ impl WakeRing {
         debug_assert!(
             ring == u64::MAX || {
                 let k = (ring % Self::SLOTS) as usize;
-                self.ring[k * self.words..(k + 1) * self.words].iter().any(|&x| x != 0)
+                self.ring[k * self.words..(k + 1) * self.words]
+                    .iter()
+                    .any(|&x| x != 0)
             },
             "the occupancy word names an empty slot"
         );
@@ -523,7 +537,11 @@ mod tests {
                 ring.reset(start);
                 ring.file(3, start + delay);
                 assert!(ring.check());
-                assert_eq!(ring.next(), Some(start + delay), "delay {delay} from {start}");
+                assert_eq!(
+                    ring.next(),
+                    Some(start + delay),
+                    "delay {delay} from {start}"
+                );
                 for now in start..start + delay {
                     assert_eq!(take(&mut ring, now), 0, "delay {delay}: early at {now}");
                     assert_eq!(ring.next(), Some(start + delay));
@@ -579,7 +597,11 @@ mod tests {
         ring.unfile(1, 5);
         ring.unfile(2, 300);
         assert!(ring.check());
-        assert_eq!(ring.next(), None, "an emptied slot leaves the occupancy word");
+        assert_eq!(
+            ring.next(),
+            None,
+            "an emptied slot leaves the occupancy word"
+        );
         ring.file(2, 40);
         assert_eq!(ring.next(), Some(40));
     }
@@ -598,8 +620,8 @@ mod tests {
             let id = rng.gen_range(n as u64) as usize;
             match rng.gen_range(4) {
                 0 | 1 => {
-                    let delay = [1, 2, 63, 64, 65, 255, 1 + rng.gen_range(300)]
-                        [rng.gen_range(7) as usize];
+                    let delay =
+                        [1, 2, 63, 64, 65, 255, 1 + rng.gen_range(300)][rng.gen_range(7) as usize];
                     ring.unfile(id, want[id]);
                     ring.file(id, now + 1 + delay);
                     want[id] = now + 1 + delay;
@@ -609,7 +631,11 @@ mod tests {
                     want[id] = u64::MAX;
                 }
                 _ => {
-                    now += if rng.gen_range(8) == 0 { 1 + rng.gen_range(200) } else { 1 };
+                    now += if rng.gen_range(8) == 0 {
+                        1 + rng.gen_range(200)
+                    } else {
+                        1
+                    };
                     let mut out = vec![0u64; 2];
                     ring.take(now, &mut out);
                     for (i, at) in want.iter_mut().enumerate() {

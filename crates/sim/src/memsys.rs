@@ -93,18 +93,6 @@ struct DramEntry {
     row: u64,
 }
 
-/// What the arbiter reads of a queued slot: its bank and global row
-/// (`bank == DramKey::TOMB`: serviced).
-#[derive(Debug, Clone, Copy)]
-struct DramKey {
-    bank: u32,
-    row: u64,
-}
-
-impl DramKey {
-    const TOMB: u32 = u32::MAX;
-}
-
 /// DRAM controller queue with O(1) out-of-order removal.
 ///
 /// FR-FCFS services requests out of arrival order, which previously
@@ -112,14 +100,9 @@ impl DramKey {
 /// pick leaves a tombstone instead; live order is preserved and leading
 /// tombstones are popped eagerly. A compaction guard bounds the slot
 /// storage when an old request starves behind a row-hit stream.
-///
-/// The arbitration keys and the requests are kept in two deques in
-/// step, so the per-bus-slot scan reads 16 bytes a slot instead of a
-/// whole 48-byte entry.
 #[derive(Debug, Default)]
 struct DramQueue {
-    keys: VecDeque<DramKey>,
-    reqs: VecDeque<MemRequest>,
+    slots: VecDeque<Option<DramEntry>>,
     live: usize,
 }
 
@@ -134,19 +117,17 @@ impl DramQueue {
     }
 
     fn push_back(&mut self, req: MemRequest, bank: u32, row: u64) {
-        debug_assert_ne!(bank, DramKey::TOMB);
-        self.keys.push_back(DramKey { bank, row });
-        self.reqs.push_back(req);
+        self.slots.push_back(Some(DramEntry { req, bank, row }));
         self.live += 1;
     }
 
-    /// Live slots oldest-first, each with its raw slot index (valid
+    /// Live requests oldest-first, each with its raw slot index (valid
     /// until the next `take`/`push_back`).
-    fn iter(&self) -> impl Iterator<Item = (usize, &DramKey)> {
-        self.keys
+    fn iter(&self) -> impl Iterator<Item = (usize, &DramEntry)> {
+        self.slots
             .iter()
             .enumerate()
-            .filter(|(_, k)| k.bank != DramKey::TOMB)
+            .filter_map(|(i, s)| s.as_ref().map(|r| (i, r)))
     }
 
     /// Removes the live request at raw slot `idx` in O(1).
@@ -155,30 +136,15 @@ impl DramQueue {
     ///
     /// Panics if `idx` does not hold a live request.
     fn take(&mut self, idx: usize) -> DramEntry {
-        let key = std::mem::replace(
-            &mut self.keys[idx],
-            DramKey {
-                bank: DramKey::TOMB,
-                row: 0,
-            },
-        );
-        assert_ne!(key.bank, DramKey::TOMB, "take of a live slot");
-        let entry = DramEntry {
-            req: self.reqs[idx],
-            bank: key.bank,
-            row: key.row,
-        };
+        let entry = self.slots[idx].take().expect("take of a live slot");
         self.live -= 1;
-        while self.keys.front().is_some_and(|k| k.bank == DramKey::TOMB) {
-            self.keys.pop_front();
-            self.reqs.pop_front();
+        while matches!(self.slots.front(), Some(None)) {
+            self.slots.pop_front();
         }
         // Starvation guard: if tombstones ever dominate (an old request
         // pinned behind a long row-hit stream), compact in place.
-        if self.keys.len() > 2 * self.live + 16 {
-            let mut live = self.keys.iter().map(|k| k.bank != DramKey::TOMB);
-            self.reqs.retain(|_| live.next().unwrap_or(false));
-            self.keys.retain(|k| k.bank != DramKey::TOMB);
+        if self.slots.len() > 2 * self.live + 16 {
+            self.slots.retain(Option::is_some);
         }
         entry
     }
@@ -408,7 +374,8 @@ struct Slice {
     /// Sums to `input.len()`: debug builds check that a consume never
     /// finds its bucket empty (overflow checks) and that the table is
     /// all zero whenever a scan leaves the queue empty.
-    queued: [u16; LINE_BUCKETS],
+    /// Boxed, so the slice's gate fields stay on a few cache lines.
+    queued: Box<[u16; LINE_BUCKETS]>,
     /// Requests consumed as L2 hits / as misses (fetched or merged),
     /// each counted once at consumption — the step-mode-independent
     /// tallies behind [`MemSys::l2_hit_rate`].
@@ -430,7 +397,7 @@ impl Slice {
             verdicts: 0,
             gained: [0; PRESENCE_LOG_CAP],
             gained_len: 0,
-            queued: [0; LINE_BUCKETS],
+            queued: Box::new([0; LINE_BUCKETS]),
             req_hits: 0,
             req_misses: 0,
         }
@@ -573,13 +540,9 @@ pub struct MemSys {
     /// `log2(row_bytes)` when `row_bytes` is a power of two (every
     /// shipped config); `u32::MAX` otherwise (divide fallback).
     row_shift: u32,
-    /// `num_slices - 1` when the slice count is a power of two (mask
-    /// routing), else 0.
+    /// `num_slices - 1` when the slice count is a power of two, else 0
+    /// (modulo fallback — e.g. the 6-channel gtx480).
     slice_mask: u64,
-    /// `ceil(2^64 / num_slices)` when the slice count is not a power of
-    /// two (the 6-channel gtx480), else 0: `row % num_slices` by one
-    /// widening multiply instead of a divide (see [`Self::slice_of`]).
-    slice_magic: u64,
     /// Fault-injected extra L2 access latency (0 = nominal).
     extra_l2_lat: u64,
     /// Fault-injected extra DRAM data latency (0 = nominal). Inflates
@@ -631,11 +594,6 @@ impl MemSys {
                 num_slices - 1
             } else {
                 0
-            },
-            slice_magic: if num_slices.is_power_of_two() {
-                0
-            } else {
-                u64::MAX / num_slices + 1
             },
             cfg: cfg.clone(),
             responses: BinaryHeap::new(),
@@ -690,26 +648,13 @@ impl MemSys {
 
     /// Slice an address routes to (row-interleaved so streams keep
     /// row-buffer locality within one channel).
-    ///
-    /// For a slice count `n` that is not a power of two, the quotient
-    /// `floor(row * ceil(2^64 / n) / 2^64)` is `row / n` exactly while
-    /// `row * n < 2^64` (the rounding error `row * e / 2^64`, `e < n`,
-    /// stays below `1 / n`), which every row under `2^57` meets for the
-    /// at most 64 slices; a larger row takes the divide.
-    #[inline]
     fn slice_of(&self, addr: u64) -> usize {
         let row = self.row_of(addr);
-        let n = self.slices.len() as u64;
-        let g = if self.slice_magic == 0 {
-            row & self.slice_mask
-        } else if row < 1 << 57 {
-            let q = ((u128::from(row) * u128::from(self.slice_magic)) >> 64) as u64;
-            row - q * n
+        if self.slice_mask != 0 {
+            (row & self.slice_mask) as usize
         } else {
-            row % n
-        };
-        debug_assert_eq!(g, row % n, "multiply routing of row {row}");
-        g as usize
+            (row % self.slices.len() as u64) as usize
+        }
     }
 
     /// Whether the target slice can take one more request.
@@ -1006,9 +951,7 @@ fn tick_slice(
                                 slice.mshr.insert(line, req);
                                 // Only a line another queued entry holds
                                 // (this one is still counted) is logged.
-                                if old_left > 0
-                                    && slice.held(line, 1)
-                                    && !slice.log_presence(line)
+                                if old_left > 0 && slice.held(line, 1) && !slice.log_presence(line)
                                 {
                                     old_left = 0; // overflow: re-probe the rest
                                 }
@@ -1237,9 +1180,9 @@ impl MemSys {
             pick,
             {
                 // The two scans this replaces: row hits, then oldest.
-                let ready = |e: &DramKey| ctrl.banks[e.bank as usize].ready_at <= now;
-                let open = |e: &DramKey| ctrl.banks[e.bank as usize].open_row == e.row;
-                let first = |f: &dyn Fn(&DramKey) -> bool| {
+                let ready = |e: &DramEntry| ctrl.banks[e.bank as usize].ready_at <= now;
+                let open = |e: &DramEntry| ctrl.banks[e.bank as usize].open_row == e.row;
+                let first = |f: &dyn Fn(&DramEntry) -> bool| {
                     ctrl.queue.iter().find(|(_, e)| f(e)).map(|(i, _)| i)
                 };
                 let row_hit = fr_fcfs.then(|| first(&|e| ready(e) && open(e))).flatten();
@@ -1762,12 +1705,12 @@ mod tests {
             q.push_back(read(i, 0), 0, 0);
         }
         // Service out of order (as FR-FCFS does), middle then front.
-        let (idx, _) = q.iter().find(|&(i, _)| q.reqs[i].addr == 3).expect("live");
+        let (idx, _) = q.iter().find(|(_, e)| e.req.addr == 3).expect("live");
         assert_eq!(q.take(idx).req.addr, 3);
         let (idx, _) = q.iter().next().expect("live");
         assert_eq!(q.take(idx).req.addr, 0);
         assert_eq!(q.len(), 4);
-        let rest: Vec<u64> = q.iter().map(|(i, _)| q.reqs[i].addr).collect();
+        let rest: Vec<u64> = q.iter().map(|(_, e)| e.req.addr).collect();
         assert_eq!(rest, [1, 2, 4, 5], "oldest-first order survives takes");
 
         // Starvation guard: repeated push/take churn with one pinned
@@ -1778,14 +1721,11 @@ mod tests {
             q.take(idx);
         }
         assert!(
-            q.keys.len() <= 2 * q.live + 16,
+            q.slots.len() <= 2 * q.live + 16,
             "tombstones dominate: {} slots for {} live",
-            q.keys.len(),
+            q.slots.len(),
             q.live
         );
-        assert_eq!(q.keys.len(), q.reqs.len(), "keys and requests in step");
-        let rest: Vec<u64> = q.iter().map(|(i, _)| q.reqs[i].addr).collect();
-        assert_eq!(rest, [1, 2, 4, 5], "compaction keeps each key with its request");
     }
 
     #[test]

@@ -106,7 +106,8 @@ impl Sm {
     }
 
     /// Flips a ready bit, in the slot mask and in the age order. Every
-    /// write to either goes through here.
+    /// write to either goes through here or, for a batch of woken warps,
+    /// through `wake`.
     #[inline]
     fn set_ready(&mut self, slot: usize, val: bool) {
         let bit = 1u64 << slot;
@@ -198,11 +199,12 @@ impl Sm {
         let mut due = [0u64];
         self.sleepers.take(now, &mut due);
         debug_assert_eq!(due[0] & !self.occupied, 0, "a sleeper's slot was vacated");
-        let mut due = due[0] & self.occupied;
-        while due != 0 {
-            let slot = due.trailing_zeros() as usize;
-            due &= due - 1;
-            self.set_ready(slot, true);
+        let due = due[0] & self.occupied;
+        self.ready |= due;
+        let mut bits = due;
+        while bits != 0 {
+            self.order.set_ready(bits.trailing_zeros() as usize, true);
+            bits &= bits - 1;
         }
     }
 
@@ -278,7 +280,14 @@ impl Sm {
                 Op::Load(PatternId(p)) => {
                     let p = usize::from(p);
                     let pattern = &kernel.patterns[p];
-                    let kept = std::mem::take(&mut self.kept[slot]);
+                    // Only a deterministic load is ever kept (below), and
+                    // every retry of one takes its record.
+                    let deterministic = !matches!(pattern.kind, PatternKind::Random);
+                    let kept = if deterministic {
+                        std::mem::take(&mut self.kept[slot])
+                    } else {
+                        Kept::default()
+                    };
                     if keep && kept.slices != 0 && kept.epoch == self.l1_epoch {
                         debug_assert!(
                             self.kept_matches(kernel, p, app_base, slot, line, memsys, kept.slices),
@@ -349,7 +358,7 @@ impl Sm {
                     // Back-pressure: if any miss target cannot accept,
                     // retry the whole load later (no partial issue).
                     if miss_addrs > 0 && !memsys.can_accept_all(&self.addr_buf) {
-                        if keep && hits == 0 && !matches!(pattern.kind, PatternKind::Random) {
+                        if keep && hits == 0 && deterministic {
                             self.kept[slot] = Kept {
                                 epoch: self.l1_epoch,
                                 slices: memsys.slices_of(&self.addr_buf),
@@ -552,7 +561,11 @@ impl Sm {
         self.warps.release(slot);
         self.set_ready(slot, false);
         self.order.remove(slot);
-        debug_assert_eq!(self.order.ready_slots(), self.ready, "age order out of step");
+        debug_assert_eq!(
+            self.order.ready_slots(),
+            self.ready,
+            "age order out of step"
+        );
         self.occupied &= !(1u64 << slot);
         self.free_slots += 1;
         let idx = self
@@ -594,7 +607,10 @@ impl Sm {
         // The incoming application must not inherit warm lines. A
         // drained SM keeps no refused load; the epoch moves with the
         // lines all the same.
-        debug_assert!(self.kept.iter().all(|k| k.slices == 0), "a drained SM kept a load");
+        debug_assert!(
+            self.kept.iter().all(|k| k.slices == 0),
+            "a drained SM kept a load"
+        );
         self.l1.flush();
         self.l1_epoch += 1;
         self.sched.reset();
@@ -635,8 +651,17 @@ mod tests {
                 done_blocks += sm.on_mem_response(c.warp_slot);
             }
             ms.tick(cycle, &mut st);
-            done_blocks +=
-                sm.issue(cycle, kernel, AppId(0), 0, cfg, &mut ms, &mut st, &mut TraceHook::None, true);
+            done_blocks += sm.issue(
+                cycle,
+                kernel,
+                AppId(0),
+                0,
+                cfg,
+                &mut ms,
+                &mut st,
+                &mut TraceHook::None,
+                true,
+            );
             cycle += 1;
             assert!(cycle < 1_000_000, "SM never drained");
         }
@@ -692,7 +717,17 @@ mod tests {
                 let _ = sm.on_mem_response(c.warp_slot);
             }
             ms.tick(cycle, &mut st);
-            sm.issue(cycle, &k, AppId(0), 0, &cfg, &mut ms, &mut st, &mut TraceHook::None, true);
+            sm.issue(
+                cycle,
+                &k,
+                AppId(0),
+                0,
+                &cfg,
+                &mut ms,
+                &mut st,
+                &mut TraceHook::None,
+                true,
+            );
             cycle += 1;
             assert!(cycle < 100_000);
         }

@@ -288,12 +288,15 @@ fn kept_rejections_match_cycle_stepping() {
     // retries it with one admission test; cycle stepping regenerates
     // every retry. Each script makes the kept record go stale a
     // different way, and the debug oracle re-derives every kept retry.
-    both_modes("kept rejections: a neighbour's fill between retries", |gpu| {
-        gpu.launch(shared_line_loads("loads", 8)).unwrap();
-        gpu.launch(slice_hog("hog", 16)).unwrap();
-        gpu.partition_even();
-        finish(gpu);
-    });
+    both_modes(
+        "kept rejections: a neighbour's fill between retries",
+        |gpu| {
+            gpu.launch(shared_line_loads("loads", 8)).unwrap();
+            gpu.launch(slice_hog("hog", 16)).unwrap();
+            gpu.partition_even();
+            finish(gpu);
+        },
+    );
     both_modes("kept rejections: a handoff flush", |gpu| {
         let loads = gpu.launch(shared_line_loads("loads", 12)).unwrap();
         let hog = gpu.launch(slice_hog("hog", 16)).unwrap();
