@@ -24,8 +24,11 @@ use crate::sm::Sm;
 /// cycle for it: filing and taking touch one slot word and the
 /// occupancy word. A caller that withdraws a wake names its cycle.
 ///
-/// **Invariants** (checked by the unit tests' `check`; `next` is
-/// `debug_assert!`ed against a scan of the slots):
+/// **Invariants** (rechecked from the slots by the unit tests' `check`,
+/// which also compares `next` with a brute-force scan; in every debug
+/// build `file` asserts one wake per id, `take(now)` that nothing at or
+/// before `now` stays filed, and `next` that the slot it names is
+/// non-empty):
 /// - an id has at most one bit, in one ring slot or in `far`;
 /// - every ring wake lies in `[base, base + SLOTS)` and every far wake
 ///   at or after `base + SLOTS` once a take has pulled (filing puts
