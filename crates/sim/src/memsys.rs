@@ -865,6 +865,27 @@ fn tick_slice(
                 let mut old_left = (slice.verdicts as usize).min(len);
                 let mut i = 0; // read cursor
                 let mut w = 0; // write cursor (entries kept)
+                if old_left > 0
+                    && slice.gained_len == 0
+                    && slice.ctrl.queue.len() >= ctx.queue_depth
+                {
+                    // No line a verdicted entry holds gained presence
+                    // and nothing — read or write — can enter a full
+                    // DRAM queue: the whole verdicted prefix stalls
+                    // again, unexamined.
+                    debug_assert!(
+                        slice
+                            .input
+                            .iter()
+                            .take(old_left)
+                            .all(|r| slice.is_unmergeable_miss(r, line_mask)),
+                        "stale stalled-miss verdict in the skipped prefix"
+                    );
+                    i = old_left;
+                    w = old_left;
+                    old_left = 0;
+                    stalled_kept = true;
+                }
                 while i < len {
                     let req = slice.input[i];
                     if processed >= ctx.l2_ports {
@@ -880,30 +901,6 @@ fn tick_slice(
                         break; // queue is FIFO in arrival time
                     }
                     let dram_full = slice.ctrl.queue.len() >= ctx.queue_depth;
-                    if old_left > 0 && dram_full && slice.gained_len == 0 {
-                        // No line a verdicted entry holds gained presence
-                        // and nothing — read or write — can enter a full
-                        // DRAM queue: the rest of the verdicted run stalls
-                        // again, unexamined, in one step (at the scan's
-                        // start, the whole prefix).
-                        debug_assert!(
-                            slice
-                                .input
-                                .range(i..i + old_left)
-                                .all(|r| slice.is_unmergeable_miss(r, line_mask)),
-                            "stale stalled-miss verdict in the skipped run"
-                        );
-                        if w != i {
-                            for k in 0..old_left {
-                                slice.input[w + k] = slice.input[i + k];
-                            }
-                        }
-                        i += old_left;
-                        w += old_left;
-                        old_left = 0;
-                        stalled_kept = true;
-                        continue;
-                    }
                     let line = req.addr & line_mask;
                     // An old verdict stands unless its line gained
                     // presence since: no way scan, no MSHR tag scan.
@@ -920,6 +917,8 @@ fn tick_slice(
                     // retry into a phantom hit. Lines are filled on DRAM
                     // response.
                     let hit = !known_miss && slice.l2.probe(req.addr) == Access::Hit;
+                    // Set when this entry's enqueue fills the DRAM queue.
+                    let mut filled_dram = false;
                     let consumed = if hit {
                         if !req.is_write {
                             // Write hits are absorbed silently.
@@ -963,6 +962,7 @@ fn tick_slice(
                             };
                             let bank = ((row / num_slices) % banks) as u32;
                             slice.ctrl.queue.push_back(req, bank, row);
+                            filled_dram = slice.ctrl.queue.len() >= ctx.queue_depth;
                             true
                         } else {
                             false // stalled; younger requests bypass
@@ -981,6 +981,35 @@ fn tick_slice(
                             len -= 1;
                         } else {
                             i += 1; // leave a gap; closed below
+                        }
+                        if filled_dram
+                            && old_left > 0
+                            && slice.gained_len == 0
+                            && processed < ctx.l2_ports
+                        {
+                            // The scan-start rule, mid-scan: this enqueue
+                            // filled the DRAM queue and no line a
+                            // verdicted entry holds gained presence, so
+                            // the rest of the verdicted run stalls again,
+                            // kept in one step. (Only an enqueue can make
+                            // the rule newly true inside a scan; a
+                            // port-limited scan stops here instead.)
+                            debug_assert!(
+                                slice
+                                    .input
+                                    .range(i..i + old_left)
+                                    .all(|r| slice.is_unmergeable_miss(r, line_mask)),
+                                "stale stalled-miss verdict in the skipped run"
+                            );
+                            if w != i {
+                                for k in 0..old_left {
+                                    slice.input[w + k] = slice.input[i + k];
+                                }
+                            }
+                            i += old_left;
+                            w += old_left;
+                            old_left = 0;
+                            stalled_kept = true;
                         }
                     } else {
                         stalled_kept = true;
@@ -2072,7 +2101,10 @@ mod verdict_tests {
             t.tick(cyc);
         }
         assert_eq!(
-            (t.slice0().verdicts as u64, usize::from(t.slice0().gained_len)),
+            (
+                t.slice0().verdicts as u64,
+                usize::from(t.slice0().gained_len)
+            ),
             (2 * n - PRESENCE_LOG_CAP as u64, PRESENCE_LOG_CAP)
         );
         // ... and the next insert overflows it: every verdict goes.
