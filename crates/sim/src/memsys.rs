@@ -995,11 +995,12 @@ fn tick_slice(
                             // the rule newly true inside a scan; a
                             // port-limited scan stops here instead.)
                             debug_assert!(
-                                slice
-                                    .input
-                                    .range(i..i + old_left)
-                                    .all(|r| slice.is_unmergeable_miss(r, line_mask)),
-                                "stale stalled-miss verdict in the skipped run"
+                                slice.ctrl.queue.len() >= ctx.queue_depth
+                                    && slice
+                                        .input
+                                        .range(i..i + old_left)
+                                        .all(|r| slice.is_unmergeable_miss(r, line_mask)),
+                                "kept a verdicted run that could move"
                             );
                             if w != i {
                                 for k in 0..old_left {
@@ -2045,6 +2046,29 @@ mod verdict_tests {
         assert_eq!(t.queued_slots(), [1, 2]);
         assert_eq!((t.slice0().verdicts, t.slice0().gained_len), (2, 0));
         t.run_to_idle(4);
+        assert_eq!(t.done.len(), 3);
+    }
+
+    #[test]
+    fn a_verdicted_run_moves_while_the_dram_queue_has_room() {
+        // Three distinct-line reads stall on a full DRAM queue; two slots
+        // free at once. The first read's enqueue leaves a slot, so the
+        // run behind it must not be kept in one step: the second read
+        // takes the slot, and only the third stays.
+        let c = cfg(8);
+        let mut t = Twin::new(&c);
+        hold_bus_with_fillers(&mut t, c.dram.queue_depth);
+        for k in 0..3 {
+            t.push(rd(k, k as u32, 0));
+        }
+        t.tick(0);
+        assert_eq!((t.slice0().verdicts, t.slice0().gained_len), (3, 0));
+        free_dram_slots(&mut t, 2);
+        t.tick(1);
+        assert_eq!(t.queued_slots(), [2]);
+        assert_eq!(t.slice0().mshr.len(), 2);
+        release_bus(&mut t, 2);
+        t.run_to_idle(2);
         assert_eq!(t.done.len(), 3);
     }
 
