@@ -59,7 +59,7 @@ pub(crate) struct WakeRing {
 impl WakeRing {
     /// Ring length: a wake due fewer than this many cycles past `base`
     /// goes to its ring slot, a later one to the overflow set.
-    pub const SLOTS: u64 = 64;
+    const SLOTS: u64 = 64;
 
     /// An empty calendar for ids `0..n`, based at cycle 0.
     pub fn new(n: usize) -> Self {
