@@ -24,7 +24,8 @@
 //! ```
 //!
 //! Scale comes from `GCS_SCALE` as usual; the committed results are the
-//! SMALL-scale run, while the CI smoke replays TEST scale (gitignored).
+//! SMALL-scale run, while the CI smoke replays TEST scale (gitignored
+//! here) and compares it with `tests/golden/fleet/`.
 
 use std::fs;
 use std::sync::Arc;

@@ -223,6 +223,21 @@ struct MemoTable {
 }
 
 impl MemoTable {
+    /// The value the map holds for the job, if any; `probe` is left
+    /// filled with the job's key either way.
+    fn get<T: Memoized>(
+        &mut self,
+        cfg: &GpuConfig,
+        scale: Scale,
+        members: impl Iterator<Item = Member>,
+        mode: Mode,
+        counts: &[u32],
+    ) -> Option<T> {
+        let id = self.config_id(cfg);
+        self.probe.refill(id, scale, members, mode, counts);
+        self.jobs.get(&self.probe).and_then(T::read)
+    }
+
     /// The intern id of `cfg`, compared with `==`.
     fn config_id(&mut self, cfg: &GpuConfig) -> u32 {
         let i = match self.configs.iter().position(|(c, _)| c == cfg) {
@@ -576,6 +591,33 @@ impl SweepEngine {
             .ok()
     }
 
+    /// In-process probe of [`SweepEngine::profile_workload`]: returns
+    /// the profile when the exact entry is already in the in-process
+    /// map and counts it as `profile_workload` counts a memo hit (one
+    /// job, cached). A miss returns `None`, reads no disk and moves no
+    /// counter, so the caller sends it on to `profile_workload`, which
+    /// counts it there — a probe-first batch keeps the counters of
+    /// sending every job through `profile_workload`.
+    pub fn profile_workload_memo(
+        &self,
+        cfg: &GpuConfig,
+        scale: Scale,
+        workload: &Workload,
+        num_sms: u32,
+    ) -> Option<AppProfile> {
+        let mode = Mode::Profile { num_sms };
+        let v = self.memo.lock().unwrap_or_else(|e| e.into_inner()).get(
+            cfg,
+            scale,
+            iter::once(workload.member()),
+            mode,
+            &[],
+        )?;
+        self.jobs_total.fetch_add(1, Ordering::Relaxed);
+        self.jobs_cached.fetch_add(1, Ordering::Relaxed);
+        Some(v)
+    }
+
     /// Full-device alone profiles for `suite`, one parallel batch.
     ///
     /// # Errors
@@ -722,12 +764,10 @@ impl SweepEngine {
         let (job, key) = {
             let mut guard = self.memo.lock().unwrap_or_else(|e| e.into_inner());
             let memo = &mut *guard;
-            let id = memo.config_id(cfg);
-            memo.probe.refill(id, scale, members, mode, counts);
-            if let Some(v) = memo.jobs.get(&memo.probe).and_then(T::read) {
+            if let Some(v) = memo.get(cfg, scale, members, mode, counts) {
                 return Ok(v);
             }
-            let key = memo.probe.render(&memo.configs[id as usize].1);
+            let key = memo.probe.render(&memo.configs[memo.probe.cfg as usize].1);
             (memo.probe.clone(), key)
         };
         let hash = fnv1a(key.as_bytes());
@@ -1796,6 +1836,28 @@ mod tests {
         assert_eq!(s.jobs_simulated, 0, "warm disk cache must skip simulation");
         assert_eq!(s.jobs_cached, 1);
         assert_eq!(p1, p2);
+    }
+
+    #[test]
+    fn memo_probe_counts_hits_only_and_never_reads_disk() {
+        let tmp = TempCache::new("memo-probe");
+        let w = Workload::Bench(Benchmark::Hs);
+        let first = SweepEngine::sequential().with_cache_dir(&tmp.0);
+        let p = first.profile_workload(&cfg(), Scale::TEST, &w, 8).unwrap();
+
+        // A fresh engine over the same directory: the entry is on disk
+        // only, so the in-process probe misses and counts nothing.
+        let e = SweepEngine::sequential().with_cache_dir(&tmp.0);
+        assert_eq!(e.profile_workload_memo(&cfg(), Scale::TEST, &w, 8), None);
+        assert_eq!(e.stats().jobs_total, 0);
+        // profile_workload reads the disk entry into the map; now the
+        // probe hits and counts exactly as a memo hit would.
+        assert_eq!(e.profile_workload(&cfg(), Scale::TEST, &w, 8).unwrap(), p);
+        assert_eq!(e.profile_workload_memo(&cfg(), Scale::TEST, &w, 8), Some(p));
+        let s = e.stats();
+        assert_eq!((s.jobs_total, s.jobs_cached, s.jobs_simulated), (2, 2, 0));
+        assert_eq!(e.profile_workload_memo(&cfg(), Scale::TEST, &w, 7), None);
+        assert_eq!(e.stats().jobs_total, 2, "a miss moves no counter");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use gcs_sched::{Job, JobId};
 use gcs_workloads::Benchmark;
 
-use crate::predict::FleetPredictor;
+use crate::predict::{Curve, FleetPredictor};
 use crate::spec::FleetSpec;
 
 /// One device's share of a fleet plan: the jobs it will co-run and
@@ -87,14 +87,19 @@ pub fn allocate(
     let mut jobs_on: Vec<usize> = vec![0; free_devices.len()];
 
     // Seeding: each job at minimum budget on the emptiest free device.
-    struct Slot {
+    // Each slot resolves its curve once; the grant loop only indexes it.
+    struct Slot<'p> {
         /// Index into `free_devices`.
         fd: usize,
         /// Index into `pending`.
         job: usize,
         budget: u32,
+        curve: &'p Curve,
+        /// `curve.rate(budget + 1) − curve.rate(budget)`.
+        gain: f64,
     }
-    let mut slots: Vec<Slot> = Vec::new();
+    let mut slots: Vec<Slot> =
+        Vec::with_capacity(pending.len().min(free_devices.len() * max_group));
     let mut deferred: Vec<JobId> = Vec::new();
     for (ji, job) in pending.iter().enumerate() {
         let mut best: Option<usize> = None;
@@ -112,34 +117,35 @@ pub fn allocate(
             Some(fd) => {
                 free_sms[fd] -= 1;
                 jobs_on[fd] += 1;
-                slots.push(Slot { fd, job: ji, budget: 1 });
+                let curve = predictor.curve(devices[free_devices[fd]].num_sms, job.bench);
+                let gain = curve.rate(2) - curve.rate(1);
+                slots.push(Slot { fd, job: ji, budget: 1, curve, gain });
             }
             None => deferred.push(job.id),
         }
     }
 
     // Marginal-gain loop: grant one SM at a time to the largest
-    // predicted gain; stop when nothing gains.
+    // predicted gain; stop when nothing gains. A grant changes only
+    // its own slot's gain, so only that one is recomputed.
     loop {
         let mut best: Option<(f64, usize)> = None;
         for (si, s) in slots.iter().enumerate() {
             if free_sms[s.fd] == 0 {
                 continue;
             }
-            let cap = devices[free_devices[s.fd]].num_sms;
-            let bench = pending[s.job].bench;
-            let gain = predictor.rate(cap, bench, s.budget + 1)
-                - predictor.rate(cap, bench, s.budget);
             // Strict > keeps the earliest slot (lowest job id) among
             // equal gains.
-            if best.is_none_or(|(g, _)| gain > g) {
-                best = Some((gain, si));
+            if best.is_none_or(|(g, _)| s.gain > g) {
+                best = Some((s.gain, si));
             }
         }
         match best {
             Some((gain, si)) if gain > 0.0 => {
-                free_sms[slots[si].fd] -= 1;
-                slots[si].budget += 1;
+                let s = &mut slots[si];
+                free_sms[s.fd] -= 1;
+                s.budget += 1;
+                s.gain = s.curve.rate(s.budget + 1) - s.curve.rate(s.budget);
             }
             _ => break,
         }
@@ -147,11 +153,7 @@ pub fn allocate(
 
     // Assemble per-device assignments in ascending device order and
     // sum the predicted objective.
-    let mut predicted_stp = 0.0;
-    for s in &slots {
-        let cap = devices[free_devices[s.fd]].num_sms;
-        predicted_stp += predictor.rate(cap, pending[s.job].bench, s.budget);
-    }
+    let predicted_stp = slots.iter().fold(0.0, |sum, s| sum + s.curve.rate(s.budget));
     let mut order: Vec<usize> = (0..free_devices.len()).collect();
     order.sort_unstable_by_key(|&fd| free_devices[fd]);
     let mut assignments: Vec<DeviceAssignment> = Vec::new();
@@ -269,5 +271,165 @@ mod tests {
         assert_eq!(plan.assignments[0].device, 1);
         assert_eq!(plan.assignments[0].jobs, vec![0, 1]);
         assert_eq!(plan.deferred, vec![2]);
+    }
+
+    /// The recompute-everything allocator: every grant step recomputes
+    /// every slot's gain through [`FleetPredictor::rate`]. The oracle
+    /// the incremental loop must match bit for bit.
+    fn reference(
+        predictor: &FleetPredictor,
+        spec: &FleetSpec,
+        pending: &[Job],
+        free_devices: &[usize],
+        max_group: usize,
+    ) -> FleetPlan {
+        let devices = spec.devices();
+        let mut free_sms: Vec<u32> = free_devices.iter().map(|&d| devices[d].num_sms).collect();
+        let mut jobs_on: Vec<usize> = vec![0; free_devices.len()];
+        // (free-device index, pending index, budget)
+        let mut slots: Vec<(usize, usize, u32)> = Vec::new();
+        let mut deferred: Vec<JobId> = Vec::new();
+        for (ji, job) in pending.iter().enumerate() {
+            let mut best: Option<usize> = None;
+            for fd in 0..free_devices.len() {
+                if jobs_on[fd] >= max_group || free_sms[fd] == 0 {
+                    continue;
+                }
+                if best.is_none_or(|b| free_sms[fd] > free_sms[b]) {
+                    best = Some(fd);
+                }
+            }
+            match best {
+                Some(fd) => {
+                    free_sms[fd] -= 1;
+                    jobs_on[fd] += 1;
+                    slots.push((fd, ji, 1));
+                }
+                None => deferred.push(job.id),
+            }
+        }
+        loop {
+            let mut best: Option<(f64, usize)> = None;
+            for (si, &(fd, ji, budget)) in slots.iter().enumerate() {
+                if free_sms[fd] == 0 {
+                    continue;
+                }
+                let cap = devices[free_devices[fd]].num_sms;
+                let bench = pending[ji].bench;
+                let gain =
+                    predictor.rate(cap, bench, budget + 1) - predictor.rate(cap, bench, budget);
+                if best.is_none_or(|(g, _)| gain > g) {
+                    best = Some((gain, si));
+                }
+            }
+            match best {
+                Some((gain, si)) if gain > 0.0 => {
+                    free_sms[slots[si].0] -= 1;
+                    slots[si].2 += 1;
+                }
+                _ => break,
+            }
+        }
+        let mut predicted_stp = 0.0;
+        for &(fd, ji, budget) in &slots {
+            let cap = devices[free_devices[fd]].num_sms;
+            predicted_stp += predictor.rate(cap, pending[ji].bench, budget);
+        }
+        let mut order: Vec<usize> = (0..free_devices.len()).collect();
+        order.sort_unstable_by_key(|&fd| free_devices[fd]);
+        let mut assignments = Vec::new();
+        for fd in order {
+            let mut a = DeviceAssignment {
+                device: free_devices[fd],
+                jobs: Vec::new(),
+                benches: Vec::new(),
+                budgets: Vec::new(),
+            };
+            for &(sfd, ji, budget) in &slots {
+                if sfd == fd {
+                    a.jobs.push(pending[ji].id);
+                    a.benches.push(pending[ji].bench);
+                    a.budgets.push(budget);
+                }
+            }
+            if !a.jobs.is_empty() {
+                assignments.push(a);
+            }
+        }
+        FleetPlan {
+            assignments,
+            deferred,
+            predicted_stp,
+        }
+    }
+
+    /// Seeded fleets, predictors, queues and free-device subsets: the
+    /// incremental allocator equals [`reference`] on assignments,
+    /// deferrals and the bits of `predicted_stp`. Curves are random
+    /// (non-monotone), linear (equal gains on one device) or flat (no
+    /// gain at all), so ties and early stops are both exercised.
+    #[test]
+    fn incremental_gains_match_the_recompute_everything_oracle() {
+        use gcs_sim::rng::SimRng;
+        const CASES: u64 = if cfg!(feature = "proptest-tests") { 4096 } else { 384 };
+        for case in 0..CASES {
+            let mut rng = SimRng::seed_from_u64(0xF1EE_7000 + case);
+            let n_dev = 1 + rng.gen_range(4) as usize;
+            let spec = FleetSpec::new(
+                (0..n_dev)
+                    .map(|i| DeviceProfile {
+                        id: format!("gpu{i}"),
+                        num_sms: 1 + rng.gen_range(64) as u32,
+                    })
+                    .collect(),
+            )
+            .expect("spec");
+            let n_bench = 1 + rng.gen_range(4) as usize;
+            let benches: Vec<Benchmark> = (0..n_bench)
+                .map(|_| Benchmark::ALL[rng.gen_range(Benchmark::ALL.len() as u64) as usize])
+                .collect();
+            let mut p = FleetPredictor::new();
+            for d in spec.devices() {
+                for &b in &benches {
+                    let cap = d.num_sms;
+                    let shape = rng.gen_range(3);
+                    let samples: Vec<(u32, u64)> = crate::predict::budget_grid(cap)
+                        .into_iter()
+                        .map(|s| {
+                            let cycles = match shape {
+                                0 => 1 + rng.gen_range(10_000),
+                                1 => 1_000_000 * u64::from(cap) / u64::from(s),
+                                _ => 5_000,
+                            };
+                            (s, cycles)
+                        })
+                        .collect();
+                    p.insert(cap, b, &samples);
+                }
+            }
+            let n_jobs = rng.gen_range(61) as usize;
+            let pending: Vec<Job> = (0..n_jobs)
+                .map(|id| Job {
+                    id,
+                    bench: benches[rng.gen_range(n_bench as u64) as usize],
+                    arrival: 0,
+                })
+                .collect();
+            let mut free: Vec<usize> = (0..n_dev).filter(|_| rng.gen_range(4) != 0).collect();
+            // Rotate so the free list is not always ascending.
+            let k = rng.gen_range(free.len() as u64 + 1) as usize;
+            free.rotate_left(k);
+            let max_group = 1 + rng.gen_range(3) as usize;
+
+            let got = allocate(&p, &spec, &pending, &free, max_group);
+            let want = reference(&p, &spec, &pending, &free, max_group);
+            assert_eq!(got.assignments, want.assignments, "case {case}");
+            assert_eq!(got.deferred, want.deferred, "case {case}");
+            assert_eq!(
+                got.predicted_stp.to_bits(),
+                want.predicted_stp.to_bits(),
+                "case {case}"
+            );
+        }
     }
 }

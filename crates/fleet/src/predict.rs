@@ -8,13 +8,18 @@
 //! pipeline's scalability curves use and linearly interpolated between
 //! samples ([`gcs_core::runner::interpolate`]). `rate` is 1.0 at the
 //! full device by construction and the marginal gain
-//! `rate(s+1) − rate(s)` is what the allocator maximizes.
+//! `rate(s+1) − rate(s)` is what the allocator maximizes. The curves
+//! never change once loaded, so each one stores its interpolated rate
+//! for every budget from 0 to one past its capacity, and a rate read
+//! is an index.
 //!
-//! Two ways in:
+//! Two ways in, walking the same grid points in the same order:
 //!
 //! * [`FleetPredictor::warm`] simulates (or replays from cache) every
-//!   curve point up front — the runner's path. Warm starts replay with
-//!   zero newly simulated jobs; `tests/fleet.rs` pins this.
+//!   curve point up front — the runner's path. Points the engine's
+//!   in-process memo already holds are answered in one serial pass;
+//!   only the rest go to the worker pool. Warm starts replay with zero
+//!   newly simulated jobs; `tests/fleet.rs` pins this.
 //! * [`FleetPredictor::probe_merge`] is **cache-only**
 //!   ([`SweepEngine::profile_workload_cached`]): the plan-path entry
 //!   point, which must never hide a simulation inside a scheduling
@@ -32,12 +37,26 @@ use crate::spec::FleetSpec;
 
 /// One `(device capacity, benchmark)` scalability record.
 #[derive(Debug, Clone)]
-struct Curve {
+pub(crate) struct Curve {
     /// Ascending `(budget_sms, rate)` samples; last point is
     /// `(capacity, 1.0)`.
     points: Vec<(u32, f64)>,
+    /// `interpolate(points, s)` for every `s` in `0..=capacity + 1`:
+    /// every budget the allocator reads, computed once.
+    rates: Vec<f64>,
     /// Alone-run cycles on the full device — the STP/ANTT reference.
     full_cycles: u64,
+}
+
+impl Curve {
+    /// Predicted normalized throughput at `budget_sms`: the dense
+    /// table inside it, `interpolate` beyond (bit-identical either way).
+    pub(crate) fn rate(&self, budget_sms: u32) -> f64 {
+        match self.rates.get(budget_sms as usize) {
+            Some(&r) => r,
+            None => interpolate(&self.points, budget_sms),
+        }
+    }
 }
 
 /// Normalized-throughput curves for every `(capacity, benchmark)` pair
@@ -61,17 +80,25 @@ pub fn budget_grid(capacity: u32) -> Vec<u32> {
     grid
 }
 
-/// Distinct device capacities of `spec`, ascending.
-fn capacities(spec: &FleetSpec) -> Vec<u32> {
-    let set: BTreeSet<u32> = spec.devices().iter().map(|d| d.num_sms).collect();
-    set.into_iter().collect()
-}
-
-/// The shared base config resized to `capacity` SMs.
-fn capacity_config(base: &GpuConfig, capacity: u32) -> GpuConfig {
-    let mut cfg = base.clone();
-    cfg.num_sms = capacity;
-    cfg
+/// Visits every curve of `spec` × `benches` in one fixed order —
+/// distinct capacities ascending, then `benches` in order — with the
+/// base config resized to that capacity and the curve's budget grid.
+/// `warm` and `probe_merge` both walk the grid points through it.
+fn for_each_curve(
+    base: &GpuConfig,
+    spec: &FleetSpec,
+    benches: &[Benchmark],
+    mut visit: impl FnMut(&GpuConfig, u32, Benchmark, &[u32]),
+) {
+    let caps: BTreeSet<u32> = spec.devices().iter().map(|d| d.num_sms).collect();
+    for cap in caps {
+        let mut cfg = base.clone();
+        cfg.num_sms = cap;
+        let grid = budget_grid(cap);
+        for &bench in benches {
+            visit(&cfg, cap, bench, &grid);
+        }
+    }
 }
 
 impl FleetPredictor {
@@ -81,13 +108,17 @@ impl FleetPredictor {
     }
 
     /// Profiles every `(capacity, bench)` curve for `spec` ×
-    /// `benches`, fanning the grid points across the engine's workers.
-    /// Every point goes through the memo cache, so a second warm with
-    /// the same cache directory replays without simulating.
+    /// `benches`. One serial pass answers every grid point the
+    /// engine's in-process memo holds
+    /// ([`SweepEngine::profile_workload_memo`], counted as a cache
+    /// hit); only the rest fan out across the engine's workers through
+    /// the memo cache (disk, then simulation). A second warm on the
+    /// same engine therefore spawns nothing, and one with the same
+    /// cache directory replays without simulating.
     ///
     /// # Errors
     ///
-    /// Propagates the first profiling failure (by job index).
+    /// Propagates the first profiling failure (by grid point).
     pub fn warm(
         engine: &SweepEngine,
         base: &GpuConfig,
@@ -95,47 +126,44 @@ impl FleetPredictor {
         spec: &FleetSpec,
         benches: &[Benchmark],
     ) -> Result<FleetPredictor, CoreError> {
-        let caps = capacities(spec);
-        let mut jobs: Vec<(u32, Benchmark, u32)> = Vec::new();
-        for &cap in &caps {
-            for &bench in benches {
-                for sms in budget_grid(cap) {
-                    jobs.push((cap, bench, sms));
+        let mut cycles: Vec<Option<u64>> = Vec::new();
+        let mut misses: Vec<(usize, GpuConfig, Benchmark, u32)> = Vec::new();
+        for_each_curve(base, spec, benches, |cfg, _, bench, grid| {
+            for &sms in grid {
+                let hit = engine.profile_workload_memo(cfg, scale, &Workload::Bench(bench), sms);
+                if hit.is_none() {
+                    misses.push((cycles.len(), cfg.clone(), bench, sms));
                 }
+                cycles.push(hit.map(|p| p.cycles));
             }
-        }
-        let cycles: Vec<u64> = engine.run_parallel(jobs.len(), |i| {
-            let (cap, bench, sms) = jobs[i];
-            let cfg = capacity_config(base, cap);
+        });
+        let filled: Vec<u64> = engine.run_parallel(misses.len(), |i| {
+            let (_, cfg, bench, sms) = &misses[i];
             engine
-                .profile_workload(&cfg, scale, &Workload::Bench(bench), sms)
+                .profile_workload(cfg, scale, &Workload::Bench(*bench), *sms)
                 .map(|p| p.cycles)
         })?;
-        let mut predictor = FleetPredictor::new();
-        let mut at = 0usize;
-        for &cap in &caps {
-            for &bench in benches {
-                let grid = budget_grid(cap);
-                let sampled: Vec<(u32, u64)> = grid
-                    .iter()
-                    .map(|&sms| {
-                        let c = cycles[at];
-                        at += 1;
-                        (sms, c)
-                    })
-                    .collect();
-                predictor.insert(cap, bench, &sampled);
-            }
+        for ((at, ..), c) in misses.iter().zip(filled) {
+            cycles[*at] = Some(c);
         }
+        let mut predictor = FleetPredictor::new();
+        let mut points = cycles.into_iter().map(|c| c.expect("every point answered"));
+        for_each_curve(base, spec, benches, |_, cap, bench, grid| {
+            let sampled: Vec<(u32, u64)> = grid
+                .iter()
+                .map(|&sms| (sms, points.next().expect("one per point")))
+                .collect();
+            predictor.insert(cap, bench, &sampled);
+        });
         Ok(predictor)
     }
 
     /// Cache-only completion: for every `(capacity, bench)` curve of
     /// `spec` × `benches` not yet held, probes the memo cache for all
     /// its grid points ([`SweepEngine::profile_workload_cached`] —
-    /// never simulates) and merges complete curves in. Returns how
-    /// many curves are still missing; 0 means the predictor can serve
-    /// every rate the allocator will ask for.
+    /// never simulates, moves no counter) and merges complete curves
+    /// in. Returns how many curves are still missing; 0 means the
+    /// predictor can serve every rate the allocator will ask for.
     pub fn probe_merge(
         &mut self,
         engine: &SweepEngine,
@@ -145,26 +173,23 @@ impl FleetPredictor {
         benches: &[Benchmark],
     ) -> usize {
         let mut missing = 0usize;
-        for cap in capacities(spec) {
-            let cfg = capacity_config(base, cap);
-            for &bench in benches {
-                if self.curves.contains_key(&(cap, bench)) {
-                    continue;
-                }
-                let sampled: Option<Vec<(u32, u64)>> = budget_grid(cap)
-                    .into_iter()
-                    .map(|sms| {
-                        engine
-                            .profile_workload_cached(&cfg, scale, &Workload::Bench(bench), sms)
-                            .map(|p| (sms, p.cycles))
-                    })
-                    .collect();
-                match sampled {
-                    Some(s) => self.insert(cap, bench, &s),
-                    None => missing += 1,
-                }
+        for_each_curve(base, spec, benches, |cfg, cap, bench, grid| {
+            if self.curves.contains_key(&(cap, bench)) {
+                return;
             }
-        }
+            let sampled: Option<Vec<(u32, u64)>> = grid
+                .iter()
+                .map(|&sms| {
+                    engine
+                        .profile_workload_cached(cfg, scale, &Workload::Bench(bench), sms)
+                        .map(|p| (sms, p.cycles))
+                })
+                .collect();
+            match sampled {
+                Some(s) => self.insert(cap, bench, &s),
+                None => missing += 1,
+            }
+        });
         missing
     }
 
@@ -177,7 +202,8 @@ impl FleetPredictor {
             .iter()
             .map(|&(sms, cycles)| (sms, full_cycles as f64 / cycles.max(1) as f64))
             .collect();
-        self.curves.insert((cap, bench), Curve { points, full_cycles });
+        let rates = (0..=cap + 1).map(|s| interpolate(&points, s)).collect();
+        self.curves.insert((cap, bench), Curve { points, rates, full_cycles });
     }
 
     /// Whether the curve for (`capacity`, `bench`) is loaded.
@@ -195,21 +221,29 @@ impl FleetPredictor {
         self.curves.is_empty()
     }
 
-    /// Predicted normalized throughput of `bench` with a `budget_sms`
-    /// budget on a `capacity`-SM device: exact at grid points, linear
-    /// between them, 1.0 at the full device.
+    /// The loaded curve for (`capacity`, `bench`).
     ///
     /// # Panics
     ///
     /// Panics when the curve was never loaded — allocation must only
     /// run over a complete predictor (that is what
     /// [`FleetPredictor::probe_merge`]'s missing count gates).
-    pub fn rate(&self, capacity: u32, bench: Benchmark, budget_sms: u32) -> f64 {
-        let curve = self
-            .curves
+    pub(crate) fn curve(&self, capacity: u32, bench: Benchmark) -> &Curve {
+        self.curves
             .get(&(capacity, bench))
-            .unwrap_or_else(|| panic!("no curve for {bench} at {capacity} SMs"));
-        interpolate(&curve.points, budget_sms)
+            .unwrap_or_else(|| panic!("no curve for {bench} at {capacity} SMs"))
+    }
+
+    /// Predicted normalized throughput of `bench` with a `budget_sms`
+    /// budget on a `capacity`-SM device: exact at grid points, linear
+    /// between them, 1.0 at the full device.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the curve was never loaded (see
+    /// [`FleetPredictor::curve`]).
+    pub fn rate(&self, capacity: u32, bench: Benchmark, budget_sms: u32) -> f64 {
+        self.curve(capacity, bench).rate(budget_sms)
     }
 
     /// Alone-run cycles of `bench` on the full `capacity`-SM device —
@@ -218,12 +252,9 @@ impl FleetPredictor {
     /// # Panics
     ///
     /// Panics when the curve was never loaded (see
-    /// [`FleetPredictor::rate`]).
+    /// [`FleetPredictor::curve`]).
     pub fn full_cycles(&self, capacity: u32, bench: Benchmark) -> u64 {
-        self.curves
-            .get(&(capacity, bench))
-            .unwrap_or_else(|| panic!("no curve for {bench} at {capacity} SMs"))
-            .full_cycles
+        self.curve(capacity, bench).full_cycles
     }
 }
 
@@ -262,5 +293,30 @@ mod tests {
     #[should_panic(expected = "no curve")]
     fn missing_curve_is_a_loud_bug_not_a_guess() {
         FleetPredictor::new().rate(8, Benchmark::Gups, 4);
+    }
+
+    /// The dense table is `interpolate` itself: for every capacity
+    /// 1–64 and every budget up to two past it (one past the table),
+    /// `rate` returns the same bits as interpolating the curve's points.
+    #[test]
+    fn dense_rates_equal_interpolate_bit_for_bit() {
+        let mut rng = gcs_sim::rng::SimRng::seed_from_u64(0x7AB1E);
+        let mut p = FleetPredictor::new();
+        for cap in 1..=64u32 {
+            let samples: Vec<(u32, u64)> = budget_grid(cap)
+                .into_iter()
+                .map(|s| (s, 1 + rng.gen_range(100_000)))
+                .collect();
+            p.insert(cap, Benchmark::Gups, &samples);
+            let curve = p.curve(cap, Benchmark::Gups);
+            assert_eq!(curve.rates.len(), cap as usize + 2);
+            for s in 0..=cap + 2 {
+                assert_eq!(
+                    p.rate(cap, Benchmark::Gups, s).to_bits(),
+                    interpolate(&curve.points, s).to_bits(),
+                    "capacity {cap}, budget {s}"
+                );
+            }
+        }
     }
 }

@@ -252,6 +252,8 @@ impl Sm {
         let total_warps = kernel.total_warps();
         let line = u64::from(cfg.l1.line_bytes);
         let keep = keep_rejections && matches!(hook, TraceHook::None);
+        // Only a replaying app reads the attempt cursor.
+        let replaying = matches!(hook, TraceHook::Replay(_));
 
         for _ in 0..cfg.issue_per_sm {
             let Some(slot) = self.sched.pick(self.ready, &self.order, &self.warps.ages) else {
@@ -294,8 +296,9 @@ impl Sm {
                             "kept rejection of slot {slot} differs from its regeneration"
                         );
                         if !memsys.accepts_slices(kept.slices) {
+                            // `keep` implies no trace hook, so no attempt
+                            // cursor is counted.
                             self.kept[slot] = kept;
-                            self.warps.bump_attempt(slot);
                             self.sleepers.file(slot, now + 2);
                             continue;
                         }
@@ -364,7 +367,9 @@ impl Sm {
                                 slices: memsys.slices_of(&self.addr_buf),
                             };
                         }
-                        self.warps.bump_attempt(slot);
+                        if replaying {
+                            self.warps.bump_attempt(slot);
+                        }
                         self.sleepers.file(slot, now + 2);
                         continue;
                     }
@@ -476,7 +481,9 @@ impl Sm {
                         rec.record_attempt(global_warp, &self.addr_buf);
                     }
                     if !memsys.can_accept_all(&self.addr_buf) {
-                        self.warps.bump_attempt(slot);
+                        if replaying {
+                            self.warps.bump_attempt(slot);
+                        }
                         self.sleepers.file(slot, now + 2);
                         continue;
                     }

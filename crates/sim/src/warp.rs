@@ -46,7 +46,8 @@ pub struct WarpTable {
     /// recorded stream).
     pub replay_group: Vec<u32>,
     /// Back-pressure retries of the *current* access (trace replay's
-    /// attempt cursor; reset when the access issues).
+    /// attempt cursor; counted only while replaying, reset when the
+    /// access issues).
     pub replay_attempt: Vec<u32>,
 }
 

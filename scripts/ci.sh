@@ -51,12 +51,12 @@
 #                               transcript and report (DESIGN.md §13), then
 #                               exits
 #   scripts/ci.sh --fleet-smoke heterogeneous-fleet gate only: runs the
-#                               tests/fleet.rs suite and a TEST-scale
-#                               `repro fleet_sim` pass, byte-diffs the
-#                               homogeneous 1-device FleetPolicy report
-#                               against the IlpEpoch report, and re-runs
-#                               the heterogeneous pass to pin its
-#                               canonical JSON (DESIGN.md §14), then exits
+#                               gcs-fleet suites and a TEST-scale `repro
+#                               fleet_sim` pass, byte-diffs the homogeneous
+#                               1-device FleetPolicy report against the
+#                               IlpEpoch report, and byte-compares its four
+#                               reports with tests/golden/fleet/
+#                               (DESIGN.md §14), then exits
 #
 # Any failing step aborts the run (set -e) with the step name printed.
 
@@ -199,13 +199,13 @@ if [ "$DAEMON_SMOKE" -eq 1 ]; then
 fi
 
 # Heterogeneous-fleet gate: the degenerate 1-device fleet must be
-# byte-identical to the single-GPU scheduler, and the heterogeneous
-# run's canonical JSON must be deterministic across re-runs
-# (DESIGN.md §14). repro fleet_sim itself asserts fleet STP > FCFS STP.
+# byte-identical to the single-GPU scheduler, and every TEST-scale report
+# must equal its committed twin in tests/golden/fleet/ (DESIGN.md §14).
+# repro fleet_sim itself asserts fleet STP > FCFS STP.
 fleet_smoke() {
-    step "fleet smoke (tests/fleet.rs: equivalence, conservation, determinism)"
+    step "fleet smoke (gcs-fleet suites: equivalence, conservation, determinism, oracle)"
     cargo test -q -p gcs-fleet
-    step "fleet smoke (repro fleet_sim, GCS_SCALE=test: hom byte-diff + hetero re-run pin)"
+    step "fleet smoke (repro fleet_sim, GCS_SCALE=test: hom byte-diff + golden reports)"
     cargo build --release --bin repro
     GCS_SCALE=test ./target/release/repro fleet_sim >/dev/null
     cmp results/fleet/fleet_hom_test_fleetpolicy.json \
@@ -214,14 +214,12 @@ fleet_smoke() {
         exit 1
     }
     echo "  1-device FleetPolicy == IlpEpoch, byte-for-byte"
-    cp results/fleet/fleet_test_fleet.json results/fleet/fleet_test_fleet.json.ref
-    GCS_SCALE=test ./target/release/repro fleet_sim >/dev/null
-    cmp results/fleet/fleet_test_fleet.json results/fleet/fleet_test_fleet.json.ref || {
-        echo "heterogeneous fleet report is not deterministic across re-runs" >&2
-        exit 1
-    }
-    rm -f results/fleet/fleet_test_fleet.json.ref
-    echo "  heterogeneous canonical JSON stable across re-runs"
+    for f in fleet_test_{fleet,fcfs}.json fleet_hom_test_{fleetpolicy,ilp}.json; do
+        cmp "tests/golden/fleet/$f" "results/fleet/$f" || {
+            echo "results/fleet/$f differs from tests/golden/fleet/$f" >&2; exit 1;
+        }
+    done
+    echo "  four TEST-scale reports == tests/golden/fleet/"
     echo "fleet smoke passed"
 }
 

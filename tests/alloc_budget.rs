@@ -7,6 +7,9 @@
 //!   No key is formatted, hashed as a string or cloned.
 //! * One `IlpEpoch::plan` over the thesis' 14-job census stays within
 //!   [`PLAN_BUDGET`] allocations.
+//! * One fleet `allocate` over the same census on an 8/15/30-SM fleet
+//!   makes exactly [`FLEET_ALLOC_COUNT`] allocations, all outside the
+//!   grant loop.
 //!
 //! Counts, not times: the suite is deterministic on any host.
 
@@ -16,6 +19,7 @@ use std::cell::Cell;
 use gcs_core::queues::thesis_queue_14;
 use gcs_core::smra::SmraParams;
 use gcs_core::sweep::{CorunMode, Workload};
+use gcs_fleet::{allocate, DeviceProfile, FleetPredictor, FleetSpec};
 use gcs_sched::{Job, PolicyKind};
 use gcs_workloads::Benchmark;
 
@@ -27,6 +31,13 @@ use fixtures::pipeline;
 /// may make: the census `Vec`, the ILP problem and its branch & bound
 /// nodes, the tableau, and the plan's groups.
 const PLAN_BUDGET: u64 = 38;
+
+/// Allocations one fleet `allocate` over census-14 makes on the
+/// 8/15/30-SM fleet with groups of two: the per-device SM pools and job
+/// counts, the slot table, the deferred list, the device order, and the
+/// plan's assignments. The grant loop itself allocates nothing, so
+/// this count does not grow with the number of SMs granted.
+const FLEET_ALLOC_COUNT: u64 = 16;
 
 struct Counting;
 
@@ -111,10 +122,8 @@ fn warm_profile_hit_allocates_only_the_name() {
     assert_eq!(stats.jobs_total, stats.jobs_simulated + stats.jobs_cached);
 }
 
-#[test]
-fn ilp_plan_over_census_14_stays_within_budget() {
-    let p = pipeline(2);
-    let pending: Vec<Job> = thesis_queue_14()
+fn census_14_jobs() -> Vec<Job> {
+    thesis_queue_14()
         .into_iter()
         .enumerate()
         .map(|(id, bench)| Job {
@@ -122,7 +131,13 @@ fn ilp_plan_over_census_14_stays_within_budget() {
             bench,
             arrival: id as u64,
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+fn ilp_plan_over_census_14_stays_within_budget() {
+    let p = pipeline(2);
+    let pending = census_14_jobs();
     let mut policy = PolicyKind::IlpEpoch.build();
     let first = policy.plan(&p, &pending).unwrap();
     let (plan, allocs) = counted(|| policy.plan(&p, &pending));
@@ -132,5 +147,32 @@ fn ilp_plan_over_census_14_stays_within_budget() {
     assert!(
         allocs <= PLAN_BUDGET,
         "IlpEpoch::plan over census-14 made {allocs} allocations, budget {PLAN_BUDGET}"
+    );
+}
+
+#[test]
+fn fleet_allocate_over_census_14_allocates_outside_the_grant_loop() {
+    let p = pipeline(2);
+    let spec = FleetSpec::new(
+        [("gpu8", 8), ("gpu15", 15), ("gpu30", 30)]
+            .into_iter()
+            .map(|(id, num_sms)| DeviceProfile { id: id.into(), num_sms })
+            .collect(),
+    )
+    .expect("spec");
+    let pending = census_14_jobs();
+    let benches: Vec<Benchmark> = pending.iter().map(|j| j.bench).collect();
+    let rc = p.config();
+    let predictor =
+        FleetPredictor::warm(p.engine(), &rc.gpu, rc.scale, &spec, &benches).expect("warm");
+    let free = [0, 1, 2];
+    let first = allocate(&predictor, &spec, &pending, &free, 2);
+    let (plan, allocs) = counted(|| allocate(&predictor, &spec, &pending, &free, 2));
+    assert_eq!(plan, first, "allocation is deterministic");
+    assert_eq!(plan.placed(), 6, "three devices, two jobs each");
+    let granted: u32 = plan.assignments.iter().flat_map(|a| &a.budgets).sum();
+    assert_eq!(
+        allocs, FLEET_ALLOC_COUNT,
+        "allocate over census-14 made {allocs} allocations ({granted} SMs granted)"
     );
 }

@@ -13,7 +13,8 @@
 //! * **Thread-count determinism** — [`run_fleet`] report JSON is
 //!   byte-identical on 1, 2 and 8 sweep threads.
 //! * **Warm replay** — a second run against the same cache directory
-//!   simulates zero new jobs.
+//!   simulates zero new jobs, and the engine counts exactly the jobs it
+//!   counted before the predictor answered memo hits itself.
 //! * **Fleet beats FCFS** — marginal-gain budgeting on a heterogeneous
 //!   3-device fleet beats the whole-device FCFS baseline on
 //!   cross-device STP.
@@ -260,7 +261,14 @@ fn warm_cache_replays_fleet_run_without_simulating() {
     let cold_engine = Arc::new(SweepEngine::sequential().with_cache_dir(&dir.0));
     let cold_p = pipeline_with_engine(2, Arc::clone(&cold_engine));
     let cold = run_fleet(&cold_p, &spec, &cfg, &trace).expect("cold run");
-    assert!(cold_engine.stats().jobs_simulated > 0, "cold run must simulate");
+    let stats = cold_engine.stats();
+    assert!(stats.jobs_simulated > 0, "cold run must simulate");
+    // The suite's 14 profiles at set-up, the predictor's 54 curve
+    // points and 9 groups; 4 of them repeat an earlier job.
+    assert_eq!(
+        (stats.jobs_total, stats.jobs_simulated, stats.jobs_cached),
+        (77, 73, 4)
+    );
 
     let warm_engine = Arc::new(SweepEngine::sequential().with_cache_dir(&dir.0));
     let warm_p = pipeline_with_engine(2, Arc::clone(&warm_engine));
@@ -270,8 +278,24 @@ fn warm_cache_replays_fleet_run_without_simulating() {
         stats.jobs_simulated, 0,
         "warm start must serve the predictor and every group from cache"
     );
-    assert!(stats.jobs_cached > 0, "warm run actually hit the cache");
+    assert_eq!(
+        (stats.jobs_total, stats.jobs_cached),
+        (77, 77),
+        "a warm run counts every job it asks for as a cache hit"
+    );
     assert_eq!(warm.to_json(), cold.to_json(), "replay is bit-identical");
+
+    // A second run on the same engine is served by the in-process memo
+    // (the predictor's points by the probe-first pass) and counts the
+    // same way.
+    let again = run_fleet(&warm_p, &spec, &cfg, &trace).expect("second run");
+    let after = warm_engine.stats();
+    assert_eq!(after.jobs_simulated, 0, "a second run simulates nothing");
+    assert_eq!(
+        (after.jobs_total - stats.jobs_total, after.jobs_cached - stats.jobs_cached),
+        (63, 63)
+    );
+    assert_eq!(again.to_json(), cold.to_json());
 }
 
 /// On a cold memo cache the fleet policy degrades to greedy grouping —
