@@ -234,8 +234,21 @@ impl MemoTable {
         counts: &[u32],
     ) -> Option<T> {
         let id = self.config_id(cfg);
+        self.find(id, scale, members, mode, counts).and_then(T::read)
+    }
+
+    /// The entry the map holds for the job on interned config `id`, by
+    /// reference; `probe` is left filled with the job's key either way.
+    fn find(
+        &mut self,
+        id: u32,
+        scale: Scale,
+        members: impl Iterator<Item = Member>,
+        mode: Mode,
+        counts: &[u32],
+    ) -> Option<&Memo> {
         self.probe.refill(id, scale, members, mode, counts);
-        self.jobs.get(&self.probe).and_then(T::read)
+        self.jobs.get(&self.probe)
     }
 
     /// The intern id of `cfg`, compared with `==`.
@@ -591,31 +604,42 @@ impl SweepEngine {
             .ok()
     }
 
-    /// In-process probe of [`SweepEngine::profile_workload`]: returns
-    /// the profile when the exact entry is already in the in-process
-    /// map and counts it as `profile_workload` counts a memo hit (one
-    /// job, cached). A miss returns `None`, reads no disk and moves no
-    /// counter, so the caller sends it on to `profile_workload`, which
-    /// counts it there — a probe-first batch keeps the counters of
-    /// sending every job through `profile_workload`.
-    pub fn profile_workload_memo(
+    /// In-process batch probe of [`SweepEngine::profile_workload`]'s
+    /// `cycles`: appends one entry to `out` per budget in `sms`. An
+    /// entry is `Some` when the exact job is already in the in-process
+    /// map, counted as `profile_workload` counts a memo hit (one job,
+    /// cached). A miss is `None`, reads no disk and moves no counter, so
+    /// the caller sends it on to `profile_workload`, which counts it
+    /// there — a probe-first batch keeps the counters of sending every
+    /// job through `profile_workload`. The batch takes the memo lock
+    /// and interns `cfg` once, and a hit reads the stored profile in
+    /// place, so a benchmark workload's hit neither clones a profile
+    /// nor allocates.
+    pub fn profile_cycles_memo(
         &self,
         cfg: &GpuConfig,
         scale: Scale,
         workload: &Workload,
-        num_sms: u32,
-    ) -> Option<AppProfile> {
-        let mode = Mode::Profile { num_sms };
-        let v = self.memo.lock().unwrap_or_else(|e| e.into_inner()).get(
-            cfg,
-            scale,
-            iter::once(workload.member()),
-            mode,
-            &[],
-        )?;
-        self.jobs_total.fetch_add(1, Ordering::Relaxed);
-        self.jobs_cached.fetch_add(1, Ordering::Relaxed);
-        Some(v)
+        sms: &[u32],
+        out: &mut Vec<Option<u64>>,
+    ) {
+        let member = workload.member();
+        let mut hits = 0u64;
+        {
+            let mut memo = self.memo.lock().unwrap_or_else(|e| e.into_inner());
+            let id = memo.config_id(cfg);
+            for &num_sms in sms {
+                let mode = Mode::Profile { num_sms };
+                let cycles = match memo.find(id, scale, iter::once(member.clone()), mode, &[]) {
+                    Some(Memo::Profile(p)) => Some(p.cycles),
+                    _ => None,
+                };
+                hits += u64::from(cycles.is_some());
+                out.push(cycles);
+            }
+        }
+        self.jobs_total.fetch_add(hits, Ordering::Relaxed);
+        self.jobs_cached.fetch_add(hits, Ordering::Relaxed);
     }
 
     /// Full-device alone profiles for `suite`, one parallel batch.
@@ -1844,20 +1868,30 @@ mod tests {
         let w = Workload::Bench(Benchmark::Hs);
         let first = SweepEngine::sequential().with_cache_dir(&tmp.0);
         let p = first.profile_workload(&cfg(), Scale::TEST, &w, 8).unwrap();
+        let probe = |e: &SweepEngine, sms: &[u32]| {
+            let mut out = Vec::new();
+            e.profile_cycles_memo(&cfg(), Scale::TEST, &w, sms, &mut out);
+            out
+        };
 
         // A fresh engine over the same directory: the entry is on disk
         // only, so the in-process probe misses and counts nothing.
         let e = SweepEngine::sequential().with_cache_dir(&tmp.0);
-        assert_eq!(e.profile_workload_memo(&cfg(), Scale::TEST, &w, 8), None);
+        assert_eq!(probe(&e, &[8]), [None]);
         assert_eq!(e.stats().jobs_total, 0);
         // profile_workload reads the disk entry into the map; now the
-        // probe hits and counts exactly as a memo hit would.
+        // probe hits and counts exactly as a memo hit would, per point.
         assert_eq!(e.profile_workload(&cfg(), Scale::TEST, &w, 8).unwrap(), p);
-        assert_eq!(e.profile_workload_memo(&cfg(), Scale::TEST, &w, 8), Some(p));
+        assert_eq!(probe(&e, &[8, 7, 8]), [Some(p.cycles), None, Some(p.cycles)]);
         let s = e.stats();
-        assert_eq!((s.jobs_total, s.jobs_cached, s.jobs_simulated), (2, 2, 0));
-        assert_eq!(e.profile_workload_memo(&cfg(), Scale::TEST, &w, 7), None);
-        assert_eq!(e.stats().jobs_total, 2, "a miss moves no counter");
+        assert_eq!((s.jobs_total, s.jobs_cached, s.jobs_simulated), (3, 3, 0));
+        assert_eq!(probe(&e, &[7]), [None]);
+        assert_eq!(e.stats().jobs_total, 3, "a miss moves no counter");
+        let mut other = cfg();
+        other.l2_lat += 1;
+        let mut out = vec![Some(1)];
+        e.profile_cycles_memo(&other, Scale::TEST, &w, &[8], &mut out);
+        assert_eq!(out, [Some(1), None], "entries are appended; another config misses");
     }
 
     #[test]

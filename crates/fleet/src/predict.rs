@@ -17,9 +17,10 @@
 //!
 //! * [`FleetPredictor::warm`] simulates (or replays from cache) every
 //!   curve point up front — the runner's path. Points the engine's
-//!   in-process memo already holds are answered in one serial pass;
-//!   only the rest go to the worker pool. Warm starts replay with zero
-//!   newly simulated jobs; `tests/fleet.rs` pins this.
+//!   in-process memo already holds are answered in one serial pass, a
+//!   batched probe per curve; only the rest go to the worker pool.
+//!   Warm starts replay with zero newly simulated jobs; `tests/fleet.rs`
+//!   pins this.
 //! * [`FleetPredictor::probe_merge`] is **cache-only**
 //!   ([`SweepEngine::profile_workload_cached`]): the plan-path entry
 //!   point, which must never hide a simulation inside a scheduling
@@ -109,11 +110,11 @@ impl FleetPredictor {
 
     /// Profiles every `(capacity, bench)` curve for `spec` ×
     /// `benches`. One serial pass answers every grid point the
-    /// engine's in-process memo holds
-    /// ([`SweepEngine::profile_workload_memo`], counted as a cache
-    /// hit); only the rest fan out across the engine's workers through
-    /// the memo cache (disk, then simulation). A second warm on the
-    /// same engine therefore spawns nothing, and one with the same
+    /// engine's in-process memo holds, one batched probe per curve
+    /// ([`SweepEngine::profile_cycles_memo`], each hit counted as a
+    /// cache hit); only the rest fan out across the engine's workers
+    /// through the memo cache (disk, then simulation). A second warm on
+    /// the same engine therefore spawns nothing, and one with the same
     /// cache directory replays without simulating.
     ///
     /// # Errors
@@ -129,12 +130,12 @@ impl FleetPredictor {
         let mut cycles: Vec<Option<u64>> = Vec::new();
         let mut misses: Vec<(usize, GpuConfig, Benchmark, u32)> = Vec::new();
         for_each_curve(base, spec, benches, |cfg, _, bench, grid| {
-            for &sms in grid {
-                let hit = engine.profile_workload_memo(cfg, scale, &Workload::Bench(bench), sms);
-                if hit.is_none() {
-                    misses.push((cycles.len(), cfg.clone(), bench, sms));
+            let at = cycles.len();
+            engine.profile_cycles_memo(cfg, scale, &Workload::Bench(bench), grid, &mut cycles);
+            for (k, &sms) in grid.iter().enumerate() {
+                if cycles[at + k].is_none() {
+                    misses.push((at + k, cfg.clone(), bench, sms));
                 }
-                cycles.push(hit.map(|p| p.cycles));
             }
         });
         let filled: Vec<u64> = engine.run_parallel(misses.len(), |i| {

@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 use gcs_core::Degradation;
 use gcs_sched::report::{push_degradations, push_rejections};
 use gcs_sched::{JobId, Rejection};
-use gcs_sim::wire::{push_f64, push_str_escaped};
+use gcs_sim::wire::{push_f64, push_str_escaped, push_u64};
 use gcs_workloads::Benchmark;
 
 /// Per-device utilization row.
@@ -135,7 +135,7 @@ impl FleetReport {
 
     /// Canonical JSON rendering; see the module docs.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256 + self.jobs.len() * 160);
+        let mut s = String::with_capacity(256 + self.jobs.len() * 160 + self.groups.len() * 96);
         s.push_str("{\n  \"mode\": \"");
         push_str_escaped(&mut s, &self.mode);
         let _ = write!(
@@ -166,25 +166,44 @@ impl FleetReport {
         s.push_str("  \"jobs\": [");
         for (i, j) in self.jobs.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(
-                s,
-                "    {{\"id\":{},\"bench\":\"{}\",\"device\":{},\"arrival\":{},\"dispatch\":{},\"completion\":{},\"budget_sms\":{},\"alone_cycles\":{},\"corun_cycles\":{}}}",
-                j.id, j.bench, j.device, j.arrival, j.dispatch, j.completion,
-                j.budget_sms, j.alone_cycles, j.corun_cycles,
-            );
+            s.push_str("    {\"id\":");
+            push_u64(&mut s, j.id as u64);
+            s.push_str(",\"bench\":\"");
+            s.push_str(j.bench.name());
+            s.push('"');
+            for (key, v) in [
+                (",\"device\":", j.device as u64),
+                (",\"arrival\":", j.arrival),
+                (",\"dispatch\":", j.dispatch),
+                (",\"completion\":", j.completion),
+                (",\"budget_sms\":", u64::from(j.budget_sms)),
+                (",\"alone_cycles\":", j.alone_cycles),
+                (",\"corun_cycles\":", j.corun_cycles),
+            ] {
+                s.push_str(key);
+                push_u64(&mut s, v);
+            }
+            s.push('}');
         }
         s.push_str(if self.jobs.is_empty() { "],\n" } else { "\n  ],\n" });
 
         s.push_str("  \"groups\": [");
         for (i, g) in self.groups.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(
-                s,
-                "    {{\"device\":{},\"start\":{},\"end\":{},\"jobs\":[",
-                g.device, g.start, g.end,
-            );
-            for (k, id) in g.jobs.iter().enumerate() {
-                let _ = write!(s, "{}{id}", if k == 0 { "" } else { "," });
+            for (key, v) in [
+                ("    {\"device\":", g.device as u64),
+                (",\"start\":", g.start),
+                (",\"end\":", g.end),
+            ] {
+                s.push_str(key);
+                push_u64(&mut s, v);
+            }
+            s.push_str(",\"jobs\":[");
+            for (k, &id) in g.jobs.iter().enumerate() {
+                if k > 0 {
+                    s.push(',');
+                }
+                push_u64(&mut s, id as u64);
             }
             s.push_str("],\"stp\":");
             push_f64(&mut s, g.stp);

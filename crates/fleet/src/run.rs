@@ -20,7 +20,7 @@
 //!   construction, which makes "fleet beats FCFS on cross-device STP"
 //!   a crisp, pinnable claim.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use gcs_core::runner::Pipeline;
 use gcs_core::sweep::CorunMode;
@@ -29,7 +29,7 @@ use gcs_sim::config::GpuConfig;
 use gcs_sched::{AdmissionQueue, Job, JobId, Rejection};
 use gcs_workloads::{ArrivalTrace, Benchmark, Scale};
 
-use crate::alloc::allocate;
+use crate::alloc::{allocate, FleetPlan};
 use crate::predict::FleetPredictor;
 use crate::report::{FleetDevice, FleetGroup, FleetJob, FleetReport};
 use crate::spec::FleetSpec;
@@ -91,7 +91,9 @@ pub fn run_fleet(
     let predictor = FleetPredictor::warm(pipeline.engine(), &rc.gpu, rc.scale, spec, &census)?;
     let mut exec = Exec {
         engine: pipeline.engine(),
-        base: &rc.gpu,
+        configs: (0..spec.len())
+            .map(|d| spec.device_config(&rc.gpu, d))
+            .collect(),
         scale: rc.scale,
         spec,
         predictor,
@@ -107,7 +109,7 @@ pub fn run_fleet(
         dev_busy: vec![0; spec.len()],
         dev_groups: vec![0; spec.len()],
         churn: 0,
-        last_map: BTreeMap::new(),
+        churn_map: ChurnMap::with_jobs(trace.len()),
     };
 
     for (i, a) in trace.arrivals().iter().enumerate() {
@@ -156,7 +158,8 @@ pub fn run_fleet(
 /// Mutable run state; method receiver for the event-loop steps.
 struct Exec<'a> {
     engine: &'a SweepEngine,
-    base: &'a GpuConfig,
+    /// Each device's [`GpuConfig`], built once per run.
+    configs: Vec<GpuConfig>,
     scale: Scale,
     spec: &'a FleetSpec,
     predictor: FleetPredictor,
@@ -173,7 +176,46 @@ struct Exec<'a> {
     dev_busy: Vec<u64>,
     dev_groups: Vec<u64>,
     churn: u64,
-    last_map: BTreeMap<JobId, usize>,
+    churn_map: ChurnMap,
+}
+
+/// Each job's device in the most recent shadow plan that placed it,
+/// stamped with that plan's epoch and indexed by job id (ids are trace
+/// indices). It answers "where did the previous epoch plan this job"
+/// as a map rebuilt every epoch would, without building one: a job the
+/// previous epoch did not place carries an older stamp.
+#[derive(Debug)]
+struct ChurnMap {
+    /// Shadow plans observed; the first is epoch 1.
+    epoch: u64,
+    /// `(epoch, device)` per job id; epoch 0 means never placed.
+    last: Vec<(u64, usize)>,
+}
+
+impl ChurnMap {
+    /// A map for job ids below `jobs`.
+    fn with_jobs(jobs: usize) -> ChurnMap {
+        ChurnMap {
+            epoch: 0,
+            last: vec![(0, 0); jobs],
+        }
+    }
+
+    /// Records `plan` as the next epoch and returns how many of its
+    /// jobs the previous epoch planned on a different device.
+    fn observe(&mut self, plan: &FleetPlan) -> u64 {
+        let prev = self.epoch;
+        self.epoch += 1;
+        let mut moved = 0;
+        for a in &plan.assignments {
+            for &id in &a.jobs {
+                let (seen, device) = self.last[id];
+                moved += u64::from(seen != 0 && seen == prev && device != a.device);
+                self.last[id] = (self.epoch, a.device);
+            }
+        }
+        moved
+    }
 }
 
 impl Exec<'_> {
@@ -241,9 +283,10 @@ impl Exec<'_> {
         if self.queue.is_empty() {
             return Ok(());
         }
-        if self.mode == FleetMode::MarginalGain {
-            self.track_churn();
-        }
+        let mut shadow = match self.mode {
+            FleetMode::MarginalGain => Some(self.track_churn()),
+            FleetMode::WholeDeviceFcfs => None,
+        };
         loop {
             let free: Vec<usize> = (0..self.spec.len())
                 .filter(|&d| self.busy[d].is_none())
@@ -252,7 +295,19 @@ impl Exec<'_> {
                 return Ok(());
             }
             let placed = match self.mode {
-                FleetMode::MarginalGain => self.dispatch_marginal(&free)?,
+                FleetMode::MarginalGain => {
+                    // With every device free, the first round's plan is
+                    // the shadow plan: same pending list, same devices,
+                    // and `allocate` is deterministic.
+                    let plan = match shadow.take() {
+                        Some(plan) if free.len() == self.spec.len() => {
+                            debug_assert_eq!(plan, self.plan(&free), "reused shadow plan");
+                            plan
+                        }
+                        _ => self.plan(&free),
+                    };
+                    self.dispatch_marginal(plan)?
+                }
                 FleetMode::WholeDeviceFcfs => self.dispatch_fcfs(&free)?,
             };
             if placed == 0 {
@@ -261,45 +316,43 @@ impl Exec<'_> {
         }
     }
 
+    /// The marginal-gain plan for the pending jobs over `free`.
+    fn plan(&self, free: &[usize]) -> FleetPlan {
+        let pending = self.queue.pending_vec();
+        allocate(&self.predictor, self.spec, &pending, free, self.max_group)
+    }
+
     /// Shadow-allocates the full pending census over the whole fleet
     /// and counts jobs whose planned device moved since the previous
     /// epoch — the allocation-churn metric. Pure curve arithmetic;
-    /// nothing is simulated.
-    fn track_churn(&mut self) {
-        let pending = self.queue.pending_vec();
+    /// nothing is simulated. Returns the shadow plan.
+    fn track_churn(&mut self) -> FleetPlan {
         let all: Vec<usize> = (0..self.spec.len()).collect();
-        let shadow = allocate(&self.predictor, self.spec, &pending, &all, self.max_group);
-        let mut map: BTreeMap<JobId, usize> = BTreeMap::new();
-        for a in &shadow.assignments {
-            for &id in &a.jobs {
-                map.insert(id, a.device);
-            }
-        }
-        self.churn += map
-            .iter()
-            .filter(|(id, d)| self.last_map.get(id).is_some_and(|prev| prev != *d))
-            .count() as u64;
-        self.last_map = map;
+        let shadow = self.plan(&all);
+        self.churn += self.churn_map.observe(&shadow);
+        shadow
     }
 
-    /// One marginal-gain allocation round over the free devices.
-    /// Returns how many jobs were dispatched.
-    fn dispatch_marginal(&mut self, free: &[usize]) -> Result<usize, CoreError> {
-        let pending = self.queue.pending_vec();
-        let plan = allocate(&self.predictor, self.spec, &pending, free, self.max_group);
+    /// Dispatches every assignment of `plan`, a marginal-gain
+    /// allocation over the free devices. Returns how many jobs were
+    /// dispatched.
+    fn dispatch_marginal(&mut self, plan: FleetPlan) -> Result<usize, CoreError> {
         let mut placed = 0usize;
-        for a in &plan.assignments {
+        for a in plan.assignments {
             let members = self.queue.take(&a.jobs);
             let cap = self.spec.devices()[a.device].num_sms;
-            let cfg_d = self.spec.device_config(self.base, a.device);
             let workloads: Vec<Workload> =
                 a.benches.iter().map(|&b| Workload::Bench(b)).collect();
+            let mode = CorunMode::Counts(a.budgets);
             let out = self.engine.corun_workloads(
-                &cfg_d,
+                &self.configs[a.device],
                 self.scale,
                 &workloads,
-                &CorunMode::Counts(a.budgets.clone()),
+                &mode,
             )?;
+            let CorunMode::Counts(budgets) = &mode else {
+                unreachable!("built as a counts split")
+            };
             let mut stp = 0.0;
             for (k, m) in members.iter().enumerate() {
                 let alone = self.predictor.full_cycles(cap, m.bench);
@@ -312,12 +365,12 @@ impl Exec<'_> {
                     arrival: m.arrival,
                     dispatch: self.now,
                     completion: self.now + corun,
-                    budget_sms: a.budgets[k],
+                    budget_sms: budgets[k],
                     alone_cycles: alone,
                     corun_cycles: corun,
                 });
             }
-            self.finish_group(a.device, out.makespan, a.jobs.clone(), stp);
+            self.finish_group(a.device, out.makespan, a.jobs, stp);
             placed += members.len();
         }
         Ok(placed)
@@ -335,10 +388,12 @@ impl Exec<'_> {
             let members = self.queue.take(&[front]);
             let m = members[0];
             let cap = self.spec.devices()[d].num_sms;
-            let cfg_d = self.spec.device_config(self.base, d);
-            let p = self
-                .engine
-                .profile_workload(&cfg_d, self.scale, &Workload::Bench(m.bench), cap)?;
+            let p = self.engine.profile_workload(
+                &self.configs[d],
+                self.scale,
+                &Workload::Bench(m.bench),
+                cap,
+            )?;
             let cycles = p.cycles;
             self.jobs.push(FleetJob {
                 id: m.id,
@@ -373,5 +428,78 @@ impl Exec<'_> {
             jobs,
             stp,
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    use gcs_sim::rng::SimRng;
+
+    use super::*;
+    use crate::alloc::DeviceAssignment;
+
+    /// A shadow plan placing each `(job, device)` pair, grouped per
+    /// device in ascending device order as `allocate` emits them.
+    fn plan(placed: &[(JobId, usize)], devices: usize) -> FleetPlan {
+        let assignments = (0..devices)
+            .map(|device| DeviceAssignment {
+                device,
+                jobs: placed
+                    .iter()
+                    .filter(|&&(_, d)| d == device)
+                    .map(|&(id, _)| id)
+                    .collect(),
+                benches: Vec::new(),
+                budgets: Vec::new(),
+            })
+            .filter(|a| !a.jobs.is_empty())
+            .collect();
+        FleetPlan {
+            assignments,
+            deferred: Vec::new(),
+            predicted_stp: 0.0,
+        }
+    }
+
+    /// The epoch-stamped map counts exactly what rebuilding a
+    /// `BTreeMap` of the previous epoch's placements counts, over
+    /// seeded plan sequences in which jobs leave the shadow plan and
+    /// re-enter it and move between devices.
+    #[test]
+    fn stamped_churn_map_matches_a_rebuilt_btreemap() {
+        let mut rng = SimRng::seed_from_u64(0xC4E2);
+        for case in 0..200 {
+            let jobs = 1 + rng.gen_range(24) as usize;
+            let devices = 1 + rng.gen_range(4) as usize;
+            let mut stamped = ChurnMap::with_jobs(jobs);
+            let mut last: BTreeMap<JobId, usize> = BTreeMap::new();
+            let mut total = 0;
+            for epoch in 0..30 {
+                let mut placed: Vec<(JobId, usize)> = Vec::new();
+                for id in 0..jobs {
+                    if rng.gen_range(4) > 0 {
+                        placed.push((id, rng.gen_range(devices as u64) as usize));
+                    }
+                }
+                let p = plan(&placed, devices);
+                let map: BTreeMap<JobId, usize> = p
+                    .assignments
+                    .iter()
+                    .flat_map(|a| a.jobs.iter().map(move |&id| (id, a.device)))
+                    .collect();
+                let want = map
+                    .iter()
+                    .filter(|(id, d)| last.get(id).is_some_and(|prev| prev != *d))
+                    .count() as u64;
+                last = map;
+                assert_eq!(stamped.observe(&p), want, "case {case}, epoch {epoch}");
+                total += want;
+            }
+            if case == 0 {
+                assert!(total > 0, "the sequence moves jobs");
+            }
+        }
     }
 }

@@ -10,7 +10,7 @@
 use std::fmt::Write as _;
 
 use gcs_core::fault::Degradation;
-use gcs_sim::wire::{push_f64, push_str_escaped};
+use gcs_sim::wire::{push_f64, push_str_escaped, push_u64};
 use gcs_workloads::Benchmark;
 
 use crate::queue::{JobId, Rejection};
@@ -201,7 +201,7 @@ impl SchedReport {
     /// order, floats in Rust's shortest-round-trip form. Byte-identical
     /// for identical runs (the determinism tests rely on this).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256 + self.jobs.len() * 128);
+        let mut s = String::with_capacity(256 + self.jobs.len() * 144 + self.groups.len() * 80);
         s.push_str("{\n  \"policy\": \"");
         push_str_escaped(&mut s, &self.policy);
         let _ = write!(
@@ -220,25 +220,43 @@ impl SchedReport {
         s.push_str(",\n  \"jobs\": [");
         for (i, j) in self.jobs.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(
-                s,
-                "    {{\"id\":{},\"bench\":\"{}\",\"arrival\":{},\"dispatch\":{},\"completion\":{},\"gpu\":{},\"alone_cycles\":{},\"corun_cycles\":{}}}",
-                j.id, j.bench, j.arrival, j.dispatch, j.completion, j.gpu,
-                j.alone_cycles, j.corun_cycles,
-            );
+            s.push_str("    {\"id\":");
+            push_u64(&mut s, j.id as u64);
+            s.push_str(",\"bench\":\"");
+            s.push_str(j.bench.name());
+            s.push('"');
+            for (key, v) in [
+                (",\"arrival\":", j.arrival),
+                (",\"dispatch\":", j.dispatch),
+                (",\"completion\":", j.completion),
+                (",\"gpu\":", u64::from(j.gpu)),
+                (",\"alone_cycles\":", j.alone_cycles),
+                (",\"corun_cycles\":", j.corun_cycles),
+            ] {
+                s.push_str(key);
+                push_u64(&mut s, v);
+            }
+            s.push('}');
         }
         s.push_str(if self.jobs.is_empty() { "],\n" } else { "\n  ],\n" });
 
         s.push_str("  \"groups\": [");
         for (i, g) in self.groups.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(
-                s,
-                "    {{\"gpu\":{},\"start\":{},\"end\":{},\"jobs\":[",
-                g.gpu, g.start, g.end,
-            );
-            for (k, id) in g.jobs.iter().enumerate() {
-                let _ = write!(s, "{}{id}", if k == 0 { "" } else { "," });
+            for (key, v) in [
+                ("    {\"gpu\":", u64::from(g.gpu)),
+                (",\"start\":", g.start),
+                (",\"end\":", g.end),
+            ] {
+                s.push_str(key);
+                push_u64(&mut s, v);
+            }
+            s.push_str(",\"jobs\":[");
+            for (k, &id) in g.jobs.iter().enumerate() {
+                if k > 0 {
+                    s.push(',');
+                }
+                push_u64(&mut s, id as u64);
             }
             s.push_str("],\"stp\":");
             push_f64(&mut s, g.stp);

@@ -5,9 +5,9 @@
 //!   trace fingerprints and `GCSD` frame checksums;
 //! * [`Scan`] — a rigid reader for the fixed JSON shapes the workspace
 //!   writes (daemon messages, fleet specs, cache entries);
-//! * [`push_str_escaped`] / [`push_f64`] — the writer half, appending
-//!   into a caller-owned `String` so emitters allocate once per
-//!   document, not once per field;
+//! * [`push_str_escaped`] / [`push_f64`] / [`push_u64`] — the writer
+//!   half, appending into a caller-owned `String` so emitters allocate
+//!   once per document, not once per field;
 //! * [`check_header`] / [`check_checksum`] and the one [`WireError`]
 //!   they and [`Scan`] report through. `GCST` and `GCSD` keep their own
 //!   byte layouts after the shared 8-byte magic + version prefix.
@@ -168,6 +168,22 @@ pub fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() && !out[start..].contains('.') {
         out.push_str(".0");
     }
+}
+
+/// Appends `v` in decimal, byte-identical to `write!(out, "{v}")` but
+/// without the `fmt` machinery: the integer writer of the report rows.
+pub fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 /// Rigid scanner over one JSON document of a known shape. No
@@ -376,6 +392,22 @@ mod tests {
         assert_eq!(render(f64::NAN), "x=NaN");
         assert_eq!(render(f64::INFINITY), "x=inf");
         assert_eq!(render(f64::NEG_INFINITY), "x=-inf");
+    }
+
+    #[test]
+    fn push_u64_matches_display_at_every_digit_boundary() {
+        let mut rng = crate::rng::SimRng::seed_from_u64(0x1D1E);
+        let mut values = vec![0, u64::MAX];
+        for k in 1..=19 {
+            let p = 10u64.pow(k);
+            values.extend([p - 1, p]);
+        }
+        values.extend((0..1_000).map(|i| rng.next_u64() >> (i % 64)));
+        for v in values {
+            let mut s = String::from("x=");
+            push_u64(&mut s, v);
+            assert_eq!(s, format!("x={v}"));
+        }
     }
 
     #[test]

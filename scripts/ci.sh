@@ -9,8 +9,8 @@
 #                               tests, widened property tests, clippy (deny
 #                               warnings), the two duplicate guards, the
 #                               deleted-name and one-binary guards, the
-#                               daemon/fleet smokes and benchmark/smoke.sh
-#                               (golden digests)
+#                               daemon/sched/fleet smokes and
+#                               benchmark/smoke.sh (golden digests)
 #   scripts/ci.sh --quick       tier-1 only: public-surface audit, release
 #                               build + default tests
 #   scripts/ci.sh --bench-smoke also run scripts/bench.sh --smoke after the
@@ -102,19 +102,26 @@ if [ "$CHAOS_SMOKE" -eq 1 ]; then
     exit 0
 fi
 
-if [ "$SCHED_SMOKE" -eq 1 ]; then
+# Online-scheduler gate: the seven TEST-scale schedd_sim reports must
+# equal their committed twins in tests/golden/sched/ (DESIGN.md §10).
+sched_smoke() {
     step "sched smoke (tests/sched.rs: batch equivalence + determinism)"
     cargo test -q -p gcs-sched
     step "sched smoke (repro schedd_sim, short seeded trace, all policies, GCS_SCALE=test)"
     cargo build --release --bin repro
-    GCS_SCALE=test ./target/release/repro schedd_sim
+    GCS_SCALE=test ./target/release/repro schedd_sim >/dev/null
+    local f
     for f in sched_test_q14_{fcfs,greedy,ilp}.json sched_test_q28_{fcfs,greedy,ilp}.json summary_test.json; do
         cmp "tests/golden/sched/$f" "results/sched/$f" || {
             echo "results/sched/$f differs from tests/golden/sched/$f" >&2; exit 1;
         }
     done
-    echo
+    echo "  seven TEST-scale reports == tests/golden/sched/"
     echo "sched smoke passed"
+}
+
+if [ "$SCHED_SMOKE" -eq 1 ]; then
+    sched_smoke
     exit 0
 fi
 
@@ -288,18 +295,19 @@ else
     echo "clippy not installed; skipping lint step"
 fi
 
-# One wire kernel (DESIGN.md "Wire kernel"): FNV-1a, JSON escaping and
-# the float rule are defined in crates/sim/src/wire.rs and nowhere else.
-step "duplicate guard (one FNV-1a, one escaper, one float rule under crates/)"
+# One wire kernel (DESIGN.md "Wire kernel"): FNV-1a, JSON escaping, the
+# float rule and the integer writer are defined in crates/sim/src/wire.rs
+# and nowhere else.
+step "duplicate guard (one FNV-1a, one escaper, one float rule, one integer writer under crates/)"
 BASIS=$(grep -rl 'cbf2_9ce4_8422_2325' crates)
 if [ "$BASIS" != "crates/sim/src/wire.rs" ]; then
     echo "the FNV offset basis must occur in crates/sim/src/wire.rs only, found in:" >&2
     echo "$BASIS" >&2
     exit 1
 fi
-if grep -rnE 'fn (esc|escape_json|fmt_f64)\b' crates --include='*.rs' \
+if grep -rnE 'fn (esc|escape_json|fmt_f64|push_u64|itoa|write_u64)\b' crates --include='*.rs' \
         | grep -v '^crates/sim/src/wire.rs:'; then
-    echo "private escaper / float formatter outside crates/sim/src/wire.rs" >&2
+    echo "private escaper / float formatter / integer writer outside crates/sim/src/wire.rs" >&2
     exit 1
 fi
 
@@ -376,6 +384,7 @@ if grep -rnP -e "--bin\s+(?!repro\b)\S|target/release/($OLD_BINS)\b" \
 fi
 
 daemon_smoke
+sched_smoke
 fleet_smoke
 
 step "benchmark smoke (benchmark/smoke.sh: seven workloads, golden digests)"

@@ -177,6 +177,28 @@ fn recorded_spmv(cfg: &GpuConfig) -> KernelTrace {
     gpu.take_trace(app).expect("trace")
 }
 
+/// An MSHR cap of 2 over most of a GUPS co-run: back-pressure refuses
+/// loads throughout, so replaying warps walk past refused attempts.
+fn mshr_squeeze() -> FaultPlan {
+    FaultPlan::new().mshr_window(1_000, 8_000, 2)
+}
+
+/// GUPS recorded next to SPMV on `cfg` under [`mshr_squeeze`]: its
+/// random addresses differ on every attempt, refused ones included.
+fn recorded_gups_corun(cfg: &GpuConfig) -> KernelTrace {
+    let mut gpu = Gpu::new(cfg.clone()).expect("device");
+    gpu.install_fault_plan(mshr_squeeze()).expect("valid plan");
+    let app = gpu
+        .launch(Benchmark::Gups.kernel(Scale::TEST))
+        .expect("launch");
+    gpu.launch(Benchmark::Spmv.kernel(Scale::TEST))
+        .expect("launch");
+    gpu.enable_trace_recording(app).expect("recorder");
+    gpu.partition_even();
+    gpu.run(MAX_CYCLES).expect("recording run finishes");
+    gpu.take_trace(app).expect("trace")
+}
+
 /// The table, in golden-file order.
 fn scenarios() -> Vec<Scenario> {
     use Benchmark::{Blk, Gups, Sad, Spmv};
@@ -249,6 +271,13 @@ fn scenarios() -> Vec<Scenario> {
         mid("faults-mid/GUPS+SPMV", small(), &[Gups, Spmv]),
         mid("faults4-mid/GUPS", cfg4(), &[Gups]),
     ]);
+    // A replay that advances the attempt cursor on every refusal: with
+    // a recorded Random app under back-pressure, re-reading a refused
+    // attempt's addresses would change the run.
+    rows.push(Scenario {
+        launches: vec![Launch::Trace(recorded_gups_corun), Launch::Bench(Spmv)],
+        ..Scenario::new("replay/GUPS-corun+SPMV", small(), &[]).faults(mshr_squeeze())
+    });
     rows
 }
 

@@ -298,6 +298,44 @@ fn warm_cache_replays_fleet_run_without_simulating() {
     assert_eq!(again.to_json(), cold.to_json());
 }
 
+/// `GCS_SCALE=test repro fleet_sim`'s marginal-gain report, regenerated
+/// and byte-compared with `tests/golden/fleet/fleet_test_fleet.json`:
+/// `test_small` at 8, 15 and 30 SMs, a six-benchmark census in four
+/// waves of six, one wave per half of the census' mean alone runtime,
+/// seed 42. The golden file was written by an earlier build, so churn
+/// accounting, allocation, dispatch and the report encoder are pinned
+/// against output they did not produce.
+#[test]
+fn fleet_report_matches_the_golden_file() {
+    const CENSUS: [Benchmark; 6] = [
+        Benchmark::Gups,
+        Benchmark::Hs,
+        Benchmark::Lud,
+        Benchmark::Sad,
+        Benchmark::Fft,
+        Benchmark::Spmv,
+    ];
+    let pipeline = pipeline_with_engine(2, Arc::new(SweepEngine::auto()));
+    let mean_alone: f64 = CENSUS
+        .iter()
+        .map(|&b| pipeline.profile(b).cycles as f64)
+        .sum::<f64>()
+        / CENSUS.len() as f64;
+    let gap = (mean_alone / 2.0).max(1.0) as u64;
+    let trace = ArrivalTrace::waves(&CENSUS, 4, 6, gap, 42);
+    let cfg = FleetRunConfig {
+        queue_capacity: trace.len(),
+        mode: FleetMode::MarginalGain,
+    };
+    let report = run_fleet(&pipeline, &hetero3(), &cfg, &trace).expect("fleet run");
+    let golden = include_str!("golden/fleet/fleet_test_fleet.json");
+    assert!(
+        report.to_json() == golden,
+        "fleet report drifted from the golden file:\n{}",
+        report.to_json()
+    );
+}
+
 /// On a cold memo cache the fleet policy degrades to greedy grouping —
 /// recording the degradation — and still covers every pending job.
 #[test]
