@@ -56,7 +56,7 @@ struct EnvError {
     /// The rejected value.
     value: String,
     /// The values the variable accepts.
-    accepted: &'static str,
+    accepted: String,
 }
 
 impl fmt::Display for EnvError {
@@ -125,7 +125,7 @@ fn parse_env(name: &str, value: Option<&str>) -> Result<EnvValue, EnvError> {
     parsed.ok_or_else(|| EnvError {
         name: name.to_string(),
         value: value.unwrap_or_default().to_string(),
-        accepted,
+        accepted: accepted.to_string(),
     })
 }
 
@@ -178,6 +178,30 @@ pub fn scale_tag(scale: Scale) -> &'static str {
     }
 }
 
+/// The device count `schedd` serves: `gpus` (`GCS_SCHED_GPUS`, default
+/// 1), unless a fleet spec of `fleet` devices fixes it — then a
+/// `GCS_SCHED_GPUS` naming another count is an error.
+fn sched_gpus(gpus: Option<usize>, fleet: Option<usize>) -> Result<usize, EnvError> {
+    match (gpus, fleet) {
+        (Some(n), Some(devices)) if n != devices => Err(EnvError {
+            name: "GCS_SCHED_GPUS".into(),
+            value: n.to_string(),
+            accepted: format!("{devices}, the device count of the GCS_SCHED_FLEET spec, or unset"),
+        }),
+        (_, Some(devices)) => Ok(devices),
+        (n, None) => Ok(n.unwrap_or(1)),
+    }
+}
+
+/// [`sched_gpus`] from the environment; a disagreeing `GCS_SCHED_GPUS`
+/// prints the [`EnvError`] and exits with status 2.
+pub fn sched_gpus_from_env(fleet: Option<usize>) -> usize {
+    sched_gpus(env_count("GCS_SCHED_GPUS"), fleet).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
+}
+
 /// The daemon's overload ladder from `GCS_SCHED_REPLAN_SHED` and
 /// `GCS_SCHED_ILP_SHED` (each rung off when unset).
 pub fn overload_from_env() -> OverloadPolicy {
@@ -221,8 +245,24 @@ mod tests {
             assert_eq!((err.name.as_str(), err.value.as_str()), (name, value));
             let shown = err.to_string();
             assert!(shown.starts_with(&format!("{name}=\"{value}\"")), "{shown}");
-            assert!(shown.contains(err.accepted), "{shown}");
+            assert!(shown.contains(&err.accepted), "{shown}");
         }
+    }
+
+    #[test]
+    fn a_fleet_spec_fixes_the_device_count() {
+        assert_eq!(sched_gpus(None, None), Ok(1));
+        assert_eq!(sched_gpus(Some(4), None), Ok(4));
+        assert_eq!(sched_gpus(None, Some(3)), Ok(3));
+        assert_eq!(sched_gpus(Some(3), Some(3)), Ok(3));
+        let err = sched_gpus(Some(1), Some(3)).expect_err("1 GPU for a 3-device spec");
+        assert_eq!(
+            (err.name.as_str(), err.value.as_str()),
+            ("GCS_SCHED_GPUS", "1")
+        );
+        let shown = err.to_string();
+        assert!(shown.starts_with("GCS_SCHED_GPUS=\"1\""), "{shown}");
+        assert!(shown.contains("expected 3, the device count"), "{shown}");
     }
 
     #[test]

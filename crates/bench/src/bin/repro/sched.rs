@@ -8,16 +8,16 @@ use std::time::Duration;
 
 use gcs_core::queues::thesis_queue_14;
 use gcs_core::runner::AllocationPolicy;
-use gcs_fleet::{FleetPolicy, FleetSpec};
+use gcs_fleet::{FleetMeasure, FleetPolicy, FleetSpec};
 use gcs_sched::{
-    virtual_link, DaemonConfig, DaemonCore, FaultSpec, FaultyTransport, LatencyStats,
+    virtual_link, DaemonConfig, DaemonCore, FaultSpec, FaultyTransport, LatencyStats, Measure,
     OnlineScheduler, Policy, PolicyKind, Request, Response, RetryConfig, SchedClient,
     SchedConfig, SchedReport, TcpAcceptor, TcpTransport, Transport, VirtualConnector,
 };
 use gcs_workloads::{ArrivalTrace, Benchmark, OpenLoopDriver};
 
 use crate::args::Args;
-use crate::env::{env_count, overload_from_env, scale_from_env, scale_tag};
+use crate::env::{env_count, overload_from_env, scale_from_env, scale_tag, sched_gpus_from_env};
 use crate::harness::{build_pipeline, header, report_profile};
 
 const SEED: u64 = 42;
@@ -185,10 +185,13 @@ pub fn schedd_sim(profile: bool) {
 ///
 /// * `GCS_SCHED_POLICY`    — `fcfs` | `greedy` | `ilp` (`ilp`)
 /// * `GCS_SCHED_FLEET`     — path to a `FleetSpec` JSON; serves the
-///   heterogeneous fleet policy instead of `GCS_SCHED_POLICY` (the
+///   heterogeneous fleet policy instead of `GCS_SCHED_POLICY`, each
+///   group on its own device's config at the budgets it plans (the
 ///   report's policy name comes out `fleet`, or `ilp` for the
 ///   degenerate 1-device spec)
-/// * `GCS_SCHED_GPUS`      — simulated devices (`1`)
+/// * `GCS_SCHED_GPUS`      — simulated devices (`1`); with a fleet spec,
+///   the spec's device count, which a different value contradicts
+///   (exit 2)
 /// * `GCS_SCHED_CAPACITY`  — admission queue bound (`16`)
 /// * `GCS_SCHED_READ_MS`   — per-connection read deadline in ms, `0`
 ///   disables (`2000`); the slow-loris defence
@@ -208,9 +211,21 @@ pub fn schedd(mut args: Args) {
         eprintln!("GCS_SCHED_POLICY={policy_name:?} is not fcfs|greedy|ilp");
         std::process::exit(2);
     };
+    // GCS_SCHED_FLEET overrides the policy kind with the heterogeneous
+    // fleet allocator loaded from a FleetSpec JSON file.
+    let fleet = std::env::var("GCS_SCHED_FLEET").ok().map(|path| {
+        let json = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            eprintln!("GCS_SCHED_FLEET={path:?}: cannot read spec: {e}");
+            std::process::exit(2);
+        });
+        FleetSpec::from_json(&json).unwrap_or_else(|e| {
+            eprintln!("GCS_SCHED_FLEET={path:?}: invalid spec: {e}");
+            std::process::exit(2);
+        })
+    });
     let cfg = DaemonConfig {
         sched: SchedConfig {
-            num_gpus: env_count("GCS_SCHED_GPUS").unwrap_or(1) as u32,
+            num_gpus: sched_gpus_from_env(fleet.as_ref().map(FleetSpec::len)) as u32,
             queue_capacity: env_count("GCS_SCHED_CAPACITY").unwrap_or(16),
             alloc: AllocationPolicy::Smra,
             replan_interval: None,
@@ -230,24 +245,16 @@ pub fn schedd(mut args: Args) {
     let addr = listener.local_addr().expect("local addr");
 
     let mut pipeline = build_pipeline(2, false);
-    // GCS_SCHED_FLEET overrides the policy kind with the heterogeneous
-    // fleet allocator loaded from a FleetSpec JSON file.
-    let policy: Box<dyn Policy> = match std::env::var("GCS_SCHED_FLEET") {
-        Ok(path) => {
-            let json = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                eprintln!("GCS_SCHED_FLEET={path:?}: cannot read spec: {e}");
-                std::process::exit(2);
-            });
-            let spec = FleetSpec::from_json(&json).unwrap_or_else(|e| {
-                eprintln!("GCS_SCHED_FLEET={path:?}: invalid spec: {e}");
-                std::process::exit(2);
-            });
-            Box::new(FleetPolicy::new(spec))
+    let mut fleet_measure;
+    let (measure, policy): (&mut dyn Measure, Box<dyn Policy>) = match fleet {
+        Some(spec) => {
+            fleet_measure = FleetMeasure::new(&pipeline, &spec);
+            (&mut fleet_measure, Box::new(FleetPolicy::new(spec)))
         }
-        Err(_) => kind.build(),
+        None => (&mut pipeline, kind.build()),
     };
     let policy_label = policy.name();
-    let mut daemon = DaemonCore::new(&mut pipeline, policy, cfg).expect("daemon configuration");
+    let mut daemon = DaemonCore::new(measure, policy, cfg).expect("daemon configuration");
     let mut acceptor = TcpAcceptor::new(listener, read_deadline, Some(Duration::from_secs(10)));
 
     header("schedd: scheduler daemon");

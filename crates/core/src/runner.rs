@@ -31,7 +31,7 @@ use crate::ilp::GroupingModel;
 use crate::interference::InterferenceMatrix;
 use crate::profile::AppProfile;
 use crate::smra::SmraParams;
-use crate::sweep::{CorunMode, SweepEngine, SweepStats, Workload};
+use crate::sweep::{CorunMode, GroupOutcome, SweepEngine, SweepStats, Workload};
 use crate::CoreError;
 
 /// How groups are formed from the queue.
@@ -91,6 +91,27 @@ pub struct GroupResult {
 }
 
 impl GroupResult {
+    /// The result of co-running `group` as the engine measured it.
+    pub fn from_outcome(group: &[Benchmark], out: &GroupOutcome) -> GroupResult {
+        let apps = group
+            .iter()
+            .enumerate()
+            .map(|(i, &bench)| {
+                let cycles = out.cycles[i];
+                AppRun {
+                    bench,
+                    cycles,
+                    thread_insts: out.thread_insts[i],
+                    ipc: out.thread_insts[i] as f64 / cycles as f64,
+                }
+            })
+            .collect();
+        GroupResult {
+            apps,
+            makespan: out.makespan,
+        }
+    }
+
     /// Group device throughput: all members' instructions over the
     /// makespan.
     pub fn throughput(&self) -> f64 {
@@ -498,24 +519,7 @@ impl Pipeline {
         let out = self
             .engine
             .corun_workloads(&self.cfg.gpu, self.cfg.scale, &ws, &mode)?;
-
-        let apps = group
-            .iter()
-            .enumerate()
-            .map(|(i, &bench)| {
-                let cycles = out.cycles[i];
-                AppRun {
-                    bench,
-                    cycles,
-                    thread_insts: out.thread_insts[i],
-                    ipc: out.thread_insts[i] as f64 / cycles as f64,
-                }
-            })
-            .collect();
-        Ok(GroupResult {
-            apps,
-            makespan: out.makespan,
-        })
+        Ok(GroupResult::from_outcome(group, &out))
     }
 
     /// Executes a whole queue: group, then run groups back-to-back.
@@ -606,13 +610,7 @@ impl Pipeline {
         if self.curves.contains_key(&bench) {
             return Ok(());
         }
-        let n = self.cfg.gpu.num_sms;
-        let mut grid: Vec<u32> = [n / 6, n / 3, n / 2, 2 * n / 3, 5 * n / 6, n]
-            .into_iter()
-            .map(|x| x.max(1))
-            .collect();
-        grid.sort_unstable();
-        grid.dedup();
+        let grid = budget_grid(self.cfg.gpu.num_sms);
         // One memoized profile job per grid point, fanned across the
         // engine's workers.
         let engine = Arc::clone(&self.engine);
@@ -639,6 +637,21 @@ fn resolve_workload(
         Some(t) => Workload::Trace(Arc::clone(t)),
         None => Workload::Bench(bench),
     }
+}
+
+/// The SM-budget sample grid of a scalability curve on a device of
+/// `capacity` SMs: six relative points, clamped to ≥ 1, ascending and
+/// deduped, the last one the full device. The pipeline's curves and the
+/// fleet predictor's both sample it.
+pub fn budget_grid(capacity: u32) -> Vec<u32> {
+    let n = capacity;
+    let mut grid: Vec<u32> = [n / 6, n / 3, n / 2, 2 * n / 3, 5 * n / 6, n]
+        .into_iter()
+        .map(|x| x.max(1))
+        .collect();
+    grid.sort_unstable();
+    grid.dedup();
+    grid
 }
 
 /// Linear interpolation over a measured, ascending `(sms, value)`

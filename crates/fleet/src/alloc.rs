@@ -18,7 +18,6 @@
 //! among equal gains. `tests/fleet.rs` pins plans at 1/2/8 threads.
 
 use gcs_sched::{Job, JobId};
-use gcs_workloads::Benchmark;
 
 use crate::predict::{Curve, FleetPredictor};
 use crate::spec::FleetSpec;
@@ -29,10 +28,8 @@ use crate::spec::FleetSpec;
 pub struct DeviceAssignment {
     /// Device index into the [`FleetSpec`].
     pub device: usize,
-    /// Job ids, aligned with `benches` and `budgets`.
+    /// Job ids, aligned with `budgets`.
     pub jobs: Vec<JobId>,
-    /// The benchmark each job runs.
-    pub benches: Vec<Benchmark>,
     /// Granted SM budgets (each ≥ 1; per-device sum ≤ the device's
     /// `num_sms`).
     pub budgets: Vec<u32>,
@@ -161,13 +158,11 @@ pub fn allocate(
         let mut a = DeviceAssignment {
             device: free_devices[fd],
             jobs: Vec::new(),
-            benches: Vec::new(),
             budgets: Vec::new(),
         };
         for s in &slots {
             if s.fd == fd {
                 a.jobs.push(pending[s.job].id);
-                a.benches.push(pending[s.job].bench);
                 a.budgets.push(s.budget);
             }
         }
@@ -184,6 +179,8 @@ pub fn allocate(
 
 #[cfg(test)]
 mod tests {
+    use gcs_workloads::Benchmark;
+
     use super::*;
     use crate::predict::FleetPredictor;
     use crate::spec::{DeviceProfile, FleetSpec};
@@ -195,7 +192,7 @@ mod tests {
         let mut p = FleetPredictor::new();
         for d in spec.devices() {
             for &b in benches {
-                let samples: Vec<(u32, u64)> = crate::predict::budget_grid(d.num_sms)
+                let samples: Vec<(u32, u64)> = gcs_core::runner::budget_grid(d.num_sms)
                     .into_iter()
                     .map(|s| (s, 1_000_000 * u64::from(d.num_sms) / u64::from(s)))
                     .collect();
@@ -342,13 +339,11 @@ mod tests {
             let mut a = DeviceAssignment {
                 device: free_devices[fd],
                 jobs: Vec::new(),
-                benches: Vec::new(),
                 budgets: Vec::new(),
             };
             for &(sfd, ji, budget) in &slots {
                 if sfd == fd {
                     a.jobs.push(pending[ji].id);
-                    a.benches.push(pending[ji].bench);
                     a.budgets.push(budget);
                 }
             }
@@ -393,7 +388,7 @@ mod tests {
                 for &b in &benches {
                     let cap = d.num_sms;
                     let shape = rng.gen_range(3);
-                    let samples: Vec<(u32, u64)> = crate::predict::budget_grid(cap)
+                    let samples: Vec<(u32, u64)> = gcs_core::runner::budget_grid(cap)
                         .into_iter()
                         .map(|s| {
                             let cycles = match shape {

@@ -1,29 +1,25 @@
 //! Heterogeneous multi-GPU fleet allocation with marginal-gain SM
 //! budgeting.
 //!
-//! Everything below this crate schedules onto *one* GPU (or N
-//! identical free devices through `EventCore`). This crate generalizes
-//! dispatch to a heterogeneous fleet:
+//! The fleet runs on `gcs_sched`'s one event loop, `EventCore`, over its
+//! devices; this crate supplies what makes them differ:
 //!
 //! * [`FleetSpec`] / [`DeviceProfile`] — a typed, validated fleet
 //!   description with JSON round-trip ([`FleetError`] instead of
 //!   panics).
 //! * [`FleetPredictor`] — normalized-throughput curves per
-//!   `(device capacity, benchmark)` built from the memo-cached alone
-//!   profiles; warm starts replay without simulating.
+//!   `(device capacity, benchmark)` from the memo-cached alone profiles.
 //! * [`allocate`] — the Optimus-style marginal-gain allocator: seed
-//!   every job at one SM, repeatedly grant the next SM quantum to the
-//!   largest predicted STP gain, deterministic tie-breaking.
-//! * [`FleetPolicy`] — the allocator as an epoch policy next to
-//!   `Fcfs`/`GreedyClass`/`IlpEpoch`, degrading to greedy on a cold
-//!   predictor cache exactly like the ILP → greedy ladder.
-//! * [`run_fleet`] / [`FleetReport`] — the heterogeneous event loop
-//!   and its canonical byte-stable report (per-device utilization,
-//!   cross-device STP/ANTT, allocation churn).
-//!
-//! A homogeneous 1-device fleet reproduces the single-GPU scheduler
-//! byte-for-byte (`tests/fleet.rs` pins it), so the fleet path is a
-//! strict generalization rather than a fork.
+//!   every job at one SM, grant each next SM to the largest predicted
+//!   STP gain, deterministic tie-breaking.
+//! * [`FleetPolicy`] — the allocator as the epoch policy: *placed*
+//!   plans that name each group's device and budgets and may leave jobs
+//!   pending for the next round; per-epoch churn; greedy on a cold
+//!   predictor cache, `IlpEpoch` on a 1-device fleet.
+//! * [`FleetMeasure`] — runs each group on its own device's config.
+//! * [`run_fleet`] / [`FleetReport`] — a trace through the loop and its
+//!   canonical byte-stable report (per-device utilization, cross-device
+//!   STP/ANTT, allocation churn).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +33,7 @@ pub mod spec;
 
 pub use alloc::{allocate, DeviceAssignment, FleetPlan};
 pub use policy::{FleetPolicy, FleetPolicyStats};
-pub use predict::{budget_grid, FleetPredictor};
+pub use predict::FleetPredictor;
 pub use report::{FleetDevice, FleetGroup, FleetJob, FleetReport};
-pub use run::{run_fleet, FleetMode, FleetRunConfig};
+pub use run::{run_fleet, FleetMeasure, FleetMode, FleetRunConfig};
 pub use spec::{DeviceProfile, FleetError, FleetSpec};

@@ -29,7 +29,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use gcs_core::runner::interpolate;
+use gcs_core::runner::{budget_grid, interpolate};
 use gcs_core::{CoreError, SweepEngine, Workload};
 use gcs_sim::config::GpuConfig;
 use gcs_workloads::{Benchmark, Scale};
@@ -65,20 +65,6 @@ impl Curve {
 #[derive(Debug, Clone, Default)]
 pub struct FleetPredictor {
     curves: BTreeMap<(u32, Benchmark), Curve>,
-}
-
-/// The SM-budget sample grid for a device of `capacity` SMs — the same
-/// six relative points the pipeline's `ensure_curve` uses, deduped and
-/// clamped to ≥ 1.
-pub fn budget_grid(capacity: u32) -> Vec<u32> {
-    let n = capacity;
-    let mut grid: Vec<u32> = [n / 6, n / 3, n / 2, 2 * n / 3, 5 * n / 6, n]
-        .into_iter()
-        .map(|x| x.max(1))
-        .collect();
-    grid.sort_unstable();
-    grid.dedup();
-    grid
 }
 
 /// Visits every curve of `spec` × `benches` in one fixed order —

@@ -1,25 +1,27 @@
-//! The scheduler daemon: an incremental event engine plus a request
+//! The scheduler daemon: the one discrete-event loop plus a request
 //! handler and serve loop.
 //!
-//! [`EventCore`] is the discrete-event scheduling loop of
-//! [`OnlineScheduler::run`](crate::OnlineScheduler::run) factored into
-//! an *incremental* form: instead of consuming a whole
-//! [`ArrivalTrace`](gcs_workloads::ArrivalTrace) in one call, jobs are
+//! [`EventCore`] is the scheduling loop in *incremental* form: jobs are
 //! pushed one at a time with [`EventCore::submit`] and the run is
-//! finished with [`EventCore::drain`]. The batch scheduler is now a
-//! thin wrapper that feeds a trace through the same engine, so a
-//! daemon session that submits the same jobs at the same logical
-//! cycles produces a byte-identical [`SchedReport`] — the equivalence
-//! is structural, not a property the two loops have to keep in sync.
+//! finished with [`EventCore::drain`]. The batch
+//! [`OnlineScheduler::run`](crate::OnlineScheduler::run), the daemon and
+//! the heterogeneous fleet (`gcs_fleet::run_fleet`) all drive it, so a
+//! daemon session that submits the same jobs at the same logical cycles
+//! produces a byte-identical [`SchedReport`] — equivalence by
+//! construction, not by keeping loops in sync.
 //!
-//! The tie-order contract of the batch loop is preserved exactly: at
-//! any timestamp, completions free devices first, then admissions
-//! enter in submission order, then the re-plan tick check runs, then
-//! dispatch fills free devices. Dispatch at the current timestamp is
-//! *deferred* until time must advance (or the run drains), so every
-//! same-cycle submission lands in the queue census before the policy
-//! plans over it — just as the batch loop admits all due arrivals
-//! before planning.
+//! The tie order, defined here only: at any timestamp, completions free
+//! devices first, then admissions enter in submission order, then the
+//! re-plan tick check runs, then dispatch. Dispatch at the current
+//! timestamp is *deferred* until time must advance (or the run drains),
+//! so every same-cycle submission lands in the census before the policy
+//! plans over it. A dispatch step that finds jobs waiting first sends the
+//! policy its epoch notice ([`Policy::epoch`]), then fills free devices
+//! in ascending order from the front of the cached plan, planning lazily
+//! over the free devices ([`Policy::plan_over`]). An unplaced group takes
+//! the lowest free device and [`SchedConfig::alloc`]; a placed group
+//! ([`Plan::placements`]) runs on its own free device at its budgets, and
+//! a placed plan may leave jobs pending for the next round.
 //!
 //! [`DaemonCore`] wraps an `EventCore` with the wire protocol
 //! ([`Request`] → [`Response`]), bounded-admission backpressure
@@ -42,7 +44,7 @@ use gcs_core::{CoreError, NanoStats, WindowedNanoStats};
 use gcs_sim::SimError;
 use gcs_workloads::Benchmark;
 
-use crate::policy::{GreedyClass, Plan, Policy};
+use crate::policy::{GreedyClass, Placement, Plan, Policy};
 use crate::proto::{Request, Response};
 use crate::queue::{AdmissionQueue, Job, JobId};
 use crate::report::{GroupDispatch, JobFailure, JobOutcome, SchedReport};
@@ -53,47 +55,91 @@ use crate::SchedError;
 /// Measurement backend for planning and dispatched groups.
 ///
 /// Production code uses [`Pipeline`] (co-runs route through the
-/// memoized sweep engine); tests substitute stubs that return
-/// synthetic cycle counts or inject [`SimError`]s to exercise the
-/// failure paths deterministically — the real simulator offers no
-/// reliable way to force a timeout on demand.
+/// memoized sweep engine) or the fleet's per-device measure; tests
+/// substitute stubs that return synthetic cycle counts or inject
+/// [`SimError`]s to exercise the failure paths deterministically — the
+/// real simulator offers no reliable way to force a timeout on demand.
 pub trait Measure {
-    /// Plans dispatch groups over `pending` with `policy`.
+    /// Plans dispatch groups over `pending` with `policy` ([`Policy::plan_over`]).
     ///
     /// # Errors
     ///
     /// Propagates policy/pipeline failures.
-    fn plan(&mut self, policy: &mut dyn Policy, pending: &[Job]) -> Result<Plan, CoreError>;
+    fn plan(
+        &mut self,
+        policy: &mut dyn Policy,
+        pending: &[Job],
+        free: &[usize],
+    ) -> Result<Plan, CoreError>;
 
-    /// Measures one co-run group under `alloc`.
+    /// Passes `policy` its once-per-epoch notice ([`Policy::epoch`]); a
+    /// backend without a pipeline (a test stub) sends none.
+    ///
+    /// # Errors
+    ///
+    /// Propagates policy/pipeline failures.
+    fn epoch(&mut self, policy: &mut dyn Policy, queue: &AdmissionQueue) -> Result<(), CoreError> {
+        let _ = (policy, queue);
+        Ok(())
+    }
+
+    /// Measures one co-run group on `device` under `split`.
     ///
     /// # Errors
     ///
     /// Propagates simulator errors.
     fn run_group(
         &mut self,
+        device: usize,
         benches: &[Benchmark],
-        alloc: AllocationPolicy,
+        split: Split<'_>,
     ) -> Result<GroupResult, CoreError>;
 
-    /// Alone-run cycle count of `bench` (for STP accounting).
-    fn alone_cycles(&self, bench: Benchmark) -> u64;
+    /// Alone-run cycles of `bench` on `device` (for STP accounting).
+    fn alone_cycles(&self, device: usize, bench: Benchmark) -> u64;
 }
 
+/// How a dispatched group shares its device's SMs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Split<'a> {
+    /// An unplaced group: [`SchedConfig::alloc`].
+    Alloc(AllocationPolicy),
+    /// A placed group: each member's SM budget, in group order.
+    Budgets(&'a [u32]),
+}
+
+/// The pipeline's devices are identical, so the device index is only
+/// a slot. A placed plan's budgets are sized for a fleet device the
+/// pipeline does not model; running one is an error.
 impl Measure for Pipeline {
-    fn plan(&mut self, policy: &mut dyn Policy, pending: &[Job]) -> Result<Plan, CoreError> {
-        policy.plan(self, pending)
+    fn plan(
+        &mut self,
+        policy: &mut dyn Policy,
+        pending: &[Job],
+        free: &[usize],
+    ) -> Result<Plan, CoreError> {
+        policy.plan_over(self, pending, free)
+    }
+
+    fn epoch(&mut self, policy: &mut dyn Policy, queue: &AdmissionQueue) -> Result<(), CoreError> {
+        policy.epoch(self, queue)
     }
 
     fn run_group(
         &mut self,
+        _device: usize,
         benches: &[Benchmark],
-        alloc: AllocationPolicy,
+        split: Split<'_>,
     ) -> Result<GroupResult, CoreError> {
-        Pipeline::run_group(self, benches, alloc)
+        match split {
+            Split::Alloc(alloc) => Pipeline::run_group(self, benches, alloc),
+            Split::Budgets(_) => Err(CoreError::BadQueue(
+                "a placed group needs a per-device measure (gcs_fleet::FleetMeasure)".into(),
+            )),
+        }
     }
 
-    fn alone_cycles(&self, bench: Benchmark) -> u64 {
+    fn alone_cycles(&self, _device: usize, bench: Benchmark) -> u64 {
         self.profile(bench).cycles
     }
 }
@@ -137,7 +183,13 @@ pub struct EventCore {
     queue: AdmissionQueue,
     /// `busy[g]` is `Some(cycle at which device g frees up)`.
     busy: Vec<Option<u64>>,
+    /// The idle devices a plan is made over, refilled before each plan,
+    /// and a group's benchmarks, refilled per group.
+    free: Vec<usize>,
+    benches: Vec<Benchmark>,
     plan: Option<VecDeque<Vec<JobId>>>,
+    /// The cached plan's placements, front first; empty when unplaced.
+    placements: VecDeque<Placement>,
     last_tick: u64,
     now: u64,
     /// Whether the tick-check + dispatch steps have run at `now`.
@@ -175,7 +227,10 @@ impl EventCore {
             overload,
             queue: AdmissionQueue::new(cfg.queue_capacity),
             busy: vec![None; cfg.num_gpus as usize],
+            free: Vec::with_capacity(cfg.num_gpus as usize),
+            benches: Vec::new(),
             plan: None,
+            placements: VecDeque::new(),
             last_tick: 0,
             now: 0,
             settled: false,
@@ -269,7 +324,7 @@ impl EventCore {
         let at = job.arrival.max(self.now);
         if at > self.now {
             self.settle(m, policy)?;
-            self.pump_until(m, policy, at)?;
+            self.pump_until(m, policy, Some(at))?;
         }
         match self.queue.offer(job) {
             Ok(()) => {
@@ -314,13 +369,7 @@ impl EventCore {
         policy: &mut dyn Policy,
     ) -> Result<SchedReport, SchedError> {
         self.settle(m, policy)?;
-        while let Some(next) = self.next_event() {
-            debug_assert!(next > self.now, "events must move time forward");
-            self.now = next;
-            self.settled = false;
-            self.free_completions();
-            self.settle(m, policy)?;
-        }
+        self.pump_until(m, policy, None)?;
         if !self.queue.is_empty() {
             return Err(SchedError::Stalled {
                 waiting: self.queue.len(),
@@ -401,39 +450,50 @@ impl EventCore {
         Ok(())
     }
 
-    /// Processes internal events strictly before `target`, then lands
-    /// at `target` with completions freed and dispatch deferred.
+    /// Processes internal events strictly before `target` (every one
+    /// without), then lands at `target` with completions freed and
+    /// dispatch deferred.
     fn pump_until(
         &mut self,
         m: &mut dyn Measure,
         policy: &mut dyn Policy,
-        target: u64,
+        target: Option<u64>,
     ) -> Result<(), SchedError> {
         while let Some(next) = self.next_event() {
-            if next >= target {
+            if target.is_some_and(|t| next >= t) {
                 break;
             }
+            debug_assert!(next > self.now, "events must move time forward");
             self.now = next;
             self.settled = false;
             self.free_completions();
             self.settle(m, policy)?;
         }
-        self.now = target;
-        self.settled = false;
-        self.free_completions();
+        if let Some(t) = target {
+            self.now = t;
+            self.settled = false;
+            self.free_completions();
+        }
         Ok(())
     }
 
-    /// Dispatches onto free devices in ascending device order, planning
-    /// lazily (and through the overload ladder) when no plan is cached.
+    /// The dispatch step (see the module docs), planning through the
+    /// overload ladder.
     fn dispatch(&mut self, m: &mut dyn Measure, policy: &mut dyn Policy) -> Result<(), SchedError> {
+        if self.queue.is_empty() {
+            return Ok(());
+        }
+        m.epoch(policy, &self.queue)?;
         while !self.queue.is_empty() {
-            let Some(gpu) = self.busy.iter().position(Option::is_none) else {
+            let Some(lowest_free) = self.busy.iter().position(Option::is_none) else {
                 break;
             };
             let planned_now = self.plan.is_none();
             if planned_now {
                 let pending = self.queue.pending_vec();
+                self.free.clear();
+                self.free
+                    .extend((0..self.busy.len()).filter(|&g| self.busy[g].is_none()));
                 let mut greedy = GreedyClass;
                 // Overload rung 2: bypass an expensive policy for the
                 // class-aware greedy pairing above the limit.
@@ -449,32 +509,47 @@ impl EventCore {
                         to: greedy.name(),
                         pending: pending.len(),
                     });
-                    m.plan(&mut greedy, &pending)?
+                    m.plan(&mut greedy, &pending, &self.free)?
                 } else {
-                    m.plan(policy, &pending)?
+                    m.plan(policy, &pending, &self.free)?
                 };
                 let spent = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 self.decisions.push(spent);
                 self.degradations.extend(fresh.degradations);
                 self.plan = Some(fresh.groups.into());
+                self.placements = fresh.placements.into();
             }
             let Some(group_ids) = self.plan.as_mut().and_then(VecDeque::pop_front) else {
                 if planned_now {
-                    break; // defensive: policy returned an empty plan
+                    // Nothing to dispatch now: a placed plan may leave
+                    // jobs for the next round.
+                    break;
                 }
                 // A cached plan can exhaust while jobs still wait when
-                // overload rung 1 let the census grow past it — the
-                // stale census needs a fresh plan, not a stall.
+                // overload rung 1 let the census grow past it, or after
+                // a placed plan's round — the census needs a fresh
+                // plan, not a stall.
                 self.plan = None;
                 continue;
             };
+            let placement = self.placements.pop_front();
+            let gpu = placement.as_ref().map_or(lowest_free, |p| p.device);
+            assert!(
+                self.busy.get(gpu) == Some(&None),
+                "a placed group must name a free device"
+            );
             let members = self.queue.take(&group_ids);
-            let benches: Vec<Benchmark> = members.iter().map(|j| j.bench).collect();
-            match m.run_group(&benches, self.cfg.alloc) {
+            self.benches.clear();
+            self.benches.extend(members.iter().map(|j| j.bench));
+            let split = match &placement {
+                Some(p) => Split::Budgets(&p.budgets),
+                None => Split::Alloc(self.cfg.alloc),
+            };
+            match m.run_group(gpu, &self.benches, split) {
                 Ok(result) => {
                     let mut stp = 0.0;
                     for (member, app) in members.iter().zip(&result.apps) {
-                        let alone = m.alone_cycles(member.bench);
+                        let alone = m.alone_cycles(gpu, member.bench);
                         stp += alone as f64 / app.cycles as f64;
                         self.jobs.push(JobOutcome {
                             id: member.id,
@@ -497,6 +572,7 @@ impl EventCore {
                         start: self.now,
                         end,
                         jobs: group_ids,
+                        budgets: placement.map_or_else(Vec::new, |p| p.budgets),
                         stp,
                     });
                 }
@@ -788,20 +864,26 @@ mod tests {
     }
 
     impl Measure for StubMeasure {
-        fn plan(&mut self, _policy: &mut dyn Policy, pending: &[Job]) -> Result<Plan, CoreError> {
+        fn plan(
+            &mut self,
+            _policy: &mut dyn Policy,
+            pending: &[Job],
+            _free: &[usize],
+        ) -> Result<Plan, CoreError> {
             Ok(Plan {
                 groups: pending
                     .chunks(2)
                     .map(|c| c.iter().map(|j| j.id).collect())
                     .collect(),
-                degradations: Vec::new(),
+                ..Plan::default()
             })
         }
 
         fn run_group(
             &mut self,
+            _device: usize,
             benches: &[Benchmark],
-            _alloc: AllocationPolicy,
+            _split: Split<'_>,
         ) -> Result<GroupResult, CoreError> {
             if benches.iter().any(|b| self.fail.contains(b)) {
                 return Err(CoreError::Sim(SimError::Timeout {
@@ -823,7 +905,7 @@ mod tests {
             })
         }
 
-        fn alone_cycles(&self, _bench: Benchmark) -> u64 {
+        fn alone_cycles(&self, _device: usize, _bench: Benchmark) -> u64 {
             2 * self.cycles
         }
     }

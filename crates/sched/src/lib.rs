@@ -67,8 +67,8 @@ pub mod scheduler;
 pub mod transport;
 
 pub use client::{RetryConfig, SchedClient};
-pub use daemon::{DaemonConfig, DaemonCore, EventCore, Measure, OverloadPolicy};
-pub use policy::{Fcfs, GreedyClass, IlpEpoch, Plan, Policy, PolicyKind};
+pub use daemon::{DaemonConfig, DaemonCore, EventCore, Measure, OverloadPolicy, Split};
+pub use policy::{Fcfs, GreedyClass, IlpEpoch, Placement, Plan, Policy, PolicyKind};
 pub use proto::{ProtoError, Request, Response};
 pub use queue::{AdmissionQueue, Job, JobId, Rejection};
 pub use report::{GroupDispatch, JobFailure, JobOutcome, LatencyStats, SchedReport};

@@ -2,9 +2,11 @@
 //!
 //! A policy answers one question: *given the jobs currently waiting,
 //! in what groups should they run?* The scheduler calls
-//! [`Policy::plan`] lazily — only when it is about to dispatch and the
-//! cached plan was invalidated by new admissions (or a re-plan tick) —
-//! then consumes the plan's groups front-to-back as devices free up.
+//! [`Policy::plan_over`] lazily — only when it is about to dispatch and
+//! the cached plan was invalidated by new admissions (or a re-plan
+//! tick) — then consumes the plan's groups front-to-back as devices
+//! free up. Most policies implement [`Policy::plan`] alone, which
+//! `plan_over` defaults to.
 //!
 //! Consuming a stale-but-uninvalidated plan is *equivalent* to
 //! re-solving: the paper's grouping objective (Eq. 3.3) decomposes
@@ -14,24 +16,41 @@
 //! one-GPU [`IlpEpoch`] run reproduce the batch
 //! [`Pipeline::run_queue`](gcs_core::runner::Pipeline::run_queue)
 //! bit-for-bit (pinned in `tests/sched.rs`).
+//!
+//! A *placed* plan ([`Plan::placements`]) also names each group's free
+//! device and its members' SM budgets, as the fleet allocator's must. It
+//! is dispatched whole at once and may leave jobs pending for the next
+//! round.
 
 use gcs_core::fault::Degradation;
 use gcs_core::runner::{GroupingPolicy, Pipeline};
 use gcs_core::CoreError;
 use gcs_workloads::Benchmark;
 
-use crate::queue::{Job, JobId};
+use crate::queue::{AdmissionQueue, Job, JobId};
 
 /// The groups a policy wants dispatched, front first, plus any
 /// downgrades it took while planning (e.g. the ILP degrading to
 /// greedy).
 #[derive(Debug, Clone, Default)]
 pub struct Plan {
-    /// Groups of job ids, in dispatch order. Every pending job appears
-    /// exactly once; no group is empty.
+    /// Groups of job ids, in dispatch order; no group is empty. An
+    /// unplaced plan covers every pending job exactly once.
     pub groups: Vec<Vec<JobId>>,
+    /// `placements[i]` places `groups[i]`; empty for an unplaced plan,
+    /// whose groups take the lowest free device and `SchedConfig::alloc`.
+    pub placements: Vec<Placement>,
     /// Downgrades taken while planning.
     pub degradations: Vec<Degradation>,
+}
+
+/// Where one group of a placed [`Plan`] runs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Placement {
+    /// Device index; free when the plan was made.
+    pub device: usize,
+    /// Each member's SM budget, aligned with the group's job ids.
+    pub budgets: Vec<u32>,
 }
 
 /// An epoch-grouping strategy over the pending admission queue.
@@ -46,6 +65,34 @@ pub trait Policy {
     /// Propagates pipeline errors (e.g. a hard ILP failure that cannot
     /// degrade).
     fn plan(&mut self, pipeline: &Pipeline, pending: &[Job]) -> Result<Plan, CoreError>;
+
+    /// [`Policy::plan`] knowing the free devices (`free`, ascending);
+    /// the scheduler always plans through it. The default ignores `free`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Policy::plan`].
+    fn plan_over(
+        &mut self,
+        pipeline: &Pipeline,
+        pending: &[Job],
+        free: &[usize],
+    ) -> Result<Plan, CoreError> {
+        let _ = free;
+        self.plan(pipeline, pending)
+    }
+
+    /// The once-per-epoch notice, sent at every dispatch step that finds
+    /// jobs waiting — before any planning, even with no device free. The
+    /// default does nothing.
+    ///
+    /// # Errors
+    ///
+    /// Propagates pipeline errors.
+    fn epoch(&mut self, pipeline: &Pipeline, queue: &AdmissionQueue) -> Result<(), CoreError> {
+        let _ = (pipeline, queue);
+        Ok(())
+    }
 }
 
 /// First-come-first-served: chunk the queue into groups of
@@ -66,7 +113,7 @@ impl Policy for Fcfs {
                 .chunks(nc)
                 .map(|c| c.iter().map(|j| j.id).collect())
                 .collect(),
-            degradations: Vec::new(),
+            ..Plan::default()
         })
     }
 }
@@ -87,7 +134,7 @@ impl Policy for GreedyClass {
         let groups = pipeline.group_greedy_class(&benches);
         Ok(Plan {
             groups: ids_for_groups(pending, &groups),
-            degradations: Vec::new(),
+            ..Plan::default()
         })
     }
 }
@@ -109,6 +156,7 @@ impl Policy for IlpEpoch {
             pipeline.group_with_degradations(&benches, GroupingPolicy::Ilp)?;
         Ok(Plan {
             groups: ids_for_groups(pending, &groups),
+            placements: Vec::new(),
             degradations,
         })
     }

@@ -92,6 +92,9 @@ pub struct GroupDispatch {
     pub end: u64,
     /// Member job ids, group order.
     pub jobs: Vec<JobId>,
+    /// Each member's SM budget when a placed plan fixed them, group
+    /// order; empty when the allocation policy split the device.
+    pub budgets: Vec<u32>,
     /// System throughput of this group: Σ alone/corun over members.
     pub stp: f64,
 }
@@ -258,6 +261,15 @@ impl SchedReport {
                 }
                 push_u64(&mut s, id as u64);
             }
+            if !g.budgets.is_empty() {
+                s.push_str("],\"budgets\":[");
+                for (k, &b) in g.budgets.iter().enumerate() {
+                    if k > 0 {
+                        s.push(',');
+                    }
+                    push_u64(&mut s, u64::from(b));
+                }
+            }
             s.push_str("],\"stp\":");
             push_f64(&mut s, g.stp);
             s.push('}');
@@ -395,7 +407,8 @@ mod tests {
                 gpu: 0,
                 start: 0,
                 end: 12,
-                jobs: vec![0],
+                jobs: vec![0, 3],
+                budgets: vec![3, 5],
                 stp: 0.8,
             }],
             degradations: vec![Degradation::IlpGreedyFallback {
@@ -411,7 +424,7 @@ mod tests {
             "\"makespan\": 12",
             "\"bench\":\"GUPS\"",
             "\"at\":5",
-            "\"stp\":0.8",
+            "{\"gpu\":0,\"start\":0,\"end\":12,\"jobs\":[0,3],\"budgets\":[3,5],\"stp\":0.8}",
             "\\\"limit\\\"\\n\\u0001",
             "\"p99\":",
             "\"kind\":\"timeout\"",

@@ -1,23 +1,14 @@
 //! The batch entry point to the discrete-event scheduling loop.
 //!
-//! Time is simulated GPU cycles. The engine holds three event sources
-//! — trace arrivals, group completions and optional re-plan interval
-//! ticks — and always advances to the earliest pending one. Events
-//! that share a timestamp are processed in a fixed order so runs are
-//! reproducible regardless of how the tie arose:
-//!
-//! 1. **completions** free their devices,
-//! 2. **admissions** enter the queue in trace order (invalidating any
-//!    cached plan — the census changed),
-//! 3. **dispatch** fills free devices in ascending device order from
-//!    the front of the current plan, planning lazily if none is cached.
-//!
-//! The loop itself lives in [`EventCore`](crate::daemon::EventCore) in
-//! its incremental (submit-by-submit) form; [`OnlineScheduler::run`]
+//! Time is simulated GPU cycles; trace arrivals, group completions and
+//! optional re-plan ticks are the events. The loop itself, with its
+//! tie order for events that share a timestamp, lives in [`EventCore`]
+//! in its incremental (submit-by-submit) form; [`OnlineScheduler::run`]
 //! feeds a whole [`ArrivalTrace`] through it and drains. Because the
-//! daemon drives the *same* engine, a daemon session submitting the
-//! same jobs at the same logical cycles produces a byte-identical
-//! report — equivalence by construction, not by parallel maintenance.
+//! daemon and the fleet drive the *same* engine, a daemon session
+//! submitting the same jobs at the same logical cycles produces a
+//! byte-identical report — equivalence by construction, not by parallel
+//! maintenance.
 //!
 //! Group execution itself is *measured*, not simulated here: a dispatch
 //! calls [`Pipeline::run_group`], which routes through the memoized

@@ -8,7 +8,8 @@
 #   scripts/ci.sh               full gate: public-surface audit, build,
 #                               tests, widened property tests, clippy (deny
 #                               warnings), the two duplicate guards, the
-#                               deleted-name and one-binary guards, the
+#                               one-event-loop, deleted-name and one-binary
+#                               guards, the
 #                               daemon/sched/fleet smokes and
 #                               benchmark/smoke.sh (golden digests)
 #   scripts/ci.sh --quick       tier-1 only: public-surface audit, release
@@ -350,16 +351,33 @@ if [ "$(echo "$FOUND" | grep -c .)" -ne 1 ]; then
     exit 1
 fi
 
+# One event loop (DESIGN.md §14): the scheduler's completions →
+# admissions → dispatch loop is defined in crates/sched/src/daemon.rs
+# alone, and the fleet's churn map once.
+step "one-event-loop guard (pump_until and free_completions in daemon.rs only, one ChurnMap)"
+if grep -rnE 'fn (pump_until|free_completions)\b' crates --include='*.rs' \
+        | grep -v '^crates/sched/src/daemon.rs:'; then
+    echo "an event loop is defined outside crates/sched/src/daemon.rs" >&2
+    exit 1
+fi
+FOUND=$(grep -rnE 'struct ChurnMap\b' crates --include='*.rs')
+if [ "$(echo "$FOUND" | grep -c .)" -ne 1 ]; then
+    echo "'struct ChurnMap' must be defined exactly once under crates/, found:" >&2
+    echo "$FOUND" >&2
+    exit 1
+fi
+
 # Deleted names stay deleted: the sharded lanes of the one stepping
-# engine (DESIGN.md §12), their thread lease and knobs, and the surface
-# the public-surface audit removed (LP text format, window trace
-# recorder, debug_* binaries, cache GC script). CHANGES.md and
-# ROADMAP.md are history and may name them.
-step "deleted-name guard (no sharded-lane or audited-away names)"
+# engine (DESIGN.md §12), their thread lease and knobs, the surface the
+# public-surface audit removed (LP text format, window trace recorder,
+# debug_* binaries, cache GC script), and the fleet's own event loop.
+# CHANGES.md and ROADMAP.md are history and may name them.
+step "deleted-name guard (no sharded-lane, audited-away or second-loop names)"
 GONE='ShardCell|MemShard|ShardSink|ShardCtl|ThreadedExec|issue_prepare|issue_more'
 GONE="$GONE|resolve_pending|PendingAccess|run_sharded|ShardLease|set_shards"
 GONE="$GONE|set_mem_shards|set_shard_workers|with_sim_threads|GCS_SIM_THREADS|shard_smoke"
 GONE="$GONE|WindowTrace|parse_lp|to_lp_string|gc_cache|debug_counters|debug_pair|debug_queue"
+GONE="$GONE|pump_to|track_churn|dispatch_marginal|dispatch_fcfs"
 if grep -rnE "$GONE" crates tests scripts README.md DESIGN.md EXPERIMENTS.md \
         .claude/skills/verify/SKILL.md --exclude=ci.sh; then
     echo "a deleted name is back (see the matches above)" >&2

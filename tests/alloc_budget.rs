@@ -18,13 +18,12 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use gcs_core::queues::thesis_queue_14;
 use gcs_core::runner::Pipeline;
 use gcs_core::smra::SmraParams;
 use gcs_core::sweep::{CorunMode, Workload};
-use gcs_core::SweepEngine;
 use gcs_fleet::{
     allocate, run_fleet, DeviceProfile, FleetMode, FleetPredictor, FleetReport, FleetRunConfig,
     FleetSpec,
@@ -34,7 +33,7 @@ use gcs_workloads::{ArrivalTrace, Benchmark};
 
 #[path = "common/fixtures.rs"]
 mod fixtures;
-use fixtures::{pipeline, pipeline_with_engine};
+use fixtures::{pipeline, shared_pipeline};
 
 /// Allocations (and reallocations) one `IlpEpoch::plan` over census-14
 /// may make: the census `Vec`, the ILP problem and its branch & bound
@@ -45,17 +44,19 @@ const PLAN_BUDGET: u64 = 38;
 /// 8/15/30-SM fleet with groups of two: the per-device SM pools and job
 /// counts, the slot table, the deferred list, the device order, and the
 /// plan's assignments. The grant loop itself allocates nothing, so
-/// this count does not grow with the number of SMs granted.
-const FLEET_ALLOC_COUNT: u64 = 16;
+/// this count does not grow with the number of SMs granted. (It was 16
+/// while each assignment also listed its jobs' benchmarks.)
+const FLEET_ALLOC_COUNT: u64 = 13;
 
 /// Allocations one warm `run_fleet` of the benchmark's `fleet_loop`
-/// run makes in a debug build. 450 of them are the `debug_assert_eq!`
-/// that re-plans each of the 30 reused shadow plans; a release build
-/// makes 1 669. Before the first dispatch of an all-free epoch reused
-/// the shadow plan, the churn map was made dense, the predictor's probe
-/// was batched and group dispatch stopped cloning, the same run made
-/// 2 659 in either build.
-const FLEET_RUN_COUNT: u64 = 2_119;
+/// run makes in a debug build. 330 of them are the `debug_assert_eq!`
+/// that re-allocates each of the 30 reused shadow plans; a release
+/// build makes 1 504. Before the run moved onto `EventCore` it made
+/// 2 119 (1 669 in release), and 2 659 in either build before the
+/// first dispatch of an all-free epoch reused the shadow plan, the
+/// churn map was made dense, the predictor's probe was batched and
+/// group dispatch stopped cloning.
+const FLEET_RUN_COUNT: u64 = 1_834;
 
 struct Counting;
 
@@ -187,21 +188,21 @@ fn fleet_loop_run() -> (ArrivalTrace, FleetRunConfig) {
     (trace, cfg)
 }
 
-/// One pipeline the fleet pins share, with the report of the cold
+/// The suite's shared pipeline, with the report of the cold
 /// [`fleet_loop_run`] that filled its memo: every curve point of every
 /// benchmark on the 8/15/30-SM fleet and every group that run
 /// dispatches. Shared so the suite simulates them once; after the cold
 /// run every job the pins ask for is a memo hit, so neither changes
 /// what the other counts (counts are per thread, and a hit inserts
 /// nothing).
-fn warm_fleet() -> &'static (Pipeline, FleetReport) {
-    static WARM: OnceLock<(Pipeline, FleetReport)> = OnceLock::new();
-    WARM.get_or_init(|| {
-        let p = pipeline_with_engine(2, Arc::new(SweepEngine::auto()));
+fn warm_fleet() -> (&'static Pipeline, &'static FleetReport) {
+    static COLD: OnceLock<FleetReport> = OnceLock::new();
+    let p = shared_pipeline();
+    let cold = COLD.get_or_init(|| {
         let (trace, cfg) = fleet_loop_run();
-        let cold = run_fleet(&p, &hetero_8_15_30(), &cfg, &trace).expect("cold run");
-        (p, cold)
-    })
+        run_fleet(p, &hetero_8_15_30(), &cfg, &trace).expect("cold run")
+    });
+    (p, cold)
 }
 
 #[test]

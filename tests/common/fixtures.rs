@@ -1,10 +1,11 @@
 //! Pipeline and profile fixtures shared by the integration suites
 //! (pulled in with `#[path]`; test-only, nothing here ships in product
 //! code): the small-device run configuration, a pipeline over the
-//! paper-shaped synthetic matrix, and an `AppProfile` as raw bits.
+//! paper-shaped synthetic matrix, one such pipeline a suite's tests
+//! share, and an `AppProfile` as raw bits.
 #![allow(dead_code)]
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use gcs_core::interference::InterferenceMatrix;
 use gcs_core::profile::AppProfile;
@@ -36,6 +37,15 @@ pub fn pipeline_with_engine(concurrency: u32, engine: Arc<SweepEngine>) -> Pipel
 /// [`pipeline_with_engine`] on the sequential engine.
 pub fn pipeline(concurrency: u32) -> Pipeline {
     pipeline_with_engine(concurrency, Arc::new(SweepEngine::sequential()))
+}
+
+/// The one pipeline the tests of a suite share, over the parallel
+/// engine: a job one of them simulated is a memo hit for the rest, so
+/// the suite simulates each job once. Its counters move with every test
+/// that runs, so a test asserting engine counters builds its own.
+pub fn shared_pipeline() -> &'static Pipeline {
+    static SHARED: OnceLock<Pipeline> = OnceLock::new();
+    SHARED.get_or_init(|| pipeline_with_engine(2, Arc::new(SweepEngine::auto())))
 }
 
 /// Every field of `p` as raw bits, for exact comparisons.

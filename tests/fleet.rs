@@ -7,6 +7,9 @@
 //!   [`FleetPolicy`] run through [`OnlineScheduler`] renders the exact
 //!   same report bytes as a plain `IlpEpoch` run. The fleet path is
 //!   a strict generalization of the single-GPU scheduler, not a fork.
+//! * **One event loop** — a [`DaemonCore`] session over the fleet
+//!   policy and [`FleetMeasure`] makes every placement [`run_fleet`]
+//!   makes: device, dispatch, completion and SM budget of every job.
 //! * **Budget conservation & monotonicity** — per-device granted SM
 //!   budgets never exceed capacity, and adding a device never lowers
 //!   the predicted fleet STP.
@@ -18,24 +21,30 @@
 //! * **Fleet beats FCFS** — marginal-gain budgeting on a heterogeneous
 //!   3-device fleet beats the whole-device FCFS baseline on
 //!   cross-device STP.
+//!
+//! Tests that assert no engine counter share one warmed pipeline
+//! ([`shared_pipeline`]); the counter pins and the cold 1/2/8-thread
+//! runs build their own engines.
 
 use std::sync::Arc;
 
 use gcs_core::runner::AllocationPolicy;
 use gcs_core::SweepEngine;
 use gcs_fleet::{
-    allocate, run_fleet, DeviceProfile, FleetMode, FleetPolicy, FleetPredictor, FleetRunConfig,
-    FleetSpec,
+    allocate, run_fleet, DeviceProfile, FleetMeasure, FleetMode, FleetPolicy, FleetPredictor,
+    FleetReport, FleetRunConfig, FleetSpec,
 };
-use gcs_sched::{Job, OnlineScheduler, Policy, PolicyKind, SchedConfig};
-use gcs_sim::config::GpuConfig;
+use gcs_sched::{
+    DaemonConfig, DaemonCore, EventCore, GroupDispatch, Job, JobOutcome, OnlineScheduler,
+    OverloadPolicy, Policy, PolicyKind, Request, Response, SchedConfig, SchedReport,
+};
 use gcs_workloads::{ArrivalTrace, Benchmark, Scale};
 
 #[path = "common/hostile.rs"]
 mod hostile;
 #[path = "common/fixtures.rs"]
 mod fixtures;
-use fixtures::pipeline_with_engine;
+use fixtures::{pipeline_with_engine, shared_pipeline};
 
 /// Small, fast census for TEST-scale simulation.
 const POOL: [Benchmark; 3] = [Benchmark::Gups, Benchmark::Hs, Benchmark::Lud];
@@ -75,16 +84,16 @@ fn one_device_fleet_reproduces_single_gpu_report_bytes() {
         replan_interval: None,
     };
 
-    let engine = Arc::new(SweepEngine::sequential());
-    let mut ilp_p = pipeline_with_engine(2, Arc::clone(&engine));
+    let engine = shared_pipeline().engine();
+    let mut ilp_p = pipeline_with_engine(2, Arc::clone(engine));
     let mut ilp = PolicyKind::IlpEpoch.build();
     let ilp_report = OnlineScheduler::new(&mut ilp_p, cfg)
         .unwrap()
         .run(&trace, ilp.as_mut())
         .expect("ilp run");
 
-    let base_sms = GpuConfig::test_small().num_sms;
-    let mut fleet_p = pipeline_with_engine(2, Arc::clone(&engine));
+    let base_sms = ilp_p.config().gpu.num_sms;
+    let mut fleet_p = pipeline_with_engine(2, Arc::clone(engine));
     let mut fleet = FleetPolicy::new(FleetSpec::homogeneous(1, base_sms).expect("spec"));
     let stats = fleet.stats_handle();
     let fleet_report = OnlineScheduler::new(&mut fleet_p, cfg)
@@ -107,10 +116,10 @@ fn one_device_fleet_reproduces_single_gpu_report_bytes() {
 #[test]
 fn allocation_conserves_per_device_sm_budgets() {
     let spec = hetero3();
-    let engine = SweepEngine::sequential();
-    let base = GpuConfig::test_small();
+    let p = shared_pipeline();
     let predictor =
-        FleetPredictor::warm(&engine, &base, Scale::TEST, &spec, &POOL).expect("warm");
+        FleetPredictor::warm(p.engine(), &p.config().gpu, Scale::TEST, &spec, &POOL)
+            .expect("warm");
 
     let pending = jobs(&[
         Benchmark::Gups,
@@ -136,8 +145,7 @@ fn allocation_conserves_per_device_sm_budgets() {
 /// in fleet size.
 #[test]
 fn adding_a_device_never_lowers_predicted_stp() {
-    let engine = SweepEngine::sequential();
-    let base = GpuConfig::test_small();
+    let p = shared_pipeline();
     let pending = jobs(&[
         Benchmark::Gups,
         Benchmark::Hs,
@@ -157,7 +165,8 @@ fn adding_a_device_never_lowers_predicted_stp() {
         )
         .expect("spec");
         let predictor =
-            FleetPredictor::warm(&engine, &base, Scale::TEST, &spec, &POOL).expect("warm");
+            FleetPredictor::warm(p.engine(), &p.config().gpu, Scale::TEST, &spec, &POOL)
+                .expect("warm");
         let all: Vec<usize> = (0..spec.len()).collect();
         let plan = allocate(&predictor, &spec, &pending, &all, 2);
         assert!(
@@ -198,20 +207,18 @@ fn fleet_run_is_bit_identical_across_thread_counts() {
 fn hetero_fleet_beats_whole_device_fcfs_on_stp() {
     let spec = hetero3();
     let trace = wave_trace();
-    let engine = Arc::new(SweepEngine::sequential());
+    let p = shared_pipeline();
 
-    let fleet_p = pipeline_with_engine(2, Arc::clone(&engine));
     let fleet = run_fleet(
-        &fleet_p,
+        p,
         &spec,
         &FleetRunConfig { queue_capacity: 16, mode: FleetMode::MarginalGain },
         &trace,
     )
     .expect("fleet run");
 
-    let fcfs_p = pipeline_with_engine(2, Arc::clone(&engine));
     let fcfs = run_fleet(
-        &fcfs_p,
+        p,
         &spec,
         &FleetRunConfig { queue_capacity: 16, mode: FleetMode::WholeDeviceFcfs },
         &trace,
@@ -315,7 +322,7 @@ fn fleet_report_matches_the_golden_file() {
         Benchmark::Fft,
         Benchmark::Spmv,
     ];
-    let pipeline = pipeline_with_engine(2, Arc::new(SweepEngine::auto()));
+    let pipeline = shared_pipeline();
     let mean_alone: f64 = CENSUS
         .iter()
         .map(|&b| pipeline.profile(b).cycles as f64)
@@ -327,13 +334,152 @@ fn fleet_report_matches_the_golden_file() {
         queue_capacity: trace.len(),
         mode: FleetMode::MarginalGain,
     };
-    let report = run_fleet(&pipeline, &hetero3(), &cfg, &trace).expect("fleet run");
+    let report = run_fleet(pipeline, &hetero3(), &cfg, &trace).expect("fleet run");
     let golden = include_str!("golden/fleet/fleet_test_fleet.json");
     assert!(
         report.to_json() == golden,
         "fleet report drifted from the golden file:\n{}",
         report.to_json()
     );
+}
+
+/// The fleet's [`SchedConfig`] for `capacity` queue slots.
+fn hetero3_sched(queue_capacity: usize) -> SchedConfig {
+    SchedConfig {
+        num_gpus: 3,
+        queue_capacity,
+        alloc: AllocationPolicy::Smra,
+        replan_interval: None,
+    }
+}
+
+/// `fleet` rendered as the daemon's report: its jobs and groups, each
+/// group with its members' budgets.
+fn as_sched_report(fleet: &FleetReport) -> SchedReport {
+    let budget = |id| {
+        let k = fleet.jobs.binary_search_by_key(&id, |j| j.id).expect("job ran");
+        fleet.jobs[k].budget_sms
+    };
+    SchedReport {
+        policy: "fleet".into(),
+        num_gpus: fleet.devices.len() as u32,
+        queue_capacity: fleet.queue_capacity,
+        jobs: fleet
+            .jobs
+            .iter()
+            .map(|j| JobOutcome {
+                id: j.id,
+                bench: j.bench,
+                arrival: j.arrival,
+                dispatch: j.dispatch,
+                completion: j.completion,
+                gpu: j.device as u32,
+                alone_cycles: j.alone_cycles,
+                corun_cycles: j.corun_cycles,
+            })
+            .collect(),
+        rejections: fleet.rejections.clone(),
+        failed: Vec::new(),
+        groups: fleet
+            .groups
+            .iter()
+            .map(|g| GroupDispatch {
+                gpu: g.device as u32,
+                start: g.start,
+                end: g.end,
+                jobs: g.jobs.clone(),
+                budgets: g.jobs.iter().map(|&id| budget(id)).collect(),
+                stp: g.stp,
+            })
+            .collect(),
+        degradations: fleet.degradations.clone(),
+        makespan: fleet.makespan,
+    }
+}
+
+/// A `DaemonCore` session over the 8/15/30-SM [`FleetPolicy`] and the
+/// fleet measure makes `run_fleet`'s placements on the same trace: the
+/// drained report is `run_fleet`'s, byte for byte — device, dispatch,
+/// completion, cycles and SM budget of every job, STP of every group —
+/// and the policy counts the same churn. The fleet counterpart of the
+/// session ≡ batch pin in `tests/daemon.rs`.
+#[test]
+fn daemon_session_makes_run_fleets_placements() {
+    let p = shared_pipeline();
+    let spec = hetero3();
+    let trace = wave_trace();
+    let cfg = FleetRunConfig {
+        queue_capacity: 16,
+        mode: FleetMode::MarginalGain,
+    };
+    let fleet = run_fleet(p, &spec, &cfg, &trace).expect("fleet run");
+
+    let mut measure = FleetMeasure::new(p, &spec);
+    let policy = FleetPolicy::new(spec.clone());
+    let stats = policy.stats_handle();
+    let daemon_cfg = DaemonConfig {
+        sched: hetero3_sched(cfg.queue_capacity),
+        overload: OverloadPolicy::default(),
+    };
+    let mut d = DaemonCore::new(&mut measure, Box::new(policy), daemon_cfg).expect("daemon");
+    for (i, a) in trace.arrivals().iter().enumerate() {
+        let r = d.handle(Request::Submit {
+            id: i as u64,
+            bench: a.bench,
+            at: a.time,
+        });
+        assert_eq!(r, Response::Submitted { id: i as u64 });
+    }
+    let Response::Drained { json } = d.handle(Request::Drain) else {
+        panic!("the session must drain");
+    };
+    assert_eq!(json, as_sched_report(&fleet).to_json());
+    assert!(json.contains("\"budgets\":["), "placed groups show their budgets");
+    assert_eq!(stats.lock().unwrap().churn, fleet.churn);
+}
+
+/// In a fleet run a job never leaves the shadow plan before it is
+/// dispatched: the shadow places a fixed-length prefix of the FIFO
+/// census. A daemon client can bring a job id back, though, by
+/// submitting it again. Here job 0 runs alone on the 30-SM device, job
+/// 1 is planned in the epoch after, and job 0 returns third in a wave of
+/// three, which the shadow puts on the 15-SM device. The previous epoch
+/// did not plan job 0, so its return is not churn; a churn map that
+/// compared it with its older placement would count one move.
+#[test]
+fn a_job_back_on_another_device_is_not_churn() {
+    let p = shared_pipeline();
+    let spec = hetero3();
+    // Fill the memo with the curves the policy reads from it.
+    FleetPredictor::warm(p.engine(), &p.config().gpu, Scale::TEST, &spec, &POOL).expect("warm");
+    let mut measure = FleetMeasure::new(p, &spec);
+    let mut policy = FleetPolicy::new(spec);
+    let stats = policy.stats_handle();
+    let mut core = EventCore::new(hetero3_sched(8), OverloadPolicy::default()).expect("core");
+    let submissions = [
+        (0, Benchmark::Gups, 0),
+        (1, Benchmark::Hs, 1_000_000),
+        (5, Benchmark::Lud, 2_000_000),
+        (6, Benchmark::Gups, 2_000_000),
+        (0, Benchmark::Hs, 2_000_000),
+    ];
+    for (id, bench, arrival) in submissions {
+        let job = Job { id, bench, arrival };
+        assert!(core.submit(&mut measure, &mut policy, job).expect("submit"));
+    }
+    let report = core.drain(&mut measure, &mut policy).expect("drain");
+    assert!(report.failed.is_empty() && report.degradations.is_empty());
+    let mut job0: Vec<(u64, u32)> = report
+        .jobs
+        .iter()
+        .filter(|j| j.id == 0)
+        .map(|j| (j.dispatch, j.gpu))
+        .collect();
+    job0.sort_unstable();
+    assert_eq!(job0, [(0, 2), (2_000_000, 1)], "job 0 returns on another device");
+    let s = stats.lock().unwrap();
+    assert_eq!(s.cold_fallbacks, 0);
+    assert_eq!(s.churn, 0, "a job the previous epoch did not plan never moved");
 }
 
 /// On a cold memo cache the fleet policy degrades to greedy grouping —
