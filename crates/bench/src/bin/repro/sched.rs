@@ -185,8 +185,9 @@ pub fn schedd_sim(profile: bool) {
 ///
 /// * `GCS_SCHED_POLICY`    — `fcfs` | `greedy` | `ilp` (`ilp`)
 /// * `GCS_SCHED_FLEET`     — path to a `FleetSpec` JSON; serves the
-///   heterogeneous fleet policy instead of `GCS_SCHED_POLICY`, each
-///   group on its own device's config at the budgets it plans (the
+///   heterogeneous fleet policy instead of `GCS_SCHED_POLICY`, its
+///   curves profiled for every benchmark before the daemon serves,
+///   each group on its own device's config at the budgets it plans (the
 ///   report's policy name comes out `fleet`, or `ilp` for the
 ///   degenerate 1-device spec)
 /// * `GCS_SCHED_GPUS`      — simulated devices (`1`); with a fleet spec,
@@ -249,7 +250,11 @@ pub fn schedd(mut args: Args) {
     let (measure, policy): (&mut dyn Measure, Box<dyn Policy>) = match fleet {
         Some(spec) => {
             fleet_measure = FleetMeasure::new(&pipeline, &spec);
-            (&mut fleet_measure, Box::new(FleetPolicy::new(spec)))
+            let policy = FleetPolicy::warmed(&pipeline, spec).unwrap_or_else(|e| {
+                eprintln!("cannot profile the fleet's curves: {e}");
+                std::process::exit(1);
+            });
+            (&mut fleet_measure, Box::new(policy))
         }
         None => (&mut pipeline, kind.build()),
     };

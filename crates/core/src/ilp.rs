@@ -38,8 +38,9 @@ impl GroupingSolution {
 }
 
 /// The grouping ILP's fixed part for `nc`-application groups: the
-/// patterns, their `e` coefficients and the Eq. 3.6 incidence rows.
-/// Only the census changes from one solve to the next, so a
+/// patterns and the Eq. 3.3–3.7 problem over them, built once with its
+/// `e` objective and incidence rows. Only the census changes from one
+/// solve to the next, and it enters as right-hand sides, so a
 /// [`Pipeline`](crate::runner::Pipeline) builds its model once and
 /// solves every census against it; the free functions below build a
 /// model per call.
@@ -47,9 +48,9 @@ impl GroupingSolution {
 pub(crate) struct GroupingModel {
     nc: u32,
     patterns: Vec<Pattern>,
-    e: Vec<f64>,
-    /// `incidence[c][i]`: how many class-`c` members pattern `i` has.
-    incidence: [Vec<f64>; AppClass::COUNT],
+    /// Eq. 3.3–3.7 for an all-zero census; every solve overlays its own
+    /// right-hand sides.
+    problem: Problem,
 }
 
 impl GroupingModel {
@@ -76,84 +77,114 @@ impl GroupingModel {
     }
 
     fn from_parts(nc: u32, patterns: Vec<Pattern>, e: Vec<f64>) -> Self {
-        let incidence = AppClass::ALL.map(|class| {
-            patterns
+        let mut problem = Problem::maximize(e);
+        // Eq. 3.6 (as ≤, following Appendix Eq. 5.5): class usage cannot
+        // exceed the queue census.
+        for class in AppClass::ALL {
+            let row = patterns
                 .iter()
                 .map(|pat| f64::from(pat.count(class)))
-                .collect()
-        });
+                .collect();
+            problem.add_constraint(row, Relation::Le, 0.0);
+        }
+        // Eq. 3.7: exactly L groups.
+        problem.add_constraint(vec![1.0; patterns.len()], Relation::Eq, 0.0);
+        problem.set_all_integer(true);
         GroupingModel {
             nc,
             patterns,
-            e,
-            incidence,
+            problem,
         }
     }
 
-    /// The patterns, in enumeration order.
-    pub(crate) fn patterns(&self) -> &[Pattern] {
-        &self.patterns
+    /// The right-hand sides of the census `class_counts`: the class
+    /// counts (Eq. 3.6), then `L = N_q / NC` (Eq. 3.7).
+    fn rhs(&self, class_counts: [u32; AppClass::COUNT]) -> [f64; AppClass::COUNT + 1] {
+        let nq: u32 = class_counts.iter().sum();
+        let mut rhs = [0.0; AppClass::COUNT + 1];
+        for class in AppClass::ALL {
+            rhs[class.index()] = f64::from(class_counts[class.index()]);
+        }
+        rhs[AppClass::COUNT] = f64::from(nq / self.nc);
+        rhs
     }
 
     /// Eq. 3.3–3.7 for the per-class queue census `class_counts`.
     fn problem(&self, class_counts: [u32; AppClass::COUNT]) -> Problem {
-        let nq: u32 = class_counts.iter().sum();
-        let l = nq / self.nc;
-        let mut p = Problem::maximize(self.e.clone());
-        // Eq. 3.6 (as ≤, following Appendix Eq. 5.5): class usage cannot
-        // exceed the queue census.
-        for class in AppClass::ALL {
-            p.add_constraint(
-                self.incidence[class.index()].clone(),
-                Relation::Le,
-                f64::from(class_counts[class.index()]),
-            );
+        let mut p = Problem::maximize(self.problem.objective().to_vec());
+        for (c, rhs) in self.problem.constraints().iter().zip(self.rhs(class_counts)) {
+            p.add_constraint(c.coeffs.clone(), c.rel, rhs);
         }
-        // Eq. 3.7: exactly L groups.
-        p.add_constraint(vec![1.0; self.patterns.len()], Relation::Eq, f64::from(l));
         p.set_all_integer(true);
         p
     }
 
-    /// Solves the census: `L_i` for every pattern in enumeration order,
-    /// and the objective `f`. `node_limit` overrides the branch & bound
-    /// budget (`None` keeps the solver's default).
+    /// Solves the census: calls `each(pattern, L_i)` for every pattern
+    /// with `L_i > 0`, in enumeration order, and returns the objective
+    /// `f`. `node_limit` overrides the branch & bound budget (`None`
+    /// keeps the solver's default).
+    ///
+    /// A census of exactly one group (`N_q = NC`, so `L = 1`) is not
+    /// solved: the census's own pattern is the only feasible point, so
+    /// it is the answer with `f = e_p`, bit for bit what branch & bound
+    /// returns. This closed form counts as the root node, so a zero
+    /// node budget still fails.
     ///
     /// # Errors
     ///
     /// [`CoreError::Milp`] if the ILP is infeasible or hits the node
     /// limit.
-    pub(crate) fn solve(
+    pub(crate) fn solve_each(
         &self,
         class_counts: [u32; AppClass::COUNT],
         node_limit: Option<usize>,
-    ) -> Result<(Vec<u32>, f64), CoreError> {
-        let mut problem = self.problem(class_counts);
-        if let Some(limit) = node_limit {
-            problem.set_node_limit(limit);
+        mut each: impl FnMut(&Pattern, u32),
+    ) -> Result<f64, CoreError> {
+        let e = self.problem.objective();
+        if class_counts.iter().sum::<u32>() == self.nc && e.iter().all(|v| v.is_finite()) {
+            if node_limit == Some(0) {
+                return Err(gcs_milp::SolveError::NodeLimit.into());
+            }
+            let p = self
+                .patterns
+                .iter()
+                .position(|pat| pat.counts().map(u32::from) == class_counts)
+                .expect("every NC-member census is a pattern");
+            each(&self.patterns[p], 1);
+            // The solver's objective: `e · x` at the one-hot point.
+            return Ok(e
+                .iter()
+                .enumerate()
+                .map(|(i, c)| c * if i == p { 1.0 } else { 0.0 })
+                .sum());
         }
-        let sol = problem.solve()?;
-        let counts = sol
-            .values
-            .iter()
-            .map(|v| u32::try_from(v.round() as i64).unwrap_or(0))
-            .collect();
-        Ok((counts, sol.objective))
+        let rhs = self.rhs(class_counts);
+        let sol = match node_limit {
+            None => self.problem.solve_with_rhs(&rhs)?,
+            Some(limit) => {
+                let mut problem = self.problem.clone();
+                problem.set_node_limit(limit);
+                problem.solve_with_rhs(&rhs)?
+            }
+        };
+        for (pattern, v) in self.patterns.iter().zip(&sol.values) {
+            let mult = u32::try_from(v.round() as i64).unwrap_or(0);
+            if mult > 0 {
+                each(pattern, mult);
+            }
+        }
+        Ok(sol.objective)
     }
 
     fn solution(&self, class_counts: [u32; AppClass::COUNT]) -> Result<GroupingSolution, CoreError> {
-        let (counts, objective) = self.solve(class_counts, None)?;
-        let multiplicities = self
-            .patterns
-            .iter()
-            .zip(counts)
-            .filter(|&(_, m)| m > 0)
-            .map(|(p, m)| (p.clone(), m))
-            .collect();
+        let mut multiplicities = Vec::new();
+        let objective = self.solve_each(class_counts, None, |p, m| {
+            multiplicities.push((p.clone(), m));
+        })?;
         Ok(GroupingSolution {
             multiplicities,
             objective,
-            e: self.e.clone(),
+            e: self.problem.objective().to_vec(),
         })
     }
 }
@@ -320,11 +351,24 @@ mod tests {
         assert_eq!(sol.groups().len(), 7);
     }
 
+    /// `L_i` for every pattern, in enumeration order, and `f`.
+    fn counts(
+        model: &GroupingModel,
+        class_counts: [u32; AppClass::COUNT],
+        node_limit: Option<usize>,
+    ) -> Result<(Vec<u32>, f64), CoreError> {
+        let mut counts = vec![0; model.patterns.len()];
+        let f = model.solve_each(class_counts, node_limit, |p, m| {
+            counts[model.patterns.iter().position(|q| q == p).unwrap()] = m;
+        })?;
+        Ok((counts, f))
+    }
+
     #[test]
     fn exhausted_node_budget_surfaces_as_typed_milp_error() {
         let m = InterferenceMatrix::synthetic_paper_shape();
         let model = GroupingModel::new(2, &m);
-        let r = model.solve([2, 5, 2, 5], Some(0));
+        let r = counts(&model, [2, 5, 2, 5], Some(0));
         assert!(
             matches!(
                 r,
@@ -333,6 +377,65 @@ mod tests {
             "a zero node budget must fail with NodeLimit"
         );
         // The same census solves fine with the default budget.
-        assert!(model.solve([2, 5, 2, 5], None).is_ok());
+        assert!(counts(&model, [2, 5, 2, 5], None).is_ok());
+    }
+
+    /// Every census of exactly one group — the 10 at NC = 2 and the 20
+    /// at NC = 3 — takes the closed form, which must give the counts and
+    /// the objective bits branch & bound gives on the same problem, and
+    /// must still fail a zero node budget.
+    #[test]
+    fn one_group_closed_form_matches_branch_and_bound() {
+        let mut random = [[0.0; 4]; 4];
+        for (i, row) in random.iter_mut().enumerate() {
+            for (j, s) in row.iter_mut().enumerate() {
+                *s = 1.0 + ((i * 7 + j * 3) % 11) as f64 / 5.0;
+            }
+        }
+        let mut checked = 0;
+        for nc in [2, 3] {
+            for matrix in [
+                InterferenceMatrix::synthetic_paper_shape(),
+                InterferenceMatrix::uniform(2.0),
+                InterferenceMatrix::from_entries(random),
+            ] {
+                let model = GroupingModel::new(nc, &matrix);
+                for pattern in &model.patterns {
+                    let census = pattern.counts().map(u32::from);
+                    let (got, f) = counts(&model, census, None).unwrap();
+                    let sol = model.problem(census).solve().unwrap();
+                    let want: Vec<u32> = sol.rounded().iter().map(|&v| v as u32).collect();
+                    assert_eq!(got, want, "census {census:?}");
+                    assert_eq!(f.to_bits(), sol.objective.to_bits(), "census {census:?}");
+                    assert_eq!(counts(&model, census, Some(1)).unwrap().0, want);
+                    assert!(matches!(
+                        counts(&model, census, Some(0)),
+                        Err(CoreError::Milp(gcs_milp::SolveError::NodeLimit))
+                    ));
+                    checked += 1;
+                }
+            }
+        }
+        assert_eq!(checked, 3 * (10 + 20));
+    }
+
+    /// The model's overlaid right-hand sides solve every census exactly
+    /// as the problem built for that census alone does.
+    #[test]
+    fn overlaid_census_matches_a_built_problem() {
+        let m = InterferenceMatrix::synthetic_paper_shape();
+        for nc in [2, 3] {
+            let model = GroupingModel::new(nc, &m);
+            for census in [[2, 5, 2, 5], [1, 4, 2, 5], [3, 3, 3, 3], [0, 0, 6, 0], [4, 0, 0, 2]] {
+                if !census.iter().sum::<u32>().is_multiple_of(nc) {
+                    continue;
+                }
+                let (got, f) = counts(&model, census, None).unwrap();
+                let sol = model.problem(census).solve().unwrap();
+                let want: Vec<u32> = sol.rounded().iter().map(|&v| v as u32).collect();
+                assert_eq!(got, want, "nc {nc}, census {census:?}");
+                assert_eq!(f.to_bits(), sol.objective.to_bits());
+            }
+        }
     }
 }

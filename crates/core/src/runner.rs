@@ -162,7 +162,8 @@ pub struct Pipeline {
     cfg: RunConfig,
     engine: Arc<SweepEngine>,
     profiles: BTreeMap<Benchmark, AppProfile>,
-    classes: BTreeMap<Benchmark, AppClass>,
+    /// `classes[b as usize]` is benchmark `b`'s class.
+    classes: [AppClass; Benchmark::ALL.len()],
     thresholds: Thresholds,
     matrix: InterferenceMatrix,
     /// The grouping ILP for `concurrency` under `matrix`, both fixed
@@ -265,7 +266,9 @@ impl Pipeline {
             .zip(ordered.iter().cloned())
             .collect();
         let (thresholds, class_list) = classify_suite(&cfg.gpu, &ordered);
-        let classes = Benchmark::ALL.iter().copied().zip(class_list).collect();
+        let classes = class_list
+            .try_into()
+            .expect("classify_suite classifies every benchmark");
         let ilp = (cfg.concurrency >= 2).then(|| GroupingModel::new(cfg.concurrency, &matrix));
         Ok(Pipeline {
             cfg,
@@ -320,7 +323,7 @@ impl Pipeline {
 
     /// Measured class of `bench`.
     pub fn class_of(&self, bench: Benchmark) -> AppClass {
-        self.classes[&bench]
+        self.classes[bench as usize]
     }
 
     /// Thresholds derived from the measured suite.
@@ -371,79 +374,84 @@ impl Pipeline {
                 queue.chunks(nc as usize).map(<[_]>::to_vec).collect(),
                 Vec::new(),
             )),
-            GroupingPolicy::Ilp => self.group_ilp(queue, nc),
+            GroupingPolicy::Ilp => match self.group_ilp_by(queue, |&b| b, |&b| b) {
+                Ok(groups) => Ok((groups, Vec::new())),
+                Err(CoreError::Milp(e)) => Ok((
+                    self.group_greedy_class(queue),
+                    vec![Degradation::IlpGreedyFallback {
+                        reason: e.to_string(),
+                    }],
+                )),
+                Err(e) => Err(e),
+            },
         }
     }
 
-    fn group_ilp(
+    /// The ILP grouping of `queue`, whose items name their benchmark
+    /// through `bench`; each group lists `out` of its members. Only the
+    /// head of the queue — its largest `concurrency`-divisible prefix —
+    /// is solved for; a remainder becomes one final group in arrival
+    /// order, and a queue shorter than one group is that group alone.
+    /// Each pattern takes the earliest not-yet-grouped items of each of
+    /// its classes, so on `Benchmark` items this is
+    /// [`Pipeline::group`]'s ILP grouping, and on any items it is that
+    /// grouping with each benchmark slot filled by the earliest unused
+    /// item of that benchmark.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Milp`] when the solve fails (node budget,
+    /// infeasible census); [`Pipeline::group_with_degradations`] turns
+    /// that into its greedy fallback instead.
+    pub fn group_ilp_by<T, U>(
         &self,
-        queue: &[Benchmark],
-        nc: u32,
-    ) -> Result<(Vec<Vec<Benchmark>>, Vec<Degradation>), CoreError> {
+        queue: &[T],
+        bench: impl Fn(&T) -> Benchmark,
+        out: impl Fn(&T) -> U,
+    ) -> Result<Vec<Vec<U>>, CoreError> {
         let Some(model) = &self.ilp else {
-            return Ok((queue.iter().map(|&b| vec![b]).collect(), Vec::new()));
+            return Ok(queue.iter().map(|t| vec![out(t)]).collect());
         };
-        let usable = (queue.len() as u32 / nc) * nc;
-        let head = &queue[..usable as usize];
-        let tail = &queue[usable as usize..];
+        let nc = self.cfg.concurrency as usize;
+        let usable = queue.len() / nc * nc;
+        let (head, tail) = queue.split_at(usable);
+        let tail_group = usize::from(!tail.is_empty());
+        let mut groups = Vec::with_capacity(usable / nc + tail_group);
 
         // A queue shorter than one group has nothing for the ILP to
         // decide (and the solver rejects an empty census): the whole
         // queue is the remainder group. The online scheduler leans on
         // this — a near-drained admission queue must still dispatch.
-        if head.is_empty() {
-            let groups = if tail.is_empty() {
-                Vec::new()
-            } else {
-                vec![tail.to_vec()]
-            };
-            return Ok((groups, Vec::new()));
-        }
-
-        let mut census = [0u32; AppClass::COUNT];
-        for &b in head {
-            census[self.class_of(b).index()] += 1;
-        }
-        let mut degradations = Vec::new();
-        let mut groups = match model.solve(census, self.ilp_node_limit) {
-            Ok((counts, _)) => {
-                // Instantiate patterns FCFS within each class.
-                let mut pools: [Vec<Benchmark>; AppClass::COUNT] = Default::default();
-                for &b in head {
-                    pools[self.class_of(b).index()].push(b);
-                }
-                for pool in &mut pools {
-                    pool.reverse(); // pop() takes the earliest arrival
-                }
-                let mut groups = Vec::with_capacity(head.len() / nc as usize + 1);
-                for (pattern, &mult) in model.patterns().iter().zip(&counts) {
-                    for _ in 0..mult {
-                        let mut group = Vec::with_capacity(nc as usize);
-                        for class in AppClass::ALL {
-                            for _ in 0..pattern.count(class) {
-                                let b = pools[class.index()]
-                                    .pop()
-                                    .expect("census guarantees availability");
-                                group.push(b);
+        if !head.is_empty() {
+            let class = |t: &T| self.class_of(bench(t));
+            let mut census = [0u32; AppClass::COUNT];
+            for t in head {
+                census[class(t).index()] += 1;
+            }
+            // Instantiate patterns FCFS within each class: `next[c]` is
+            // where the scan for class `c`'s next unused item resumes.
+            let mut next = [0usize; AppClass::COUNT];
+            model.solve_each(census, self.ilp_node_limit, |pattern, mult| {
+                for _ in 0..mult {
+                    let mut group = Vec::with_capacity(nc);
+                    for c in AppClass::ALL {
+                        let at = &mut next[c.index()];
+                        for _ in 0..pattern.count(c) {
+                            while class(&head[*at]) != c {
+                                *at += 1;
                             }
+                            group.push(out(&head[*at]));
+                            *at += 1;
                         }
-                        groups.push(group);
                     }
+                    groups.push(group);
                 }
-                groups
-            }
-            Err(CoreError::Milp(e)) => {
-                degradations.push(Degradation::IlpGreedyFallback {
-                    reason: e.to_string(),
-                });
-                self.group_greedy(head, nc)
-            }
-            Err(e) => return Err(e),
-        };
-        if !tail.is_empty() {
-            groups.push(tail.to_vec());
+            })?;
         }
-        Ok((groups, degradations))
+        if !tail.is_empty() {
+            groups.push(tail.iter().map(out).collect());
+        }
+        Ok(groups)
     }
 
     /// Deterministic class-aware greedy grouping over an arbitrary

@@ -70,6 +70,21 @@ impl FleetPolicy {
         FleetPolicy::with_predictor(spec, FleetPredictor::new(), 0)
     }
 
+    /// A policy scheduling onto `spec`'s devices with every benchmark's
+    /// curves loaded up front ([`FleetPredictor::warm`]): what the memo
+    /// cache lacks is simulated now, on the pipeline engine's workers,
+    /// so no plan of a long-lived daemon degrades for a cold curve.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first profiling failure.
+    pub fn warmed(pipeline: &Pipeline, spec: FleetSpec) -> Result<FleetPolicy, CoreError> {
+        let cfg = pipeline.config();
+        let predictor =
+            FleetPredictor::warm(pipeline.engine(), &cfg.gpu, cfg.scale, &spec, &Benchmark::ALL)?;
+        Ok(FleetPolicy::with_predictor(spec, predictor, 0))
+    }
+
     /// A policy over a warmed `predictor`, sized for job ids below `jobs`.
     pub(crate) fn with_predictor(spec: FleetSpec, predictor: FleetPredictor, jobs: usize) -> Self {
         let mut policy = FleetPolicy {

@@ -45,7 +45,6 @@ mod simplex;
 mod branch;
 
 pub use problem::{Problem, Constraint, Relation, Sense};
-pub use simplex::{LpSolution, LpStatus};
 pub use branch::BranchStats;
 
 use std::error::Error;

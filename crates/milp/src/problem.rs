@@ -1,9 +1,6 @@
 //! Problem definition types for linear and mixed-integer programs.
 
-use std::borrow::Cow;
-
 use crate::branch;
-use crate::simplex::{self, LpSolution, LpStatus};
 use crate::{Solution, SolveError, EPS};
 
 /// Direction of optimization.
@@ -53,12 +50,18 @@ impl Constraint {
             .zip(point)
             .map(|(c, x)| c * x)
             .sum();
-        let tol = EPS.max(1e-7 * (1.0 + self.rhs.abs()));
-        match self.rel {
-            Relation::Le => lhs <= self.rhs + tol,
-            Relation::Eq => (lhs - self.rhs).abs() <= tol,
-            Relation::Ge => lhs >= self.rhs - tol,
-        }
+        satisfies(lhs, self.rel, self.rhs)
+    }
+}
+
+/// Whether `lhs (rel) rhs` holds within [`EPS`] scaled by the
+/// constraint magnitude.
+pub(crate) fn satisfies(lhs: f64, rel: Relation, rhs: f64) -> bool {
+    let tol = EPS.max(1e-7 * (1.0 + rhs.abs()));
+    match rel {
+        Relation::Le => lhs <= rhs + tol,
+        Relation::Eq => (lhs - rhs).abs() <= tol,
+        Relation::Ge => lhs >= rhs - tol,
     }
 }
 
@@ -195,9 +198,20 @@ impl Problem {
             .sum()
     }
 
-    fn validate(&self) -> Result<(), SolveError> {
+    /// Checks the problem, with `rhs` standing in for the constraints'
+    /// own right-hand sides when given.
+    fn validate(&self, rhs: Option<&[f64]>) -> Result<(), SolveError> {
         if self.objective.is_empty() {
             return Err(SolveError::Malformed("problem has no variables".into()));
+        }
+        if let Some(rhs) = rhs {
+            if rhs.len() != self.constraints.len() {
+                return Err(SolveError::Malformed(format!(
+                    "{} right-hand sides for {} constraints",
+                    rhs.len(),
+                    self.constraints.len()
+                )));
+            }
         }
         for (i, c) in self.constraints.iter().enumerate() {
             if c.coeffs.len() != self.num_vars() {
@@ -207,7 +221,8 @@ impl Problem {
                     self.num_vars()
                 )));
             }
-            if !c.rhs.is_finite() || c.coeffs.iter().any(|v| !v.is_finite()) {
+            let b = rhs.map_or(c.rhs, |rhs| rhs[i]);
+            if !b.is_finite() || c.coeffs.iter().any(|v| !v.is_finite()) {
                 return Err(SolveError::Malformed(format!(
                     "constraint {i} contains a non-finite coefficient"
                 )));
@@ -231,32 +246,8 @@ impl Problem {
     /// was found (a budget hit *after* reaching feasibility is returned
     /// as a solution with `exact == false` instead).
     pub fn solve_relaxation(&self) -> Result<Solution, SolveError> {
-        self.validate()?;
-        let lp = self.as_max_problem();
-        match simplex::solve(&lp.objective, &lp.constraints) {
-            LpSolution {
-                status: status @ (LpStatus::Optimal | LpStatus::BudgetExhausted),
-                values,
-                objective,
-            } if !values.is_empty() => Ok(Solution {
-                values,
-                objective: match self.sense {
-                    Sense::Maximize => objective,
-                    Sense::Minimize => -objective,
-                },
-                stats: Default::default(),
-                exact: status == LpStatus::Optimal,
-            }),
-            LpSolution {
-                status: LpStatus::Infeasible,
-                ..
-            } => Err(SolveError::Infeasible),
-            LpSolution {
-                status: LpStatus::Unbounded,
-                ..
-            } => Err(SolveError::Unbounded),
-            _ => Err(SolveError::BudgetExhausted),
-        }
+        self.validate(None)?;
+        branch::with_workspace(|ws| ws.relax(self, None))
     }
 
     /// Solves the problem: plain simplex if no variable is integral,
@@ -269,29 +260,23 @@ impl Problem {
     /// [`SolveError::NodeLimit`] if branch & bound exhausts its node budget,
     /// and [`SolveError::Malformed`] for structurally invalid input.
     pub fn solve(&self) -> Result<Solution, SolveError> {
-        self.validate()?;
-        if self.integer.iter().any(|&b| b) {
-            branch::solve(self)
-        } else {
-            self.solve_relaxation()
-        }
+        self.validate(None)?;
+        branch::with_workspace(|ws| ws.solve(self, None))
     }
 
-    /// Returns an equivalent maximization problem (negating the objective
-    /// for minimization input). Constraints are shared verbatim; a
-    /// problem that already maximizes is borrowed, not cloned.
-    pub(crate) fn as_max_problem(&self) -> Cow<'_, Problem> {
-        match self.sense {
-            Sense::Maximize => Cow::Borrowed(self),
-            Sense::Minimize => {
-                let mut p = self.clone();
-                p.sense = Sense::Maximize;
-                for c in &mut p.objective {
-                    *c = -*c;
-                }
-                Cow::Owned(p)
-            }
-        }
+    /// [`Problem::solve`] with `rhs[i]` as constraint `i`'s right-hand
+    /// side in place of its own: a caller that re-solves one constraint
+    /// system for many right-hand sides builds it once. The result is
+    /// bit-identical to solving a copy whose right-hand sides were set
+    /// to `rhs`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Problem::solve`]; [`SolveError::Malformed`] also when `rhs`
+    /// has not one finite entry per constraint.
+    pub fn solve_with_rhs(&self, rhs: &[f64]) -> Result<Solution, SolveError> {
+        self.validate(Some(rhs))?;
+        branch::with_workspace(|ws| ws.solve(self, Some(rhs)))
     }
 }
 

@@ -14,12 +14,12 @@
 //! fallback after a fixed number of degenerate iterations, which
 //! guarantees termination on cycling-prone instances.
 
-use crate::problem::{Constraint, Relation};
+use crate::problem::{satisfies, Constraint, Relation};
 use crate::EPS;
 
 /// Status of an LP solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LpStatus {
+pub(crate) enum LpStatus {
     /// An optimal basic feasible solution was found.
     Optimal,
     /// No feasible point exists.
@@ -27,51 +27,78 @@ pub enum LpStatus {
     /// The objective is unbounded above.
     Unbounded,
     /// The iteration budget ran out before optimality was proven. When
-    /// `values` is non-empty the point is feasible but possibly
-    /// suboptimal; when empty, not even feasibility was established.
+    /// a point is reported it is feasible but possibly suboptimal;
+    /// otherwise not even feasibility was established.
     BudgetExhausted,
 }
 
-/// Raw result of the simplex routine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LpSolution {
-    /// Outcome of the solve.
-    pub status: LpStatus,
-    /// Values of the original decision variables (empty unless a
-    /// feasible point was reached).
-    pub values: Vec<f64>,
-    /// Objective value (0 unless a feasible point was reached).
-    pub objective: f64,
+/// A bound cut `x_var (rel) rhs`, one per branch & bound branching.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Cut {
+    pub(crate) var: usize,
+    pub(crate) rel: Relation,
+    pub(crate) rhs: f64,
 }
 
-impl LpSolution {
-    fn infeasible() -> Self {
-        LpSolution {
-            status: LpStatus::Infeasible,
-            values: Vec::new(),
-            objective: 0.0,
-        }
-    }
-
-    fn unbounded() -> Self {
-        LpSolution {
-            status: LpStatus::Unbounded,
-            values: Vec::new(),
-            objective: 0.0,
-        }
-    }
-
-    fn budget_exhausted() -> Self {
-        LpSolution {
-            status: LpStatus::BudgetExhausted,
-            values: Vec::new(),
-            objective: 0.0,
+impl Cut {
+    /// The cut's coefficient on variable `i`: the unit row at `var`.
+    fn coeff(&self, i: usize) -> f64 {
+        if i == self.var {
+            1.0
+        } else {
+            0.0
         }
     }
 }
 
-/// Dense simplex tableau with explicit basis bookkeeping.
-struct Tableau {
+/// The rows of one LP: the base constraints, their right-hand sides
+/// taken from `rhs` when given (else their own), then the cuts.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Rows<'a> {
+    pub(crate) base: &'a [Constraint],
+    pub(crate) rhs: Option<&'a [f64]>,
+    pub(crate) cuts: &'a [Cut],
+}
+
+impl Rows<'_> {
+    fn len(&self) -> usize {
+        self.base.len() + self.cuts.len()
+    }
+
+    /// Relation and right-hand side of row `r`.
+    fn rel_rhs(&self, r: usize) -> (Relation, f64) {
+        match self.base.get(r) {
+            Some(c) => (c.rel, self.rhs.map_or(c.rhs, |rhs| rhs[r])),
+            None => {
+                let cut = &self.cuts[r - self.base.len()];
+                (cut.rel, cut.rhs)
+            }
+        }
+    }
+
+    /// Whether `point` is non-negative and satisfies every row, within
+    /// [`Problem::is_feasible`](crate::Problem::is_feasible)'s tolerances.
+    pub(crate) fn admit(&self, point: &[f64]) -> bool {
+        let row_holds = |r: usize| {
+            let lhs: f64 = match self.base.get(r) {
+                Some(c) => c.coeffs.iter().zip(point).map(|(a, x)| a * x).sum(),
+                None => {
+                    let cut = &self.cuts[r - self.base.len()];
+                    point.iter().enumerate().map(|(i, x)| cut.coeff(i) * x).sum()
+                }
+            };
+            let (rel, rhs) = self.rel_rhs(r);
+            satisfies(lhs, rel, rhs)
+        };
+        point.iter().all(|&x| x >= -EPS) && (0..self.len()).all(row_holds)
+    }
+}
+
+/// Dense simplex tableau with explicit basis bookkeeping. Its buffers
+/// outlive one solve: each [`Tableau::solve`] resizes and refills them,
+/// so a reused tableau allocates only when a problem outgrows it.
+#[derive(Debug)]
+pub(crate) struct Tableau {
     /// Row-major `m x (total_cols + 1)` coefficient matrix in one
     /// buffer; the last column of each row is the RHS.
     a: Vec<f64>,
@@ -87,193 +114,213 @@ struct Tableau {
     art_start: usize,
 }
 
-/// A constraint's relation once its RHS is made non-negative.
-fn normalized(c: &Constraint) -> Relation {
-    match (c.rhs < 0.0, c.rel) {
+/// A row's relation once its RHS is made non-negative.
+fn normalized(rel: Relation, rhs: f64) -> Relation {
+    match (rhs < 0.0, rel) {
         (false, rel) | (true, rel @ Relation::Eq) => rel,
         (true, Relation::Le) => Relation::Ge,
         (true, Relation::Ge) => Relation::Le,
     }
 }
 
-/// Maximizes `objective · x` subject to `constraints` and `x ≥ 0`.
-pub(crate) fn solve(objective: &[f64], constraints: &[Constraint]) -> LpSolution {
-    solve_budgeted(objective, constraints, None)
-}
-
-/// [`solve`] with an explicit per-phase pivot budget (`None` = the
-/// size-derived default). Exercised directly by tests; production
-/// callers rely on the default, which no well-formed co-scheduling
-/// problem comes near.
-pub(crate) fn solve_budgeted(
-    objective: &[f64],
-    constraints: &[Constraint],
-    budget: Option<usize>,
-) -> LpSolution {
-    let n = objective.len();
-    let m = constraints.len();
-
-    // Count auxiliary columns. Every row gets either a slack (Le), a
-    // surplus+artificial (Ge) or an artificial (Eq) after RHS
-    // normalization.
-    let mut num_slack = 0usize;
-    let mut num_art = 0usize;
-    for c in constraints {
-        match normalized(c) {
-            Relation::Le => num_slack += 1,
-            Relation::Ge => {
-                num_slack += 1;
-                num_art += 1;
-            }
-            Relation::Eq => num_art += 1,
+impl Tableau {
+    /// An empty tableau; its buffers grow on first use.
+    pub(crate) const fn new() -> Tableau {
+        Tableau {
+            a: Vec::new(),
+            m: 0,
+            obj: Vec::new(),
+            basis: Vec::new(),
+            total: 0,
+            art_start: 0,
         }
     }
 
-    let art_start = n + num_slack;
-    let total = art_start + num_art;
-    let width = total + 1;
+    /// Maximizes `objective · x` subject to `rows` and `x ≥ 0`, with a
+    /// per-phase pivot budget (`None` = the size-derived default, which
+    /// no well-formed co-scheduling problem comes near). Returns the
+    /// status and objective value; `values` is left holding the point,
+    /// or empty when no feasible point was reached.
+    pub(crate) fn solve(
+        &mut self,
+        objective: &[f64],
+        rows: Rows<'_>,
+        budget: Option<usize>,
+        values: &mut Vec<f64>,
+    ) -> (LpStatus, f64) {
+        values.clear();
+        let n = objective.len();
+        let m = rows.len();
 
-    let mut t = Tableau {
-        a: vec![0.0; m * width],
-        m,
-        obj: vec![0.0; width],
-        basis: vec![usize::MAX; m],
-        total,
-        art_start,
-    };
-    let mut slack_idx = n;
-    let mut art_idx = art_start;
-
-    // Each row is written normalized: a negative RHS flips the row's
-    // signs and its relation.
-    for (r, c) in constraints.iter().enumerate() {
-        let row = t.row_mut(r);
-        if c.rhs < 0.0 {
-            for (v, &x) in row[..n].iter_mut().zip(&c.coeffs) {
-                *v = -x;
-            }
-            row[total] = -c.rhs;
-        } else {
-            row[..n].copy_from_slice(&c.coeffs);
-            row[total] = c.rhs;
-        }
-        match normalized(c) {
-            Relation::Le => {
-                row[slack_idx] = 1.0;
-                t.basis[r] = slack_idx;
-                slack_idx += 1;
-            }
-            Relation::Ge => {
-                row[slack_idx] = -1.0; // surplus
-                slack_idx += 1;
-                row[art_idx] = 1.0;
-                t.basis[r] = art_idx;
-                art_idx += 1;
-            }
-            Relation::Eq => {
-                row[art_idx] = 1.0;
-                t.basis[r] = art_idx;
-                art_idx += 1;
-            }
-        }
-    }
-
-    // Phase 1: maximize -(sum of artificials), i.e. reduced costs start as
-    // the negated sum of rows that have a basic artificial.
-    if num_art > 0 {
-        for col in art_start..total {
-            t.obj[col] = -1.0;
-        }
-        // Price out basic artificials.
+        // Count auxiliary columns. Every row gets either a slack (Le), a
+        // surplus+artificial (Ge) or an artificial (Eq) after RHS
+        // normalization.
+        let mut num_slack = 0usize;
+        let mut num_art = 0usize;
         for r in 0..m {
-            if t.basis[r] >= art_start {
-                for (o, v) in t.obj.iter_mut().zip(&t.a[r * width..(r + 1) * width]) {
-                    *o += *v;
+            let (rel, rhs) = rows.rel_rhs(r);
+            match normalized(rel, rhs) {
+                Relation::Le => num_slack += 1,
+                Relation::Ge => {
+                    num_slack += 1;
+                    num_art += 1;
+                }
+                Relation::Eq => num_art += 1,
+            }
+        }
+
+        let art_start = n + num_slack;
+        let total = art_start + num_art;
+        let width = total + 1;
+
+        let t = self;
+        t.a.clear();
+        t.a.resize(m * width, 0.0);
+        t.m = m;
+        t.obj.clear();
+        t.obj.resize(width, 0.0);
+        t.basis.clear();
+        t.basis.resize(m, usize::MAX);
+        t.total = total;
+        t.art_start = art_start;
+        let mut slack_idx = n;
+        let mut art_idx = art_start;
+
+        // Each row is written normalized: a negative RHS flips the row's
+        // signs and its relation.
+        for r in 0..m {
+            let (rel, rhs) = rows.rel_rhs(r);
+            let row = t.row_mut(r);
+            let flip = rhs < 0.0;
+            match rows.base.get(r) {
+                Some(c) if flip => {
+                    for (v, &x) in row[..n].iter_mut().zip(&c.coeffs) {
+                        *v = -x;
+                    }
+                }
+                Some(c) => row[..n].copy_from_slice(&c.coeffs),
+                None => {
+                    let cut = &rows.cuts[r - rows.base.len()];
+                    for (i, v) in row[..n].iter_mut().enumerate() {
+                        *v = if flip { -cut.coeff(i) } else { cut.coeff(i) };
+                    }
+                }
+            }
+            row[total] = if flip { -rhs } else { rhs };
+            match normalized(rel, rhs) {
+                Relation::Le => {
+                    row[slack_idx] = 1.0;
+                    t.basis[r] = slack_idx;
+                    slack_idx += 1;
+                }
+                Relation::Ge => {
+                    row[slack_idx] = -1.0; // surplus
+                    slack_idx += 1;
+                    row[art_idx] = 1.0;
+                    t.basis[r] = art_idx;
+                    art_idx += 1;
+                }
+                Relation::Eq => {
+                    row[art_idx] = 1.0;
+                    t.basis[r] = art_idx;
+                    art_idx += 1;
                 }
             }
         }
-        match t.run(budget) {
-            PivotOutcome::Optimal => {}
-            PivotOutcome::Unbounded => {
-                // Phase-1 objective is bounded above by 0; reaching here
-                // indicates numerical trouble. Treat as infeasible.
-                return LpSolution::infeasible();
+
+        // Phase 1: maximize -(sum of artificials), i.e. reduced costs start as
+        // the negated sum of rows that have a basic artificial.
+        if num_art > 0 {
+            for col in art_start..total {
+                t.obj[col] = -1.0;
             }
-            PivotOutcome::IterLimit => {
-                // Feasibility was never established — there is no point
-                // to report.
-                return LpSolution::budget_exhausted();
+            // Price out basic artificials.
+            for r in 0..m {
+                if t.basis[r] >= art_start {
+                    for (o, v) in t.obj.iter_mut().zip(&t.a[r * width..(r + 1) * width]) {
+                        *o += *v;
+                    }
+                }
             }
-        }
-        // The objective-row RHS cell tracks -(phase-1 objective), i.e. the
-        // current sum of artificial variables. Feasible iff it reached zero.
-        if t.obj[t.total] > 1e-7 {
-            return LpSolution::infeasible();
-        }
-        // Pivot any artificial still basic (at zero) out of the basis to
-        // keep phase 2 clean; if its row is all zeros over structural and
-        // slack columns, the row is redundant and can stay.
-        for r in 0..m {
-            if t.basis[r] >= t.art_start {
-                let pivot_col = (0..t.art_start).find(|&c| t.row(r)[c].abs() > EPS);
-                if let Some(c) = pivot_col {
-                    t.pivot(r, c);
+            match t.run(budget) {
+                PivotOutcome::Optimal => {}
+                PivotOutcome::Unbounded => {
+                    // Phase-1 objective is bounded above by 0; reaching here
+                    // indicates numerical trouble. Treat as infeasible.
+                    return (LpStatus::Infeasible, 0.0);
+                }
+                PivotOutcome::IterLimit => {
+                    // Feasibility was never established — there is no point
+                    // to report.
+                    return (LpStatus::BudgetExhausted, 0.0);
+                }
+            }
+            // The objective-row RHS cell tracks -(phase-1 objective), i.e. the
+            // current sum of artificial variables. Feasible iff it reached zero.
+            if t.obj[t.total] > 1e-7 {
+                return (LpStatus::Infeasible, 0.0);
+            }
+            // Pivot any artificial still basic (at zero) out of the basis to
+            // keep phase 2 clean; if its row is all zeros over structural and
+            // slack columns, the row is redundant and can stay.
+            for r in 0..m {
+                if t.basis[r] >= t.art_start {
+                    let pivot_col = (0..t.art_start).find(|&c| t.row(r)[c].abs() > EPS);
+                    if let Some(c) = pivot_col {
+                        t.pivot(r, c);
+                    }
                 }
             }
         }
-    }
 
-    // Phase 2: install the real objective, expressed in terms of the
-    // current basis. Artificial columns are frozen out by making their
-    // reduced costs prohibitively negative.
-    // Price out the basic variables: reduced_cost = c - c_B * B^-1 A.
-    // The tableau rows already hold B^-1 A, so accumulate
-    // z = c_B * row_r in the objective row's buffer first.
-    t.obj.fill(0.0);
-    for r in 0..m {
-        let b = t.basis[r];
-        let cb = if b < n { objective[b] } else { 0.0 };
-        if cb != 0.0 {
-            for (zv, rv) in t.obj.iter_mut().zip(&t.a[r * width..(r + 1) * width]) {
-                *zv += cb * rv;
+        // Phase 2: install the real objective, expressed in terms of the
+        // current basis. Artificial columns are frozen out by making their
+        // reduced costs prohibitively negative.
+        // Price out the basic variables: reduced_cost = c - c_B * B^-1 A.
+        // The tableau rows already hold B^-1 A, so accumulate
+        // z = c_B * row_r in the objective row's buffer first.
+        t.obj.fill(0.0);
+        for r in 0..m {
+            let b = t.basis[r];
+            let cb = if b < n { objective[b] } else { 0.0 };
+            if cb != 0.0 {
+                for (zv, rv) in t.obj.iter_mut().zip(&t.a[r * width..(r + 1) * width]) {
+                    *zv += cb * rv;
+                }
             }
         }
-    }
-    // Reduced costs c - z; the RHS cell becomes -(objective value).
-    for (i, zv) in t.obj.iter_mut().enumerate() {
-        let c = if i < n { objective[i] } else { 0.0 };
-        *zv = c - *zv;
-    }
-    // Never re-enter artificial columns.
-    for col in t.art_start..t.total {
-        t.obj[col] = f64::NEG_INFINITY;
-    }
-
-    let status = match t.run(budget) {
-        PivotOutcome::Optimal => LpStatus::Optimal,
-        PivotOutcome::Unbounded => return LpSolution::unbounded(),
-        // Every phase-2 iterate is feasible, so the current basic point
-        // can still be reported — just not as optimal.
-        PivotOutcome::IterLimit => LpStatus::BudgetExhausted,
-    };
-
-    let mut values = vec![0.0; n];
-    for r in 0..m {
-        if t.basis[r] < n {
-            values[t.basis[r]] = t.row(r)[t.total];
+        // Reduced costs c - z; the RHS cell becomes -(objective value).
+        for (i, zv) in t.obj.iter_mut().enumerate() {
+            let c = if i < n { objective[i] } else { 0.0 };
+            *zv = c - *zv;
         }
-    }
-    // Clamp tiny negative noise.
-    for v in &mut values {
-        if *v < 0.0 && *v > -1e-7 {
-            *v = 0.0;
+        // Never re-enter artificial columns.
+        for col in t.art_start..t.total {
+            t.obj[col] = f64::NEG_INFINITY;
         }
-    }
-    let objective_value: f64 = objective.iter().zip(&values).map(|(c, x)| c * x).sum();
-    LpSolution {
-        status,
-        values,
-        objective: objective_value,
+
+        let status = match t.run(budget) {
+            PivotOutcome::Optimal => LpStatus::Optimal,
+            PivotOutcome::Unbounded => return (LpStatus::Unbounded, 0.0),
+            // Every phase-2 iterate is feasible, so the current basic point
+            // can still be reported — just not as optimal.
+            PivotOutcome::IterLimit => LpStatus::BudgetExhausted,
+        };
+
+        values.resize(n, 0.0);
+        for r in 0..m {
+            if t.basis[r] < n {
+                values[t.basis[r]] = t.row(r)[t.total];
+            }
+        }
+        // Clamp tiny negative noise.
+        for v in values.iter_mut() {
+            if *v < 0.0 && *v > -1e-7 {
+                *v = 0.0;
+            }
+        }
+        let objective_value: f64 = objective.iter().zip(values.iter()).map(|(c, x)| c * x).sum();
+        (status, objective_value)
     }
 }
 
@@ -414,6 +461,32 @@ mod tests {
 
     fn c(coeffs: &[f64], rel: Relation, rhs: f64) -> Constraint {
         Constraint::new(coeffs.to_vec(), rel, rhs)
+    }
+
+    /// One LP's outcome, as a fresh tableau reports it.
+    struct Lp {
+        status: LpStatus,
+        values: Vec<f64>,
+        objective: f64,
+    }
+
+    fn solve_budgeted(objective: &[f64], constraints: &[Constraint], budget: Option<usize>) -> Lp {
+        let rows = Rows {
+            base: constraints,
+            rhs: None,
+            cuts: &[],
+        };
+        let mut values = Vec::new();
+        let (status, objective) = Tableau::new().solve(objective, rows, budget, &mut values);
+        Lp {
+            status,
+            values,
+            objective,
+        }
+    }
+
+    fn solve(objective: &[f64], constraints: &[Constraint]) -> Lp {
+        solve_budgeted(objective, constraints, None)
     }
 
     #[test]

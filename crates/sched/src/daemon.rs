@@ -183,8 +183,9 @@ pub struct EventCore {
     queue: AdmissionQueue,
     /// `busy[g]` is `Some(cycle at which device g frees up)`.
     busy: Vec<Option<u64>>,
-    /// The idle devices a plan is made over, refilled before each plan,
-    /// and a group's benchmarks, refilled per group.
+    /// The pending jobs and idle devices a plan is made over, refilled
+    /// before each plan, and a group's benchmarks, refilled per group.
+    pending: Vec<Job>,
     free: Vec<usize>,
     benches: Vec<Benchmark>,
     plan: Option<VecDeque<Vec<JobId>>>,
@@ -227,6 +228,7 @@ impl EventCore {
             overload,
             queue: AdmissionQueue::new(cfg.queue_capacity),
             busy: vec![None; cfg.num_gpus as usize],
+            pending: Vec::new(),
             free: Vec::with_capacity(cfg.num_gpus as usize),
             benches: Vec::new(),
             plan: None,
@@ -490,7 +492,9 @@ impl EventCore {
             };
             let planned_now = self.plan.is_none();
             if planned_now {
-                let pending = self.queue.pending_vec();
+                self.pending.clear();
+                self.pending.extend(self.queue.pending().copied());
+                let pending = &self.pending;
                 self.free.clear();
                 self.free
                     .extend((0..self.busy.len()).filter(|&g| self.busy[g].is_none()));
@@ -509,9 +513,9 @@ impl EventCore {
                         to: greedy.name(),
                         pending: pending.len(),
                     });
-                    m.plan(&mut greedy, &pending, &self.free)?
+                    m.plan(&mut greedy, pending, &self.free)?
                 } else {
-                    m.plan(policy, &pending, &self.free)?
+                    m.plan(policy, pending, &self.free)?
                 };
                 let spent = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 self.decisions.push(spent);

@@ -150,15 +150,30 @@ impl Policy for IlpEpoch {
         "ilp"
     }
 
+    /// The pipeline's ILP grouping, instantiated straight into job ids:
+    /// each pattern slot takes the earliest unused pending job of its
+    /// class, which is the job [`ids_for_groups`] would map the batch
+    /// grouping's benchmark to.
     fn plan(&mut self, pipeline: &Pipeline, pending: &[Job]) -> Result<Plan, CoreError> {
-        let benches: Vec<Benchmark> = pending.iter().map(|j| j.bench).collect();
-        let (groups, degradations) =
-            pipeline.group_with_degradations(&benches, GroupingPolicy::Ilp)?;
-        Ok(Plan {
-            groups: ids_for_groups(pending, &groups),
-            placements: Vec::new(),
-            degradations,
-        })
+        match pipeline.group_ilp_by(pending, |j| j.bench, |j| j.id) {
+            Ok(groups) => Ok(Plan {
+                groups,
+                ..Plan::default()
+            }),
+            // The solve failed, and fails again the same way inside the
+            // batch grouping, which degrades it to greedy and says why.
+            Err(CoreError::Milp(_)) => {
+                let benches: Vec<Benchmark> = pending.iter().map(|j| j.bench).collect();
+                let (groups, degradations) =
+                    pipeline.group_with_degradations(&benches, GroupingPolicy::Ilp)?;
+                Ok(Plan {
+                    groups: ids_for_groups(pending, &groups),
+                    placements: Vec::new(),
+                    degradations,
+                })
+            }
+            Err(e) => Err(e),
+        }
     }
 }
 

@@ -88,11 +88,6 @@ impl AdmissionQueue {
         self.waiting.iter()
     }
 
-    /// Snapshot of the waiting jobs in arrival order.
-    pub fn pending_vec(&self) -> Vec<Job> {
-        self.waiting.iter().copied().collect()
-    }
-
     /// Removes the jobs with the given ids (they are being dispatched).
     ///
     /// # Panics

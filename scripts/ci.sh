@@ -370,14 +370,16 @@ fi
 # Deleted names stay deleted: the sharded lanes of the one stepping
 # engine (DESIGN.md §12), their thread lease and knobs, the surface the
 # public-surface audit removed (LP text format, window trace recorder,
-# debug_* binaries, cache GC script), and the fleet's own event loop.
+# debug_* binaries, cache GC script), the fleet's own event loop, and
+# the solver's per-node problem copies and per-plan queue snapshot.
 # CHANGES.md and ROADMAP.md are history and may name them.
-step "deleted-name guard (no sharded-lane, audited-away or second-loop names)"
+step "deleted-name guard (no sharded-lane, audited-away, second-loop or per-node-clone names)"
 GONE='ShardCell|MemShard|ShardSink|ShardCtl|ThreadedExec|issue_prepare|issue_more'
 GONE="$GONE|resolve_pending|PendingAccess|run_sharded|ShardLease|set_shards"
 GONE="$GONE|set_mem_shards|set_shard_workers|with_sim_threads|GCS_SIM_THREADS|shard_smoke"
 GONE="$GONE|WindowTrace|parse_lp|to_lp_string|gc_cache|debug_counters|debug_pair|debug_queue"
 GONE="$GONE|pump_to|track_churn|dispatch_marginal|dispatch_fcfs"
+GONE="$GONE|as_max_problem|best_objective_max|LpSolution|pending_vec"
 if grep -rnE "$GONE" crates tests scripts README.md DESIGN.md EXPERIMENTS.md \
         .claude/skills/verify/SKILL.md --exclude=ci.sh; then
     echo "a deleted name is back (see the matches above)" >&2

@@ -7,7 +7,14 @@
 //!   No key is formatted, hashed as a string or cloned. A batched
 //!   `cycles` probe hit returns no owned value and allocates nothing.
 //! * One `IlpEpoch::plan` over the thesis' 14-job census stays within
-//!   [`PLAN_BUDGET`] allocations.
+//!   [`PLAN_BUDGET`] allocations; one over a single group's census
+//!   (no solve) allocates only its `Plan`.
+//! * A warm grouping solve that branches allocates only the values it
+//!   returns: the solver's tableau, node stack and incumbent live in a
+//!   reused per-thread workspace.
+//! * A warm 200-arrival `EventCore` session under `IlpEpoch`, on a stub
+//!   `Measure` that simulates nothing, makes exactly
+//!   [`SESSION_COUNT`] allocations.
 //! * One fleet `allocate` over the same census on an 8/15/30-SM fleet
 //!   makes exactly [`FLEET_ALLOC_COUNT`] allocations, all outside the
 //!   grant loop.
@@ -20,15 +27,21 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::OnceLock;
 
+use gcs_core::ilp::build_problem;
+use gcs_core::pattern::enumerate_patterns;
 use gcs_core::queues::thesis_queue_14;
-use gcs_core::runner::Pipeline;
+use gcs_core::runner::{AllocationPolicy, AppRun, GroupResult, Pipeline};
+use gcs_core::CoreError;
 use gcs_core::smra::SmraParams;
 use gcs_core::sweep::{CorunMode, Workload};
 use gcs_fleet::{
     allocate, run_fleet, DeviceProfile, FleetMode, FleetPredictor, FleetReport, FleetRunConfig,
     FleetSpec,
 };
-use gcs_sched::{Job, PolicyKind};
+use gcs_sched::{
+    AdmissionQueue, EventCore, Job, Measure, OverloadPolicy, Plan, Policy, PolicyKind,
+    SchedConfig, Split,
+};
 use gcs_workloads::{ArrivalTrace, Benchmark};
 
 #[path = "common/fixtures.rs"]
@@ -36,9 +49,16 @@ mod fixtures;
 use fixtures::{pipeline, shared_pipeline};
 
 /// Allocations (and reallocations) one `IlpEpoch::plan` over census-14
-/// may make: the census `Vec`, the ILP problem and its branch & bound
-/// nodes, the tableau, and the plan's groups.
-const PLAN_BUDGET: u64 = 38;
+/// may make: the solver's returned values and the plan's groups. It was
+/// 38 while each plan built its ILP problem, cloned it per branch & bound
+/// node, allocated a tableau per node and mapped benchmark groups back
+/// to job ids.
+const PLAN_BUDGET: u64 = 9;
+
+/// Allocations of one warm 200-arrival `EventCore` + `IlpEpoch` session
+/// on [`StubMeasure`]: admissions, plans, dispatch and the drained
+/// report, in either build.
+const SESSION_COUNT: u64 = 617;
 
 /// Allocations one fleet `allocate` over census-14 makes on the
 /// 8/15/30-SM fleet with groups of two: the per-device SM pools and job
@@ -51,12 +71,13 @@ const FLEET_ALLOC_COUNT: u64 = 13;
 /// Allocations one warm `run_fleet` of the benchmark's `fleet_loop`
 /// run makes in a debug build. 330 of them are the `debug_assert_eq!`
 /// that re-allocates each of the 30 reused shadow plans; a release
-/// build makes 1 504. Before the run moved onto `EventCore` it made
-/// 2 119 (1 669 in release), and 2 659 in either build before the
-/// first dispatch of an all-free epoch reused the shadow plan, the
-/// churn map was made dense, the predictor's probe was batched and
-/// group dispatch stopped cloning.
-const FLEET_RUN_COUNT: u64 = 1_834;
+/// build makes 1 455. It was 1 834 (1 504 in release) while every
+/// plan copied the pending queue into a fresh `Vec`. Before the run
+/// moved onto `EventCore` it made 2 119 (1 669 in release), and 2 659
+/// in either build before the first dispatch of an all-free epoch
+/// reused the shadow plan, the churn map was made dense, the
+/// predictor's probe was batched and group dispatch stopped cloning.
+const FLEET_RUN_COUNT: u64 = 1_785;
 
 struct Counting;
 
@@ -207,11 +228,11 @@ fn warm_fleet() -> (&'static Pipeline, &'static FleetReport) {
 
 #[test]
 fn ilp_plan_over_census_14_stays_within_budget() {
-    let p = pipeline(2);
+    let p = shared_pipeline();
     let pending = census_14_jobs();
     let mut policy = PolicyKind::IlpEpoch.build();
-    let first = policy.plan(&p, &pending).unwrap();
-    let (plan, allocs) = counted(|| policy.plan(&p, &pending));
+    let first = policy.plan(p, &pending).unwrap();
+    let (plan, allocs) = counted(|| policy.plan(p, &pending));
     let plan = plan.unwrap();
     assert_eq!(plan.groups, first.groups, "planning is deterministic");
     assert_eq!(plan.groups.len(), 7);
@@ -252,5 +273,136 @@ fn warm_fleet_run_allocations_are_pinned() {
     assert_eq!(
         allocs, FLEET_RUN_COUNT,
         "a warm fleet_loop run_fleet made {allocs} allocations"
+    );
+}
+
+/// Census `[1, 4, 2, 5]` in groups of two branches (three nodes); warm,
+/// its solve allocates one buffer, the values it returns.
+#[test]
+fn warm_branching_grouping_solve_allocates_only_its_values() {
+    let p = shared_pipeline();
+    let e: Vec<f64> = enumerate_patterns(2)
+        .iter()
+        .map(|pat| pat.e_coefficient(p.matrix()))
+        .collect();
+    let problem = build_problem([1, 4, 2, 5], 2, &e);
+    let first = problem.solve().expect("feasible census");
+    assert_eq!(first.stats.nodes, 3, "the census branches once");
+    let (sol, allocs) = counted(|| problem.solve());
+    assert_eq!(sol.expect("feasible census"), first);
+    assert_eq!(allocs, 1, "a warm solve allocates only its values");
+}
+
+/// A census of one group (`L = 1`) is not solved: the plan allocates
+/// its group list and its groups, nothing else.
+#[test]
+fn one_group_ilp_plan_allocates_only_its_plan() {
+    let p = shared_pipeline();
+    let mut policy = PolicyKind::IlpEpoch.build();
+    for (benches, groups) in [
+        (&[Benchmark::Gups, Benchmark::Sad][..], 1),
+        (&[Benchmark::Lud, Benchmark::Hs, Benchmark::Spmv][..], 2),
+    ] {
+        let pending: Vec<Job> = benches
+            .iter()
+            .enumerate()
+            .map(|(id, &bench)| Job {
+                id,
+                bench,
+                arrival: 0,
+            })
+            .collect();
+        let (plan, allocs) = counted(|| policy.plan(p, &pending));
+        let plan = plan.expect("plan");
+        assert!(plan.degradations.is_empty());
+        assert_eq!(plan.groups.len(), groups, "{benches:?}");
+        assert_eq!(
+            allocs,
+            1 + groups as u64,
+            "{benches:?}: the plan's group list and groups only"
+        );
+    }
+}
+
+/// A `Measure` that plans through the pipeline and answers every group
+/// with made-up cycles: no simulation, so the session's allocations are
+/// the scheduler's own.
+struct StubMeasure<'a> {
+    pipeline: &'a Pipeline,
+}
+
+impl Measure for StubMeasure<'_> {
+    fn plan(
+        &mut self,
+        policy: &mut dyn Policy,
+        pending: &[Job],
+        free: &[usize],
+    ) -> Result<Plan, CoreError> {
+        policy.plan_over(self.pipeline, pending, free)
+    }
+
+    fn epoch(&mut self, policy: &mut dyn Policy, queue: &AdmissionQueue) -> Result<(), CoreError> {
+        policy.epoch(self.pipeline, queue)
+    }
+
+    fn run_group(
+        &mut self,
+        _device: usize,
+        benches: &[Benchmark],
+        _split: Split<'_>,
+    ) -> Result<GroupResult, CoreError> {
+        let apps: Vec<AppRun> = benches
+            .iter()
+            .map(|&bench| AppRun {
+                bench,
+                cycles: 15_000 + 1_000 * bench as u64,
+                thread_insts: 1_000_000,
+                ipc: 1.0,
+            })
+            .collect();
+        let makespan = apps.iter().map(|a| a.cycles).max().unwrap_or(0);
+        Ok(GroupResult { apps, makespan })
+    }
+
+    fn alone_cycles(&self, _device: usize, bench: Benchmark) -> u64 {
+        10_000 + 500 * bench as u64
+    }
+}
+
+#[test]
+fn warm_ilp_event_core_session_allocations_are_pinned() {
+    let p = shared_pipeline();
+    let trace = ArrivalTrace::poisson(&Benchmark::ALL, 200, 13_000.0, 42);
+    let session = || {
+        let mut measure = StubMeasure { pipeline: p };
+        let mut policy = PolicyKind::IlpEpoch.build();
+        let cfg = SchedConfig {
+            num_gpus: 1,
+            queue_capacity: trace.len(),
+            alloc: AllocationPolicy::Even,
+            replan_interval: None,
+        };
+        let mut core = EventCore::new(cfg, OverloadPolicy::default()).expect("core");
+        for (id, a) in trace.arrivals().iter().enumerate() {
+            let job = Job {
+                id,
+                bench: a.bench,
+                arrival: a.time,
+            };
+            assert!(core.submit(&mut measure, policy.as_mut(), job).expect("submit"));
+        }
+        core.drain(&mut measure, policy.as_mut()).expect("drain")
+    };
+    let cold = session();
+    assert_eq!(cold.jobs.len(), 200);
+    assert!(
+        cold.groups.iter().any(|g| g.jobs.len() == 2),
+        "the session pairs jobs"
+    );
+    let (warm, allocs) = counted(session);
+    assert_eq!(warm.to_json(), cold.to_json(), "a warm session replays the cold one");
+    assert_eq!(
+        allocs, SESSION_COUNT,
+        "a warm 200-arrival IlpEpoch session made {allocs} allocations"
     );
 }

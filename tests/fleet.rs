@@ -482,6 +482,59 @@ fn a_job_back_on_another_device_is_not_churn() {
     assert_eq!(s.churn, 0, "a job the previous epoch did not plan never moved");
 }
 
+/// `repro schedd` builds its fleet policy with [`FleetPolicy::warmed`],
+/// which profiles every benchmark's curves before the first request. On
+/// a fresh engine over an empty cache directory a session planned by it
+/// therefore never degrades for a cold curve, and places every group.
+#[test]
+fn a_warmed_fleet_policy_never_plans_cold() {
+    struct TempDir(std::path::PathBuf);
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+    let dir = TempDir(
+        std::env::temp_dir().join(format!("gcs-fleet-warmed-{}", std::process::id())),
+    );
+    let _ = std::fs::remove_dir_all(&dir.0);
+    // Two devices of the pipeline's 8 SMs: the smallest non-degenerate
+    // fleet, so the warm-up profiles each benchmark's one curve.
+    let spec = FleetSpec::homogeneous(2, 8).expect("spec");
+    let engine = Arc::new(SweepEngine::auto().with_cache_dir(&dir.0));
+    let p = pipeline_with_engine(2, engine);
+    let mut measure = FleetMeasure::new(&p, &spec);
+    let policy = FleetPolicy::warmed(&p, spec).expect("warm-up");
+    let stats = policy.stats_handle();
+    let daemon_cfg = DaemonConfig {
+        sched: SchedConfig {
+            num_gpus: 2,
+            queue_capacity: 16,
+            alloc: AllocationPolicy::Smra,
+            replan_interval: None,
+        },
+        overload: OverloadPolicy::default(),
+    };
+    let mut d = DaemonCore::new(&mut measure, Box::new(policy), daemon_cfg).expect("daemon");
+    let trace = ArrivalTrace::waves(&POOL, 2, 3, 40_000, 7);
+    for (i, a) in trace.arrivals().iter().enumerate() {
+        let r = d.handle(Request::Submit {
+            id: i as u64,
+            bench: a.bench,
+            at: a.time,
+        });
+        assert_eq!(r, Response::Submitted { id: i as u64 });
+    }
+    let Response::Drained { json } = d.handle(Request::Drain) else {
+        panic!("the session must drain");
+    };
+    assert!(json.contains("\"degradations\": []\n"), "{json}");
+    assert!(!json.contains("\"budgets\":[]"), "every group is placed: {json}");
+    let s = stats.lock().unwrap();
+    assert!(s.plans > 0);
+    assert_eq!(s.cold_fallbacks, 0);
+}
+
 /// On a cold memo cache the fleet policy degrades to greedy grouping —
 /// recording the degradation — and still covers every pending job.
 #[test]
