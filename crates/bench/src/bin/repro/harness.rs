@@ -30,11 +30,10 @@ pub fn pct(ratio: f64) -> String {
 /// A machine-sized [`SweepEngine`] persisting its memo cache under
 /// `SWEEP_CACHE_DIR` — the engine every subcommand shares. Delete the
 /// cache directory after changing the simulator or the workload models,
-/// or set `GCS_CACHE=off` to bypass it for one run (`scripts/bench.sh`
-/// times truly cold sweeps that way). With `profile` the engine also
-/// collects per-phase device cycles for every job it simulates; cached
-/// jobs contribute no cycles, so profile a cold sweep (`GCS_CACHE=off`)
-/// to see the full picture. `GCS_THREADS=n` pins the worker count (the
+/// or set `GCS_CACHE=off` to bypass it for one run (a truly cold
+/// sweep). With `profile` the engine also collects per-phase device
+/// cycles for every job it simulates; cached jobs contribute no cycles,
+/// so profile a cold sweep (`GCS_CACHE=off`) to see the full picture. `GCS_THREADS=n` pins the worker count (the
 /// profile line is byte-stable at any value; `scripts/ci.sh
 /// --profile-smoke` sweeps it to prove that). Parallelism is across
 /// jobs only: each simulation steps on one thread.

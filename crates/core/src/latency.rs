@@ -4,11 +4,11 @@
 //! byte-stable; wall-clock measurements (how long a planning decision
 //! actually took on the host) must therefore live beside the report,
 //! not inside it. [`NanoStats`] is that sidecar: a nearest-rank
-//! percentile summary over nanosecond samples, the unit `scripts/
-//! bench.sh` already gates (`min_ns`), plus a derived decisions-per-
-//! second rate. The daemon collects one sample per [`Policy::plan`]
-//! call and the bench harness turns the summary into `BENCH_JSON`
-//! entries.
+//! percentile summary over nanosecond samples, plus a derived
+//! decisions-per-second rate. The daemon collects one sample per
+//! [`Policy::plan`] call, and the benchmark's `sched_inproc` workload
+//! reports the summary as `sched.decision_p50_ns` /
+//! `sched.decision_p99_ns`.
 //!
 //! [`Policy::plan`]: https://docs.rs/gcs-sched (gcs_sched::Policy::plan)
 

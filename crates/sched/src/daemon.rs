@@ -184,9 +184,11 @@ pub struct EventCore {
     /// `busy[g]` is `Some(cycle at which device g frees up)`.
     busy: Vec<Option<u64>>,
     /// The pending jobs and idle devices a plan is made over, refilled
-    /// before each plan, and a group's benchmarks, refilled per group.
+    /// before each plan, and a group's jobs and benchmarks, refilled per
+    /// group.
     pending: Vec<Job>,
     free: Vec<usize>,
+    members: Vec<Job>,
     benches: Vec<Benchmark>,
     plan: Option<VecDeque<Vec<JobId>>>,
     /// The cached plan's placements, front first; empty when unplaced.
@@ -230,6 +232,7 @@ impl EventCore {
             busy: vec![None; cfg.num_gpus as usize],
             pending: Vec::new(),
             free: Vec::with_capacity(cfg.num_gpus as usize),
+            members: Vec::new(),
             benches: Vec::new(),
             plan: None,
             placements: VecDeque::new(),
@@ -542,9 +545,9 @@ impl EventCore {
                 self.busy.get(gpu) == Some(&None),
                 "a placed group must name a free device"
             );
-            let members = self.queue.take(&group_ids);
+            self.queue.take(&group_ids, &mut self.members);
             self.benches.clear();
-            self.benches.extend(members.iter().map(|j| j.bench));
+            self.benches.extend(self.members.iter().map(|j| j.bench));
             let split = match &placement {
                 Some(p) => Split::Budgets(&p.budgets),
                 None => Split::Alloc(self.cfg.alloc),
@@ -552,7 +555,7 @@ impl EventCore {
             match m.run_group(gpu, &self.benches, split) {
                 Ok(result) => {
                     let mut stp = 0.0;
-                    for (member, app) in members.iter().zip(&result.apps) {
+                    for (member, app) in self.members.iter().zip(&result.apps) {
                         let alone = m.alone_cycles(gpu, member.bench);
                         stp += alone as f64 / app.cycles as f64;
                         self.jobs.push(JobOutcome {
@@ -586,7 +589,7 @@ impl EventCore {
                         SimError::Deadlock { cycle, diag } => ("deadlock", *cycle, diag.to_string()),
                         _ => unreachable!("matched above"),
                     };
-                    for member in &members {
+                    for member in &self.members {
                         self.failed.push(JobFailure {
                             id: member.id,
                             bench: member.bench,

@@ -88,15 +88,18 @@ impl AdmissionQueue {
         self.waiting.iter()
     }
 
-    /// Removes the jobs with the given ids (they are being dispatched).
+    /// Removes the jobs with the given ids (they are being dispatched)
+    /// into `out`, replacing its contents, in `ids` order. The caller
+    /// keeps `out` across dispatches, so taking a group allocates
+    /// nothing once it has held the largest group.
     ///
     /// # Panics
     ///
     /// If any id is not currently waiting — the scheduler only ever
     /// dispatches jobs out of its own pending snapshot, so a miss is a
     /// plan-bookkeeping bug, not a runtime condition.
-    pub fn take(&mut self, ids: &[JobId]) -> Vec<Job> {
-        let mut out = Vec::with_capacity(ids.len());
+    pub fn take(&mut self, ids: &[JobId], out: &mut Vec<Job>) {
+        out.clear();
         for &id in ids {
             let pos = self
                 .waiting
@@ -105,7 +108,6 @@ impl AdmissionQueue {
                 .expect("dispatched job must be waiting");
             out.push(self.waiting.remove(pos).expect("position just found"));
         }
-        out
     }
 
     /// Number of jobs currently waiting.
@@ -149,7 +151,7 @@ mod tests {
         );
         assert_eq!(q.len(), 2);
         // A slot freed by dispatch re-opens admission.
-        q.take(&[0]);
+        q.take(&[0], &mut Vec::new());
         assert!(q.offer(job(3, Benchmark::Hs, 8)).is_ok());
     }
 
@@ -169,10 +171,17 @@ mod tests {
         {
             q.offer(job(i, b, i as u64)).unwrap();
         }
-        let taken = q.take(&[2, 0]);
+        q.offer(job(4, Benchmark::Gups, 4)).unwrap();
+        let mut taken = Vec::new();
+        q.take(&[2, 0], &mut taken);
         assert_eq!(taken.iter().map(|j| j.id).collect::<Vec<_>>(), vec![2, 0]);
         let rest: Vec<JobId> = q.pending().map(|j| j.id).collect();
-        assert_eq!(rest, vec![1, 3], "remaining jobs keep FCFS order");
+        assert_eq!(rest, vec![1, 3, 4], "remaining jobs keep FCFS order");
+        // A second take into the same buffer replaces the first group.
+        q.take(&[4, 1], &mut taken);
+        assert_eq!(taken.iter().map(|j| j.id).collect::<Vec<_>>(), vec![4, 1]);
+        let rest: Vec<JobId> = q.pending().map(|j| j.id).collect();
+        assert_eq!(rest, vec![3], "remaining jobs keep FCFS order");
     }
 
     #[test]
@@ -180,6 +189,6 @@ mod tests {
     fn take_of_unknown_id_is_a_bug() {
         let mut q = AdmissionQueue::new(4);
         q.offer(job(0, Benchmark::Gups, 0)).unwrap();
-        q.take(&[99]);
+        q.take(&[99], &mut Vec::new());
     }
 }

@@ -14,9 +14,6 @@
 #                               benchmark/smoke.sh (golden digests)
 #   scripts/ci.sh --quick       tier-1 only: public-surface audit, release
 #                               build + default tests
-#   scripts/ci.sh --bench-smoke also run scripts/bench.sh --smoke after the
-#                               gate (checks the benchmarks still run; the
-#                               timings themselves are not gated)
 #   scripts/ci.sh --chaos-smoke fault-injection gate only: runs the
 #                               tests/chaos.rs suite (DESIGN.md §9) and
 #                               exits — a fast standalone check that the
@@ -69,7 +66,6 @@ cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
 
 QUICK=0
-BENCH_SMOKE=0
 CHAOS_SMOKE=0
 SCHED_SMOKE=0
 PROFILE_SMOKE=0
@@ -79,16 +75,19 @@ FLEET_SMOKE=0
 for arg in "$@"; do
     case "$arg" in
         --quick) QUICK=1 ;;
-        --bench-smoke) BENCH_SMOKE=1 ;;
         --chaos-smoke) CHAOS_SMOKE=1 ;;
         --sched-smoke) SCHED_SMOKE=1 ;;
         --profile-smoke) PROFILE_SMOKE=1 ;;
         --trace-smoke) TRACE_SMOKE=1 ;;
         --daemon-smoke) DAEMON_SMOKE=1 ;;
         --fleet-smoke) FLEET_SMOKE=1 ;;
-        *) echo "usage: scripts/ci.sh [--quick] [--bench-smoke] [--chaos-smoke] [--sched-smoke] [--profile-smoke] [--trace-smoke] [--daemon-smoke] [--fleet-smoke]" >&2; exit 2 ;;
+        *) echo "usage: scripts/ci.sh [--quick] [--chaos-smoke] [--sched-smoke] [--profile-smoke] [--trace-smoke] [--daemon-smoke] [--fleet-smoke]" >&2; exit 2 ;;
     esac
 done
+
+# The repro binary `cargo build --release` writes, wherever
+# CARGO_TARGET_DIR puts it.
+REPRO="${CARGO_TARGET_DIR:-target}/release/repro"
 
 step() {
     echo
@@ -110,7 +109,7 @@ sched_smoke() {
     cargo test -q -p gcs-sched
     step "sched smoke (repro schedd_sim, short seeded trace, all policies, GCS_SCALE=test)"
     cargo build --release --bin repro
-    GCS_SCALE=test ./target/release/repro schedd_sim >/dev/null
+    GCS_SCALE=test "$REPRO" schedd_sim >/dev/null
     local f
     for f in sched_test_q14_{fcfs,greedy,ilp}.json sched_test_q28_{fcfs,greedy,ilp}.json summary_test.json; do
         cmp "tests/golden/sched/$f" "results/sched/$f" || {
@@ -132,7 +131,7 @@ if [ "$PROFILE_SMOKE" -eq 1 ]; then
     REF=""
     for threads in 1 2 8; do
         LINE=$(GCS_CACHE=off GCS_SCALE=small GCS_THREADS=$threads \
-               ./target/release/repro fig41_two_app --profile | grep '^profile:') || {
+               "$REPRO" fig41_two_app --profile | grep '^profile:') || {
             echo "no profile line in repro fig41_two_app --profile output" >&2; exit 1;
         }
         echo "  threads=$threads  $LINE"
@@ -166,7 +165,7 @@ daemon_smoke() {
     local dir threads run ref=""
     dir=$(mktemp -d)
     for threads in 1 2 8; do
-        GCS_SCALE=test GCS_THREADS=$threads ./target/release/repro schedd_client --virtual \
+        GCS_SCALE=test GCS_THREADS=$threads "$REPRO" schedd_client --virtual \
             --jobs 8 --out "$dir/daemon_$threads.json" \
             --batch-out "$dir/batch_$threads.json" >/dev/null
         cmp "$dir/daemon_$threads.json" "$dir/batch_$threads.json" || {
@@ -184,7 +183,7 @@ daemon_smoke() {
     done
     echo "  daemon session == batch report, byte-identical at 1/2/8 threads"
     for run in 1 2; do
-        GCS_SCALE=test ./target/release/repro schedd_client --virtual --jobs 10 \
+        GCS_SCALE=test "$REPRO" schedd_client --virtual --jobs 10 \
             --faults 3491 --transcript "$dir/transcript_$run.txt" \
             --out "$dir/faulted_$run.json" >/dev/null
     done
@@ -215,7 +214,7 @@ fleet_smoke() {
     cargo test -q -p gcs-fleet
     step "fleet smoke (repro fleet_sim, GCS_SCALE=test: hom byte-diff + golden reports)"
     cargo build --release --bin repro
-    GCS_SCALE=test ./target/release/repro fleet_sim >/dev/null
+    GCS_SCALE=test "$REPRO" fleet_sim >/dev/null
     cmp results/fleet/fleet_hom_test_fleetpolicy.json \
         results/fleet/fleet_hom_test_ilp.json || {
         echo "homogeneous 1-device fleet report differs from single-GPU report" >&2
@@ -241,14 +240,14 @@ if [ "$TRACE_SMOKE" -eq 1 ]; then
     cargo build --release --bin repro
     TRACE_DIR=$(mktemp -d)
     trap 'rm -rf "$TRACE_DIR"' EXIT
-    GCS_SCALE=test ./target/release/repro trace_record BLK "$TRACE_DIR/blk.trace" \
+    GCS_SCALE=test "$REPRO" trace_record BLK "$TRACE_DIR/blk.trace" \
         --json "$TRACE_DIR/blk.json"
     test -s "$TRACE_DIR/blk.trace" || { echo "empty trace file" >&2; exit 1; }
     test -s "$TRACE_DIR/blk.json" || { echo "empty trace json" >&2; exit 1; }
     REF=""
     for threads in 1 2 8; do
         LINE=$(GCS_CACHE=off GCS_SCALE=test GCS_THREADS=$threads \
-               ./target/release/repro trace_replay "$TRACE_DIR/blk.trace" | grep '^replay:') || {
+               "$REPRO" trace_replay "$TRACE_DIR/blk.trace" | grep '^replay:') || {
             echo "no replay line in trace_replay output" >&2; exit 1;
         }
         echo "  threads=$threads  $LINE"
@@ -370,16 +369,19 @@ fi
 # Deleted names stay deleted: the sharded lanes of the one stepping
 # engine (DESIGN.md §12), their thread lease and knobs, the surface the
 # public-surface audit removed (LP text format, window trace recorder,
-# debug_* binaries, cache GC script), the fleet's own event loop, and
-# the solver's per-node problem copies and per-plan queue snapshot.
+# debug_* binaries, cache GC script), the fleet's own event loop, the
+# solver's per-node problem copies and per-plan queue snapshot, and the
+# legacy `cargo bench` instrument (benchmark/ is the only one).
 # CHANGES.md and ROADMAP.md are history and may name them.
-step "deleted-name guard (no sharded-lane, audited-away, second-loop or per-node-clone names)"
+step "deleted-name guard (no sharded-lane, audited-away, second-loop, per-node-clone or legacy-bench names)"
 GONE='ShardCell|MemShard|ShardSink|ShardCtl|ThreadedExec|issue_prepare|issue_more'
 GONE="$GONE|resolve_pending|PendingAccess|run_sharded|ShardLease|set_shards"
 GONE="$GONE|set_mem_shards|set_shard_workers|with_sim_threads|GCS_SIM_THREADS|shard_smoke"
 GONE="$GONE|WindowTrace|parse_lp|to_lp_string|gc_cache|debug_counters|debug_pair|debug_queue"
 GONE="$GONE|pump_to|track_churn|dispatch_marginal|dispatch_fcfs"
 GONE="$GONE|as_max_problem|best_objective_max|LpSolution|pending_vec"
+GONE="$GONE|scripts/bench\.sh|BENCH_sim|BENCH_sched|gcs_bench::timing|BENCH_JSON|bench-smoke"
+GONE="$GONE|\[\[bench\]\]"
 if grep -rnE "$GONE" crates tests scripts README.md DESIGN.md EXPERIMENTS.md \
         .claude/skills/verify/SKILL.md --exclude=ci.sh; then
     echo "a deleted name is back (see the matches above)" >&2
@@ -409,11 +411,6 @@ fleet_smoke
 
 step "benchmark smoke (benchmark/smoke.sh: seven workloads, golden digests)"
 benchmark/smoke.sh
-
-if [ "$BENCH_SMOKE" -eq 1 ]; then
-    step "bench smoke (scripts/bench.sh --smoke)"
-    scripts/bench.sh --smoke
-fi
 
 echo
 echo "full gate passed"

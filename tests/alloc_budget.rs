@@ -57,8 +57,9 @@ const PLAN_BUDGET: u64 = 9;
 
 /// Allocations of one warm 200-arrival `EventCore` + `IlpEpoch` session
 /// on [`StubMeasure`]: admissions, plans, dispatch and the drained
-/// report, in either build.
-const SESSION_COUNT: u64 = 617;
+/// report, in either build. It was 617 while each of the session's 110
+/// dispatched groups was taken out of the queue into a fresh `Vec`.
+const SESSION_COUNT: u64 = 508;
 
 /// Allocations one fleet `allocate` over census-14 makes on the
 /// 8/15/30-SM fleet with groups of two: the per-device SM pools and job
@@ -71,13 +72,15 @@ const FLEET_ALLOC_COUNT: u64 = 13;
 /// Allocations one warm `run_fleet` of the benchmark's `fleet_loop`
 /// run makes in a debug build. 330 of them are the `debug_assert_eq!`
 /// that re-allocates each of the 30 reused shadow plans; a release
-/// build makes 1 455. It was 1 834 (1 504 in release) while every
-/// plan copied the pending queue into a fresh `Vec`. Before the run
+/// build makes 1 336. It was 1 785 (1 455 in release) while each
+/// dispatched group was taken out of the queue into a fresh `Vec`, and
+/// 1 834 (1 504 in release) while every plan copied the pending queue
+/// into a fresh `Vec`. Before the run
 /// moved onto `EventCore` it made 2 119 (1 669 in release), and 2 659
 /// in either build before the first dispatch of an all-free epoch
 /// reused the shadow plan, the churn map was made dense, the
 /// predictor's probe was batched and group dispatch stopped cloning.
-const FLEET_RUN_COUNT: u64 = 1_785;
+const FLEET_RUN_COUNT: u64 = 1_666;
 
 struct Counting;
 
