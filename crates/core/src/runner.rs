@@ -82,7 +82,7 @@ pub struct AppRun {
 }
 
 /// Outcome of one co-run group.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GroupResult {
     /// Group members in launch order.
     pub apps: Vec<AppRun>,
@@ -91,25 +91,20 @@ pub struct GroupResult {
 }
 
 impl GroupResult {
-    /// The result of co-running `group` as the engine measured it.
-    pub fn from_outcome(group: &[Benchmark], out: &GroupOutcome) -> GroupResult {
-        let apps = group
-            .iter()
-            .enumerate()
-            .map(|(i, &bench)| {
-                let cycles = out.cycles[i];
-                AppRun {
-                    bench,
-                    cycles,
-                    thread_insts: out.thread_insts[i],
-                    ipc: out.thread_insts[i] as f64 / cycles as f64,
-                }
-            })
-            .collect();
-        GroupResult {
-            apps,
-            makespan: out.makespan,
-        }
+    /// Overwrites the result with co-running `group` as the engine
+    /// measured it, keeping the capacity of `apps`.
+    pub fn assign(&mut self, group: &[Benchmark], out: &GroupOutcome) {
+        self.apps.clear();
+        self.apps.extend(group.iter().enumerate().map(|(i, &bench)| {
+            let cycles = out.cycles[i];
+            AppRun {
+                bench,
+                cycles,
+                thread_insts: out.thread_insts[i],
+                ipc: out.thread_insts[i] as f64 / cycles as f64,
+            }
+        }));
+        self.makespan = out.makespan;
     }
 
     /// Group device throughput: all members' instructions over the
@@ -161,7 +156,8 @@ impl QueueReport {
 pub struct Pipeline {
     cfg: RunConfig,
     engine: Arc<SweepEngine>,
-    profiles: BTreeMap<Benchmark, AppProfile>,
+    /// `profiles[b as usize]` is benchmark `b`'s alone profile.
+    profiles: Vec<AppProfile>,
     /// `classes[b as usize]` is benchmark `b`'s class.
     classes: [AppClass; Benchmark::ALL.len()],
     thresholds: Thresholds,
@@ -172,10 +168,10 @@ pub struct Pipeline {
     ilp: Option<GroupingModel>,
     curves: BTreeMap<Benchmark, Vec<(u32, f64)>>,
     ilp_node_limit: Option<usize>,
-    /// Trace substitutions: a bound suite slot runs the trace instead
-    /// of the synthetic kernel everywhere — profiling, classification,
-    /// scalability curves and co-runs.
-    bindings: BTreeMap<Benchmark, Arc<KernelTrace>>,
+    /// `workloads[b as usize]` runs behind suite slot `b`: the bound
+    /// trace if one exists, otherwise the synthetic benchmark — in
+    /// profiling, classification, scalability curves and co-runs.
+    workloads: Vec<Workload>,
 }
 
 impl Pipeline {
@@ -255,17 +251,15 @@ impl Pipeline {
     ) -> Result<Self, CoreError> {
         let workloads: Vec<Workload> = Benchmark::ALL
             .iter()
-            .map(|b| resolve_workload(&bindings, *b))
+            .map(|b| match bindings.get(b) {
+                Some(t) => Workload::Trace(Arc::clone(t)),
+                None => Workload::Bench(*b),
+            })
             .collect();
-        let ordered: Vec<AppProfile> = engine.run_parallel(workloads.len(), |i| {
+        let profiles: Vec<AppProfile> = engine.run_parallel(workloads.len(), |i| {
             engine.profile_workload(&cfg.gpu, cfg.scale, &workloads[i], cfg.gpu.num_sms)
         })?;
-        let profiles: BTreeMap<Benchmark, AppProfile> = Benchmark::ALL
-            .iter()
-            .copied()
-            .zip(ordered.iter().cloned())
-            .collect();
-        let (thresholds, class_list) = classify_suite(&cfg.gpu, &ordered);
+        let (thresholds, class_list) = classify_suite(&cfg.gpu, &profiles);
         let classes = class_list
             .try_into()
             .expect("classify_suite classifies every benchmark");
@@ -280,14 +274,8 @@ impl Pipeline {
             ilp,
             curves: BTreeMap::new(),
             ilp_node_limit: None,
-            bindings,
+            workloads,
         })
-    }
-
-    /// The workload behind a suite slot: the bound trace if one exists,
-    /// otherwise the synthetic benchmark.
-    fn workload_of(&self, bench: Benchmark) -> Workload {
-        resolve_workload(&self.bindings, bench)
     }
 
     /// Overrides the grouping ILP's branch & bound node budget (`None`
@@ -318,7 +306,7 @@ impl Pipeline {
 
     /// Measured alone-run profile of `bench`.
     pub fn profile(&self, bench: Benchmark) -> &AppProfile {
-        &self.profiles[&bench]
+        &self.profiles[bench as usize]
     }
 
     /// Measured class of `bench`.
@@ -514,6 +502,27 @@ impl Pipeline {
         group: &[Benchmark],
         alloc: AllocationPolicy,
     ) -> Result<GroupResult, CoreError> {
+        let mut out = GroupResult {
+            apps: Vec::with_capacity(group.len()),
+            makespan: 0,
+        };
+        self.run_group_into(group, alloc, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Pipeline::run_group`] into a result the caller keeps: a warm
+    /// group is read where the memo stores it, so an Even or SMRA hit
+    /// allocates nothing once `out.apps` has room for the group.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator errors; `out` is then unspecified.
+    pub fn run_group_into(
+        &mut self,
+        group: &[Benchmark],
+        alloc: AllocationPolicy,
+        out: &mut GroupResult,
+    ) -> Result<(), CoreError> {
         assert!(!group.is_empty(), "empty group");
         let mode = match alloc {
             AllocationPolicy::Even => CorunMode::Even,
@@ -523,11 +532,10 @@ impl Pipeline {
                 group.len() as u32,
             )),
         };
-        let ws: Vec<Workload> = group.iter().map(|&b| self.workload_of(b)).collect();
-        let out = self
-            .engine
-            .corun_workloads(&self.cfg.gpu, self.cfg.scale, &ws, &mode)?;
-        Ok(GroupResult::from_outcome(group, &out))
+        let ws = group.iter().map(|&b| &self.workloads[b as usize]);
+        let (gpu, scale) = (&self.cfg.gpu, self.cfg.scale);
+        self.engine
+            .corun_with(gpu, scale, ws, &mode, |o| out.assign(group, o))
     }
 
     /// Executes a whole queue: group, then run groups back-to-back.
@@ -624,26 +632,15 @@ impl Pipeline {
         let engine = Arc::clone(&self.engine);
         let gpu = self.cfg.gpu.clone();
         let scale = self.cfg.scale;
-        let workload = self.workload_of(bench);
+        let workload = &self.workloads[bench as usize];
         let curve: Vec<(u32, f64)> = engine
             .run_parallel(grid.len(), |i| {
                 engine
-                    .profile_workload(&gpu, scale, &workload, grid[i])
+                    .profile_workload(&gpu, scale, workload, grid[i])
                     .map(|p| (grid[i], p.ipc))
             })?;
         self.curves.insert(bench, curve);
         Ok(())
-    }
-}
-
-/// The workload a `(bindings, bench)` pair resolves to.
-fn resolve_workload(
-    bindings: &BTreeMap<Benchmark, Arc<KernelTrace>>,
-    bench: Benchmark,
-) -> Workload {
-    match bindings.get(&bench) {
-        Some(t) => Workload::Trace(Arc::clone(t)),
-        None => Workload::Bench(bench),
     }
 }
 

@@ -31,6 +31,7 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hash::{Hash, Hasher};
 use std::iter;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -39,7 +40,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use gcs_sim::config::GpuConfig;
-use gcs_sim::gpu::{Gpu, PhaseCycles};
+use gcs_sim::gpu::{Gpu, PhaseCycles, MAX_APPS};
 use gcs_sim::kernel::AppId;
 use gcs_sim::wire::{fnv1a, push_str_escaped, Scan, WireError};
 use gcs_workloads::{Benchmark, Scale};
@@ -212,43 +213,37 @@ enum Memo {
 }
 
 /// The in-process memo: the interned device configs, each with its
-/// rendered [`config_key`] (only the disk path reads it), and one map
-/// from typed job key to decoded result.
+/// rendered [`config_key`] (only the disk path reads it), the interned
+/// traces, and one map from fixed-size job key to decoded result.
 #[derive(Debug, Default)]
 struct MemoTable {
     configs: Vec<(GpuConfig, String)>,
+    /// Trace members by name and content fingerprint; the member id of
+    /// `traces[i]` is `BENCH_IDS + i`.
+    traces: Vec<(String, u64)>,
     jobs: HashMap<JobKey, Memo>,
-    /// The key every lookup refills and probes `jobs` with.
-    probe: JobKey,
 }
 
 impl MemoTable {
-    /// The value the map holds for the job, if any; `probe` is left
-    /// filled with the job's key either way.
-    fn get<T: Memoized>(
+    /// The key of a job, interning its config and members; `None` when
+    /// the job has more members or split entries than a device has app
+    /// slots ([`MAX_APPS`]), which the simulator refuses anyway.
+    fn key<'a>(
         &mut self,
         cfg: &GpuConfig,
         scale: Scale,
-        members: impl Iterator<Item = Member>,
+        members: impl Iterator<Item = Member<'a>>,
         mode: Mode,
         counts: &[u32],
-    ) -> Option<T> {
-        let id = self.config_id(cfg);
-        self.find(id, scale, members, mode, counts).and_then(T::read)
-    }
-
-    /// The entry the map holds for the job on interned config `id`, by
-    /// reference; `probe` is left filled with the job's key either way.
-    fn find(
-        &mut self,
-        id: u32,
-        scale: Scale,
-        members: impl Iterator<Item = Member>,
-        mode: Mode,
-        counts: &[u32],
-    ) -> Option<&Memo> {
-        self.probe.refill(id, scale, members, mode, counts);
-        self.jobs.get(&self.probe)
+    ) -> Option<JobKey> {
+        let cfg = self.config_id(cfg);
+        let mut ids = [0; MAX_APPS];
+        let mut len = 0;
+        for m in members {
+            *ids.get_mut(len)? = self.member_id(m);
+            len += 1;
+        }
+        JobKey::new(cfg, scale, &ids[..len], mode, counts)
     }
 
     /// The intern id of `cfg`, compared with `==`.
@@ -261,6 +256,90 @@ impl MemoTable {
             }
         };
         u32::try_from(i).expect("fewer than 2^32 device configs")
+    }
+
+    /// The member id of `m`: a benchmark's suite index, or a trace's
+    /// slot in `traces` (by name and fingerprint) past the benchmarks.
+    fn member_id(&mut self, m: Member<'_>) -> u32 {
+        let t = match m {
+            Member::Bench(b) => return b as u32,
+            Member::Trace(t) => t,
+        };
+        let fp = t.fingerprint();
+        let i = match self
+            .traces
+            .iter()
+            .position(|(name, f)| *f == fp && *name == t.meta.name)
+        {
+            Some(i) => i,
+            None => {
+                self.traces.push((t.meta.name.clone(), fp));
+                self.traces.len() - 1
+            }
+        };
+        BENCH_IDS + u32::try_from(i).expect("fewer than 2^32 traces")
+    }
+
+    /// The display name of member `id` (a profile's `name`).
+    fn member_name(&self, id: u32) -> String {
+        match id.checked_sub(BENCH_IDS) {
+            None => Benchmark::ALL[id as usize].name().to_string(),
+            Some(t) => self.traces[t as usize].0.clone(),
+        }
+    }
+
+    /// The `v1|…` disk-cache key of `job`, byte-identical to the format
+    /// every existing cache entry was written with.
+    fn render(&self, job: &JobKey) -> String {
+        let config_key = &self.configs[job.cfg as usize].1;
+        let mut s = String::with_capacity(96 + config_key.len());
+        let kind = match job.mode {
+            Mode::Profile { .. } => "profile",
+            _ => "corun",
+        };
+        let _ = write!(s, "v1|{kind}|");
+        for (i, &m) in job.members().iter().enumerate() {
+            if i > 0 {
+                s.push('+');
+            }
+            match m.checked_sub(BENCH_IDS) {
+                None => s.push_str(Benchmark::ALL[m as usize].name()),
+                Some(t) => {
+                    let (name, fp) = &self.traces[t as usize];
+                    let _ = write!(s, "trace:{name}#{fp:016x}");
+                }
+            }
+        }
+        match job.mode {
+            Mode::Profile { num_sms } => {
+                let _ = write!(s, "|sms={num_sms}");
+            }
+            Mode::Even => s.push_str("|even"),
+            Mode::Counts => {
+                s.push_str("|counts:");
+                for (i, n) in job.counts().iter().enumerate() {
+                    if i > 0 {
+                        s.push('-');
+                    }
+                    let _ = write!(s, "{n}");
+                }
+            }
+            Mode::Smra {
+                tc,
+                ipc,
+                bw,
+                nr,
+                r_min,
+            } => {
+                let _ = write!(
+                    s,
+                    "|smra:tc={tc},ipc={ipc:016x},bw={bw:016x},nr={nr},rmin={r_min}"
+                );
+            }
+        }
+        let _ = write!(s, "|i:{:016x},g:{:016x}|", job.scale[0], job.scale[1]);
+        s.push_str(config_key);
+        s
     }
 }
 
@@ -563,7 +642,8 @@ impl SweepEngine {
         num_sms: u32,
     ) -> Result<AppProfile, CoreError> {
         let mode = Mode::Profile { num_sms };
-        self.cached(cfg, scale, iter::once(workload.member()), mode, &[], || {
+        let member = iter::once(workload.member());
+        self.cached(cfg, scale, member, mode, &[], AppProfile::clone, || {
             let (mut p, phases) = match workload {
                 Workload::Bench(b) => {
                     profile_with_sms_phases(&b.kernel(scale), cfg, num_sms, self.profile_phases)?
@@ -600,7 +680,8 @@ impl SweepEngine {
         num_sms: u32,
     ) -> Option<AppProfile> {
         let mode = Mode::Profile { num_sms };
-        self.lookup(cfg, scale, iter::once(workload.member()), mode, &[])
+        let member = iter::once(workload.member());
+        self.lookup(cfg, scale, member, mode, &[], &mut AppProfile::clone)
             .ok()
     }
 
@@ -623,14 +704,15 @@ impl SweepEngine {
         sms: &[u32],
         out: &mut Vec<Option<u64>>,
     ) {
-        let member = workload.member();
         let mut hits = 0u64;
         {
             let mut memo = self.memo.lock().unwrap_or_else(|e| e.into_inner());
             let id = memo.config_id(cfg);
+            let member = [memo.member_id(workload.member())];
             for &num_sms in sms {
                 let mode = Mode::Profile { num_sms };
-                let cycles = match memo.find(id, scale, iter::once(member.clone()), mode, &[]) {
+                let key = JobKey::new(id, scale, &member, mode, &[]).expect("one member");
+                let cycles = match memo.jobs.get(&key) {
                     Some(Memo::Profile(p)) => Some(p.cycles),
                     _ => None,
                 };
@@ -673,14 +755,20 @@ impl SweepEngine {
         mode: &CorunMode,
     ) -> Result<GroupOutcome, CoreError> {
         let members = group.iter().map(|&b| Member::Bench(b));
-        self.corun_job(cfg, scale, members, mode, || {
+        self.corun_job(cfg, scale, members, mode, GroupOutcome::clone, || {
             let ws: Vec<Workload> = group.iter().map(|&b| Workload::Bench(b)).collect();
             simulate_corun(cfg, scale, &ws, mode, self.profile_phases)
         })
     }
 
-    /// Co-runs a mixed group of [`Workload`]s under `mode`, memoized.
-    /// For all-`Bench` groups this is exactly [`SweepEngine::corun`].
+    /// Co-runs a mixed group of [`Workload`]s under `mode`, memoized,
+    /// and returns what `read` makes of the outcome: `read` sees it by
+    /// reference — a memo hit where it is stored, under the memo lock,
+    /// so `read` must not call back into the engine. The members are
+    /// borrowed one by one, so a warm hit allocates nothing unless
+    /// `read` does (`GroupOutcome::clone` for an owned outcome); a miss
+    /// collects them to simulate. For all-`Bench` groups this is
+    /// exactly [`SweepEngine::corun`] (same key, same counters).
     ///
     /// # Errors
     ///
@@ -689,29 +777,33 @@ impl SweepEngine {
     /// # Panics
     ///
     /// Panics on an empty group.
-    pub fn corun_workloads(
+    pub fn corun_with<'w, R>(
         &self,
         cfg: &GpuConfig,
         scale: Scale,
-        group: &[Workload],
+        group: impl ExactSizeIterator<Item = &'w Workload> + Clone,
         mode: &CorunMode,
-    ) -> Result<GroupOutcome, CoreError> {
-        self.corun_job(cfg, scale, group.iter().map(Workload::member), mode, || {
-            simulate_corun(cfg, scale, group, mode, self.profile_phases)
+        read: impl FnMut(&GroupOutcome) -> R,
+    ) -> Result<R, CoreError> {
+        let members = group.clone().map(Workload::member);
+        self.corun_job(cfg, scale, members, mode, read, || {
+            let ws: Vec<Workload> = group.cloned().collect();
+            simulate_corun(cfg, scale, &ws, mode, self.profile_phases)
         })
     }
 
-    fn corun_job(
+    fn corun_job<'a, R>(
         &self,
         cfg: &GpuConfig,
         scale: Scale,
-        members: impl ExactSizeIterator<Item = Member>,
+        members: impl ExactSizeIterator<Item = Member<'a>>,
         mode: &CorunMode,
+        read: impl FnMut(&GroupOutcome) -> R,
         simulate: impl FnOnce() -> Result<(GroupOutcome, Option<PhaseCycles>), CoreError>,
-    ) -> Result<GroupOutcome, CoreError> {
+    ) -> Result<R, CoreError> {
         assert!(members.len() > 0, "empty co-run group");
         let (mode, counts) = Mode::of(mode);
-        self.cached(cfg, scale, members, mode, counts, || {
+        self.cached(cfg, scale, members, mode, counts, read, || {
             let (out, phases) = simulate()?;
             self.account(phases, out.makespan);
             Ok(out)
@@ -750,63 +842,74 @@ impl SweepEngine {
     // Cache plumbing
     // ------------------------------------------------------------------
 
-    fn cached<T: Memoized>(
+    /// Serves the job from the memo or disk, or simulates and stores
+    /// it, and returns what `read` makes of the value. A job with no
+    /// key (more members than app slots) goes straight to `simulate`,
+    /// which refuses it.
+    #[allow(clippy::too_many_arguments)]
+    fn cached<'a, T: Memoized, R>(
         &self,
         cfg: &GpuConfig,
         scale: Scale,
-        members: impl Iterator<Item = Member>,
+        members: impl Iterator<Item = Member<'a>>,
         mode: Mode,
         counts: &[u32],
+        mut read: impl FnMut(&T) -> R,
         simulate: impl FnOnce() -> Result<T, CoreError>,
-    ) -> Result<T, CoreError> {
+    ) -> Result<R, CoreError> {
         self.jobs_total.fetch_add(1, Ordering::Relaxed);
-        let miss = match self.lookup(cfg, scale, members, mode, counts) {
-            Ok(v) => {
+        let miss = match self.lookup(cfg, scale, members, mode, counts, &mut read) {
+            Ok(r) => {
                 self.jobs_cached.fetch_add(1, Ordering::Relaxed);
-                return Ok(v);
+                return Ok(r);
             }
             Err(miss) => miss,
         };
         let v = simulate()?;
         self.jobs_simulated.fetch_add(1, Ordering::Relaxed);
-        self.store(*miss, &v);
-        Ok(v)
+        let r = read(&v);
+        if let Some(miss) = miss {
+            self.store(*miss, v);
+        }
+        Ok(r)
     }
 
-    /// The typed in-process map first, then disk. The `v1|…` key string
-    /// is rendered only when the map misses; the disk path verifies the
-    /// stored full key against it, so an FNV collision degrades to a
-    /// miss instead of returning a wrong result.
-    fn lookup<T: Memoized>(
+    /// The in-process map first, read in place, then disk. The `v1|…`
+    /// key string is rendered only when the map misses; the disk path
+    /// verifies the stored full key against it, so an FNV collision
+    /// degrades to a miss instead of returning a wrong result. The
+    /// miss is `None` for a job with no key.
+    fn lookup<'a, T: Memoized, R>(
         &self,
         cfg: &GpuConfig,
         scale: Scale,
-        members: impl Iterator<Item = Member>,
+        members: impl Iterator<Item = Member<'a>>,
         mode: Mode,
         counts: &[u32],
-    ) -> Result<T, Box<Miss>> {
-        let (job, key) = {
-            let mut guard = self.memo.lock().unwrap_or_else(|e| e.into_inner());
-            let memo = &mut *guard;
-            if let Some(v) = memo.get(cfg, scale, members, mode, counts) {
-                return Ok(v);
+        read: &mut impl FnMut(&T) -> R,
+    ) -> Result<R, Option<Box<Miss>>> {
+        let (job, key, name) = {
+            let mut memo = self.memo.lock().unwrap_or_else(|e| e.into_inner());
+            let job = memo.key(cfg, scale, members, mode, counts).ok_or(None)?;
+            if let Some(v) = memo.jobs.get(&job).and_then(T::get) {
+                return Ok(read(v));
             }
-            let key = memo.probe.render(&memo.configs[memo.probe.cfg as usize].1);
-            (memo.probe.clone(), key)
+            (job, memo.render(&job), memo.member_name(job.members[0]))
         };
         let hash = fnv1a(key.as_bytes());
         if let Some(v) = self
             .read_disk(hash, &key)
-            .and_then(|f| T::decode(&f, &job))
+            .and_then(|f| T::decode(&f, job.members().len(), name))
         {
+            let r = read(&v);
             self.memo
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .jobs
-                .insert(job, v.to_memo());
-            return Ok(v);
+                .insert(job, v.into_memo());
+            return Ok(r);
         }
-        Err(Box::new(Miss { job, key, hash }))
+        Err(Some(Box::new(Miss { job, key, hash })))
     }
 
     /// The fields of the disk entry at `hash` if its stored key is
@@ -844,7 +947,7 @@ impl SweepEngine {
         eprintln!("warning: quarantined corrupt sweep cache entry {name}");
     }
 
-    fn store<T: Memoized>(&self, miss: Miss, v: &T) {
+    fn store<T: Memoized>(&self, miss: Miss, v: T) {
         if let Some(dir) = &self.cache_dir {
             let _ = std::fs::create_dir_all(dir);
             let text = render_entry(&miss.key, &v.encode());
@@ -859,7 +962,7 @@ impl SweepEngine {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .jobs
-            .insert(miss.job, v.to_memo());
+            .insert(miss.job, v.into_memo());
     }
 }
 
@@ -925,12 +1028,12 @@ fn simulate_corun(
 // Cache keys
 // ----------------------------------------------------------------------
 //
-// In memory a job is keyed by a typed [`JobKey`]. The engine keeps one
-// as a probe and refills it in place for every lookup, so a warm hit
-// reuses the probe's buffers and neither formats nor allocates. The
-// `v1|…` string the disk cache is keyed by (file name = its FNV-1a
-// hash; the full string is stored in the entry to catch collisions) is
-// rendered from the typed key only when the map misses.
+// In memory a job is keyed by a fixed-size [`JobKey`]: the config and
+// each member are interned `u32` ids and a co-run's SM split sits
+// inline, so a warm hit builds its key on the stack and neither formats
+// nor allocates. The `v1|…` string the disk cache is keyed by (file
+// name = its FNV-1a hash; the full string is stored in the entry to
+// catch collisions) is rendered from the key only when the map misses.
 
 /// Canonical description of every [`GpuConfig`] field. Changing any
 /// knob — cache geometry, DRAM timing, scheduler — changes the key and
@@ -972,17 +1075,21 @@ fn config_key(cfg: &GpuConfig) -> String {
 /// A job member as its key sees it: a suite benchmark, or a trace by
 /// name and content fingerprint (two traces that share a name never
 /// share a key).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Member {
+#[derive(Debug, Clone, Copy)]
+enum Member<'a> {
     Bench(Benchmark),
-    Trace(String, u64),
+    Trace(&'a KernelTrace),
 }
 
+/// Member ids below this are benchmark suite indices; the rest are
+/// interned traces.
+const BENCH_IDS: u32 = Benchmark::ALL.len() as u32;
+
 impl Workload {
-    fn member(&self) -> Member {
+    fn member(&self) -> Member<'_> {
         match self {
             Workload::Bench(b) => Member::Bench(*b),
-            Workload::Trace(t) => Member::Trace(t.meta.name.clone(), t.fingerprint()),
+            Workload::Trace(t) => Member::Trace(t),
         }
     }
 }
@@ -990,12 +1097,11 @@ impl Workload {
 /// How a job runs its members: alone on `num_sms` SMs, or a co-run
 /// mode. SMRA parameters are held as the bit patterns the key string
 /// prints, so keys compare exactly when their strings do.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Mode {
     Profile {
         num_sms: u32,
     },
-    #[default]
     Even,
     /// The split is in [`JobKey::counts`].
     Counts,
@@ -1028,88 +1134,61 @@ impl Mode {
     }
 }
 
-/// The typed memo key of one job.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+/// The memo key of one job: fixed-size, so building one allocates
+/// nothing and hashing it reads no heap. Slots past `len` and
+/// `counts_len` are zero, so the derived `==` compares live entries
+/// only, as the hash does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct JobKey {
     /// The engine's intern id of the device config.
     cfg: u32,
     /// Bit patterns of the scale's two multipliers.
     scale: [u64; 2],
-    members: Vec<Member>,
     mode: Mode,
-    /// The per-member SM split of [`Mode::Counts`]; empty otherwise.
-    counts: Vec<u32>,
+    len: u8,
+    /// Member ids in launch order ([`MemoTable::member_id`]).
+    members: [u32; MAX_APPS],
+    counts_len: u8,
+    /// The per-member SM split of [`Mode::Counts`].
+    counts: [u32; MAX_APPS],
+}
+
+impl Hash for JobKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.cfg.hash(state);
+        self.scale.hash(state);
+        self.mode.hash(state);
+        self.members().hash(state);
+        self.counts().hash(state);
+    }
 }
 
 impl JobKey {
-    /// Overwrites the key in place, keeping its buffers' capacity.
-    fn refill(
-        &mut self,
-        cfg: u32,
-        scale: Scale,
-        members: impl Iterator<Item = Member>,
-        mode: Mode,
-        counts: &[u32],
-    ) {
-        self.cfg = cfg;
-        self.scale = [scale.iters.to_bits(), scale.grid.to_bits()];
-        self.members.clear();
-        self.members.extend(members);
-        self.mode = mode;
-        self.counts.clear();
-        self.counts.extend_from_slice(counts);
+    /// `None` past [`MAX_APPS`] members or split entries.
+    fn new(cfg: u32, scale: Scale, members: &[u32], mode: Mode, counts: &[u32]) -> Option<JobKey> {
+        if members.len() > MAX_APPS || counts.len() > MAX_APPS {
+            return None;
+        }
+        let mut key = JobKey {
+            cfg,
+            scale: [scale.iters.to_bits(), scale.grid.to_bits()],
+            mode,
+            len: members.len() as u8,
+            members: [0; MAX_APPS],
+            counts_len: counts.len() as u8,
+            counts: [0; MAX_APPS],
+        };
+        key.members[..members.len()].copy_from_slice(members);
+        key.counts[..counts.len()].copy_from_slice(counts);
+        Some(key)
     }
 
-    /// The `v1|…` disk-cache key, byte-identical to the format every
-    /// existing cache entry was written with.
-    fn render(&self, config_key: &str) -> String {
-        let mut s = String::with_capacity(96 + config_key.len());
-        let kind = match self.mode {
-            Mode::Profile { .. } => "profile",
-            _ => "corun",
-        };
-        let _ = write!(s, "v1|{kind}|");
-        for (i, m) in self.members.iter().enumerate() {
-            if i > 0 {
-                s.push('+');
-            }
-            match m {
-                Member::Bench(b) => s.push_str(b.name()),
-                Member::Trace(name, fp) => {
-                    let _ = write!(s, "trace:{name}#{fp:016x}");
-                }
-            }
-        }
-        match self.mode {
-            Mode::Profile { num_sms } => {
-                let _ = write!(s, "|sms={num_sms}");
-            }
-            Mode::Even => s.push_str("|even"),
-            Mode::Counts => {
-                s.push_str("|counts:");
-                for (i, n) in self.counts.iter().enumerate() {
-                    if i > 0 {
-                        s.push('-');
-                    }
-                    let _ = write!(s, "{n}");
-                }
-            }
-            Mode::Smra {
-                tc,
-                ipc,
-                bw,
-                nr,
-                r_min,
-            } => {
-                let _ = write!(
-                    s,
-                    "|smra:tc={tc},ipc={ipc:016x},bw={bw:016x},nr={nr},rmin={r_min}"
-                );
-            }
-        }
-        let _ = write!(s, "|i:{:016x},g:{:016x}|", self.scale[0], self.scale[1]);
-        s.push_str(config_key);
-        s
+    fn members(&self) -> &[u32] {
+        &self.members[..usize::from(self.len)]
+    }
+
+    fn counts(&self) -> &[u32] {
+        &self.counts[..usize::from(self.counts_len)]
     }
 }
 
@@ -1128,24 +1207,25 @@ struct Miss {
 /// A memoizable job result: how it sits in the in-process map and how
 /// it round-trips through a disk entry's flat `u64` fields.
 trait Memoized: Sized {
-    /// A clone of the value if `memo` holds this kind.
-    fn read(memo: &Memo) -> Option<Self>;
-    fn to_memo(&self) -> Memo;
+    /// The value in place if `memo` holds this kind.
+    fn get(memo: &Memo) -> Option<&Self>;
+    fn into_memo(self) -> Memo;
     fn encode(&self) -> Vec<(String, u64)>;
-    /// Reconstructs the value from the disk entry of `job`.
-    fn decode(fields: &[(String, u64)], job: &JobKey) -> Option<Self>;
+    /// Reconstructs the value from the disk entry of a job of
+    /// `members` members, the first of them named `name`.
+    fn decode(fields: &[(String, u64)], members: usize, name: String) -> Option<Self>;
 }
 
 impl Memoized for AppProfile {
-    fn read(memo: &Memo) -> Option<Self> {
+    fn get(memo: &Memo) -> Option<&Self> {
         match memo {
-            Memo::Profile(p) => Some(p.clone()),
+            Memo::Profile(p) => Some(p),
             Memo::Group(_) => None,
         }
     }
 
-    fn to_memo(&self) -> Memo {
-        Memo::Profile(self.clone())
+    fn into_memo(self) -> Memo {
+        Memo::Profile(self)
     }
 
     fn encode(&self) -> Vec<(String, u64)> {
@@ -1163,13 +1243,10 @@ impl Memoized for AppProfile {
 
     /// The kernel name is not stored; the member the key pins restores
     /// it losslessly.
-    fn decode(fields: &[(String, u64)], job: &JobKey) -> Option<Self> {
+    fn decode(fields: &[(String, u64)], _members: usize, name: String) -> Option<Self> {
         let get = |n: &str| field(fields, n);
         Some(AppProfile {
-            name: match job.members.first()? {
-                Member::Bench(b) => b.name().to_string(),
-                Member::Trace(name, _) => name.clone(),
-            },
+            name,
             memory_bw: f64::from_bits(get("memory_bw")?),
             l2_l1_bw: f64::from_bits(get("l2_l1_bw")?),
             ipc: f64::from_bits(get("ipc")?),
@@ -1183,15 +1260,15 @@ impl Memoized for AppProfile {
 }
 
 impl Memoized for GroupOutcome {
-    fn read(memo: &Memo) -> Option<Self> {
+    fn get(memo: &Memo) -> Option<&Self> {
         match memo {
-            Memo::Group(g) => Some(g.clone()),
+            Memo::Group(g) => Some(g),
             Memo::Profile(_) => None,
         }
     }
 
-    fn to_memo(&self) -> Memo {
-        Memo::Group(self.clone())
+    fn into_memo(self) -> Memo {
+        Memo::Group(self)
     }
 
     fn encode(&self) -> Vec<(String, u64)> {
@@ -1208,9 +1285,9 @@ impl Memoized for GroupOutcome {
         fields
     }
 
-    fn decode(fields: &[(String, u64)], job: &JobKey) -> Option<Self> {
+    fn decode(fields: &[(String, u64)], members: usize, _name: String) -> Option<Self> {
         let n = usize::try_from(field(fields, "n")?).ok()?;
-        if n != job.members.len() {
+        if n != members {
             return None;
         }
         let makespan = field(fields, "makespan")?;
@@ -1634,7 +1711,7 @@ mod tests {
     }
 
     /// The members, mode and split the engine keys `job` by.
-    fn key_parts(job: &GenJob) -> (Vec<Member>, Mode, &[u32]) {
+    fn key_parts(job: &GenJob) -> (Vec<Member<'_>>, Mode, &[u32]) {
         match job {
             GenJob::Profile(w, sms) => (vec![w.member()], Mode::Profile { num_sms: *sms }, &[]),
             GenJob::Corun(group, mode) => {
@@ -1674,18 +1751,17 @@ mod tests {
         let keyed: Vec<(JobKey, String)> = jobs
             .iter()
             .map(|(cfg, scale, job)| {
-                let id = memo.config_id(cfg);
                 let (members, mode, counts) = key_parts(job);
-                // Refilling the one probe must leave no trace of the
-                // previous, possibly longer, key.
-                memo.probe
-                    .refill(id, *scale, members.into_iter(), mode, counts);
-                let rendered = memo.probe.render(&memo.configs[id as usize].1);
+                let key = memo
+                    .key(cfg, *scale, members.into_iter(), mode, counts)
+                    .expect("at most three members");
+                let rendered = memo.render(&key);
                 assert_eq!(rendered, old_key(cfg, *scale, job), "renderer drifted");
-                (memo.probe.clone(), rendered)
+                (key, rendered)
             })
             .collect();
         assert_eq!(memo.configs.len(), 2, "configs intern by ==");
+        assert_eq!(memo.traces.len(), 3, "traces intern by name and content");
         let mut equal_pairs = 0;
         for (i, (a, sa)) in keyed.iter().enumerate() {
             for (j, (b, sb)) in keyed.iter().enumerate() {
@@ -1696,14 +1772,33 @@ mod tests {
         assert!(equal_pairs > 0, "the domains must make some keys collide");
     }
 
-    fn probe<T: Memoized>(
+    /// A group with more members than the device has app slots has no
+    /// memo key; it still reaches the simulator, which refuses it with
+    /// a typed error, and counts as one job that neither hit nor ran.
+    #[test]
+    fn a_group_past_the_app_slots_is_refused_by_the_simulator() {
+        let e = SweepEngine::sequential();
+        let group = vec![Benchmark::Lud; MAX_APPS + 1];
+        for mode in [CorunMode::Even, CorunMode::Smra(SmraParams::for_device(8, 9))] {
+            let err = e.corun(&cfg(), Scale::TEST, &group, &mode).unwrap_err();
+            assert!(matches!(err, CoreError::Sim(SimError::TooManyApps)), "{err:?}");
+        }
+        let s = e.stats();
+        assert_eq!((s.jobs_total, s.jobs_cached, s.jobs_simulated), (2, 0, 0));
+        let mut memo = MemoTable::default();
+        let members = group.iter().map(|&b| Member::Bench(b));
+        assert!(memo.key(&cfg(), Scale::TEST, members, Mode::Even, &[]).is_none());
+    }
+
+    fn probe<T: Memoized + Clone>(
         e: &SweepEngine,
         cfg: &GpuConfig,
         scale: Scale,
         job: &GenJob,
     ) -> Result<T, Box<Miss>> {
         let (members, mode, counts) = key_parts(job);
-        e.lookup(cfg, scale, members.into_iter(), mode, counts)
+        e.lookup(cfg, scale, members.into_iter(), mode, counts, &mut T::clone)
+            .map_err(|miss| miss.expect("at most three members"))
     }
 
     #[test]
@@ -1730,7 +1825,7 @@ mod tests {
                             thread_insts: rng.next_u64(),
                             num_sms: rng.gen_range(64) as u32,
                         };
-                        warm.store(*miss, &p);
+                        warm.store(*miss, p);
                     }
                 }
                 GenJob::Corun(group, _) => {
@@ -1740,7 +1835,7 @@ mod tests {
                             thread_insts: group.iter().map(|_| rng.next_u64()).collect(),
                             makespan: rng.next_u64(),
                         };
-                        warm.store(*miss, &g);
+                        warm.store(*miss, g);
                     }
                 }
             }

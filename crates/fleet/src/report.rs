@@ -165,14 +165,12 @@ impl FleetReport {
 
         s.push_str("  \"jobs\": [");
         for (i, j) in self.jobs.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            s.push_str("    {\"id\":");
+            s.push_str(if i == 0 { "\n    {\"id\":" } else { ",\n    {\"id\":" });
             push_u64(&mut s, j.id as u64);
             s.push_str(",\"bench\":\"");
             s.push_str(j.bench.name());
-            s.push('"');
             for (key, v) in [
-                (",\"device\":", j.device as u64),
+                ("\",\"device\":", j.device as u64),
                 (",\"arrival\":", j.arrival),
                 (",\"dispatch\":", j.dispatch),
                 (",\"completion\":", j.completion),

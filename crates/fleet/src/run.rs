@@ -81,8 +81,9 @@ pub struct FleetMeasure<'a> {
     configs: Vec<GpuConfig>,
     /// Full-device alone cycles per `(device, benchmark)`, 0 until known.
     alone: Vec<u64>,
-    /// A co-run's workloads and budgets, refilled per group.
+    /// `workloads[b as usize]` is benchmark `b`'s workload.
     workloads: Vec<Workload>,
+    /// A placed co-run's budgets, refilled per group.
     counts: Vec<u32>,
     /// The first simulator death of a dispatched group.
     died: Option<SimError>,
@@ -99,7 +100,7 @@ impl<'a> FleetMeasure<'a> {
                 .map(|d| spec.device_config(base, d))
                 .collect(),
             alone: vec![0; spec.len() * Benchmark::ALL.len()],
-            workloads: Vec::new(),
+            workloads: Benchmark::ALL.map(Workload::Bench).into(),
             counts: Vec::new(),
             died: None,
         }
@@ -120,25 +121,25 @@ impl<'a> FleetMeasure<'a> {
         device: usize,
         benches: &[Benchmark],
         split: Split<'_>,
-    ) -> Result<GroupResult, CoreError> {
+        out: &mut GroupResult,
+    ) -> Result<(), CoreError> {
         let engine = self.pipeline.engine();
         let scale = self.pipeline.config().scale;
         let cfg = &self.configs[device];
         let mode = match (split, benches) {
             (Split::Alloc(_), &[bench]) => {
-                let p =
-                    engine.profile_workload(cfg, scale, &Workload::Bench(bench), cfg.num_sms)?;
+                let w = &self.workloads[bench as usize];
+                let p = engine.profile_workload(cfg, scale, w, cfg.num_sms)?;
                 self.alone[slot(device, bench)] = p.cycles;
-                let app = AppRun {
+                out.apps.clear();
+                out.apps.push(AppRun {
                     bench,
                     cycles: p.cycles,
                     thread_insts: p.thread_insts,
                     ipc: p.ipc,
-                };
-                return Ok(GroupResult {
-                    apps: vec![app],
-                    makespan: p.cycles,
                 });
+                out.makespan = p.cycles;
+                return Ok(());
             }
             (Split::Budgets(budgets), _) => {
                 self.counts.clear();
@@ -150,21 +151,20 @@ impl<'a> FleetMeasure<'a> {
             }
             (Split::Alloc(_), _) => CorunMode::Even,
         };
-        self.workloads.clear();
-        self.workloads
-            .extend(benches.iter().map(|&b| Workload::Bench(b)));
-        let out = engine.corun_workloads(cfg, scale, &self.workloads, &mode);
+        let ws = benches.iter().map(|&b| &self.workloads[b as usize]);
+        let ran = engine.corun_with(cfg, scale, ws, &mode, |o| out.assign(benches, o));
         if let CorunMode::Counts(counts) = mode {
             self.counts = counts;
         }
-        let result = GroupResult::from_outcome(benches, &out?);
+        ran?;
         for &b in benches {
             if self.alone[slot(device, b)] == 0 {
-                let p = engine.profile_workload(cfg, scale, &Workload::Bench(b), cfg.num_sms)?;
-                self.alone[slot(device, b)] = p.cycles;
+                let w = &self.workloads[b as usize];
+                self.alone[slot(device, b)] =
+                    engine.profile_workload(cfg, scale, w, cfg.num_sms)?.cycles;
             }
         }
-        Ok(result)
+        Ok(())
     }
 }
 
@@ -192,8 +192,9 @@ impl Measure for FleetMeasure<'_> {
         device: usize,
         benches: &[Benchmark],
         split: Split<'_>,
-    ) -> Result<GroupResult, CoreError> {
-        let result = self.measure(device, benches, split);
+        out: &mut GroupResult,
+    ) -> Result<(), CoreError> {
+        let result = self.measure(device, benches, split, out);
         if let Err(CoreError::Sim(e @ (SimError::Timeout { .. } | SimError::Deadlock { .. }))) =
             &result
         {

@@ -83,17 +83,19 @@ pub trait Measure {
         Ok(())
     }
 
-    /// Measures one co-run group on `device` under `split`.
+    /// Measures one co-run group on `device` under `split` into `out`,
+    /// which the caller keeps from group to group.
     ///
     /// # Errors
     ///
-    /// Propagates simulator errors.
+    /// Propagates simulator errors; `out` is then unspecified.
     fn run_group(
         &mut self,
         device: usize,
         benches: &[Benchmark],
         split: Split<'_>,
-    ) -> Result<GroupResult, CoreError>;
+        out: &mut GroupResult,
+    ) -> Result<(), CoreError>;
 
     /// Alone-run cycles of `bench` on `device` (for STP accounting).
     fn alone_cycles(&self, device: usize, bench: Benchmark) -> u64;
@@ -130,9 +132,10 @@ impl Measure for Pipeline {
         _device: usize,
         benches: &[Benchmark],
         split: Split<'_>,
-    ) -> Result<GroupResult, CoreError> {
+        out: &mut GroupResult,
+    ) -> Result<(), CoreError> {
         match split {
-            Split::Alloc(alloc) => Pipeline::run_group(self, benches, alloc),
+            Split::Alloc(alloc) => self.run_group_into(benches, alloc, out),
             Split::Budgets(_) => Err(CoreError::BadQueue(
                 "a placed group needs a per-device measure (gcs_fleet::FleetMeasure)".into(),
             )),
@@ -184,12 +187,13 @@ pub struct EventCore {
     /// `busy[g]` is `Some(cycle at which device g frees up)`.
     busy: Vec<Option<u64>>,
     /// The pending jobs and idle devices a plan is made over, refilled
-    /// before each plan, and a group's jobs and benchmarks, refilled per
-    /// group.
+    /// before each plan, and a group's jobs, benchmarks and measured
+    /// result, refilled per group.
     pending: Vec<Job>,
     free: Vec<usize>,
     members: Vec<Job>,
     benches: Vec<Benchmark>,
+    result: GroupResult,
     plan: Option<VecDeque<Vec<JobId>>>,
     /// The cached plan's placements, front first; empty when unplaced.
     placements: VecDeque<Placement>,
@@ -234,6 +238,7 @@ impl EventCore {
             free: Vec::with_capacity(cfg.num_gpus as usize),
             members: Vec::new(),
             benches: Vec::new(),
+            result: GroupResult::default(),
             plan: None,
             placements: VecDeque::new(),
             last_tick: 0,
@@ -552,10 +557,10 @@ impl EventCore {
                 Some(p) => Split::Budgets(&p.budgets),
                 None => Split::Alloc(self.cfg.alloc),
             };
-            match m.run_group(gpu, &self.benches, split) {
-                Ok(result) => {
+            match m.run_group(gpu, &self.benches, split, &mut self.result) {
+                Ok(()) => {
                     let mut stp = 0.0;
-                    for (member, app) in self.members.iter().zip(&result.apps) {
+                    for (member, app) in self.members.iter().zip(&self.result.apps) {
                         let alone = m.alone_cycles(gpu, member.bench);
                         stp += alone as f64 / app.cycles as f64;
                         self.jobs.push(JobOutcome {
@@ -572,7 +577,7 @@ impl EventCore {
                     // A group always occupies its device for at least
                     // one cycle, or same-timestamp dispatch would loop
                     // forever.
-                    let end = self.now + result.makespan.max(1);
+                    let end = self.now + self.result.makespan.max(1);
                     self.busy[gpu] = Some(end);
                     self.groups.push(GroupDispatch {
                         gpu: gpu as u32,
@@ -891,25 +896,23 @@ mod tests {
             _device: usize,
             benches: &[Benchmark],
             _split: Split<'_>,
-        ) -> Result<GroupResult, CoreError> {
+            out: &mut GroupResult,
+        ) -> Result<(), CoreError> {
             if benches.iter().any(|b| self.fail.contains(b)) {
                 return Err(CoreError::Sim(SimError::Timeout {
                     cycle: 77,
                     diag: DiagSnapshot::default(),
                 }));
             }
-            Ok(GroupResult {
-                apps: benches
-                    .iter()
-                    .map(|&bench| gcs_core::runner::AppRun {
-                        bench,
-                        cycles: self.cycles,
-                        thread_insts: self.cycles,
-                        ipc: 1.0,
-                    })
-                    .collect(),
-                makespan: self.cycles,
-            })
+            out.apps.clear();
+            out.apps.extend(benches.iter().map(|&bench| gcs_core::runner::AppRun {
+                bench,
+                cycles: self.cycles,
+                thread_insts: self.cycles,
+                ipc: 1.0,
+            }));
+            out.makespan = self.cycles;
+            Ok(())
         }
 
         fn alone_cycles(&self, _device: usize, _bench: Benchmark) -> u64 {

@@ -118,10 +118,14 @@ impl LatencyStats {
     /// Summarizes `samples` (order irrelevant). All-zero for an empty
     /// set.
     pub fn from_samples(samples: &[u64]) -> LatencyStats {
-        if samples.is_empty() {
+        LatencyStats::sorting(&mut samples.to_vec())
+    }
+
+    /// [`LatencyStats::from_samples`] over a buffer it may reorder.
+    fn sorting(sorted: &mut [u64]) -> LatencyStats {
+        if sorted.is_empty() {
             return LatencyStats::default();
         }
-        let mut sorted = samples.to_vec();
         sorted.sort_unstable();
         let pct = |p: u64| -> u64 {
             // Nearest-rank: ceil(p/100 * n) as a 1-based rank.
@@ -165,14 +169,15 @@ pub struct SchedReport {
 impl SchedReport {
     /// Queueing-delay distribution over completed jobs.
     pub fn queue_delay_stats(&self) -> LatencyStats {
-        let d: Vec<u64> = self.jobs.iter().map(JobOutcome::queue_delay).collect();
-        LatencyStats::from_samples(&d)
+        self.job_stats(&mut Vec::new(), JobOutcome::queue_delay)
     }
 
-    /// Turnaround distribution over completed jobs.
-    fn turnaround_stats(&self) -> LatencyStats {
-        let d: Vec<u64> = self.jobs.iter().map(JobOutcome::turnaround).collect();
-        LatencyStats::from_samples(&d)
+    /// The distribution of `metric` over completed jobs, sorted in
+    /// `buf` (its old contents are dropped).
+    fn job_stats(&self, buf: &mut Vec<u64>, metric: fn(&JobOutcome) -> u64) -> LatencyStats {
+        buf.clear();
+        buf.extend(self.jobs.iter().map(metric));
+        LatencyStats::sorting(buf)
     }
 
     /// System throughput: mean over dispatched groups of
@@ -215,21 +220,20 @@ impl SchedReport {
         push_f64(&mut s, self.stp());
         s.push_str(",\n  \"antt\": ");
         push_f64(&mut s, self.antt());
+        let mut samples = Vec::with_capacity(self.jobs.len());
         s.push_str(",\n  \"queue_delay\": ");
-        push_latency(&mut s, &self.queue_delay_stats());
+        push_latency(&mut s, &self.job_stats(&mut samples, JobOutcome::queue_delay));
         s.push_str(",\n  \"turnaround\": ");
-        push_latency(&mut s, &self.turnaround_stats());
+        push_latency(&mut s, &self.job_stats(&mut samples, JobOutcome::turnaround));
 
         s.push_str(",\n  \"jobs\": [");
         for (i, j) in self.jobs.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            s.push_str("    {\"id\":");
+            s.push_str(if i == 0 { "\n    {\"id\":" } else { ",\n    {\"id\":" });
             push_u64(&mut s, j.id as u64);
             s.push_str(",\"bench\":\"");
             s.push_str(j.bench.name());
-            s.push('"');
             for (key, v) in [
-                (",\"arrival\":", j.arrival),
+                ("\",\"arrival\":", j.arrival),
                 (",\"dispatch\":", j.dispatch),
                 (",\"completion\":", j.completion),
                 (",\"gpu\":", u64::from(j.gpu)),

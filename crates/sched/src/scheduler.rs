@@ -11,7 +11,7 @@
 //! maintenance.
 //!
 //! Group execution itself is *measured*, not simulated here: a dispatch
-//! calls [`Pipeline::run_group`], which routes through the memoized
+//! calls [`Pipeline::run_group_into`], which routes through the memoized
 //! sweep engine, and the resulting per-app cycle counts and group
 //! makespan become the completion events. A device is busy until the
 //! group's makespan elapses; an individual job completes when its own
@@ -19,7 +19,7 @@
 //! group holds the device — same semantics as the batch pipeline's
 //! accounting).
 //!
-//! [`Pipeline::run_group`]: gcs_core::runner::Pipeline::run_group
+//! [`Pipeline::run_group_into`]: gcs_core::runner::Pipeline::run_group_into
 
 use gcs_core::runner::{AllocationPolicy, Pipeline};
 use gcs_workloads::ArrivalTrace;

@@ -170,20 +170,41 @@ pub fn push_f64(out: &mut String, v: f64) {
     }
 }
 
+/// `DIGIT_PAIRS[2 * n..2 * n + 2]` is `n` in two decimal digits.
+const DIGIT_PAIRS: &str = "\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
 /// Appends `v` in decimal, byte-identical to `write!(out, "{v}")` but
 /// without the `fmt` machinery: the integer writer of the report rows.
+/// One division per two digits, then the digits go out most
+/// significant first as two-byte slices of a pair table (a leading
+/// odd digit as one `char`). The crate forbids `unsafe`, so the digits
+/// are not gathered into one byte buffer and written as one slice: the
+/// checked `str::from_utf8` that would need costs more than the
+/// per-pair slices.
 pub fn push_u64(out: &mut String, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+    // Base-100 digits, least significant first; u64::MAX has 10.
+    let mut pairs = [0u8; 10];
+    let mut n = 0;
+    while v >= 100 {
+        pairs[n] = (v % 100) as u8;
+        v /= 100;
+        n += 1;
     }
-    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+    if v >= 10 {
+        let d = 2 * v as usize;
+        out.push_str(&DIGIT_PAIRS[d..d + 2]);
+    } else {
+        out.push(char::from(b'0' + v as u8));
+    }
+    for &p in pairs[..n].iter().rev() {
+        let d = 2 * usize::from(p);
+        out.push_str(&DIGIT_PAIRS[d..d + 2]);
+    }
 }
 
 /// Rigid scanner over one JSON document of a known shape. No

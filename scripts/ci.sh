@@ -296,18 +296,23 @@ else
 fi
 
 # One wire kernel (DESIGN.md "Wire kernel"): FNV-1a, JSON escaping, the
-# float rule and the integer writer are defined in crates/sim/src/wire.rs
-# and nowhere else.
-step "duplicate guard (one FNV-1a, one escaper, one float rule, one integer writer under crates/)"
+# float rule, the integer writer and its two-digit table are defined in
+# crates/sim/src/wire.rs and nowhere else.
+step "duplicate guard (one FNV-1a, one escaper, one float rule, one integer writer and digit table under crates/)"
 BASIS=$(grep -rl 'cbf2_9ce4_8422_2325' crates)
 if [ "$BASIS" != "crates/sim/src/wire.rs" ]; then
     echo "the FNV offset basis must occur in crates/sim/src/wire.rs only, found in:" >&2
     echo "$BASIS" >&2
     exit 1
 fi
-if grep -rnE 'fn (esc|escape_json|fmt_f64|push_u64|itoa|write_u64)\b' crates --include='*.rs' \
-        | grep -v '^crates/sim/src/wire.rs:'; then
+if grep -rnE 'fn (esc|escape_json|fmt_f64|push_u64|push_u32|push_usize|push_int|push_digits|itoa|write_u64|write_int|write_digits)\b' \
+        crates --include='*.rs' | grep -v '^crates/sim/src/wire.rs:'; then
     echo "private escaper / float formatter / integer writer outside crates/sim/src/wire.rs" >&2
+    exit 1
+fi
+if grep -rnE '0001020304|DIGIT_PAIRS|DEC_DIGITS_LUT' crates --include='*.rs' \
+        | grep -v '^crates/sim/src/wire.rs:'; then
+    echo "a second decimal digit table outside crates/sim/src/wire.rs" >&2
     exit 1
 fi
 

@@ -4,8 +4,10 @@
 //!
 //! * A warm memo hit allocates only the value it returns: the two
 //!   `Vec`s of a `GroupOutcome`, the name `String` of an `AppProfile`.
-//!   No key is formatted, hashed as a string or cloned. A batched
-//!   `cycles` probe hit returns no owned value and allocates nothing.
+//!   No key is formatted, hashed as a string or cloned. A co-run hit
+//!   read in place (`corun_with`, `Pipeline::run_group_into`) and a
+//!   batched `cycles` probe hit return no owned value and allocate
+//!   nothing.
 //! * One `IlpEpoch::plan` over the thesis' 14-job census stays within
 //!   [`PLAN_BUDGET`] allocations; one over a single group's census
 //!   (no solve) allocates only its `Plan`.
@@ -14,7 +16,9 @@
 //!   reused per-thread workspace.
 //! * A warm 200-arrival `EventCore` session under `IlpEpoch`, on a stub
 //!   `Measure` that simulates nothing, makes exactly
-//!   [`SESSION_COUNT`] allocations.
+//!   [`SESSION_COUNT`] allocations; on the real `Pipeline` over two
+//!   devices, exactly [`PIPELINE_SESSION_COUNT`], none of them per
+//!   group.
 //! * One fleet `allocate` over the same census on an 8/15/30-SM fleet
 //!   makes exactly [`FLEET_ALLOC_COUNT`] allocations, all outside the
 //!   grant loop.
@@ -25,7 +29,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use gcs_core::ilp::build_problem;
 use gcs_core::pattern::enumerate_patterns;
@@ -33,20 +37,20 @@ use gcs_core::queues::thesis_queue_14;
 use gcs_core::runner::{AllocationPolicy, AppRun, GroupResult, Pipeline};
 use gcs_core::CoreError;
 use gcs_core::smra::SmraParams;
-use gcs_core::sweep::{CorunMode, Workload};
+use gcs_core::sweep::{CorunMode, GroupOutcome, Workload};
 use gcs_fleet::{
     allocate, run_fleet, DeviceProfile, FleetMode, FleetPredictor, FleetReport, FleetRunConfig,
     FleetSpec,
 };
 use gcs_sched::{
     AdmissionQueue, EventCore, Job, Measure, OverloadPolicy, Plan, Policy, PolicyKind,
-    SchedConfig, Split,
+    SchedConfig, SchedReport, Split,
 };
 use gcs_workloads::{ArrivalTrace, Benchmark};
 
 #[path = "common/fixtures.rs"]
 mod fixtures;
-use fixtures::{pipeline, shared_pipeline};
+use fixtures::{pipeline, pipeline_with_engine, shared_pipeline};
 
 /// Allocations (and reallocations) one `IlpEpoch::plan` over census-14
 /// may make: the solver's returned values and the plan's groups. It was
@@ -57,9 +61,19 @@ const PLAN_BUDGET: u64 = 9;
 
 /// Allocations of one warm 200-arrival `EventCore` + `IlpEpoch` session
 /// on [`StubMeasure`]: admissions, plans, dispatch and the drained
-/// report, in either build. It was 617 while each of the session's 110
-/// dispatched groups was taken out of the queue into a fresh `Vec`.
-const SESSION_COUNT: u64 = 508;
+/// report, in either build. It was 508 while the stub answered each of
+/// the session's 110 groups with a fresh `Vec` of runs (the kept result
+/// allocates once), and 617 while each group was also taken out of the
+/// queue into a fresh `Vec`.
+const SESSION_COUNT: u64 = 399;
+
+/// Allocations of the same session shape on the real `Pipeline` over
+/// two devices, in either build: 129 groups, none of which allocates.
+/// It was 882 while each group allocated four times — the member
+/// `Vec<Workload>`, the memo hit's cloned `GroupOutcome` (two `Vec`s)
+/// and the returned `GroupResult`'s runs — less the one allocation of
+/// the kept result.
+const PIPELINE_SESSION_COUNT: u64 = 367;
 
 /// Allocations one fleet `allocate` over census-14 makes on the
 /// 8/15/30-SM fleet with groups of two: the per-device SM pools and job
@@ -70,17 +84,19 @@ const SESSION_COUNT: u64 = 508;
 const FLEET_ALLOC_COUNT: u64 = 13;
 
 /// Allocations one warm `run_fleet` of the benchmark's `fleet_loop`
-/// run makes in a debug build. 330 of them are the `debug_assert_eq!`
-/// that re-allocates each of the 30 reused shadow plans; a release
-/// build makes 1 336. It was 1 785 (1 455 in release) while each
-/// dispatched group was taken out of the queue into a fresh `Vec`, and
-/// 1 834 (1 504 in release) while every plan copied the pending queue
-/// into a fresh `Vec`. Before the run
-/// moved onto `EventCore` it made 2 119 (1 669 in release), and 2 659
-/// in either build before the first dispatch of an all-free epoch
-/// reused the shadow plan, the churn map was made dense, the
-/// predictor's probe was batched and group dispatch stopped cloning.
-const FLEET_RUN_COUNT: u64 = 1_666;
+/// run makes, per build: a debug build adds 330, the `debug_assert_eq!`
+/// that re-allocates each of the 30 reused shadow plans. It was 1 666
+/// (1 336 in release) while each of the run's 120 groups allocated
+/// three times — the memo hit's cloned `GroupOutcome` (two `Vec`s) and
+/// the returned `GroupResult`'s runs — less the one allocation of the
+/// kept result. It was 1 785 (1 455) while each dispatched group was
+/// taken out of the queue into a fresh `Vec`, and 1 834 (1 504) while
+/// every plan copied the pending queue into a fresh `Vec`. Before the
+/// run moved onto `EventCore` it made 2 119 (1 669), and 2 659 in
+/// either build before the first dispatch of an all-free epoch reused
+/// the shadow plan, the churn map was made dense, the predictor's probe
+/// was batched and group dispatch stopped cloning.
+const FLEET_RUN_COUNT: u64 = if cfg!(debug_assertions) { 1_307 } else { 977 };
 
 struct Counting;
 
@@ -139,16 +155,65 @@ fn warm_corun_hit_allocates_only_the_outcome() {
         CorunMode::Counts(vec![3, 5]),
         CorunMode::Smra(SmraParams::for_device(cfg.num_sms, 2)),
     ] {
-        let cold = p
-            .engine()
-            .corun_workloads(cfg, scale, &group, &mode)
-            .unwrap();
-        let (warm, allocs) = counted(|| p.engine().corun_workloads(cfg, scale, &group, &mode));
+        let corun = || {
+            p.engine()
+                .corun_with(cfg, scale, group.iter(), &mode, GroupOutcome::clone)
+        };
+        let cold = corun().unwrap();
+        let (warm, allocs) = counted(corun);
         assert_eq!(warm.unwrap(), cold, "{mode:?}");
         assert_eq!(
             allocs, 2,
             "{mode:?}: a hit allocates `cycles` and `thread_insts` only"
         );
+    }
+}
+
+/// The same hits read in place, through the engine and through the
+/// pipeline's Even and SMRA groups: a warm hit fills a kept result and
+/// allocates nothing, and is counted as one cached job.
+#[test]
+fn warm_corun_hit_read_in_place_allocates_nothing() {
+    let mut p = pipeline(2);
+    let (cfg, scale) = (p.config().gpu.clone(), p.config().scale);
+    let group = [Benchmark::Gups, Benchmark::Sad];
+    let ws = group.map(Workload::Bench);
+    let mut out = GroupResult {
+        apps: Vec::with_capacity(group.len()),
+        makespan: 0,
+    };
+    let cached = |p: &Pipeline| {
+        let s = p.sweep_stats();
+        (s.jobs_total, s.jobs_cached, s.jobs_simulated)
+    };
+    for mode in [
+        CorunMode::Even,
+        CorunMode::Counts(vec![3, 5]),
+        CorunMode::Smra(SmraParams::for_device(cfg.num_sms, 2)),
+    ] {
+        let cold = p
+            .engine()
+            .corun_with(&cfg, scale, ws.iter(), &mode, GroupOutcome::clone)
+            .unwrap();
+        let before = cached(&p);
+        let (makespan, allocs) = counted(|| {
+            p.engine().corun_with(&cfg, scale, ws.iter(), &mode, |o| {
+                out.assign(&group, o);
+                o.makespan
+            })
+        });
+        assert_eq!(makespan.unwrap(), cold.makespan, "{mode:?}");
+        assert_eq!(out.apps[1].cycles, cold.cycles[1], "{mode:?}");
+        assert_eq!(allocs, 0, "{mode:?}: an in-place hit allocates nothing");
+        let after = cached(&p);
+        assert_eq!(after, (before.0 + 1, before.1 + 1, before.2), "{mode:?}");
+    }
+    for alloc in [AllocationPolicy::Even, AllocationPolicy::Smra] {
+        let cold = p.run_group(&group, alloc).unwrap();
+        let (ran, allocs) = counted(|| p.run_group_into(&group, alloc, &mut out));
+        ran.unwrap();
+        assert_eq!(out, cold, "{alloc:?}");
+        assert_eq!(allocs, 0, "{alloc:?}: a warm pipeline group allocates nothing");
     }
 }
 
@@ -353,18 +418,17 @@ impl Measure for StubMeasure<'_> {
         _device: usize,
         benches: &[Benchmark],
         _split: Split<'_>,
-    ) -> Result<GroupResult, CoreError> {
-        let apps: Vec<AppRun> = benches
-            .iter()
-            .map(|&bench| AppRun {
-                bench,
-                cycles: 15_000 + 1_000 * bench as u64,
-                thread_insts: 1_000_000,
-                ipc: 1.0,
-            })
-            .collect();
-        let makespan = apps.iter().map(|a| a.cycles).max().unwrap_or(0);
-        Ok(GroupResult { apps, makespan })
+        out: &mut GroupResult,
+    ) -> Result<(), CoreError> {
+        out.apps.clear();
+        out.apps.extend(benches.iter().map(|&bench| AppRun {
+            bench,
+            cycles: 15_000 + 1_000 * bench as u64,
+            thread_insts: 1_000_000,
+            ipc: 1.0,
+        }));
+        out.makespan = out.apps.iter().map(|a| a.cycles).max().unwrap_or(0);
+        Ok(())
     }
 
     fn alone_cycles(&self, _device: usize, bench: Benchmark) -> u64 {
@@ -372,30 +436,33 @@ impl Measure for StubMeasure<'_> {
     }
 }
 
+/// One `IlpEpoch` session over `trace` on `num_gpus` devices under
+/// Even allocation, every arrival admitted.
+fn ilp_session(measure: &mut dyn Measure, trace: &ArrivalTrace, num_gpus: u32) -> SchedReport {
+    let mut policy = PolicyKind::IlpEpoch.build();
+    let cfg = SchedConfig {
+        num_gpus,
+        queue_capacity: trace.len(),
+        alloc: AllocationPolicy::Even,
+        replan_interval: None,
+    };
+    let mut core = EventCore::new(cfg, OverloadPolicy::default()).expect("core");
+    for (id, a) in trace.arrivals().iter().enumerate() {
+        let job = Job {
+            id,
+            bench: a.bench,
+            arrival: a.time,
+        };
+        assert!(core.submit(measure, policy.as_mut(), job).expect("submit"));
+    }
+    core.drain(measure, policy.as_mut()).expect("drain")
+}
+
 #[test]
 fn warm_ilp_event_core_session_allocations_are_pinned() {
     let p = shared_pipeline();
     let trace = ArrivalTrace::poisson(&Benchmark::ALL, 200, 13_000.0, 42);
-    let session = || {
-        let mut measure = StubMeasure { pipeline: p };
-        let mut policy = PolicyKind::IlpEpoch.build();
-        let cfg = SchedConfig {
-            num_gpus: 1,
-            queue_capacity: trace.len(),
-            alloc: AllocationPolicy::Even,
-            replan_interval: None,
-        };
-        let mut core = EventCore::new(cfg, OverloadPolicy::default()).expect("core");
-        for (id, a) in trace.arrivals().iter().enumerate() {
-            let job = Job {
-                id,
-                bench: a.bench,
-                arrival: a.time,
-            };
-            assert!(core.submit(&mut measure, policy.as_mut(), job).expect("submit"));
-        }
-        core.drain(&mut measure, policy.as_mut()).expect("drain")
-    };
+    let session = || ilp_session(&mut StubMeasure { pipeline: p }, &trace, 1);
     let cold = session();
     assert_eq!(cold.jobs.len(), 200);
     assert!(
@@ -407,5 +474,25 @@ fn warm_ilp_event_core_session_allocations_are_pinned() {
     assert_eq!(
         allocs, SESSION_COUNT,
         "a warm 200-arrival IlpEpoch session made {allocs} allocations"
+    );
+}
+
+/// The same session shape on the real `Pipeline` measure over two
+/// devices (the benchmark's `sched_inproc` set-up on a shorter trace):
+/// after a cold session has simulated every group, each group is a
+/// memo hit read in place into the `EventCore`'s kept result.
+#[test]
+fn warm_ilp_session_on_the_pipeline_allocates_nothing_per_group() {
+    let mut p = pipeline_with_engine(2, Arc::clone(shared_pipeline().engine()));
+    let trace = ArrivalTrace::poisson(&Benchmark::ALL, 200, 13_000.0, 42);
+    let cold = ilp_session(&mut p, &trace, 2);
+    assert_eq!(cold.jobs.len(), 200);
+    let (warm, allocs) = counted(|| ilp_session(&mut p, &trace, 2));
+    assert_eq!(warm.to_json(), cold.to_json(), "a warm session replays the cold one");
+    assert_eq!(
+        allocs, PIPELINE_SESSION_COUNT,
+        "a warm 200-arrival IlpEpoch session on the pipeline made {allocs} allocations \
+         over {} groups",
+        warm.groups.len()
     );
 }
