@@ -218,9 +218,10 @@ enum Memo {
 #[derive(Debug, Default)]
 struct MemoTable {
     configs: Vec<(GpuConfig, String)>,
-    /// Trace members by name and content fingerprint; the member id of
-    /// `traces[i]` is `BENCH_IDS + i`.
-    traces: Vec<(String, u64)>,
+    /// Trace members by name and content fingerprint, each with the
+    /// first `Arc` interned under them; the member id of `traces[i]` is
+    /// `BENCH_IDS + i`.
+    traces: Vec<(Arc<KernelTrace>, u64)>,
     jobs: HashMap<JobKey, Memo>,
 }
 
@@ -260,23 +261,26 @@ impl MemoTable {
 
     /// The member id of `m`: a benchmark's suite index, or a trace's
     /// slot in `traces` (by name and fingerprint) past the benchmarks.
+    /// The `Arc` an entry was interned from matches by pointer, without
+    /// re-encoding the trace; the table holds that `Arc`, so its address
+    /// cannot be reused by another trace. Any other `Arc` is
+    /// fingerprinted.
     fn member_id(&mut self, m: Member<'_>) -> u32 {
         let t = match m {
             Member::Bench(b) => return b as u32,
             Member::Trace(t) => t,
         };
-        let fp = t.fingerprint();
-        let i = match self
-            .traces
-            .iter()
-            .position(|(name, f)| *f == fp && *name == t.meta.name)
-        {
-            Some(i) => i,
-            None => {
-                self.traces.push((t.meta.name.clone(), fp));
-                self.traces.len() - 1
-            }
-        };
+        let seen = self.traces.iter().position(|(a, _)| Arc::ptr_eq(a, t));
+        let i = seen.unwrap_or_else(|| {
+            let fp = t.fingerprint();
+            self.traces
+                .iter()
+                .position(|(a, f)| *f == fp && a.meta.name == t.meta.name)
+                .unwrap_or_else(|| {
+                    self.traces.push((Arc::clone(t), fp));
+                    self.traces.len() - 1
+                })
+        });
         BENCH_IDS + u32::try_from(i).expect("fewer than 2^32 traces")
     }
 
@@ -284,7 +288,7 @@ impl MemoTable {
     fn member_name(&self, id: u32) -> String {
         match id.checked_sub(BENCH_IDS) {
             None => Benchmark::ALL[id as usize].name().to_string(),
-            Some(t) => self.traces[t as usize].0.clone(),
+            Some(t) => self.traces[t as usize].0.meta.name.clone(),
         }
     }
 
@@ -305,8 +309,8 @@ impl MemoTable {
             match m.checked_sub(BENCH_IDS) {
                 None => s.push_str(Benchmark::ALL[m as usize].name()),
                 Some(t) => {
-                    let (name, fp) = &self.traces[t as usize];
-                    let _ = write!(s, "trace:{name}#{fp:016x}");
+                    let (trace, fp) = &self.traces[t as usize];
+                    let _ = write!(s, "trace:{}#{fp:016x}", trace.meta.name);
                 }
             }
         }
@@ -1074,11 +1078,11 @@ fn config_key(cfg: &GpuConfig) -> String {
 
 /// A job member as its key sees it: a suite benchmark, or a trace by
 /// name and content fingerprint (two traces that share a name never
-/// share a key).
+/// share a key), held as its `Arc` so a seen trace interns by pointer.
 #[derive(Debug, Clone, Copy)]
 enum Member<'a> {
     Bench(Benchmark),
-    Trace(&'a KernelTrace),
+    Trace(&'a Arc<KernelTrace>),
 }
 
 /// Member ids below this are benchmark suite indices; the rest are
@@ -1665,7 +1669,8 @@ mod tests {
 
     /// Seeded job shapes over small domains, so equal keys are common:
     /// two configs, two scales, three benchmarks, and three traces — two
-    /// of which share a name but not their content.
+    /// of which share a name but not their content, and one of which
+    /// also comes as a second, content-equal `Arc`.
     fn gen_jobs(seed: u64, n: usize) -> Vec<(GpuConfig, Scale, GenJob)> {
         use gcs_sim::rng::SimRng;
         use gcs_workloads::traced::{phase_shift_trace, tensor_mix_trace};
@@ -1680,6 +1685,7 @@ mod tests {
             Workload::Trace(phase),
             Workload::Trace(tensor),
             Workload::Trace(Arc::new(renamed)),
+            Workload::Trace(Arc::new(tensor_mix_trace(&cfg()))),
         ];
         let mut other = cfg();
         other.l2_lat += 1;
@@ -1761,7 +1767,7 @@ mod tests {
             })
             .collect();
         assert_eq!(memo.configs.len(), 2, "configs intern by ==");
-        assert_eq!(memo.traces.len(), 3, "traces intern by name and content");
+        assert_eq!(memo.traces.len(), 3, "traces intern by name and content, not by pointer");
         let mut equal_pairs = 0;
         for (i, (a, sa)) in keyed.iter().enumerate() {
             for (j, (b, sb)) in keyed.iter().enumerate() {

@@ -136,7 +136,9 @@ impl LatencyStats {
             p50: pct(50),
             p95: pct(95),
             p99: pct(99),
-            mean: sorted.iter().sum::<u64>() as f64 / sorted.len() as f64,
+            // Summed in u128: a sum past u64::MAX neither panics nor
+            // wraps, and one that fits converts to the same f64.
+            mean: sorted.iter().map(|&v| u128::from(v)).sum::<u128>() as f64 / sorted.len() as f64,
             max: *sorted.last().expect("non-empty"),
         }
     }
@@ -357,6 +359,16 @@ mod tests {
         assert_eq!(l.p99, 9);
 
         assert_eq!(LatencyStats::from_samples(&[]), LatencyStats::default());
+    }
+
+    #[test]
+    fn mean_of_samples_whose_sum_passes_u64_max() {
+        // The sum is 2^65 - 2: no overflow panic, no wrapped mean.
+        let half = u64::MAX / 2;
+        let l = LatencyStats::from_samples(&[half + 2, half - 1, half + 1, half]);
+        assert_eq!((l.p50, l.max), (half, half + 2));
+        assert_eq!(l.mean, half as f64);
+        assert_eq!(l.mean, (4 * u128::from(half) + 2) as f64 / 4.0);
     }
 
     #[test]

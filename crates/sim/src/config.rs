@@ -226,6 +226,11 @@ impl GpuConfig {
         if self.dram.banks == 0 {
             return Err("dram.banks must be nonzero".into());
         }
+        if self.dram.banks > 64 {
+            return Err(
+                "dram.banks must be at most 64 (the non-empty bank mask is one word)".into(),
+            );
+        }
         if self.dram.row_bytes == 0 {
             return Err("dram.row_bytes must be nonzero".into());
         }
@@ -306,7 +311,7 @@ mod tests {
         // `Gpu::new` must answer every one with `InvalidConfig` naming
         // the field — and never panic.
         type Edit = fn(&mut GpuConfig);
-        let rows: [(&str, Edit); 12] = [
+        let rows: [(&str, Edit); 13] = [
             ("max_warps_per_sm", |c| c.max_warps_per_sm = 65),
             ("line_bytes", |c| {
                 c.l1.line_bytes = 96;
@@ -316,6 +321,7 @@ mod tests {
             ("l2_slice.ways", |c| c.l2_slice.ways = 0),
             ("l1.bytes", |c| c.l1.bytes = 256),
             ("dram.banks", |c| c.dram.banks = 0),
+            ("dram.banks", |c| c.dram.banks = 65),
             ("dram.row_bytes", |c| c.dram.row_bytes = 0),
             ("dram.queue_depth", |c| c.dram.queue_depth = 0),
             ("dram.t_burst", |c| c.dram.t_burst = 0),
@@ -337,6 +343,7 @@ mod tests {
         let mut c = GpuConfig::test_small();
         c.max_warps_per_sm = 64;
         c.num_mem_ctrls = 64;
+        c.dram.banks = 64;
         assert!(crate::gpu::Gpu::new(c).is_ok());
     }
 

@@ -82,10 +82,8 @@ struct DramBank {
 }
 
 /// A queued DRAM transaction with its bank index and global row
-/// precomputed at enqueue time. FR-FCFS scans the queue every bus slot;
-/// carrying these two values kills the division chain
-/// (`addr / row_bytes / num_slices % banks`) that the scan would
-/// otherwise re-derive per element per cycle.
+/// precomputed at enqueue time, so the arbiter never re-derives the
+/// division chain (`addr / row_bytes / num_slices % banks`).
 #[derive(Debug, Clone, Copy)]
 struct DramEntry {
     req: MemRequest,
@@ -93,20 +91,71 @@ struct DramEntry {
     row: u64,
 }
 
-/// DRAM controller queue with O(1) out-of-order removal.
+/// Link sentinel: the end of a bank list or of the free list.
+const DRAM_NONE: u32 = u32::MAX;
+
+/// Sequence number of a free slab slot (live ones count up from 0).
+const DRAM_FREE: u64 = u64::MAX;
+
+/// One slab slot of a [`DramQueue`]: the entry, its arrival sequence
+/// number and the link to the next entry of its bank (or, while the
+/// slot is free, to the next free slot).
+#[derive(Debug, Clone, Copy)]
+struct DramSlot {
+    seq: u64,
+    next: u32,
+    entry: DramEntry,
+}
+
+/// Where the arbiter found its pick: the slot and its predecessor on
+/// the bank list (`DRAM_NONE` for the bank head), so the take unlinks
+/// it without a walk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct DramPick {
+    slot: u32,
+    prev: u32,
+}
+
+/// DRAM controller queue: one slab of entries, each threaded into an
+/// intrusive arrival-order list for its bank, and a one-word mask of the
+/// non-empty banks (`GpuConfig::validate` caps `dram.banks` at 64).
 ///
-/// FR-FCFS services requests out of arrival order, which previously
-/// cost an O(queue) element shift per pick (`VecDeque::remove`). Here a
-/// pick leaves a tombstone instead; live order is preserved and leading
-/// tombstones are popped eagerly. A compaction guard bounds the slot
-/// storage when an old request starves behind a row-hit stream.
-#[derive(Debug, Default)]
+/// Arrival order across banks is the sequence number, so the oldest
+/// entry on a set of banks is the least-sequence head among them and
+/// the arbiter visits banks, not entries. Freed slots go on a free list
+/// and are reused first: the slab grows only to the peak live count.
+#[derive(Debug)]
 struct DramQueue {
-    slots: VecDeque<Option<DramEntry>>,
+    slots: Vec<DramSlot>,
+    /// Head of the free-slot list.
+    free: u32,
+    /// Oldest and youngest slot of each bank's list (`DRAM_NONE` when
+    /// the bank has nothing queued).
+    head: Box<[u32]>,
+    tail: Box<[u32]>,
+    /// Bit `b` is set iff bank `b`'s list is non-empty.
+    nonempty: u64,
     live: usize,
+    next_seq: u64,
 }
 
 impl DramQueue {
+    fn new(num_banks: u32) -> Self {
+        assert!(
+            num_banks <= 64,
+            "at most 64 DRAM banks (the non-empty bank mask is one word)"
+        );
+        DramQueue {
+            slots: Vec::new(),
+            free: DRAM_NONE,
+            head: vec![DRAM_NONE; num_banks as usize].into(),
+            tail: vec![DRAM_NONE; num_banks as usize].into(),
+            nonempty: 0,
+            live: 0,
+            next_seq: 0,
+        }
+    }
+
     /// Live (un-serviced) requests.
     fn len(&self) -> usize {
         self.live
@@ -116,37 +165,95 @@ impl DramQueue {
         self.live == 0
     }
 
+    /// Queues `req` as the youngest entry of `bank`.
     fn push_back(&mut self, req: MemRequest, bank: u32, row: u64) {
-        self.slots.push_back(Some(DramEntry { req, bank, row }));
+        let slot = DramSlot {
+            seq: self.next_seq,
+            next: DRAM_NONE,
+            entry: DramEntry { req, bank, row },
+        };
+        self.next_seq += 1;
+        let i = if self.free == DRAM_NONE {
+            self.slots.push(slot);
+            (self.slots.len() - 1) as u32
+        } else {
+            let i = self.free;
+            self.free = self.slots[i as usize].next;
+            self.slots[i as usize] = slot;
+            i
+        };
+        let b = bank as usize;
+        match self.tail[b] {
+            DRAM_NONE => {
+                self.head[b] = i;
+                self.nonempty |= 1 << b;
+            }
+            t => self.slots[t as usize].next = i,
+        }
+        self.tail[b] = i;
         self.live += 1;
     }
 
-    /// Live requests oldest-first, each with its raw slot index (valid
-    /// until the next `take`/`push_back`).
-    fn iter(&self) -> impl Iterator<Item = (usize, &DramEntry)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|r| (i, r)))
+    /// Live entries in slab order (not arrival order), with their slots.
+    fn iter(&self) -> impl Iterator<Item = (u32, &DramSlot)> {
+        (0u32..)
+            .zip(&self.slots)
+            .filter(|(_, s)| s.seq != DRAM_FREE)
     }
 
-    /// Removes the live request at raw slot `idx` in O(1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` does not hold a live request.
-    fn take(&mut self, idx: usize) -> DramEntry {
-        let entry = self.slots[idx].take().expect("take of a live slot");
+    /// Unlinks the picked entry in O(1) and frees its slot.
+    fn take(&mut self, pick: DramPick) -> DramEntry {
+        let DramPick { slot, prev } = pick;
+        let s = self.slots[slot as usize];
+        debug_assert_ne!(s.seq, DRAM_FREE, "take of a free slot");
+        let b = s.entry.bank as usize;
+        if prev == DRAM_NONE {
+            debug_assert_eq!(self.head[b], slot, "pick is not its bank's head");
+            self.head[b] = s.next;
+            if s.next == DRAM_NONE {
+                self.nonempty &= !(1 << b);
+            }
+        } else {
+            debug_assert_eq!(self.slots[prev as usize].next, slot, "stale predecessor");
+            self.slots[prev as usize].next = s.next;
+        }
+        if self.tail[b] == slot {
+            self.tail[b] = prev;
+        }
+        let freed = &mut self.slots[slot as usize];
+        freed.seq = DRAM_FREE;
+        freed.next = self.free;
+        self.free = slot;
         self.live -= 1;
-        while matches!(self.slots.front(), Some(None)) {
-            self.slots.pop_front();
+        s.entry
+    }
+
+    /// Test-only: the take handle of the live entry in `slot` (its
+    /// predecessor found by walking the bank list).
+    #[cfg(test)]
+    fn pick_of(&self, slot: u32) -> DramPick {
+        let b = self.slots[slot as usize].entry.bank as usize;
+        let (mut prev, mut i) = (DRAM_NONE, self.head[b]);
+        while i != slot {
+            assert_ne!(i, DRAM_NONE, "slot {slot} is not on its bank list");
+            (prev, i) = (i, self.slots[i as usize].next);
         }
-        // Starvation guard: if tombstones ever dominate (an old request
-        // pinned behind a long row-hit stream), compact in place.
-        if self.slots.len() > 2 * self.live + 16 {
-            self.slots.retain(Option::is_some);
-        }
-        entry
+        DramPick { slot, prev }
+    }
+
+    /// Test-only: the take handle of the oldest live entry.
+    #[cfg(test)]
+    fn oldest(&self) -> Option<DramPick> {
+        let (_, slot) = self.iter().map(|(i, s)| (s.seq, i)).min()?;
+        Some(self.pick_of(slot))
+    }
+
+    /// Test-only: the live entries oldest-first.
+    #[cfg(test)]
+    fn in_order(&self) -> Vec<DramEntry> {
+        let mut live: Vec<&DramSlot> = self.iter().map(|(_, s)| s).collect();
+        live.sort_by_key(|s| s.seq);
+        live.into_iter().map(|s| s.entry).collect()
     }
 }
 
@@ -167,7 +274,7 @@ impl DramCtrl {
                 };
                 num_banks as usize
             ],
-            queue: DramQueue::default(),
+            queue: DramQueue::new(num_banks),
             bus_free_at: 0,
         }
     }
@@ -564,8 +671,9 @@ impl MemSys {
     /// # Panics
     ///
     /// Panics if the line size is not a power of two (the caches
-    /// enforce the same invariant) or there are more than 64 memory
-    /// controllers; [`GpuConfig::validate`] rejects both up front.
+    /// enforce the same invariant), or there are more than 64 memory
+    /// controllers or DRAM banks; [`GpuConfig::validate`] rejects each
+    /// up front.
     pub fn new(cfg: &GpuConfig) -> Self {
         assert!(
             cfg.num_mem_ctrls <= 64,
@@ -809,8 +917,8 @@ fn dram_bound(slice: &Slice, now: u64) -> u64 {
         ctrl.bus_free_at
     } else {
         let mut ev = u64::MAX;
-        for (_, e) in ctrl.queue.iter() {
-            ev = ev.min(ctrl.banks[e.bank as usize].ready_at);
+        for (_, s) in ctrl.queue.iter() {
+            ev = ev.min(ctrl.banks[s.entry.bank as usize].ready_at);
         }
         ev
     }
@@ -1054,9 +1162,9 @@ fn tick_slice(
             if slice.ctrl.bus_free_at <= now && !slice.ctrl.queue.is_empty() {
                 let pick = MemSys::schedule_dram(&slice.ctrl, now, fr_fcfs);
                 banks_ready_at = pick.err().unwrap_or(u64::MAX);
-                if let Ok(idx) = pick {
+                if let Ok(p) = pick {
                     serviced = true;
-                    let entry = slice.ctrl.queue.take(idx);
+                    let entry = slice.ctrl.queue.take(p);
                     let req = entry.req;
                     let global_row = entry.row;
                     // Rows are distributed to slices by `row % slices`, so
@@ -1183,44 +1291,85 @@ fn tick_slice(
 }
 
 impl MemSys {
-    /// FR-FCFS (or plain FCFS) arbitration: index into the queue of the
-    /// request to service next, or — when every queued request's bank
-    /// is busy — `Err` with the earliest of their bank-ready times.
-    fn schedule_dram(ctrl: &DramCtrl, now: u64, fr_fcfs: bool) -> Result<usize, u64> {
-        // One pass: the oldest request that hits an open row on a ready
-        // bank wins outright (first ready, FR-FCFS only); failing that,
-        // the oldest on any ready bank, remembered on the way. Bank and
-        // row were precomputed at enqueue, so the scan is a pair of
-        // loads per entry. `Err`: every bank busy, the bus slot stalls.
-        let mut pick = None;
+    /// FR-FCFS (or plain FCFS) arbitration: the queued request to
+    /// service next, or — when every queued request's bank is busy —
+    /// `Err` with the earliest of their bank-ready times.
+    fn schedule_dram(ctrl: &DramCtrl, now: u64, fr_fcfs: bool) -> Result<DramPick, u64> {
+        // Visits the non-empty banks only. The oldest request on a ready
+        // bank is the least-sequence head among them; under FR-FCFS the
+        // oldest open-row request on a ready bank wins outright, found
+        // by walking each ready bank's list to its first open-row entry
+        // — cut short once the walk is younger than the best hit so far.
+        let q = &ctrl.queue;
+        let (mut old_seq, mut old) = (DRAM_FREE, DRAM_NONE);
+        let (mut hit_seq, mut hit) = (DRAM_FREE, None);
         let mut ready_at = u64::MAX;
-        for (i, e) in ctrl.queue.iter() {
-            let bank = &ctrl.banks[e.bank as usize];
-            if bank.ready_at <= now {
-                if !fr_fcfs || bank.open_row == e.row {
-                    pick = Some(i);
-                    break;
-                }
-                pick = pick.or(Some(i));
-            } else {
+        let mut mask = q.nonempty;
+        while mask != 0 {
+            let b = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let bank = ctrl.banks[b];
+            if bank.ready_at > now {
                 ready_at = ready_at.min(bank.ready_at);
+                continue;
+            }
+            let head = q.head[b];
+            let seq = q.slots[head as usize].seq;
+            if seq < old_seq {
+                (old_seq, old) = (seq, head);
+            }
+            if fr_fcfs {
+                let (mut prev, mut i) = (DRAM_NONE, head);
+                while i != DRAM_NONE {
+                    let s = &q.slots[i as usize];
+                    if s.seq >= hit_seq {
+                        break;
+                    }
+                    if s.entry.row == bank.open_row {
+                        (hit_seq, hit) = (s.seq, Some(DramPick { slot: i, prev }));
+                        break;
+                    }
+                    (prev, i) = (i, s.next);
+                }
             }
         }
+        let pick = match hit {
+            Some(p) => Ok(p),
+            None if old != DRAM_NONE => Ok(DramPick {
+                slot: old,
+                prev: DRAM_NONE,
+            }),
+            None => Err(ready_at),
+        };
         debug_assert_eq!(
-            pick,
+            pick.map(|p| p.slot),
             {
-                // The two scans this replaces: row hits, then oldest.
-                let ready = |e: &DramEntry| ctrl.banks[e.bank as usize].ready_at <= now;
-                let open = |e: &DramEntry| ctrl.banks[e.bank as usize].open_row == e.row;
-                let first = |f: &dyn Fn(&DramEntry) -> bool| {
-                    ctrl.queue.iter().find(|(_, e)| f(e)).map(|(i, _)| i)
-                };
-                let row_hit = fr_fcfs.then(|| first(&|e| ready(e) && open(e))).flatten();
-                row_hit.or_else(|| first(&ready))
+                // The linear scan this replaces: the least-sequence
+                // ready entry on its open row (FR-FCFS only), else the
+                // least-sequence ready entry; `Err` the least busy
+                // bank-ready time.
+                let (mut first_hit, mut first) = ((DRAM_FREE, 0), (DRAM_FREE, 0));
+                let mut busy = u64::MAX;
+                for (i, s) in q.iter() {
+                    let bank = &ctrl.banks[s.entry.bank as usize];
+                    if bank.ready_at > now {
+                        busy = busy.min(bank.ready_at);
+                        continue;
+                    }
+                    first = first.min((s.seq, i));
+                    if fr_fcfs && bank.open_row == s.entry.row {
+                        first_hit = first_hit.min((s.seq, i));
+                    }
+                }
+                [first_hit, first]
+                    .into_iter()
+                    .find(|&(seq, _)| seq != DRAM_FREE)
+                    .map(|(_, i)| i)
+                    .ok_or(busy)
             },
-            "single-pass arbitration disagrees with the two-pass scan"
+            "per-bank arbitration disagrees with the linear scan"
         );
-        pick.ok_or(ready_at)
+        pick
     }
 
     /// Earliest cycle `>= now` at which the memory system could change
@@ -1730,32 +1879,137 @@ mod tests {
 
     #[test]
     fn dram_queue_take_is_order_preserving() {
-        let mut q = DramQueue::default();
+        let mut q = DramQueue::new(4);
         for i in 0..6u64 {
-            q.push_back(read(i, 0), 0, 0);
+            q.push_back(read(i, 0), (i % 2) as u32, 0);
         }
+        let mut peak = q.len();
+        let addrs =
+            |q: &DramQueue| -> Vec<u64> { q.in_order().iter().map(|e| e.req.addr).collect() };
         // Service out of order (as FR-FCFS does), middle then front.
-        let (idx, _) = q.iter().find(|(_, e)| e.req.addr == 3).expect("live");
-        assert_eq!(q.take(idx).req.addr, 3);
-        let (idx, _) = q.iter().next().expect("live");
-        assert_eq!(q.take(idx).req.addr, 0);
+        let (mid, _) = q.iter().find(|(_, s)| s.entry.req.addr == 3).expect("live");
+        assert_eq!(q.take(q.pick_of(mid)).req.addr, 3);
+        assert_eq!(q.take(q.oldest().expect("live")).req.addr, 0);
         assert_eq!(q.len(), 4);
-        let rest: Vec<u64> = q.iter().map(|(_, e)| e.req.addr).collect();
-        assert_eq!(rest, [1, 2, 4, 5], "oldest-first order survives takes");
+        assert_eq!(addrs(&q), [1, 2, 4, 5], "oldest-first order survives takes");
 
-        // Starvation guard: repeated push/take churn with one pinned
-        // request must not grow the slot storage without bound.
+        // Push/take churn around four pinned requests (as when an old
+        // request starves behind a row-hit stream): freed slots are
+        // reused, so the slab never grows past the peak live count.
         for i in 0..10_000u64 {
-            q.push_back(read(100 + i, 0), 0, 0);
-            let (idx, _) = q.iter().last().expect("live");
-            q.take(idx);
+            q.push_back(read(100 + i, 0), (i % 4) as u32, 0);
+            peak = peak.max(q.len());
+            if i % 3 != 0 {
+                let (young, _) = q.iter().max_by_key(|(_, s)| s.seq).expect("live");
+                q.take(q.pick_of(young));
+            }
+            if q.len() > 7 {
+                let (old, _) = q
+                    .iter()
+                    .filter(|(_, s)| s.entry.req.addr >= 100)
+                    .min_by_key(|(_, s)| s.seq)
+                    .expect("a churned entry is live");
+                q.take(q.pick_of(old));
+            }
         }
+        assert_eq!(addrs(&q)[..4], [1, 2, 4, 5], "pinned requests stay oldest");
         assert!(
-            q.slots.len() <= 2 * q.live + 16,
-            "tombstones dominate: {} slots for {} live",
-            q.slots.len(),
-            q.live
+            q.slots.len() <= peak,
+            "slab grew past the peak: {} slots, peak {peak} live",
+            q.slots.len()
         );
+    }
+
+    /// Cases of the arbiter differential test.
+    const ARBITER_CASES: u64 = if cfg!(feature = "proptest-tests") {
+        100_000
+    } else {
+        10_000
+    };
+
+    #[test]
+    fn per_bank_arbiter_matches_the_two_pass_scan() {
+        // Random push / take sequences on 1–16 banks with 1–32 live
+        // entries, random open rows and bank-ready times (a per-case
+        // share of the banks busy), and out-of-order takes; every pick
+        // in both modes is checked against the two-pass scan over an
+        // arrival-order model of the queue.
+        let mut rng = crate::rng::SimRng::seed_from_u64(46);
+        let mut picks = [0u64; 3]; // row hits, oldest-ready, all busy
+        for _ in 0..ARBITER_CASES {
+            let banks = 1 + rng.gen_range(16) as u32;
+            let busy_quarters = rng.gen_range(5);
+            let mut ctrl = DramCtrl::new(banks);
+            let mut model: Vec<(u64, u32, u64)> = Vec::new(); // (addr, bank, row)
+            let mut next_addr = 0;
+            let mut now = 0;
+            for _ in 0..1 + rng.gen_range(64) {
+                if model.is_empty() || (model.len() < 32 && rng.gen_range(2) == 0) {
+                    for _ in 0..1 + rng.gen_range(4.min(32 - model.len() as u64)) {
+                        let (bank, row) =
+                            (rng.gen_range(u64::from(banks)) as u32, rng.gen_range(4));
+                        ctrl.queue.push_back(read(next_addr, 0), bank, row);
+                        model.push((next_addr, bank, row));
+                        next_addr += 1;
+                    }
+                }
+                for bank in &mut ctrl.banks {
+                    bank.open_row = rng.gen_range(5); // 4: a row nothing queued holds
+                    bank.ready_at = if rng.gen_range(4) < busy_quarters {
+                        now + 1 + rng.gen_range(64)
+                    } else {
+                        now - rng.gen_range(now + 1)
+                    };
+                }
+                let bank_of = |b: u32| ctrl.banks[b as usize];
+                let ready = |&(_, b, _): &(u64, u32, u64)| bank_of(b).ready_at <= now;
+                let open = |&(_, b, row): &(u64, u32, u64)| bank_of(b).open_row == row;
+                for fr_fcfs in [true, false] {
+                    let want = fr_fcfs
+                        .then(|| model.iter().find(|e| ready(e) && open(e)))
+                        .flatten()
+                        .or_else(|| model.iter().find(|e| ready(e)))
+                        .map(|e| e.0)
+                        .ok_or_else(|| model.iter().map(|e| bank_of(e.1).ready_at).min().unwrap());
+                    let got = MemSys::schedule_dram(&ctrl, now, fr_fcfs);
+                    if let Ok(p) = got {
+                        assert_eq!(p, ctrl.queue.pick_of(p.slot), "stale take handle");
+                    }
+                    let got_addr = got.map(|p| ctrl.queue.slots[p.slot as usize].entry.req.addr);
+                    assert_eq!(
+                        got_addr, want,
+                        "fr_fcfs {fr_fcfs}, {banks} banks, cycle {now}"
+                    );
+                    if fr_fcfs {
+                        let i = match got_addr {
+                            Ok(a) if open(model.iter().find(|e| e.0 == a).unwrap()) => 0,
+                            Ok(_) => 1,
+                            Err(_) => 2,
+                        };
+                        picks[i] += 1;
+                    }
+                }
+                // Take the FR-FCFS pick, or any entry out of order.
+                let slot = match MemSys::schedule_dram(&ctrl, now, true) {
+                    Ok(p) if rng.gen_range(2) == 0 => p.slot,
+                    _ => {
+                        let addr = model[rng.gen_range(model.len() as u64) as usize].0;
+                        let (slot, _) = ctrl
+                            .queue
+                            .iter()
+                            .find(|(_, s)| s.entry.req.addr == addr)
+                            .unwrap();
+                        slot
+                    }
+                };
+                let taken = ctrl.queue.take(ctrl.queue.pick_of(slot));
+                model.retain(|e| e.0 != taken.req.addr);
+                assert_eq!(ctrl.queue.len(), model.len());
+                now += rng.gen_range(8);
+            }
+        }
+        // Every outcome is exercised, each many times.
+        assert!(picks.iter().all(|&n| n > 1_000), "pick mix {picks:?}");
     }
 
     #[test]
@@ -1959,8 +2213,8 @@ mod verdict_tests {
         t.both(|ms| {
             let s = ms.slice_mut(0);
             for _ in 0..n {
-                let (idx, _) = s.ctrl.queue.iter().next().expect("a filler is queued");
-                s.ctrl.queue.take(idx);
+                let oldest = s.ctrl.queue.oldest().expect("a filler is queued");
+                s.ctrl.queue.take(oldest);
             }
             s.scan_wake = 0;
         });

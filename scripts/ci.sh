@@ -375,10 +375,11 @@ fi
 # engine (DESIGN.md §12), their thread lease and knobs, the surface the
 # public-surface audit removed (LP text format, window trace recorder,
 # debug_* binaries, cache GC script), the fleet's own event loop, the
-# solver's per-node problem copies and per-plan queue snapshot, and the
-# legacy `cargo bench` instrument (benchmark/ is the only one).
+# solver's per-node problem copies and per-plan queue snapshot, the
+# legacy `cargo bench` instrument (benchmark/ is the only one), and the
+# tombstoned DRAM queue the per-bank lists replaced (DESIGN.md §8).
 # CHANGES.md and ROADMAP.md are history and may name them.
-step "deleted-name guard (no sharded-lane, audited-away, second-loop, per-node-clone or legacy-bench names)"
+step "deleted-name guard (no sharded-lane, audited-away, second-loop, per-node-clone, legacy-bench or tombstone-queue names)"
 GONE='ShardCell|MemShard|ShardSink|ShardCtl|ThreadedExec|issue_prepare|issue_more'
 GONE="$GONE|resolve_pending|PendingAccess|run_sharded|ShardLease|set_shards"
 GONE="$GONE|set_mem_shards|set_shard_workers|with_sim_threads|GCS_SIM_THREADS|shard_smoke"
@@ -387,6 +388,7 @@ GONE="$GONE|pump_to|track_churn|dispatch_marginal|dispatch_fcfs"
 GONE="$GONE|as_max_problem|best_objective_max|LpSolution|pending_vec"
 GONE="$GONE|scripts/bench\.sh|BENCH_sim|BENCH_sched|gcs_bench::timing|BENCH_JSON|bench-smoke"
 GONE="$GONE|\[\[bench\]\]"
+GONE="$GONE|Option<DramEntry>|VecDeque<Option<|retain\(Option::is_some\)"
 if grep -rnE "$GONE" crates tests scripts README.md DESIGN.md EXPERIMENTS.md \
         .claude/skills/verify/SKILL.md --exclude=ci.sh; then
     echo "a deleted name is back (see the matches above)" >&2

@@ -7,7 +7,8 @@
 //!   No key is formatted, hashed as a string or cloned. A co-run hit
 //!   read in place (`corun_with`, `Pipeline::run_group_into`) and a
 //!   batched `cycles` probe hit return no owned value and allocate
-//!   nothing.
+//!   nothing, with a trace member too: a seen trace interns by pointer,
+//!   not by re-encoding and fingerprinting its payload.
 //! * One `IlpEpoch::plan` over the thesis' 14-job census stays within
 //!   [`PLAN_BUDGET`] allocations; one over a single group's census
 //!   (no solve) allocates only its `Plan`.
@@ -215,6 +216,33 @@ fn warm_corun_hit_read_in_place_allocates_nothing() {
         assert_eq!(out, cold, "{alloc:?}");
         assert_eq!(allocs, 0, "{alloc:?}: a warm pipeline group allocates nothing");
     }
+}
+
+/// Warm hits with a trace member — a co-run read in place and a batched
+/// profile probe — allocate nothing: the trace's `Arc` interns by
+/// pointer, so neither hit re-encodes or fingerprints the trace.
+#[test]
+fn warm_hits_with_a_trace_member_allocate_nothing() {
+    let p = pipeline(2);
+    let (cfg, scale) = (&p.config().gpu, p.config().scale);
+    let trace = Workload::Trace(Arc::new(gcs_workloads::phase_shift_trace(cfg)));
+    let ws = [trace.clone(), Workload::Bench(Benchmark::Gups)];
+    let mode = CorunMode::Even;
+    let cold = p
+        .engine()
+        .corun_with(cfg, scale, ws.iter(), &mode, GroupOutcome::clone)
+        .unwrap();
+    let (makespan, allocs) =
+        counted(|| p.engine().corun_with(cfg, scale, ws.iter(), &mode, |o| o.makespan));
+    assert_eq!(makespan.unwrap(), cold.makespan);
+    assert_eq!(allocs, 0, "a warm co-run hit with a trace member allocates nothing");
+
+    let alone = p.engine().profile_workload(cfg, scale, &trace, cfg.num_sms).unwrap();
+    let mut out = Vec::with_capacity(1);
+    let ((), allocs) =
+        counted(|| p.engine().profile_cycles_memo(cfg, scale, &trace, &[cfg.num_sms], &mut out));
+    assert_eq!(out, [Some(alone.cycles)]);
+    assert_eq!(allocs, 0, "a batched trace probe hit allocates nothing");
 }
 
 #[test]

@@ -98,12 +98,12 @@ fn degradations(rng: &mut SimRng) -> Vec<Degradation> {
 }
 
 /// Arrival, dispatch and completion in order, so every difference the
-/// reports derive is non-negative, and close enough that the latency
-/// means' sums over a report's (at most five) jobs do not overflow.
+/// reports derive is non-negative; otherwise anywhere in `u64`, so the
+/// latency means' sums over a report's jobs can pass `u64::MAX`.
 fn times(rng: &mut SimRng) -> (u64, u64, u64) {
-    let arrival = int(rng, u64::MAX / 2);
-    let dispatch = arrival + int(rng, u64::MAX / 16);
-    (arrival, dispatch, dispatch + int(rng, u64::MAX / 16))
+    let arrival = int(rng, u64::MAX);
+    let dispatch = arrival + int(rng, u64::MAX - arrival);
+    (arrival, dispatch, dispatch + int(rng, u64::MAX - dispatch))
 }
 
 fn sched_report(rng: &mut SimRng) -> SchedReport {
