@@ -18,7 +18,7 @@ use gcs_sim::config::GpuConfig;
 use gcs_workloads::{Benchmark, Scale};
 
 use crate::classify::AppClass;
-use crate::sweep::{CorunMode, SweepEngine};
+use crate::sweep::{CorunMode, SweepEngine, Workload};
 use crate::CoreError;
 
 /// The 4×4 class slowdown matrix. `slowdown(i, j)` ≥ 1 means class `i`
@@ -79,10 +79,9 @@ impl InterferenceMatrix {
     /// records each app's slowdown against its alone run, and averages
     /// the samples into the 4×4 class cells (classes per Table 3.2).
     ///
-    /// This is 14 alone runs plus 105 co-runs through `engine`: the 14
-    /// alone runs fan out as one parallel batch, the 105 pair co-runs as
-    /// a second, and every job is memoized under the engine's cache.
-    /// Results are bit-identical at any thread count.
+    /// This is 14 alone runs plus 105 co-runs through `engine`, fanned
+    /// out as one parallel batch, and every job is memoized under the
+    /// engine's cache. Results are bit-identical at any thread count.
     ///
     /// # Errors
     ///
@@ -96,8 +95,9 @@ impl InterferenceMatrix {
     }
 
     /// The §3.2.2 procedure over an arbitrary benchmark subset: all
-    /// alone runs, then all unordered pairs, averaged into class cells.
-    /// The determinism suite uses small subsets to keep runtimes down.
+    /// alone runs and all unordered pairs in one batch, averaged into
+    /// class cells. The determinism suite uses small subsets to keep
+    /// runtimes down.
     ///
     /// # Errors
     ///
@@ -108,32 +108,38 @@ impl InterferenceMatrix {
         scale: Scale,
         suite: &[Benchmark],
     ) -> Result<Self, CoreError> {
-        // Batch 1: alone runs on the whole device. An alone profile and
-        // an even partition of a single app assign the identical SM set,
-        // so this shares cache entries with suite profiling.
-        let profiles = engine.profile_suite(cfg, scale, suite)?;
-        let alone: Vec<u64> = profiles.iter().map(|p| p.cycles.max(1)).collect();
-
-        // Batch 2: every unordered pair on an even split.
+        // One batch: the alone runs on the whole device, then every
+        // unordered pair on an even split. The alone runs are the
+        // pipeline's suite profiles, and a lone app's `Even` co-run (the
+        // Serial baseline's groups) is served by the same profile job,
+        // so all three share one cache entry per app.
         let mut pairs: Vec<(usize, usize)> = Vec::new();
         for i in 0..suite.len() {
             for j in i..suite.len() {
                 pairs.push((i, j));
             }
         }
-        let jobs: Vec<(Vec<Benchmark>, CorunMode)> = pairs
-            .iter()
-            .map(|&(i, j)| (vec![suite[i], suite[j]], CorunMode::Even))
-            .collect();
-        let outcomes = engine.corun_batch(cfg, scale, &jobs)?;
+        let ws: Vec<Workload> = suite.iter().map(|&b| Workload::Bench(b)).collect();
+        let n_alone = suite.len();
+        let cycles = engine.run_parallel(n_alone + pairs.len(), |k| match k.checked_sub(n_alone) {
+            None => engine
+                .profile(cfg, scale, suite[k], cfg.num_sms)
+                .map(|p| [p.cycles.max(1), 0]),
+            Some(k) => {
+                let (i, j) = pairs[k];
+                let group = [&ws[i], &ws[j]].into_iter();
+                engine.corun_with(cfg, scale, group, &CorunMode::Even, |o| [o.cycles[0], o.cycles[1]])
+            }
+        })?;
+        let (alone, outcomes) = cycles.split_at(n_alone);
 
         // Accumulate in job order — the same order the sequential nested
         // loop used, so the averages are bit-identical.
         let mut sum = [[0.0f64; AppClass::COUNT]; AppClass::COUNT];
         let mut n = [[0u32; AppClass::COUNT]; AppClass::COUNT];
-        for (&(i, j), out) in pairs.iter().zip(&outcomes) {
-            let si = (out.cycles[0] as f64 / alone[i] as f64).max(1.0);
-            let sj = (out.cycles[1] as f64 / alone[j] as f64).max(1.0);
+        for (&(i, j), out) in pairs.iter().zip(outcomes) {
+            let si = (out[0] as f64 / alone[i][0] as f64).max(1.0);
+            let sj = (out[1] as f64 / alone[j][0] as f64).max(1.0);
             let ci = crate::queues::paper_class(suite[i]).index();
             let cj = crate::queues::paper_class(suite[j]).index();
             sum[ci][cj] += si;

@@ -62,7 +62,7 @@ pub mod smra;
 pub mod sweep;
 
 pub use classify::{classify, classify_suite, AppClass, Thresholds};
-pub use fault::{Degradation, RetryPolicy};
+pub use fault::Degradation;
 pub use interference::InterferenceMatrix;
 pub use latency::{NanoStats, WindowedNanoStats};
 pub use profile::AppProfile;

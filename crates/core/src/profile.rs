@@ -151,6 +151,12 @@ fn profile_launched(
     gpu.run(PROFILE_MAX_CYCLES)?;
 
     let stats = gpu.stats().app(app);
+    // The sweep engine serves a lone app's one-member `Even` co-run
+    // from its full-device profile, with `makespan = cycles + 1`.
+    debug_assert!(
+        num_sms < cfg.num_sms || (stats.start_cycle == 0 && gpu.cycle() == stats.finish_cycle + 1),
+        "a full-device alone run starts at cycle 0 and stops on the cycle after it finishes"
+    );
     let cycles = stats.runtime_cycles().max(1);
     let to_gbps = |bytes: u64| cfg.bytes_per_cycle_to_gbps(bytes as f64 / cycles as f64);
     let ipc = stats.thread_ipc();

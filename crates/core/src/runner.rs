@@ -256,9 +256,25 @@ impl Pipeline {
                 None => Workload::Bench(*b),
             })
             .collect();
-        let profiles: Vec<AppProfile> = engine.run_parallel(workloads.len(), |i| {
-            engine.profile_workload(&cfg.gpu, cfg.scale, &workloads[i], cfg.gpu.num_sms)
+        // Probe-first: the in-process memo serves each profile inline
+        // (after `new_with_engine`'s measurement, every one), and only
+        // the misses go through a parallel batch.
+        let (gpu, scale, sms) = (&cfg.gpu, cfg.scale, cfg.gpu.num_sms);
+        let mut probed = Vec::with_capacity(workloads.len());
+        for w in &workloads {
+            engine.profile_memo(gpu, scale, w, &[sms], AppProfile::clone, &mut probed);
+        }
+        let misses: Vec<usize> = (0..probed.len()).filter(|&i| probed[i].is_none()).collect();
+        let filled = engine.run_parallel(misses.len(), |k| {
+            engine.profile_workload(gpu, scale, &workloads[misses[k]], sms)
         })?;
+        for (&i, p) in misses.iter().zip(filled) {
+            probed[i] = Some(p);
+        }
+        let profiles: Vec<AppProfile> = probed
+            .into_iter()
+            .map(|p| p.expect("every profile probed or filled"))
+            .collect();
         let (thresholds, class_list) = classify_suite(&cfg.gpu, &profiles);
         let classes = class_list
             .try_into()

@@ -10,11 +10,11 @@
 //!
 //! [`SweepEngine`] exploits both properties:
 //!
-//! * **Parallelism** — [`SweepEngine::run_parallel`] fans jobs across a
-//!   fixed thread pool (`std::thread::scope`, no external runtime) and
-//!   stores each result in a slot keyed by its job index, so the
-//!   assembled output is bit-identical to the sequential path at any
-//!   thread count.
+//! * **Parallelism** — [`SweepEngine::run_parallel`] fans jobs across
+//!   the calling thread and scoped helper threads (`std::thread::scope`,
+//!   no external runtime) and stores each result in a slot keyed by its
+//!   job index, so the assembled output is bit-identical to the
+//!   sequential path at any thread count.
 //! * **Memoization** — in process, every typed job is keyed by its
 //!   typed description (device config, scale, members, SM count or
 //!   co-run mode) and maps to its decoded result, so a warm hit formats
@@ -29,9 +29,11 @@
 //! cache, peak in-flight parallelism, simulated cycles, estimated
 //! speedup) and is printed by the `gcs-bench` harness.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
+use std::io::Read as _;
 use std::iter;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -48,7 +50,6 @@ use gcs_workloads::{Benchmark, Scale};
 use gcs_sim::gpu::SimError;
 use gcs_sim::KernelTrace;
 
-use crate::fault::RetryPolicy;
 use crate::profile::{
     profile_trace_with_sms_phases, profile_with_sms_phases, AppProfile, PROFILE_MAX_CYCLES,
 };
@@ -73,10 +74,7 @@ pub enum Workload {
 impl Workload {
     /// Display name (benchmark name or the trace's recorded name).
     pub fn name(&self) -> String {
-        match self {
-            Workload::Bench(b) => b.name().to_string(),
-            Workload::Trace(t) => t.meta.name.clone(),
-        }
+        self.member().name()
     }
 
     /// Launches the workload on `gpu`.
@@ -139,7 +137,9 @@ pub struct SweepStats {
     pub serial_nanos: u64,
     /// Wall time spent inside parallel batches.
     pub wall_nanos: u64,
-    /// Jobs that failed at least once and then succeeded on retry.
+    /// Always 0: jobs are never retried (simulator jobs are
+    /// deterministic, so a retry replays the same failure). Kept while
+    /// the benchmark still reports it.
     pub jobs_retried: u64,
     /// Corrupt on-disk cache entries moved to the quarantine directory.
     pub jobs_quarantined: u64,
@@ -195,9 +195,6 @@ impl std::fmt::Display for SweepStats {
             self.serial_nanos as f64 / 1e9,
             self.wall_nanos as f64 / 1e9,
         )?;
-        if self.jobs_retried > 0 {
-            write!(f, ", {} retried", self.jobs_retried)?;
-        }
         if self.jobs_quarantined > 0 {
             write!(f, ", {} cache entries quarantined", self.jobs_quarantined)?;
         }
@@ -208,7 +205,10 @@ impl std::fmt::Display for SweepStats {
 /// A memoized job result, decoded: what a warm hit hands back.
 #[derive(Debug)]
 enum Memo {
-    Profile(AppProfile),
+    /// An alone profile. A full-device one is also its app's one-member
+    /// `Even` co-run, whose outcome [`MemoTable::insert`] derives once
+    /// and keeps beside it.
+    Profile(AppProfile, Option<GroupOutcome>),
     Group(GroupOutcome),
 }
 
@@ -284,6 +284,34 @@ impl MemoTable {
         BENCH_IDS + u32::try_from(i).expect("fewer than 2^32 traces")
     }
 
+    /// Stores `v` under `job` and returns it as stored. A full-device
+    /// profile gains its one-app `Even` outcome here: a lone app starts
+    /// at cycle 0 and the run stops on the cycle after it finishes, so
+    /// the co-run's `makespan` is the profile's `cycles + 1`.
+    fn insert(&mut self, job: JobKey, v: Memo) -> &Memo {
+        let full = Mode::Profile {
+            num_sms: self.configs[job.cfg as usize].0.num_sms,
+        };
+        let v = match v {
+            Memo::Profile(p, None) if job.mode == full => {
+                let alone = GroupOutcome {
+                    cycles: vec![p.cycles],
+                    thread_insts: vec![p.thread_insts],
+                    makespan: p.cycles + 1,
+                };
+                Memo::Profile(p, Some(alone))
+            }
+            v => v,
+        };
+        match self.jobs.entry(job) {
+            Entry::Occupied(mut e) => {
+                e.insert(v);
+                e.into_mut()
+            }
+            Entry::Vacant(e) => e.insert(v),
+        }
+    }
+
     /// The display name of member `id` (a profile's `name`).
     fn member_name(&self, id: u32) -> String {
         match id.checked_sub(BENCH_IDS) {
@@ -355,7 +383,6 @@ impl MemoTable {
 pub struct SweepEngine {
     threads: usize,
     cache_dir: Option<PathBuf>,
-    retry: RetryPolicy,
     /// When set, simulated jobs run with the device phase profiler on
     /// and their [`PhaseCycles`] accumulate into `phases`. Never part of
     /// cache keys or entries: profiling does not change results.
@@ -370,7 +397,6 @@ pub struct SweepEngine {
     sim_cycles: AtomicU64,
     serial_nanos: AtomicU64,
     wall_nanos: AtomicU64,
-    jobs_retried: AtomicU64,
     jobs_quarantined: AtomicU64,
 }
 
@@ -381,7 +407,6 @@ impl SweepEngine {
         SweepEngine {
             threads: threads.max(1),
             cache_dir: None,
-            retry: RetryPolicy::NONE,
             profile_phases: false,
             phases: Mutex::new(PhaseCycles::default()),
             memo: Mutex::new(MemoTable::default()),
@@ -393,7 +418,6 @@ impl SweepEngine {
             sim_cycles: AtomicU64::new(0),
             serial_nanos: AtomicU64::new(0),
             wall_nanos: AtomicU64::new(0),
-            jobs_retried: AtomicU64::new(0),
             jobs_quarantined: AtomicU64::new(0),
         }
     }
@@ -418,15 +442,6 @@ impl SweepEngine {
     #[must_use]
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
-        self
-    }
-
-    /// Retries transiently failing jobs under `policy` (the default is
-    /// [`RetryPolicy::NONE`]: simulator jobs are deterministic, so a
-    /// failure normally replays identically). Panics are never retried.
-    #[must_use]
-    pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
         self
     }
 
@@ -466,7 +481,7 @@ impl SweepEngine {
             sim_cycles: self.sim_cycles.load(Ordering::Relaxed),
             serial_nanos: self.serial_nanos.load(Ordering::Relaxed),
             wall_nanos: self.wall_nanos.load(Ordering::Relaxed),
-            jobs_retried: self.jobs_retried.load(Ordering::Relaxed),
+            jobs_retried: 0,
             jobs_quarantined: self.jobs_quarantined.load(Ordering::Relaxed),
             phases: *self.phases.lock().unwrap_or_else(|e| e.into_inner()),
         }
@@ -481,11 +496,13 @@ impl SweepEngine {
     /// the output is identical at every thread count, so callers may
     /// treat a parallel sweep as a drop-in for the sequential loop.
     ///
-    /// Worker threads pull indices from a shared counter; a slot per job
-    /// collects the result. On failure the error of the *lowest* failing
-    /// job index is returned (also deterministic). A panicking job does
-    /// not take the pool down: the panic is caught per job and reported
-    /// as [`CoreError::Worker`], while every other job still runs. Use
+    /// The calling thread is worker 0 and `min(threads, jobs) - 1`
+    /// helpers join it; all pull indices from a shared counter, and a
+    /// slot per job collects the result. On failure the error of the
+    /// *lowest* failing job index is returned (also deterministic). A
+    /// panicking job does not take the pool down: the panic is caught
+    /// per job and reported as [`CoreError::Worker`], while every other
+    /// job still runs. Use
     /// [`SweepEngine::run_parallel_salvage`] to also recover the
     /// successful results of a partially failed batch.
     ///
@@ -538,7 +555,7 @@ impl SweepEngine {
             let live = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
             self.max_in_flight.fetch_max(live, Ordering::Relaxed);
             let t = Instant::now();
-            let r = self.run_one(i, &f);
+            let r = Self::run_one(i, &f);
             let spent = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
             self.serial_nanos.fetch_add(spent, Ordering::Relaxed);
             self.in_flight.fetch_sub(1, Ordering::Relaxed);
@@ -550,9 +567,10 @@ impl SweepEngine {
             worker(0);
         } else {
             std::thread::scope(|s| {
-                for w in 0..workers {
+                for w in 1..workers {
                     s.spawn(move || worker(w));
                 }
+                worker(0);
             });
         }
         let spent = u64::try_from(wall.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -574,42 +592,20 @@ impl SweepEngine {
             .collect()
     }
 
-    /// One job with panic isolation and the engine's retry policy: a
-    /// panic becomes [`CoreError::Worker`] immediately (deterministic
-    /// code would just panic again), while a plain error is retried up
-    /// to `max_retries` times with bounded backoff.
+    /// One job with panic isolation: a panic becomes
+    /// [`CoreError::Worker`] and does not unwind into the worker. Jobs
+    /// are not retried: they are deterministic, so a retry would replay
+    /// the same failure.
     fn run_one<T>(
-        &self,
         i: usize,
         f: &(impl Fn(usize) -> Result<T, CoreError> + Sync),
     ) -> Result<T, CoreError> {
-        let mut attempt = 0u32;
-        loop {
-            match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                Err(payload) => {
-                    return Err(CoreError::Worker {
-                        job: i,
-                        message: panic_message(payload.as_ref()),
-                    });
-                }
-                Ok(Ok(v)) => {
-                    if attempt > 0 {
-                        self.jobs_retried.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Ok(v);
-                }
-                Ok(Err(e)) => {
-                    if attempt >= self.retry.max_retries {
-                        return Err(e);
-                    }
-                    attempt += 1;
-                    let pause = self.retry.backoff(attempt);
-                    if !pause.is_zero() {
-                        std::thread::sleep(pause);
-                    }
-                }
-            }
-        }
+        catch_unwind(AssertUnwindSafe(|| f(i))).unwrap_or_else(|payload| {
+            Err(CoreError::Worker {
+                job: i,
+                message: panic_message(payload.as_ref()),
+            })
+        })
     }
 
     // ------------------------------------------------------------------
@@ -645,14 +641,27 @@ impl SweepEngine {
         workload: &Workload,
         num_sms: u32,
     ) -> Result<AppProfile, CoreError> {
+        self.profile_job(cfg, scale, workload.member(), num_sms, AppProfile::clone)
+    }
+
+    /// The memoized profile job of `member` alone on the first
+    /// `num_sms` SMs, read through `read`: as an [`AppProfile`], or — on
+    /// the whole device — as the one-member `Even` co-run outcome.
+    fn profile_job<V: Memoized, R>(
+        &self,
+        cfg: &GpuConfig,
+        scale: Scale,
+        member: Member<'_>,
+        num_sms: u32,
+        read: impl FnMut(&V) -> R,
+    ) -> Result<R, CoreError> {
         let mode = Mode::Profile { num_sms };
-        let member = iter::once(workload.member());
-        self.cached(cfg, scale, member, mode, &[], AppProfile::clone, || {
-            let (mut p, phases) = match workload {
-                Workload::Bench(b) => {
+        self.cached(cfg, scale, iter::once(member), mode, &[], read, || {
+            let (mut p, phases) = match member {
+                Member::Bench(b) => {
                     profile_with_sms_phases(&b.kernel(scale), cfg, num_sms, self.profile_phases)?
                 }
-                Workload::Trace(t) => {
+                Member::Trace(t) => {
                     profile_trace_with_sms_phases(t, cfg, num_sms, self.profile_phases)?
                 }
             };
@@ -660,7 +669,7 @@ impl SweepEngine {
             // stepped (the app-relative runtime can undercount the tail
             // by a cycle) so phase totals partition sim_cycles exactly.
             self.account(phases, p.cycles);
-            p.name = workload.name();
+            p.name = member.name();
             Ok(p)
         })
     }
@@ -685,28 +694,30 @@ impl SweepEngine {
     ) -> Option<AppProfile> {
         let mode = Mode::Profile { num_sms };
         let member = iter::once(workload.member());
-        self.lookup(cfg, scale, member, mode, &[], &mut AppProfile::clone)
+        self.lookup::<AppProfile, _, _>(cfg, scale, member, mode, &[], &mut AppProfile::clone)
             .ok()
     }
 
-    /// In-process batch probe of [`SweepEngine::profile_workload`]'s
-    /// `cycles`: appends one entry to `out` per budget in `sms`. An
-    /// entry is `Some` when the exact job is already in the in-process
-    /// map, counted as `profile_workload` counts a memo hit (one job,
-    /// cached). A miss is `None`, reads no disk and moves no counter, so
-    /// the caller sends it on to `profile_workload`, which counts it
-    /// there — a probe-first batch keeps the counters of sending every
-    /// job through `profile_workload`. The batch takes the memo lock
-    /// and interns `cfg` once, and a hit reads the stored profile in
-    /// place, so a benchmark workload's hit neither clones a profile
-    /// nor allocates.
-    pub fn profile_cycles_memo(
+    /// In-process batch probe of [`SweepEngine::profile_workload`]:
+    /// appends one entry to `out` per budget in `sms`, what `read`
+    /// makes of the stored profile. An entry is `Some` when the exact
+    /// job is already in the in-process map, counted as
+    /// `profile_workload` counts a memo hit (one job, cached). A miss is
+    /// `None`, reads no disk and moves no counter, so the caller sends
+    /// it on to `profile_workload`, which counts it there — a
+    /// probe-first batch keeps the counters of sending every job
+    /// through `profile_workload`. The batch takes the memo lock and
+    /// interns `cfg` once, and `read` sees each hit in place under the
+    /// lock (it must not call back into the engine), so a benchmark
+    /// workload's hit allocates nothing unless `read` does.
+    pub fn profile_memo<R>(
         &self,
         cfg: &GpuConfig,
         scale: Scale,
         workload: &Workload,
         sms: &[u32],
-        out: &mut Vec<Option<u64>>,
+        mut read: impl FnMut(&AppProfile) -> R,
+        out: &mut Vec<Option<R>>,
     ) {
         let mut hits = 0u64;
         {
@@ -716,12 +727,9 @@ impl SweepEngine {
             for &num_sms in sms {
                 let mode = Mode::Profile { num_sms };
                 let key = JobKey::new(id, scale, &member, mode, &[]).expect("one member");
-                let cycles = match memo.jobs.get(&key) {
-                    Some(Memo::Profile(p)) => Some(p.cycles),
-                    _ => None,
-                };
-                hits += u64::from(cycles.is_some());
-                out.push(cycles);
+                let hit = memo.jobs.get(&key).and_then(AppProfile::get).map(&mut read);
+                hits += u64::from(hit.is_some());
+                out.push(hit);
             }
         }
         self.jobs_total.fetch_add(hits, Ordering::Relaxed);
@@ -729,6 +737,10 @@ impl SweepEngine {
     }
 
     /// Full-device alone profiles for `suite`, one parallel batch.
+    /// [`InterferenceMatrix::measure_suite_with`] batches the same jobs
+    /// with its pair co-runs.
+    ///
+    /// [`InterferenceMatrix::measure_suite_with`]: crate::interference::InterferenceMatrix::measure_suite_with
     ///
     /// # Errors
     ///
@@ -742,7 +754,11 @@ impl SweepEngine {
         self.run_parallel(suite.len(), |i| self.profile(cfg, scale, suite[i], cfg.num_sms))
     }
 
-    /// Co-runs `group` under `mode`, memoized.
+    /// Co-runs `group` under `mode`, memoized. A one-member `Even`
+    /// group holds the whole device alone, so it is served by that
+    /// member's full-device profile job (one key, one cache entry, one
+    /// simulation): `cycles` and `thread_insts` are the profile's and
+    /// `makespan` is `cycles + 1`.
     ///
     /// # Errors
     ///
@@ -800,32 +816,22 @@ impl SweepEngine {
         &self,
         cfg: &GpuConfig,
         scale: Scale,
-        members: impl ExactSizeIterator<Item = Member<'a>>,
+        mut members: impl ExactSizeIterator<Item = Member<'a>>,
         mode: &CorunMode,
         read: impl FnMut(&GroupOutcome) -> R,
         simulate: impl FnOnce() -> Result<(GroupOutcome, Option<PhaseCycles>), CoreError>,
     ) -> Result<R, CoreError> {
         assert!(members.len() > 0, "empty co-run group");
+        if members.len() == 1 && matches!(mode, CorunMode::Even) {
+            let member = members.next().expect("one member");
+            return self.profile_job(cfg, scale, member, cfg.num_sms, read);
+        }
         let (mode, counts) = Mode::of(mode);
         self.cached(cfg, scale, members, mode, counts, read, || {
             let (out, phases) = simulate()?;
             self.account(phases, out.makespan);
             Ok(out)
         })
-    }
-
-    /// Runs a batch of co-run jobs in parallel, results in job order.
-    ///
-    /// # Errors
-    ///
-    /// The first (by job index) failure.
-    pub fn corun_batch(
-        &self,
-        cfg: &GpuConfig,
-        scale: Scale,
-        jobs: &[(Vec<Benchmark>, CorunMode)],
-    ) -> Result<Vec<GroupOutcome>, CoreError> {
-        self.run_parallel(jobs.len(), |i| self.corun(cfg, scale, &jobs[i].0, &jobs[i].1))
     }
 
     /// Adds one simulated job's cycles: the profiled phase total when
@@ -847,22 +853,24 @@ impl SweepEngine {
     // ------------------------------------------------------------------
 
     /// Serves the job from the memo or disk, or simulates and stores
-    /// it, and returns what `read` makes of the value. A job with no
-    /// key (more members than app slots) goes straight to `simulate`,
-    /// which refuses it.
+    /// it, and returns what `read` makes of the stored value as a `V`:
+    /// the job's own kind `T`, or — for a one-app `Even` co-run served
+    /// by a full-device profile job — the outcome kept beside it. A job
+    /// with no key (more members than app slots) goes straight to
+    /// `simulate`, which refuses it.
     #[allow(clippy::too_many_arguments)]
-    fn cached<'a, T: Memoized, R>(
+    fn cached<'a, T: Memoized, V: Memoized, R>(
         &self,
         cfg: &GpuConfig,
         scale: Scale,
         members: impl Iterator<Item = Member<'a>>,
         mode: Mode,
         counts: &[u32],
-        mut read: impl FnMut(&T) -> R,
+        mut read: impl FnMut(&V) -> R,
         simulate: impl FnOnce() -> Result<T, CoreError>,
     ) -> Result<R, CoreError> {
         self.jobs_total.fetch_add(1, Ordering::Relaxed);
-        let miss = match self.lookup(cfg, scale, members, mode, counts, &mut read) {
+        let miss = match self.lookup::<T, V, R>(cfg, scale, members, mode, counts, &mut read) {
             Ok(r) => {
                 self.jobs_cached.fetch_add(1, Ordering::Relaxed);
                 return Ok(r);
@@ -871,11 +879,10 @@ impl SweepEngine {
         };
         let v = simulate()?;
         self.jobs_simulated.fetch_add(1, Ordering::Relaxed);
-        let r = read(&v);
-        if let Some(miss) = miss {
-            self.store(*miss, v);
-        }
-        Ok(r)
+        Ok(match miss {
+            Some(miss) => self.store(*miss, v, read),
+            None => read(V::get(&v.into_memo()).expect("a job without a key reads its own kind")),
+        })
     }
 
     /// The in-process map first, read in place, then disk. The `v1|…`
@@ -883,19 +890,19 @@ impl SweepEngine {
     /// verifies the stored full key against it, so an FNV collision
     /// degrades to a miss instead of returning a wrong result. The
     /// miss is `None` for a job with no key.
-    fn lookup<'a, T: Memoized, R>(
+    fn lookup<'a, T: Memoized, V: Memoized, R>(
         &self,
         cfg: &GpuConfig,
         scale: Scale,
         members: impl Iterator<Item = Member<'a>>,
         mode: Mode,
         counts: &[u32],
-        read: &mut impl FnMut(&T) -> R,
+        read: &mut impl FnMut(&V) -> R,
     ) -> Result<R, Option<Box<Miss>>> {
         let (job, key, name) = {
             let mut memo = self.memo.lock().unwrap_or_else(|e| e.into_inner());
             let job = memo.key(cfg, scale, members, mode, counts).ok_or(None)?;
-            if let Some(v) = memo.jobs.get(&job).and_then(T::get) {
+            if let Some(v) = memo.jobs.get(&job).and_then(V::get) {
                 return Ok(read(v));
             }
             (job, memo.render(&job), memo.member_name(job.members[0]))
@@ -905,25 +912,22 @@ impl SweepEngine {
             .read_disk(hash, &key)
             .and_then(|f| T::decode(&f, job.members().len(), name))
         {
-            let r = read(&v);
-            self.memo
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .jobs
-                .insert(job, v.into_memo());
-            return Ok(r);
+            let mut memo = self.memo.lock().unwrap_or_else(|e| e.into_inner());
+            let stored = memo.insert(job, v.into_memo());
+            return Ok(read(V::get(stored).expect("an entry holds what its job reads")));
         }
         Err(Some(Box::new(Miss { job, key, hash })))
     }
 
     /// The fields of the disk entry at `hash` if its stored key is
-    /// `key`. An unparseable file is quarantined; a full-key mismatch
-    /// is an FNV collision with some *other* valid job, not
+    /// `key`. The file is opened, read to its end and closed, with no
+    /// metadata call. An unparseable file is quarantined; a full-key
+    /// mismatch is an FNV collision with some *other* valid job, not
     /// corruption, so that file is left alone.
     fn read_disk(&self, hash: u64, key: &str) -> Option<Vec<(String, u64)>> {
         let dir = self.cache_dir.as_ref()?;
         let path = entry_path(dir, hash);
-        let text = std::fs::read_to_string(&path).ok()?;
+        let text = read_entry(&path)?;
         let Ok((stored_key, fields)) = parse_entry(&text) else {
             self.quarantine(dir, &path);
             return None;
@@ -951,7 +955,14 @@ impl SweepEngine {
         eprintln!("warning: quarantined corrupt sweep cache entry {name}");
     }
 
-    fn store<T: Memoized>(&self, miss: Miss, v: T) {
+    /// Persists `v` under the missed job, puts it in the map and returns
+    /// what `read` makes of it there.
+    fn store<T: Memoized, V: Memoized, R>(
+        &self,
+        miss: Miss,
+        v: T,
+        mut read: impl FnMut(&V) -> R,
+    ) -> R {
         if let Some(dir) = &self.cache_dir {
             let _ = std::fs::create_dir_all(dir);
             let text = render_entry(&miss.key, &v.encode());
@@ -962,11 +973,9 @@ impl SweepEngine {
                 );
             }
         }
-        self.memo
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .jobs
-            .insert(miss.job, v.into_memo());
+        let mut memo = self.memo.lock().unwrap_or_else(|e| e.into_inner());
+        let stored = memo.insert(miss.job, v.into_memo());
+        read(V::get(stored).expect("an entry holds what its job reads"))
     }
 }
 
@@ -1098,6 +1107,15 @@ impl Workload {
     }
 }
 
+impl Member<'_> {
+    fn name(&self) -> String {
+        match self {
+            Member::Bench(b) => b.name().to_string(),
+            Member::Trace(t) => t.meta.name.clone(),
+        }
+    }
+}
+
 /// How a job runs its members: alone on `num_sms` SMs, or a co-run
 /// mode. SMRA parameters are held as the bit patterns the key string
 /// prints, so keys compare exactly when their strings do.
@@ -1211,7 +1229,8 @@ struct Miss {
 /// A memoizable job result: how it sits in the in-process map and how
 /// it round-trips through a disk entry's flat `u64` fields.
 trait Memoized: Sized {
-    /// The value in place if `memo` holds this kind.
+    /// The value in place if `memo` holds this kind; a full-device
+    /// profile holds a co-run outcome too.
     fn get(memo: &Memo) -> Option<&Self>;
     fn into_memo(self) -> Memo;
     fn encode(&self) -> Vec<(String, u64)>;
@@ -1223,13 +1242,13 @@ trait Memoized: Sized {
 impl Memoized for AppProfile {
     fn get(memo: &Memo) -> Option<&Self> {
         match memo {
-            Memo::Profile(p) => Some(p),
+            Memo::Profile(p, _) => Some(p),
             Memo::Group(_) => None,
         }
     }
 
     fn into_memo(self) -> Memo {
-        Memo::Profile(self)
+        Memo::Profile(self, None)
     }
 
     fn encode(&self) -> Vec<(String, u64)> {
@@ -1266,8 +1285,8 @@ impl Memoized for AppProfile {
 impl Memoized for GroupOutcome {
     fn get(memo: &Memo) -> Option<&Self> {
         match memo {
-            Memo::Group(g) => Some(g),
-            Memo::Profile(_) => None,
+            Memo::Group(g) | Memo::Profile(_, Some(g)) => Some(g),
+            Memo::Profile(_, None) => None,
         }
     }
 
@@ -1295,11 +1314,17 @@ impl Memoized for GroupOutcome {
             return None;
         }
         let makespan = field(fields, "makespan")?;
+        let indexed = |prefix: char, i: usize| {
+            fields
+                .iter()
+                .find(|(name, _)| is_indexed(name, prefix, i))
+                .map(|(_, v)| *v)
+        };
         let mut cycles = Vec::with_capacity(n);
         let mut thread_insts = Vec::with_capacity(n);
         for i in 0..n {
-            cycles.push(field(fields, &format!("c{i}"))?);
-            thread_insts.push(field(fields, &format!("t{i}"))?);
+            cycles.push(indexed('c', i)?);
+            thread_insts.push(indexed('t', i)?);
         }
         Some(GroupOutcome {
             cycles,
@@ -1311,6 +1336,16 @@ impl Memoized for GroupOutcome {
 
 fn field(fields: &[(String, u64)], name: &str) -> Option<u64> {
     fields.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+}
+
+/// Whether `name` is `format!("{prefix}{i}")`, without formatting it:
+/// the prefix, then `i` in decimal with no sign or leading zero.
+fn is_indexed(name: &str, prefix: char, i: usize) -> bool {
+    name.strip_prefix(prefix).is_some_and(|d| {
+        d.bytes().all(|b| b.is_ascii_digit())
+            && (d == "0" || !d.starts_with('0'))
+            && d.parse() == Ok(i)
+    })
 }
 
 /// Best-effort rendering of a caught panic payload (`&str` or `String`
@@ -1332,6 +1367,33 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 fn entry_path(dir: &Path, hash: u64) -> PathBuf {
     dir.join(format!("{hash:016x}.json"))
 }
+
+/// The text of the entry at `path`: one open, reads until end of file,
+/// one close. `fs::read_to_string` would also ask the file's size, a
+/// system call an entry of a few hundred bytes does not need. `None`
+/// when the file cannot be read or is not UTF-8 (a miss, as before).
+fn read_entry(path: &Path) -> Option<String> {
+    let mut file = std::fs::File::open(path).ok()?;
+    let mut buf = vec![0u8; ENTRY_READ_BYTES];
+    let mut len = 0;
+    loop {
+        if len == buf.len() {
+            buf.resize(2 * len, 0);
+        }
+        match file.read(&mut buf[len..]) {
+            Ok(0) => break,
+            Ok(n) => len += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => return None,
+        }
+    }
+    buf.truncate(len);
+    String::from_utf8(buf).ok()
+}
+
+/// First read size of [`read_entry`]: above every entry the engine
+/// writes, so a read takes two calls, the second one seeing the end.
+const ENTRY_READ_BYTES: usize = 1024;
 
 /// Crash-safe entry write: the text lands in a uniquely-named temp file
 /// in the same directory and only an atomic `rename` publishes it. A
@@ -1568,48 +1630,54 @@ mod tests {
         }
     }
 
+    /// Two workers: the calling thread runs jobs and exactly one
+    /// helper is spawned; results come back in job order, and a panic
+    /// in a job the caller itself runs is typed, not unwound. Each
+    /// batch holds the caller's first job until the helper has run one
+    /// (for at most 10 s, so a missing helper fails rather than hangs).
     #[test]
-    fn transient_failures_are_retried_within_budget() {
-        let e = SweepEngine::new(1).with_retry_policy(RetryPolicy {
-            max_retries: 2,
-            base_backoff_ms: 0,
-        });
-        let tries = AtomicU32::new(0);
-        let out = e
-            .run_parallel(1, |_| {
-                if tries.fetch_add(1, Ordering::Relaxed) < 2 {
-                    Err(CoreError::BadQueue("flaky".into()))
+    fn two_workers_are_the_caller_and_one_helper() {
+        use std::collections::HashSet;
+        use std::sync::atomic::AtomicBool;
+        use std::thread;
+        let caller = thread::current().id();
+        let e = SweepEngine::new(2);
+        let batch = |jobs: usize, f: &(dyn Fn(usize) -> Result<usize, CoreError> + Sync)| {
+            let helper_ran = AtomicBool::new(false);
+            let ran_on = Mutex::new(HashSet::new());
+            let r = e.run_parallel(jobs, |i| {
+                let me = thread::current().id();
+                ran_on.lock().unwrap().insert(me);
+                if me == caller {
+                    let t = Instant::now();
+                    while !helper_ran.load(Ordering::Acquire) && t.elapsed().as_secs() < 10 {
+                        thread::yield_now();
+                    }
                 } else {
-                    Ok(7u32)
+                    helper_ran.store(true, Ordering::Release);
                 }
-            })
-            .unwrap();
-        assert_eq!(out, vec![7]);
-        assert_eq!(tries.load(Ordering::Relaxed), 3);
-        assert_eq!(e.stats().jobs_retried, 1);
-    }
+                f(i)
+            });
+            (r, ran_on.into_inner().unwrap())
+        };
 
-    #[test]
-    fn retry_budget_is_bounded_and_panics_are_not_retried() {
-        let e = SweepEngine::new(1).with_retry_policy(RetryPolicy {
-            max_retries: 1,
-            base_backoff_ms: 0,
-        });
-        let tries = AtomicU32::new(0);
-        let r: Result<Vec<u32>, _> = e.run_parallel(1, |_| {
-            tries.fetch_add(1, Ordering::Relaxed);
-            Err(CoreError::BadQueue("always".into()))
-        });
-        assert!(r.is_err());
-        assert_eq!(tries.load(Ordering::Relaxed), 2, "1 attempt + 1 retry");
+        let (out, threads) = batch(16, &|i| Ok(i * 3));
+        assert_eq!(out.unwrap(), (0..16).map(|i| i * 3).collect::<Vec<_>>());
+        assert!(threads.contains(&caller), "the caller runs jobs");
+        assert_eq!(threads.len(), 2, "the caller and exactly one helper");
 
-        let panics = AtomicU32::new(0);
-        let r: Result<Vec<u32>, _> = e.run_parallel(1, |_| {
-            panics.fetch_add(1, Ordering::Relaxed);
-            panic!("deterministic");
+        let (r, _) = batch(2, &|i| {
+            if thread::current().id() == caller {
+                panic!("caller job {i}");
+            }
+            Ok(i)
         });
-        assert!(matches!(r, Err(CoreError::Worker { .. })));
-        assert_eq!(panics.load(Ordering::Relaxed), 1, "panics must not retry");
+        match r {
+            Err(CoreError::Worker { message, .. }) => {
+                assert!(message.starts_with("caller job"), "{message}");
+            }
+            other => panic!("expected a Worker error, got {other:?}"),
+        }
     }
 
     // ---- fingerprints ------------------------------------------------
@@ -1803,7 +1871,7 @@ mod tests {
         job: &GenJob,
     ) -> Result<T, Box<Miss>> {
         let (members, mode, counts) = key_parts(job);
-        e.lookup(cfg, scale, members.into_iter(), mode, counts, &mut T::clone)
+        e.lookup::<T, T, T>(cfg, scale, members.into_iter(), mode, counts, &mut T::clone)
             .map_err(|miss| miss.expect("at most three members"))
     }
 
@@ -1831,7 +1899,7 @@ mod tests {
                             thread_insts: rng.next_u64(),
                             num_sms: rng.gen_range(64) as u32,
                         };
-                        warm.store(*miss, p);
+                        warm.store(*miss, p, |_: &AppProfile| ());
                     }
                 }
                 GenJob::Corun(group, _) => {
@@ -1841,7 +1909,7 @@ mod tests {
                             thread_insts: group.iter().map(|_| rng.next_u64()).collect(),
                             makespan: rng.next_u64(),
                         };
-                        warm.store(*miss, g);
+                        warm.store(*miss, g, |_: &GroupOutcome| ());
                     }
                 }
             }
@@ -1971,7 +2039,7 @@ mod tests {
         let p = first.profile_workload(&cfg(), Scale::TEST, &w, 8).unwrap();
         let probe = |e: &SweepEngine, sms: &[u32]| {
             let mut out = Vec::new();
-            e.profile_cycles_memo(&cfg(), Scale::TEST, &w, sms, &mut out);
+            e.profile_memo(&cfg(), Scale::TEST, &w, sms, |p| p.cycles, &mut out);
             out
         };
 
@@ -1991,7 +2059,7 @@ mod tests {
         let mut other = cfg();
         other.l2_lat += 1;
         let mut out = vec![Some(1)];
-        e.profile_cycles_memo(&other, Scale::TEST, &w, &[8], &mut out);
+        e.profile_memo(&other, Scale::TEST, &w, &[8], |p| p.cycles, &mut out);
         assert_eq!(out, [Some(1), None], "entries are appended; another config misses");
     }
 
@@ -2138,14 +2206,19 @@ mod tests {
             (vec![Benchmark::Lud, Benchmark::Sad], CorunMode::Counts(vec![6, 2])),
         ];
 
+        let coruns = |e: &SweepEngine| {
+            e.run_parallel(jobs.len(), |i| e.corun(&cfg(), Scale::TEST, &jobs[i].0, &jobs[i].1))
+                .unwrap()
+        };
+
         let warm = SweepEngine::new(2).with_cache_dir(&tmp.0);
         let profiles = warm.profile_suite(&cfg(), Scale::TEST, &suite).unwrap();
-        let outcomes = warm.corun_batch(&cfg(), Scale::TEST, &jobs).unwrap();
+        let outcomes = coruns(&warm);
         assert_eq!(warm.stats().jobs_simulated, 5);
 
         let cold = SweepEngine::new(2).with_cache_dir(&tmp.0);
         let profiles2 = cold.profile_suite(&cfg(), Scale::TEST, &suite).unwrap();
-        let outcomes2 = cold.corun_batch(&cfg(), Scale::TEST, &jobs).unwrap();
+        let outcomes2 = coruns(&cold);
         let s = cold.stats();
         assert_eq!(s.jobs_simulated, 0, "every job must come from the cache");
         assert_eq!(s.jobs_cached, s.jobs_total);

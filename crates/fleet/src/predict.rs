@@ -97,7 +97,7 @@ impl FleetPredictor {
     /// Profiles every `(capacity, bench)` curve for `spec` ×
     /// `benches`. One serial pass answers every grid point the
     /// engine's in-process memo holds, one batched probe per curve
-    /// ([`SweepEngine::profile_cycles_memo`], each hit counted as a
+    /// ([`SweepEngine::profile_memo`], each hit counted as a
     /// cache hit); only the rest fan out across the engine's workers
     /// through the memo cache (disk, then simulation). A second warm on
     /// the same engine therefore spawns nothing, and one with the same
@@ -117,7 +117,7 @@ impl FleetPredictor {
         let mut misses: Vec<(usize, GpuConfig, Benchmark, u32)> = Vec::new();
         for_each_curve(base, spec, benches, |cfg, _, bench, grid| {
             let at = cycles.len();
-            engine.profile_cycles_memo(cfg, scale, &Workload::Bench(bench), grid, &mut cycles);
+            engine.profile_memo(cfg, scale, &Workload::Bench(bench), grid, |p| p.cycles, &mut cycles);
             for (k, &sms) in grid.iter().enumerate() {
                 if cycles[at + k].is_none() {
                     misses.push((at + k, cfg.clone(), bench, sms));

@@ -376,10 +376,11 @@ fi
 # public-surface audit removed (LP text format, window trace recorder,
 # debug_* binaries, cache GC script), the fleet's own event loop, the
 # solver's per-node problem copies and per-plan queue snapshot, the
-# legacy `cargo bench` instrument (benchmark/ is the only one), and the
-# tombstoned DRAM queue the per-bank lists replaced (DESIGN.md §8).
+# legacy `cargo bench` instrument (benchmark/ is the only one), the
+# tombstoned DRAM queue the per-bank lists replaced (DESIGN.md §8), and
+# the sweep retry layer (deterministic jobs replay their failure).
 # CHANGES.md and ROADMAP.md are history and may name them.
-step "deleted-name guard (no sharded-lane, audited-away, second-loop, per-node-clone, legacy-bench or tombstone-queue names)"
+step "deleted-name guard (no sharded-lane, audited-away, second-loop, per-node-clone, legacy-bench, tombstone-queue or retry-layer names)"
 GONE='ShardCell|MemShard|ShardSink|ShardCtl|ThreadedExec|issue_prepare|issue_more'
 GONE="$GONE|resolve_pending|PendingAccess|run_sharded|ShardLease|set_shards"
 GONE="$GONE|set_mem_shards|set_shard_workers|with_sim_threads|GCS_SIM_THREADS|shard_smoke"
@@ -389,6 +390,7 @@ GONE="$GONE|as_max_problem|best_objective_max|LpSolution|pending_vec"
 GONE="$GONE|scripts/bench\.sh|BENCH_sim|BENCH_sched|gcs_bench::timing|BENCH_JSON|bench-smoke"
 GONE="$GONE|\[\[bench\]\]"
 GONE="$GONE|Option<DramEntry>|VecDeque<Option<|retain\(Option::is_some\)"
+GONE="$GONE|RetryPolicy|with_retry_policy|JobRetried"
 if grep -rnE "$GONE" crates tests scripts README.md DESIGN.md EXPERIMENTS.md \
         .claude/skills/verify/SKILL.md --exclude=ci.sh; then
     echo "a deleted name is back (see the matches above)" >&2

@@ -8,7 +8,9 @@
 //!   read in place (`corun_with`, `Pipeline::run_group_into`) and a
 //!   batched `cycles` probe hit return no owned value and allocate
 //!   nothing, with a trace member too: a seen trace interns by pointer,
-//!   not by re-encoding and fingerprinting its payload.
+//!   not by re-encoding and fingerprinting its payload. So does a
+//!   one-app `Even` group, read from the outcome its full-device
+//!   profile entry keeps.
 //! * One `IlpEpoch::plan` over the thesis' 14-job census stays within
 //!   [`PLAN_BUDGET`] allocations; one over a single group's census
 //!   (no solve) allocates only its `Plan`.
@@ -218,6 +220,34 @@ fn warm_corun_hit_read_in_place_allocates_nothing() {
     }
 }
 
+/// A one-app `Even` group is its app's full-device profile job, whose
+/// entry keeps the derived outcome beside the profile: once the
+/// pipeline has profiled the suite, the group is a memo hit read in
+/// place, allocates nothing and counts as one cached job.
+#[test]
+fn warm_single_member_even_hit_allocates_nothing() {
+    let mut p = pipeline(2);
+    let group = [Benchmark::Lud];
+    let mut out = GroupResult {
+        apps: Vec::with_capacity(group.len()),
+        makespan: 0,
+    };
+    let before = p.sweep_stats();
+    let (ran, allocs) = counted(|| p.run_group_into(&group, AllocationPolicy::Even, &mut out));
+    ran.unwrap();
+    assert_eq!(allocs, 0, "a warm one-app Even group allocates nothing");
+    let prof = p.profile(Benchmark::Lud);
+    assert_eq!(
+        (out.apps[0].cycles, out.apps[0].thread_insts, out.makespan),
+        (prof.cycles, prof.thread_insts, prof.cycles + 1)
+    );
+    let after = p.sweep_stats();
+    assert_eq!(
+        (after.jobs_total, after.jobs_cached, after.jobs_simulated),
+        (before.jobs_total + 1, before.jobs_cached + 1, before.jobs_simulated)
+    );
+}
+
 /// Warm hits with a trace member — a co-run read in place and a batched
 /// profile probe — allocate nothing: the trace's `Arc` interns by
 /// pointer, so neither hit re-encodes or fingerprints the trace.
@@ -240,7 +270,7 @@ fn warm_hits_with_a_trace_member_allocate_nothing() {
     let alone = p.engine().profile_workload(cfg, scale, &trace, cfg.num_sms).unwrap();
     let mut out = Vec::with_capacity(1);
     let ((), allocs) =
-        counted(|| p.engine().profile_cycles_memo(cfg, scale, &trace, &[cfg.num_sms], &mut out));
+        counted(|| p.engine().profile_memo(cfg, scale, &trace, &[cfg.num_sms], |p| p.cycles, &mut out));
     assert_eq!(out, [Some(alone.cycles)]);
     assert_eq!(allocs, 0, "a batched trace probe hit allocates nothing");
 }
@@ -266,7 +296,7 @@ fn batched_memo_probe_hit_allocates_nothing() {
     // The pipeline profiled every benchmark on the full device.
     let sms = [cfg.num_sms; 4];
     let mut out = Vec::with_capacity(sms.len());
-    let ((), allocs) = counted(|| p.engine().profile_cycles_memo(cfg, scale, &w, &sms, &mut out));
+    let ((), allocs) = counted(|| p.engine().profile_memo(cfg, scale, &w, &sms, |p| p.cycles, &mut out));
     assert_eq!(out, [Some(p.profile(Benchmark::Lud).cycles); 4]);
     assert_eq!(allocs, 0, "a batched hit reads the stored profile in place");
 }

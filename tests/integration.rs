@@ -6,10 +6,13 @@ use gcs_core::ilp::solve_grouping;
 use gcs_core::interference::InterferenceMatrix;
 use gcs_core::profile::{profile_alone, scalability_curve};
 use gcs_core::queues::{census, thesis_queue_14};
-use gcs_core::sweep::SweepEngine;
+use std::sync::Arc;
+
+use gcs_core::profile::PROFILE_MAX_CYCLES;
+use gcs_core::sweep::{CorunMode, GroupOutcome, SweepEngine, Workload};
 use gcs_sim::config::GpuConfig;
 use gcs_sim::gpu::Gpu;
-use gcs_workloads::{Benchmark, Scale};
+use gcs_workloads::{tensor_mix_trace, Benchmark, Scale};
 
 fn cfg() -> GpuConfig {
     GpuConfig::test_small()
@@ -148,4 +151,49 @@ fn drain_based_migration_mid_run_preserves_work() {
     let kb = Benchmark::Spmv.kernel(Scale::TEST);
     assert_eq!(gpu.stats().app(a).thread_insts, ka.total_thread_instructions());
     assert_eq!(gpu.stats().app(b).thread_insts, kb.total_thread_instructions());
+}
+
+/// A one-app `Even` co-run is served by the app's full-device profile
+/// job: one key, one cache entry, one simulation, with `makespan =
+/// cycles + 1`. The served outcome must equal a direct single-app
+/// device run (`Gpu::new`, `partition_even`, `run`) for every benchmark
+/// on both device models, and for a trace member.
+#[test]
+fn one_app_even_corun_served_by_the_profile_equals_a_direct_run() {
+    for cfg in [GpuConfig::gtx480(), GpuConfig::test_small()] {
+        let mut members: Vec<Workload> = Benchmark::ALL.map(Workload::Bench).into();
+        members.push(Workload::Trace(Arc::new(tensor_mix_trace(&cfg))));
+        let engine = SweepEngine::auto();
+        engine
+            .run_parallel(members.len(), |i| {
+                let w = &members[i];
+                let group = std::iter::once(w);
+                let served =
+                    engine.corun_with(&cfg, Scale::TEST, group, &CorunMode::Even, GroupOutcome::clone)?;
+                let mut gpu = Gpu::new(cfg.clone()).expect("config");
+                let app = match w {
+                    Workload::Bench(b) => gpu.launch(b.kernel(Scale::TEST)),
+                    Workload::Trace(t) => gpu.launch_traced(Arc::clone(t)),
+                }
+                .expect("launch");
+                gpu.partition_even();
+                gpu.run(PROFILE_MAX_CYCLES).expect("run");
+                let s = gpu.stats().app(app);
+                let direct = GroupOutcome {
+                    cycles: vec![s.runtime_cycles().max(1)],
+                    thread_insts: vec![s.thread_insts],
+                    makespan: gpu.cycle(),
+                };
+                assert_eq!(served, direct, "{} on {} SMs", w.name(), cfg.num_sms);
+                Ok(())
+            })
+            .expect("every member runs");
+        // Each co-run was its profile job: the profiles are hits now.
+        for w in &members {
+            engine.profile_workload(&cfg, Scale::TEST, w, cfg.num_sms).expect("hit");
+        }
+        let s = engine.stats();
+        let n = members.len() as u64;
+        assert_eq!((s.jobs_total, s.jobs_simulated, s.jobs_cached), (2 * n, n, n));
+    }
 }
